@@ -6,16 +6,22 @@ genericity conditions enforced here a k-cell has exactly n0 - k zero
 entries, faces are read off by composing sign words, and cofacets by
 flipping a single zero entry.
 
-Construction is layer-by-layer refinement: starting from the layer-1
-hyperplane arrangement, each existing cell is intersected with the next
-layer's bent hyperplanes (affine within the cell).  A candidate pattern is
-kept iff its equalities plus strict inequalities admit an interior witness,
-decided by an LP that maximizes the worst slack.
+Construction refines layer by layer.  Inside a cell of the previous layers
+every node map of the next layer is affine, so the cell is split by one
+node map at a time.  Each partial region carries a point of its relative
+interior: the map's sign there proves one piece, and one LP pushing the map
+the other way decides the other two pieces and yields points inside them.
+A resulting sign word is kept when its sample point clears every strict
+inequality by a margin, and otherwise by an LP that maximizes the worst
+slack.  The LP count thus grows with the regions found, not with the 3^n_k
+sign words of a layer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,6 +29,7 @@ from .errors import (
     FlatCellError,
     GenericityError,
     InjectivityError,
+    NumericalInstabilityError,
     SingularSystemError,
 )
 from .lp import LpProblem, interior_witness, lp_solve
@@ -31,11 +38,11 @@ from .network import (
     Signs,
     _prefix_forms,
     cell_affine_form,
-    sign_patterns,
     signs_to_str,
 )
 
 _ZERO_ROW = 1e-12
+# Relative gradient norm below which F counts as constant on a cell or edge.
 _FLAT_TOL = 1e-9
 
 
@@ -57,13 +64,38 @@ class Cell:
 
     signs: Signs
     dim: int
-    witness: np.ndarray
-    clearance: float
+    # What the witness LP needs on first use.  Not the complex itself: that
+    # cycle would keep finished complexes alive until the collector runs.
+    net: ReluNetwork = field(repr=False, compare=False)
+    lp_tol: float = field(repr=False, compare=False)
     flat: bool = False
     bounded_above: bool | None = None  # cache, filled by CanonicalComplex
+    _interior: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __str__(self):
         return signs_to_str(self.signs)
+
+    @property
+    def witness(self) -> np.ndarray:
+        """Interior point maximizing the worst (capped) slack."""
+        return self._interior_witness()[0]
+
+    @property
+    def clearance(self) -> float:
+        """Worst slack of :attr:`witness`, capped at 1."""
+        return self._interior_witness()[1]
+
+    def _interior_witness(self) -> tuple:
+        if self._interior is None:
+            form = cell_affine_form(self.net, self.signs)
+            rep = _hrep_for(self.net, self.signs, (form.pre_jacobians, form.pre_biases))
+            found = interior_witness(
+                rep.a_eq, rep.b_eq, rep.a_ge, rep.b_ge, feas_tol=self.lp_tol
+            )
+            if found is None:
+                raise GenericityError(f"cell {self} has no interior witness")
+            self._interior = (found[0], float(found[1]))
+        return self._interior
 
 
 @dataclass
@@ -230,9 +262,7 @@ class CanonicalComplex:
         """Lexicographically smallest top cell having ``signs`` as a face."""
         signs = tuple(signs)
         zero_pos = [p for p, s in enumerate(signs) if s == 0]
-        for combo in sign_patterns(len(zero_pos)):
-            if 0 in combo:
-                continue
+        for combo in itertools.product((-1, 1), repeat=len(zero_pos)):
             cand = list(signs)
             for p, sigma in zip(zero_pos, combo):
                 cand[p] = sigma
@@ -410,43 +440,181 @@ def _abort_on_forced_flats(net, stage, upto_layer, n0):
             )
 
 
-def build_complex(
-    net: ReluNetwork,
-    sign_tol: float = 1e-9,
-    lp_tol: float = 1e-7,
-) -> CanonicalComplex:
-    """Enumerate all cells of C(F) with witnesses, dimensions and vertices.
+class _Region(NamedTuple):
+    """A partial region inside a parent cell while one layer is split.
 
-    Raises GenericityError (supertransversality violations), FlatCellError
-    (F constant on a positive-dimensional cell meeting a vertex) or
-    InjectivityError (two vertices share an F value).
+    ``word`` holds the layer's signs decided so far, the rows the normalized
+    constraints of the parent and those signs, ``point`` a point of the
+    region's relative interior (near it when the region is a sliver or an LP
+    gave no answer) and ``dim`` its dimension.
     """
+
+    word: Signs
+    a_eq: np.ndarray
+    b_eq: np.ndarray
+    a_ge: np.ndarray
+    b_ge: np.ndarray
+    point: np.ndarray
+    dim: int
+
+    def cut(self, sign, a, b, point, dim) -> "_Region":
+        """The piece where sign(a.x - b) == sign."""
+        word = self.word + (sign,)
+        if sign == 0:
+            a_eq, b_eq = np.vstack([self.a_eq, a]), np.append(self.b_eq, b)
+            return _Region(word, a_eq, b_eq, self.a_ge, self.b_ge, point, dim)
+        a_ge, b_ge = np.vstack([self.a_ge, sign * a]), np.append(self.b_ge, sign * b)
+        return _Region(word, self.a_eq, self.b_eq, a_ge, b_ge, point, dim)
+
+
+def _reach(region: _Region, a, b, lp_tol):
+    """Max of a.x - b (capped at 1) over the region's closure, with its
+    argmax; None when the LP gives no answer."""
+    problem = LpProblem.build(
+        a,
+        a_eq=region.a_eq,
+        b_eq=region.b_eq,
+        a_ge=np.vstack([region.a_ge, -a]),
+        b_ge=np.append(region.b_ge, -1.0 - b),
+    )
+    try:
+        res = lp_solve(problem, feas_tol=lp_tol)
+    except NumericalInstabilityError:
+        return None  # the caller then keeps every piece for acceptance to judge
+    if not res.optimal:
+        return None
+    return res.x, float(a @ res.x - b)
+
+
+def _pieces(region: _Region, a, b, near, lp_tol) -> list:
+    """(sign, point, dim) of every piece the hyperplane a.x = b may cut.
+
+    A single point is split by evaluating the map there.  Pieces within
+    ``near`` of existing are returned too: the list may name empty pieces,
+    which acceptance drops, but never misses one.
+    """
+    x, d = region.point, region.dim
+    v = float(a @ x - b)
+    if d == 0:
+        # An ill-conditioned zero set can pass the acceptance pre-filter
+        # even where the map is far from zero at x.
+        if abs(v) > near and not _consistent(
+            np.vstack([region.a_eq, a]), np.append(region.b_eq, b)
+        ):
+            return [(1 if v > 0 else -1, x, 0)]
+        return [(-1, x, 0), (0, x, 0), (1, x, 0)]
+    if abs(v) > near:
+        # x proves the side it lies on; push the map the other way.
+        s = 1 if v > 0 else -1
+        found = _reach(region, -s * a, -s * b, lp_tol)
+        if found is None:
+            return [(s, x, d), (0, x, d), (-s, x, d)]
+        q, u = found  # u = max of -s * (a.x - b)
+        if u <= -near:
+            return [(s, x, d)]
+        # The open segment from x to q lies in the relative interior; it
+        # crosses the hyperplane at t0 when u > 0.
+        t0 = s * v / (s * v + u) if u > 0 else 1.0
+        return [
+            (s, x, d),
+            (0, x + t0 * (q - x), d - 1),
+            (-s, x + 0.5 * (1.0 + t0) * (q - x), d),
+        ]
+    # x lies within near of the hyperplane: probe both sides.  The zero
+    # piece keeps dimension d when the map stays within near of zero.
+    out, zero, flat = [], x, True
+    for s in (-1, 1):
+        found = _reach(region, s * a, s * b, lp_tol)
+        if found is None:
+            out.append((s, x, d))
+            continue
+        q, m = found  # m = max of s * (a.x - b)
+        out.append((s, 0.5 * (x + q), d))
+        flat = flat and m <= near
+        if s * v < 0 < m:
+            zero = x + (-s * v) / (m - s * v) * (q - x)
+    return [out[0], (0, zero, d if flat else d - 1), out[1]]
+
+
+def _layer_candidates(layer_k, rows, offs, rep, point, dim, lp_tol) -> dict:
+    """Sign words of layer ``layer_k`` that may name a cell inside one parent.
+
+    ``rows``/``offs`` are the layer's node maps on the parent, ``rep`` the
+    parent's H-representation, ``point`` a point of its relative interior and
+    ``dim`` its dimension.  Returns {word: sample point}: every word the
+    witness LP would keep, and possibly a few it would drop.
+    """
+    for j, (row, c) in enumerate(zip(rows, offs)):
+        if float(np.linalg.norm(row)) <= _ZERO_ROW * max(1.0, abs(c)) and abs(c) <= 1e-9:
+            raise GenericityError(
+                f"node map {(layer_k, j + 1)} vanishes identically on a region"
+            )
+    near = 10.0 * lp_tol
+    regions = [_Region((), rep.a_eq, rep.b_eq, rep.a_ge, rep.b_ge, point, dim)]
+    for row, c in zip(rows, offs):
+        nrm = float(np.linalg.norm(row))
+        if nrm <= _ZERO_ROW * max(1.0, abs(c)):
+            sign = 1 if c > 0 else -1  # constant on the parent: one piece
+            regions = [r._replace(word=r.word + (sign,)) for r in regions]
+            continue
+        a, b = row / nrm, -c / nrm
+        regions = [
+            r.cut(sign, a, b, y, dd)
+            for r in regions
+            for sign, y, dd in _pieces(r, a, b, near, lp_tol)
+        ]
+    return {r.word: r.point for r in regions}
+
+
+def _consistent(a_eq, b_eq) -> bool:
+    """Cheap residual test for an over-determined zero set, which is
+    generically unsolvable: False lets the caller skip the LP."""
+    sol, *_ = np.linalg.lstsq(a_eq, b_eq, rcond=None)
+    resid = float(np.abs(a_eq @ sol - b_eq).max())
+    return resid <= 1e-7 * max(1.0, float(np.abs(b_eq).max()))
+
+
+def _clears(rep: _HRep, x, lp_tol) -> bool:
+    """True when x meets the zero set and clears every strict inequality
+    by more than 2 * lp_tol, so the witness LP would keep the cell."""
+    if rep.a_ge.shape[0] and float((rep.a_ge @ x - rep.b_ge).min()) <= 2.0 * lp_tol:
+        return False
+    if rep.a_eq.shape[0]:
+        return float(np.abs(rep.a_eq @ x - rep.b_eq).max()) <= 1e-3 * lp_tol
+    return True
+
+
+def _enumerate_cells(net: ReluNetwork, lp_tol: float) -> list:
+    """Sorted sign words of all cells of C(F); raises the genericity and
+    forced-flatness errors of :func:`build_complex`."""
     n0 = net.n0
-    stage = {(): None}
+    stage = {(): np.zeros(n0)}  # cell -> point of its relative interior
     for k, layer in enumerate(net.layers, start=1):
         n_k = layer.out_dim
         new_stage = {}
         for parent in sorted(stage):
-            ext = parent + (0,) * n_k
-            pre_j, pre_b, _, _ = _prefix_forms(net, ext)
-            for t in sign_patterns(n_k):
+            pre_j, pre_b, _, _ = _prefix_forms(net, parent + (0,) * n_k)
+            parent_rep = _hrep_for(net, parent, (pre_j[:-1], pre_b[:-1]))
+            samples = _layer_candidates(
+                k, pre_j[-1], pre_b[-1], parent_rep, stage[parent],
+                n0 - parent.count(0), lp_tol,
+            )
+            for t in sorted(samples):
                 cand = parent + t
                 rep = _hrep_for(net, cand, (pre_j, pre_b))
                 if rep is None:
                     continue
                 zeros = sum(1 for s in cand if s == 0)
-                if zeros > n0 and rep.a_eq.shape[0]:
-                    # Over-determined zero set: generically unsolvable, so a
-                    # cheap residual check skips the LP.
-                    sol, *_ = np.linalg.lstsq(rep.a_eq, rep.b_eq, rcond=None)
-                    resid = float(np.abs(rep.a_eq @ sol - rep.b_eq).max())
-                    if resid > 1e-7 * max(1.0, float(np.abs(rep.b_eq).max())):
-                        continue
-                found = interior_witness(
-                    rep.a_eq, rep.b_eq, rep.a_ge, rep.b_ge, feas_tol=lp_tol
-                )
-                if found is None:
+                if zeros > n0 and rep.a_eq.shape[0] and not _consistent(rep.a_eq, rep.b_eq):
                     continue
+                x = samples[t]
+                if not _clears(rep, x, lp_tol):
+                    found = interior_witness(
+                        rep.a_eq, rep.b_eq, rep.a_ge, rep.b_ge, feas_tol=lp_tol
+                    )
+                    if found is None:
+                        continue
+                    x = found[0]
                 if zeros > n0:
                     raise GenericityError(
                         f"feasible pattern {signs_to_str(cand)} has {zeros} > n0 zeros"
@@ -457,16 +625,30 @@ def build_complex(
                         raise GenericityError(
                             f"dependent zero-set equations on {signs_to_str(cand)}"
                         )
-                new_stage[cand] = found
+                new_stage[cand] = x
         stage = new_stage
         _abort_on_forced_flats(net, stage, k, n0)
+    return sorted(stage)
 
-    cells = {}
-    for signs in sorted(stage):
-        witness, clearance = stage[signs]
-        dim = n0 - sum(1 for s in signs if s == 0)
-        cells[signs] = Cell(signs, dim, witness, float(clearance))
 
+def build_complex(
+    net: ReluNetwork,
+    sign_tol: float = 1e-9,
+    lp_tol: float = 1e-7,
+) -> CanonicalComplex:
+    """Enumerate all cells of C(F) with dimensions, flat flags and vertices.
+
+    Raises GenericityError (supertransversality violations), FlatCellError
+    (F constant on a positive-dimensional cell meeting a vertex) or
+    InjectivityError (two vertices share an F value).
+    """
+    return _assemble(net, _enumerate_cells(net, lp_tol), sign_tol, lp_tol)
+
+
+def _assemble(net, cell_signs, sign_tol, lp_tol) -> CanonicalComplex:
+    """Complex on the given cells: flat flags, vertex table, injectivity."""
+    n0 = net.n0
+    cells = {s: Cell(s, n0 - s.count(0), net, lp_tol) for s in cell_signs}
     cpx = CanonicalComplex(net, cells, {}, sign_tol, lp_tol)
 
     # Flat cells: F constant along a positive-dimensional cell.  With a

@@ -20,14 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex import CanonicalComplex, _hrep_for, is_face
+from .complex import _FLAT_TOL, CanonicalComplex, _hrep_for, is_face
 from .errors import (
     FlatCellError,
     GenericityError,
     IncompletePairingError,
     UnboundedCellError,
 )
-from .lp import LpProblem, LpResult, lp_solve  # the solver surface lives here
+from .lp import LpProblem, lp_solve
 from .network import ReluNetwork, Signs, cell_affine_form, signs_to_str
 from .orientation import (
     VertexClassification,
@@ -37,8 +37,6 @@ from .orientation import (
 
 #: Identifier of the compactification basepoint (a critical 0-cell at -inf).
 BASEPOINT = "*"
-
-_FLAT_TOL = 1e-9
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ by masking rows whose pattern entry is not +1.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,11 +35,6 @@ def signs_from_str(text: str) -> Signs:
         return tuple(table[ch] for ch in text)
     except KeyError as exc:
         raise ValueError(f"invalid sign character in {text!r}") from exc
-
-
-def sign_patterns(n: int):
-    """All sign words of length n in numeric-lexicographic order."""
-    return itertools.product((-1, 0, 1), repeat=n)
 
 
 @dataclass(frozen=True)

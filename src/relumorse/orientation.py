@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex import CanonicalComplex, Cell, VertexRecord, build_complex
+from .complex import _FLAT_TOL, CanonicalComplex, Cell, VertexRecord, build_complex
 from .errors import (
     ArchitectureError,
     FlatCellError,
@@ -31,8 +31,6 @@ from .errors import (
     SingularSystemError,
 )
 from .network import ReluNetwork, Signs, signs_to_str
-
-_FLAT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
