@@ -140,7 +140,7 @@ def cmd_dgvf(args) -> int:
         lower_of = matching.lower_to_upper()
         upper_of = matching.upper_to_lower()
         for signs in sorted(cc.cells):
-            assignment = local_pair(net, signs, sign_tol=args.sign_tol, lp_tol=args.lp_tol)
+            assignment = local_pair(net, signs, lp_tol=args.lp_tol)
             if assignment.role == "critical":
                 agree = signs in matching.critical
             elif assignment.role == "lower":
@@ -175,7 +175,8 @@ def cmd_render(args) -> int:
 
 def _add_tolerances(sub) -> None:
     sub.add_argument("--sign-tol", type=float, default=1e-9,
-                     help="zero threshold for sign sequences (default 1e-9)")
+                     help="relative tolerance under which two vertex values count"
+                          " as equal, an injectivity error (default 1e-9)")
     sub.add_argument("--lp-tol", type=float, default=1e-7,
                      help="LP feasibility tolerance (default 1e-7)")
 

@@ -42,8 +42,22 @@ from .network import (
 )
 
 _ZERO_ROW = 1e-12
+# Offset at or below which a constant node map counts as zero.
+_ZERO_OFFSET = 1e-9
 # Relative gradient norm below which F counts as constant on a cell or edge.
 _FLAT_TOL = 1e-9
+
+
+def _is_constant(nrm: float, c: float) -> bool:
+    """True when a node map with gradient norm nrm and offset c is constant
+    on the region."""
+    return nrm <= _ZERO_ROW * max(1.0, abs(c))
+
+
+def _is_flat(value: float, g) -> bool:
+    """True when the slope ``value`` of F along a cell or edge is negligible
+    against the full gradient g."""
+    return abs(value) <= _FLAT_TOL * float(np.linalg.norm(g)) + 1e-30
 
 
 def compose_signs(a: Signs, b: Signs) -> Signs:
@@ -123,6 +137,13 @@ class _HRep:
     ge_positions: tuple
 
 
+def _cell_problem(rep: _HRep, objective) -> LpProblem:
+    """LP maximizing ``objective`` over a cell's H-representation."""
+    return LpProblem.build(
+        objective, a_eq=rep.a_eq, b_eq=rep.b_eq, a_ge=rep.a_ge, b_ge=rep.b_ge
+    )
+
+
 def _hrep_for(net: ReluNetwork, signs: Signs, forms) -> _HRep | None:
     """Assemble the H-representation of a (possibly partial) sign pattern.
 
@@ -140,15 +161,14 @@ def _hrep_for(net: ReluNetwork, signs: Signs, forms) -> _HRep | None:
             row = rows[j]
             c = offs[j]
             nrm = float(np.linalg.norm(row))
-            if nrm <= _ZERO_ROW * max(1.0, abs(c)):
-                # Node map is constant on the region.
+            if _is_constant(nrm, c):
                 if s == 0:
-                    if abs(c) <= 1e-9:
+                    if abs(c) <= _ZERO_OFFSET:
                         raise GenericityError(
                             f"node map {(li + 1, j + 1)} vanishes identically on a region"
                         )
                     return None
-                if s * c <= 0 or abs(c) <= 1e-9:
+                if s * c <= 0 or abs(c) <= _ZERO_OFFSET:
                     return None
                 pos += 1
                 continue  # strictly satisfied everywhere on the region
@@ -179,16 +199,14 @@ class CanonicalComplex:
     concurrent reads.
     """
 
-    def __init__(self, net, cells, vertices, sign_tol, lp_tol):
+    def __init__(self, net, cells, vertices, lp_tol):
         self.net = net
         self.cells = cells
         self.vertices = vertices
-        self.sign_tol = sign_tol
         self.lp_tol = lp_tol
         self._forms = {}
         self._hreps = {}
         self._fmax = {}
-        self._spatial = {}
 
     @property
     def n0(self) -> int:
@@ -246,14 +264,23 @@ class CanonicalComplex:
         out.sort(key=lambda c: c.signs)
         return out
 
-    def star(self, signs: Signs) -> list:
-        signs = tuple(signs)
-        return [c for c in self.cells.values() if is_face(signs, c.signs)]
-
     def vertex_facets(self, cell) -> list:
-        """Vertices of the complex lying in the closure of ``cell``."""
+        """Vertices of the complex lying in the closure of ``cell``, sorted.
+
+        A vertex of a k-cell zeroes k more entries of its sign word.
+        """
         signs = cell.signs if isinstance(cell, Cell) else tuple(cell)
-        return [v for v in self.vertices.values() if is_face(v.signs, signs)]
+        nonzero = [p for p, s in enumerate(signs) if s != 0]
+        out = []
+        for zeroed in itertools.combinations(nonzero, self.n0 - signs.count(0)):
+            word = list(signs)
+            for p in zeroed:
+                word[p] = 0
+            hit = self.vertices.get(tuple(word))
+            if hit is not None:
+                out.append(hit)
+        out.sort(key=lambda v: v.signs)
+        return out
 
     def top_cells(self) -> list:
         return [c for c in self.cells.values() if c.dim == self.n0]
@@ -276,15 +303,8 @@ class CanonicalComplex:
     # -- LP-backed cell queries ------------------------------------------
 
     def cell_lp(self, signs: Signs, objective, maximize: bool = True):
-        rep = self.hrep(signs)
         obj = np.asarray(objective, dtype=float)
-        problem = LpProblem.build(
-            obj if maximize else -obj,
-            a_eq=rep.a_eq,
-            b_eq=rep.b_eq,
-            a_ge=rep.a_ge,
-            b_ge=rep.b_ge,
-        )
+        problem = _cell_problem(self.hrep(signs), obj if maximize else -obj)
         return lp_solve(problem, feas_tol=self.lp_tol)
 
     def is_bounded_above(self, cell) -> bool:
@@ -320,52 +340,6 @@ class CanonicalComplex:
                     break
         self._fmax[cell.signs] = val
         return val
-
-    def is_spatially_bounded(self, cell) -> bool:
-        """True iff the cell is a bounded subset of R^n0 (coordinate LPs)."""
-        cell = cell if isinstance(cell, Cell) else self.cells[tuple(cell)]
-        signs = cell.signs
-        if signs in self._spatial:
-            return self._spatial[signs]
-        bounded = True
-        for axis in range(self.n0):
-            for direction in (1.0, -1.0):
-                obj = np.zeros(self.n0)
-                obj[axis] = direction
-                if not self.cell_lp(signs, obj).optimal:
-                    bounded = False
-                    break
-            if not bounded:
-                break
-        self._spatial[signs] = bounded
-        return bounded
-
-    # -- derived sets ------------------------------------------------------
-
-    def lower_star(self, vertex) -> list:
-        """Cells of star(v) on which F attains its maximum at v.
-
-        Combinatorial rule: a star cell is in the lower star iff every one
-        of its edges at v descends (points toward v); extra nonzero entries
-        of the cell name those edges directly.
-        """
-        from .orientation import orient_edge  # deferred: orientation imports us
-
-        v = vertex if isinstance(vertex, VertexRecord) else self.vertices[tuple(vertex)]
-        zero_pos = [p for p, s in enumerate(v.signs) if s == 0]
-        descends = {}
-        for p in zero_pos:
-            for sigma in (-1, 1):
-                e = v.signs[:p] + (sigma,) + v.signs[p + 1 :]
-                if e in self.cells:
-                    descends[(p, sigma)] = orient_edge(self, v, self.cells[e]).derivative_sign < 0
-        out = []
-        for c in self.star(v.signs):
-            extras = [(p, c.signs[p]) for p in zero_pos if c.signs[p] != 0]
-            if all(descends.get(key, False) for key in extras):
-                out.append(c)
-        out.sort(key=lambda c: c.signs)
-        return out
 
     def vertex_location(self, signs: Signs, container: Signs | None = None) -> np.ndarray:
         """Solve the n0 x n0 node-map system of a vertex's zero entries."""
@@ -544,16 +518,16 @@ def _layer_candidates(layer_k, rows, offs, rep, point, dim, lp_tol) -> dict:
     ``dim`` its dimension.  Returns {word: sample point}: every word the
     witness LP would keep, and possibly a few it would drop.
     """
-    for j, (row, c) in enumerate(zip(rows, offs)):
-        if float(np.linalg.norm(row)) <= _ZERO_ROW * max(1.0, abs(c)) and abs(c) <= 1e-9:
+    norms = [float(np.linalg.norm(row)) for row in rows]
+    for j, (nrm, c) in enumerate(zip(norms, offs)):
+        if _is_constant(nrm, c) and abs(c) <= _ZERO_OFFSET:
             raise GenericityError(
                 f"node map {(layer_k, j + 1)} vanishes identically on a region"
             )
     near = 10.0 * lp_tol
     regions = [_Region((), rep.a_eq, rep.b_eq, rep.a_ge, rep.b_ge, point, dim)]
-    for row, c in zip(rows, offs):
-        nrm = float(np.linalg.norm(row))
-        if nrm <= _ZERO_ROW * max(1.0, abs(c)):
+    for row, c, nrm in zip(rows, offs, norms):
+        if _is_constant(nrm, c):
             sign = 1 if c > 0 else -1  # constant on the parent: one piece
             regions = [r._replace(word=r.word + (sign,)) for r in regions]
             continue
@@ -649,7 +623,7 @@ def _assemble(net, cell_signs, sign_tol, lp_tol) -> CanonicalComplex:
     """Complex on the given cells: flat flags, vertex table, injectivity."""
     n0 = net.n0
     cells = {s: Cell(s, n0 - s.count(0), net, lp_tol) for s in cell_signs}
-    cpx = CanonicalComplex(net, cells, {}, sign_tol, lp_tol)
+    cpx = CanonicalComplex(net, cells, {}, lp_tol)
 
     # Flat cells: F constant along a positive-dimensional cell.  With a
     # vertex in the closure the Morse machinery cannot run; vertex-free flat
@@ -667,7 +641,7 @@ def _assemble(net, cell_signs, sign_tol, lp_tol) -> CanonicalComplex:
         else:
             basis = np.eye(n0)
         proj = float(np.linalg.norm(basis @ g)) if basis.size else 0.0
-        cell.flat = proj <= _FLAT_TOL * float(np.linalg.norm(g)) + 1e-30
+        cell.flat = _is_flat(proj, g)
         if cell.flat and any(is_face(v, cell.signs) for v in vertex_signs):
             raise FlatCellError(
                 f"F is constant on cell {signs_to_str(cell.signs)}, which has a vertex;"

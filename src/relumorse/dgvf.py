@@ -18,22 +18,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .complex import _FLAT_TOL, CanonicalComplex, _hrep_for, is_face
+from .complex import CanonicalComplex, _cell_problem, _hrep_for, is_face
 from .errors import (
     FlatCellError,
     GenericityError,
     IncompletePairingError,
     UnboundedCellError,
 )
-from .lp import LpProblem, lp_solve
+from .lp import lp_solve
 from .network import ReluNetwork, Signs, cell_affine_form, signs_to_str
-from .orientation import (
-    VertexClassification,
-    _direction_into_edge,
-    classify_vertex,
-)
+from .orientation import VertexClassification, classify_signs, classify_vertex
 
 #: Identifier of the compactification basepoint (a critical 0-cell at -inf).
 BASEPOINT = "*"
@@ -340,38 +334,7 @@ class PairAssignment:
     owner_index: int | None  # critical index of the owner, None when regular
 
 
-def _local_classify(net: ReluNetwork, v_signs: Signs, form_of) -> VertexClassification:
-    """Classification at a vertex from analytic directional derivatives only."""
-    axes = []
-    for p, s in enumerate(v_signs):
-        if s != 0:
-            continue
-        desc = {}
-        for sigma in (-1, 1):
-            e_signs = v_signs[:p] + (sigma,) + v_signs[p + 1 :]
-            d, form = _direction_into_edge(net, v_signs, e_signs, form_of)
-            g = form.total_gradient
-            slope = float(g @ d)
-            if abs(slope) <= _FLAT_TOL * float(np.linalg.norm(g)) + 1e-30:
-                raise FlatCellError(
-                    f"F is constant along edge {signs_to_str(e_signs)}; network out of scope"
-                )
-            desc[sigma] = slope < 0
-        axes.append((p, desc[-1], desc[1]))
-    flow = [(p, dm, dp) for p, dm, dp in axes if dm != dp]
-    if not flow:
-        index = sum(1 for p, dm, dp in axes if dm and dp)
-        return VertexClassification(v_signs, "critical", index, tuple(axes), None, None)
-    p, dm, _ = flow[0]
-    return VertexClassification(v_signs, "regular", None, tuple(axes), p, -1 if dm else 1)
-
-
-def local_pair(
-    net: ReluNetwork,
-    signs: Signs,
-    sign_tol: float = 1e-9,
-    lp_tol: float = 1e-7,
-) -> PairAssignment:
+def local_pair(net: ReluNetwork, signs: Signs, lp_tol: float = 1e-7) -> PairAssignment:
     """Pairing of one bounded-above cell without building the complex.
 
     Maximizes F over the cell by LP; the tight constraints name the
@@ -392,12 +355,7 @@ def local_pair(
     rep = _hrep_for(net, signs, (form.pre_jacobians, form.pre_biases))
     if rep is None:
         raise GenericityError(f"cell {signs_to_str(signs)} is infeasible")
-    res = lp_solve(
-        LpProblem.build(
-            form.total_gradient, a_eq=rep.a_eq, b_eq=rep.b_eq, a_ge=rep.a_ge, b_ge=rep.b_ge
-        ),
-        feas_tol=lp_tol,
-    )
+    res = lp_solve(_cell_problem(rep, form.total_gradient), feas_tol=lp_tol)
     if res.status == "unbounded":
         raise UnboundedCellError(
             f"F is unbounded above on cell {signs_to_str(signs)}"
@@ -414,7 +372,7 @@ def local_pair(
             f"LP maximum over {signs_to_str(signs)} is not attained at a simple vertex"
         )
 
-    cls = _local_classify(net, v_signs, form_of)
+    cls = classify_signs(net, v_signs, form_of)
     if cls.kind == "regular":
         p_star, sigma = cls.flow_axis, cls.flow_sign
         entry = signs[p_star]

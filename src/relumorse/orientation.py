@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex import _FLAT_TOL, CanonicalComplex, Cell, VertexRecord, build_complex
+from .complex import CanonicalComplex, Cell, VertexRecord, _is_flat, build_complex
 from .errors import (
     ArchitectureError,
     FlatCellError,
@@ -74,12 +74,6 @@ class VertexClassification:
     @property
     def descending_axes(self) -> tuple:
         return tuple(p for p, dm, dp in self.axes if dm and dp)
-
-    def descends(self, position: int, sigma: int) -> bool:
-        for p, dm, dp in self.axes:
-            if p == position:
-                return dm if sigma < 0 else dp
-        raise KeyError(position)
 
 
 def _resolve(cpx: CanonicalComplex, vertex, edge):
@@ -133,45 +127,65 @@ def edge_direction(cpx: CanonicalComplex, vertex, edge) -> np.ndarray:
     return d
 
 
+def _slope_into_edge(net: ReluNetwork, v_signs: Signs, e_signs: Signs, form_of):
+    """(unit direction, sign of dF along it) from the vertex into the edge;
+    FlatCellError if the directional derivative vanishes."""
+    d, form = _direction_into_edge(net, v_signs, e_signs, form_of)
+    g = form.total_gradient
+    slope = float(g @ d)
+    if _is_flat(slope, g):
+        raise FlatCellError(
+            f"F is constant along edge {signs_to_str(e_signs)}; network out of scope"
+        )
+    return d, 1 if slope > 0 else -1
+
+
 def orient_edge(cpx: CanonicalComplex, vertex, edge) -> EdgeOrientation:
     """Orientation of the edge relative to the vertex; FlatCellError if the
     directional derivative vanishes."""
     v, e = _resolve(cpx, vertex, edge)
-    d, form = _direction_into_edge(cpx.net, v.signs, e.signs, cpx.form)
-    g = form.total_gradient
-    slope = float(g @ d)
-    if abs(slope) <= _FLAT_TOL * float(np.linalg.norm(g)) + 1e-30:
-        raise FlatCellError(
-            f"F is constant along edge {signs_to_str(e.signs)}; network out of scope"
-        )
-    return EdgeOrientation(e.signs, v.signs, 1 if slope > 0 else -1, d)
+    d, sign = _slope_into_edge(cpx.net, v.signs, e.signs, cpx.form)
+    return EdgeOrientation(e.signs, v.signs, sign, d)
 
 
-def classify_vertex(cpx: CanonicalComplex, vertex) -> VertexClassification:
-    """PL-regular/critical decision for one vertex via its 2*n0 edges."""
-    v = vertex if isinstance(vertex, VertexRecord) else cpx.vertices[tuple(vertex)]
-    axes = []
-    for p, s in enumerate(v.signs):
+def _edges_at(v_signs: Signs):
+    """(position, sigma, edge signs) of the 2*n0 edges at a vertex."""
+    for p, s in enumerate(v_signs):
         if s != 0:
             continue
-        desc = {}
         for sigma in (-1, 1):
-            e_signs = v.signs[:p] + (sigma,) + v.signs[p + 1 :]
-            if e_signs not in cpx.cells:
-                raise MissingEdgeError(
-                    f"expected edge {signs_to_str(e_signs)} at vertex"
-                    f" {signs_to_str(v.signs)} is missing"
-                )
-            desc[sigma] = orient_edge(cpx, v, cpx.cells[e_signs]).derivative_sign < 0
-        axes.append((p, desc[-1], desc[1]))
+            yield p, sigma, v_signs[:p] + (sigma,) + v_signs[p + 1 :]
+
+
+def classify_signs(net: ReluNetwork, v_signs: Signs, form_of) -> VertexClassification:
+    """PL-regular/critical decision for the vertex named v_signs from the
+    analytic directional derivatives along its 2*n0 edges."""
+    desc = {
+        (p, sigma): _slope_into_edge(net, v_signs, e_signs, form_of)[1] < 0
+        for p, sigma, e_signs in _edges_at(v_signs)
+    }
+    axes = tuple(
+        (p, desc[(p, -1)], desc[(p, 1)]) for p, s in enumerate(v_signs) if s == 0
+    )
     flow = [(p, dm, dp) for p, dm, dp in axes if dm != dp]
     if not flow:
         index = sum(1 for p, dm, dp in axes if dm and dp)
-        return VertexClassification(v.signs, "critical", index, tuple(axes), None, None)
+        return VertexClassification(v_signs, "critical", index, axes, None, None)
     p, dm, _ = flow[0]
-    return VertexClassification(
-        v.signs, "regular", None, tuple(axes), p, -1 if dm else 1
-    )
+    return VertexClassification(v_signs, "regular", None, axes, p, -1 if dm else 1)
+
+
+def classify_vertex(cpx: CanonicalComplex, vertex) -> VertexClassification:
+    """PL-regular/critical decision for one vertex of the complex; raises
+    MissingEdgeError when one of its 2*n0 edges is not a cell."""
+    v = vertex if isinstance(vertex, VertexRecord) else cpx.vertices[tuple(vertex)]
+    for _, _, e_signs in _edges_at(v.signs):
+        if e_signs not in cpx.cells:
+            raise MissingEdgeError(
+                f"expected edge {signs_to_str(e_signs)} at vertex"
+                f" {signs_to_str(v.signs)} is missing"
+            )
+    return classify_signs(cpx.net, v.signs, cpx.form)
 
 
 def orientation_field(cpx: CanonicalComplex) -> dict:
@@ -198,7 +212,7 @@ def orientation_field(cpx: CanonicalComplex) -> dict:
         d = vh[-1]
         g = cpx.form(signs).total_gradient
         slope = float(g @ d)
-        if abs(slope) <= _FLAT_TOL * float(np.linalg.norm(g)) + 1e-30:
+        if _is_flat(slope, g):
             continue
         if slope < 0:
             d = -d
@@ -262,11 +276,11 @@ def analyze_shallow(net: ReluNetwork, cpx: CanonicalComplex | None = None) -> Sh
     consistent = True
     toward = []
     for v in cpx.vertices.values():
-        rel = []
-        for cell in cpx.star(v.signs):
-            if cell.dim != 1 or len(cpx.vertex_facets(cell)) != 1:
-                continue
-            rel.append(orient_edge(cpx, v, cell).derivative_sign)
+        rel = [
+            orient_edge(cpx, v, edge).derivative_sign
+            for edge in cpx.cofacets(v.signs)
+            if len(cpx.facets(edge)) == 1
+        ]
         if not rel:
             continue
         if len(set(rel)) > 1:

@@ -30,7 +30,7 @@ from relumorse import (
 )
 from relumorse.complex import build_complex
 
-from conftest import central_difference_gradient, scan_generic_nets
+from conftest import central_difference_gradient, is_spatially_bounded, scan_generic_nets
 
 S = signs_from_str
 
@@ -76,12 +76,12 @@ def test_criterion_1_closed_form_counts():
             unbounded_edges = sum(
                 1
                 for c in cpx.cells.values()
-                if c.dim == 1 and not cpx.is_spatially_bounded(c)
+                if c.dim == 1 and not is_spatially_bounded(cpx, c)
             )
             unbounded_2cells = sum(
                 1
                 for c in cpx.cells.values()
-                if c.dim == 2 and not cpx.is_spatially_bounded(c)
+                if c.dim == 2 and not is_spatially_bounded(cpx, c)
             )
             per_net = time.monotonic() - t0
             worst = max(worst, per_net)
@@ -248,7 +248,7 @@ def test_criterion_9_structural_properties(suite):
 
         # (b) unique source and sink on every bounded 2-cell.
         for cell in cpx.cells.values():
-            if cell.dim != 2 or not cpx.is_spatially_bounded(cell):
+            if cell.dim != 2 or not is_spatially_bounded(cpx, cell):
                 continue
             edges = [e for e in cpx.facets(cell) if e.dim == 1]
             sources = sinks = 0

@@ -14,7 +14,13 @@ from relumorse import (
 from relumorse.complex import _vertex_location
 from relumorse.errors import FlatCellError, GenericityError, InjectivityError
 
-from conftest import scan_generic_nets
+from conftest import (
+    is_spatially_bounded,
+    lower_star,
+    scan_generic_nets,
+    star,
+    vertex_facets_scan,
+)
 
 S = signs_from_str
 
@@ -81,7 +87,7 @@ def test_net_b_complex_contents(cpx_b):
     assert values[S("+00")] == pytest.approx(1.0)
     assert values[S("0+0")] == pytest.approx(2.0)
     unbounded_edges = [
-        c for c in cpx_b.cells.values() if c.dim == 1 and not cpx_b.is_spatially_bounded(c)
+        c for c in cpx_b.cells.values() if c.dim == 1 and not is_spatially_bounded(cpx_b, c)
     ]
     assert len(unbounded_edges) == 6
 
@@ -152,11 +158,11 @@ def test_bounded_above_examples(cpx_b):
 
 
 def test_lower_star_examples(cpx_b):
-    star1 = {c.signs for c in cpx_b.lower_star(S("00+"))}
+    star1 = {c.signs for c in lower_star(cpx_b, S("00+"))}
     assert star1 == {S("00+"), S("+0+"), S("0++"), S("+++")}
-    star2 = {c.signs for c in cpx_b.lower_star(S("+00"))}
+    star2 = {c.signs for c in lower_star(cpx_b, S("+00"))}
     assert star2 == {S("+00")}
-    star3 = {c.signs for c in cpx_b.lower_star(S("0+0"))}
+    star3 = {c.signs for c in lower_star(cpx_b, S("0+0"))}
     assert star3 == {S("0+0"), S("++0")}
 
 
@@ -164,9 +170,9 @@ def test_lower_star_matches_lp_oracle(cpx_b):
     # Independent route: a star cell is in the lower star iff the LP maximum
     # of F over it equals the vertex value.
     for signs, v in cpx_b.vertices.items():
-        combinatorial = {c.signs for c in cpx_b.lower_star(signs)}
+        combinatorial = {c.signs for c in lower_star(cpx_b, signs)}
         via_lp = set()
-        for cell in cpx_b.star(signs):
+        for cell in star(cpx_b, signs):
             if not cpx_b.is_bounded_above(cell):
                 continue
             if cpx_b.f_max(cell) == pytest.approx(v.value, abs=1e-9):
@@ -177,10 +183,10 @@ def test_lower_star_matches_lp_oracle(cpx_b):
 def test_lower_star_matches_lp_oracle_random():
     for seed, net, cpx in scan_generic_nets((2, 4), 2):
         for signs, v in cpx.vertices.items():
-            combinatorial = {c.signs for c in cpx.lower_star(signs)}
+            combinatorial = {c.signs for c in lower_star(cpx, signs)}
             via_lp = {
                 c.signs
-                for c in cpx.star(signs)
+                for c in star(cpx, signs)
                 if cpx.is_bounded_above(c)
                 and abs(cpx.f_max(c) - v.value) <= 1e-9 * max(1.0, abs(v.value))
             }
@@ -190,7 +196,7 @@ def test_lower_star_matches_lp_oracle_random():
 def test_lower_stars_partition_bounded_above_cells(cpx_b):
     seen = {}
     for signs in cpx_b.vertices:
-        for cell in cpx_b.lower_star(signs):
+        for cell in lower_star(cpx_b, signs):
             assert cell.signs not in seen, "lower stars must be disjoint"
             seen[cell.signs] = signs
     expected = {s for s, c in cpx_b.cells.items() if cpx_b.is_bounded_above(c)}
@@ -250,10 +256,19 @@ def test_shallow_planar_counts(n):
         edges = [c for c in cpx.cells.values() if c.dim == 1]
         twocells = [c for c in cpx.cells.values() if c.dim == 2]
         assert len(vertices) == n * (n - 1) // 2
-        assert sum(1 for e in edges if not cpx.is_spatially_bounded(e)) == 2 * n
-        assert sum(1 for c in twocells if not cpx.is_spatially_bounded(c)) == 2 * n
+        assert sum(1 for e in edges if not is_spatially_bounded(cpx, e)) == 2 * n
+        assert sum(1 for c in twocells if not is_spatially_bounded(cpx, c)) == 2 * n
 
 
 def test_witness_signs_match_cell(cpx_b):
     for signs, cell in cpx_b.cells.items():
         assert cpx_b.net.sign_sequence_at(cell.witness) == signs
+
+
+def test_vertex_facets_match_scan(differential_draws):
+    # Sign-word lookup against the scan over every vertex it replaced.
+    for seed, net, cpx in differential_draws:
+        for signs, cell in cpx.cells.items():
+            expected = vertex_facets_scan(cpx, cell)
+            assert cpx.vertex_facets(cell) == expected, (net.arch, seed, signs)
+            assert cpx.vertex_facets(signs) == expected, (net.arch, seed, signs)

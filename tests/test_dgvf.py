@@ -18,7 +18,7 @@ from relumorse import AffineLayer, ReluNetwork
 from relumorse.dgvf import _critical_assignment
 from relumorse.errors import FlatCellError, UnboundedCellError
 
-from conftest import scan_generic_nets
+from conftest import lower_star, scan_generic_nets
 
 S = signs_from_str
 
@@ -37,7 +37,7 @@ def test_pair_regular_covers_half_the_lower_star(cpx_b):
         if cls.kind != "regular":
             continue
         pairs = pair_lower_star_regular(cpx_b, cls)
-        assert 2 * len(pairs) == len(cpx_b.lower_star(signs))
+        assert 2 * len(pairs) == len(lower_star(cpx_b, signs))
 
 
 def test_pair_critical_index_zero(cpx_b):
@@ -234,7 +234,7 @@ def test_vpath_owner_values_descend():
         cc = compactify(cpx)
         owner = {}
         for signs in cpx.vertices:
-            for cell in cpx.lower_star(signs):
+            for cell in lower_star(cpx, signs):
                 owner[cell.signs] = cpx.vertices[signs].value
         lower_of = matching.lower_to_upper()
         for lo, up in matching.pairs:
@@ -254,3 +254,21 @@ def test_matching_export_schema(cpx_b):
         "critical": ["+00"],
         "basepoint": True,
     }
+
+
+def test_lower_star_pairings_cover_reference_lower_star(differential_draws):
+    # The pairings' words (plus the critical cell) against the reference
+    # lower star built from the star scan and per-edge orientations.
+    for seed, net, cpx in differential_draws:
+        arch = net.arch
+        for signs in cpx.vertices:
+            cls = classify_vertex(cpx, signs)
+            if cls.kind == "regular":
+                pairs, cells = pair_lower_star_regular(cpx, cls), []
+            else:
+                pairs, crit = pair_lower_star_critical(cpx, cls)
+                cells = [crit]
+            cells += [s for pair in pairs for s in pair]
+            assert len(cells) == len(set(cells)), (arch, seed, signs)
+            expected = {c.signs for c in lower_star(cpx, signs)}
+            assert set(cells) == expected, (arch, seed, signs)

@@ -1,0 +1,88 @@
+"""Byte-identity guard for the CLI.
+
+Each case pins the sha256 of (exit code, stdout, stderr, output file) for
+one subcommand on one network, so a refactor that changes any byte of JSON,
+SVG or a structured error fails here.  Change a digest only together with a
+change that means to alter that output.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+
+import pytest
+
+from relumorse.cli import main
+
+NETS = {
+    "net-b": ["--fixture", "net-b"],
+    "2-8-1-s0": ["--arch", "2,8,1", "--seed", "0"],
+    # (3,4,1) seeds 0-4 are rejected like (3,4,3,1) s0; 5 is the first accepted.
+    "3-4-1-s5": ["--arch", "3,4,1", "--seed", "5"],
+    # Rejected after layer 1: a dead layer on a cell with a vertex.
+    "3-4-3-1-s0": ["--arch", "3,4,3,1", "--seed", "0"],
+    # Rejected after full refinement: F constant on a cell with a vertex.
+    "2-4-3-1-s2": ["--arch", "2,4,3,1", "--seed", "2"],
+}
+
+COMMANDS = {
+    "build": ["build"],
+    "classify": ["classify"],
+    "dgvf": ["dgvf", "--local-check"],
+    "render": ["render"],
+}
+
+GOLDEN = {
+    "2-4-3-1-s2/build": "302c630f16c6bb8180a7c7117f9248a53f6849ae359c033409c7046b62817f69",
+    "2-4-3-1-s2/classify": "302c630f16c6bb8180a7c7117f9248a53f6849ae359c033409c7046b62817f69",
+    "2-4-3-1-s2/dgvf": "302c630f16c6bb8180a7c7117f9248a53f6849ae359c033409c7046b62817f69",
+    "2-4-3-1-s2/render": "302c630f16c6bb8180a7c7117f9248a53f6849ae359c033409c7046b62817f69",
+    "2-8-1-s0/build": "24b6b63fef7407a1eb9c48f06c5b4f85893a6daabab971e5c8a1ba46e40cb758",
+    "2-8-1-s0/classify": "97c8967e9928b795adea93d92a9d641e1f1d2e10d6817376be0b378739e17bfd",
+    "2-8-1-s0/dgvf": "0d1d4c1c3a794b8df712cfdb127ded1df9d335ccad26cda3a6d9a009369f032d",
+    "2-8-1-s0/render": "0d075a0c0f050132e047cc85af5d83895cb9b46fa65bcc570d5a908f301fd98e",
+    "3-4-1-s5/build": "12a8a79b0febf97fa844de7b75ad2a5178d82cdddda05e361bd19bb469a85028",
+    "3-4-1-s5/classify": "96b7bce051d699415fda2cd0f64e8629a2b72f61666b2ee99558bbd7c8a135f4",
+    "3-4-1-s5/dgvf": "e02402b8e4a7dc059db81634e8ca936e5f0e553d153dbf285fac0a7f3f344adf",
+    "3-4-1-s5/render": "a639c545e4b7b3aa43969d334235e2d8e9dc14e73b39993f4b9cf57871d03bc5",
+    "3-4-3-1-s0/build": "f24f02edf8383aab8c3eed071b4ce918fea274a86b02bd97ea2c5afaefbcd027",
+    "3-4-3-1-s0/classify": "f24f02edf8383aab8c3eed071b4ce918fea274a86b02bd97ea2c5afaefbcd027",
+    "3-4-3-1-s0/dgvf": "f24f02edf8383aab8c3eed071b4ce918fea274a86b02bd97ea2c5afaefbcd027",
+    "3-4-3-1-s0/render": "f24f02edf8383aab8c3eed071b4ce918fea274a86b02bd97ea2c5afaefbcd027",
+    "net-b/build": "998d67997c0e50f3a408d65e3367e7793716d97def787dc2fc88be694ecc787a",
+    "net-b/classify": "54c3a00c591cade8ac98727837ed0270a62eb1398ce5909cb9f43201a12a8fd8",
+    "net-b/dgvf": "a7dc89d50efd75accff4935aec26f386dace01e95e08edadd7c9bcd50d410b28",
+    "net-b/render": "5c98847e6b207f271973bd6188078720b9f1615f93c00c1c0e0e706e68f978a0",
+}
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def digest(net: str, command: str, directory) -> str:
+    weights = directory / f"{net}.json"
+    if not weights.exists():
+        assert _run(["gen", *NETS[net], "-o", str(weights)])[0] == 0
+    target = directory / f"{net}.{command}.out"
+    code, stdout, stderr = _run(
+        [*COMMANDS[command], "-i", str(weights), "-o", str(target)]
+    )
+    text = target.read_text() if target.exists() else None
+    blob = json.dumps([code, stdout, stderr, text])
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("golden")
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("net", sorted(NETS))
+def test_output_digest(net, command, workdir):
+    assert digest(net, command, workdir) == GOLDEN[f"{net}/{command}"]
