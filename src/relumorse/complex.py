@@ -46,6 +46,19 @@ _ZERO_ROW = 1e-12
 _ZERO_OFFSET = 1e-9
 # Relative gradient norm below which F counts as constant on a cell or edge.
 _FLAT_TOL = 1e-9
+# A sample point within _SPLIT_MARGIN * lp_tol of a hyperplane is split by
+# probing both sides.
+_SPLIT_MARGIN = 10.0
+# A sample point certifies a cell when it clears every strict inequality by
+# more than _CLEAR_MARGIN * lp_tol and meets the zero set within
+# _SAMPLE_RESID * lp_tol.
+_CLEAR_MARGIN = 2.0
+_SAMPLE_RESID = 1e-3
+# Zero-set equations (unit rows) count as solvable within this relative
+# residual, and as independent above this singular value.
+_RANK_TOL = 1e-7
+# Relative residual above which a vertex system counts as ill-conditioned.
+_VERTEX_RESID = 1e-6
 
 
 def _is_constant(nrm: float, c: float) -> bool:
@@ -83,7 +96,6 @@ class Cell:
     net: ReluNetwork = field(repr=False, compare=False)
     lp_tol: float = field(repr=False, compare=False)
     flat: bool = False
-    bounded_above: bool | None = None  # cache, filled by CanonicalComplex
     _interior: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __str__(self):
@@ -302,44 +314,35 @@ class CanonicalComplex:
 
     # -- LP-backed cell queries ------------------------------------------
 
-    def cell_lp(self, signs: Signs, objective, maximize: bool = True):
-        obj = np.asarray(objective, dtype=float)
-        problem = _cell_problem(self.hrep(signs), obj if maximize else -obj)
-        return lp_solve(problem, feas_tol=self.lp_tol)
+    def cell_lp(self, signs: Signs, objective):
+        """LP maximizing ``objective`` over the cell ``signs``."""
+        return lp_solve(_cell_problem(self.hrep(signs), objective), feas_tol=self.lp_tol)
 
     def is_bounded_above(self, cell) -> bool:
-        """True iff max F over the cell is finite (LP on the restricted gradient)."""
-        cell = cell if isinstance(cell, Cell) else self.cells[tuple(cell)]
-        if cell.bounded_above is None:
-            if cell.dim == 0:
-                cell.bounded_above = True
-            else:
-                res = self.cell_lp(cell.signs, self.form(cell.signs).total_gradient)
-                cell.bounded_above = res.optimal
-        return cell.bounded_above
+        """True iff max F over the cell is finite."""
+        return self.f_max(cell) < float("inf")
 
     def f_max(self, cell) -> float:
-        """Max of F over a bounded-above cell, snapped to the vertex value
-        where it is attained."""
+        """Max of F over the cell; +inf when F is unbounded above on it.
+
+        One LP on the restricted gradient decides boundedness.  A closure
+        holding a vertex is pointed, so the maximum is then attained at one
+        of its vertices and read exactly off their values.
+        """
         cell = cell if isinstance(cell, Cell) else self.cells[tuple(cell)]
-        if cell.signs in self._fmax:
-            return self._fmax[cell.signs]
-        if cell.signs in self.vertices:
-            val = self.vertices[cell.signs].value
-        else:
-            form = self.form(cell.signs)
-            res = self.cell_lp(cell.signs, form.total_gradient)
-            if not res.optimal:
-                raise GenericityError(
-                    f"f_max requested for unbounded-above cell {signs_to_str(cell.signs)}"
-                )
-            val = res.value + form.total_offset
-            for v in self.vertex_facets(cell):
-                if abs(v.value - val) <= 1e-6 * max(1.0, abs(val)):
-                    val = v.value
-                    break
-        self._fmax[cell.signs] = val
-        return val
+        if cell.signs not in self._fmax:
+            if cell.signs in self.vertices:
+                val = self.vertices[cell.signs].value
+            else:
+                form = self.form(cell.signs)
+                res = self.cell_lp(cell.signs, form.total_gradient)
+                if not res.optimal:
+                    val = float("inf")
+                else:
+                    corners = self.vertex_facets(cell)
+                    val = max(v.value for v in corners) if corners else res.value + form.total_offset
+            self._fmax[cell.signs] = val
+        return self._fmax[cell.signs]
 
     def vertex_location(self, signs: Signs, container: Signs | None = None) -> np.ndarray:
         """Solve the n0 x n0 node-map system of a vertex's zero entries."""
@@ -380,7 +383,7 @@ def _vertex_location(net, signs, container, form_of) -> np.ndarray:
             f"singular vertex system for {signs_to_str(signs)}"
         ) from exc
     resid = float(np.abs(mat @ loc - np.array(rhs)).max())
-    if not np.isfinite(loc).all() or resid > 1e-6 * max(1.0, float(np.abs(rhs).max())):
+    if not np.isfinite(loc).all() or resid > _VERTEX_RESID * max(1.0, float(np.abs(rhs).max())):
         raise SingularSystemError(
             f"ill-conditioned vertex system for {signs_to_str(signs)}"
         )
@@ -524,7 +527,7 @@ def _layer_candidates(layer_k, rows, offs, rep, point, dim, lp_tol) -> dict:
             raise GenericityError(
                 f"node map {(layer_k, j + 1)} vanishes identically on a region"
             )
-    near = 10.0 * lp_tol
+    near = _SPLIT_MARGIN * lp_tol
     regions = [_Region((), rep.a_eq, rep.b_eq, rep.a_ge, rep.b_ge, point, dim)]
     for row, c, nrm in zip(rows, offs, norms):
         if _is_constant(nrm, c):
@@ -545,16 +548,16 @@ def _consistent(a_eq, b_eq) -> bool:
     generically unsolvable: False lets the caller skip the LP."""
     sol, *_ = np.linalg.lstsq(a_eq, b_eq, rcond=None)
     resid = float(np.abs(a_eq @ sol - b_eq).max())
-    return resid <= 1e-7 * max(1.0, float(np.abs(b_eq).max()))
+    return resid <= _RANK_TOL * max(1.0, float(np.abs(b_eq).max()))
 
 
 def _clears(rep: _HRep, x, lp_tol) -> bool:
     """True when x meets the zero set and clears every strict inequality
-    by more than 2 * lp_tol, so the witness LP would keep the cell."""
-    if rep.a_ge.shape[0] and float((rep.a_ge @ x - rep.b_ge).min()) <= 2.0 * lp_tol:
+    by a margin, so the witness LP would keep the cell."""
+    if rep.a_ge.shape[0] and float((rep.a_ge @ x - rep.b_ge).min()) <= _CLEAR_MARGIN * lp_tol:
         return False
     if rep.a_eq.shape[0]:
-        return float(np.abs(rep.a_eq @ x - rep.b_eq).max()) <= 1e-3 * lp_tol
+        return float(np.abs(rep.a_eq @ x - rep.b_eq).max()) <= _SAMPLE_RESID * lp_tol
     return True
 
 
@@ -594,7 +597,7 @@ def _enumerate_cells(net: ReluNetwork, lp_tol: float) -> list:
                         f"feasible pattern {signs_to_str(cand)} has {zeros} > n0 zeros"
                     )
                 if rep.a_eq.shape[0]:
-                    rank = np.linalg.matrix_rank(rep.a_eq, tol=1e-7)
+                    rank = np.linalg.matrix_rank(rep.a_eq, tol=_RANK_TOL)
                     if rank < rep.a_eq.shape[0]:
                         raise GenericityError(
                             f"dependent zero-set equations on {signs_to_str(cand)}"

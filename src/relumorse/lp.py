@@ -70,7 +70,7 @@ class LpResult:
         return self.status == "optimal"
 
 
-def _bland_min(tableau, basis, ncols, pivot_tol, max_iter):
+def _bland_min(tableau, basis, ncols):
     """Run Bland-rule simplex on a minimization tableau in place.
 
     tableau has shape (m+1, ncols+1); last row holds reduced costs, last
@@ -78,17 +78,17 @@ def _bland_min(tableau, basis, ncols, pivot_tol, max_iter):
     with no positive entry).
     """
     m = tableau.shape[0] - 1
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         costs = tableau[-1, :ncols]
         entering = -1
         for j in range(ncols):
-            if costs[j] < -pivot_tol:
+            if costs[j] < -PIVOT_TOL:
                 entering = j
                 break
         if entering < 0:
             return "optimal"
         col = tableau[:m, entering]
-        rows = np.nonzero(col > pivot_tol)[0]
+        rows = np.nonzero(col > PIVOT_TOL)[0]
         if rows.size == 0:
             if np.any(col > _HARD_TOL):
                 raise NumericalInstabilityError(
@@ -112,12 +112,7 @@ def _bland_min(tableau, basis, ncols, pivot_tol, max_iter):
     raise NumericalInstabilityError("simplex iteration limit exceeded")
 
 
-def lp_solve(
-    problem: LpProblem,
-    pivot_tol: float = PIVOT_TOL,
-    feas_tol: float = FEAS_TOL,
-    max_iter: int = _MAX_ITER,
-) -> LpResult:
+def lp_solve(problem: LpProblem, feas_tol: float = FEAS_TOL) -> LpResult:
     """Two-phase dense simplex; see the module docstring for conventions."""
     c = problem.objective
     n = c.shape[0]
@@ -127,7 +122,7 @@ def lp_solve(
 
     if m == 0:
         # Unconstrained: optimal only for a zero objective.
-        if np.all(np.abs(c) <= pivot_tol):
+        if np.all(np.abs(c) <= PIVOT_TOL):
             return LpResult("optimal", 0.0, np.zeros(n), ())
         return LpResult("unbounded")
 
@@ -157,7 +152,7 @@ def lp_solve(
     tableau[-1, :] -= tableau[:m, :].sum(axis=0)
     basis = [ncols + i for i in range(m)]
 
-    _bland_min(tableau, basis, ncols + m, pivot_tol, max_iter)
+    _bland_min(tableau, basis, ncols + m)
     if -tableau[-1, -1] > feas_tol:
         return LpResult("infeasible")
 
@@ -168,7 +163,7 @@ def lp_solve(
             keep.append(r)
             continue
         row = tableau[r, :ncols]
-        pivots = np.nonzero(np.abs(row) > pivot_tol)[0]
+        pivots = np.nonzero(np.abs(row) > PIVOT_TOL)[0]
         if pivots.size == 0:
             continue  # redundant constraint
         j = int(pivots[0])
@@ -194,7 +189,7 @@ def lp_solve(
         if abs(cost[j]) > 0.0:
             work[-1, :] -= cost[j] * work[r, :]
 
-    status = _bland_min(work, basis, ncols, pivot_tol, max_iter)
+    status = _bland_min(work, basis, ncols)
     if status == "unbounded":
         return LpResult("unbounded")
 
@@ -216,12 +211,11 @@ def interior_witness(
     a_ge: np.ndarray,
     b_ge: np.ndarray,
     feas_tol: float = FEAS_TOL,
-    cap: float = 1.0,
 ):
     """Strict-feasibility certificate for a system of equalities and strict
     inequalities (rows should be normalized so slack is geometric distance).
 
-    Maximizes the worst inequality slack (capped) and returns
+    Maximizes the worst inequality slack (capped at 1) and returns
     ``(witness, clearance)`` when the optimum exceeds ``feas_tol``, else None.
     """
     n = a_eq.shape[1] if a_eq.size else a_ge.shape[1]
@@ -234,7 +228,7 @@ def interior_witness(
     cap_row = np.zeros((1, n + 1))
     cap_row[0, -1] = -1.0
     ge_rows.append(cap_row)
-    ge_rhs.append(np.array([-cap]))
+    ge_rhs.append(np.array([-1.0]))
     problem = LpProblem.build(
         obj,
         a_eq=eq,

@@ -233,15 +233,11 @@ class ReluNetwork:
 class CellAffineForm:
     """Affine restrictions of the layer composites to one cell.
 
-    ``per_layer_jacobians[i]``/``per_layer_biases[i]`` give the post-ReLU
-    composite through layer i+1 (rows of inactive neurons masked to zero);
     ``pre_jacobians``/``pre_biases`` give the pre-activation node-map forms,
     which are what cell H-representations and vertex/edge systems use.
     """
 
     cell: Signs
-    per_layer_jacobians: tuple
-    per_layer_biases: tuple
     pre_jacobians: tuple
     pre_biases: tuple
     total_gradient: np.ndarray
@@ -302,8 +298,6 @@ def cell_affine_form(net: ReluNetwork, signs: Signs) -> CellAffineForm:
     offset = float((net.final.weights @ post_b[-1] + net.final.bias)[0])
     return CellAffineForm(
         cell=tuple(signs),
-        per_layer_jacobians=tuple(post_j),
-        per_layer_biases=tuple(post_b),
         pre_jacobians=tuple(pre_j),
         pre_biases=tuple(pre_b),
         total_gradient=grad,

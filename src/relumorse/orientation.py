@@ -245,13 +245,13 @@ class ShallowReport:
 
 
 def _global_range(cpx: CanonicalComplex):
-    """(inf F, sup F) over the whole input space via per-top-cell LPs."""
+    """(inf F, sup F) over the whole input space: per-top-cell maxima and
+    minimizing LPs."""
     lo, hi = np.inf, -np.inf
     for cell in cpx.top_cells():
+        hi = max(hi, cpx.f_max(cell))
         form = cpx.form(cell.signs)
-        up = cpx.cell_lp(cell.signs, form.total_gradient)
-        hi = np.inf if not up.optimal else max(hi, up.value + form.total_offset)
-        down = cpx.cell_lp(cell.signs, form.total_gradient, maximize=False)
+        down = cpx.cell_lp(cell.signs, -form.total_gradient)
         lo = -np.inf if not down.optimal else min(lo, -down.value + form.total_offset)
         if lo == -np.inf and hi == np.inf:
             break

@@ -91,6 +91,15 @@ def vertex_facets_scan(cpx, cell) -> list:
     return [v for v in cpx.vertices.values() if is_face(v.signs, signs)]
 
 
+def lp_max(cpx, cell) -> float:
+    """Max of F over a cell by its LP value, not read off vertex values;
+    +inf when the LP has no optimum."""
+    signs = cell.signs if isinstance(cell, Cell) else tuple(cell)
+    form = cpx.form(signs)
+    res = cpx.cell_lp(signs, form.total_gradient)
+    return res.value + form.total_offset if res.optimal else float("inf")
+
+
 def is_spatially_bounded(cpx, cell) -> bool:
     """True iff the cell is a bounded subset of R^n0 (coordinate LPs)."""
     signs = cell.signs if isinstance(cell, Cell) else tuple(cell)

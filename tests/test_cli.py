@@ -2,7 +2,18 @@ import json
 
 import pytest
 
-from relumorse import build_complex, from_weight_dict, net_b, render_svg, to_weight_dict
+from relumorse import (
+    AffineLayer,
+    ReluNetwork,
+    build_complex,
+    build_dgvf,
+    compactify,
+    from_weight_dict,
+    net_b,
+    render_svg,
+    to_weight_dict,
+    verify_relative_perfectness,
+)
 from relumorse.cli import main
 from relumorse.errors import DimensionError
 
@@ -137,6 +148,27 @@ def test_dgvf_command(tmp_path):
     assert r["betti_match"] is True
     assert r["local_check"] == {"pass": True, "mismatches": []}
     assert r["pass"] is True
+
+
+def test_near_tie_net_b_passes_dgvf(tmp_path):
+    # Final weights (1+1e-7, 1, 4): the vertices +00 and 0+0 take the values
+    # 1.0000001 and 1.0, far apart at the 1e-9 injectivity tolerance.  The
+    # edge ++0 between them peaks at the upper one.
+    net = ReluNetwork(net_b().layers, AffineLayer([[1.0 + 1e-7, 1.0, 4.0]], [0.0]))
+    cpx = build_complex(net)
+    cc = compactify(cpx)
+    assert cc.f_max[(1, 1, 0)] == 1.0000001
+    assert verify_relative_perfectness(cc, build_dgvf(cpx)).passed
+
+    weights = tmp_path / "w.json"
+    report = tmp_path / "r.json"
+    weights.write_text(json.dumps(to_weight_dict(net)))
+    code = run(
+        ["dgvf", "-i", str(weights), "-o", str(tmp_path / "m.json"),
+         "--report", str(report), "--local-check"]
+    )
+    assert code == 0
+    assert json.loads(report.read_text())["pass"] is True
 
 
 def test_dgvf_corrupt_flag_fails_report(tmp_path):

@@ -17,6 +17,7 @@ from relumorse.errors import FlatCellError, GenericityError, InjectivityError
 from conftest import (
     is_spatially_bounded,
     lower_star,
+    lp_max,
     scan_generic_nets,
     star,
     vertex_facets_scan,
@@ -175,7 +176,7 @@ def test_lower_star_matches_lp_oracle(cpx_b):
         for cell in star(cpx_b, signs):
             if not cpx_b.is_bounded_above(cell):
                 continue
-            if cpx_b.f_max(cell) == pytest.approx(v.value, abs=1e-9):
+            if lp_max(cpx_b, cell) == pytest.approx(v.value, abs=1e-9):
                 via_lp.add(cell.signs)
         assert combinatorial == via_lp
 
@@ -188,9 +189,24 @@ def test_lower_star_matches_lp_oracle_random():
                 c.signs
                 for c in star(cpx, signs)
                 if cpx.is_bounded_above(c)
-                and abs(cpx.f_max(c) - v.value) <= 1e-9 * max(1.0, abs(v.value))
+                and abs(lp_max(cpx, c) - v.value) <= 1e-9 * max(1.0, abs(v.value))
             }
             assert combinatorial == via_lp, (seed, signs)
+
+
+def test_f_max_matches_lp_oracle(cpx_b, cpx_b_neg):
+    # The single-hyperplane net has no vertex, so f_max keeps the LP value.
+    single = build_complex(
+        ReluNetwork((AffineLayer([[1.0, 1.0]], [-1.0]),), AffineLayer([[2.0]], [0.5]))
+    )
+    draws = [cpx for _, _, cpx in scan_generic_nets((2, 4), 2)]
+    for cpx in (cpx_b, cpx_b_neg, single, *draws):
+        for signs, cell in cpx.cells.items():
+            oracle = lp_max(cpx, cell)
+            if cpx.is_bounded_above(cell):
+                assert cpx.f_max(cell) == pytest.approx(oracle), signs
+            else:
+                assert cpx.f_max(cell) == oracle == float("inf"), signs
 
 
 def test_lower_stars_partition_bounded_above_cells(cpx_b):

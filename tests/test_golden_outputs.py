@@ -24,6 +24,8 @@ NETS = {
     "3-4-3-1-s0": ["--arch", "3,4,3,1", "--seed", "0"],
     # Rejected after full refinement: F constant on a cell with a vertex.
     "2-4-3-1-s2": ["--arch", "2,4,3,1", "--seed", "2"],
+    # Accepted 4-D net: 35 vertex levels and cells up to dimension 4.
+    "4-7-1-s0": ["--arch", "4,7,1", "--seed", "0"],
 }
 
 COMMANDS = {
@@ -50,6 +52,10 @@ GOLDEN = {
     "3-4-3-1-s0/classify": "f24f02edf8383aab8c3eed071b4ce918fea274a86b02bd97ea2c5afaefbcd027",
     "3-4-3-1-s0/dgvf": "f24f02edf8383aab8c3eed071b4ce918fea274a86b02bd97ea2c5afaefbcd027",
     "3-4-3-1-s0/render": "f24f02edf8383aab8c3eed071b4ce918fea274a86b02bd97ea2c5afaefbcd027",
+    "4-7-1-s0/build": "f94bc3f1c1d94a5ce218b7d854589f2c249de340e50b8fd51b1962b20ee3ff63",
+    "4-7-1-s0/classify": "448fb9886f72e311ded7acc0778d8d9b81a6aa6dc0aba7de66e55290f13528bb",
+    "4-7-1-s0/dgvf": "7702fa4987e54a8927b09976d9156c99b68dae4320dd1dd4a0778b71d54cff58",
+    "4-7-1-s0/render": "379a07a49e3f0b402b5ef42aa6573cd02491a59405e22d291356da78a1124aa3",
     "net-b/build": "998d67997c0e50f3a408d65e3367e7793716d97def787dc2fc88be694ecc787a",
     "net-b/classify": "54c3a00c591cade8ac98727837ed0270a62eb1398ce5909cb9f43201a12a8fd8",
     "net-b/dgvf": "a7dc89d50efd75accff4935aec26f386dace01e95e08edadd7c9bcd50d410b28",
