@@ -177,25 +177,36 @@ def morse_complex(cc: CompactifiedComplex, matching: Matching) -> ChainComplex:
     critical = matching.critical_set()
     memo = {}
 
-    def flow(key):
-        """Critical-cell path counts (mod 2) reachable from one facet."""
-        if key in memo:
-            return memo[key]
-        if key in critical:
-            out = {key: 1}
-        elif key in lower_of:
-            upper = lower_of[key]
-            acc = {}
-            for f in cc.facets[upper]:
-                if f == key:
+    def flow(start):
+        """Critical-cell path counts (mod 2) reachable from one facet.
+
+        Depth-first over V-path steps with an explicit stack, so long paths
+        cannot exhaust the interpreter's recursion limit.  A key is settled
+        once every next step is, which the acyclic matching guarantees.
+        """
+        stack = [start]
+        while stack:
+            key = stack[-1]
+            if key in memo:
+                stack.pop()
+                continue
+            if key in critical:
+                memo[key] = {key: 1}
+            elif key in lower_of:
+                steps = [f for f in cc.facets[lower_of[key]] if f != key]
+                pending = [f for f in steps if f not in memo]
+                if pending:
+                    stack.extend(reversed(pending))
                     continue
-                for target, count in flow(f).items():
-                    acc[target] = (acc.get(target, 0) + count) % 2
-            out = {t: c for t, c in acc.items() if c}
-        else:
-            out = {}  # upper member of a pair: a V-path cannot continue
-        memo[key] = out
-        return out
+                acc = {}
+                for f in steps:
+                    for target, count in memo[f].items():
+                        acc[target] = (acc.get(target, 0) + count) % 2
+                memo[key] = {t: c for t, c in acc.items() if c}
+            else:
+                memo[key] = {}  # upper member of a pair: a V-path cannot continue
+            stack.pop()
+        return memo[start]
 
     keys = sorted(critical, key=_key_order)
     dim_of = {k: cc.dim(k) for k in keys}

@@ -1,6 +1,10 @@
-"""Dense tableau simplex with Bland's anti-cycling rule.
+"""Small linear programs: closed forms on points and lines, else a dense
+tableau simplex with Bland's anti-cycling rule.
 
 Solves  max c.x  subject to  A_eq x = b_eq,  A_ge x >= b_ge  over free x.
+When the equalities leave a single point or a line, the optimum is read off
+in closed form: the point itself, or the end of the interval that the >=
+rows cut from the line.  Every other feasible set goes to the simplex.
 The instances here are tiny (a handful of variables, a dozen constraints),
 so a plain two-phase tableau with Bland's rule is the right trade-off:
 guaranteed termination and no dependence on solver generations elsewhere.
@@ -11,6 +15,7 @@ surplus variable; phase 1 minimizes the sum of artificials.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +26,9 @@ PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
 _HARD_TOL = 1e-12
 _MAX_ITER = 20000
+# Singular values of the equality rows above this fraction of the largest
+# count towards their rank; nearer-singular systems go to the simplex.
+_RANK_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -56,8 +64,9 @@ class LpProblem:
 class LpResult:
     """status is one of "optimal", "unbounded", "infeasible".
 
-    For optimal results ``x`` is an argmax vertex of the standard-form
-    program and ``tight`` lists the indices of >= rows active at x.
+    For optimal results ``x`` is an argmax (from the simplex, a vertex of
+    the standard-form program) and ``tight`` lists the indices of >= rows
+    active at x.
     """
 
     status: str
@@ -112,7 +121,72 @@ def _bland_min(tableau, basis, ncols):
     raise NumericalInstabilityError("simplex iteration limit exceeded")
 
 
+def _point_or_line(a_eq: np.ndarray, b_eq: np.ndarray, n: int):
+    """(x0, d) when a_eq x = b_eq leaves at most a line in R^n, else None.
+
+    x0 is the least-squares solution of minimum norm and d a unit direction
+    of the line, or zero when the equalities pin a single point.
+    """
+    if a_eq.shape[0] < n - 1:
+        return None
+    u, s, vh = np.linalg.svd(a_eq)  # no rows (n == 1): s is empty, vh = [[1]]
+    rank = int(np.count_nonzero(s > _RANK_TOL * s.max(initial=0.0)))
+    if rank < n - 1:
+        return None
+    x0 = vh[:rank].T @ ((u[:, :rank].T @ b_eq) / s[:rank])
+    return x0, (vh[-1] if rank < n else np.zeros(n))
+
+
 def lp_solve(problem: LpProblem, feas_tol: float = FEAS_TOL) -> LpResult:
+    """Maximize over the problem's feasible set; see the module docstring.
+
+    On a point or a line the equalities must hold at their least-squares
+    point within ``feas_tol``, and the parameter t of x0 + t.d is clipped to
+    the interval [lo, hi] cut by the >= rows whose slope along d exceeds
+    ``PIVOT_TOL`` (the others are checked at x0).  When the objective is
+    constant along the line (a tie), the finite end lo, else hi, else x0 is
+    returned: an alternative optimum with the same value.
+    """
+    c = problem.objective
+    flat = _point_or_line(problem.a_eq, problem.b_eq, c.shape[0])
+    if flat is None:
+        return _simplex(problem, feas_tol)
+    x0, d = flat
+    if np.abs(problem.a_eq @ x0 - problem.b_eq).max(initial=0.0) > feas_tol:
+        return LpResult("infeasible")
+    # (slack at x0, slope along d) per >= row; a few rows, so plain floats.
+    rows = list(zip((problem.a_ge @ x0 - problem.b_ge).tolist(), (problem.a_ge @ d).tolist()))
+    lo, hi = -math.inf, math.inf
+    for r, g in rows:
+        if abs(g) <= PIVOT_TOL:
+            if r < -feas_tol:
+                return LpResult("infeasible")
+        elif g > 0:
+            lo = max(lo, -r / g)
+        else:
+            hi = min(hi, -r / g)
+    rate = float(c @ d)
+    if rate > PIVOT_TOL:
+        t = hi
+    elif rate < -PIVOT_TOL:
+        t = lo
+    else:
+        t = lo if lo > -math.inf else hi if hi < math.inf else 0.0
+    if math.isinf(t):
+        return LpResult("unbounded")
+    if any(r + t * g < -feas_tol for r, g in rows if abs(g) > PIVOT_TOL):
+        return LpResult("infeasible")  # lo > hi: the interval is empty
+    return _optimum(problem, x0 + t * d, feas_tol)
+
+
+def _optimum(problem: LpProblem, x: np.ndarray, feas_tol: float) -> LpResult:
+    """Optimal result at x; the >= rows within ``feas_tol`` of equality are tight."""
+    resid = problem.a_ge @ x - problem.b_ge
+    tight = tuple(np.flatnonzero(resid <= feas_tol).tolist())
+    return LpResult("optimal", float(problem.objective @ x), x, tight)
+
+
+def _simplex(problem: LpProblem, feas_tol: float) -> LpResult:
     """Two-phase dense simplex; see the module docstring for conventions."""
     c = problem.objective
     n = c.shape[0]
@@ -196,13 +270,7 @@ def lp_solve(problem: LpProblem, feas_tol: float = FEAS_TOL) -> LpResult:
     y = np.zeros(ncols)
     for r, j in enumerate(basis):
         y[j] = work[r, -1]
-    x = y[:n] - y[n : 2 * n]
-    value = float(c @ x)
-    tight = ()
-    if n_ge:
-        resid = problem.a_ge @ x - problem.b_ge
-        tight = tuple(int(i) for i in np.nonzero(resid <= feas_tol)[0])
-    return LpResult("optimal", value, x, tight)
+    return _optimum(problem, y[:n] - y[n : 2 * n], feas_tol)
 
 
 def interior_witness(

@@ -13,7 +13,9 @@ from relumorse import (
     orient_edge,
     random_network,
 )
+from relumorse.complex import _cell_problem
 from relumorse.errors import StructuredError
+from relumorse.lp import _simplex
 
 
 def make_net_b_negated() -> ReluNetwork:
@@ -92,11 +94,12 @@ def vertex_facets_scan(cpx, cell) -> list:
 
 
 def lp_max(cpx, cell) -> float:
-    """Max of F over a cell by its LP value, not read off vertex values;
-    +inf when the LP has no optimum."""
+    """Max of F over a cell by the tableau simplex, not read off vertex
+    values nor by the closed forms of ``lp_solve``; +inf when the LP has no
+    optimum."""
     signs = cell.signs if isinstance(cell, Cell) else tuple(cell)
     form = cpx.form(signs)
-    res = cpx.cell_lp(signs, form.total_gradient)
+    res = _simplex(_cell_problem(cpx.hrep(signs), form.total_gradient), cpx.lp_tol)
     return res.value + form.total_offset if res.optimal else float("inf")
 
 

@@ -1,8 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from relumorse import (
     BASEPOINT,
+    CompactifiedComplex,
     Matching,
     betti,
     build_dgvf,
@@ -170,3 +173,25 @@ def test_dd_zero_everywhere():
         for level in cc.vertex_values:
             _check_dd_zero(chain_complex(cc, level))
         _check_dd_zero(morse_complex(cc, matching))
+
+
+def test_morse_complex_follows_long_v_paths_without_recursion():
+    # A circle of 6,001 edges: vertex i is paired with edge i, which joins
+    # vertices i-1 and i, and the closing edge from vertex n to vertex 0 is
+    # critical.  Its boundary flows 6,000 V-path steps down to vertex 0.
+    n = 6000
+    vertex, edge = (lambda i: (0, i)), (lambda i: (1, i))
+    cells = {vertex(i): SimpleNamespace(dim=0) for i in range(n + 1)}
+    cells.update({edge(i): SimpleNamespace(dim=1) for i in range(1, n + 2)})
+    facets = {BASEPOINT: (), **{vertex(i): () for i in range(n + 1)}}
+    facets.update({edge(i): (vertex(i - 1), vertex(i)) for i in range(1, n + 1)})
+    facets[edge(n + 1)] = (vertex(n), vertex(0))
+    f_max = {key: 0.0 for key in cells}
+    cc = CompactifiedComplex(1, cells, facets, f_max, (0.0,))
+    matching = Matching(
+        tuple((vertex(i), edge(i)) for i in range(1, n + 1)), (vertex(0), edge(n + 1))
+    )
+    chain = morse_complex(cc, matching)
+    assert chain.cells_by_dim == ((BASEPOINT, vertex(0)), (edge(n + 1),))
+    assert not chain.boundary[1].any()
+    assert betti(chain) == (2, 1)

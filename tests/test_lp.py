@@ -3,7 +3,15 @@ import itertools
 import numpy as np
 import pytest
 
-from relumorse.lp import LpProblem, interior_witness, lp_solve
+from relumorse import lp as lp_module
+from relumorse.lp import (
+    FEAS_TOL,
+    LpProblem,
+    _point_or_line,
+    _simplex,
+    interior_witness,
+    lp_solve,
+)
 
 
 def test_triangle_maximum_with_tight_set():
@@ -96,3 +104,118 @@ def test_interior_witness_rejects_empty_region():
     a = np.array([[1.0], [-1.0]])
     b = np.array([1.0, 0.0])
     assert interior_witness(np.zeros((0, 1)), np.zeros(0), a, b) is None
+
+
+# -- closed forms on points and lines, checked against the tableau -----------
+
+
+def _random_flat_problem(rng, n, n_eq):
+    """A point or line LP: n_eq consistent equality rows of rank min(n_eq, n)
+    and up to five unit-normalized >= rows, some of which cut the feasible set
+    away and some of which leave it open."""
+    p = rng.standard_normal(n)
+    a_eq = rng.standard_normal((n_eq, n))
+    n_ge = int(rng.integers(0, 6))
+    a_ge = rng.standard_normal((n_ge, n))
+    a_ge /= np.linalg.norm(a_ge, axis=1, keepdims=True)
+    b_ge = a_ge @ p - rng.normal(0.3, 1.0, n_ge)
+    return LpProblem.build(
+        rng.standard_normal(n), a_eq=a_eq, b_eq=a_eq @ p, a_ge=a_ge, b_ge=b_ge
+    )
+
+
+def _assert_same_optimum(closed, tableau):
+    assert closed.status == tableau.status
+    if closed.optimal:
+        assert abs(closed.value - tableau.value) <= 1e-9 * max(1.0, abs(tableau.value))
+
+
+def test_closed_form_matches_simplex_on_random_points_and_lines():
+    rng = np.random.default_rng(7)
+    statuses = {}
+    for _ in range(600):
+        n = int(rng.integers(1, 5))
+        problem = _random_flat_problem(rng, n, n + int(rng.integers(-1, 2)))
+        flat = _point_or_line(problem.a_eq, problem.b_eq, n)
+        assert flat is not None
+        closed, tableau = lp_solve(problem), _simplex(problem, FEAS_TOL)
+        _assert_same_optimum(closed, tableau)
+        if closed.optimal and (not flat[1].any() or abs(problem.objective @ flat[1]) > 1e-6):
+            assert closed.tight == tableau.tight
+        statuses[closed.status] = statuses.get(closed.status, 0) + 1
+    assert set(statuses) == {"optimal", "unbounded", "infeasible"}
+
+
+@pytest.mark.parametrize(
+    "objective, a_ge, b_ge, status, value",
+    [
+        ([1.0], [[-1.0]], [-2.0], "optimal", 2.0),
+        ([-1.0], [[-1.0]], [-2.0], "unbounded", None),
+        ([1.0], [[1.0], [-1.0]], [1.0, 0.0], "infeasible", None),
+        ([1.0], None, None, "unbounded", None),
+        ([0.0], None, None, "optimal", 0.0),
+    ],
+)
+def test_one_variable_without_equalities(objective, a_ge, b_ge, status, value):
+    problem = LpProblem.build(objective, a_ge=a_ge, b_ge=b_ge)
+    assert _point_or_line(problem.a_eq, problem.b_eq, 1) is not None
+    res = lp_solve(problem)
+    assert res.status == status
+    assert res.value == value
+    _assert_same_optimum(res, _simplex(problem, FEAS_TOL))
+
+
+def test_rank_deficient_equalities_fall_back_to_simplex(monkeypatch):
+    # Two rows naming one plane in R^3 (up to rounding) leave a plane, not
+    # a line.
+    problem = LpProblem.build(
+        [1.0, 1.0, 0.0],
+        a_eq=[[0.1, 0.2, 0.3], [0.3, 0.6, 0.9]],
+        b_eq=[0.1, 0.3],
+        a_ge=[[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]],
+        b_ge=[-1.0, -2.0],
+    )
+    assert _point_or_line(problem.a_eq, problem.b_eq, 3) is None
+    calls = []
+
+    def spy(problem, feas_tol):
+        calls.append(problem)
+        return _simplex(problem, feas_tol)
+
+    monkeypatch.setattr(lp_module, "_simplex", spy)
+    res = lp_solve(problem)
+    assert calls == [problem]
+    assert res.optimal and res.value == pytest.approx(3.0)
+    assert res.tight == (0, 1)
+
+
+def test_inconsistent_overdetermined_equalities_are_infeasible():
+    problem = LpProblem.build(
+        [1.0, 0.0], a_eq=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], b_eq=[0.0, 0.0, 1.0]
+    )
+    assert lp_solve(problem).status == "infeasible"
+    assert _simplex(problem, FEAS_TOL).status == "infeasible"
+
+
+@pytest.mark.parametrize(
+    "a_ge, b_ge, ends",
+    [
+        ([[1.0, 0.0], [-1.0, 0.0]], [0.0, -1.0], [[0.0, 0.5], [1.0, 0.5]]),
+        ([[-1.0, 0.0]], [-1.0], [[1.0, 0.5]]),
+        (None, None, []),
+    ],
+)
+def test_tie_returns_an_optimum_with_the_simplex_value(a_ge, b_ge, ends):
+    # The objective is constant along the line y = 0.5.
+    problem = LpProblem.build(
+        [0.0, 2.0], a_eq=[[0.0, 1.0]], b_eq=[0.5], a_ge=a_ge, b_ge=b_ge
+    )
+    res = lp_solve(problem)
+    _assert_same_optimum(res, _simplex(problem, FEAS_TOL))
+    assert res.value == pytest.approx(1.0)
+    # The finite end with the least parameter along the line's direction,
+    # else the least-squares point.
+    x0, d = _point_or_line(problem.a_eq, problem.b_eq, 2)
+    ends = [np.array(e) for e in ends]
+    expected = min(ends, key=lambda e: (e - x0) @ d) if ends else x0
+    assert np.allclose(res.x, expected)
