@@ -657,34 +657,13 @@ def _assemble(net, cell_signs, sign_tol, lp_tol) -> CanonicalComplex:
         vertices[signs] = VertexRecord(signs, loc, net.evaluate(loc))
     cpx.vertices = dict(sorted(vertices.items()))
 
-    _check_injective(list(cpx.vertices.values()), sign_tol)
+    records = list(cpx.vertices.values())
+    for a_i in range(len(records)):
+        for b_i in range(a_i + 1, len(records)):
+            va, vb = records[a_i], records[b_i]
+            if abs(va.value - vb.value) <= sign_tol * max(1.0, abs(va.value), abs(vb.value)):
+                raise InjectivityError(
+                    f"vertices {signs_to_str(va.signs)} and {signs_to_str(vb.signs)}"
+                    f" share the value {va.value!r}"
+                )
     return cpx
-
-
-def _check_injective(records: list, sign_tol: float) -> None:
-    """Raise InjectivityError naming the first pair of records, in list
-    order, whose values agree within ``sign_tol`` relative to
-    max(1, |a|, |b|).
-
-    When two values a < b agree, any value c between them agrees with the
-    one of a, b that sets the bound (its gap to c is smaller), so some pair
-    adjacent in value order agrees too: a sort and one neighbour scan settle
-    the common case.  Only on a collision are all pairs scanned, to name the
-    same pair as a scan in list order.
-    """
-    values = np.array([r.value for r in records])
-
-    def collide(a, b):
-        return np.abs(a - b) <= sign_tol * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-
-    ordered = np.sort(values)
-    if not collide(ordered[:-1], ordered[1:]).any():
-        return
-    for a_i, va in enumerate(records):
-        hits = np.flatnonzero(collide(va.value, values[a_i + 1 :]))
-        if hits.size:
-            vb = records[a_i + 1 + int(hits[0])]
-            raise InjectivityError(
-                f"vertices {signs_to_str(va.signs)} and {signs_to_str(vb.signs)}"
-                f" share the value {va.value!r}"
-            )

@@ -26,9 +26,11 @@ PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
 _HARD_TOL = 1e-12
 _MAX_ITER = 20000
-# Singular values of the equality rows above this fraction of the largest
-# count towards their rank; nearer-singular systems go to the simplex.
+# Singular values of the equality rows above _RANK_TOL times the largest
+# count towards their rank, and those below _NULL_TOL times it are zero.
+# A system with a singular value between the two goes to the simplex.
 _RANK_TOL = 1e-6
+_NULL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -124,14 +126,18 @@ def _bland_min(tableau, basis, ncols):
 def _point_or_line(a_eq: np.ndarray, b_eq: np.ndarray, n: int):
     """(x0, d) when a_eq x = b_eq leaves at most a line in R^n, else None.
 
+    None also when a singular value lies between the rank and null
+    tolerances: the simplex judges such near-singular systems.
+
     x0 is the least-squares solution of minimum norm and d a unit direction
     of the line, or zero when the equalities pin a single point.
     """
     if a_eq.shape[0] < n - 1:
         return None
     u, s, vh = np.linalg.svd(a_eq)  # no rows (n == 1): s is empty, vh = [[1]]
-    rank = int(np.count_nonzero(s > _RANK_TOL * s.max(initial=0.0)))
-    if rank < n - 1:
+    s_max = s.max(initial=0.0)
+    rank = int(np.count_nonzero(s > _RANK_TOL * s_max))
+    if rank < n - 1 or np.any(s[rank:] > _NULL_TOL * s_max):
         return None
     x0 = vh[:rank].T @ ((u[:, :rank].T @ b_eq) / s[:rank])
     return x0, (vh[-1] if rank < n else np.zeros(n))
@@ -145,7 +151,9 @@ def lp_solve(problem: LpProblem, feas_tol: float = FEAS_TOL) -> LpResult:
     the interval [lo, hi] cut by the >= rows whose slope along d exceeds
     ``PIVOT_TOL`` (the others are checked at x0).  When the objective is
     constant along the line (a tie), the finite end lo, else hi, else x0 is
-    returned: an alternative optimum with the same value.
+    returned: an alternative optimum with the same value.  An optimum that
+    misses an equality or a >= row by more than ``feas_tol`` is handed to
+    the simplex.
     """
     c = problem.objective
     flat = _point_or_line(problem.a_eq, problem.b_eq, c.shape[0])
@@ -176,7 +184,13 @@ def lp_solve(problem: LpProblem, feas_tol: float = FEAS_TOL) -> LpResult:
         return LpResult("unbounded")
     if any(r + t * g < -feas_tol for r, g in rows if abs(g) > PIVOT_TOL):
         return LpResult("infeasible")  # lo > hi: the interval is empty
-    return _optimum(problem, x0 + t * d, feas_tol)
+    x = x0 + t * d
+    if (
+        np.abs(problem.a_eq @ x - problem.b_eq).max(initial=0.0) > feas_tol
+        or (problem.a_ge @ x - problem.b_ge).min(initial=0.0) < -feas_tol
+    ):
+        return _simplex(problem, feas_tol)  # rounding grew along d
+    return _optimum(problem, x, feas_tol)
 
 
 def _optimum(problem: LpProblem, x: np.ndarray, feas_tol: float) -> LpResult:

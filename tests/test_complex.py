@@ -10,9 +10,8 @@ from relumorse import (
     compose_signs,
     is_face,
     signs_from_str,
-    signs_to_str,
 )
-from relumorse.complex import VertexRecord, _check_injective, _vertex_location
+from relumorse.complex import _vertex_location
 from relumorse.errors import FlatCellError, GenericityError, InjectivityError
 
 from conftest import (
@@ -253,76 +252,6 @@ def test_vertex_value_collision_raises_injectivity():
     )
     with pytest.raises(InjectivityError):
         build_complex(net)
-
-
-def _first_collision_by_pairs(records, sign_tol):
-    """The injectivity check as a double loop over every pair, in list order."""
-    for a_i in range(len(records)):
-        for b_i in range(a_i + 1, len(records)):
-            va, vb = records[a_i], records[b_i]
-            if abs(va.value - vb.value) <= sign_tol * max(1.0, abs(va.value), abs(vb.value)):
-                return (
-                    f"vertices {signs_to_str(va.signs)} and {signs_to_str(vb.signs)}"
-                    f" share the value {va.value!r}"
-                )
-    return None
-
-
-def _records(values):
-    """Vertex records with distinct sign words, in the order given."""
-    return [
-        VertexRecord(tuple(k // 3**i % 3 - 1 for i in range(3)), np.zeros(2), v)
-        for k, v in enumerate(values)
-    ]
-
-
-def _collision(records, sign_tol):
-    try:
-        _check_injective(records, sign_tol)
-    except InjectivityError as exc:
-        return str(exc)
-    return None
-
-
-def test_injectivity_names_first_pair_in_sign_word_order():
-    # All three values agree within 1e-9, and the first pair in list order,
-    # (0, 1), is not adjacent in value order: the third value lies between.
-    records = _records([1.0, 1.0 + 8e-10, 1.0 + 4e-10])
-    message = _collision(records, 1e-9)
-    assert message == _first_collision_by_pairs(records, 1e-9)
-    assert message == "vertices --- and 0-- share the value 1.0"
-
-
-def test_injectivity_matches_pair_scan_near_unit_values():
-    # Near |value| = 1 the bound switches between 1 and max(|a|, |b|).
-    rng = np.random.default_rng(3)
-    raised = 0
-    for _ in range(300):
-        centre = rng.choice([-1.0, 1.0, 0.0, 1e-3])
-        steps = rng.integers(-3, 4, size=rng.integers(2, 7))
-        values = centre + steps * rng.choice([4e-10, 1e-9, 2e-9])
-        records = _records(list(values + rng.standard_normal(values.size) * 1e-11))
-        expected = _first_collision_by_pairs(records, 1e-9)
-        assert _collision(records, 1e-9) == expected
-        raised += expected is not None
-    assert 0 < raised < 300
-
-
-@pytest.mark.parametrize(
-    "values, collides",
-    [
-        ([0.5, 0.5 + 9e-10], True),  # below 1 the bound is sign_tol itself
-        ([3.0, 3.0 + 2.5e-9], True),  # above 1 it scales with the larger value
-        ([1.0, 1.0 + 1.5e-9], False),
-        ([-1.0 - 5e-10, -1.0 + 4e-10], True),
-        ([-1.0 - 1e-9, 1.0 - 1e-9], False),
-    ],
-)
-def test_injectivity_bound_at_unit_values(values, collides):
-    records = _records(values)
-    message = _collision(records, 1e-9)
-    assert message == _first_collision_by_pairs(records, 1e-9)
-    assert (message is not None) == collides
 
 
 def test_single_hyperplane_net_builds_with_flagged_flats():

@@ -124,13 +124,25 @@ def _random_flat_problem(rng, n, n_eq):
     )
 
 
+def _solve_with_simplex_spy(monkeypatch, problem):
+    """lp_solve's result and the problems it handed to _simplex."""
+    calls = []
+
+    def spy(problem, feas_tol):
+        calls.append(problem)
+        return _simplex(problem, feas_tol)
+
+    monkeypatch.setattr(lp_module, "_simplex", spy)
+    return lp_solve(problem), calls
+
+
 def _assert_same_optimum(closed, tableau):
     assert closed.status == tableau.status
     if closed.optimal:
         assert abs(closed.value - tableau.value) <= 1e-9 * max(1.0, abs(tableau.value))
 
 
-def test_closed_form_matches_simplex_on_random_points_and_lines():
+def test_closed_form_matches_simplex_on_random_points_and_lines(monkeypatch):
     rng = np.random.default_rng(7)
     statuses = {}
     for _ in range(600):
@@ -138,7 +150,9 @@ def test_closed_form_matches_simplex_on_random_points_and_lines():
         problem = _random_flat_problem(rng, n, n + int(rng.integers(-1, 2)))
         flat = _point_or_line(problem.a_eq, problem.b_eq, n)
         assert flat is not None
-        closed, tableau = lp_solve(problem), _simplex(problem, FEAS_TOL)
+        closed, calls = _solve_with_simplex_spy(monkeypatch, problem)
+        assert not calls  # answered in closed form, not handed to the tableau
+        tableau = _simplex(problem, FEAS_TOL)
         _assert_same_optimum(closed, tableau)
         if closed.optimal and (not flat[1].any() or abs(problem.objective @ flat[1]) > 1e-6):
             assert closed.tight == tableau.tight
@@ -156,10 +170,11 @@ def test_closed_form_matches_simplex_on_random_points_and_lines():
         ([0.0], None, None, "optimal", 0.0),
     ],
 )
-def test_one_variable_without_equalities(objective, a_ge, b_ge, status, value):
+def test_one_variable_without_equalities(monkeypatch, objective, a_ge, b_ge, status, value):
     problem = LpProblem.build(objective, a_ge=a_ge, b_ge=b_ge)
     assert _point_or_line(problem.a_eq, problem.b_eq, 1) is not None
-    res = lp_solve(problem)
+    res, calls = _solve_with_simplex_spy(monkeypatch, problem)
+    assert not calls
     assert res.status == status
     assert res.value == value
     _assert_same_optimum(res, _simplex(problem, FEAS_TOL))
@@ -176,17 +191,43 @@ def test_rank_deficient_equalities_fall_back_to_simplex(monkeypatch):
         b_ge=[-1.0, -2.0],
     )
     assert _point_or_line(problem.a_eq, problem.b_eq, 3) is None
-    calls = []
-
-    def spy(problem, feas_tol):
-        calls.append(problem)
-        return _simplex(problem, feas_tol)
-
-    monkeypatch.setattr(lp_module, "_simplex", spy)
-    res = lp_solve(problem)
+    res, calls = _solve_with_simplex_spy(monkeypatch, problem)
     assert calls == [problem]
     assert res.optimal and res.value == pytest.approx(3.0)
     assert res.tight == (0, 1)
+
+
+@pytest.mark.parametrize("a_ge, b_ge", [(None, None), ([[0.0, -1.0]], [-1e3])])
+def test_near_singular_equalities_fall_back_to_simplex(monkeypatch, a_ge, b_ge):
+    # Two unit rows meeting at an angle of 1e-6 pin a point, but their
+    # smallest singular value lies below 1e-6 times the largest: taken as a
+    # line, the objective along it would be unbounded, or at x2 = 1e3 miss
+    # the second equality by about 1e-3.
+    angle = 1e-6
+    problem = LpProblem.build(
+        [0.0, 1.0],
+        a_eq=[[1.0, 0.0], [np.cos(angle), np.sin(angle)]],
+        b_eq=[1.0, 1.0],
+        a_ge=a_ge,
+        b_ge=b_ge,
+    )
+    assert _point_or_line(problem.a_eq, problem.b_eq, 2) is None
+    res, calls = _solve_with_simplex_spy(monkeypatch, problem)
+    assert calls == [problem]
+    assert res.optimal and res.value == pytest.approx(angle / 2, rel=1e-3)
+
+
+def test_optimum_off_a_flat_row_falls_back_to_simplex(monkeypatch):
+    # On the line x1 = 0 the first >= row has slope 1e-10 <= PIVOT_TOL, so
+    # only x0 checks it; at the clipped end x2 = -1e5 it fails by 1e-5.
+    flat = np.array([1.0, 1e-10]) / np.hypot(1.0, 1e-10)
+    problem = LpProblem.build(
+        [0.0, -1.0], a_eq=[[1.0, 0.0]], b_eq=[0.0], a_ge=[flat, [0.0, 1.0]], b_ge=[0.0, -1e5]
+    )
+    assert _point_or_line(problem.a_eq, problem.b_eq, 2) is not None
+    res, calls = _solve_with_simplex_spy(monkeypatch, problem)
+    assert calls == [problem]
+    _assert_same_optimum(res, _simplex(problem, FEAS_TOL))
 
 
 def test_inconsistent_overdetermined_equalities_are_infeasible():
@@ -205,12 +246,13 @@ def test_inconsistent_overdetermined_equalities_are_infeasible():
         (None, None, []),
     ],
 )
-def test_tie_returns_an_optimum_with_the_simplex_value(a_ge, b_ge, ends):
+def test_tie_returns_an_optimum_with_the_simplex_value(monkeypatch, a_ge, b_ge, ends):
     # The objective is constant along the line y = 0.5.
     problem = LpProblem.build(
         [0.0, 2.0], a_eq=[[0.0, 1.0]], b_eq=[0.5], a_ge=a_ge, b_ge=b_ge
     )
-    res = lp_solve(problem)
+    res, calls = _solve_with_simplex_spy(monkeypatch, problem)
+    assert not calls
     _assert_same_optimum(res, _simplex(problem, FEAS_TOL))
     assert res.value == pytest.approx(1.0)
     # The finite end with the least parameter along the line's direction,
