@@ -29,6 +29,7 @@ from .errors import (
     FlatCellError,
     GenericityError,
     InjectivityError,
+    MissingEdgeError,
     NumericalInstabilityError,
     SingularSystemError,
 )
@@ -83,6 +84,62 @@ def compose_signs(a: Signs, b: Signs) -> Signs:
 def is_face(a: Signs, b: Signs) -> bool:
     """True iff the cell named a is a face of the cell named b."""
     return compose_signs(a, b) == tuple(b)
+
+
+def _direction_into_edge(net: ReluNetwork, v_signs: Signs, e_signs: Signs, form_of):
+    """Unit vector from the vertex into the edge, via the node-map system."""
+    diff = [p for p in range(len(v_signs)) if e_signs[p] != v_signs[p]]
+    if len(diff) != 1 or v_signs[diff[0]] != 0:
+        raise MissingEdgeError(
+            f"{signs_to_str(e_signs)} is not an incident edge of {signs_to_str(v_signs)}"
+        )
+    star_pos = diff[0]
+    sigma = e_signs[star_pos]
+    form = form_of(tuple(s if s != 0 else 1 for s in e_signs))
+    zero_pos = [p for p, s in enumerate(v_signs) if s == 0]
+    rows = []
+    rhs = np.zeros(len(zero_pos))
+    for k, p in enumerate(zero_pos):
+        i, j = net.ij(p)
+        row, _ = form.node_row(i, j)
+        rows.append(row)
+        if p == star_pos:
+            rhs[k] = float(sigma)
+    try:
+        d = np.linalg.solve(np.array(rows), rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(
+            f"singular edge system at vertex {signs_to_str(v_signs)}"
+        ) from exc
+    nrm = float(np.linalg.norm(d))
+    if not np.isfinite(nrm) or nrm <= 0.0:
+        raise SingularSystemError(
+            f"degenerate edge direction at vertex {signs_to_str(v_signs)}"
+        )
+    return d / nrm, form
+
+
+def _slope_into_edge(net: ReluNetwork, v_signs: Signs, e_signs: Signs, form_of):
+    """(unit direction, sign of dF along it) from the vertex into the edge;
+    FlatCellError if the directional derivative vanishes."""
+    d, form = _direction_into_edge(net, v_signs, e_signs, form_of)
+    g = form.total_gradient
+    slope = float(g @ d)
+    if _is_flat(slope, g):
+        raise FlatCellError(
+            f"F is constant along edge {signs_to_str(e_signs)}; network out of scope"
+        )
+    return d, 1 if slope > 0 else -1
+
+
+def _zeroings(signs: Signs, k: int):
+    """Words obtained by zeroing k of the nonzero entries of ``signs``."""
+    nonzero = [p for p, s in enumerate(signs) if s != 0]
+    for zeroed in itertools.combinations(nonzero, k):
+        word = list(signs)
+        for p in zeroed:
+            word[p] = 0
+        yield tuple(word)
 
 
 @dataclass
@@ -282,17 +339,19 @@ class CanonicalComplex:
         A vertex of a k-cell zeroes k more entries of its sign word.
         """
         signs = cell.signs if isinstance(cell, Cell) else tuple(cell)
-        nonzero = [p for p, s in enumerate(signs) if s != 0]
-        out = []
-        for zeroed in itertools.combinations(nonzero, self.n0 - signs.count(0)):
-            word = list(signs)
-            for p in zeroed:
-                word[p] = 0
-            hit = self.vertices.get(tuple(word))
-            if hit is not None:
-                out.append(hit)
+        words = _zeroings(signs, self.n0 - signs.count(0))
+        out = [self.vertices[w] for w in words if w in self.vertices]
         out.sort(key=lambda v: v.signs)
         return out
+
+    def _rays(self, signs: Signs):
+        """(vertex, edge) sign words of the unbounded edges in a cell's
+        closure: its 1-faces with exactly one vertex."""
+        for edge in _zeroings(signs, self.n0 - signs.count(0) - 1):
+            if edge in self.cells:
+                ends = self.vertex_facets(edge)
+                if len(ends) == 1:
+                    yield ends[0].signs, edge
 
     def top_cells(self) -> list:
         return [c for c in self.cells.values() if c.dim == self.n0]
@@ -319,30 +378,47 @@ class CanonicalComplex:
         return lp_solve(_cell_problem(self.hrep(signs), objective), feas_tol=self.lp_tol)
 
     def is_bounded_above(self, cell) -> bool:
-        """True iff max F over the cell is finite."""
+        """True iff max F over the cell is finite (see :meth:`f_max`)."""
         return self.f_max(cell) < float("inf")
 
     def f_max(self, cell) -> float:
-        """Max of F over the cell; +inf when F is unbounded above on it.
-
-        One LP on the restricted gradient decides boundedness.  A closure
-        holding a vertex is pointed, so the maximum is then attained at one
-        of its vertices and read exactly off their values.
-        """
+        """Max of F over the cell, cached; +inf when F is unbounded above on
+        it.  A vertex returns its value, any other cell :meth:`sup` of F."""
         cell = cell if isinstance(cell, Cell) else self.cells[tuple(cell)]
         if cell.signs not in self._fmax:
-            if cell.signs in self.vertices:
-                val = self.vertices[cell.signs].value
-            else:
-                form = self.form(cell.signs)
-                res = self.cell_lp(cell.signs, form.total_gradient)
-                if not res.optimal:
-                    val = float("inf")
-                else:
-                    corners = self.vertex_facets(cell)
-                    val = max(v.value for v in corners) if corners else res.value + form.total_offset
-            self._fmax[cell.signs] = val
+            vertex = self.vertices.get(cell.signs)
+            self._fmax[cell.signs] = vertex.value if vertex else self.sup(cell.signs, 1)
         return self._fmax[cell.signs]
+
+    def sup(self, signs: Signs, sense: int) -> float:
+        """Sup of sense * F (sense = +1 or -1) over a non-vertex cell; +inf
+        when sense * F is unbounded above on it.
+
+        A closure holding a vertex is pointed, its recession cone is spanned
+        by its rays, and F is affine on it: sense * F is bounded iff it falls
+        leaving the vertex along every ray, and its sup is then the best
+        vertex value.  A vertex-free cell, or a ray whose slope raises, costs
+        one LP on the restricted gradient instead.
+        """
+        signs = tuple(signs)
+        corners = self.vertex_facets(signs)
+        if corners:
+            try:
+                if all(
+                    sense * _slope_into_edge(self.net, v, e, self.form)[1] < 0
+                    for v, e in self._rays(signs)
+                ):
+                    return max(sense * v.value for v in corners)
+                return float("inf")
+            except (FlatCellError, SingularSystemError):
+                pass
+        form = self.form(signs)
+        res = self.cell_lp(signs, sense * form.total_gradient)
+        if not res.optimal:
+            return float("inf")
+        if corners:
+            return max(sense * v.value for v in corners)
+        return res.value + sense * form.total_offset
 
     def vertex_location(self, signs: Signs, container: Signs | None = None) -> np.ndarray:
         """Solve the n0 x n0 node-map system of a vertex's zero entries."""

@@ -2,8 +2,9 @@
 
 Each edge of the 1-skeleton is oriented in the direction of increase of F.
 The direction from a vertex v into an incident edge e is computed
-analytically: stack the node-map rows of v's zero entries (on a top cell
-containing e) into an n0 x n0 matrix W and solve
+analytically (in ``complex``, whose boundedness test reads the same slope):
+stack the node-map rows of v's zero entries (on a top cell containing e)
+into an n0 x n0 matrix W and solve
 
     W d = sign * e_k
 
@@ -24,12 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complex import CanonicalComplex, Cell, VertexRecord, _is_flat, build_complex
-from .errors import (
-    ArchitectureError,
-    FlatCellError,
-    MissingEdgeError,
-    SingularSystemError,
-)
+from .complex import _direction_into_edge, _slope_into_edge  # also exported from here
+from .errors import ArchitectureError, MissingEdgeError
 from .network import ReluNetwork, Signs, signs_to_str
 
 
@@ -82,62 +79,11 @@ def _resolve(cpx: CanonicalComplex, vertex, edge):
     return v, e
 
 
-def _all_plus_completion(signs: Signs) -> Signs:
-    return tuple(s if s != 0 else 1 for s in signs)
-
-
-def _direction_into_edge(net: ReluNetwork, v_signs: Signs, e_signs: Signs, form_of):
-    """Unit vector from the vertex into the edge, via the node-map system."""
-    diff = [p for p in range(len(v_signs)) if e_signs[p] != v_signs[p]]
-    if len(diff) != 1 or v_signs[diff[0]] != 0:
-        raise MissingEdgeError(
-            f"{signs_to_str(e_signs)} is not an incident edge of {signs_to_str(v_signs)}"
-        )
-    star_pos = diff[0]
-    sigma = e_signs[star_pos]
-    container = _all_plus_completion(e_signs)
-    form = form_of(container)
-    zero_pos = [p for p, s in enumerate(v_signs) if s == 0]
-    rows = []
-    rhs = np.zeros(len(zero_pos))
-    for k, p in enumerate(zero_pos):
-        i, j = net.ij(p)
-        row, _ = form.node_row(i, j)
-        rows.append(row)
-        if p == star_pos:
-            rhs[k] = float(sigma)
-    try:
-        d = np.linalg.solve(np.array(rows), rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(
-            f"singular edge system at vertex {signs_to_str(v_signs)}"
-        ) from exc
-    nrm = float(np.linalg.norm(d))
-    if not np.isfinite(nrm) or nrm <= 0.0:
-        raise SingularSystemError(
-            f"degenerate edge direction at vertex {signs_to_str(v_signs)}"
-        )
-    return d / nrm, form
-
-
 def edge_direction(cpx: CanonicalComplex, vertex, edge) -> np.ndarray:
     """Unit vector pointing from the vertex into the incident edge."""
     v, e = _resolve(cpx, vertex, edge)
     d, _ = _direction_into_edge(cpx.net, v.signs, e.signs, cpx.form)
     return d
-
-
-def _slope_into_edge(net: ReluNetwork, v_signs: Signs, e_signs: Signs, form_of):
-    """(unit direction, sign of dF along it) from the vertex into the edge;
-    FlatCellError if the directional derivative vanishes."""
-    d, form = _direction_into_edge(net, v_signs, e_signs, form_of)
-    g = form.total_gradient
-    slope = float(g @ d)
-    if _is_flat(slope, g):
-        raise FlatCellError(
-            f"F is constant along edge {signs_to_str(e_signs)}; network out of scope"
-        )
-    return d, 1 if slope > 0 else -1
 
 
 def orient_edge(cpx: CanonicalComplex, vertex, edge) -> EdgeOrientation:
@@ -245,14 +191,11 @@ class ShallowReport:
 
 
 def _global_range(cpx: CanonicalComplex):
-    """(inf F, sup F) over the whole input space: per-top-cell maxima and
-    minimizing LPs."""
+    """(inf F, sup F) over the whole input space, from the top cells."""
     lo, hi = np.inf, -np.inf
     for cell in cpx.top_cells():
         hi = max(hi, cpx.f_max(cell))
-        form = cpx.form(cell.signs)
-        down = cpx.cell_lp(cell.signs, -form.total_gradient)
-        lo = -np.inf if not down.optimal else min(lo, -down.value + form.total_offset)
+        lo = min(lo, -cpx.sup(cell.signs, -1))
         if lo == -np.inf and hi == np.inf:
             break
     return lo, hi

@@ -93,14 +93,14 @@ def vertex_facets_scan(cpx, cell) -> list:
     return [v for v in cpx.vertices.values() if is_face(v.signs, signs)]
 
 
-def lp_max(cpx, cell) -> float:
-    """Max of F over a cell by the tableau simplex, not read off vertex
-    values nor by the closed forms of ``lp_solve``; +inf when the LP has no
-    optimum."""
+def lp_max(cpx, cell, sense=1) -> float:
+    """Max of sense * F over a cell by the tableau simplex, not read off
+    vertex values, rays nor the closed forms of ``lp_solve``; +inf when the
+    LP has no optimum."""
     signs = cell.signs if isinstance(cell, Cell) else tuple(cell)
     form = cpx.form(signs)
-    res = _simplex(_cell_problem(cpx.hrep(signs), form.total_gradient), cpx.lp_tol)
-    return res.value + form.total_offset if res.optimal else float("inf")
+    res = _simplex(_cell_problem(cpx.hrep(signs), sense * form.total_gradient), cpx.lp_tol)
+    return res.value + sense * form.total_offset if res.optimal else float("inf")
 
 
 def is_spatially_bounded(cpx, cell) -> bool:

@@ -2,13 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import relumorse.complex as complex_module
 from relumorse import (
     AffineLayer,
+    Architecture,
     ReluNetwork,
     build_complex,
+    build_dgvf,
     cell_affine_form,
     compose_signs,
+    compactify,
     is_face,
+    random_network,
     signs_from_str,
 )
 from relumorse.complex import _vertex_location
@@ -194,19 +199,91 @@ def test_lower_star_matches_lp_oracle_random():
             assert combinatorial == via_lp, (seed, signs)
 
 
-def test_f_max_matches_lp_oracle(cpx_b, cpx_b_neg):
-    # The single-hyperplane net has no vertex, so f_max keeps the LP value.
-    single = build_complex(
+def _single_hyperplane_complex():
+    return build_complex(
         ReluNetwork((AffineLayer([[1.0, 1.0]], [-1.0]),), AffineLayer([[2.0]], [0.5]))
     )
+
+
+def test_f_max_matches_lp_oracle(cpx_b, cpx_b_neg):
+    # The single-hyperplane net has no vertex, so f_max keeps the LP value;
+    # every other complex here is decided by the rays.  The last four are
+    # the benchmark's architectures: seed 0 of (2,8,1) and (4,7,1), and the
+    # first seeds of (2,4,3,1) and (3,4,3,1) that build.
     draws = [cpx for _, _, cpx in scan_generic_nets((2, 4), 2)]
-    for cpx in (cpx_b, cpx_b_neg, single, *draws):
+    for arch, seed in (((2, 8), 0), ((4, 7), 0), ((2, 4, 3), 12), ((3, 4, 3), 208)):
+        draws.append(build_complex(random_network(Architecture(arch), seed=seed)))
+    for cpx in (cpx_b, cpx_b_neg, _single_hyperplane_complex(), *draws):
         for signs, cell in cpx.cells.items():
             oracle = lp_max(cpx, cell)
             if cpx.is_bounded_above(cell):
                 assert cpx.f_max(cell) == pytest.approx(oracle), signs
             else:
                 assert cpx.f_max(cell) == oracle == float("inf"), signs
+            if signs in cpx.vertices:
+                continue
+            # The lower end, as the shallow analyzer's global range uses it.
+            oracle = lp_max(cpx, cell, -1)
+            if oracle < float("inf"):
+                assert cpx.sup(signs, -1) == pytest.approx(oracle), signs
+            else:
+                assert cpx.sup(signs, -1) == oracle, signs
+
+
+def test_f_max_without_ray_slopes_falls_back_to_lp(monkeypatch):
+    # A ray whose slope raises (flat or singular edge system) must not make
+    # export_dict raise: f_max then takes the LP answer.
+    def flat(*args):
+        raise FlatCellError("flat ray")
+
+    monkeypatch.setattr(complex_module, "_slope_into_edge", flat)
+    _, _, cpx = scan_generic_nets((2, 4), 1)[0]
+    for cell in cpx.cells.values():
+        assert cpx.f_max(cell) == pytest.approx(lp_max(cpx, cell)), cell.signs
+    assert cpx.export_dict()["cells"]
+
+
+def _count_lps(monkeypatch) -> list:
+    calls = []
+    real = complex_module.lp_solve
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(complex_module, "lp_solve", spy)
+    return calls
+
+
+def test_validate_and_compactify_solve_no_lp(monkeypatch):
+    # build_dgvf runs Matching.validate, which asks every cell whether F is
+    # bounded above on it.
+    _, _, cpx = scan_generic_nets((2, 4), 1)[0]
+    calls = _count_lps(monkeypatch)
+    build_dgvf(cpx)
+    compactify(cpx)
+    assert calls == []
+
+
+def test_vertex_free_cells_keep_the_lp(monkeypatch):
+    calls = _count_lps(monkeypatch)
+    single = _single_hyperplane_complex()
+    # Two parallel lines: flat cells and no vertex.
+    parallel = build_complex(
+        ReluNetwork(
+            (AffineLayer([[1.0, 0.0], [1.0, 0.0]], [0.0, -1.0]),),
+            AffineLayer([[1.0, 1.0]], [0.0]),
+        )
+    )
+    assert not single.vertices and not parallel.vertices
+    assert parallel.has_flat_cells
+    del calls[:]
+    inf = float("inf")
+    assert {s: single.f_max(s) for s in single.cells} == {(-1,): 0.5, (0,): 0.5, (1,): inf}
+    assert {s: parallel.f_max(s) for s in parallel.cells} == {
+        (-1, -1): 0.0, (0, -1): 0.0, (1, -1): 1.0, (1, 0): 1.0, (1, 1): inf
+    }
+    assert len(calls) == len(single.cells) + len(parallel.cells)
 
 
 def test_lower_stars_partition_bounded_above_cells(cpx_b):
