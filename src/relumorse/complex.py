@@ -6,22 +6,24 @@ genericity conditions enforced here a k-cell has exactly n0 - k zero
 entries, faces are read off by composing sign words, and cofacets by
 flipping a single zero entry.
 
-Construction refines layer by layer.  Inside a cell of the previous layers
-every node map of the next layer is affine, so the cell is split by one
-node map at a time.  Each partial region carries a point of its relative
-interior: the map's sign there proves one piece, and one LP pushing the map
-the other way decides the other two pieces and yields points inside them.
-A resulting sign word is kept when its sample point clears every strict
+Construction refines layer by layer, one node map at a time: map j of
+layer k splits every region of every parent cell before map j + 1 does, so
+the regions found so far form the whole refined complex.  On a parent cell
+the map is affine.  A region's closure holds the vertices and rays named by
+zeroing entries of its word, so the map meets the region iff it takes both
+signs over them; a segment to the best vertex, or far along a rising ray,
+then yields points inside the pieces.  An LP pushing the map the other way
+decides instead where the closure holds no vertex or a sign falls in the
+tolerance band, and after a band decision for the rest of the layer.  A
+resulting sign word is kept when its sample point clears every strict
 inequality by a margin, and otherwise by an LP that maximizes the worst
-slack.  The LP count thus grows with the regions found, not with the 3^n_k
-sign words of a layer.
+slack.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -60,6 +62,9 @@ _SAMPLE_RESID = 1e-3
 _RANK_TOL = 1e-7
 # Relative residual above which a vertex system counts as ill-conditioned.
 _VERTEX_RESID = 1e-6
+# A split read off a closure point beyond this distance is in the tolerance
+# band: nearly parallel or nearly constant node maps put points that far out.
+_FAR = 1e7
 
 
 def _is_constant(nrm: float, c: float) -> bool:
@@ -140,6 +145,17 @@ def _zeroings(signs: Signs, k: int):
         for p in zeroed:
             word[p] = 0
         yield tuple(word)
+
+
+def _rays(signs: Signs, dim: int, cells):
+    """(vertex, edge) words of the unbounded edges in the closure of the
+    ``dim``-cell ``signs``: its 1-faces in ``cells`` with exactly one vertex
+    in ``cells``."""
+    for edge in _zeroings(signs, dim - 1):
+        if edge in cells:
+            ends = [w for w in _zeroings(edge, 1) if w in cells]
+            if len(ends) == 1:
+                yield ends[0], edge
 
 
 @dataclass
@@ -276,6 +292,7 @@ class CanonicalComplex:
         self._forms = {}
         self._hreps = {}
         self._fmax = {}
+        self._slopes = {}
 
     @property
     def n0(self) -> int:
@@ -344,15 +361,6 @@ class CanonicalComplex:
         out.sort(key=lambda v: v.signs)
         return out
 
-    def _rays(self, signs: Signs):
-        """(vertex, edge) sign words of the unbounded edges in a cell's
-        closure: its 1-faces with exactly one vertex."""
-        for edge in _zeroings(signs, self.n0 - signs.count(0) - 1):
-            if edge in self.cells:
-                ends = self.vertex_facets(edge)
-                if len(ends) == 1:
-                    yield ends[0].signs, edge
-
     def top_cells(self) -> list:
         return [c for c in self.cells.values() if c.dim == self.n0]
 
@@ -405,8 +413,8 @@ class CanonicalComplex:
         if corners:
             try:
                 if all(
-                    sense * _slope_into_edge(self.net, v, e, self.form)[1] < 0
-                    for v, e in self._rays(signs)
+                    sense * self.slope(v, e) < 0
+                    for v, e in _rays(signs, self.n0 - signs.count(0), self.cells)
                 ):
                     return max(sense * v.value for v in corners)
                 return float("inf")
@@ -419,6 +427,14 @@ class CanonicalComplex:
         if corners:
             return max(sense * v.value for v in corners)
         return res.value + sense * form.total_offset
+
+    def slope(self, v_signs: Signs, e_signs: Signs) -> int:
+        """Sign of dF leaving the vertex into the incident edge, cached; a
+        raise of :func:`_slope_into_edge` is not cached."""
+        key = (v_signs, e_signs)
+        if key not in self._slopes:
+            self._slopes[key] = _slope_into_edge(self.net, v_signs, e_signs, self.form)[1]
+        return self._slopes[key]
 
     def vertex_location(self, signs: Signs, container: Signs | None = None) -> np.ndarray:
         """Solve the n0 x n0 node-map system of a vertex's zero entries."""
@@ -493,42 +509,15 @@ def _abort_on_forced_flats(net, stage, upto_layer, n0):
             )
 
 
-class _Region(NamedTuple):
-    """A partial region inside a parent cell while one layer is split.
-
-    ``word`` holds the layer's signs decided so far, the rows the normalized
-    constraints of the parent and those signs, ``point`` a point of the
-    region's relative interior (near it when the region is a sliver or an LP
-    gave no answer) and ``dim`` its dimension.
-    """
-
-    word: Signs
-    a_eq: np.ndarray
-    b_eq: np.ndarray
-    a_ge: np.ndarray
-    b_ge: np.ndarray
-    point: np.ndarray
-    dim: int
-
-    def cut(self, sign, a, b, point, dim) -> "_Region":
-        """The piece where sign(a.x - b) == sign."""
-        word = self.word + (sign,)
-        if sign == 0:
-            a_eq, b_eq = np.vstack([self.a_eq, a]), np.append(self.b_eq, b)
-            return _Region(word, a_eq, b_eq, self.a_ge, self.b_ge, point, dim)
-        a_ge, b_ge = np.vstack([self.a_ge, sign * a]), np.append(self.b_ge, sign * b)
-        return _Region(word, self.a_eq, self.b_eq, a_ge, b_ge, point, dim)
-
-
-def _reach(region: _Region, a, b, lp_tol):
-    """Max of a.x - b (capped at 1) over the region's closure, with its
-    argmax; None when the LP gives no answer."""
+def _reach(rep: _HRep, a, b, lp_tol):
+    """Max of a.x - b (capped at 1) over the closure of the region ``rep``,
+    with its argmax; None when the LP gives no answer."""
     problem = LpProblem.build(
         a,
-        a_eq=region.a_eq,
-        b_eq=region.b_eq,
-        a_ge=np.vstack([region.a_ge, -a]),
-        b_ge=np.append(region.b_ge, -1.0 - b),
+        a_eq=rep.a_eq,
+        b_eq=rep.b_eq,
+        a_ge=np.vstack([rep.a_ge, -a]),
+        b_ge=np.append(rep.b_ge, -1.0 - b),
     )
     try:
         res = lp_solve(problem, feas_tol=lp_tol)
@@ -539,45 +528,107 @@ def _reach(region: _Region, a, b, lp_tol):
     return res.x, float(a @ res.x - b)
 
 
-def _pieces(region: _Region, a, b, near, lp_tol) -> list:
-    """(sign, point, dim) of every piece the hyperplane a.x = b may cut.
+def _cut(x, d, s, v, q, u, near) -> list:
+    """Pieces of a d-dimensional region whose point x lies on side s of the
+    hyperplane (value v there), given the max u of the map pushed the other
+    way and its argmax q in the closure."""
+    if u <= -near:
+        return [(s, x, d)]
+    # The open segment from x to q lies in the relative interior; it
+    # crosses the hyperplane at t0 when u > 0.
+    t0 = s * v / (s * v + u) if u > 0 else 1.0
+    return [
+        (s, x, d),
+        (0, x + t0 * (q - x), d - 1),
+        (-s, x + 0.5 * (1.0 + t0) * (q - x), d),
+    ]
 
-    A single point is split by evaluating the map there.  Pieces within
-    ``near`` of existing are returned too: the list may name empty pieces,
-    which acceptance drops, but never misses one.
+
+def _closure_generators(regions: dict, word: Signs, d: int, rows):
+    """Vertex points of the closure of a d-dimensional region of the refined
+    complex ``regions`` ({word: (point, dim)}), and the vertex points and
+    directions of its rays; None when the closure holds no vertex.  A ray's
+    direction solves the parent cell's node-map ``rows`` at its vertex's
+    zeros, not a difference of sample points, which loses digits far out.
     """
-    x, d = region.point, region.dim
+    verts = [regions[w][0] for w in _zeroings(word, d) if w in regions]
+    if not verts:
+        return None
+    rays = list(_rays(word, d, regions))
+    n0 = rows.shape[1]
+    zeros = np.array([[p for p, s in enumerate(v) if s == 0] for v, _ in rays], dtype=int)
+    rhs = np.array([[e[p] for p in z] for z, (_, e) in zip(zeros, rays)], dtype=float)
+    try:
+        dirs = np.linalg.solve(rows[zeros.reshape(-1, n0)], rhs.reshape(-1, n0, 1))[..., 0]
+    except np.linalg.LinAlgError:
+        dirs = np.zeros((len(rays), n0))  # a zero-length ray: the tolerance band
+    return np.array(verts), np.array([regions[v][0] for v, _ in rays]).reshape(-1, n0), dirs
+
+
+def _generator_pieces(gens, d, a, b, near):
+    """(sign, point, dim) of the pieces the hyperplane a.x = b cuts from a
+    region with the given closure generators; None in the tolerance band.
+
+    The map is affine on the closure, so pushed away from the side of an
+    interior point it is unbounded along a rising ray, and otherwise peaks
+    at a vertex.  The interior point is the vertex mean plus the unit ray
+    sum, which keeps the pieces' points clear of the region's faces.
+    """
+    verts, origins, dirs = gens
+    lengths = np.linalg.norm(dirs, axis=1)
+    if not (lengths > 0).all():
+        return None
+    dirs = dirs / lengths[:, None]
+    x = verts.mean(axis=0) + dirs.sum(axis=0)
+    v = float(a @ x - b)
+    if abs(v) <= near:
+        return None
+    s = 1 if v > 0 else -1
+    slopes = -s * (dirs @ a)
+    if (np.abs(slopes) <= near).any():
+        return None
+    if (slopes > 0).any():
+        i = int(np.argmax(slopes))
+        q = origins[i] + max(0.0, 1.0 + s * float(a @ origins[i] - b)) / slopes[i] * dirs[i]
+    else:
+        q = verts[int(np.argmax(-s * (verts @ a - b)))]
+    u = -s * float(a @ q - b)
+    if abs(u) <= near or float(np.abs([x, q]).max()) > _FAR:
+        return None
+    return _cut(x, d, s, v, q, u, near)
+
+
+def _pieces(rep: _HRep, x, d, a, b, near, lp_tol):
+    """(sign, point, dim) of every piece the hyperplane a.x = b may cut from
+    the d-dimensional region ``rep`` with relative-interior point x, and
+    whether the list is sure to name no empty piece.
+
+    A single point is split by evaluating the map there, any other region
+    by LP.  Pieces within ``near`` of existing are returned too: the list
+    may name empty pieces, which acceptance drops, but never misses one.
+    """
     v = float(a @ x - b)
     if d == 0:
         # An ill-conditioned zero set can pass the acceptance pre-filter
         # even where the map is far from zero at x.
         if abs(v) > near and not _consistent(
-            np.vstack([region.a_eq, a]), np.append(region.b_eq, b)
+            np.vstack([rep.a_eq, a]), np.append(rep.b_eq, b)
         ):
-            return [(1 if v > 0 else -1, x, 0)]
-        return [(-1, x, 0), (0, x, 0), (1, x, 0)]
+            return [(1 if v > 0 else -1, x, 0)], True
+        return [(-1, x, 0), (0, x, 0), (1, x, 0)], False
     if abs(v) > near:
         # x proves the side it lies on; push the map the other way.
         s = 1 if v > 0 else -1
-        found = _reach(region, -s * a, -s * b, lp_tol)
+        found = _reach(rep, -s * a, -s * b, lp_tol)
         if found is None:
-            return [(s, x, d), (0, x, d), (-s, x, d)]
+            return [(s, x, d), (0, x, d), (-s, x, d)], False
         q, u = found  # u = max of -s * (a.x - b)
-        if u <= -near:
-            return [(s, x, d)]
-        # The open segment from x to q lies in the relative interior; it
-        # crosses the hyperplane at t0 when u > 0.
-        t0 = s * v / (s * v + u) if u > 0 else 1.0
-        return [
-            (s, x, d),
-            (0, x + t0 * (q - x), d - 1),
-            (-s, x + 0.5 * (1.0 + t0) * (q - x), d),
-        ]
+        return _cut(x, d, s, v, q, u, near), not -near < u <= near
     # x lies within near of the hyperplane: probe both sides.  The zero
     # piece keeps dimension d when the map stays within near of zero.
     out, zero, flat = [], x, True
     for s in (-1, 1):
-        found = _reach(region, s * a, s * b, lp_tol)
+        found = _reach(rep, s * a, s * b, lp_tol)
         if found is None:
             out.append((s, x, d))
             continue
@@ -586,37 +637,7 @@ def _pieces(region: _Region, a, b, near, lp_tol) -> list:
         flat = flat and m <= near
         if s * v < 0 < m:
             zero = x + (-s * v) / (m - s * v) * (q - x)
-    return [out[0], (0, zero, d if flat else d - 1), out[1]]
-
-
-def _layer_candidates(layer_k, rows, offs, rep, point, dim, lp_tol) -> dict:
-    """Sign words of layer ``layer_k`` that may name a cell inside one parent.
-
-    ``rows``/``offs`` are the layer's node maps on the parent, ``rep`` the
-    parent's H-representation, ``point`` a point of its relative interior and
-    ``dim`` its dimension.  Returns {word: sample point}: every word the
-    witness LP would keep, and possibly a few it would drop.
-    """
-    norms = [float(np.linalg.norm(row)) for row in rows]
-    for j, (nrm, c) in enumerate(zip(norms, offs)):
-        if _is_constant(nrm, c) and abs(c) <= _ZERO_OFFSET:
-            raise GenericityError(
-                f"node map {(layer_k, j + 1)} vanishes identically on a region"
-            )
-    near = _SPLIT_MARGIN * lp_tol
-    regions = [_Region((), rep.a_eq, rep.b_eq, rep.a_ge, rep.b_ge, point, dim)]
-    for row, c, nrm in zip(rows, offs, norms):
-        if _is_constant(nrm, c):
-            sign = 1 if c > 0 else -1  # constant on the parent: one piece
-            regions = [r._replace(word=r.word + (sign,)) for r in regions]
-            continue
-        a, b = row / nrm, -c / nrm
-        regions = [
-            r.cut(sign, a, b, y, dd)
-            for r in regions
-            for sign, y, dd in _pieces(r, a, b, near, lp_tol)
-        ]
-    return {r.word: r.point for r in regions}
+    return [out[0], (0, zero, d if flat else d - 1), out[1]], False
 
 
 def _consistent(a_eq, b_eq) -> bool:
@@ -641,44 +662,74 @@ def _enumerate_cells(net: ReluNetwork, lp_tol: float) -> list:
     """Sorted sign words of all cells of C(F); raises the genericity and
     forced-flatness errors of :func:`build_complex`."""
     n0 = net.n0
+    near = _SPLIT_MARGIN * lp_tol
     stage = {(): np.zeros(n0)}  # cell -> point of its relative interior
     for k, layer in enumerate(net.layers, start=1):
-        n_k = layer.out_dim
-        new_stage = {}
-        for parent in sorted(stage):
+        n_k, off = layer.out_dim, len(next(iter(stage)))
+        forms, vanishing = {}, {}
+        for parent in stage:
             pre_j, pre_b, _, _ = _prefix_forms(net, parent + (0,) * n_k)
-            parent_rep = _hrep_for(net, parent, (pre_j[:-1], pre_b[:-1]))
-            samples = _layer_candidates(
-                k, pre_j[-1], pre_b[-1], parent_rep, stage[parent],
-                n0 - parent.count(0), lp_tol,
-            )
-            for t in sorted(samples):
-                cand = parent + t
-                rep = _hrep_for(net, cand, (pre_j, pre_b))
-                if rep is None:
+            forms[parent] = pre_j, pre_b, np.vstack(pre_j)
+            for j, (row, c) in enumerate(zip(pre_j[-1], pre_b[-1])):
+                if _is_constant(float(np.linalg.norm(row)), c) and abs(c) <= _ZERO_OFFSET:
+                    vanishing[parent] = f"node map {(k, j + 1)} vanishes identically on a region"
+                    break
+        # {word: (point, dim)} over the parents' words extended by the
+        # layer's signs decided so far.  While ``exact`` it names exactly the
+        # nonempty regions, and closures are read off it; a decision in the
+        # tolerance band may name empty pieces, so the LP decides the rest of
+        # the layer.  A vanishing map leaves its parent unsplit.
+        regions = {p: (x, n0 - p.count(0)) for p, x in stage.items() if p not in vanishing}
+        exact = not vanishing
+        for j in range(n_k):
+            refined, sure = {}, exact
+            for word, (x, d) in regions.items():
+                pre_j, pre_b, rows = forms[word[:off]]
+                row, c = pre_j[-1][j], pre_b[-1][j]
+                nrm = float(np.linalg.norm(row))
+                if _is_constant(nrm, c):
+                    refined[word + (1 if c > 0 else -1,)] = (x, d)  # one piece
                     continue
-                zeros = sum(1 for s in cand if s == 0)
-                if zeros > n0 and rep.a_eq.shape[0] and not _consistent(rep.a_eq, rep.b_eq):
+                a, b = row / nrm, -c / nrm
+                gens = _closure_generators(regions, word, d, rows) if exact and d else None
+                pieces = gens and _generator_pieces(gens, d, a, b, near)
+                if not pieces:
+                    done = (pre_j[:-1] + [pre_j[-1][:j]], pre_b[:-1] + [pre_b[-1][:j]])
+                    pieces, clean = _pieces(_hrep_for(net, word, done), x, d, a, b, near, lp_tol)
+                    sure = sure and clean and not gens
+                for sign, y, dd in pieces:
+                    refined[word + (sign,)] = (y, dd)
+            regions, exact = refined, sure
+        new_stage = {}
+        for cand in sorted([*regions, *vanishing]):
+            if cand in vanishing:
+                raise GenericityError(vanishing[cand])
+            pre_j, pre_b, _ = forms[cand[:off]]
+            rep = _hrep_for(net, cand, (pre_j, pre_b))
+            if rep is None:
+                continue
+            zeros = sum(1 for s in cand if s == 0)
+            if zeros > n0 and rep.a_eq.shape[0] and not _consistent(rep.a_eq, rep.b_eq):
+                continue
+            x = regions[cand][0]
+            if not _clears(rep, x, lp_tol):
+                found = interior_witness(
+                    rep.a_eq, rep.b_eq, rep.a_ge, rep.b_ge, feas_tol=lp_tol
+                )
+                if found is None:
                     continue
-                x = samples[t]
-                if not _clears(rep, x, lp_tol):
-                    found = interior_witness(
-                        rep.a_eq, rep.b_eq, rep.a_ge, rep.b_ge, feas_tol=lp_tol
-                    )
-                    if found is None:
-                        continue
-                    x = found[0]
-                if zeros > n0:
+                x = found[0]
+            if zeros > n0:
+                raise GenericityError(
+                    f"feasible pattern {signs_to_str(cand)} has {zeros} > n0 zeros"
+                )
+            if rep.a_eq.shape[0]:
+                rank = np.linalg.matrix_rank(rep.a_eq, tol=_RANK_TOL)
+                if rank < rep.a_eq.shape[0]:
                     raise GenericityError(
-                        f"feasible pattern {signs_to_str(cand)} has {zeros} > n0 zeros"
+                        f"dependent zero-set equations on {signs_to_str(cand)}"
                     )
-                if rep.a_eq.shape[0]:
-                    rank = np.linalg.matrix_rank(rep.a_eq, tol=_RANK_TOL)
-                    if rank < rep.a_eq.shape[0]:
-                        raise GenericityError(
-                            f"dependent zero-set equations on {signs_to_str(cand)}"
-                        )
-                new_stage[cand] = x
+            new_stage[cand] = x
         stage = new_stage
         _abort_on_forced_flats(net, stage, k, n0)
     return sorted(stage)

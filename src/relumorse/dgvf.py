@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complex import CanonicalComplex, _cell_problem, _hrep_for, is_face
+from .complex import CanonicalComplex, _cell_problem, _hrep_for, _slope_into_edge, is_face
 from .errors import (
     FlatCellError,
     GenericityError,
@@ -334,12 +334,17 @@ class PairAssignment:
     owner_index: int | None  # critical index of the owner, None when regular
 
 
-def local_pair(net: ReluNetwork, signs: Signs, lp_tol: float = 1e-7) -> PairAssignment:
+def local_pair(
+    net: ReluNetwork, signs: Signs, lp_tol: float = 1e-7, *, _classified: dict | None = None
+) -> PairAssignment:
     """Pairing of one bounded-above cell without building the complex.
 
     Maximizes F over the cell by LP; the tight constraints name the
     lower-star vertex, whose 2*n0 directional derivatives then drive the
-    same regular/critical rules used by :func:`build_dgvf`.
+    same regular/critical rules used by :func:`build_dgvf`.  A check over
+    many cells of one network passes one ``_classified`` dict to all of
+    them, so each vertex is classified once; it holds this oracle's own
+    classifications, never the complex's.
     """
     signs = tuple(signs)
     n0 = net.n0
@@ -372,7 +377,10 @@ def local_pair(net: ReluNetwork, signs: Signs, lp_tol: float = 1e-7) -> PairAssi
             f"LP maximum over {signs_to_str(signs)} is not attained at a simple vertex"
         )
 
-    cls = classify_signs(net, v_signs, form_of)
+    memo = {} if _classified is None else _classified
+    if v_signs not in memo:
+        memo[v_signs] = classify_signs(v_signs, lambda v, e: _slope_into_edge(net, v, e, form_of)[1])
+    cls = memo[v_signs]
     if cls.kind == "regular":
         p_star, sigma = cls.flow_axis, cls.flow_sign
         entry = signs[p_star]

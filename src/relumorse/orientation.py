@@ -103,11 +103,11 @@ def _edges_at(v_signs: Signs):
             yield p, sigma, v_signs[:p] + (sigma,) + v_signs[p + 1 :]
 
 
-def classify_signs(net: ReluNetwork, v_signs: Signs, form_of) -> VertexClassification:
+def classify_signs(v_signs: Signs, slope) -> VertexClassification:
     """PL-regular/critical decision for the vertex named v_signs from the
-    analytic directional derivatives along its 2*n0 edges."""
+    signs ``slope(v_signs, e_signs)`` of dF along its 2*n0 edges."""
     desc = {
-        (p, sigma): _slope_into_edge(net, v_signs, e_signs, form_of)[1] < 0
+        (p, sigma): slope(v_signs, e_signs) < 0
         for p, sigma, e_signs in _edges_at(v_signs)
     }
     axes = tuple(
@@ -131,7 +131,7 @@ def classify_vertex(cpx: CanonicalComplex, vertex) -> VertexClassification:
                 f"expected edge {signs_to_str(e_signs)} at vertex"
                 f" {signs_to_str(v.signs)} is missing"
             )
-    return classify_signs(cpx.net, v.signs, cpx.form)
+    return classify_signs(v.signs, cpx.slope)
 
 
 def orientation_field(cpx: CanonicalComplex) -> dict:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import relumorse.dgvf as dgvf_module
 from relumorse import (
     AffineLayer,
     ReluNetwork,
@@ -148,6 +149,27 @@ def test_dgvf_command(tmp_path):
     assert r["betti_match"] is True
     assert r["local_check"] == {"pass": True, "mismatches": []}
     assert r["pass"] is True
+
+
+def test_local_check_classifies_each_vertex_once(tmp_path, monkeypatch):
+    # The check memoizes its own classifications per run; every cell still
+    # gets its own LP.
+    classified, lps = [], []
+    real_classify, real_lp = dgvf_module.classify_signs, dgvf_module.lp_solve
+    monkeypatch.setattr(
+        dgvf_module, "classify_signs", lambda v, slope: classified.append(v) or real_classify(v, slope)
+    )
+    monkeypatch.setattr(dgvf_module, "lp_solve", lambda *a, **k: lps.append(a) or real_lp(*a, **k))
+    weights, matching, report = tmp_path / "w.json", tmp_path / "m.json", tmp_path / "r.json"
+    run(["gen", "--arch", "2,8,1", "--seed", "0", "-o", str(weights)])
+    code = run(
+        ["dgvf", "-i", str(weights), "-o", str(matching), "--report", str(report), "--local-check"]
+    )
+    assert code == 0
+    assert json.loads(report.read_text())["pass"] is True
+    m = json.loads(matching.read_text())
+    assert len(lps) == 2 * len(m["pairs"]) + len(m["critical"])
+    assert 0 < len(classified) == len(set(classified)) < len(lps)
 
 
 def test_near_tie_net_b_passes_dgvf(tmp_path):

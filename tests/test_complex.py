@@ -243,6 +243,22 @@ def test_f_max_without_ray_slopes_falls_back_to_lp(monkeypatch):
     assert cpx.export_dict()["cells"]
 
 
+def test_slopes_are_solved_once_per_vertex_and_edge(monkeypatch):
+    # classify_vertex and the ray rule of sup read the same cached slopes.
+    calls = []
+    real = complex_module._slope_into_edge
+
+    def spy(net, v, e, form_of):
+        calls.append((v, e))
+        return real(net, v, e, form_of)
+
+    monkeypatch.setattr(complex_module, "_slope_into_edge", spy)
+    cpx = build_complex(random_network(Architecture.from_full((4, 7, 1)), seed=0))
+    build_dgvf(cpx)
+    assert all(cpx.is_bounded_above(c) for c in compactify(cpx).cells.values())
+    assert calls and len(calls) == len(set(calls))
+
+
 def _count_lps(monkeypatch) -> list:
     calls = []
     real = complex_module.lp_solve

@@ -1,4 +1,4 @@
-"""Differential test of the cell enumeration against brute force.
+"""Differential tests of the cell enumeration.
 
 ``brute_force_stage`` is the enumeration that ``build_complex`` used before
 cells were split neuron by neuron: inside every parent cell it tries all
@@ -6,6 +6,10 @@ cells were split neuron by neuron: inside every parent cell it tries all
 LP finds a point clearing its strict inequalities.  Both enumerations must
 give the same cells, dimensions, flat flags, vertex records and witnesses,
 or the same structured error.
+
+The split decides a region from the vertices and rays of its closure, and by
+LP where the closure holds no vertex or a sign falls in the tolerance band.
+Forcing the LP everywhere must not change the outcome either.
 """
 
 import itertools
@@ -14,6 +18,7 @@ import re
 import numpy as np
 import pytest
 
+import relumorse.complex as complex_module
 from relumorse import AffineLayer, Architecture, ReluNetwork, build_complex, net_b, random_network
 from relumorse.complex import _abort_on_forced_flats, _assemble, _hrep_for
 from relumorse.errors import GenericityError, StructuredError
@@ -114,7 +119,8 @@ DEGENERATE = {
 
 RANDOM_ARCHS = ((2, 3, 1), (2, 5, 1), (3, 4, 1), (2, 4, 3, 1), (2, 4, 4, 1), (3, 4, 3, 1))
 RANDOM = [(arch, seed) for arch in RANDOM_ARCHS for seed in range(6)]
-RANDOM += [((2, 8, 1), 0), ((3, 6, 1), 0)]
+RANDOM += [((2, 8, 1), 0), ((3, 6, 1), 0), ((4, 7, 1), 0), ((4, 7, 1), 1)]
+RANDOM += [(arch, seed) for arch in ((2, 4, 4, 1), (3, 4, 3, 1)) for seed in range(6, 10)]
 
 CASES = [pytest.param(net_b(), id="net_b")]
 CASES += [pytest.param(net, id=name) for name, net in DEGENERATE.items()]
@@ -140,3 +146,84 @@ def test_degenerate_cases_raise_genericity():
     ):
         with pytest.raises(GenericityError, match=re.escape(expected)):
             build_complex(DEGENERATE[name])
+
+
+def _spy(monkeypatch, name) -> list:
+    """Record the calls of ``relumorse.complex.<name>``."""
+    calls = []
+    real = getattr(complex_module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(complex_module, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("arch, n_lps", [((2, 8, 1), 4), ((4, 7, 1), 40)])
+def test_build_solves_only_vertex_free_region_lps(monkeypatch, arch, n_lps):
+    # Until layer 1 has n0 hyperplanes no region has a vertex: the splits by
+    # its first n0 maps solve 1 + 3 + ... + 3^(n0-1) LPs, one per region.
+    # Every later split is read off closures, and every sample point clears
+    # acceptance without a witness LP.
+    lps = _spy(monkeypatch, "lp_solve")
+    witnesses = _spy(monkeypatch, "interior_witness")
+    cpx = build_complex(random_network(Architecture.from_full(arch), seed=0))
+    assert len(lps) == n_lps == (3 ** cpx.n0 - 1) // 2
+    assert witnesses == []
+
+
+def _integer_net(arch, seed, noise):
+    """Integer weights in [-2, 2] plus ``noise`` times standard normal: many
+    near-coincident hyperplanes and vertices."""
+    rng = np.random.default_rng(seed)
+    dims = list(arch) + [1]
+    weights = [rng.integers(-2, 3, (m, n)) + noise * rng.standard_normal((m, n))
+               for n, m in zip(dims, dims[1:])]
+    biases = [rng.integers(-2, 3, m) + noise * rng.standard_normal(m) for m in dims[1:]]
+    layers = tuple(AffineLayer(w, b) for w, b in zip(weights[:-1], biases[:-1]))
+    return ReluNetwork(layers, AffineLayer(weights[-1], [0.5]))
+
+
+def structure(net):
+    """Cells, vertex records or structured error of ``build_complex``."""
+    try:
+        cpx = build_complex(net, sign_tol=SIGN_TOL, lp_tol=LP_TOL)
+    except StructuredError as exc:
+        return ("error", type(exc).__name__, exc.payload())
+    cells = [(s, c.dim, c.flat) for s, c in cpx.cells.items()]
+    return ("ok", cells, [(s, v.location.tobytes(), v.value) for s, v in cpx.vertices.items()])
+
+
+NEAR_DEGENERATE = [
+    (arch, seed, noise)
+    for arch in ((2, 3), (2, 4), (2, 3, 2), (3, 4), (2, 4, 3))
+    for noise in (1e-6, 1e-8)
+    for seed in range(8)
+]
+
+
+def test_lp_decisions_match_closure_decisions(monkeypatch):
+    nets = [_integer_net(*case) for case in NEAR_DEGENERATE]
+    read_off = [structure(net) for net in nets]
+    lps = _spy(monkeypatch, "_reach")
+    monkeypatch.setattr(complex_module, "_closure_generators", lambda *args: None)
+    for case, net, expected in zip(NEAR_DEGENERATE, nets, read_off):
+        assert structure(net) == expected, case
+    assert lps  # every region took the LP
+
+
+def test_hyperplane_near_a_vertex_takes_the_lp(monkeypatch):
+    # Layer 1 has a vertex at (0.3, 0.2), where node map (2, 1) is 1e-9.
+    net = _net(
+        [[[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]], [[1.0, -2.0, 0.5], [0.7, 0.4, -1.0], [1.0, 1.0, 1.0]]],
+        [[-0.3, -0.2, 1.0], [-0.25 + 1e-9, 0.2, 0.1]],
+        [1.0, -1.5, 0.5],
+    )
+    lps = _spy(monkeypatch, "_reach")
+    outcome = split_outcome(net)
+    # Layer 1's four vertex-free regions, then the fallback in layer 2.
+    assert len(lps) > 4
+    assert outcome == brute_force_outcome(net)
+    assert outcome[2]["message"] == "feasible pattern 00+0-+ has 3 > n0 zeros"
