@@ -36,13 +36,7 @@ from .errors import (
     SingularSystemError,
 )
 from .lp import LpProblem, interior_witness, lp_solve
-from .network import (
-    ReluNetwork,
-    Signs,
-    _prefix_forms,
-    cell_affine_form,
-    signs_to_str,
-)
+from .network import NodeMaps, ReluNetwork, Signs, cell_affine_form, node_maps, signs_to_str
 
 _ZERO_ROW = 1e-12
 # Offset at or below which a constant node map counts as zero.
@@ -67,10 +61,10 @@ _VERTEX_RESID = 1e-6
 _FAR = 1e7
 
 
-def _is_constant(nrm: float, c: float) -> bool:
-    """True when a node map with gradient norm nrm and offset c is constant
-    on the region."""
-    return nrm <= _ZERO_ROW * max(1.0, abs(c))
+def _is_constant(nrm, c):
+    """True where a node map with gradient norm nrm and offset c (scalars or
+    arrays) is constant on the region."""
+    return nrm <= _ZERO_ROW * np.maximum(1.0, np.abs(c))
 
 
 def _is_flat(value: float, g) -> bool:
@@ -98,20 +92,13 @@ def _direction_into_edge(net: ReluNetwork, v_signs: Signs, e_signs: Signs, form_
         raise MissingEdgeError(
             f"{signs_to_str(e_signs)} is not an incident edge of {signs_to_str(v_signs)}"
         )
-    star_pos = diff[0]
-    sigma = e_signs[star_pos]
     form = form_of(tuple(s if s != 0 else 1 for s in e_signs))
     zero_pos = [p for p, s in enumerate(v_signs) if s == 0]
-    rows = []
-    rhs = np.zeros(len(zero_pos))
-    for k, p in enumerate(zero_pos):
-        i, j = net.ij(p)
-        row, _ = form.node_row(i, j)
-        rows.append(row)
-        if p == star_pos:
-            rhs[k] = float(sigma)
+    # Into the edge, the map at its entry takes the edge's sign; the vertex's
+    # other zero maps stay zero.
+    rhs = np.array([e_signs[p] for p in zero_pos], dtype=float)
     try:
-        d = np.linalg.solve(np.array(rows), rhs)
+        d = np.linalg.solve(form.rows[zero_pos], rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(
             f"singular edge system at vertex {signs_to_str(v_signs)}"
@@ -186,8 +173,7 @@ class Cell:
 
     def _interior_witness(self) -> tuple:
         if self._interior is None:
-            form = cell_affine_form(self.net, self.signs)
-            rep = _hrep_for(self.net, self.signs, (form.pre_jacobians, form.pre_biases))
+            rep = _hrep_for(self.net, self.signs, cell_affine_form(self.net, self.signs))
             found = interior_witness(
                 rep.a_eq, rep.b_eq, rep.a_ge, rep.b_ge, feas_tol=self.lp_tol
             )
@@ -218,7 +204,6 @@ class _HRep:
     b_eq: np.ndarray
     a_ge: np.ndarray
     b_ge: np.ndarray
-    eq_positions: tuple
     ge_positions: tuple
 
 
@@ -229,51 +214,39 @@ def _cell_problem(rep: _HRep, objective) -> LpProblem:
     )
 
 
-def _hrep_for(net: ReluNetwork, signs: Signs, forms) -> _HRep | None:
-    """Assemble the H-representation of a (possibly partial) sign pattern.
+def _hrep_for(net: ReluNetwork, signs: Signs, table: NodeMaps) -> _HRep | None:
+    """Assemble the H-representation of a (possibly partial) sign pattern
+    from the first ``len(signs)`` rows of the node-map table.
 
     Returns None when a constant node map makes the pattern trivially
     infeasible; raises GenericityError when a node map vanishes identically
-    on the region (its bent hyperplane would contain an open set).
+    on the region (its bent hyperplane would contain an open set).  The first
+    such row in sign-word order decides.
     """
-    pre_j, pre_b = forms
-    eq, eqr, ge, ger = [], [], [], []
-    eq_pos, ge_pos = [], []
-    pos = 0
-    for li, (rows, offs) in enumerate(zip(pre_j, pre_b)):
-        for j in range(rows.shape[0]):
-            s = signs[pos]
-            row = rows[j]
-            c = offs[j]
-            nrm = float(np.linalg.norm(row))
-            if _is_constant(nrm, c):
-                if s == 0:
-                    if abs(c) <= _ZERO_OFFSET:
-                        raise GenericityError(
-                            f"node map {(li + 1, j + 1)} vanishes identically on a region"
-                        )
-                    return None
-                if s * c <= 0 or abs(c) <= _ZERO_OFFSET:
-                    return None
-                pos += 1
-                continue  # strictly satisfied everywhere on the region
-            if s == 0:
-                eq.append(row / nrm)
-                eqr.append(-c / nrm)
-                eq_pos.append(pos)
-            else:
-                ge.append(s * row / nrm)
-                ger.append(-s * c / nrm)
-                ge_pos.append(pos)
-            pos += 1
-    n = net.n0
+    n = len(signs)
+    s = np.array(signs, dtype=float)
+    rows, offs, nrm = table.rows[:n], table.offsets[:n], table.norms[:n]
+    const = _is_constant(nrm, offs)
+    if const.any():
+        bad = const & ((s * offs <= 0) | (np.abs(offs) <= _ZERO_OFFSET))
+        if bad.any():
+            p = int(np.argmax(bad))
+            if s[p] == 0 and abs(offs[p]) <= _ZERO_OFFSET:
+                raise GenericityError(f"node map {net.ij(p)} vanishes identically on a region")
+            return None
+    # The constant rows left hold everywhere on the region.  Scaling a unit
+    # row by a sign is exact, so inequality rows need no second division.
+    live = np.flatnonzero(~const)
+    unit = rows[live] / nrm[live, None]
+    unit_off = -offs[live] / nrm[live]
+    s = s[live]
+    eq, ge = s == 0, s != 0
     return _HRep(
-        a_eq=np.array(eq).reshape(-1, n),
-        b_eq=np.array(eqr, dtype=float),
-        a_ge=np.array(ge).reshape(-1, n),
-        b_ge=np.array(ger, dtype=float),
-        eq_positions=tuple(eq_pos),
-        ge_positions=tuple(ge_pos),
+        a_eq=unit[eq],
+        b_eq=unit_off[eq],
+        a_ge=s[ge, None] * unit[ge],
+        b_ge=s[ge] * unit_off[ge],
+        ge_positions=tuple(live[ge].tolist()),
     )
 
 
@@ -312,8 +285,7 @@ class CanonicalComplex:
     def hrep(self, signs: Signs) -> _HRep:
         signs = tuple(signs)
         if signs not in self._hreps:
-            form = self.form(signs)
-            rep = _hrep_for(self.net, signs, (form.pre_jacobians, form.pre_biases))
+            rep = _hrep_for(self.net, signs, self.form(signs))
             if rep is None:
                 raise GenericityError(f"cell {signs_to_str(signs)} has an empty H-representation")
             self._hreps[signs] = rep
@@ -459,22 +431,15 @@ class CanonicalComplex:
 
 def _vertex_location(net, signs, container, form_of) -> np.ndarray:
     form = form_of(container)
-    rows, rhs = [], []
-    for p, s in enumerate(signs):
-        if s != 0:
-            continue
-        i, j = net.ij(p)
-        row, c = form.node_row(i, j)
-        rows.append(row)
-        rhs.append(-c)
-    mat = np.array(rows)
+    zero_pos = [p for p, s in enumerate(signs) if s == 0]
+    mat, rhs = form.rows[zero_pos], -form.offsets[zero_pos]
     try:
-        loc = np.linalg.solve(mat, np.array(rhs)) + 0.0  # clear negative zeros
+        loc = np.linalg.solve(mat, rhs) + 0.0  # clear negative zeros
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(
             f"singular vertex system for {signs_to_str(signs)}"
         ) from exc
-    resid = float(np.abs(mat @ loc - np.array(rhs)).max())
+    resid = float(np.abs(mat @ loc - rhs).max())
     if not np.isfinite(loc).all() or resid > _VERTEX_RESID * max(1.0, float(np.abs(rhs).max())):
         raise SingularSystemError(
             f"ill-conditioned vertex system for {signs_to_str(signs)}"
@@ -666,14 +631,14 @@ def _enumerate_cells(net: ReluNetwork, lp_tol: float) -> list:
     stage = {(): np.zeros(n0)}  # cell -> point of its relative interior
     for k, layer in enumerate(net.layers, start=1):
         n_k, off = layer.out_dim, len(next(iter(stage)))
-        forms, vanishing = {}, {}
+        tables, vanishing = {}, {}
         for parent in stage:
-            pre_j, pre_b, _, _ = _prefix_forms(net, parent + (0,) * n_k)
-            forms[parent] = pre_j, pre_b, np.vstack(pre_j)
-            for j, (row, c) in enumerate(zip(pre_j[-1], pre_b[-1])):
-                if _is_constant(float(np.linalg.norm(row)), c) and abs(c) <= _ZERO_OFFSET:
-                    vanishing[parent] = f"node map {(k, j + 1)} vanishes identically on a region"
-                    break
+            table = tables[parent] = node_maps(net, parent)
+            offs = table.offsets[off:]
+            hit = _is_constant(table.norms[off:], offs) & (np.abs(offs) <= _ZERO_OFFSET)
+            if hit.any():
+                p = off + int(np.argmax(hit))
+                vanishing[parent] = f"node map {net.ij(p)} vanishes identically on a region"
         # {word: (point, dim)} over the parents' words extended by the
         # layer's signs decided so far.  While ``exact`` it names exactly the
         # nonempty regions, and closures are read off it; a decision in the
@@ -684,18 +649,16 @@ def _enumerate_cells(net: ReluNetwork, lp_tol: float) -> list:
         for j in range(n_k):
             refined, sure = {}, exact
             for word, (x, d) in regions.items():
-                pre_j, pre_b, rows = forms[word[:off]]
-                row, c = pre_j[-1][j], pre_b[-1][j]
-                nrm = float(np.linalg.norm(row))
+                table = tables[word[:off]]
+                nrm, c = table.norms[off + j], table.offsets[off + j]
                 if _is_constant(nrm, c):
                     refined[word + (1 if c > 0 else -1,)] = (x, d)  # one piece
                     continue
-                a, b = row / nrm, -c / nrm
-                gens = _closure_generators(regions, word, d, rows) if exact and d else None
+                a, b = table.rows[off + j] / nrm, -c / nrm
+                gens = _closure_generators(regions, word, d, table.rows) if exact and d else None
                 pieces = gens and _generator_pieces(gens, d, a, b, near)
                 if not pieces:
-                    done = (pre_j[:-1] + [pre_j[-1][:j]], pre_b[:-1] + [pre_b[-1][:j]])
-                    pieces, clean = _pieces(_hrep_for(net, word, done), x, d, a, b, near, lp_tol)
+                    pieces, clean = _pieces(_hrep_for(net, word, table), x, d, a, b, near, lp_tol)
                     sure = sure and clean and not gens
                 for sign, y, dd in pieces:
                     refined[word + (sign,)] = (y, dd)
@@ -704,8 +667,7 @@ def _enumerate_cells(net: ReluNetwork, lp_tol: float) -> list:
         for cand in sorted([*regions, *vanishing]):
             if cand in vanishing:
                 raise GenericityError(vanishing[cand])
-            pre_j, pre_b, _ = forms[cand[:off]]
-            rep = _hrep_for(net, cand, (pre_j, pre_b))
+            rep = _hrep_for(net, cand, tables[cand[:off]])
             if rep is None:
                 continue
             zeros = sum(1 for s in cand if s == 0)

@@ -357,7 +357,7 @@ def local_pair(
         return forms_cache[s]
 
     form = form_of(signs)
-    rep = _hrep_for(net, signs, (form.pre_jacobians, form.pre_biases))
+    rep = _hrep_for(net, signs, form)
     if rep is None:
         raise GenericityError(f"cell {signs_to_str(signs)} is infeasible")
     res = lp_solve(_cell_problem(rep, form.total_gradient), feas_tol=lp_tol)

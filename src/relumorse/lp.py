@@ -81,6 +81,15 @@ class LpResult:
         return self.status == "optimal"
 
 
+def _pivot(tableau, row, col):
+    """Scale ``row`` to a unit entry in ``col`` and clear that column from
+    every other row of the tableau, in place."""
+    tableau[row, :] /= tableau[row, col]
+    for r in range(tableau.shape[0]):
+        if r != row and abs(tableau[r, col]) > 0.0:
+            tableau[r, :] -= tableau[r, col] * tableau[row, :]
+
+
 def _bland_min(tableau, basis, ncols):
     """Run Bland-rule simplex on a minimization tableau in place.
 
@@ -112,13 +121,9 @@ def _bland_min(tableau, basis, ncols):
         # has the smallest index.
         candidates = rows[ratios <= best + _HARD_TOL]
         leaving = min(candidates, key=lambda r: basis[r])
-        piv = tableau[leaving, entering]
-        if abs(piv) < _HARD_TOL:
+        if abs(tableau[leaving, entering]) < _HARD_TOL:
             raise NumericalInstabilityError("pivot magnitude below hard threshold")
-        tableau[leaving, :] /= piv
-        for r in range(m + 1):
-            if r != leaving and abs(tableau[r, entering]) > 0.0:
-                tableau[r, :] -= tableau[r, entering] * tableau[leaving, :]
+        _pivot(tableau, leaving, entering)
         basis[leaving] = entering
     raise NumericalInstabilityError("simplex iteration limit exceeded")
 
@@ -255,10 +260,7 @@ def _simplex(problem: LpProblem, feas_tol: float) -> LpResult:
         if pivots.size == 0:
             continue  # redundant constraint
         j = int(pivots[0])
-        tableau[r, :] /= tableau[r, j]
-        for rr in range(m + 1):
-            if rr != r and abs(tableau[rr, j]) > 0.0:
-                tableau[rr, :] -= tableau[rr, j] * tableau[r, :]
+        _pivot(tableau, r, j)
         basis[r] = j
         keep.append(r)
 

@@ -6,14 +6,15 @@ final affine map ``G`` to the reals; the associated function is
     F(x) = G(ReLU(A_m(... ReLU(A_1(x)) ...))).
 
 On a cell with a fixed activation pattern every node map (pre-activation of
-one neuron, as a function of the input) is affine; :func:`cell_affine_form`
-computes those affine forms together with the total restricted gradient of F
-by masking rows whose pattern entry is not +1.
+one neuron, as a function of the input) is affine; :func:`node_maps` stacks
+those affine forms in sign-word order, and :func:`cell_affine_form` adds the
+total restricted gradient of F.  Both mask rows whose pattern entry is not +1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -131,7 +132,7 @@ class ReluNetwork:
         if self.final.in_dim != layers[-1].out_dim or self.final.out_dim != 1:
             raise ArchitectureError("final map must send the last hidden layer to R")
         # (layer, neuron) pairs in lexicographic order; position p in a sign
-        # sequence corresponds to layout[p].
+        # sequence corresponds to _layout[p].
         layout = tuple(
             (i + 1, j + 1)
             for i, layer in enumerate(layers)
@@ -160,10 +161,6 @@ class ReluNetwork:
     @property
     def total_neurons(self) -> int:
         return len(self._layout)
-
-    @property
-    def layout(self) -> tuple:
-        return self._layout
 
     def pos(self, i: int, j: int) -> int:
         """Flat sign-sequence position of neuron j in layer i (both 1-based)."""
@@ -230,62 +227,57 @@ class ReluNetwork:
 
 
 @dataclass(frozen=True)
-class CellAffineForm:
-    """Affine restrictions of the layer composites to one cell.
+class NodeMaps:
+    """Node maps as affine forms on one cell, stacked in sign-word order:
+    node map p is ``rows[p] @ x + offsets[p]`` there."""
 
-    ``pre_jacobians``/``pre_biases`` give the pre-activation node-map forms,
-    which are what cell H-representations and vertex/edge systems use.
-    """
+    rows: np.ndarray
+    offsets: np.ndarray
 
-    cell: Signs
-    pre_jacobians: tuple
-    pre_biases: tuple
+    @cached_property
+    def norms(self) -> np.ndarray:
+        """Gradient norm of each row, on first use: only tables that build
+        an H-representation read them.  Row by row, as ``np.linalg.norm``
+        computes it: a batched sum rounds differently."""
+        return np.sqrt([row.dot(row) for row in self.rows])
+
+
+@dataclass(frozen=True)
+class CellAffineForm(NodeMaps):
+    """Affine restrictions of every node map and of F to one cell."""
+
     total_gradient: np.ndarray
     total_offset: float
 
-    def node_row(self, i: int, j: int) -> tuple:
-        """Affine form (row, offset) of node map (i, j) on this cell."""
-        return self.pre_jacobians[i - 1][j - 1], float(self.pre_biases[i - 1][j - 1])
 
+def node_maps(net: ReluNetwork, signs: Signs) -> NodeMaps:
+    """Node maps of layers 1..k on the cell ``signs`` of layers 1..k-1.
 
-def _prefix_forms(net: ReluNetwork, signs: Signs) -> tuple:
-    """Masked/pre affine forms for the layers covered by ``signs``.
-
-    ``signs`` must end on a layer boundary; returns (preJ, preb, postJ, postb)
-    lists, one entry per covered layer.
+    ``signs`` must end on a layer boundary; the maps of the next layer are
+    affine on its cell too, so the table covers one layer more than the
+    word.  Each layer masks the composite by its signs: rows whose pattern
+    entry is -1 or 0 are zeroed (row selection realizes the ReLU).
     """
-    pre_j, pre_b, post_j, post_b = [], [], [], []
     jac = np.eye(net.n0)
     bias = np.zeros(net.n0)
-    used = 0
+    rows, offsets, used = [], [], 0
     for layer in net.layers:
-        n_i = layer.out_dim
-        if used + n_i > len(signs):
+        rows.append(layer.weights @ jac)
+        offsets.append(layer.weights @ bias + layer.bias)
+        if used == len(signs):
             break
-        s = np.asarray(signs[used : used + n_i])
-        used += n_i
-        pj = layer.weights @ jac
-        pb = layer.weights @ bias + layer.bias
-        active = (s > 0).astype(float)
-        jac = pj * active[:, None]
-        bias = pb * active
-        pre_j.append(pj)
-        pre_b.append(pb)
-        post_j.append(jac)
-        post_b.append(bias)
-    if used != len(signs):
-        raise DimensionError(
-            f"sign sequence length {len(signs)} does not end on a layer boundary"
-        )
-    return pre_j, pre_b, post_j, post_b
+        active = (np.asarray(signs[used : used + layer.out_dim]) > 0).astype(float)
+        jac = rows[-1] * active[:, None]
+        bias = offsets[-1] * active
+        used += layer.out_dim
+    return NodeMaps(np.concatenate(rows), np.concatenate(offsets))
 
 
 def cell_affine_form(net: ReluNetwork, signs: Signs) -> CellAffineForm:
-    """Affine restriction of F and its layer composites to the cell ``signs``.
+    """Affine restriction of F and of every node map to the cell ``signs``.
 
-    The restricted gradient is the final weights applied to the last masked
-    composite; rows with pattern entry -1 or 0 are masked to zero (row
-    selection realizes the ReLU of the sign diagonal).
+    The restricted gradient is the final weights applied to the last
+    layer's node maps, masked by its signs.
     """
     if len(signs) != net.total_neurons:
         raise DimensionError(
@@ -293,16 +285,12 @@ def cell_affine_form(net: ReluNetwork, signs: Signs) -> CellAffineForm:
         )
     if any(s not in (-1, 0, 1) for s in signs):
         raise ValueError("sign entries must be -1, 0 or +1")
-    pre_j, pre_b, post_j, post_b = _prefix_forms(net, signs)
-    grad = (net.final.weights @ post_j[-1])[0]
-    offset = float((net.final.weights @ post_b[-1] + net.final.bias)[0])
-    return CellAffineForm(
-        cell=tuple(signs),
-        pre_jacobians=tuple(pre_j),
-        pre_biases=tuple(pre_b),
-        total_gradient=grad,
-        total_offset=offset,
-    )
+    n_m = net.layers[-1].out_dim
+    table = node_maps(net, signs[:-n_m])
+    active = (np.asarray(signs[-n_m:]) > 0).astype(float)
+    grad = (net.final.weights @ (table.rows[-n_m:] * active[:, None]))[0]
+    offset = float((net.final.weights @ (table.offsets[-n_m:] * active) + net.final.bias)[0])
+    return CellAffineForm(table.rows, table.offsets, grad, offset)
 
 
 def random_network(arch: Architecture, seed: int, scale: float = 1.0) -> ReluNetwork:

@@ -71,14 +71,8 @@ def _edge_geometry(cpx, cell, field):
         d = b.location - a.location
         return a.location, d, 0.0, 1.0
     if len(anchors) == 1:
-        v = anchors[0]
-        orient = field.get(cell.signs)
-        if orient is not None and orient.anchor == v.signs:
-            d = orient.direction
-        else:
-            d = cell.witness - v.location
-            d = d / max(float(np.linalg.norm(d)), 1e-30)
-        return v.location, d, 0.0, _BIG
+        # orientation_field anchors a ray at its only vertex.
+        return anchors[0].location, field[cell.signs].direction, 0.0, _BIG
     rep = cpx.hrep(cell.signs)
     _, _, vh = np.linalg.svd(rep.a_eq)
     return cell.witness, vh[-1], -_BIG, _BIG

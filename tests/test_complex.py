@@ -16,8 +16,9 @@ from relumorse import (
     random_network,
     signs_from_str,
 )
-from relumorse.complex import _vertex_location
+from relumorse.complex import _hrep_for, _vertex_location
 from relumorse.errors import FlatCellError, GenericityError, InjectivityError
+from relumorse.network import NodeMaps
 
 from conftest import (
     is_spatially_bounded,
@@ -154,6 +155,60 @@ def test_vertex_location_homogeneous_identity_net():
         return forms[signs]
 
     assert np.allclose(_vertex_location(net, (0, 0), (1, 1), form_of), [0.0, 0.0])
+
+
+def test_hrep_reads_table_rows_in_sign_word_order():
+    net = random_network(Architecture((2, 2, 2)), 0)  # (1,1) (1,2) (2,1) (2,2)
+
+    def table(offsets):
+        rows = [[1.0, 2.0], [0.0, 0.0], [0.0, 0.0], [3.0, 4.0]]
+        return NodeMaps(np.array(rows), np.array(offsets, dtype=float))
+
+    # The first offending constant row decides: an infeasible one gives None,
+    # a vanishing one raises with its (layer, neuron) name.
+    assert _hrep_for(net, (1, 1, 0, 1), table([0.5, -1.0, 0.0, 0.5])) is None
+    with pytest.raises(GenericityError, match=r"node map \(1, 2\) vanishes"):
+        _hrep_for(net, (1, 0, 1, 1), table([0.5, 0.0, -1.0, 0.5]))
+    # A partial word reads only its own rows.
+    rep = _hrep_for(net, (1,), table([0.5, 0.0, -1.0, 0.5]))
+    assert rep.ge_positions == (0,) and rep.a_eq.shape == (0, 2)
+    # Feasible constant rows drop out; the others are unit rows.
+    rep = _hrep_for(net, (-1, 1, 1, 0), table([0.5, 2.0, 1.0, 1.0]))
+    assert rep.ge_positions == (0,)
+    assert np.allclose(rep.a_ge, [[-1.0, -2.0]] / np.sqrt(5.0))
+    assert np.allclose(rep.b_ge, [0.5 / np.sqrt(5.0)])
+    assert np.allclose(rep.a_eq, [[0.6, 0.8]]) and np.allclose(rep.b_eq, [-0.2])
+
+
+def _hrep_by_row(form, signs):
+    """Arrays of a cell's H-representation built row by row: the loop that
+    the table selection in ``_hrep_for`` replaced."""
+    eq, eqr, ge, ger, ge_pos = [], [], [], [], []
+    for p, s in enumerate(signs):
+        row, c = form.rows[p], form.offsets[p]
+        nrm = float(np.linalg.norm(row))
+        if nrm <= 1e-12 * max(1.0, abs(c)):
+            continue  # constant, and satisfied on a cell of the complex
+        if s == 0:
+            eq.append(row / nrm)
+            eqr.append(-c / nrm)
+        else:
+            ge.append(s * row / nrm)
+            ger.append(-s * c / nrm)
+            ge_pos.append(p)
+    n0 = form.rows.shape[1]
+    return (np.array(eq).reshape(-1, n0), np.array(eqr, dtype=float),
+            np.array(ge).reshape(-1, n0), np.array(ger, dtype=float), ge_pos)
+
+
+def test_hrep_matches_row_by_row_loop(differential_draws):
+    for _, _, cpx in differential_draws:
+        for signs in cpx.cells:
+            rep = cpx.hrep(signs)
+            *arrays, ge_pos = _hrep_by_row(cpx.form(signs), signs)
+            assert rep.ge_positions == tuple(ge_pos)
+            for got, want in zip((rep.a_eq, rep.b_eq, rep.a_ge, rep.b_ge), arrays):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_bounded_above_examples(cpx_b):

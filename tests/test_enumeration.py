@@ -23,7 +23,7 @@ from relumorse import AffineLayer, Architecture, ReluNetwork, build_complex, net
 from relumorse.complex import _abort_on_forced_flats, _assemble, _hrep_for
 from relumorse.errors import GenericityError, StructuredError
 from relumorse.lp import interior_witness
-from relumorse.network import _prefix_forms, signs_to_str
+from relumorse.network import node_maps, signs_to_str
 
 SIGN_TOL = 1e-9
 LP_TOL = 1e-7
@@ -37,11 +37,10 @@ def brute_force_stage(net, lp_tol=LP_TOL):
         n_k = layer.out_dim
         new_stage = {}
         for parent in sorted(stage):
-            ext = parent + (0,) * n_k
-            pre_j, pre_b, _, _ = _prefix_forms(net, ext)
+            table = node_maps(net, parent)
             for t in itertools.product((-1, 0, 1), repeat=n_k):
                 cand = parent + t
-                rep = _hrep_for(net, cand, (pre_j, pre_b))
+                rep = _hrep_for(net, cand, table)
                 if rep is None:
                     continue
                 zeros = sum(1 for s in cand if s == 0)

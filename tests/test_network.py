@@ -6,6 +6,7 @@ import pytest
 from relumorse import (
     AffineLayer,
     Architecture,
+    Cell,
     ReluNetwork,
     build_complex,
     cell_affine_form,
@@ -94,6 +95,22 @@ def test_affine_form_matches_evaluation_on_interior(cpx_b):
         expected = float(form.total_gradient @ x + form.total_offset)
         assert net.evaluate(x) == pytest.approx(expected, rel=1e-9)
         assert 0 not in net.sign_sequence_at(x)
+
+
+@pytest.mark.parametrize("arch", [(2, 4, 3), (3, 4, 3)])
+def test_node_map_table_follows_sign_word_order(arch):
+    # Row p of a cell's table is node map net.ij(p), across every layer.
+    rng = np.random.default_rng(0)
+    for seed in range(3):
+        net = random_network(Architecture(arch), seed)
+        words = {net.sign_sequence_at(x) for x in rng.uniform(-3.0, 3.0, (60, net.n0))}
+        for signs in sorted(words):
+            form = cell_affine_form(net, signs)
+            x = Cell(signs, net.n0, net, 1e-7).witness
+            for p in range(net.total_neurons):
+                expected = net.node_map(*net.ij(p), x)
+                got = float(form.rows[p] @ x + form.offsets[p])
+                assert got == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 
 def test_gradient_matches_finite_differences(cpx_b):
