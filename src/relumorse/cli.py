@@ -7,6 +7,7 @@ domain errors (which also emit machine-readable JSON on stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -182,6 +183,7 @@ def _add_tolerances(sub) -> None:
                      help="LP feasibility tolerance (default 1e-7)")
 
 
+@functools.cache  # parse_args leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relumorse",

@@ -85,7 +85,7 @@ def is_face(a: Signs, b: Signs) -> bool:
     return compose_signs(a, b) == tuple(b)
 
 
-def _direction_into_edge(net: ReluNetwork, v_signs: Signs, e_signs: Signs, form_of):
+def _direction_into_edge(v_signs: Signs, e_signs: Signs, form_of):
     """Unit vector from the vertex into the edge, via the node-map system."""
     diff = [p for p in range(len(v_signs)) if e_signs[p] != v_signs[p]]
     if len(diff) != 1 or v_signs[diff[0]] != 0:
@@ -111,10 +111,10 @@ def _direction_into_edge(net: ReluNetwork, v_signs: Signs, e_signs: Signs, form_
     return d / nrm, form
 
 
-def _slope_into_edge(net: ReluNetwork, v_signs: Signs, e_signs: Signs, form_of):
+def _slope_into_edge(v_signs: Signs, e_signs: Signs, form_of):
     """(unit direction, sign of dF along it) from the vertex into the edge;
     FlatCellError if the directional derivative vanishes."""
-    d, form = _direction_into_edge(net, v_signs, e_signs, form_of)
+    d, form = _direction_into_edge(v_signs, e_signs, form_of)
     g = form.total_gradient
     slope = float(g @ d)
     if _is_flat(slope, g):
@@ -405,12 +405,12 @@ class CanonicalComplex:
         raise of :func:`_slope_into_edge` is not cached."""
         key = (v_signs, e_signs)
         if key not in self._slopes:
-            self._slopes[key] = _slope_into_edge(self.net, v_signs, e_signs, self.form)[1]
+            self._slopes[key] = _slope_into_edge(v_signs, e_signs, self.form)[1]
         return self._slopes[key]
 
     def vertex_location(self, signs: Signs, container: Signs | None = None) -> np.ndarray:
         """Solve the n0 x n0 node-map system of a vertex's zero entries."""
-        return _vertex_location(self.net, tuple(signs), container or self.container_top_cell(signs), self.form)
+        return _vertex_location(tuple(signs), container or self.container_top_cell(signs), self.form)
 
     # -- export ------------------------------------------------------------
 
@@ -429,7 +429,7 @@ class CanonicalComplex:
         return {"dims": list(self.net.arch.full()), "cells": cells}
 
 
-def _vertex_location(net, signs, container, form_of) -> np.ndarray:
+def _vertex_location(signs, container, form_of) -> np.ndarray:
     form = form_of(container)
     zero_pos = [p for p, s in enumerate(signs) if s == 0]
     mat, rhs = form.rows[zero_pos], -form.offsets[zero_pos]

@@ -10,15 +10,19 @@ vertices, together with the basepoint * of the one-point compactification,
 is a relatively perfect discrete gradient vector field.
 
 ``local_pair`` reproduces the same assignment for a single cell without the
-global complex: one LP to find the cell's lower-star vertex, then 2*n0
-analytic directional derivatives.
+global complex: the cell's lower-star vertex is the max of F over its
+closure, either certified from a vertex the oracle has already classified
+or found by one LP, and the vertex's 2*n0 analytic directional derivatives
+then pick the pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complex import CanonicalComplex, _cell_problem, _hrep_for, _slope_into_edge, is_face
+import numpy as np
+
+from .complex import CanonicalComplex, _cell_problem, _hrep_for, _slope_into_edge, _zeroings, is_face
 from .errors import (
     FlatCellError,
     GenericityError,
@@ -334,17 +338,56 @@ class PairAssignment:
     owner_index: int | None  # critical index of the owner, None when regular
 
 
+def _certified_vertex(signs: Signs, n0: int, rep, memo: dict, lp_tol: float):
+    """First vertex of ``memo`` in the closure of the cell ``signs`` that is
+    certified as the unique max of F over that closure, else None.
+
+    A candidate zeroes ``dim`` more entries of the word.  It passes when the
+    cell takes a lower-star sign at each of its zeros, and when the cell's
+    unit rows at its zeros meet in a point where exactly the zeroed >= rows
+    are tight.  The point is then a simple vertex of the closure, F falls
+    along every edge leaving it into the cell, and F is affine on the convex
+    cell, so it is the point the LP would return.
+    """
+    dim = n0 - signs.count(0)
+    if dim < 0:
+        return None
+    row_of = {p: r for r, p in enumerate(rep.ge_positions)}
+    for v in _zeroings(signs, dim):
+        cls = memo.get(v)
+        if cls is None:
+            continue
+        allowed = _allowed_signs(cls)
+        if any(signs[p] not in allowed[p] for p in allowed):
+            continue
+        extra = [row_of.get(p) for p, s in enumerate(v) if s == 0 and signs[p] != 0]
+        if None in extra:
+            continue
+        a = np.vstack([rep.a_eq, rep.a_ge[extra]])
+        b = np.concatenate([rep.b_eq, rep.b_ge[extra]])
+        try:
+            x = np.linalg.solve(a, b)
+        except np.linalg.LinAlgError:
+            continue
+        if np.abs(a @ x - b).max() > lp_tol:
+            continue
+        if np.flatnonzero(rep.a_ge @ x - rep.b_ge <= lp_tol).tolist() == extra:
+            return v
+    return None
+
+
 def local_pair(
     net: ReluNetwork, signs: Signs, lp_tol: float = 1e-7, *, _classified: dict | None = None
 ) -> PairAssignment:
     """Pairing of one bounded-above cell without building the complex.
 
-    Maximizes F over the cell by LP; the tight constraints name the
-    lower-star vertex, whose 2*n0 directional derivatives then drive the
-    same regular/critical rules used by :func:`build_dgvf`.  A check over
-    many cells of one network passes one ``_classified`` dict to all of
-    them, so each vertex is classified once; it holds this oracle's own
-    classifications, never the complex's.
+    The lower-star vertex is the max of F over the cell's closure: a vertex
+    of ``_classified`` certified by :func:`_certified_vertex`, else the one
+    an LP names by its tight constraints.  Its 2*n0 directional derivatives
+    then drive the same regular/critical rules used by :func:`build_dgvf`.
+    A check over many cells of one network passes one ``_classified`` dict
+    to all of them, so it solves one LP per vertex and classifies each once.
+    The dict holds only this oracle's own LP vertices, never the complex's.
     """
     signs = tuple(signs)
     n0 = net.n0
@@ -360,26 +403,28 @@ def local_pair(
     rep = _hrep_for(net, signs, form)
     if rep is None:
         raise GenericityError(f"cell {signs_to_str(signs)} is infeasible")
-    res = lp_solve(_cell_problem(rep, form.total_gradient), feas_tol=lp_tol)
-    if res.status == "unbounded":
-        raise UnboundedCellError(
-            f"F is unbounded above on cell {signs_to_str(signs)}"
-        )
-    if not res.optimal:
-        raise GenericityError(f"cell {signs_to_str(signs)} is infeasible")
-
-    v_signs = list(signs)
-    for row_idx in res.tight:
-        v_signs[rep.ge_positions[row_idx]] = 0
-    v_signs = tuple(v_signs)
-    if sum(1 for s in v_signs if s == 0) != n0:
-        raise GenericityError(
-            f"LP maximum over {signs_to_str(signs)} is not attained at a simple vertex"
-        )
-
     memo = {} if _classified is None else _classified
+    v_signs = _certified_vertex(signs, n0, rep, memo, lp_tol)
+    if v_signs is None:
+        res = lp_solve(_cell_problem(rep, form.total_gradient), feas_tol=lp_tol)
+        if res.status == "unbounded":
+            raise UnboundedCellError(
+                f"F is unbounded above on cell {signs_to_str(signs)}"
+            )
+        if not res.optimal:
+            raise GenericityError(f"cell {signs_to_str(signs)} is infeasible")
+
+        v_signs = list(signs)
+        for row_idx in res.tight:
+            v_signs[rep.ge_positions[row_idx]] = 0
+        v_signs = tuple(v_signs)
+        if sum(1 for s in v_signs if s == 0) != n0:
+            raise GenericityError(
+                f"LP maximum over {signs_to_str(signs)} is not attained at a simple vertex"
+            )
+
     if v_signs not in memo:
-        memo[v_signs] = classify_signs(v_signs, lambda v, e: _slope_into_edge(net, v, e, form_of)[1])
+        memo[v_signs] = classify_signs(v_signs, lambda v, e: _slope_into_edge(v, e, form_of)[1])
     cls = memo[v_signs]
     if cls.kind == "regular":
         p_star, sigma = cls.flow_axis, cls.flow_sign

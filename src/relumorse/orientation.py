@@ -82,7 +82,7 @@ def _resolve(cpx: CanonicalComplex, vertex, edge):
 def edge_direction(cpx: CanonicalComplex, vertex, edge) -> np.ndarray:
     """Unit vector pointing from the vertex into the incident edge."""
     v, e = _resolve(cpx, vertex, edge)
-    d, _ = _direction_into_edge(cpx.net, v.signs, e.signs, cpx.form)
+    d, _ = _direction_into_edge(v.signs, e.signs, cpx.form)
     return d
 
 
@@ -90,7 +90,7 @@ def orient_edge(cpx: CanonicalComplex, vertex, edge) -> EdgeOrientation:
     """Orientation of the edge relative to the vertex; FlatCellError if the
     directional derivative vanishes."""
     v, e = _resolve(cpx, vertex, edge)
-    d, sign = _slope_into_edge(cpx.net, v.signs, e.signs, cpx.form)
+    d, sign = _slope_into_edge(v.signs, e.signs, cpx.form)
     return EdgeOrientation(e.signs, v.signs, sign, d)
 
 

@@ -154,7 +154,7 @@ def test_vertex_location_homogeneous_identity_net():
             forms[signs] = cell_affine_form(net, signs)
         return forms[signs]
 
-    assert np.allclose(_vertex_location(net, (0, 0), (1, 1), form_of), [0.0, 0.0])
+    assert np.allclose(_vertex_location((0, 0), (1, 1), form_of), [0.0, 0.0])
 
 
 def test_hrep_reads_table_rows_in_sign_word_order():
@@ -303,9 +303,9 @@ def test_slopes_are_solved_once_per_vertex_and_edge(monkeypatch):
     calls = []
     real = complex_module._slope_into_edge
 
-    def spy(net, v, e, form_of):
+    def spy(v, e, form_of):
         calls.append((v, e))
-        return real(net, v, e, form_of)
+        return real(v, e, form_of)
 
     monkeypatch.setattr(complex_module, "_slope_into_edge", spy)
     cpx = build_complex(random_network(Architecture.from_full((4, 7, 1)), seed=0))

@@ -1,5 +1,6 @@
 import pytest
 
+import relumorse.dgvf as dgvf_module
 from relumorse import (
     BASEPOINT,
     CompactifiedComplex,
@@ -16,7 +17,8 @@ from relumorse import (
 )
 from relumorse import AffineLayer, ReluNetwork
 from relumorse.dgvf import _critical_assignment
-from relumorse.errors import FlatCellError, UnboundedCellError
+from relumorse.errors import FlatCellError, StructuredError, UnboundedCellError
+from relumorse.orientation import VertexClassification
 
 from conftest import lower_star, scan_generic_nets
 
@@ -224,6 +226,77 @@ def test_local_pair_matches_global(netb, cpx_b, netb_neg, cpx_b_neg):
                 assert lower_of[signs] == a.partner
             else:
                 assert upper_of[signs] == a.partner
+
+
+def _count_local_lps(monkeypatch) -> list:
+    calls = []
+    real = dgvf_module.lp_solve
+    monkeypatch.setattr(dgvf_module, "lp_solve", lambda *a, **k: calls.append(a) or real(*a, **k))
+    return calls
+
+
+def _local_outcome(net, signs, memo):
+    try:
+        return local_pair(net, signs, _classified=memo)
+    except StructuredError as exc:
+        return type(exc), str(exc)
+
+
+def test_certified_vertices_match_the_lp(netb, cpx_b, netb_neg, cpx_b_neg, monkeypatch):
+    # One memo shared over the sorted bounded-above cells, as --local-check
+    # runs it, against a fresh LP per cell: same assignment or same error.
+    draws = [(netb, cpx_b), (netb_neg, cpx_b_neg)]
+    for arch, count in (((2, 8), 3), ((3, 6), 3), ((4, 7), 2), ((2, 4, 3), 3)):
+        draws += [(net, cpx) for _, net, cpx in scan_generic_nets(arch, count)]
+    lps = _count_local_lps(monkeypatch)
+    shared_lps = checked = 0
+    for net, cpx in draws:
+        cells = sorted(s for s, c in cpx.cells.items() if cpx.is_bounded_above(c))
+        memo = {}
+        del lps[:]
+        shared = [_local_outcome(net, s, memo) for s in cells]
+        shared_lps += len(lps)
+        checked += len(cells)
+        assert shared == [_local_outcome(net, s, None) for s in cells], net.arch
+        assert len(memo) <= len(cpx.vertices)
+    assert shared_lps < checked / 3
+
+
+def test_memo_vertex_that_is_not_the_peak_takes_the_lp(netb, monkeypatch):
+    # +00 (a minimum) and 0+0 lie in the closure of +++, but +++ is in
+    # neither lower star: the LP still finds its peak 00+.
+    memo = {}
+    local_pair(netb, S("+00"), _classified=memo)
+    local_pair(netb, S("0+0"), _classified=memo)
+    assert set(memo) == {S("+00"), S("0+0")}
+    lps = _count_local_lps(monkeypatch)
+    a = local_pair(netb, S("+++"), _classified=memo)
+    assert a.owner_vertex == S("00+") and a.role == "upper" and a.partner == S("0++")
+    assert len(lps) == 1 and S("00+") in memo
+
+
+def test_memo_peak_vertex_is_certified_without_lp(netb, monkeypatch):
+    # With 00+ in the memo, the other cells of its lower star need no LP.
+    memo = {}
+    local_pair(netb, S("00+"), _classified=memo)
+    lps = _count_local_lps(monkeypatch)
+    got = {w: local_pair(netb, S(w), _classified=memo) for w in ("+++", "+0+", "0++")}
+    assert not lps
+    assert got == {w: local_pair(netb, S(w)) for w in got}
+
+
+def test_memo_does_not_hide_unbounded_cells(netb):
+    # 00+ is a closure vertex of -0+, along which F rises without bound.
+    memo = {}
+    local_pair(netb, S("00+"), _classified=memo)
+    with pytest.raises(UnboundedCellError):
+        local_pair(netb, S("-0+"), _classified=memo)
+    # A forged lower star for 00-, a word that names no vertex of ++-: the
+    # lines of its zeros meet at the origin, outside ++-, so the point test
+    # rejects it and the LP reports the unbounded cell.
+    forged = VertexClassification(S("00-"), "critical", 2, ((0, True, True), (1, True, True)), None, None)
+    with pytest.raises(UnboundedCellError):
+        local_pair(netb, S("++-"), _classified={S("00-"): forged})
 
 
 def test_vpath_owner_values_descend():
