@@ -25,8 +25,7 @@ from .dgvf import (
     compactify,
     is_acyclic,
     local_pair,
-    pair_lower_star_critical,
-    pair_lower_star_regular,
+    pair_lower_star,
 )
 from .errors import (
     ArchitectureError,

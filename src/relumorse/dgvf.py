@@ -1,19 +1,20 @@
 """Discrete gradient vector fields on the compactified lower-star complex.
 
-The matching is assembled vertex by vertex.  For a regular vertex the lower
-star is paired completely by toggling the first flow-through axis between 0
-and the descending sign.  For a critical vertex of index k the lower star is
-the set of sign words over its k descending axes; scanning those axes in
-order, the first entry that is not -1 is toggled (0 <-> +1); the all-minus
-word survives as the unique critical k-cell.  The union over all
-vertices, together with the basepoint * of the one-point compactification,
-is a relatively perfect discrete gradient vector field.
+The matching is assembled vertex by vertex, and one rule, ``_partner``,
+pairs every lower star.  For a regular vertex it toggles the first
+flow-through axis between 0 and the descending sign, pairing the lower star
+completely.  For a critical vertex of index k the lower star is the set of
+sign words over its k descending axes; scanning those axes in order, the
+first entry that is not -1 is toggled (0 <-> +1); the all-minus word
+survives as the unique critical k-cell.  The union over all vertices,
+together with the basepoint * of the one-point compactification, is a
+relatively perfect discrete gradient vector field.
 
-``local_pair`` reproduces the same assignment for a single cell without the
-global complex: the cell's lower-star vertex is the max of F over its
-closure, either certified from a vertex the oracle has already classified
-or found by one LP, and the vertex's 2*n0 analytic directional derivatives
-then pick the pair.
+``local_pair`` applies the same rule to a single cell without the global
+complex: the cell's lower-star vertex is the max of F over its closure,
+either certified from a vertex the oracle has already classified or found
+by one LP, and the vertex's 2*n0 analytic directional derivatives then
+classify it.  ``_in_lower_star`` is the one membership test both use.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ class Matching:
 
     pairs: tuple  # ((lower signs, upper signs), ...) sorted
     critical: tuple  # (signs, ...) sorted, basepoint excluded
-    includes_basepoint: bool = True
 
     def lower_to_upper(self) -> dict:
         return {lo: up for lo, up in self.pairs}
@@ -52,16 +52,13 @@ class Matching:
         return {up: lo for lo, up in self.pairs}
 
     def critical_set(self) -> set:
-        out = set(self.critical)
-        if self.includes_basepoint:
-            out.add(BASEPOINT)
-        return out
+        return set(self.critical) | {BASEPOINT}
 
     def to_json_dict(self) -> dict:
         return {
             "pairs": [[signs_to_str(lo), signs_to_str(up)] for lo, up in self.pairs],
             "critical": [signs_to_str(c) for c in self.critical],
-            "basepoint": self.includes_basepoint,
+            "basepoint": True,
         }
 
     def validate(self, cpx: CanonicalComplex) -> list:
@@ -129,84 +126,50 @@ def _allowed_signs(cls: VertexClassification) -> dict:
     return allowed
 
 
-def pair_lower_star_regular(cpx: CanonicalComplex, cls: VertexClassification) -> list:
-    """Complete pairing of a regular vertex's lower star.
+def _in_lower_star(cls: VertexClassification, signs: Signs) -> bool:
+    """Whether the cell ``signs``, whose word agrees with the vertex off its
+    zeros, lies in the vertex's lower star."""
+    return all(signs[p] in allowed for p, allowed in _allowed_signs(cls).items())
 
-    Every lower-star cell has entry 0 or the descending sign at the flow
-    axis; toggling that entry is a fixed-point-free involution, giving the
-    pairs.
+
+def _partner(cls: VertexClassification, signs: Signs):
+    """The pairing rule: (role, partner) of a lower-star cell of ``cls``.
+
+    A regular vertex toggles its flow axis between 0 and the descending
+    sign.  A critical vertex toggles its first descending axis whose entry
+    is not -1 between 0 and +1; the all-minus word is its critical cell.
     """
-    if cls.kind != "regular" or cls.flow_axis is None:
-        raise IncompletePairingError(f"{signs_to_str(cls.vertex)} is not a regular vertex")
-    p_star, sigma = cls.flow_axis, cls.flow_sign
-    members = _lower_star_patterns(cls.vertex, _allowed_signs(cls))
-    member_set = set(members)
-    pairs = []
-    for signs in members:
-        if signs not in cpx.cells:
-            raise IncompletePairingError(
-                f"lower-star cell {signs_to_str(signs)} missing from the complex"
-            )
-        entry = signs[p_star]
-        if entry == -sigma:
-            raise IncompletePairingError(
-                f"lower-star cell {signs_to_str(signs)} lies on the ascending side"
-            )
-        if entry == 0:
-            partner = signs[:p_star] + (sigma,) + signs[p_star + 1 :]
-            if partner not in member_set:
-                raise IncompletePairingError(
-                    f"flow partner of {signs_to_str(signs)} escapes the lower star"
-                )
-            pairs.append((signs, partner))
-    if 2 * len(pairs) != len(members):
-        raise IncompletePairingError(
-            f"lower star of {signs_to_str(cls.vertex)} was not completely paired"
-        )
-    return sorted(pairs)
+    if cls.kind == "regular":
+        p, sigma = cls.flow_axis, cls.flow_sign
+    else:
+        p = next((q for q in cls.descending_axes if signs[q] != -1), None)
+        if p is None:
+            return "critical", None
+        sigma = 1
+    if signs[p] == 0:
+        return "lower", signs[:p] + (sigma,) + signs[p + 1 :]
+    return "upper", signs[:p] + (0,) + signs[p + 1 :]
 
 
-def _critical_assignment(entries: tuple):
-    """First-axis rule over descending-axis entries.
+def pair_lower_star(cpx: CanonicalComplex, cls: VertexClassification):
+    """Pairing of a vertex's lower star by :func:`_partner`.
 
-    Returns ("critical", None) or ("up"/"down", axis index) for the word;
-    sigma is fixed to +1, so the critical word is all -1.
+    Returns (pairs, critical cell or None).  The rule is a fixed-point-free
+    involution on the lower star of a regular vertex, and on that of a
+    critical vertex minus its all-minus critical cell.
     """
-    for k, e in enumerate(entries):
-        if e == -1:
-            continue
-        return ("up", k) if e == 0 else ("down", k)
-    return ("critical", None)
-
-
-def pair_lower_star_critical(cpx: CanonicalComplex, cls: VertexClassification):
-    """Pairing of a critical vertex's lower star, minus one critical k-cell.
-
-    Returns (pairs, critical_cell_signs); the critical cell replaces the
-    descending-axis zeros of the vertex by -1.
-    """
-    if cls.kind != "critical":
-        raise IncompletePairingError(f"{signs_to_str(cls.vertex)} is not a critical vertex")
-    axes = cls.descending_axes
-    members = _lower_star_patterns(cls.vertex, _allowed_signs(cls))
     pairs = []
     critical_cell = None
-    for signs in members:
+    for signs in _lower_star_patterns(cls.vertex, _allowed_signs(cls)):
         if signs not in cpx.cells:
             raise IncompletePairingError(
                 f"lower-star cell {signs_to_str(signs)} missing from the complex"
             )
-        entries = tuple(signs[p] for p in axes)
-        action, k = _critical_assignment(entries)
-        if action == "critical":
+        role, partner = _partner(cls, signs)
+        if role == "lower":
+            pairs.append((signs, partner))
+        elif role == "critical":
             critical_cell = signs
-        elif action == "up":
-            p = axes[k]
-            pairs.append((signs, signs[:p] + (1,) + signs[p + 1 :]))
-    if critical_cell is None or 2 * len(pairs) + 1 != len(members):
-        raise IncompletePairingError(
-            f"lower star of {signs_to_str(cls.vertex)} paired inconsistently"
-        )
     return sorted(pairs), critical_cell
 
 
@@ -219,12 +182,9 @@ def build_dgvf(cpx: CanonicalComplex) -> Matching:
     pairs = []
     critical = []
     for v in cpx.vertices.values():
-        cls = classify_vertex(cpx, v)
-        if cls.kind == "regular":
-            pairs.extend(pair_lower_star_regular(cpx, cls))
-        else:
-            new_pairs, crit = pair_lower_star_critical(cpx, cls)
-            pairs.extend(new_pairs)
+        new_pairs, crit = pair_lower_star(cpx, classify_vertex(cpx, v))
+        pairs.extend(new_pairs)
+        if crit is not None:
             critical.append(crit)
     matching = Matching(tuple(sorted(pairs)), tuple(sorted(critical)))
     problems = matching.validate(cpx)
@@ -357,8 +317,7 @@ def _certified_vertex(signs: Signs, n0: int, rep, memo: dict, lp_tol: float):
         cls = memo.get(v)
         if cls is None:
             continue
-        allowed = _allowed_signs(cls)
-        if any(signs[p] not in allowed[p] for p in allowed):
+        if not _in_lower_star(cls, signs):
             continue
         extra = [row_of.get(p) for p, s in enumerate(v) if s == 0 and signs[p] != 0]
         if None in extra:
@@ -384,7 +343,8 @@ def local_pair(
     The lower-star vertex is the max of F over the cell's closure: a vertex
     of ``_classified`` certified by :func:`_certified_vertex`, else the one
     an LP names by its tight constraints.  Its 2*n0 directional derivatives
-    then drive the same regular/critical rules used by :func:`build_dgvf`.
+    classify it, and :func:`_partner`, the rule :func:`build_dgvf` uses,
+    pairs the cell.
     A check over many cells of one network passes one ``_classified`` dict
     to all of them, so it solves one LP per vertex and classifies each once.
     The dict holds only this oracle's own LP vertices, never the complex's.
@@ -426,30 +386,9 @@ def local_pair(
     if v_signs not in memo:
         memo[v_signs] = classify_signs(v_signs, lambda v, e: _slope_into_edge(v, e, form_of)[1])
     cls = memo[v_signs]
-    if cls.kind == "regular":
-        p_star, sigma = cls.flow_axis, cls.flow_sign
-        entry = signs[p_star]
-        if entry == 0:
-            partner = signs[:p_star] + (sigma,) + signs[p_star + 1 :]
-            return PairAssignment(signs, "lower", partner, v_signs, None)
-        if entry == sigma:
-            partner = signs[:p_star] + (0,) + signs[p_star + 1 :]
-            return PairAssignment(signs, "upper", partner, v_signs, None)
+    if not _in_lower_star(cls, signs):
         raise IncompletePairingError(
             f"cell {signs_to_str(signs)} is not in the lower star of its LP vertex"
         )
-    axes = cls.descending_axes
-    extras = [p for p, s in enumerate(v_signs) if s == 0 and signs[p] != 0]
-    if any(p not in axes for p in extras):
-        raise IncompletePairingError(
-            f"cell {signs_to_str(signs)} is not in the lower star of its LP vertex"
-        )
-    entries = tuple(signs[p] for p in axes)
-    action, k = _critical_assignment(entries)
-    if action == "critical":
-        return PairAssignment(signs, "critical", None, v_signs, cls.index)
-    p = axes[k]
-    new = 1 if action == "up" else 0
-    partner = signs[:p] + (new,) + signs[p + 1 :]
-    role = "lower" if action == "up" else "upper"
+    role, partner = _partner(cls, signs)
     return PairAssignment(signs, role, partner, v_signs, cls.index)

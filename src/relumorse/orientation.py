@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complex import CanonicalComplex, Cell, VertexRecord, _is_flat, build_complex
-from .complex import _direction_into_edge, _slope_into_edge  # also exported from here
+from .complex import _direction_into_edge, _slope_into_edge
 from .errors import ArchitectureError, MissingEdgeError
 from .network import ReluNetwork, Signs, signs_to_str
 
@@ -220,7 +220,7 @@ def analyze_shallow(net: ReluNetwork, cpx: CanonicalComplex | None = None) -> Sh
     toward = []
     for v in cpx.vertices.values():
         rel = [
-            orient_edge(cpx, v, edge).derivative_sign
+            cpx.slope(v.signs, edge.signs)
             for edge in cpx.cofacets(v.signs)
             if len(cpx.facets(edge)) == 1
         ]

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from relumorse import (
+    BASEPOINT,
     analyze_shallow,
     betti,
     build_dgvf,
@@ -120,7 +121,8 @@ def test_criterion_3_fixture_regression():
         (S("0++"), S("+++")),
     )
     assert matching.critical == (S("+00"),)
-    assert matching.includes_basepoint
+    assert BASEPOINT in matching.critical_set()
+    assert matching.to_json_dict()["basepoint"] is True
     cls = classify_vertex(cpx, S("+00"))
     assert cls.kind == "critical" and cls.index == 0
     record = cpx.vertices[S("+00")]

@@ -11,13 +11,13 @@ from relumorse import (
     compactify,
     is_acyclic,
     local_pair,
-    pair_lower_star_critical,
-    pair_lower_star_regular,
+    pair_lower_star,
     signs_from_str,
 )
 from relumorse import AffineLayer, ReluNetwork
-from relumorse.dgvf import _critical_assignment
-from relumorse.errors import FlatCellError, StructuredError, UnboundedCellError
+from relumorse.dgvf import _partner
+from relumorse.errors import FlatCellError, IncompletePairingError, StructuredError, UnboundedCellError
+from relumorse.lp import LpResult
 from relumorse.orientation import VertexClassification
 
 from conftest import lower_star, scan_generic_nets
@@ -27,10 +27,10 @@ S = signs_from_str
 
 def test_pair_regular_examples(cpx_b):
     cls = classify_vertex(cpx_b, S("00+"))
-    pairs = pair_lower_star_regular(cpx_b, cls)
+    pairs, _ = pair_lower_star(cpx_b, cls)
     assert pairs == sorted([(S("00+"), S("+0+")), (S("0++"), S("+++"))])
     cls = classify_vertex(cpx_b, S("0+0"))
-    assert pair_lower_star_regular(cpx_b, cls) == [(S("0+0"), S("++0"))]
+    assert pair_lower_star(cpx_b, cls)[0] == [(S("0+0"), S("++0"))]
 
 
 def test_pair_regular_covers_half_the_lower_star(cpx_b):
@@ -38,13 +38,13 @@ def test_pair_regular_covers_half_the_lower_star(cpx_b):
         cls = classify_vertex(cpx_b, signs)
         if cls.kind != "regular":
             continue
-        pairs = pair_lower_star_regular(cpx_b, cls)
+        pairs, _ = pair_lower_star(cpx_b, cls)
         assert 2 * len(pairs) == len(lower_star(cpx_b, signs))
 
 
 def test_pair_critical_index_zero(cpx_b):
     cls = classify_vertex(cpx_b, S("+00"))
-    pairs, crit = pair_lower_star_critical(cpx_b, cls)
+    pairs, crit = pair_lower_star(cpx_b, cls)
     assert pairs == [] and crit == S("+00")
 
 
@@ -53,7 +53,7 @@ def test_pair_critical_index_two_cross_polytope(cpx_b_neg):
     # pair up by the first-axis rule, leaving the all-minus quadrant.
     cls = classify_vertex(cpx_b_neg, S("+00"))
     assert cls.index == 2 and cls.descending_axes == (1, 2)
-    pairs, crit = pair_lower_star_critical(cpx_b_neg, cls)
+    pairs, crit = pair_lower_star(cpx_b_neg, cls)
     assert crit == S("+--")
     expected = sorted(
         [
@@ -66,35 +66,41 @@ def test_pair_critical_index_two_cross_polytope(cpx_b_neg):
     assert pairs == expected
 
 
-def test_critical_assignment_rule():
-    assert _critical_assignment(()) == ("critical", None)
-    assert _critical_assignment((0,)) == ("up", 0)
-    assert _critical_assignment((1,)) == ("down", 0)
-    assert _critical_assignment((-1,)) == ("critical", None)
+def _critical(descending):
+    axes = tuple((p, True, True) for p in descending)
+    return VertexClassification((0,) * len(axes), "critical", len(axes), axes, None, None)
+
+
+def test_partner_rule():
+    # Critical rows: (descending-axis entries) -> (role, toggled axis).
     table = {
-        (0, 0): ("up", 0),
-        (0, -1): ("up", 0),
-        (0, 1): ("up", 0),
-        (-1, 0): ("up", 1),
-        (-1, 1): ("down", 1),
-        (1, 0): ("down", 0),
-        (1, -1): ("down", 0),
-        (1, 1): ("down", 0),
+        (): ("critical", None),
+        (0,): ("lower", 0),
+        (1,): ("upper", 0),
+        (-1,): ("critical", None),
+        (0, 0): ("lower", 0),
+        (0, -1): ("lower", 0),
+        (0, 1): ("lower", 0),
+        (-1, 0): ("lower", 1),
+        (-1, 1): ("upper", 1),
+        (1, 0): ("upper", 0),
+        (1, -1): ("upper", 0),
+        (1, 1): ("upper", 0),
         (-1, -1): ("critical", None),
     }
-    for entries, expected in table.items():
-        assert _critical_assignment(entries) == expected
-
-
-def test_pairing_functions_reject_wrong_kind(cpx_b):
-    regular = classify_vertex(cpx_b, S("00+"))
-    critical = classify_vertex(cpx_b, S("+00"))
-    from relumorse.errors import IncompletePairingError
-
-    with pytest.raises(IncompletePairingError):
-        pair_lower_star_regular(cpx_b, critical)
-    with pytest.raises(IncompletePairingError):
-        pair_lower_star_critical(cpx_b, regular)
+    for entries, (role, k) in table.items():
+        partner = None
+        if k is not None:
+            new = 1 if role == "lower" else 0
+            partner = entries[:k] + (new,) + entries[k + 1 :]
+        assert _partner(_critical(range(len(entries))), entries) == (role, partner), entries
+    # Regular rows: the flow axis toggles between 0 and the flow sign.
+    for sigma in (-1, 1):
+        axes = ((0, True, True), (1, sigma < 0, sigma > 0), (2, False, False))
+        cls = VertexClassification((0, 0, 0), "regular", None, axes, 1, sigma)
+        for first in (-1, 0, 1):
+            assert _partner(cls, (first, 0, 0)) == ("lower", (first, sigma, 0))
+            assert _partner(cls, (first, sigma, 0)) == ("upper", (first, 0, 0))
 
 
 def test_build_dgvf_net_b(cpx_b):
@@ -105,7 +111,8 @@ def test_build_dgvf_net_b(cpx_b):
         (S("0++"), S("+++")),
     )
     assert matching.critical == (S("+00"),)
-    assert matching.includes_basepoint
+    assert BASEPOINT in matching.critical_set()
+    assert matching.to_json_dict()["basepoint"] is True
     assert matching.validate(cpx_b) == []
 
 
@@ -299,6 +306,27 @@ def test_memo_does_not_hide_unbounded_cells(netb):
         local_pair(netb, S("++-"), _classified={S("00-"): forged})
 
 
+def _forge_lp_vertex(monkeypatch, net, signs, vertex):
+    # An LP optimum whose tight >= rows are the zeros of ``vertex``.
+    rep = dgvf_module._hrep_for(net, signs, dgvf_module.cell_affine_form(net, signs))
+    tight = tuple(r for r, p in enumerate(rep.ge_positions) if vertex[p] == 0)
+    forged = LpResult("optimal", 0.0, None, tight)
+    monkeypatch.setattr(dgvf_module, "lp_solve", lambda *a, **k: forged)
+
+
+@pytest.mark.parametrize(
+    "cell, vertex",
+    [
+        ("+++", "+00"),  # critical owner; +++ is off its (empty) descending axes
+        ("+-+", "00+"),  # regular owner; its axis 1 ascends on the - side
+    ],
+)
+def test_local_pair_rejects_cell_outside_lp_vertex_lower_star(netb, monkeypatch, cell, vertex):
+    _forge_lp_vertex(monkeypatch, netb, S(cell), S(vertex))
+    with pytest.raises(IncompletePairingError, match="not in the lower star of its LP vertex"):
+        local_pair(netb, S(cell))
+
+
 def test_vpath_owner_values_descend():
     # Along any V-path, the owning vertex value never increases, and drops
     # strictly when the path changes lower stars.
@@ -336,11 +364,8 @@ def test_lower_star_pairings_cover_reference_lower_star(differential_draws):
         arch = net.arch
         for signs in cpx.vertices:
             cls = classify_vertex(cpx, signs)
-            if cls.kind == "regular":
-                pairs, cells = pair_lower_star_regular(cpx, cls), []
-            else:
-                pairs, crit = pair_lower_star_critical(cpx, cls)
-                cells = [crit]
+            pairs, crit = pair_lower_star(cpx, cls)
+            cells = [] if crit is None else [crit]
             cells += [s for pair in pairs for s in pair]
             assert len(cells) == len(set(cells)), (arch, seed, signs)
             expected = {c.signs for c in lower_star(cpx, signs)}
