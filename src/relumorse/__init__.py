@@ -46,7 +46,6 @@ from .homology import (
     betti,
     chain_complex,
     morse_complex,
-    relative_ranks,
     verify_relative_perfectness,
 )
 from .lp import LpProblem, LpResult, lp_solve

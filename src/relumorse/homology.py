@@ -1,16 +1,19 @@
 """Mod-2 cellular homology: the independent oracle for the vector field.
 
-Chain complexes are assembled from the compactified facet lists, sublevel
-complexes by filtering on per-cell maxima, and ranks by plain Gaussian
-elimination over Z/2 (the complexes here have at most a few hundred cells).
-The Morse complex counts V-paths between critical cells mod 2.
+A chain complex keeps, for each cell, its facets inside the complex.  Betti
+numbers come from one column reduction over Z/2: a boundary column is a
+Python-int bitset over the (k-1)-cells, and columns are reduced by their
+highest set bit as in the standard persistence algorithm (Edelsbrunner,
+Letscher & Zomorodian 2002), so adding one column to another is one XOR.
+Relative perfectness assigns every compactified cell to its level block
+(l', l] in one pass and takes the Betti numbers of each block's quotient
+complex.  The Morse complex counts V-paths between critical cells mod 2.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-
-import numpy as np
 
 from .dgvf import BASEPOINT, CompactifiedComplex, Matching, is_acyclic
 from .errors import CyclicMatchingError
@@ -19,14 +22,13 @@ from .network import signs_to_str
 
 @dataclass(frozen=True)
 class ChainComplex:
-    """Cells per dimension plus mod-2 boundary matrices.
+    """Cells per dimension plus each cell's facets inside the complex.
 
-    ``boundary[k]`` has shape (#cells of dim k-1, #cells of dim k); the
-    dim-0 boundary is the empty matrix.
+    A facet listed twice cancels mod 2; a vertex has no facets.
     """
 
     cells_by_dim: tuple  # tuple of tuples of cell keys
-    boundary: tuple  # tuple of uint8 arrays
+    facets: dict  # cell key -> tuple of facet keys
 
     def dims(self) -> int:
         return len(self.cells_by_dim)
@@ -43,72 +45,36 @@ def _assemble(keys, dim_of, facets_of, max_dim) -> ChainComplex:
         by_dim[dim_of(key)].append(key)
     for bucket in by_dim:
         bucket.sort(key=_key_order)
-    index = [
-        {key: i for i, key in enumerate(bucket)} for bucket in by_dim
-    ]
-    boundary = [np.zeros((0, len(by_dim[0])), dtype=np.uint8)]
-    for k in range(1, max_dim + 1):
-        mat = np.zeros((len(by_dim[k - 1]), len(by_dim[k])), dtype=np.uint8)
-        for j, key in enumerate(by_dim[k]):
-            for f in facets_of(key):
-                if f in selected:
-                    mat[index[k - 1][f], j] ^= 1
-        boundary.append(mat)
-    return ChainComplex(tuple(tuple(b) for b in by_dim), tuple(boundary))
+    facets = {key: tuple(f for f in facets_of(key) if f in selected) for key in keys}
+    return ChainComplex(tuple(tuple(b) for b in by_dim), facets)
 
 
-def chain_complex(cc: CompactifiedComplex, level: float | None = None) -> ChainComplex:
-    """Cells of the compactified complex with f_max <= level (all if None).
-
-    The basepoint (value -inf) is always included.
-    """
-    cutoff = float("inf") if level is None else level
-    keys = [k for k in cc.sorted_keys() if cc.f_max[k] <= cutoff]
-    return _assemble(keys, cc.dim, lambda k: cc.facets[k], cc.n0)
-
-
-def _rank_mod2(mat: np.ndarray) -> int:
-    """Rank over GF(2) by row reduction on a uint8 copy."""
-    m = mat.copy()
-    rows, cols = m.shape
-    rank = 0
-    for col in range(cols):
-        pivot = -1
-        for r in range(rank, rows):
-            if m[r, col]:
-                pivot = r
-                break
-        if pivot < 0:
-            continue
-        m[[rank, pivot]] = m[[pivot, rank]]
-        hits = np.nonzero(m[:, col])[0]
-        for r in hits:
-            if r != rank:
-                m[r, :] ^= m[rank, :]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+def chain_complex(cc: CompactifiedComplex) -> ChainComplex:
+    """Every cell of the compactified complex, the basepoint included."""
+    return _assemble(cc.sorted_keys(), cc.dim, cc.facets.__getitem__, cc.n0)
 
 
 def betti(chain: ChainComplex) -> tuple:
-    """Mod-2 Betti numbers: beta_k = dim ker d_k - rank d_(k+1)."""
-    ranks = [_rank_mod2(b) for b in chain.boundary]
-    out = []
-    for k, bucket in enumerate(chain.cells_by_dim):
-        kernel = len(bucket) - ranks[k]
-        image = ranks[k + 1] if k + 1 < len(ranks) else 0
-        out.append(kernel - image)
-    return tuple(out)
-
-
-def relative_ranks(cc: CompactifiedComplex, level: float, prev_level: float) -> tuple:
-    """Ranks of H_*(C_level, C_prev) over Z/2 via the quotient complex."""
-    keys = [
-        k for k in cc.sorted_keys() if prev_level < cc.f_max[k] <= level
-    ]
-    chain = _assemble(keys, cc.dim, lambda k: cc.facets[k], cc.n0)
-    return betti(chain)
+    """Mod-2 Betti numbers: beta_k = #k-cells - rank d_k - rank d_(k+1)."""
+    ranks = [0]
+    for lower, cells in zip(chain.cells_by_dim, chain.cells_by_dim[1:]):
+        row = {key: i for i, key in enumerate(lower)}
+        pivots = {}  # highest set bit -> reduced column
+        for key in cells:
+            column = 0
+            for f in chain.facets[key]:
+                column ^= 1 << row[f]
+            while column:
+                top = column.bit_length() - 1
+                if top not in pivots:
+                    pivots[top] = column
+                    break
+                column ^= pivots[top]
+        ranks.append(len(pivots))
+    ranks.append(0)
+    return tuple(
+        len(cells) - ranks[k] - ranks[k + 1] for k, cells in enumerate(chain.cells_by_dim)
+    )
 
 
 @dataclass(frozen=True)
@@ -146,21 +112,21 @@ def verify_relative_perfectness(cc: CompactifiedComplex, matching: Matching) -> 
     as level mismatches.  The basepoint sits at -inf and is never counted.
     """
     paired = {s for pair in matching.pairs for s in pair}
-    crit = [
-        (cc.f_max[c], cc.dim(c)) for c in cc.cells if c not in paired
-    ]
+    levels = cc.vertex_values
+    blocks = [[] for _ in levels]
+    counts = [[0] * (cc.n0 + 1) for _ in levels]
+    for key in cc.cells:
+        # levels[i - 1] < f_max <= levels[i]; a cell above the top level
+        # belongs to no block.
+        i = bisect_left(levels, cc.f_max[key])
+        if i < len(levels):
+            blocks[i].append(key)
+            if key not in paired:
+                counts[i][cc.dim(key)] += 1
     records = []
-    prev = float("-inf")
-    for level in cc.vertex_values:
-        counts = [0] * (cc.n0 + 1)
-        for value, dim in crit:
-            if prev < value <= level:
-                counts[dim] += 1
-        expected = relative_ranks(cc, level, prev)
-        records.append(
-            LevelRecord(level, tuple(expected), tuple(counts), tuple(counts) == tuple(expected))
-        )
-        prev = level
+    for level, block, count in zip(levels, blocks, counts):
+        expected = betti(_assemble(block, cc.dim, cc.facets.__getitem__, cc.n0))
+        records.append(LevelRecord(level, expected, tuple(count), tuple(count) == expected))
     return PerfectnessReport(tuple(records), all(r.passed for r in records))
 
 
@@ -219,11 +185,6 @@ def morse_complex(cc: CompactifiedComplex, matching: Matching) -> ChainComplex:
         for f in facet_list:
             for target, count in flow(f).items():
                 acc[target] = (acc.get(target, 0) + count) % 2
-        incidence[key] = {t for t, c in acc.items() if c}
+        incidence[key] = tuple(t for t, c in acc.items() if c)
 
-    return _assemble(
-        keys,
-        lambda k: dim_of[k],
-        lambda k: sorted(incidence.get(k, ()), key=_key_order),
-        cc.n0,
-    )
+    return _assemble(keys, dim_of.__getitem__, lambda k: incidence.get(k, ()), cc.n0)

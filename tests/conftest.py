@@ -1,7 +1,10 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from relumorse import (
+    BASEPOINT,
     AffineLayer,
     Architecture,
     Cell,
@@ -137,3 +140,122 @@ def lower_star(cpx, vertex) -> list:
             out.append(c)
     out.sort(key=lambda c: c.signs)
     return out
+
+
+# -- dense mod-2 homology: the reference for homology's bitset reduction -----
+
+
+@dataclass(frozen=True)
+class DenseChain:
+    """Cells per dimension plus mod-2 boundary matrices.
+
+    ``boundary[k]`` has shape (#cells of dim k-1, #cells of dim k); the
+    dim-0 boundary is the empty matrix.
+    """
+
+    cells_by_dim: tuple  # tuple of tuples of cell keys
+    boundary: tuple  # tuple of uint8 arrays
+
+
+def _key_order(key):
+    return (0,) if key == BASEPOINT else (1, key)
+
+
+def dense_chain(keys, dim_of, facets_of, max_dim) -> DenseChain:
+    selected = set(keys)
+    by_dim = [[] for _ in range(max_dim + 1)]
+    for key in keys:
+        by_dim[dim_of(key)].append(key)
+    for bucket in by_dim:
+        bucket.sort(key=_key_order)
+    index = [
+        {key: i for i, key in enumerate(bucket)} for bucket in by_dim
+    ]
+    boundary = [np.zeros((0, len(by_dim[0])), dtype=np.uint8)]
+    for k in range(1, max_dim + 1):
+        mat = np.zeros((len(by_dim[k - 1]), len(by_dim[k])), dtype=np.uint8)
+        for j, key in enumerate(by_dim[k]):
+            for f in facets_of(key):
+                if f in selected:
+                    mat[index[k - 1][f], j] ^= 1
+        boundary.append(mat)
+    return DenseChain(tuple(tuple(b) for b in by_dim), tuple(boundary))
+
+
+def densify(chain) -> DenseChain:
+    """Dense boundary matrices of a library ``ChainComplex``."""
+    dim_of = {key: k for k, bucket in enumerate(chain.cells_by_dim) for key in bucket}
+    return dense_chain(
+        list(dim_of), dim_of.__getitem__, chain.facets.__getitem__, len(chain.cells_by_dim) - 1
+    )
+
+
+def sublevel_chain(cc, level) -> DenseChain:
+    """Cells of the compactified complex with f_max <= level, the basepoint
+    (value -inf) included."""
+    keys = [k for k in cc.sorted_keys() if cc.f_max[k] <= level]
+    return dense_chain(keys, cc.dim, lambda k: cc.facets[k], cc.n0)
+
+
+def rank_mod2(mat: np.ndarray) -> int:
+    """Rank over GF(2) by row reduction on a uint8 copy."""
+    m = mat.copy()
+    rows, cols = m.shape
+    rank = 0
+    for col in range(cols):
+        pivot = -1
+        for r in range(rank, rows):
+            if m[r, col]:
+                pivot = r
+                break
+        if pivot < 0:
+            continue
+        m[[rank, pivot]] = m[[pivot, rank]]
+        hits = np.nonzero(m[:, col])[0]
+        for r in hits:
+            if r != rank:
+                m[r, :] ^= m[rank, :]
+        rank += 1
+        if rank == rows:
+            break
+    return rank
+
+
+def dense_betti(chain: DenseChain) -> tuple:
+    """Mod-2 Betti numbers: beta_k = dim ker d_k - rank d_(k+1)."""
+    ranks = [rank_mod2(b) for b in chain.boundary]
+    out = []
+    for k, bucket in enumerate(chain.cells_by_dim):
+        kernel = len(bucket) - ranks[k]
+        image = ranks[k + 1] if k + 1 < len(ranks) else 0
+        out.append(kernel - image)
+    return tuple(out)
+
+
+def relative_ranks(cc, level: float, prev_level: float) -> tuple:
+    """Ranks of H_*(C_level, C_prev) over Z/2 via the quotient complex."""
+    keys = [
+        k for k in cc.sorted_keys() if prev_level < cc.f_max[k] <= level
+    ]
+    chain = dense_chain(keys, cc.dim, lambda k: cc.facets[k], cc.n0)
+    return dense_betti(chain)
+
+
+def dense_perfectness(cc, matching) -> list:
+    """``(level, expected, critical_counts, pass)`` at every vertex value,
+    by a scan over every cell per level."""
+    paired = {s for pair in matching.pairs for s in pair}
+    crit = [
+        (cc.f_max[c], cc.dim(c)) for c in cc.cells if c not in paired
+    ]
+    records = []
+    prev = float("-inf")
+    for level in cc.vertex_values:
+        counts = [0] * (cc.n0 + 1)
+        for value, dim in crit:
+            if prev < value <= level:
+                counts[dim] += 1
+        expected = relative_ranks(cc, level, prev)
+        records.append((level, tuple(expected), tuple(counts), tuple(counts) == tuple(expected)))
+        prev = level
+    return records

@@ -12,14 +12,22 @@ from relumorse import (
     chain_complex,
     compactify,
     morse_complex,
-    relative_ranks,
     signs_from_str,
     verify_relative_perfectness,
 )
 from relumorse.errors import CyclicMatchingError
-from relumorse.homology import ChainComplex, _rank_mod2
+from relumorse.homology import ChainComplex
 
-from conftest import scan_generic_nets
+from conftest import (
+    dense_betti,
+    dense_chain,
+    dense_perfectness,
+    densify,
+    rank_mod2,
+    relative_ranks,
+    scan_generic_nets,
+    sublevel_chain,
+)
 
 S = signs_from_str
 
@@ -35,6 +43,16 @@ def matching_b(cpx_b):
 
 
 def _check_dd_zero(chain):
+    """The boundary of every facet list is zero mod 2, read off the facet form."""
+    for facet_list in chain.facets.values():
+        parity = {}
+        for f in facet_list:
+            for g in chain.facets[f]:
+                parity[g] = parity.get(g, 0) ^ 1
+        assert not any(parity.values())
+
+
+def _check_dense_dd_zero(chain):
     for k in range(1, len(chain.boundary) - 1):
         prod = (chain.boundary[k] @ chain.boundary[k + 1]) % 2
         assert not prod.any()
@@ -47,38 +65,51 @@ def test_full_chain_complex(cc_b):
 
 
 def test_sublevel_complexes(cc_b):
-    chain = chain_complex(cc_b, 1.0)
+    chain = sublevel_chain(cc_b, 1.0)
     cells = [k for bucket in chain.cells_by_dim for k in bucket]
     assert cells == [BASEPOINT, S("+00")]
-    chain = chain_complex(cc_b, 2.0)
+    chain = sublevel_chain(cc_b, 2.0)
     cells = {k for bucket in chain.cells_by_dim for k in bucket}
     assert cells == {BASEPOINT, S("+00"), S("0+0"), S("++0")}
 
 
+def _vertices(*keys):
+    return {key: () for key in keys}
+
+
 def test_betti_examples(cc_b):
     assert betti(chain_complex(cc_b)) == (2, 0, 0)
-    single_vertex = ChainComplex((("v",),), (np.zeros((0, 1), dtype=np.uint8),))
+    single_vertex = ChainComplex((("v",),), _vertices("v"))
     assert betti(single_vertex) == (1,)
     # Hollow square: four vertices, four edges, no 2-cells.
-    d1 = np.array(
-        [[1, 0, 0, 1], [1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]], dtype=np.uint8
-    )
+    edges = {"ab": ("a", "b"), "bc": ("b", "c"), "cd": ("c", "d"), "da": ("d", "a")}
     square = ChainComplex(
-        (("a", "b", "c", "d"), ("ab", "bc", "cd", "da")),
-        (np.zeros((0, 4), dtype=np.uint8), d1),
+        (("a", "b", "c", "d"), tuple(edges)), {**_vertices(*"abcd"), **edges}
     )
-    assert betti(square) == (1, 1)
+    assert betti(square) == dense_betti(densify(square)) == (1, 1)
+    # A loop lists its one vertex twice; the two entries cancel mod 2.
+    loop = ChainComplex((("a",), ("aa",)), {"a": (), "aa": ("a", "a")})
+    assert betti(loop) == dense_betti(densify(loop)) == (1, 1)
 
 
 def test_rank_mod2():
     mat = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]], dtype=np.uint8)
-    assert _rank_mod2(mat) == 2  # rows sum to zero mod 2
+    assert rank_mod2(mat) == 2  # rows sum to zero mod 2
+    # The same matrix as the boundary of a hollow triangle: rank 2 leaves
+    # one component and one loop.
+    edges = {"e0": ("a", "c"), "e1": ("a", "b"), "e2": ("b", "c")}
+    triangle = ChainComplex((("a", "b", "c"), tuple(edges)), {**_vertices(*"abc"), **edges})
+    assert np.array_equal(densify(triangle).boundary[1], mat)
+    assert betti(triangle) == (1, 1)
 
 
-def test_relative_ranks_net_b(cc_b):
-    assert relative_ranks(cc_b, 1.0, float("-inf")) == (1, 0, 0)
-    assert relative_ranks(cc_b, 2.0, 1.0) == (0, 0, 0)
-    assert relative_ranks(cc_b, 4.0, 2.0) == (0, 0, 0)
+def test_relative_ranks_net_b(cc_b, matching_b):
+    expected = [(1, 0, 0), (0, 0, 0), (0, 0, 0)]
+    assert relative_ranks(cc_b, 1.0, float("-inf")) == expected[0]
+    assert relative_ranks(cc_b, 2.0, 1.0) == expected[1]
+    assert relative_ranks(cc_b, 4.0, 2.0) == expected[2]
+    report = verify_relative_perfectness(cc_b, matching_b)
+    assert [r.expected for r in report.levels] == expected
 
 
 def test_verify_relative_perfectness_net_b(cc_b, matching_b):
@@ -171,7 +202,7 @@ def test_dd_zero_everywhere():
         cc = compactify(cpx)
         _check_dd_zero(chain_complex(cc))
         for level in cc.vertex_values:
-            _check_dd_zero(chain_complex(cc, level))
+            _check_dense_dd_zero(sublevel_chain(cc, level))
         _check_dd_zero(morse_complex(cc, matching))
 
 
@@ -193,5 +224,39 @@ def test_morse_complex_follows_long_v_paths_without_recursion():
     )
     chain = morse_complex(cc, matching)
     assert chain.cells_by_dim == ((BASEPOINT, vertex(0)), (edge(n + 1),))
-    assert not chain.boundary[1].any()
+    assert chain.facets[edge(n + 1)] == ()
     assert betti(chain) == (2, 1)
+
+
+def _corruptions(matching):
+    """Drop the first pair; drop the last pair; split two pairs into four
+    critical cells."""
+    pairs = matching.pairs
+    assert len(pairs) >= 2
+    mid = len(pairs) // 2
+    split = pairs[mid - 1 : mid + 1]
+    freed = tuple(sorted(matching.critical + tuple(s for pair in split for s in pair)))
+    return [
+        Matching(pairs[1:], matching.critical),
+        Matching(pairs[:-1], matching.critical),
+        Matching(pairs[: mid - 1] + pairs[mid + 1 :], freed),
+    ]
+
+
+def test_bitset_oracle_matches_dense_reference(differential_draws, cpx_b, cpx_b_neg):
+    """Per-level reports, full and Morse Betti numbers agree with the dense
+    per-level scan on clean and corrupted matchings."""
+    failing = 0
+    for cpx in [cpx for _, _, cpx in differential_draws] + [cpx_b, cpx_b_neg]:
+        cc = compactify(cpx)
+        full = betti(chain_complex(cc))
+        assert full == dense_betti(dense_chain(cc.sorted_keys(), cc.dim, cc.facets.__getitem__, cc.n0))
+        clean = build_dgvf(cpx)
+        for matching in [clean] + _corruptions(clean):
+            report = verify_relative_perfectness(cc, matching)
+            records = [(r.level, r.expected, r.critical_counts, r.passed) for r in report.levels]
+            assert records == dense_perfectness(cc, matching)
+            failing += not report.passed
+            morse = morse_complex(cc, matching)
+            assert betti(morse) == dense_betti(densify(morse))
+    assert failing == 3 * (len(differential_draws) + 2)
