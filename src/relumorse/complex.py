@@ -14,10 +14,11 @@ zeroing entries of its word, so the map meets the region iff it takes both
 signs over them; a segment to the best vertex, or far along a rising ray,
 then yields points inside the pieces.  An LP pushing the map the other way
 decides instead where the closure holds no vertex or a sign falls in the
-tolerance band, and after a band decision for the rest of the layer.  A
-resulting sign word is kept when its sample point clears every strict
-inequality by a margin, and otherwise by an LP that maximizes the worst
-slack.
+tolerance band, and after a band decision for the rest of the layer.
+Acceptance checks the words of one parent cell together: a word is kept
+when its sample point clears every strict inequality by a margin, read off
+one slack matrix, and otherwise by an LP that maximizes the worst slack;
+one stacked rank test per zero count finds dependent zero sets.
 """
 
 from __future__ import annotations
@@ -67,10 +68,10 @@ def _is_constant(nrm, c):
     return nrm <= _ZERO_ROW * np.maximum(1.0, np.abs(c))
 
 
-def _is_flat(value: float, g) -> bool:
-    """True when the slope ``value`` of F along a cell or edge is negligible
-    against the full gradient g."""
-    return abs(value) <= _FLAT_TOL * float(np.linalg.norm(g)) + 1e-30
+def _is_flat(value, g_norm):
+    """True where the slope ``value`` of F along a cell or edge (scalars or
+    arrays) is negligible against the norm of the full gradient."""
+    return np.abs(value) <= _FLAT_TOL * g_norm + 1e-30
 
 
 def compose_signs(a: Signs, b: Signs) -> Signs:
@@ -117,7 +118,7 @@ def _slope_into_edge(v_signs: Signs, e_signs: Signs, form_of):
     d, form = _direction_into_edge(v_signs, e_signs, form_of)
     g = form.total_gradient
     slope = float(g @ d)
-    if _is_flat(slope, g):
+    if _is_flat(slope, float(np.linalg.norm(g))):
         raise FlatCellError(
             f"F is constant along edge {signs_to_str(e_signs)}; network out of scope"
         )
@@ -262,6 +263,7 @@ class CanonicalComplex:
         self.cells = cells
         self.vertices = vertices
         self.lp_tol = lp_tol
+        self._tables = {}
         self._forms = {}
         self._hreps = {}
         self._fmax = {}
@@ -275,17 +277,25 @@ class CanonicalComplex:
     def has_flat_cells(self) -> bool:
         return any(c.flat for c in self.cells.values())
 
+    def table(self, signs: Signs) -> NodeMaps:
+        """Node-map table of a full-length sign pattern, cached by the prefix
+        that fixes it: the cells of one parent cell share it."""
+        prefix = tuple(signs)[: -self.net.layers[-1].out_dim]
+        if prefix not in self._tables:
+            self._tables[prefix] = node_maps(self.net, prefix)
+        return self._tables[prefix]
+
     def form(self, signs: Signs):
         """Cached affine form for any full-length sign pattern."""
         signs = tuple(signs)
         if signs not in self._forms:
-            self._forms[signs] = cell_affine_form(self.net, signs)
+            self._forms[signs] = cell_affine_form(self.net, signs, self.table(signs))
         return self._forms[signs]
 
     def hrep(self, signs: Signs) -> _HRep:
         signs = tuple(signs)
         if signs not in self._hreps:
-            rep = _hrep_for(self.net, signs, self.form(signs))
+            rep = _hrep_for(self.net, signs, self.table(signs))
             if rep is None:
                 raise GenericityError(f"cell {signs_to_str(signs)} has an empty H-representation")
             self._hreps[signs] = rep
@@ -613,14 +623,52 @@ def _consistent(a_eq, b_eq) -> bool:
     return resid <= _RANK_TOL * max(1.0, float(np.abs(b_eq).max()))
 
 
-def _clears(rep: _HRep, x, lp_tol) -> bool:
-    """True when x meets the zero set and clears every strict inequality
-    by a margin, so the witness LP would keep the cell."""
-    if rep.a_ge.shape[0] and float((rep.a_ge @ x - rep.b_ge).min()) <= _CLEAR_MARGIN * lp_tol:
-        return False
-    if rep.a_eq.shape[0]:
-        return float(np.abs(rep.a_eq @ x - rep.b_eq).max()) <= _SAMPLE_RESID * lp_tol
-    return True
+def _accept(net: ReluNetwork, words: list, points, table: NodeMaps, lp_tol: float) -> dict:
+    """{word: interior point} of the sorted candidate ``words`` of one
+    parent cell, with sample ``points``, that name cells; raises the first
+    genericity error in word order.  A word builds its H-representation only
+    for the witness LP, when its point falls short, or past n0 zeros.
+    """
+    n0 = net.n0
+    s = np.array(words, dtype=float)
+    offs = table.offsets
+    # Constant rows as in _hrep_for: they are left out of every test, and a
+    # word they contradict takes _hrep_for, which drops or rejects it.
+    const = _is_constant(table.norms, offs)
+    bad = (const & ((s * offs <= 0) | (np.abs(offs) <= _ZERO_OFFSET))).any(axis=1)
+    scale = np.where(const, 1.0, table.norms)
+    unit = table.rows / scale[:, None]
+    zero = s == 0
+    zeros = zero.sum(axis=1)
+    # Signed slack of each row at each word's point: strict rows must clear
+    # the margin, zero rows lie within the residual.
+    v = points @ unit.T + offs / scale
+    slack = np.where(zero | const, np.inf, s * v).min(axis=1)
+    resid = np.where(zero & ~const, np.abs(v), 0.0).max(axis=1)
+    clears = (slack > _CLEAR_MARGIN * lp_tol) & (resid <= _SAMPLE_RESID * lp_tol)
+    dependent = np.zeros(len(words), dtype=bool)
+    for z in range(1, n0 + 1):
+        pick = np.flatnonzero(~bad & (zeros == z))
+        if pick.size:
+            stack = unit[np.nonzero(zero[pick])[1].reshape(-1, z)]
+            dependent[pick] = np.linalg.matrix_rank(stack, tol=_RANK_TOL) < z
+    out = {}
+    for word, x, z, ok, sure, dep in zip(words, points, zeros, ~bad, clears, dependent):
+        if z > n0 or not (ok and sure):
+            rep = _hrep_for(net, word, table)
+            if rep is None or (z > n0 and not _consistent(rep.a_eq, rep.b_eq)):
+                continue
+            if not sure:
+                found = interior_witness(rep.a_eq, rep.b_eq, rep.a_ge, rep.b_ge, feas_tol=lp_tol)
+                if found is None:
+                    continue
+                x = found[0]
+        if z > n0:
+            raise GenericityError(f"feasible pattern {signs_to_str(word)} has {z} > n0 zeros")
+        if dep:
+            raise GenericityError(f"dependent zero-set equations on {signs_to_str(word)}")
+        out[word] = x
+    return out
 
 
 def _enumerate_cells(net: ReluNetwork, lp_tol: float) -> list:
@@ -663,35 +711,13 @@ def _enumerate_cells(net: ReluNetwork, lp_tol: float) -> list:
                 for sign, y, dd in pieces:
                     refined[word + (sign,)] = (y, dd)
             regions, exact = refined, sure
-        new_stage = {}
-        for cand in sorted([*regions, *vanishing]):
-            if cand in vanishing:
-                raise GenericityError(vanishing[cand])
-            rep = _hrep_for(net, cand, tables[cand[:off]])
-            if rep is None:
-                continue
-            zeros = sum(1 for s in cand if s == 0)
-            if zeros > n0 and rep.a_eq.shape[0] and not _consistent(rep.a_eq, rep.b_eq):
-                continue
-            x = regions[cand][0]
-            if not _clears(rep, x, lp_tol):
-                found = interior_witness(
-                    rep.a_eq, rep.b_eq, rep.a_ge, rep.b_ge, feas_tol=lp_tol
-                )
-                if found is None:
-                    continue
-                x = found[0]
-            if zeros > n0:
-                raise GenericityError(
-                    f"feasible pattern {signs_to_str(cand)} has {zeros} > n0 zeros"
-                )
-            if rep.a_eq.shape[0]:
-                rank = np.linalg.matrix_rank(rep.a_eq, tol=_RANK_TOL)
-                if rank < rep.a_eq.shape[0]:
-                    raise GenericityError(
-                        f"dependent zero-set equations on {signs_to_str(cand)}"
-                    )
-            new_stage[cand] = x
+        new_stage, words = {}, sorted([*regions, *vanishing])
+        for parent, group in itertools.groupby(words, key=lambda w: w[:off]):
+            if parent in vanishing:
+                raise GenericityError(vanishing[parent])
+            group = list(group)
+            points = np.array([regions[w][0] for w in group])
+            new_stage.update(_accept(net, group, points, tables[parent], lp_tol))
         stage = new_stage
         _abort_on_forced_flats(net, stage, k, n0)
     return sorted(stage)
@@ -711,37 +737,47 @@ def build_complex(
     return _assemble(net, _enumerate_cells(net, lp_tol), sign_tol, lp_tol)
 
 
-def _assemble(net, cell_signs, sign_tol, lp_tol) -> CanonicalComplex:
-    """Complex on the given cells: flat flags, vertex table, injectivity."""
-    n0 = net.n0
-    cells = {s: Cell(s, n0 - s.count(0), net, lp_tol) for s in cell_signs}
-    cpx = CanonicalComplex(net, cells, {}, lp_tol)
-
-    # Flat cells: F constant along a positive-dimensional cell.  With a
-    # vertex in the closure the Morse machinery cannot run; vertex-free flat
-    # cells (single uncut bent hyperplanes) are kept but flagged.
-    vertex_signs = [s for s, c in cells.items() if c.dim == 0]
-    for cell in cells.values():
-        if cell.dim == 0:
-            continue
-        form = cpx.form(cell.signs)
-        g = form.total_gradient
-        rep = cpx.hrep(cell.signs)
-        if rep.a_eq.shape[0]:
-            _, _, vh = np.linalg.svd(rep.a_eq)
-            basis = vh[rep.a_eq.shape[0] :]
-        else:
-            basis = np.eye(n0)
-        proj = float(np.linalg.norm(basis @ g)) if basis.size else 0.0
-        cell.flat = _is_flat(proj, g)
+def _flag_flat(cpx: CanonicalComplex) -> None:
+    """Flag the positive-dimensional cells on which F is constant, by one
+    stacked SVD of their zero sets per dimension.  With a vertex in the
+    closure the Morse machinery cannot run: FlatCellError names the first
+    such cell.  Vertex-free flat cells (uncut bent hyperplanes) stay flagged.
+    """
+    n0, by_dim = cpx.n0, {}
+    for cell in cpx.cells.values():
+        if cell.dim:
+            by_dim.setdefault(cell.dim, []).append(cell)
+    for dim, group in by_dim.items():
+        g = np.array([cpx.form(c.signs).total_gradient for c in group])
+        proj = g
+        if dim < n0:
+            eqs = []
+            for c in group:
+                table, zero_pos = cpx.table(c.signs), [p for p, s in enumerate(c.signs) if s == 0]
+                eqs.append(table.rows[zero_pos] / table.norms[zero_pos, None])
+            basis = np.linalg.svd(np.array(eqs))[2][:, n0 - dim :]
+            proj = (basis @ g[:, :, None])[..., 0]
+        flat = _is_flat(np.linalg.norm(proj, axis=1), np.linalg.norm(g, axis=1))
+        for cell, f in zip(group, flat):
+            cell.flat = bool(f)
+    vertex_signs = [s for s, c in cpx.cells.items() if c.dim == 0]
+    for cell in cpx.cells.values():
         if cell.flat and any(is_face(v, cell.signs) for v in vertex_signs):
             raise FlatCellError(
                 f"F is constant on cell {signs_to_str(cell.signs)}, which has a vertex;"
                 " network is out of scope"
             )
 
+
+def _assemble(net, cell_signs, sign_tol, lp_tol) -> CanonicalComplex:
+    """Complex on the given cells: flat flags, vertex table, injectivity."""
+    n0 = net.n0
+    cells = {s: Cell(s, n0 - s.count(0), net, lp_tol) for s in cell_signs}
+    cpx = CanonicalComplex(net, cells, {}, lp_tol)
+
+    _flag_flat(cpx)
     vertices = {}
-    for signs in vertex_signs:
+    for signs in (s for s, c in cells.items() if c.dim == 0):
         loc = cpx.vertex_location(signs)
         vertices[signs] = VertexRecord(signs, loc, net.evaluate(loc))
     cpx.vertices = dict(sorted(vertices.items()))

@@ -30,9 +30,6 @@ class ChainComplex:
     cells_by_dim: tuple  # tuple of tuples of cell keys
     facets: dict  # cell key -> tuple of facet keys
 
-    def dims(self) -> int:
-        return len(self.cells_by_dim)
-
 
 def _key_order(key):
     return (0,) if key == BASEPOINT else (1, key)

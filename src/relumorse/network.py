@@ -273,11 +273,13 @@ def node_maps(net: ReluNetwork, signs: Signs) -> NodeMaps:
     return NodeMaps(np.concatenate(rows), np.concatenate(offsets))
 
 
-def cell_affine_form(net: ReluNetwork, signs: Signs) -> CellAffineForm:
+def cell_affine_form(net: ReluNetwork, signs: Signs, table=None) -> CellAffineForm:
     """Affine restriction of F and of every node map to the cell ``signs``.
 
     The restricted gradient is the final weights applied to the last
-    layer's node maps, masked by its signs.
+    layer's node maps, masked by its signs.  ``table`` is
+    ``node_maps(net, signs[:-n_m])`` when the caller has it: the cells of
+    one parent cell share it.
     """
     if len(signs) != net.total_neurons:
         raise DimensionError(
@@ -286,7 +288,8 @@ def cell_affine_form(net: ReluNetwork, signs: Signs) -> CellAffineForm:
     if any(s not in (-1, 0, 1) for s in signs):
         raise ValueError("sign entries must be -1, 0 or +1")
     n_m = net.layers[-1].out_dim
-    table = node_maps(net, signs[:-n_m])
+    if table is None:
+        table = node_maps(net, signs[:-n_m])
     active = (np.asarray(signs[-n_m:]) > 0).astype(float)
     grad = (net.final.weights @ (table.rows[-n_m:] * active[:, None]))[0]
     offset = float((net.final.weights @ (table.offsets[-n_m:] * active) + net.final.bias)[0])

@@ -15,9 +15,10 @@ from relumorse import (
     net_b,
     orient_edge,
     random_network,
+    signs_to_str,
 )
-from relumorse.complex import _cell_problem
-from relumorse.errors import StructuredError
+from relumorse.complex import _FLAT_TOL, _cell_problem
+from relumorse.errors import FlatCellError, StructuredError
 from relumorse.lp import _simplex
 
 
@@ -140,6 +141,33 @@ def lower_star(cpx, vertex) -> list:
             out.append(c)
     out.sort(key=lambda c: c.signs)
     return out
+
+
+def reference_flatness(cpx) -> None:
+    """Flat flags by one SVD of each cell's zero set, cell by cell in word
+    order: the reference for ``complex._flag_flat``'s stacked SVDs.  Raises
+    FlatCellError at the first flat cell that has a vertex face."""
+    n0 = cpx.n0
+    cells = cpx.cells
+    vertex_signs = [s for s, c in cells.items() if c.dim == 0]
+    for cell in cells.values():
+        if cell.dim == 0:
+            continue
+        form = cpx.form(cell.signs)
+        g = form.total_gradient
+        rep = cpx.hrep(cell.signs)
+        if rep.a_eq.shape[0]:
+            _, _, vh = np.linalg.svd(rep.a_eq)
+            basis = vh[rep.a_eq.shape[0] :]
+        else:
+            basis = np.eye(n0)
+        proj = float(np.linalg.norm(basis @ g)) if basis.size else 0.0
+        cell.flat = abs(proj) <= _FLAT_TOL * float(np.linalg.norm(g)) + 1e-30
+        if cell.flat and any(is_face(v, cell.signs) for v in vertex_signs):
+            raise FlatCellError(
+                f"F is constant on cell {signs_to_str(cell.signs)}, which has a vertex;"
+                " network is out of scope"
+            )
 
 
 # -- dense mod-2 homology: the reference for homology's bitset reduction -----

@@ -9,19 +9,30 @@ or the same structured error.
 
 The split decides a region from the vertices and rays of its closure, and by
 LP where the closure holds no vertex or a sign falls in the tolerance band.
-Forcing the LP everywhere must not change the outcome either.
+Forcing the LP everywhere must not change the outcome either.  Nor may
+forcing acceptance's witness LP, and the stacked flat-flag test must agree
+with the per-cell loop of ``conftest.reference_flatness``.
 """
 
 import itertools
+import math
 import re
 
 import numpy as np
 import pytest
+from conftest import reference_flatness
 
 import relumorse.complex as complex_module
 from relumorse import AffineLayer, Architecture, ReluNetwork, build_complex, net_b, random_network
-from relumorse.complex import _abort_on_forced_flats, _assemble, _hrep_for
-from relumorse.errors import GenericityError, StructuredError
+from relumorse.complex import (
+    CanonicalComplex,
+    Cell,
+    _abort_on_forced_flats,
+    _assemble,
+    _enumerate_cells,
+    _hrep_for,
+)
+from relumorse.errors import FlatCellError, GenericityError, StructuredError
 from relumorse.lp import interior_witness
 from relumorse.network import node_maps, signs_to_str
 
@@ -168,9 +179,14 @@ def test_build_solves_only_vertex_free_region_lps(monkeypatch, arch, n_lps):
     # acceptance without a witness LP.
     lps = _spy(monkeypatch, "lp_solve")
     witnesses = _spy(monkeypatch, "interior_witness")
+    reps = _spy(monkeypatch, "_hrep_for")
     cpx = build_complex(random_network(Architecture.from_full(arch), seed=0))
     assert len(lps) == n_lps == (3 ** cpx.n0 - 1) // 2
     assert witnesses == []
+    # H-representations are built by the splits alone: one per LP region,
+    # and one per vertex that map j meets, C(j, n0) of them, which sum to
+    # C(n1, n0 + 1): 60 and 61.  Acceptance and the flat flags build none.
+    assert len(reps) == n_lps + math.comb(arch[1], cpx.n0 + 1)
 
 
 def _integer_net(arch, seed, noise):
@@ -226,3 +242,64 @@ def test_hyperplane_near_a_vertex_takes_the_lp(monkeypatch):
     assert len(lps) > 4
     assert outcome == brute_force_outcome(net)
     assert outcome[2]["message"] == "feasible pattern 00+0-+ has 3 > n0 zeros"
+
+
+def test_witness_lp_acceptance_matches_sample_points(monkeypatch):
+    # No sample point clears the margin, so every word with a strict row
+    # takes _hrep_for and the witness LP.  Integer nets are left out: there
+    # the LP's points alone change a few outcomes.
+    nets = [random_network(Architecture.from_full(arch), seed=seed) for arch, seed in RANDOM]
+    expected = [structure(net) for net in nets]
+    witnesses = _spy(monkeypatch, "interior_witness")
+    monkeypatch.setattr(complex_module, "_CLEAR_MARGIN", 1e12)
+    for case, net, want in zip(RANDOM, nets, expected):
+        assert structure(net) == want, case
+    assert witnesses
+
+
+def flatness(net, cells, flag):
+    """Flat flags that ``flag`` sets on the cells of ``net``, or the payload
+    of its FlatCellError."""
+    cpx = CanonicalComplex(
+        net, {s: Cell(s, net.n0 - s.count(0), net, LP_TOL) for s in cells}, {}, LP_TOL
+    )
+    try:
+        flag(cpx)
+    except FlatCellError as exc:
+        return exc.payload()
+    return [(s, c.flat) for s, c in cpx.cells.items()]
+
+
+# Nets without vertices keep their flat cells, flagged: F = relu(x) -
+# relu(x - 1) on R^2, and F = relu(x) on R^3 through one layer and two.
+FLAT_KEPT = {
+    "parallel_lines": _net([[[1.0, 0.0], [1.0, 0.0]]], [[0.0, -1.0]], [1.0, -1.0]),
+    "two_planes": _net([[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]], [[0.0, 0.0]], [1.0, 0.0]),
+    "two_planes_deep": _net(
+        [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [[1.0, 1.0]]], [[0.0, 0.0], [-1.0]], [1.0]
+    ),
+}
+
+FLATNESS_CASES = CASES + [pytest.param(net, id=name) for name, net in FLAT_KEPT.items()]
+FLATNESS_CASES += [
+    pytest.param(_integer_net(*case), id=f"int-{'x'.join(map(str, case[0]))}-{case[2]}-s{case[1]}")
+    for case in NEAR_DEGENERATE
+]
+
+
+@pytest.mark.parametrize("net", FLATNESS_CASES)
+def test_flat_flags_match_per_cell_reference(net):
+    outcome = structure(net)
+    try:
+        cells = _enumerate_cells(net, LP_TOL)
+    except StructuredError as exc:
+        assert outcome == ("error", type(exc).__name__, exc.payload())
+        return
+    expected = flatness(net, cells, reference_flatness)
+    assert flatness(net, cells, complex_module._flag_flat) == expected
+    if isinstance(expected, dict):
+        assert outcome == ("error", "FlatCellError", expected)
+    elif outcome[0] == "ok":
+        assert [(s, flat) for s, _, flat in outcome[1]] == expected
+    else:
+        assert outcome[1] != "FlatCellError"
