@@ -14,7 +14,7 @@ import sys
 import tempfile
 
 from . import complex as cpxmod
-from .dgvf import Matching, build_dgvf, compactify, is_acyclic, local_pair
+from .dgvf import build_dgvf, compactify, is_acyclic, local_pair
 from .errors import StructuredError
 from .homology import betti, chain_complex, morse_complex, verify_relative_perfectness
 from .network import (
@@ -117,8 +117,6 @@ def cmd_dgvf(args) -> int:
     net = _load_network(args.input)
     cpx = cpxmod.build_complex(net, sign_tol=args.sign_tol, lp_tol=args.lp_tol)
     matching = build_dgvf(cpx)
-    if args.corrupt and matching.pairs:
-        matching = Matching(matching.pairs[1:], matching.critical)
     cc = compactify(cpx)
     acyclic, witness = is_acyclic(matching, cc)
     perfect = verify_relative_perfectness(cc, matching)
@@ -216,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", default=None, help="verification report destination (default stdout)")
     p.add_argument("--local-check", action="store_true",
                    help="cross-validate every cell against the local pairing oracle")
-    p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     _add_tolerances(p)
     p.set_defaults(func=cmd_dgvf)
 

@@ -9,9 +9,11 @@ flipping a single zero entry.
 Construction refines layer by layer, one node map at a time: map j of
 layer k splits every region of every parent cell before map j + 1 does, so
 the regions found so far form the whole refined complex.  On a parent cell
-the map is affine.  A region's closure holds the vertices and rays named by
-zeroing entries of its word, so the map meets the region iff it takes both
-signs over them; a segment to the best vertex, or far along a rising ray,
+the map is affine.  Every closure query reads one facet-incidence map,
+``_closures``: a cell's facets are the present words that zero one more
+entry, and its closure vertices and rays are the union of its facets'.
+The map meets a region iff it takes both signs over the vertices and rays
+of its closure; a segment to the best vertex, or far along a rising ray,
 then yields points inside the pieces.  An LP pushing the map the other way
 decides instead where the closure holds no vertex or a sign falls in the
 tolerance band, and after a band decision for the rest of the layer.
@@ -125,25 +127,28 @@ def _slope_into_edge(v_signs: Signs, e_signs: Signs, form_of):
     return d, 1 if slope > 0 else -1
 
 
-def _zeroings(signs: Signs, k: int):
-    """Words obtained by zeroing k of the nonzero entries of ``signs``."""
-    nonzero = [p for p, s in enumerate(signs) if s != 0]
-    for zeroed in itertools.combinations(nonzero, k):
-        word = list(signs)
-        for p in zeroed:
-            word[p] = 0
-        yield tuple(word)
-
-
-def _rays(signs: Signs, dim: int, cells):
-    """(vertex, edge) words of the unbounded edges in the closure of the
-    ``dim``-cell ``signs``: its 1-faces in ``cells`` with exactly one vertex
-    in ``cells``."""
-    for edge in _zeroings(signs, dim - 1):
-        if edge in cells:
-            ends = [w for w in _zeroings(edge, 1) if w in cells]
-            if len(ends) == 1:
-                yield ends[0], edge
+def _closures(dims: dict) -> dict:
+    """{word: (facets, vertices, rays)} of the cells ``dims`` ({word: dim}),
+    each a sorted tuple, built bottom-up by dimension.  A cell's facets are
+    the present words that zero one more entry.  A vertex is its own
+    closure, an edge with exactly one vertex is the ray (vertex, edge), and
+    any other closure is the union of its facets' closures.  Facets are
+    found from below, by flipping the few zero entries of each word."""
+    below = {w: [] for w in dims}
+    for w in dims:
+        zeros = [p for p, s in enumerate(w) if s == 0]
+        for up in (w[:p] + (sigma,) + w[p + 1 :] for p in zeros for sigma in (-1, 1)):
+            if up in below:
+                below[up].append(w)
+    out = {}
+    for word in sorted(dims, key=dims.get):
+        facets = tuple(sorted(below[word]))
+        verts = tuple(sorted({v for f in facets for v in out[f][1]})) if dims[word] else (word,)
+        rays = tuple(sorted({r for f in facets for r in out[f][2]}))
+        if dims[word] == 1 and len(verts) == 1:
+            rays = ((verts[0], word),)
+        out[word] = (facets, verts, rays)
+    return out
 
 
 @dataclass
@@ -268,6 +273,7 @@ class CanonicalComplex:
         self._hreps = {}
         self._fmax = {}
         self._slopes = {}
+        self._closure_map = None
 
     @property
     def n0(self) -> int:
@@ -318,30 +324,19 @@ class CanonicalComplex:
         out.sort(key=lambda c: c.signs)
         return out
 
+    def closure(self, cell) -> tuple:
+        """(facets, vertices, rays) of a stored cell; built on first use."""
+        if self._closure_map is None:
+            self._closure_map = _closures({s: c.dim for s, c in self.cells.items()})
+        return self._closure_map[cell.signs if isinstance(cell, Cell) else tuple(cell)]
+
     def facets(self, cell) -> list:
-        """Stored cells obtained by zeroing exactly one nonzero entry."""
-        signs = cell.signs if isinstance(cell, Cell) else tuple(cell)
-        out = []
-        for p, s in enumerate(signs):
-            if s == 0:
-                continue
-            cand = signs[:p] + (0,) + signs[p + 1 :]
-            hit = self.cells.get(cand)
-            if hit is not None:
-                out.append(hit)
-        out.sort(key=lambda c: c.signs)
-        return out
+        """Stored cells obtained by zeroing exactly one nonzero entry, sorted."""
+        return [self.cells[f] for f in self.closure(cell)[0]]
 
     def vertex_facets(self, cell) -> list:
-        """Vertices of the complex lying in the closure of ``cell``, sorted.
-
-        A vertex of a k-cell zeroes k more entries of its sign word.
-        """
-        signs = cell.signs if isinstance(cell, Cell) else tuple(cell)
-        words = _zeroings(signs, self.n0 - signs.count(0))
-        out = [self.vertices[w] for w in words if w in self.vertices]
-        out.sort(key=lambda v: v.signs)
-        return out
+        """Vertices of the complex lying in the closure of ``cell``, sorted."""
+        return [self.vertices[w] for w in self.closure(cell)[1]]
 
     def top_cells(self) -> list:
         return [c for c in self.cells.values() if c.dim == self.n0]
@@ -394,10 +389,7 @@ class CanonicalComplex:
         corners = self.vertex_facets(signs)
         if corners:
             try:
-                if all(
-                    sense * self.slope(v, e) < 0
-                    for v, e in _rays(signs, self.n0 - signs.count(0), self.cells)
-                ):
+                if all(sense * self.slope(v, e) < 0 for v, e in self.closure(signs)[2]):
                     return max(sense * v.value for v in corners)
                 return float("inf")
             except (FlatCellError, SingularSystemError):
@@ -464,20 +456,17 @@ def _abort_on_forced_flats(net, stage, upto_layer, n0):
     complex is guaranteed to contain a flat positive-dimensional cell with a
     vertex in its closure; raising here skips the remaining refinement work.
     """
-    vertex_patterns = [s for s in stage if sum(1 for e in s if e == 0) == n0]
-    if not vertex_patterns:
-        return
     offset = 0
     blocks = []
     for layer in net.layers[:upto_layer]:
         blocks.append((offset, offset + layer.out_dim))
         offset += layer.out_dim
-    for signs in stage:
-        if sum(1 for e in signs if e == 0) >= n0:
-            continue  # vertices themselves are allowed to be "flat"
-        if not any(all(e <= 0 for e in signs[a:b]) for a, b in blocks):
-            continue
-        if any(is_face(v, signs) for v in vertex_patterns):
+    # Zeroing entries keeps a dead block dead, so the dead words are closed
+    # under faces and their own closure map holds their vertices.
+    dead = {s: n0 - s.count(0) for s in stage if any(1 not in s[a:b] for a, b in blocks)}
+    closures = _closures(dead)
+    for signs, dim in dead.items():
+        if dim and closures[signs][1]:  # vertices themselves may be "flat"
             raise FlatCellError(
                 f"layer dead on cell {signs_to_str(signs)}, which has a vertex;"
                 " network is out of scope"
@@ -519,17 +508,17 @@ def _cut(x, d, s, v, q, u, near) -> list:
     ]
 
 
-def _closure_generators(regions: dict, word: Signs, d: int, rows):
-    """Vertex points of the closure of a d-dimensional region of the refined
-    complex ``regions`` ({word: (point, dim)}), and the vertex points and
-    directions of its rays; None when the closure holds no vertex.  A ray's
-    direction solves the parent cell's node-map ``rows`` at its vertex's
-    zeros, not a difference of sample points, which loses digits far out.
+def _closure_generators(regions: dict, closure, rows):
+    """Vertex points of a region of the refined complex ``regions``
+    ({word: (point, dim)}) with the given ``closure`` (facets, vertices,
+    rays), and the vertex points and directions of its rays; None when the
+    closure holds no vertex.  A ray's direction solves the parent cell's
+    node-map ``rows`` at its vertex's zeros, not a difference of sample
+    points, which loses digits far out.
     """
-    verts = [regions[w][0] for w in _zeroings(word, d) if w in regions]
+    _, verts, rays = closure
     if not verts:
         return None
-    rays = list(_rays(word, d, regions))
     n0 = rows.shape[1]
     zeros = np.array([[p for p, s in enumerate(v) if s == 0] for v, _ in rays], dtype=int)
     rhs = np.array([[e[p] for p in z] for z, (_, e) in zip(zeros, rays)], dtype=float)
@@ -537,7 +526,8 @@ def _closure_generators(regions: dict, word: Signs, d: int, rows):
         dirs = np.linalg.solve(rows[zeros.reshape(-1, n0)], rhs.reshape(-1, n0, 1))[..., 0]
     except np.linalg.LinAlgError:
         dirs = np.zeros((len(rays), n0))  # a zero-length ray: the tolerance band
-    return np.array(verts), np.array([regions[v][0] for v, _ in rays]).reshape(-1, n0), dirs
+    points = np.array([regions[w][0] for w in verts])
+    return points, np.array([regions[v][0] for v, _ in rays]).reshape(-1, n0), dirs
 
 
 def _generator_pieces(gens, d, a, b, near):
@@ -696,6 +686,7 @@ def _enumerate_cells(net: ReluNetwork, lp_tol: float) -> list:
         exact = not vanishing
         for j in range(n_k):
             refined, sure = {}, exact
+            closures = exact and _closures({w: d for w, (_, d) in regions.items()})
             for word, (x, d) in regions.items():
                 table = tables[word[:off]]
                 nrm, c = table.norms[off + j], table.offsets[off + j]
@@ -703,7 +694,7 @@ def _enumerate_cells(net: ReluNetwork, lp_tol: float) -> list:
                     refined[word + (1 if c > 0 else -1,)] = (x, d)  # one piece
                     continue
                 a, b = table.rows[off + j] / nrm, -c / nrm
-                gens = _closure_generators(regions, word, d, table.rows) if exact and d else None
+                gens = exact and d and _closure_generators(regions, closures[word], table.rows)
                 pieces = gens and _generator_pieces(gens, d, a, b, near)
                 if not pieces:
                     pieces, clean = _pieces(_hrep_for(net, word, table), x, d, a, b, near, lp_tol)
@@ -760,9 +751,8 @@ def _flag_flat(cpx: CanonicalComplex) -> None:
         flat = _is_flat(np.linalg.norm(proj, axis=1), np.linalg.norm(g, axis=1))
         for cell, f in zip(group, flat):
             cell.flat = bool(f)
-    vertex_signs = [s for s, c in cpx.cells.items() if c.dim == 0]
     for cell in cpx.cells.values():
-        if cell.flat and any(is_face(v, cell.signs) for v in vertex_signs):
+        if cell.flat and cpx.closure(cell)[1]:
             raise FlatCellError(
                 f"F is constant on cell {signs_to_str(cell.signs)}, which has a vertex;"
                 " network is out of scope"

@@ -19,11 +19,12 @@ classify it.  ``_in_lower_star`` is the one membership test both use.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .complex import CanonicalComplex, _cell_problem, _hrep_for, _slope_into_edge, _zeroings, is_face
+from .complex import CanonicalComplex, _cell_problem, _hrep_for, _slope_into_edge, is_face
 from .errors import (
     FlatCellError,
     GenericityError,
@@ -223,11 +224,9 @@ def compactify(cpx: CanonicalComplex) -> CompactifiedComplex:
     facets = {BASEPOINT: ()}
     f_max = {BASEPOINT: float("-inf")}
     for signs, cell in kept.items():
-        cell_facets = [f.signs for f in cpx.facets(cell) if f.signs in kept]
-        if cell.dim == 1:
-            n_vertices = sum(1 for f in cell_facets if kept[f].dim == 0)
-            if n_vertices == 1:
-                cell_facets.append(BASEPOINT)
+        cell_facets = [f for f in cpx.closure(cell)[0] if f in kept]
+        if cell.dim == 1 and cpx.closure(cell)[2]:
+            cell_facets.append(BASEPOINT)
         facets[signs] = tuple(cell_facets)
         f_max[signs] = cpx.f_max(cell)
     values = tuple(sorted(v.value for v in cpx.vertices.values()))
@@ -296,6 +295,13 @@ class PairAssignment:
     partner: Signs | None
     owner_vertex: Signs
     owner_index: int | None  # critical index of the owner, None when regular
+
+
+def _zeroings(signs: Signs, k: int):
+    """Words obtained by zeroing k of the nonzero entries of ``signs``."""
+    nonzero = [p for p, s in enumerate(signs) if s != 0]
+    for zeroed in itertools.combinations(nonzero, k):
+        yield tuple(0 if p in zeroed else s for p, s in enumerate(signs))
 
 
 def _certified_vertex(signs: Signs, n0: int, rep, memo: dict, lp_tol: float):

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,6 +96,36 @@ def vertex_facets_scan(cpx, cell) -> list:
     """Vertices in the closure of ``cell``, by a scan over every vertex."""
     signs = cell.signs if isinstance(cell, Cell) else tuple(cell)
     return [v for v in cpx.vertices.values() if is_face(v.signs, signs)]
+
+
+def facets_scan(cpx, cell) -> list:
+    """Cells one dimension down in the closure of ``cell``, by a scan over
+    every cell."""
+    signs = cell.signs if isinstance(cell, Cell) else tuple(cell)
+    dim = cpx.cells[signs].dim
+    return [c for c in cpx.cells.values() if c.dim == dim - 1 and is_face(c.signs, signs)]
+
+
+def _zeroings(signs, k):
+    """Words obtained by zeroing k of the nonzero entries of ``signs``."""
+    nonzero = [p for p, s in enumerate(signs) if s != 0]
+    for zeroed in itertools.combinations(nonzero, k):
+        yield tuple(0 if p in zeroed else s for p, s in enumerate(signs))
+
+
+def rays_scan(cpx, cell) -> list:
+    """Sorted (vertex, edge) words of the rays in the closure of ``cell``:
+    the edges named by zeroing dim - 1 entries of its word that have exactly
+    one vertex named by zeroing one more."""
+    signs = cell.signs if isinstance(cell, Cell) else tuple(cell)
+    dim = cpx.cells[signs].dim
+    out = []
+    for edge in _zeroings(signs, dim - 1) if dim else ():
+        if edge in cpx.cells:
+            ends = [w for w in _zeroings(edge, 1) if w in cpx.cells]
+            if len(ends) == 1:
+                out.append((ends[0], edge))
+    return sorted(out)
 
 
 def lp_max(cpx, cell, sense=1) -> float:

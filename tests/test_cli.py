@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+import relumorse.cli as cli_module
 import relumorse.dgvf as dgvf_module
 from relumorse import (
     AffineLayer,
+    Matching,
     ReluNetwork,
     build_complex,
     build_dgvf,
@@ -194,13 +196,19 @@ def test_near_tie_net_b_passes_dgvf(tmp_path):
     assert json.loads(report.read_text())["pass"] is True
 
 
-def test_dgvf_corrupt_flag_fails_report(tmp_path):
+def test_dgvf_corrupt_flag_fails_report(tmp_path, monkeypatch):
+    # The matching loses its first pair before verification.
+    def corrupted(cpx):
+        matching = build_dgvf(cpx)
+        return Matching(matching.pairs[1:], matching.critical)
+
+    monkeypatch.setattr(cli_module, "build_dgvf", corrupted)
     weights = tmp_path / "w.json"
     report = tmp_path / "r.json"
     run(["gen", "--fixture", "net-b", "-o", str(weights)])
     code = run(
         ["dgvf", "-i", str(weights), "-o", str(tmp_path / "m.json"),
-         "--report", str(report), "--corrupt"]
+         "--report", str(report)]
     )
     assert code == 0
     r = json.loads(report.read_text())

@@ -21,9 +21,11 @@ from relumorse.errors import FlatCellError, GenericityError, InjectivityError
 from relumorse.network import NodeMaps
 
 from conftest import (
+    facets_scan,
     is_spatially_bounded,
     lower_star,
     lp_max,
+    rays_scan,
     scan_generic_nets,
     star,
     vertex_facets_scan,
@@ -429,10 +431,13 @@ def test_witness_signs_match_cell(cpx_b):
         assert cpx_b.net.sign_sequence_at(cell.witness) == signs
 
 
-def test_vertex_facets_match_scan(differential_draws):
-    # Sign-word lookup against the scan over every vertex it replaced.
-    for seed, net, cpx in differential_draws:
+def test_vertex_facets_match_scan(differential_draws, netb, cpx_b):
+    # The closure map against scans over every cell and vertex, and against
+    # the rays named by zeroing entries of each word.
+    for seed, net, cpx in [*differential_draws, (None, netb, cpx_b)]:
         for signs, cell in cpx.cells.items():
             expected = vertex_facets_scan(cpx, cell)
             assert cpx.vertex_facets(cell) == expected, (net.arch, seed, signs)
             assert cpx.vertex_facets(signs) == expected, (net.arch, seed, signs)
+            assert cpx.facets(cell) == facets_scan(cpx, cell), (net.arch, seed, signs)
+            assert list(cpx.closure(signs)[2]) == rays_scan(cpx, cell), (net.arch, seed, signs)

@@ -3,9 +3,10 @@
 ``brute_force_stage`` is the enumeration that ``build_complex`` used before
 cells were split neuron by neuron: inside every parent cell it tries all
 3^n_k sign words of the next layer and keeps a word when the interior-witness
-LP finds a point clearing its strict inequalities.  Both enumerations must
-give the same cells, dimensions, flat flags, vertex records and witnesses,
-or the same structured error.
+LP finds a point clearing its strict inequalities, and its forced-flat check
+scans every vertex with ``is_face``.  Both enumerations must give the same
+cells, dimensions, flat flags, vertex records and witnesses, or the same
+structured error.
 
 The split decides a region from the vertices and rays of its closure, and by
 LP where the closure holds no vertex or a sign falls in the tolerance band.
@@ -27,10 +28,10 @@ from relumorse import AffineLayer, Architecture, ReluNetwork, build_complex, net
 from relumorse.complex import (
     CanonicalComplex,
     Cell,
-    _abort_on_forced_flats,
     _assemble,
     _enumerate_cells,
     _hrep_for,
+    is_face,
 )
 from relumorse.errors import FlatCellError, GenericityError, StructuredError
 from relumorse.lp import interior_witness
@@ -38,6 +39,33 @@ from relumorse.network import node_maps, signs_to_str
 
 SIGN_TOL = 1e-9
 LP_TOL = 1e-7
+
+
+def _abort_on_forced_flats(net, stage, upto_layer, n0):
+    """Fail fast when a whole hidden layer is dead on a cell with a vertex.
+
+    All deeper layer maps are constant on such a cell, so the finished
+    complex is guaranteed to contain a flat positive-dimensional cell with a
+    vertex in its closure; raising here skips the remaining refinement work.
+    """
+    vertex_patterns = [s for s in stage if sum(1 for e in s if e == 0) == n0]
+    if not vertex_patterns:
+        return
+    offset = 0
+    blocks = []
+    for layer in net.layers[:upto_layer]:
+        blocks.append((offset, offset + layer.out_dim))
+        offset += layer.out_dim
+    for signs in stage:
+        if sum(1 for e in signs if e == 0) >= n0:
+            continue  # vertices themselves are allowed to be "flat"
+        if not any(all(e <= 0 for e in signs[a:b]) for a, b in blocks):
+            continue
+        if any(is_face(v, signs) for v in vertex_patterns):
+            raise FlatCellError(
+                f"layer dead on cell {signs_to_str(signs)}, which has a vertex;"
+                " network is out of scope"
+            )
 
 
 def brute_force_stage(net, lp_tol=LP_TOL):
