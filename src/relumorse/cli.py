@@ -138,9 +138,9 @@ def cmd_dgvf(args) -> int:
         mismatches = []
         lower_of = matching.lower_to_upper()
         upper_of = matching.upper_to_lower()
-        classified = {}
+        classified, tables = {}, {}
         for signs in sorted(cc.cells):
-            assignment = local_pair(net, signs, lp_tol=args.lp_tol, _classified=classified)
+            assignment = local_pair(net, signs, args.lp_tol, _classified=classified, _tables=tables)
             if assignment.role == "critical":
                 agree = signs in matching.critical
             elif assignment.role == "lower":

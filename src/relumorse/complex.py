@@ -14,9 +14,11 @@ the map is affine.  Every closure query reads one facet-incidence map,
 entry, and its closure vertices and rays are the union of its facets'.
 The map meets a region iff it takes both signs over the vertices and rays
 of its closure; a segment to the best vertex, or far along a rising ray,
-then yields points inside the pieces.  An LP pushing the map the other way
-decides instead where the closure holds no vertex or a sign falls in the
-tolerance band, and after a band decision for the rest of the layer.
+then yields points inside the pieces, for all regions of a neuron step in
+stacked numpy calls.  An LP pushing the map the other way decides instead
+where the closure holds no vertex, its ray system is singular or a sign
+falls in the tolerance band, and after a band decision for the rest of the
+layer.
 Acceptance checks the words of one parent cell together: a word is kept
 when its sample point clears every strict inequality by a margin, read off
 one slack matrix, and otherwise by an LP that maximizes the worst slack;
@@ -25,6 +27,7 @@ one stacked rank test per zero count finds dependent zero sets.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from dataclasses import dataclass, field
 
@@ -508,59 +511,69 @@ def _cut(x, d, s, v, q, u, near) -> list:
     ]
 
 
-def _closure_generators(regions: dict, closure, rows):
-    """Vertex points of a region of the refined complex ``regions``
-    ({word: (point, dim)}) with the given ``closure`` (facets, vertices,
-    rays), and the vertex points and directions of its rays; None when the
-    closure holds no vertex.  A ray's direction solves the parent cell's
-    node-map ``rows`` at its vertex's zeros, not a difference of sample
-    points, which loses digits far out.
-    """
-    _, verts, rays = closure
-    if not verts:
-        return None
-    n0 = rows.shape[1]
-    zeros = np.array([[p for p, s in enumerate(v) if s == 0] for v, _ in rays], dtype=int)
-    rhs = np.array([[e[p] for p in z] for z, (_, e) in zip(zeros, rays)], dtype=float)
-    try:
-        dirs = np.linalg.solve(rows[zeros.reshape(-1, n0)], rhs.reshape(-1, n0, 1))[..., 0]
-    except np.linalg.LinAlgError:
-        dirs = np.zeros((len(rays), n0))  # a zero-length ray: the tolerance band
-    points = np.array([regions[w][0] for w in verts])
-    return points, np.array([regions[v][0] for v, _ in rays]).reshape(-1, n0), dirs
+def _dot(a, x):
+    """Row-wise dot products of two stacks, each rounded as the 1-D a @ x."""
+    return (a[:, None] @ x[..., None])[:, 0, 0]
 
 
-def _generator_pieces(gens, d, a, b, near):
-    """(sign, point, dim) of the pieces the hyperplane a.x = b cuts from a
-    region with the given closure generators; None in the tolerance band.
+def _argmax_by(keys, group, labels):
+    """Index of the first max of ``keys`` in each ``labels`` group of ``group``."""
+    return np.lexsort((-keys, group))[np.searchsorted(group, labels)]
+
+
+def _closure_pieces(regions, closures, words, rows, at, a, b, near) -> list:
+    """(sign, point, dim) of the pieces the hyperplane a[i].x = b[i] cuts
+    from the region words[i] of ``regions`` ({word: (point, dim)}), read
+    off its ``closures`` entry, which holds a vertex; None in the band.
 
     The map is affine on the closure, so pushed away from the side of an
     interior point it is unbounded along a rising ray, and otherwise peaks
     at a vertex.  The interior point is the vertex mean plus the unit ray
-    sum, which keeps the pieces' points clear of the region's faces.
+    sum, which keeps the pieces' points clear of the region's faces.  A
+    ray's direction solves the parent's node-map rows (``rows`` from row
+    at[i]) at its vertex's zeros, not a difference of sample points, which
+    loses digits far out.  All regions are decided in stacked calls.
     """
-    verts, origins, dirs = gens
+    n, n0 = len(words), a.shape[1]
+    verts = [closures[w][1] for w in words]
+    rays = [r for w in words for r in closures[w][2]]
+    vreg = np.repeat(np.arange(n), [len(vs) for vs in verts])
+    rreg = np.repeat(np.arange(n), [len(closures[w][2]) for w in words])
+    points = np.array([regions[v][0] for vs in verts for v in vs])
+    origins = np.array([regions[v][0] for v, _ in rays]).reshape(-1, n0)
+    ends = np.array(rays, dtype=float).reshape(len(rays), 2, len(words[0]))
+    zeros = np.nonzero(ends[:, 0] == 0)[1].reshape(-1, n0)
+    system = rows[at[rreg, None] + zeros]
+    rhs = np.take_along_axis(ends[:, 1], zeros, axis=1)[..., None]
+    try:
+        dirs = np.linalg.solve(system, rhs)[..., 0]
+    except np.linalg.LinAlgError:  # a zero-length ray: its region alone is banded
+        dirs = np.zeros((len(rays), n0))
+        for i, (m, r) in enumerate(zip(system, rhs)):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                dirs[i] = np.linalg.solve(m, r)[:, 0]
     lengths = np.linalg.norm(dirs, axis=1)
-    if not (lengths > 0).all():
-        return None
-    dirs = dirs / lengths[:, None]
-    x = verts.mean(axis=0) + dirs.sum(axis=0)
-    v = float(a @ x - b)
-    if abs(v) <= near:
-        return None
-    s = 1 if v > 0 else -1
-    slopes = -s * (dirs @ a)
-    if (np.abs(slopes) <= near).any():
-        return None
-    if (slopes > 0).any():
-        i = int(np.argmax(slopes))
-        q = origins[i] + max(0.0, 1.0 + s * float(a @ origins[i] - b)) / slopes[i] * dirs[i]
-    else:
-        q = verts[int(np.argmax(-s * (verts @ a - b)))]
-    u = -s * float(a @ q - b)
-    if abs(u) <= near or float(np.abs([x, q]).max()) > _FAR:
-        return None
-    return _cut(x, d, s, v, q, u, near)
+    band = np.bincount(rreg, ~(lengths > 0), minlength=n) > 0
+    dirs = dirs / np.where(lengths > 0, lengths, 1.0)[:, None]
+    x, ray_sum = np.zeros((n, n0)), np.zeros((n, n0))
+    np.add.at(x, vreg, points)
+    np.add.at(ray_sum, rreg, dirs)
+    x = x / np.bincount(vreg, minlength=n)[:, None] + ray_sum
+    v = _dot(a, x) - b
+    s = np.where(v > 0, 1, -1)
+    slopes = -s[rreg] * _dot(dirs, a[rreg])
+    band |= (np.abs(v) <= near) | (np.bincount(rreg, np.abs(slopes) <= near, minlength=n) > 0)
+    # q is the argmax vertex of the map pushed away from x, or far along
+    # the steepest ray where one rises.
+    q = points[_argmax_by(-s[vreg] * (_dot(points, a[vreg]) - b[vreg]), vreg, np.arange(n))]
+    up = np.flatnonzero(np.bincount(rreg, slopes > 0, minlength=n))
+    i = _argmax_by(slopes, rreg, up)
+    reach = np.maximum(0.0, 1.0 + s[up] * (_dot(a[up], origins[i]) - b[up]))
+    q[up] = origins[i] + (reach / slopes[i])[:, None] * dirs[i]
+    u = -s * (_dot(a, q) - b)
+    band |= (np.abs(u) <= near) | (np.maximum(np.abs(x).max(1), np.abs(q).max(1)) > _FAR)
+    cut = zip(words, band, x, s.tolist(), v.tolist(), q, u.tolist())
+    return [None if out else _cut(y, regions[w][1], *rest, near) for w, out, y, *rest in cut]
 
 
 def _pieces(rep: _HRep, x, d, a, b, near, lp_tol):
@@ -568,19 +581,11 @@ def _pieces(rep: _HRep, x, d, a, b, near, lp_tol):
     the d-dimensional region ``rep`` with relative-interior point x, and
     whether the list is sure to name no empty piece.
 
-    A single point is split by evaluating the map there, any other region
-    by LP.  Pieces within ``near`` of existing are returned too: the list
-    may name empty pieces, which acceptance drops, but never misses one.
+    The region is split by LP, and d >= 1.  Pieces within ``near`` of
+    existing are returned too: the list may name empty pieces, which
+    acceptance drops, but never misses one.
     """
     v = float(a @ x - b)
-    if d == 0:
-        # An ill-conditioned zero set can pass the acceptance pre-filter
-        # even where the map is far from zero at x.
-        if abs(v) > near and not _consistent(
-            np.vstack([rep.a_eq, a]), np.append(rep.b_eq, b)
-        ):
-            return [(1 if v > 0 else -1, x, 0)], True
-        return [(-1, x, 0), (0, x, 0), (1, x, 0)], False
     if abs(v) > near:
         # x proves the side it lies on; push the map the other way.
         s = 1 if v > 0 else -1
@@ -677,6 +682,14 @@ def _enumerate_cells(net: ReluNetwork, lp_tol: float) -> list:
             if hit.any():
                 p = off + int(np.argmax(hit))
                 vanishing[parent] = f"node map {net.ij(p)} vanishes identically on a region"
+        # The parents' tables stacked: row p of a word's parent table is row
+        # first[word[:off]] + p, scaled to unit norm in ``unit`` as _hrep_for does.
+        first = {p: i * len(t.rows) for i, (p, t) in enumerate(tables.items())}
+        rows = np.concatenate([t.rows for t in tables.values()])
+        offsets = np.concatenate([t.offsets for t in tables.values()])
+        norms = np.concatenate([t.norms for t in tables.values()])
+        scale = np.where(_is_constant(norms, offsets), 1.0, norms)
+        unit, unit_off = rows / scale[:, None], -offsets / scale
         # {word: (point, dim)} over the parents' words extended by the
         # layer's signs decided so far.  While ``exact`` it names exactly the
         # nonempty regions, and closures are read off it; a decision in the
@@ -685,20 +698,38 @@ def _enumerate_cells(net: ReluNetwork, lp_tol: float) -> list:
         regions = {p: (x, n0 - p.count(0)) for p, x in stage.items() if p not in vanishing}
         exact = not vanishing
         for j in range(n_k):
-            refined, sure = {}, exact
+            words = list(regions)
+            at = np.array([first[w[:off]] for w in words])
+            r = at + off + j
+            const, a, b = _is_constant(norms[r], offsets[r]), unit[r], unit_off[r]
+            v = _dot(a, np.array([x for x, _ in regions.values()])) - b
             closures = exact and _closures({w: d for w, (_, d) in regions.items()})
-            for word, (x, d) in regions.items():
-                table = tables[word[:off]]
-                nrm, c = table.norms[off + j], table.offsets[off + j]
-                if _is_constant(nrm, c):
-                    refined[word + (1 if c > 0 else -1,)] = (x, d)  # one piece
-                    continue
-                a, b = table.rows[off + j] / nrm, -c / nrm
-                gens = exact and d and _closure_generators(regions, closures[word], table.rows)
-                pieces = gens and _generator_pieces(gens, d, a, b, near)
-                if not pieces:
-                    pieces, clean = _pieces(_hrep_for(net, word, table), x, d, a, b, near, lp_tol)
-                    sure = sure and clean and not gens
+            sel = [
+                i for i, (w, (_, d)) in enumerate(regions.items())
+                if exact and d and not const[i] and closures[w][1]
+            ]
+            read = {}
+            if sel:
+                sub = [words[i] for i in sel]
+                got = _closure_pieces(regions, closures, sub, rows, at[sel], a[sel], b[sel], near)
+                read = dict(zip(sel, got))
+            refined, sure = {}, exact
+            for i, (word, (x, d)) in enumerate(regions.items()):
+                if const[i]:
+                    pieces = [(1 if offsets[r[i]] > 0 else -1, x, d)]
+                elif read.get(i):
+                    pieces = read[i]
+                elif d == 0:
+                    # An ill-conditioned zero set can pass acceptance even
+                    # where the map is far from zero at the vertex.
+                    eqs = at[i] + np.array([p for p, s in enumerate(word) if s == 0] + [off + j])
+                    pieces = [(1 if v[i] > 0 else -1, x, 0)]
+                    if abs(v[i]) <= near or _consistent(unit[eqs], unit_off[eqs]):
+                        pieces, sure = [(-1, x, 0), (0, x, 0), (1, x, 0)], False
+                else:
+                    rep = _hrep_for(net, word, tables[word[:off]])
+                    pieces, clean = _pieces(rep, x, d, a[i], b[i], near, lp_tol)
+                    sure = sure and clean and i not in read
                 for sign, y, dd in pieces:
                     refined[word + (sign,)] = (y, dd)
             regions, exact = refined, sure

@@ -32,7 +32,7 @@ from .errors import (
     UnboundedCellError,
 )
 from .lp import lp_solve
-from .network import ReluNetwork, Signs, cell_affine_form, signs_to_str
+from .network import ReluNetwork, Signs, cell_affine_form, node_maps, signs_to_str
 from .orientation import VertexClassification, classify_signs, classify_vertex
 
 #: Identifier of the compactification basepoint (a critical 0-cell at -inf).
@@ -342,7 +342,12 @@ def _certified_vertex(signs: Signs, n0: int, rep, memo: dict, lp_tol: float):
 
 
 def local_pair(
-    net: ReluNetwork, signs: Signs, lp_tol: float = 1e-7, *, _classified: dict | None = None
+    net: ReluNetwork,
+    signs: Signs,
+    lp_tol: float = 1e-7,
+    *,
+    _classified: dict | None = None,
+    _tables: dict | None = None,
 ) -> PairAssignment:
     """Pairing of one bounded-above cell without building the complex.
 
@@ -354,15 +359,19 @@ def local_pair(
     A check over many cells of one network passes one ``_classified`` dict
     to all of them, so it solves one LP per vertex and classifies each once.
     The dict holds only this oracle's own LP vertices, never the complex's.
+    It also shares one ``_tables`` dict: the oracle's node maps by parent.
     """
     signs = tuple(signs)
     n0 = net.n0
-    forms_cache = {}
+    forms_cache, tables = {}, {} if _tables is None else _tables
 
     def form_of(s):
         s = tuple(s)
         if s not in forms_cache:
-            forms_cache[s] = cell_affine_form(net, s)
+            prefix = s[: -net.layers[-1].out_dim]
+            if len(s) == net.total_neurons and prefix not in tables:
+                tables[prefix] = node_maps(net, prefix)
+            forms_cache[s] = cell_affine_form(net, s, tables.get(prefix))
         return forms_cache[s]
 
     form = form_of(signs)

@@ -18,7 +18,7 @@ from relumorse import (
     random_network,
     signs_to_str,
 )
-from relumorse.complex import _FLAT_TOL, _cell_problem
+from relumorse.complex import _FAR, _FLAT_TOL, _cell_problem, _cut
 from relumorse.errors import FlatCellError, StructuredError
 from relumorse.lp import _simplex
 
@@ -199,6 +199,54 @@ def reference_flatness(cpx) -> None:
                 f"F is constant on cell {signs_to_str(cell.signs)}, which has a vertex;"
                 " network is out of scope"
             )
+
+
+def closure_generators(regions: dict, closure, rows):
+    """Vertex points of a region of the refined complex ``regions``
+    ({word: (point, dim)}) with the given ``closure`` (facets, vertices,
+    rays), and the vertex points and directions of its rays; None when the
+    closure holds no vertex.  A ray's direction solves the parent cell's
+    node-map ``rows`` at its vertex's zeros."""
+    _, verts, rays = closure
+    if not verts:
+        return None
+    n0 = rows.shape[1]
+    zeros = np.array([[p for p, s in enumerate(v) if s == 0] for v, _ in rays], dtype=int)
+    rhs = np.array([[e[p] for p in z] for z, (_, e) in zip(zeros, rays)], dtype=float)
+    try:
+        dirs = np.linalg.solve(rows[zeros.reshape(-1, n0)], rhs.reshape(-1, n0, 1))[..., 0]
+    except np.linalg.LinAlgError:
+        dirs = np.zeros((len(rays), n0))  # a zero-length ray: the tolerance band
+    points = np.array([regions[w][0] for w in verts])
+    return points, np.array([regions[v][0] for v, _ in rays]).reshape(-1, n0), dirs
+
+
+def generator_pieces(gens, d, a, b, near):
+    """(sign, point, dim) of the pieces the hyperplane a.x = b cuts from a
+    region with the given closure generators; None in the tolerance band.
+    One region at a time: the reference for ``complex._closure_pieces``."""
+    verts, origins, dirs = gens
+    lengths = np.linalg.norm(dirs, axis=1)
+    if not (lengths > 0).all():
+        return None
+    dirs = dirs / lengths[:, None]
+    x = verts.mean(axis=0) + dirs.sum(axis=0)
+    v = float(a @ x - b)
+    if abs(v) <= near:
+        return None
+    s = 1 if v > 0 else -1
+    slopes = -s * (dirs @ a)
+    if (np.abs(slopes) <= near).any():
+        return None
+    if (slopes > 0).any():
+        i = int(np.argmax(slopes))
+        q = origins[i] + max(0.0, 1.0 + s * float(a @ origins[i] - b)) / slopes[i] * dirs[i]
+    else:
+        q = verts[int(np.argmax(-s * (verts @ a - b)))]
+    u = -s * float(a @ q - b)
+    if abs(u) <= near or float(np.abs([x, q]).max()) > _FAR:
+        return None
+    return _cut(x, d, s, v, q, u, near)
 
 
 # -- dense mod-2 homology: the reference for homology's bitset reduction -----

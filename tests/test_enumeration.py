@@ -11,7 +11,8 @@ structured error.
 The split decides a region from the vertices and rays of its closure, and by
 LP where the closure holds no vertex or a sign falls in the tolerance band.
 Forcing the LP everywhere must not change the outcome either.  Nor may
-forcing acceptance's witness LP, and the stacked flat-flag test must agree
+forcing acceptance's witness LP.  The stacked closure split must agree with
+the per-region ``conftest.generator_pieces``, and the stacked flat-flag test
 with the per-cell loop of ``conftest.reference_flatness``.
 """
 
@@ -21,7 +22,7 @@ import re
 
 import numpy as np
 import pytest
-from conftest import reference_flatness
+from conftest import closure_generators, generator_pieces, reference_flatness
 
 import relumorse.complex as complex_module
 from relumorse import AffineLayer, Architecture, ReluNetwork, build_complex, net_b, random_network
@@ -211,10 +212,10 @@ def test_build_solves_only_vertex_free_region_lps(monkeypatch, arch, n_lps):
     cpx = build_complex(random_network(Architecture.from_full(arch), seed=0))
     assert len(lps) == n_lps == (3 ** cpx.n0 - 1) // 2
     assert witnesses == []
-    # H-representations are built by the splits alone: one per LP region,
-    # and one per vertex that map j meets, C(j, n0) of them, which sum to
-    # C(n1, n0 + 1): 60 and 61.  Acceptance and the flat flags build none.
-    assert len(reps) == n_lps + math.comb(arch[1], cpx.n0 + 1)
+    # H-representations are built for the LP regions alone.  A vertex that
+    # map j meets reads its zero rows off the parent's table, and acceptance
+    # and the flat flags build none.
+    assert len(reps) == n_lps
 
 
 def _integer_net(arch, seed, noise):
@@ -249,12 +250,94 @@ NEAR_DEGENERATE = [
 
 def test_lp_decisions_match_closure_decisions(monkeypatch):
     nets = [_integer_net(*case) for case in NEAR_DEGENERATE]
-    read_off = [structure(net) for net in nets]
     lps = _spy(monkeypatch, "_reach")
-    monkeypatch.setattr(complex_module, "_closure_generators", lambda *args: None)
+    read_off = [structure(net) for net in nets]
+    own = len(lps)  # the vertex-free regions' LPs and the band's
+    del lps[:]
+    monkeypatch.setattr(
+        complex_module, "_closure_pieces", lambda regions, closures, words, *_: [None] * len(words)
+    )
     for case, net, expected in zip(NEAR_DEGENERATE, nets, read_off):
         assert structure(net) == expected, case
-    assert lps  # every region took the LP
+    assert len(lps) > own  # the regions with a vertex took the LP too
+
+
+CLOSURE_NETS = [random_network(Architecture.from_full(arch), seed=seed) for arch, seed in RANDOM]
+CLOSURE_NETS += [_integer_net(*case) for case in NEAR_DEGENERATE]
+CLOSURE_NETS += [random_network(Architecture.from_full((2, 20, 1)), seed=0)]
+
+
+def _pieces_differ(got, want) -> bool:
+    """True unless both are None, or both name the same (sign, dim) pieces
+    at points within 1e-12 * max(1, |x|), with |x| the largest coordinate
+    of the pieces' points: they are read off segments between the interior
+    point and q, and lose digits to the larger of the two."""
+    if got is None or want is None:
+        return (got is None) != (want is None)
+    if [(s, d) for s, _, d in got] != [(s, d) for s, _, d in want]:
+        return True
+    scale = 1e-12 * max(1.0, max(float(np.abs(y).max()) for _, y, _ in want))
+    return any((np.abs(x - y) > scale).any() for (_, x, _), (_, y, _) in zip(got, want))
+
+
+def test_closure_pieces_match_per_region_reference(monkeypatch):
+    # At every exact step, each region's stacked decision against the
+    # per-region reference on the same closure and parent rows.
+    real, checked = complex_module._closure_pieces, []
+
+    def spy(regions, closures, words, rows, at, a, b, near):
+        out = real(regions, closures, words, rows, at, a, b, near)
+        for w, got, base, a_w, b_w in zip(words, out, at, a, b):
+            gens = closure_generators(regions, closures[w], rows[base:])
+            want = generator_pieces(gens, regions[w][1], a_w, b_w, near)
+            assert not _pieces_differ(got, want), (w, got, want)
+            checked.append(got is None)
+        return out
+
+    monkeypatch.setattr(complex_module, "_closure_pieces", spy)
+    for net in CLOSURE_NETS:
+        structure(net)
+    assert checked.count(False) > 5_000 and True in checked  # read off, and banded
+
+
+def _exact(pieces):
+    return pieces and [(s, x.tobytes(), d) for s, x, d in pieces]
+
+
+def test_singular_ray_system_sends_only_its_region_to_the_lp(monkeypatch):
+    # At the last exact step of (2,8,1) s0, one region with rays is pointed
+    # at a parent table of equal rows, so each of its ray systems is
+    # singular.  That region alone is banded and takes the LP; the others
+    # are read off closures as before, and the outcome is the same.
+    net = random_network(Architecture.from_full((2, 8, 1)), seed=0)
+    real = complex_module._closure_pieces
+    lps = _spy(monkeypatch, "_pieces")
+    steps = []  # _pieces calls made before each closure split
+
+    def spy(regions, closures, words, rows, at, a, b, near):
+        steps.append(len(lps))
+        out = real(regions, closures, words, rows, at, a, b, near)
+        if len(steps) < last_step:
+            return out
+        g = next(g for g, w in enumerate(words) if closures[w][2] and out[g])
+        equal_rows = np.vstack([rows, np.repeat(rows[:1], len(words[0]), axis=0)])
+        at = at.copy()
+        at[g] = len(rows)
+        bent = real(regions, closures, words, equal_rows, at, a, b, near)
+        assert bent[g] is None
+        assert [_exact(p) for p in bent[:g] + bent[g + 1 :]] == [
+            _exact(p) for p in out[:g] + out[g + 1 :]
+        ]
+        return bent
+
+    monkeypatch.setattr(complex_module, "_closure_pieces", spy)
+    last_step = math.inf
+    expected = structure(net)
+    last_step, lps_after = len(steps), len(lps) - steps[-1]
+    del steps[:], lps[:]
+    assert structure(net) == expected
+    assert len(steps) == last_step
+    assert len(lps) - steps[-1] == lps_after + 1  # the bent region's LP
 
 
 def test_hyperplane_near_a_vertex_takes_the_lp(monkeypatch):
@@ -265,9 +348,13 @@ def test_hyperplane_near_a_vertex_takes_the_lp(monkeypatch):
         [1.0, -1.5, 0.5],
     )
     lps = _spy(monkeypatch, "_reach")
+    splits = _spy(monkeypatch, "_closure_pieces")
     outcome = split_outcome(net)
-    # Layer 1's four vertex-free regions, then the fallback in layer 2.
+    # Layer 1's four vertex-free regions, then the fallback in layer 2: the
+    # vertex in the band hands the rest of the layer to the LP, so no
+    # closure split sees a word past layer 2's first map.
     assert len(lps) > 4
+    assert [len(words[0]) for _, _, words, *_ in splits] == [2, 3]
     assert outcome == brute_force_outcome(net)
     assert outcome[2]["message"] == "feasible pattern 00+0-+ has 3 > n0 zeros"
 
