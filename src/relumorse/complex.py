@@ -44,7 +44,6 @@ from .errors import (
 from .lp import LpProblem, interior_witness, lp_solve
 from .network import NodeMaps, ReluNetwork, Signs, cell_affine_form, node_maps, signs_to_str
 
-_ZERO_ROW = 1e-12
 # Offset at or below which a constant node map counts as zero.
 _ZERO_OFFSET = 1e-9
 # Relative gradient norm below which F counts as constant on a cell or edge.
@@ -65,12 +64,6 @@ _VERTEX_RESID = 1e-6
 # A split read off a closure point beyond this distance is in the tolerance
 # band: nearly parallel or nearly constant node maps put points that far out.
 _FAR = 1e7
-
-
-def _is_constant(nrm, c):
-    """True where a node map with gradient norm nrm and offset c (scalars or
-    arrays) is constant on the region."""
-    return nrm <= _ZERO_ROW * np.maximum(1.0, np.abs(c))
 
 
 def _is_flat(value, g_norm):
@@ -234,8 +227,7 @@ def _hrep_for(net: ReluNetwork, signs: Signs, table: NodeMaps) -> _HRep | None:
     """
     n = len(signs)
     s = np.array(signs, dtype=float)
-    rows, offs, nrm = table.rows[:n], table.offsets[:n], table.norms[:n]
-    const = _is_constant(nrm, offs)
+    offs, const = table.offsets[:n], table.const[:n]
     if const.any():
         bad = const & ((s * offs <= 0) | (np.abs(offs) <= _ZERO_OFFSET))
         if bad.any():
@@ -246,8 +238,7 @@ def _hrep_for(net: ReluNetwork, signs: Signs, table: NodeMaps) -> _HRep | None:
     # The constant rows left hold everywhere on the region.  Scaling a unit
     # row by a sign is exact, so inequality rows need no second division.
     live = np.flatnonzero(~const)
-    unit = rows[live] / nrm[live, None]
-    unit_off = -offs[live] / nrm[live]
+    unit, unit_off = (u[:n][live] for u in table.unit)
     s = s[live]
     eq, ge = s == 0, s != 0
     return _HRep(
@@ -626,18 +617,15 @@ def _accept(net: ReluNetwork, words: list, points, table: NodeMaps, lp_tol: floa
     """
     n0 = net.n0
     s = np.array(words, dtype=float)
-    offs = table.offsets
+    offs, const, (unit, unit_off) = table.offsets, table.const, table.unit
     # Constant rows as in _hrep_for: they are left out of every test, and a
     # word they contradict takes _hrep_for, which drops or rejects it.
-    const = _is_constant(table.norms, offs)
     bad = (const & ((s * offs <= 0) | (np.abs(offs) <= _ZERO_OFFSET))).any(axis=1)
-    scale = np.where(const, 1.0, table.norms)
-    unit = table.rows / scale[:, None]
     zero = s == 0
     zeros = zero.sum(axis=1)
     # Signed slack of each row at each word's point: strict rows must clear
     # the margin, zero rows lie within the residual.
-    v = points @ unit.T + offs / scale
+    v = points @ unit.T - unit_off
     slack = np.where(zero | const, np.inf, s * v).min(axis=1)
     resid = np.where(zero & ~const, np.abs(v), 0.0).max(axis=1)
     clears = (slack > _CLEAR_MARGIN * lp_tol) & (resid <= _SAMPLE_RESID * lp_tol)
@@ -677,19 +665,17 @@ def _enumerate_cells(net: ReluNetwork, lp_tol: float) -> list:
         tables, vanishing = {}, {}
         for parent in stage:
             table = tables[parent] = node_maps(net, parent)
-            offs = table.offsets[off:]
-            hit = _is_constant(table.norms[off:], offs) & (np.abs(offs) <= _ZERO_OFFSET)
+            hit = table.const[off:] & (np.abs(table.offsets[off:]) <= _ZERO_OFFSET)
             if hit.any():
                 p = off + int(np.argmax(hit))
                 vanishing[parent] = f"node map {net.ij(p)} vanishes identically on a region"
         # The parents' tables stacked: row p of a word's parent table is row
-        # first[word[:off]] + p, scaled to unit norm in ``unit`` as _hrep_for does.
+        # first[word[:off]] + p.
         first = {p: i * len(t.rows) for i, (p, t) in enumerate(tables.items())}
-        rows = np.concatenate([t.rows for t in tables.values()])
-        offsets = np.concatenate([t.offsets for t in tables.values()])
-        norms = np.concatenate([t.norms for t in tables.values()])
-        scale = np.where(_is_constant(norms, offsets), 1.0, norms)
-        unit, unit_off = rows / scale[:, None], -offsets / scale
+        rows, offsets, consts, unit, unit_off = (
+            np.concatenate(col)
+            for col in zip(*((t.rows, t.offsets, t.const, *t.unit) for t in tables.values()))
+        )
         # {word: (point, dim)} over the parents' words extended by the
         # layer's signs decided so far.  While ``exact`` it names exactly the
         # nonempty regions, and closures are read off it; a decision in the
@@ -701,7 +687,7 @@ def _enumerate_cells(net: ReluNetwork, lp_tol: float) -> list:
             words = list(regions)
             at = np.array([first[w[:off]] for w in words])
             r = at + off + j
-            const, a, b = _is_constant(norms[r], offsets[r]), unit[r], unit_off[r]
+            const, a, b = consts[r], unit[r], unit_off[r]
             v = _dot(a, np.array([x for x, _ in regions.values()])) - b
             closures = exact and _closures({w: d for w, (_, d) in regions.items()})
             sel = [
@@ -776,7 +762,7 @@ def _flag_flat(cpx: CanonicalComplex) -> None:
             eqs = []
             for c in group:
                 table, zero_pos = cpx.table(c.signs), [p for p, s in enumerate(c.signs) if s == 0]
-                eqs.append(table.rows[zero_pos] / table.norms[zero_pos, None])
+                eqs.append(table.unit[0][zero_pos])
             basis = np.linalg.svd(np.array(eqs))[2][:, n0 - dim :]
             proj = (basis @ g[:, :, None])[..., 0]
         flat = _is_flat(np.linalg.norm(proj, axis=1), np.linalg.norm(g, axis=1))

@@ -14,7 +14,8 @@ relatively perfect discrete gradient vector field.
 complex: the cell's lower-star vertex is the max of F over its closure,
 either certified from a vertex the oracle has already classified or found
 by one LP, and the vertex's 2*n0 analytic directional derivatives then
-classify it.  ``_in_lower_star`` is the one membership test both use.
+classify it.  ``_lower_star_patterns`` generates the lower stars of both:
+``build_dgvf`` pairs them, and ``local_pair`` indexes them by sign word.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 
 from .complex import CanonicalComplex, _cell_problem, _hrep_for, _slope_into_edge, is_face
 from .errors import (
+    DimensionError,
     FlatCellError,
     GenericityError,
     IncompletePairingError,
@@ -100,18 +102,14 @@ class Matching:
 
 
 def _lower_star_patterns(vertex_signs: Signs, allowed: dict):
-    """Sign words of the lower star: the product of per-axis allowed signs."""
+    """Sign words of the lower star: the product of per-axis allowed signs,
+    the first axis varying slowest."""
     positions = sorted(allowed)
-    combos = [()]
-    for p in positions:
-        combos = [c + (s,) for c in combos for s in allowed[p]]
-    out = []
-    for combo in combos:
+    for combo in itertools.product(*(allowed[p] for p in positions)):
         signs = list(vertex_signs)
         for p, s in zip(positions, combo):
             signs[p] = s
-        out.append(tuple(signs))
-    return out
+        yield tuple(signs)
 
 
 def _allowed_signs(cls: VertexClassification) -> dict:
@@ -125,12 +123,6 @@ def _allowed_signs(cls: VertexClassification) -> dict:
             signs.append(1)
         allowed[p] = signs
     return allowed
-
-
-def _in_lower_star(cls: VertexClassification, signs: Signs) -> bool:
-    """Whether the cell ``signs``, whose word agrees with the vertex off its
-    zeros, lies in the vertex's lower star."""
-    return all(signs[p] in allowed for p, allowed in _allowed_signs(cls).items())
 
 
 def _partner(cls: VertexClassification, signs: Signs):
@@ -297,35 +289,20 @@ class PairAssignment:
     owner_index: int | None  # critical index of the owner, None when regular
 
 
-def _zeroings(signs: Signs, k: int):
-    """Words obtained by zeroing k of the nonzero entries of ``signs``."""
-    nonzero = [p for p, s in enumerate(signs) if s != 0]
-    for zeroed in itertools.combinations(nonzero, k):
-        yield tuple(0 if p in zeroed else s for p, s in enumerate(signs))
+def _certified_vertex(signs: Signs, rep, candidates, lp_tol: float):
+    """The one of the classified vertices ``candidates``, whose lower stars
+    hold the cell ``signs``, certified as the unique max of F over the
+    cell's closure, else None.
 
-
-def _certified_vertex(signs: Signs, n0: int, rep, memo: dict, lp_tol: float):
-    """First vertex of ``memo`` in the closure of the cell ``signs`` that is
-    certified as the unique max of F over that closure, else None.
-
-    A candidate zeroes ``dim`` more entries of the word.  It passes when the
-    cell takes a lower-star sign at each of its zeros, and when the cell's
-    unit rows at its zeros meet in a point where exactly the zeroed >= rows
-    are tight.  The point is then a simple vertex of the closure, F falls
-    along every edge leaving it into the cell, and F is affine on the convex
-    cell, so it is the point the LP would return.
+    A candidate passes when the cell's unit rows at its zeros meet in a
+    point where exactly the >= rows it zeroes are tight.  The point is then
+    a simple vertex of the closure, F falls along every edge leaving it into
+    the cell, and F is affine on the convex cell, so it is the point the LP
+    would return.  Being the unique max, it is the only candidate to pass.
     """
-    dim = n0 - signs.count(0)
-    if dim < 0:
-        return None
     row_of = {p: r for r, p in enumerate(rep.ge_positions)}
-    for v in _zeroings(signs, dim):
-        cls = memo.get(v)
-        if cls is None:
-            continue
-        if not _in_lower_star(cls, signs):
-            continue
-        extra = [row_of.get(p) for p, s in enumerate(v) if s == 0 and signs[p] != 0]
+    for cls in candidates:
+        extra = [row_of.get(p) for p, s in enumerate(cls.vertex) if s == 0 and signs[p] != 0]
         if None in extra:
             continue
         a = np.vstack([rep.a_eq, rep.a_ge[extra]])
@@ -337,7 +314,7 @@ def _certified_vertex(signs: Signs, n0: int, rep, memo: dict, lp_tol: float):
         if np.abs(a @ x - b).max() > lp_tol:
             continue
         if np.flatnonzero(rep.a_ge @ x - rep.b_ge <= lp_tol).tolist() == extra:
-            return v
+            return cls
     return None
 
 
@@ -352,36 +329,38 @@ def local_pair(
     """Pairing of one bounded-above cell without building the complex.
 
     The lower-star vertex is the max of F over the cell's closure: a vertex
-    of ``_classified`` certified by :func:`_certified_vertex`, else the one
-    an LP names by its tight constraints.  Its 2*n0 directional derivatives
-    classify it, and :func:`_partner`, the rule :func:`build_dgvf` uses,
-    pairs the cell.
-    A check over many cells of one network passes one ``_classified`` dict
-    to all of them, so it solves one LP per vertex and classifies each once.
-    The dict holds only this oracle's own LP vertices, never the complex's.
-    It also shares one ``_tables`` dict: the oracle's node maps by parent.
+    ``_classified`` lists for the cell, certified by
+    :func:`_certified_vertex`, else the one an LP names by its tight
+    constraints.  Its 2*n0 directional derivatives classify it, and
+    :func:`_partner`, the rule :func:`build_dgvf` uses, pairs the cell.
+    ``_classified`` maps each sign word to the classified vertices whose
+    lower stars hold it.  A check over many cells of one network passes one
+    such dict to all of them, so it solves one LP per vertex and classifies
+    each once.  The dict holds only this oracle's own LP vertices, never the
+    complex's.  It also shares one ``_tables`` dict: the oracle's node maps
+    by parent.
     """
     signs = tuple(signs)
-    n0 = net.n0
-    forms_cache, tables = {}, {} if _tables is None else _tables
+    if len(signs) != net.total_neurons:
+        raise DimensionError(f"expected {net.total_neurons} sign entries, got {len(signs)}")
+    memo = {} if _classified is None else _classified
+    tables = {} if _tables is None else _tables
+
+    def table_of(s):
+        prefix = s[: -net.layers[-1].out_dim]
+        if prefix not in tables:
+            tables[prefix] = node_maps(net, prefix)
+        return tables[prefix]
 
     def form_of(s):
-        s = tuple(s)
-        if s not in forms_cache:
-            prefix = s[: -net.layers[-1].out_dim]
-            if len(s) == net.total_neurons and prefix not in tables:
-                tables[prefix] = node_maps(net, prefix)
-            forms_cache[s] = cell_affine_form(net, s, tables.get(prefix))
-        return forms_cache[s]
+        return cell_affine_form(net, s, table_of(s))
 
-    form = form_of(signs)
-    rep = _hrep_for(net, signs, form)
+    rep = _hrep_for(net, signs, table_of(signs))
     if rep is None:
         raise GenericityError(f"cell {signs_to_str(signs)} is infeasible")
-    memo = {} if _classified is None else _classified
-    v_signs = _certified_vertex(signs, n0, rep, memo, lp_tol)
-    if v_signs is None:
-        res = lp_solve(_cell_problem(rep, form.total_gradient), feas_tol=lp_tol)
+    cls = _certified_vertex(signs, rep, memo.get(signs, ()), lp_tol)
+    if cls is None:
+        res = lp_solve(_cell_problem(rep, form_of(signs).total_gradient), feas_tol=lp_tol)
         if res.status == "unbounded":
             raise UnboundedCellError(
                 f"F is unbounded above on cell {signs_to_str(signs)}"
@@ -393,17 +372,19 @@ def local_pair(
         for row_idx in res.tight:
             v_signs[rep.ge_positions[row_idx]] = 0
         v_signs = tuple(v_signs)
-        if sum(1 for s in v_signs if s == 0) != n0:
+        if v_signs.count(0) != net.n0:
             raise GenericityError(
                 f"LP maximum over {signs_to_str(signs)} is not attained at a simple vertex"
             )
-
-    if v_signs not in memo:
-        memo[v_signs] = classify_signs(v_signs, lambda v, e: _slope_into_edge(v, e, form_of)[1])
-    cls = memo[v_signs]
-    if not _in_lower_star(cls, signs):
-        raise IncompletePairingError(
-            f"cell {signs_to_str(signs)} is not in the lower star of its LP vertex"
-        )
+        # A vertex's word lies in no lower star but its own.
+        if v_signs not in memo:
+            new = classify_signs(v_signs, lambda v, e: _slope_into_edge(v, e, form_of)[1])
+            for w in _lower_star_patterns(v_signs, _allowed_signs(new)):
+                memo.setdefault(w, []).append(new)
+        cls = memo[v_signs][0]
+        if cls not in memo.get(signs, ()):
+            raise IncompletePairingError(
+                f"cell {signs_to_str(signs)} is not in the lower star of its LP vertex"
+            )
     role, partner = _partner(cls, signs)
-    return PairAssignment(signs, role, partner, v_signs, cls.index)
+    return PairAssignment(signs, role, partner, cls.vertex, cls.index)

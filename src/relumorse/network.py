@@ -25,6 +25,10 @@ from .errors import ArchitectureError, DimensionError
 # (numeric order -1 < 0 < +1 is the lexicographic order used everywhere).
 Signs = tuple
 
+# Gradient norm, relative to max(1, |offset|), at or below which a node map
+# counts as constant on a cell.
+_ZERO_ROW = 1e-12
+
 
 def signs_to_str(signs: Signs) -> str:
     return "".join("+" if s > 0 else "-" if s < 0 else "0" for s in signs)
@@ -236,10 +240,21 @@ class NodeMaps:
 
     @cached_property
     def norms(self) -> np.ndarray:
-        """Gradient norm of each row, on first use: only tables that build
-        an H-representation read them.  Row by row, as ``np.linalg.norm``
+        """Gradient norm of each row.  Row by row, as ``np.linalg.norm``
         computes it: a batched sum rounds differently."""
         return np.sqrt([row.dot(row) for row in self.rows])
+
+    @cached_property
+    def const(self) -> np.ndarray:
+        """Rows whose node map is constant on the cell."""
+        return self.norms <= _ZERO_ROW * np.maximum(1.0, np.abs(self.offsets))
+
+    @cached_property
+    def unit(self) -> tuple:
+        """(rows, -offsets) divided by the row norms, so slacks are distances;
+        constant rows keep scale 1."""
+        scale = np.where(self.const, 1.0, self.norms)
+        return self.rows / scale[:, None], -self.offsets / scale
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,15 @@ from relumorse import (
     pair_lower_star,
     signs_from_str,
 )
-from relumorse import AffineLayer, ReluNetwork
-from relumorse.dgvf import _partner
-from relumorse.errors import FlatCellError, IncompletePairingError, StructuredError, UnboundedCellError
+from relumorse import AffineLayer, Architecture, ReluNetwork, random_network
+from relumorse.dgvf import _allowed_signs, _lower_star_patterns, _partner
+from relumorse.errors import (
+    DimensionError,
+    FlatCellError,
+    IncompletePairingError,
+    StructuredError,
+    UnboundedCellError,
+)
 from relumorse.lp import LpResult
 from relumorse.orientation import VertexClassification
 
@@ -213,6 +219,14 @@ def test_local_pair_examples(netb):
         local_pair(netb, S("-0+"))
 
 
+@pytest.mark.parametrize("length", [4, 6])
+def test_local_pair_rejects_a_word_of_the_wrong_length(length):
+    # A word of a two-layer net that ends inside layer 1 or past layer 2.
+    net = random_network(Architecture((2, 3, 2)), seed=0)
+    with pytest.raises(DimensionError, match=f"expected 5 sign entries, got {length}"):
+        local_pair(net, (1,) * length)
+
+
 def test_local_pair_of_critical_vertex(netb):
     a = local_pair(netb, S("+00"))
     assert a.role == "critical" and a.owner_index == 0
@@ -242,6 +256,11 @@ def _count_local_lps(monkeypatch) -> list:
     return calls
 
 
+def _classified_vertices(memo) -> set:
+    """The distinct vertices a ``local_pair`` memo has classified."""
+    return {cls.vertex for found in memo.values() for cls in found}
+
+
 def _local_outcome(net, signs, memo):
     try:
         return local_pair(net, signs, _classified=memo)
@@ -255,6 +274,9 @@ def test_certified_vertices_match_the_lp(netb, cpx_b, netb_neg, cpx_b_neg, monke
     draws = [(netb, cpx_b), (netb_neg, cpx_b_neg)]
     for arch, count in (((2, 8), 3), ((3, 6), 3), ((4, 7), 2), ((2, 4, 3), 3)):
         draws += [(net, cpx) for _, net, cpx in scan_generic_nets(arch, count)]
+    # Top cells with C(20, 2) = 190 ways to zero two entries.
+    wide = random_network(Architecture((2, 20)), seed=0)
+    draws.append((wide, build_complex(wide)))
     lps = _count_local_lps(monkeypatch)
     shared_lps = checked = 0
     for net, cpx in draws:
@@ -265,7 +287,7 @@ def test_certified_vertices_match_the_lp(netb, cpx_b, netb_neg, cpx_b_neg, monke
         shared_lps += len(lps)
         checked += len(cells)
         assert shared == [_local_outcome(net, s, None) for s in cells], net.arch
-        assert len(memo) <= len(cpx.vertices)
+        assert len(_classified_vertices(memo)) <= len(cpx.vertices)
     assert shared_lps < checked / 3
 
 
@@ -275,11 +297,11 @@ def test_memo_vertex_that_is_not_the_peak_takes_the_lp(netb, monkeypatch):
     memo = {}
     local_pair(netb, S("+00"), _classified=memo)
     local_pair(netb, S("0+0"), _classified=memo)
-    assert set(memo) == {S("+00"), S("0+0")}
+    assert _classified_vertices(memo) == {S("+00"), S("0+0")}
     lps = _count_local_lps(monkeypatch)
     a = local_pair(netb, S("+++"), _classified=memo)
     assert a.owner_vertex == S("00+") and a.role == "upper" and a.partner == S("0++")
-    assert len(lps) == 1 and S("00+") in memo
+    assert len(lps) == 1 and S("00+") in _classified_vertices(memo)
 
 
 def test_memo_peak_vertex_is_certified_without_lp(netb, monkeypatch):
@@ -292,7 +314,7 @@ def test_memo_peak_vertex_is_certified_without_lp(netb, monkeypatch):
     assert got == {w: local_pair(netb, S(w)) for w in got}
 
 
-def test_memo_does_not_hide_unbounded_cells(netb):
+def test_memo_does_not_hide_unbounded_cells(netb, monkeypatch):
     # 00+ is a closure vertex of -0+, along which F rises without bound.
     memo = {}
     local_pair(netb, S("00+"), _classified=memo)
@@ -302,8 +324,17 @@ def test_memo_does_not_hide_unbounded_cells(netb):
     # lines of its zeros meet at the origin, outside ++-, so the point test
     # rejects it and the LP reports the unbounded cell.
     forged = VertexClassification(S("00-"), "critical", 2, ((0, True, True), (1, True, True)), None, None)
+    memo = {w: [forged] for w in _lower_star_patterns(forged.vertex, _allowed_signs(forged))}
+    real, seen = dgvf_module._certified_vertex, []
+
+    def spy(signs, rep, candidates, lp_tol):
+        seen.append((list(candidates), real(signs, rep, candidates, lp_tol)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(dgvf_module, "_certified_vertex", spy)
     with pytest.raises(UnboundedCellError):
-        local_pair(netb, S("++-"), _classified={S("00-"): forged})
+        local_pair(netb, S("++-"), _classified=memo)
+    assert seen == [([forged], None)]
 
 
 def _forge_lp_vertex(monkeypatch, net, signs, vertex):

@@ -187,6 +187,19 @@ def test_degenerate_cases_raise_genericity():
             build_complex(DEGENERATE[name])
 
 
+def test_ill_conditioned_vertex_split_keeps_the_zero_piece():
+    # y = 0 and y = 1e-6 x meet at the origin, where x - 0.01 is far from
+    # zero, yet the three zero sets agree within _RANK_TOL.  The vertex split
+    # must keep 000 for acceptance to report; splitting by the sign at the
+    # vertex alone drops it, and the build fails later as forced-flat.
+    net = ReluNetwork(
+        (AffineLayer([[0.0, 1.0], [-1e-6, 1.0], [1.0, 0.0]], [0.0, 0.0, -0.01]),),
+        AffineLayer([[1.0, 2.0, 3.0]], [0.5]),
+    )
+    with pytest.raises(GenericityError, match=re.escape("feasible pattern 000 has 3 > n0 zeros")):
+        build_complex(net)
+
+
 def _spy(monkeypatch, name) -> list:
     """Record the calls of ``relumorse.complex.<name>``."""
     calls = []
