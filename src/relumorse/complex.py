@@ -123,6 +123,41 @@ def _slope_into_edge(v_signs: Signs, e_signs: Signs, form_of):
     return d, 1 if slope > 0 else -1
 
 
+def _edges_at(v_signs: Signs):
+    """(position, sigma, edge signs) of the 2*n0 edges at a vertex."""
+    for p, s in enumerate(v_signs):
+        if s != 0:
+            continue
+        for sigma in (-1, 1):
+            yield p, sigma, v_signs[:p] + (sigma,) + v_signs[p + 1 :]
+
+
+def _slopes_at(v_signs: Signs, form_of) -> dict:
+    """{edge: sign of dF leaving the vertex into it} over the 2*n0 edges at
+    a vertex, from one stacked solve of their systems; norms and slopes are
+    taken as in :func:`_slope_into_edge`.  The +1 edges share a top cell, so
+    1 + n0 forms serve.  If the stack fails (a singular system, a zero or
+    non-finite direction, a flat slope), the edges are solved one by one,
+    and the first failing edge raises as it would alone."""
+    edges = [e for _, _, e in _edges_at(v_signs)]
+    zeros = [p for p, s in enumerate(v_signs) if s == 0]
+    tops = [tuple(s if s != 0 else 1 for s in e) for e in edges]
+    forms = {t: form_of(t) for t in dict.fromkeys(tops)}
+    a = np.array([forms[t].rows[zeros] for t in tops])
+    rhs = np.array([[e[p] for p in zeros] for e in edges], dtype=float)
+    out = {}
+    with contextlib.suppress(np.linalg.LinAlgError):
+        for e, t, d in zip(edges, tops, np.linalg.solve(a, rhs[..., None])[..., 0]):
+            nrm, g = float(np.linalg.norm(d)), forms[t].total_gradient
+            slope = float(g @ (d / nrm)) if 0.0 < nrm < np.inf else 0.0
+            if _is_flat(slope, float(np.linalg.norm(g))):
+                break
+            out[e] = 1 if slope > 0 else -1
+    if len(out) < len(edges):
+        return {e: _slope_into_edge(v_signs, e, form_of)[1] for e in edges}
+    return out
+
+
 def _closures(dims: dict) -> dict:
     """{word: (facets, vertices, rays)} of the cells ``dims`` ({word: dim}),
     each a sorted tuple, built bottom-up by dimension.  A cell's facets are
@@ -216,30 +251,37 @@ def _cell_problem(rep: _HRep, objective) -> LpProblem:
     )
 
 
+def _constant_rows_hold(net: ReluNetwork, signs: Signs, table: NodeMaps) -> bool:
+    """False when a constant row among the table's first ``len(signs)``
+    contradicts the pattern; GenericityError when a node map vanishes
+    identically on the region.  The first such row in sign-word order decides."""
+    n = len(signs)
+    offs, const = table.offsets[:n], table.const[:n]
+    if not const.any():
+        return True
+    s = np.array(signs, dtype=float)
+    bad = const & ((s * offs <= 0) | (np.abs(offs) <= _ZERO_OFFSET))
+    if not bad.any():
+        return True
+    p = int(np.argmax(bad))
+    if s[p] == 0 and abs(offs[p]) <= _ZERO_OFFSET:
+        raise GenericityError(f"node map {net.ij(p)} vanishes identically on a region")
+    return False
+
+
 def _hrep_for(net: ReluNetwork, signs: Signs, table: NodeMaps) -> _HRep | None:
     """Assemble the H-representation of a (possibly partial) sign pattern
-    from the first ``len(signs)`` rows of the node-map table.
-
-    Returns None when a constant node map makes the pattern trivially
-    infeasible; raises GenericityError when a node map vanishes identically
-    on the region (its bent hyperplane would contain an open set).  The first
-    such row in sign-word order decides.
+    from the first ``len(signs)`` rows of the node-map table, leaving out its
+    constant rows; None or GenericityError as :func:`_constant_rows_hold`.
     """
+    if not _constant_rows_hold(net, signs, table):
+        return None
+    # Scaling a unit row by a sign is exact, so inequality rows need no
+    # second division.
     n = len(signs)
-    s = np.array(signs, dtype=float)
-    offs, const = table.offsets[:n], table.const[:n]
-    if const.any():
-        bad = const & ((s * offs <= 0) | (np.abs(offs) <= _ZERO_OFFSET))
-        if bad.any():
-            p = int(np.argmax(bad))
-            if s[p] == 0 and abs(offs[p]) <= _ZERO_OFFSET:
-                raise GenericityError(f"node map {net.ij(p)} vanishes identically on a region")
-            return None
-    # The constant rows left hold everywhere on the region.  Scaling a unit
-    # row by a sign is exact, so inequality rows need no second division.
-    live = np.flatnonzero(~const)
+    live = np.flatnonzero(~table.const[:n])
     unit, unit_off = (u[:n][live] for u in table.unit)
-    s = s[live]
+    s = np.array(signs, dtype=float)[live]
     eq, ge = s == 0, s != 0
     return _HRep(
         a_eq=unit[eq],
@@ -403,6 +445,15 @@ class CanonicalComplex:
         if key not in self._slopes:
             self._slopes[key] = _slope_into_edge(v_signs, e_signs, self.form)[1]
         return self._slopes[key]
+
+    def slopes_at(self, v_signs: Signs) -> dict:
+        """{edge: :meth:`slope`} over the 2*n0 edges at a vertex, in the same
+        cache; a vertex with an edge not cached costs one :func:`_slopes_at`."""
+        keys = [(v_signs, e) for _, _, e in _edges_at(v_signs)]
+        if not all(k in self._slopes for k in keys):
+            slopes = _slopes_at(v_signs, self.form)
+            self._slopes.update({(v_signs, e): s for e, s in slopes.items()})
+        return {e: self._slopes[(v, e)] for v, e in keys}
 
     def vertex_location(self, signs: Signs, container: Signs | None = None) -> np.ndarray:
         """Solve the n0 x n0 node-map system of a vertex's zero entries."""

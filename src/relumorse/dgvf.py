@@ -12,20 +12,24 @@ relatively perfect discrete gradient vector field.
 
 ``local_pair`` applies the same rule to a single cell without the global
 complex: the cell's lower-star vertex is the max of F over its closure,
-either certified from a vertex the oracle has already classified or found
-by one LP, and the vertex's 2*n0 analytic directional derivatives then
-classify it.  ``_lower_star_patterns`` generates the lower stars of both:
-``build_dgvf`` pairs them, and ``local_pair`` indexes them by sign word.
+either a classified vertex certified by a sign check against its point
+(solved once per parent table, kept as a slack row) or found by one LP,
+the only step that builds the cell's H-representation.  One stacked solve
+of the vertex's 2*n0 edge systems classifies it.  ``_lower_star_patterns``
+generates the lower stars of both: ``build_dgvf`` pairs them, and
+``local_pair`` indexes them by sign word.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .complex import CanonicalComplex, _cell_problem, _hrep_for, _slope_into_edge, is_face
+from .complex import CanonicalComplex, _cell_problem, _constant_rows_hold, _hrep_for
+from .complex import _slopes_at, is_face
 from .errors import (
     DimensionError,
     FlatCellError,
@@ -289,31 +293,44 @@ class PairAssignment:
     owner_index: int | None  # critical index of the owner, None when regular
 
 
-def _certified_vertex(signs: Signs, rep, candidates, lp_tol: float):
+def _vertex_point(table, vertex):
+    """(slack row ``unit @ x - offset``, zero mask) of the table at the point
+    x where its unit rows at the vertex's zeros meet; None when one of those
+    rows is constant or they are singular."""
+    zero = np.array(vertex) == 0
+    unit, unit_off = table.unit
+    with contextlib.suppress(np.linalg.LinAlgError):
+        if not table.const[zero].any():
+            return unit @ np.linalg.solve(unit[zero], unit_off[zero]) - unit_off, zero
+    return None
+
+
+def _certified_vertex(signs: Signs, entry, candidates, lp_tol: float):
     """The one of the classified vertices ``candidates``, whose lower stars
     hold the cell ``signs``, certified as the unique max of F over the
-    cell's closure, else None.
+    cell's closure, else None.  ``entry`` is the cell's (node-map table,
+    {vertex: :func:`_vertex_point`}) in ``local_pair``'s ``_tables``.
 
-    A candidate passes when the cell's unit rows at its zeros meet in a
-    point where exactly the >= rows it zeroes are tight.  The point is then
-    a simple vertex of the closure, F falls along every edge leaving it into
-    the cell, and F is affine on the convex cell, so it is the point the LP
-    would return.  Being the unique max, it is the only candidate to pass.
+    A candidate passes when the table's unit rows at its zeros meet in a
+    point within ``lp_tol`` where, of the cell's live rows with nonzero
+    sign s_p, exactly those it zeroes are tight: s_p * slack_p <= ``lp_tol``.
+    The point is then a simple vertex of the closure, F falls along every
+    edge leaving it into the cell, and F is affine on the convex cell, so it
+    is the point the LP would return.  Being the unique max, it is the only
+    candidate to pass.
     """
-    row_of = {p: r for r, p in enumerate(rep.ge_positions)}
+    table, points = entry
+    s = np.array(signs)
+    live = (s != 0) & ~table.const
     for cls in candidates:
-        extra = [row_of.get(p) for p, s in enumerate(cls.vertex) if s == 0 and signs[p] != 0]
-        if None in extra:
+        if cls.vertex not in points:
+            points[cls.vertex] = _vertex_point(table, cls.vertex)
+        if points[cls.vertex] is None:
             continue
-        a = np.vstack([rep.a_eq, rep.a_ge[extra]])
-        b = np.concatenate([rep.b_eq, rep.b_ge[extra]])
-        try:
-            x = np.linalg.solve(a, b)
-        except np.linalg.LinAlgError:
+        slack, zero = points[cls.vertex]
+        if not zero[s == 0].all() or np.abs(slack[zero]).max() > lp_tol:
             continue
-        if np.abs(a @ x - b).max() > lp_tol:
-            continue
-        if np.flatnonzero(rep.a_ge @ x - rep.b_ge <= lp_tol).tolist() == extra:
+        if np.array_equal(s[live] * slack[live] <= lp_tol, zero[live]):
             return cls
     return None
 
@@ -337,8 +354,8 @@ def local_pair(
     lower stars hold it.  A check over many cells of one network passes one
     such dict to all of them, so it solves one LP per vertex and classifies
     each once.  The dict holds only this oracle's own LP vertices, never the
-    complex's.  It also shares one ``_tables`` dict: the oracle's node maps
-    by parent.
+    complex's.  It also shares one ``_tables`` dict: by parent, the node
+    maps and each candidate vertex's point on them, as its slack row.
     """
     signs = tuple(signs)
     if len(signs) != net.total_neurons:
@@ -349,17 +366,18 @@ def local_pair(
     def table_of(s):
         prefix = s[: -net.layers[-1].out_dim]
         if prefix not in tables:
-            tables[prefix] = node_maps(net, prefix)
+            tables[prefix] = (node_maps(net, prefix), {})
         return tables[prefix]
 
     def form_of(s):
-        return cell_affine_form(net, s, table_of(s))
+        return cell_affine_form(net, s, table_of(s)[0])
 
-    rep = _hrep_for(net, signs, table_of(signs))
-    if rep is None:
+    entry = table_of(signs)
+    if not _constant_rows_hold(net, signs, entry[0]):
         raise GenericityError(f"cell {signs_to_str(signs)} is infeasible")
-    cls = _certified_vertex(signs, rep, memo.get(signs, ()), lp_tol)
+    cls = _certified_vertex(signs, entry, memo.get(signs, ()), lp_tol)
     if cls is None:
+        rep = _hrep_for(net, signs, entry[0])
         res = lp_solve(_cell_problem(rep, form_of(signs).total_gradient), feas_tol=lp_tol)
         if res.status == "unbounded":
             raise UnboundedCellError(
@@ -367,18 +385,15 @@ def local_pair(
             )
         if not res.optimal:
             raise GenericityError(f"cell {signs_to_str(signs)} is infeasible")
-
-        v_signs = list(signs)
-        for row_idx in res.tight:
-            v_signs[rep.ge_positions[row_idx]] = 0
-        v_signs = tuple(v_signs)
+        tight = {rep.ge_positions[r] for r in res.tight}
+        v_signs = tuple(0 if p in tight else s for p, s in enumerate(signs))
         if v_signs.count(0) != net.n0:
             raise GenericityError(
                 f"LP maximum over {signs_to_str(signs)} is not attained at a simple vertex"
             )
         # A vertex's word lies in no lower star but its own.
         if v_signs not in memo:
-            new = classify_signs(v_signs, lambda v, e: _slope_into_edge(v, e, form_of)[1])
+            new = classify_signs(v_signs, _slopes_at(v_signs, form_of))
             for w in _lower_star_patterns(v_signs, _allowed_signs(new)):
                 memo.setdefault(w, []).append(new)
         cls = memo[v_signs][0]

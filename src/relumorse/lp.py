@@ -83,11 +83,12 @@ class LpResult:
 
 def _pivot(tableau, row, col):
     """Scale ``row`` to a unit entry in ``col`` and clear that column from
-    every other row of the tableau, in place."""
+    every other row of the tableau, in place, by one rank-1 update."""
     tableau[row, :] /= tableau[row, col]
-    for r in range(tableau.shape[0]):
-        if r != row and abs(tableau[r, col]) > 0.0:
-            tableau[r, :] -= tableau[r, col] * tableau[row, :]
+    factors = tableau[:, col].copy()
+    factors[row] = 0.0
+    hit = np.flatnonzero(np.abs(factors) > 0.0)
+    tableau[hit] -= np.outer(factors[hit], tableau[row])
 
 
 def _bland_min(tableau, basis, ncols):

@@ -142,13 +142,7 @@ class ReluNetwork:
             for i, layer in enumerate(layers)
             for j in range(layer.out_dim)
         )
-        offsets = []
-        total = 0
-        for layer in layers:
-            offsets.append(total)
-            total += layer.out_dim
         object.__setattr__(self, "_layout", layout)
-        object.__setattr__(self, "_offsets", tuple(offsets))
 
     @property
     def arch(self) -> Architecture:
@@ -166,12 +160,6 @@ class ReluNetwork:
     def total_neurons(self) -> int:
         return len(self._layout)
 
-    def pos(self, i: int, j: int) -> int:
-        """Flat sign-sequence position of neuron j in layer i (both 1-based)."""
-        if not (1 <= i <= self.m) or not (1 <= j <= self.layers[i - 1].out_dim):
-            raise DimensionError(f"neuron index ({i}, {j}) out of range")
-        return self._offsets[i - 1] + (j - 1)
-
     def ij(self, pos: int) -> tuple:
         return self._layout[pos]
 
@@ -181,17 +169,6 @@ class ReluNetwork:
             raise DimensionError(f"expected a point in R^{self.n0}, got shape {x.shape}")
         return x
 
-    def preactivations(self, x) -> list:
-        """Pre-activation vectors of every hidden layer at x."""
-        x = self._check_input(x)
-        pre = []
-        h = x
-        for layer in self.layers:
-            z = layer(h)
-            pre.append(z)
-            h = np.maximum(z, 0.0)
-        return pre
-
     def evaluate(self, x) -> float:
         """F(x) = G(ReLU(A_m(... ReLU(A_1(x)) ...)))."""
         x = self._check_input(x)
@@ -199,35 +176,6 @@ class ReluNetwork:
         for layer in self.layers:
             h = np.maximum(layer(h), 0.0)
         return float(self.final(h)[0])
-
-    def node_map(self, i: int, j: int, x) -> float:
-        """Pre-activation of neuron (i, j) at x (both indices 1-based)."""
-        self.pos(i, j)  # range check
-        return float(self.preactivations(x)[i - 1][j - 1])
-
-    def sign_sequence_at(self, x, tol: float = 1e-9) -> Signs:
-        """Sign word of all node maps at x.
-
-        A value counts as zero when it is below ``tol`` times the infinity
-        norm of the node map's affine row on the cell containing x.
-        """
-        if tol < 0:
-            raise ValueError("tol must be >= 0")
-        x = self._check_input(x)
-        signs = []
-        h = x
-        jac = np.eye(self.n0)
-        for layer in self.layers:
-            z = layer(h)
-            rows = layer.weights @ jac
-            scale = np.maximum(np.abs(rows).max(axis=1), 1e-300)
-            layer_signs = np.sign(z)
-            layer_signs[np.abs(z) <= tol * scale] = 0.0
-            signs.extend(int(s) for s in layer_signs)
-            active = layer_signs > 0
-            h = np.where(active, z, 0.0)
-            jac = rows * active[:, None]
-        return tuple(signs)
 
 
 @dataclass(frozen=True)

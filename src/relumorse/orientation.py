@@ -10,7 +10,8 @@ into an n0 x n0 matrix W and solve
 
 where k indexes the single entry where e differs from v.  The sign of the
 directional derivative is then sign(gradF . d) on the same top cell; it does
-not depend on which containing top cell is used.
+not depend on which containing top cell is used.  The classifier solves the
+2*n0 systems of a vertex in one stacked call.
 
 A vertex is PL critical iff every axis pair of incident edges points the
 same way (both toward or both away from v); the index counts the
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complex import CanonicalComplex, Cell, VertexRecord, _is_flat, build_complex
-from .complex import _direction_into_edge, _slope_into_edge
+from .complex import _direction_into_edge, _edges_at, _slope_into_edge
 from .errors import ArchitectureError, MissingEdgeError
 from .network import ReluNetwork, Signs, signs_to_str
 
@@ -44,10 +45,6 @@ class EdgeOrientation:
     anchor: Signs | None
     derivative_sign: int
     direction: np.ndarray
-
-    @property
-    def away_from_anchor(self) -> bool:
-        return self.derivative_sign > 0
 
 
 @dataclass(frozen=True)
@@ -94,22 +91,10 @@ def orient_edge(cpx: CanonicalComplex, vertex, edge) -> EdgeOrientation:
     return EdgeOrientation(e.signs, v.signs, sign, d)
 
 
-def _edges_at(v_signs: Signs):
-    """(position, sigma, edge signs) of the 2*n0 edges at a vertex."""
-    for p, s in enumerate(v_signs):
-        if s != 0:
-            continue
-        for sigma in (-1, 1):
-            yield p, sigma, v_signs[:p] + (sigma,) + v_signs[p + 1 :]
-
-
-def classify_signs(v_signs: Signs, slope) -> VertexClassification:
+def classify_signs(v_signs: Signs, slopes: dict) -> VertexClassification:
     """PL-regular/critical decision for the vertex named v_signs from the
-    signs ``slope(v_signs, e_signs)`` of dF along its 2*n0 edges."""
-    desc = {
-        (p, sigma): slope(v_signs, e_signs) < 0
-        for p, sigma, e_signs in _edges_at(v_signs)
-    }
+    signs ``slopes[e_signs]`` of dF along its 2*n0 edges."""
+    desc = {(p, sigma): slopes[e_signs] < 0 for p, sigma, e_signs in _edges_at(v_signs)}
     axes = tuple(
         (p, desc[(p, -1)], desc[(p, 1)]) for p, s in enumerate(v_signs) if s == 0
     )
@@ -131,7 +116,7 @@ def classify_vertex(cpx: CanonicalComplex, vertex) -> VertexClassification:
                 f"expected edge {signs_to_str(e_signs)} at vertex"
                 f" {signs_to_str(v.signs)} is missing"
             )
-    return classify_signs(v.signs, cpx.slope)
+    return classify_signs(v.signs, cpx.slopes_at(v.signs))
 
 
 def orientation_field(cpx: CanonicalComplex) -> dict:

@@ -19,7 +19,7 @@ from relumorse import (
     signs_to_str,
 )
 from relumorse.complex import _FAR, _FLAT_TOL, _cell_problem, _cut
-from relumorse.errors import FlatCellError, StructuredError
+from relumorse.errors import DimensionError, FlatCellError, StructuredError
 from relumorse.lp import _simplex
 
 
@@ -55,6 +55,18 @@ def differential_draws():
     return [d for arch in ((2, 4), (3, 4), (2, 3, 2)) for d in scan_generic_nets(arch, 3)]
 
 
+@pytest.fixture(scope="session")
+def certified_draws(netb, cpx_b, netb_neg, cpx_b_neg):
+    """(net, complex) pairs on which ``local_pair``'s certified vertices are
+    checked against its LPs, and its LPs' pivots against the row loop."""
+    draws = [(netb, cpx_b), (netb_neg, cpx_b_neg)]
+    for arch, count in (((2, 8), 3), ((3, 6), 3), ((4, 7), 2), ((2, 4, 3), 3)):
+        draws += [(net, cpx) for _, net, cpx in scan_generic_nets(arch, count)]
+    # Top cells with C(20, 2) = 190 ways to zero two entries.
+    wide = random_network(Architecture((2, 20)), seed=0)
+    return draws + [(wide, build_complex(wide))]
+
+
 def scan_generic_nets(arch, count, start_seed=0, scale=1.0):
     """First ``count`` seeds (ascending from start_seed) whose complexes build
     without structured errors; degenerate or flat draws are skipped."""
@@ -81,6 +93,55 @@ def central_difference_gradient(net, x, h):
         step[axis] = h
         grad[axis] = (net.evaluate(x + step) - net.evaluate(x - step)) / (2 * h)
     return grad
+
+
+# -- pointwise evaluation: what the tests read off a network at a point ------
+
+
+def preactivations(net, x) -> list:
+    """Pre-activation vectors of every hidden layer at x."""
+    h = net._check_input(x)
+    pre = []
+    for layer in net.layers:
+        pre.append(layer(h))
+        h = np.maximum(pre[-1], 0.0)
+    return pre
+
+
+def node_map(net, i: int, j: int, x) -> float:
+    """Pre-activation of neuron (i, j) at x (both indices 1-based)."""
+    if not (1 <= i <= net.m) or not (1 <= j <= net.layers[i - 1].out_dim):
+        raise DimensionError(f"neuron index ({i}, {j}) out of range")
+    return float(preactivations(net, x)[i - 1][j - 1])
+
+
+def sign_sequence_at(net, x, tol: float = 1e-9) -> tuple:
+    """Sign word of all node maps at x.
+
+    A value counts as zero when it is below ``tol`` times the infinity
+    norm of the node map's affine row on the cell containing x.
+    """
+    if tol < 0:
+        raise ValueError("tol must be >= 0")
+    h = net._check_input(x)
+    signs = []
+    jac = np.eye(net.n0)
+    for layer in net.layers:
+        z = layer(h)
+        rows = layer.weights @ jac
+        scale = np.maximum(np.abs(rows).max(axis=1), 1e-300)
+        layer_signs = np.sign(z)
+        layer_signs[np.abs(z) <= tol * scale] = 0.0
+        signs.extend(int(s) for s in layer_signs)
+        active = layer_signs > 0
+        h = np.where(active, z, 0.0)
+        jac = rows * active[:, None]
+    return tuple(signs)
+
+
+def away_from_anchor(orientation) -> bool:
+    """True iff F increases leaving the anchor into the oriented edge."""
+    return orientation.derivative_sign > 0
 
 
 # -- reference oracles: scans and LPs that the library does not need ---------
@@ -126,6 +187,36 @@ def rays_scan(cpx, cell) -> list:
             if len(ends) == 1:
                 out.append((ends[0], edge))
     return sorted(out)
+
+
+def reference_pivot(tableau, row, col):
+    """``lp._pivot`` row by row: the reference for its rank-1 update."""
+    tableau[row, :] /= tableau[row, col]
+    for r in range(tableau.shape[0]):
+        if r != row and abs(tableau[r, col]) > 0.0:
+            tableau[r, :] -= tableau[r, col] * tableau[row, :]
+
+
+def reference_certified_vertex(signs, rep, candidates, lp_tol):
+    """``dgvf._certified_vertex`` cell by cell: each candidate solves the
+    cell's H-representation rows at its zeros, the cell's zero rows first,
+    and passes when exactly the >= rows it zeroes are tight there."""
+    row_of = {p: r for r, p in enumerate(rep.ge_positions)}
+    for cls in candidates:
+        extra = [row_of.get(p) for p, s in enumerate(cls.vertex) if s == 0 and signs[p] != 0]
+        if None in extra:
+            continue
+        a = np.vstack([rep.a_eq, rep.a_ge[extra]])
+        b = np.concatenate([rep.b_eq, rep.b_ge[extra]])
+        try:
+            x = np.linalg.solve(a, b)
+        except np.linalg.LinAlgError:
+            continue
+        if np.abs(a @ x - b).max() > lp_tol:
+            continue
+        if np.flatnonzero(rep.a_ge @ x - rep.b_ge <= lp_tol).tolist() == extra:
+            return cls
+    return None
 
 
 def lp_max(cpx, cell, sense=1) -> float:

@@ -31,7 +31,13 @@ from relumorse import (
 )
 from relumorse.complex import build_complex
 
-from conftest import central_difference_gradient, is_spatially_bounded, scan_generic_nets
+from conftest import (
+    away_from_anchor,
+    central_difference_gradient,
+    is_spatially_bounded,
+    scan_generic_nets,
+    sign_sequence_at,
+)
 
 S = signs_from_str
 
@@ -212,7 +218,7 @@ def test_criterion_8_analytic_gradients(suite):
             for edge in item.cpx.cofacets(signs):
                 d = edge_direction(item.cpx, record, edge)
                 probe = record.location + 1e-4 * scale * d
-                assert item.net.sign_sequence_at(probe) == edge.signs, (
+                assert sign_sequence_at(item.net, probe) == edge.signs, (
                     item.arch,
                     item.seed,
                     edge.signs,
@@ -224,7 +230,7 @@ def test_criterion_8_analytic_gradients(suite):
 def _bounded_edge_arrow(cpx, cell):
     """(tail, head) vertex signs of a bounded oriented edge."""
     a, b = sorted(cpx.vertex_facets(cell), key=lambda v: v.signs)
-    if orient_edge(cpx, a, cell).away_from_anchor:
+    if away_from_anchor(orient_edge(cpx, a, cell)):
         return a.signs, b.signs
     return b.signs, a.signs
 
@@ -257,7 +263,7 @@ def test_criterion_9_structural_properties(suite):
             for v in cpx.vertex_facets(cell):
                 incident = [e for e in edges if is_face(v.signs, e.signs)]
                 assert len(incident) == 2, (item.arch, item.seed, cell.signs)
-                away = [orient_edge(cpx, v, e).away_from_anchor for e in incident]
+                away = [away_from_anchor(orient_edge(cpx, v, e)) for e in incident]
                 if all(away):
                     sources += 1
                 if not any(away):
@@ -281,10 +287,10 @@ def test_criterion_9_structural_properties(suite):
                     e2 = [u for u in unbounded if is_face(v2.signs, u.signs)]
                     if not e1 or not e2:
                         continue
-                    toward_v1 = not orient_edge(cpx, v1, e1[0]).away_from_anchor
-                    away_v2 = orient_edge(cpx, v2, e2[0]).away_from_anchor
+                    toward_v1 = not away_from_anchor(orient_edge(cpx, v1, e1[0]))
+                    away_v2 = away_from_anchor(orient_edge(cpx, v2, e2[0]))
                     if toward_v1 and away_v2:
-                        assert orient_edge(cpx, v1, e).away_from_anchor, (
+                        assert away_from_anchor(orient_edge(cpx, v1, e)), (
                             item.arch,
                             item.seed,
                             cell.signs,

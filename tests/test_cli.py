@@ -1,8 +1,11 @@
 import json
+from collections import Counter
 
+import numpy as np
 import pytest
 
 import relumorse.cli as cli_module
+import relumorse.complex as complex_module
 import relumorse.dgvf as dgvf_module
 from relumorse import (
     AffineLayer,
@@ -173,6 +176,56 @@ def test_local_check_classifies_each_vertex_once(tmp_path, monkeypatch):
     m = json.loads(matching.read_text())
     checked = 2 * len(m["pairs"]) + len(m["critical"])
     assert 0 < len(lps) == len(classified) == len(set(classified)) < checked
+
+
+@pytest.mark.parametrize("arch", ["2,8,1", "4,7,1"])
+def test_local_check_pays_per_vertex(tmp_path, monkeypatch, arch):
+    # Inside local_pair, a cell builds its H-representation only for its
+    # LP, and each vertex the LPs find costs one stacked edge solve; the
+    # other solves are the vertex points, n0 x n0 each.
+    counts, solves, inside = Counter(), [], []
+    real_solve = np.linalg.solve
+
+    def solve(a, b):
+        if inside:
+            solves.append(np.shape(a))
+        return real_solve(a, b)
+
+    def spy(name):
+        real = getattr(dgvf_module, name)
+        monkeypatch.setattr(
+            dgvf_module, name, lambda *a, **k: counts.update([name]) or real(*a, **k)
+        )
+
+    def local_pair(*args, **kwargs):
+        inside.append(True)
+        try:
+            return real_local_pair(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    for name in ("_hrep_for", "lp_solve", "_slopes_at"):
+        spy(name)
+    real_edge = complex_module._slope_into_edge
+    monkeypatch.setattr(
+        complex_module,
+        "_slope_into_edge",
+        lambda *a: (counts.update(["per edge"]) if inside else None) or real_edge(*a),
+    )
+    real_local_pair = cli_module.local_pair
+    monkeypatch.setattr(cli_module, "local_pair", local_pair)
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    weights, report = tmp_path / "w.json", tmp_path / "r.json"
+    run(["gen", "--arch", arch, "--seed", "0", "-o", str(weights)])
+    code = run(
+        ["dgvf", "-i", str(weights), "-o", str(tmp_path / "m.json"), "--report", str(report),
+         "--local-check"]
+    )
+    assert code == 0 and json.loads(report.read_text())["pass"] is True
+    n0 = int(arch.split(",")[0])
+    assert 0 < counts["_hrep_for"] == counts["lp_solve"] == counts["_slopes_at"]
+    assert solves.count((2 * n0, n0, n0)) == counts["_slopes_at"] and not counts["per edge"]
+    assert all(shape == (n0, n0) for shape in solves if len(shape) == 2)
 
 
 def test_near_tie_net_b_passes_dgvf(tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -16,8 +18,8 @@ from relumorse import (
     random_network,
     signs_from_str,
 )
-from relumorse.complex import _hrep_for, _vertex_location
-from relumorse.errors import FlatCellError, GenericityError, InjectivityError
+from relumorse.complex import _edges_at, _hrep_for, _slope_into_edge, _slopes_at, _vertex_location
+from relumorse.errors import FlatCellError, GenericityError, InjectivityError, StructuredError
 from relumorse.network import NodeMaps
 
 from conftest import (
@@ -27,6 +29,7 @@ from conftest import (
     lp_max,
     rays_scan,
     scan_generic_nets,
+    sign_sequence_at,
     star,
     vertex_facets_scan,
 )
@@ -301,19 +304,55 @@ def test_f_max_without_ray_slopes_falls_back_to_lp(monkeypatch):
 
 
 def test_slopes_are_solved_once_per_vertex_and_edge(monkeypatch):
-    # classify_vertex and the ray rule of sup read the same cached slopes.
-    calls = []
-    real = complex_module._slope_into_edge
-
-    def spy(v, e, form_of):
-        calls.append((v, e))
-        return real(v, e, form_of)
-
-    monkeypatch.setattr(complex_module, "_slope_into_edge", spy)
+    # classify_vertex solves each vertex's 2*n0 edges in one stack, and the
+    # ray rule of sup reads the same cached slopes: no slope is solved twice.
+    stacked, single = [], []
+    real_stack, real_single = complex_module._slopes_at, complex_module._slope_into_edge
+    monkeypatch.setattr(
+        complex_module, "_slopes_at", lambda v, f: stacked.append(v) or real_stack(v, f)
+    )
+    monkeypatch.setattr(
+        complex_module, "_slope_into_edge", lambda v, e, f: single.append(e) or real_single(v, e, f)
+    )
     cpx = build_complex(random_network(Architecture.from_full((4, 7, 1)), seed=0))
     build_dgvf(cpx)
     assert all(cpx.is_bounded_above(c) for c in compactify(cpx).cells.values())
-    assert calls and len(calls) == len(set(calls))
+    assert sorted(stacked) == sorted(cpx.vertices) and single == []
+
+
+def _edge_outcome(slopes):
+    """What ``slopes()`` returns, or the class and message it raises."""
+    try:
+        return slopes()
+    except StructuredError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("kind", ["flat", "singular", "nan"])
+@pytest.mark.parametrize("sigma", [-1, 1])
+def test_stacked_edge_slopes_raise_as_the_first_failing_edge(kind, sigma):
+    # One top cell's form is broken: its edges (all four +1 edges, or the
+    # last -1 edge) fail in the stack, and the per-edge fallback raises
+    # what the edges solved one by one raise first.
+    _, net, cpx = scan_generic_nets((4, 7), 1)[0]
+    v = min(cpx.vertices)
+    p = max(q for q, s in enumerate(v) if s == 0)
+    broken = tuple(sigma if q == p else 1 if s == 0 else s for q, s in enumerate(v))
+
+    def form_of(signs):
+        form = cpx.form(signs)
+        if signs != broken:
+            return form
+        if kind == "flat":
+            return dataclasses.replace(form, total_gradient=np.zeros(net.n0))
+        return dataclasses.replace(form, rows=form.rows * (0.0 if kind == "singular" else np.nan))
+
+    def per_edge():
+        return {e: _slope_into_edge(v, e, form_of)[1] for _, _, e in _edges_at(v)}
+
+    expected = _edge_outcome(per_edge)
+    assert isinstance(expected, tuple) and issubclass(expected[0], StructuredError)
+    assert _edge_outcome(lambda: _slopes_at(v, form_of)) == expected
 
 
 def _count_lps(monkeypatch) -> list:
@@ -428,7 +467,7 @@ def test_shallow_planar_counts(n):
 
 def test_witness_signs_match_cell(cpx_b):
     for signs, cell in cpx_b.cells.items():
-        assert cpx_b.net.sign_sequence_at(cell.witness) == signs
+        assert sign_sequence_at(cpx_b.net, cell.witness) == signs
 
 
 def test_vertex_facets_match_scan(differential_draws, netb, cpx_b):

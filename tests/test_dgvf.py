@@ -1,3 +1,7 @@
+import itertools
+from collections import Counter
+
+import numpy as np
 import pytest
 
 import relumorse.dgvf as dgvf_module
@@ -10,11 +14,12 @@ from relumorse import (
     classify_vertex,
     compactify,
     is_acyclic,
+    is_face,
     local_pair,
     pair_lower_star,
     signs_from_str,
 )
-from relumorse import AffineLayer, Architecture, ReluNetwork, random_network
+from relumorse import AffineLayer, Architecture, ReluNetwork, net_b, random_network
 from relumorse.dgvf import _allowed_signs, _lower_star_patterns, _partner
 from relumorse.errors import (
     DimensionError,
@@ -24,9 +29,15 @@ from relumorse.errors import (
     UnboundedCellError,
 )
 from relumorse.lp import LpResult
+from relumorse.network import NodeMaps
 from relumorse.orientation import VertexClassification
 
-from conftest import lower_star, scan_generic_nets
+from conftest import (
+    lower_star,
+    reference_certified_vertex,
+    scan_generic_nets,
+    sign_sequence_at,
+)
 
 S = signs_from_str
 
@@ -261,25 +272,19 @@ def _classified_vertices(memo) -> set:
     return {cls.vertex for found in memo.values() for cls in found}
 
 
-def _local_outcome(net, signs, memo):
+def _local_outcome(net, signs, memo, tables=None):
     try:
-        return local_pair(net, signs, _classified=memo)
+        return local_pair(net, signs, _classified=memo, _tables=tables)
     except StructuredError as exc:
         return type(exc), str(exc)
 
 
-def test_certified_vertices_match_the_lp(netb, cpx_b, netb_neg, cpx_b_neg, monkeypatch):
+def test_certified_vertices_match_the_lp(certified_draws, monkeypatch):
     # One memo shared over the sorted bounded-above cells, as --local-check
     # runs it, against a fresh LP per cell: same assignment or same error.
-    draws = [(netb, cpx_b), (netb_neg, cpx_b_neg)]
-    for arch, count in (((2, 8), 3), ((3, 6), 3), ((4, 7), 2), ((2, 4, 3), 3)):
-        draws += [(net, cpx) for _, net, cpx in scan_generic_nets(arch, count)]
-    # Top cells with C(20, 2) = 190 ways to zero two entries.
-    wide = random_network(Architecture((2, 20)), seed=0)
-    draws.append((wide, build_complex(wide)))
     lps = _count_local_lps(monkeypatch)
     shared_lps = checked = 0
-    for net, cpx in draws:
+    for net, cpx in certified_draws:
         cells = sorted(s for s, c in cpx.cells.items() if cpx.is_bounded_above(c))
         memo = {}
         del lps[:]
@@ -289,6 +294,72 @@ def test_certified_vertices_match_the_lp(netb, cpx_b, netb_neg, cpx_b_neg, monke
         assert shared == [_local_outcome(net, s, None) for s in cells], net.arch
         assert len(_classified_vertices(memo)) <= len(cpx.vertices)
     assert shared_lps < checked / 3
+
+
+def test_certified_vertex_matches_the_per_cell_reference(certified_draws, monkeypatch):
+    # The cached vertex points against the per-cell H-representation solve:
+    # on the candidates the memo hands over and, once the memo is full, on
+    # each classified vertex in a cell's closure and two outside it.  The
+    # deep nets do not build (a dead layer on a cell with a vertex), so their
+    # top cells come from sample points, and each of their cells also meets
+    # every word that zeroes n0 of its entries; the dead cells' tables have
+    # constant rows.
+    draws = [
+        (net, sorted(s for s, c in cpx.cells.items() if cpx.is_bounded_above(c)), False)
+        for net, cpx in certified_draws
+    ]
+    rng = np.random.default_rng(0)
+    for arch in ((2, 4, 4), (3, 4, 3)):
+        for seed in range(6):
+            net = random_network(Architecture(arch), seed)
+            points = rng.uniform(-4.0, 4.0, (300, net.n0))
+            draws.append((net, sorted({sign_sequence_at(net, x) for x in points}), True))
+    real, checked = dgvf_module._certified_vertex, Counter()
+
+    def check(signs, entry, candidates, lp_tol):
+        got = real(signs, entry, candidates, lp_tol)
+        rep = dgvf_module._hrep_for(net, signs, entry[0])
+        assert got is reference_certified_vertex(signs, rep, candidates, lp_tol), signs
+        checked["constant" if entry[0].const.any() and candidates else "live"] += 1
+        return got
+
+    monkeypatch.setattr(dgvf_module, "_certified_vertex", check)
+    for net, cells, forge in draws:
+        memo, tables = {}, {}
+        for s in cells:
+            _local_outcome(net, s, memo, tables)
+        found = sorted({c.vertex: c for cs in memo.values() for c in cs}.items())
+        for s in cells:
+            entry = tables[s[: -net.layers[-1].out_dim]]
+            try:
+                if dgvf_module._hrep_for(net, s, entry[0]) is None:
+                    continue
+            except StructuredError:
+                continue
+            candidates = [c for v, c in found if is_face(v, s)]
+            candidates += [c for v, c in found if not is_face(v, s)][:2]
+            if forge:
+                for zeros in itertools.combinations(range(len(s)), net.n0):
+                    v = tuple(0 if p in zeros else x for p, x in enumerate(s))
+                    candidates.append(VertexClassification(v, "critical", 0, (), None, None))
+            for cls in candidates:
+                check(s, entry, [cls], 1e-7)
+    assert checked["live"] > 10000 and checked["constant"] > 100
+
+
+@pytest.mark.parametrize("vertex, passes", [("00-", True), ("0+0", False)])
+def test_constant_rows_take_no_part_in_the_point_test(vertex, passes):
+    # Row 2 is constant on this table (norm 1.4e-14) and its offset is
+    # within lp_tol of zero, as in no H-representation row: it neither
+    # reads as tight at 00-, nor gives 0+0, which zeroes it, a point.
+    rows = np.array([[1.0, 0.0], [0.0, 1.0], [1e-14, 1e-14]])
+    table = NodeMaps(rows, np.array([0.0, 0.0, -5e-8]))
+    assert table.const.tolist() == [False, False, True]
+    signs, cls = S("++-"), VertexClassification(S(vertex), "critical", 0, (), None, None)
+    rep = dgvf_module._hrep_for(net_b(), signs, table)
+    expected = reference_certified_vertex(signs, rep, [cls], 1e-7)
+    assert (expected is cls) == passes
+    assert dgvf_module._certified_vertex(signs, (table, {}), [cls], 1e-7) is expected
 
 
 def test_memo_vertex_that_is_not_the_peak_takes_the_lp(netb, monkeypatch):
@@ -327,8 +398,8 @@ def test_memo_does_not_hide_unbounded_cells(netb, monkeypatch):
     memo = {w: [forged] for w in _lower_star_patterns(forged.vertex, _allowed_signs(forged))}
     real, seen = dgvf_module._certified_vertex, []
 
-    def spy(signs, rep, candidates, lp_tol):
-        seen.append((list(candidates), real(signs, rep, candidates, lp_tol)))
+    def spy(signs, entry, candidates, lp_tol):
+        seen.append((list(candidates), real(signs, entry, candidates, lp_tol)))
         return seen[-1][1]
 
     monkeypatch.setattr(dgvf_module, "_certified_vertex", spy)

@@ -431,3 +431,20 @@ def test_flat_flags_match_per_cell_reference(net):
         assert [(s, flat) for s, _, flat in outcome[1]] == expected
     else:
         assert outcome[1] != "FlatCellError"
+
+
+def test_stacked_edge_slopes_match_the_per_edge_solves():
+    # At every vertex of the nets that build, one stacked solve gives the
+    # signs that _slope_into_edge gives edge by edge.
+    vertices = 0
+    for net in CLOSURE_NETS:
+        try:
+            cpx = build_complex(net, sign_tol=SIGN_TOL, lp_tol=LP_TOL)
+        except StructuredError:
+            continue
+        for v in cpx.vertices:
+            edges = [e for _, _, e in complex_module._edges_at(v)]
+            per_edge = {e: complex_module._slope_into_edge(v, e, cpx.form)[1] for e in edges}
+            assert complex_module._slopes_at(v, cpx.form) == per_edge, v
+            vertices += 1
+    assert vertices > 300

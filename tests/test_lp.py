@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 
 from relumorse import lp as lp_module
+from relumorse.complex import _cell_problem
 from relumorse.lp import (
     FEAS_TOL,
     LpProblem,
+    _pivot,
     _point_or_line,
     _simplex,
     interior_witness,
     lp_solve,
 )
+
+from conftest import reference_pivot
 
 
 def test_triangle_maximum_with_tight_set():
@@ -261,3 +265,35 @@ def test_tie_returns_an_optimum_with_the_simplex_value(monkeypatch, a_ge, b_ge, 
     ends = [np.array(e) for e in ends]
     expected = min(ends, key=lambda e: (e - x0) @ d) if ends else x0
     assert np.allclose(res.x, expected)
+
+
+def test_rank_one_pivot_matches_the_row_loop(certified_draws, monkeypatch):
+    # Each entry sees the same multiply and subtract, so the tableaux agree
+    # exactly: on random ones with zero entries, and at every pivot of the
+    # tableau LP of each bounded-above cell of the certification draws.
+    rng = np.random.default_rng(0)
+    for shape in ((8, 20), (30, 70), (4, 4)):
+        for _ in range(25):
+            tableau = rng.standard_normal(shape) * (rng.random(shape) < 0.6)
+            row, col = rng.integers(shape[0]), rng.integers(shape[1])
+            tableau[row, col] = rng.uniform(0.5, 2.0)
+            expected = tableau.copy()
+            reference_pivot(expected, row, col)
+            _pivot(tableau, row, col)
+            assert np.array_equal(tableau, expected)
+    pivots = []
+
+    def check(tableau, row, col):
+        expected = tableau.copy()
+        reference_pivot(expected, row, col)
+        _pivot(tableau, row, col)
+        assert np.array_equal(tableau, expected)
+        pivots.append(tableau.shape)
+
+    monkeypatch.setattr(lp_module, "_pivot", check)
+    for net, cpx in certified_draws:
+        for signs, cell in cpx.cells.items():
+            if cell.dim and cpx.is_bounded_above(cell):
+                objective = cpx.form(signs).total_gradient
+                _simplex(_cell_problem(cpx.hrep(signs), objective), cpx.lp_tol)
+    assert len(pivots) > 1000

@@ -23,7 +23,7 @@ from relumorse.errors import (
     StructuredError,
 )
 
-from conftest import central_difference_gradient
+from conftest import central_difference_gradient, node_map, sign_sequence_at
 
 
 def test_evaluate_net_b():
@@ -48,12 +48,12 @@ def test_evaluate_shape_error():
 
 def test_node_map_examples():
     net = net_b()
-    assert net.node_map(1, 3, [0.0, 0.0]) == pytest.approx(1.0)
-    assert net.node_map(1, 1, [1.0, 0.0]) == pytest.approx(1.0)
+    assert node_map(net, 1, 3, [0.0, 0.0]) == pytest.approx(1.0)
+    assert node_map(net, 1, 1, [1.0, 0.0]) == pytest.approx(1.0)
     with pytest.raises(DimensionError):
-        net.node_map(2, 1, [0.0, 0.0])
+        node_map(net, 2, 1, [0.0, 0.0])
     with pytest.raises(DimensionError):
-        net.node_map(1, 4, [0.0, 0.0])
+        node_map(net, 1, 4, [0.0, 0.0])
 
 
 def test_node_map_vanishes_on_hyperplane():
@@ -61,14 +61,14 @@ def test_node_map_vanishes_on_hyperplane():
         (AffineLayer([[2.0, -1.0]], [0.5]),), AffineLayer([[1.0]], [0.0])
     )
     # Any point with 2x - y + 0.5 = 0 lies on the hyperplane of neuron (1, 1).
-    assert net.node_map(1, 1, [0.25, 1.0]) == pytest.approx(0.0)
+    assert node_map(net, 1, 1, [0.25, 1.0]) == pytest.approx(0.0)
 
 
 def test_sign_sequence_examples():
     net = net_b()
-    assert net.sign_sequence_at([0.5, 0.2]) == (1, 1, 1)
-    assert net.sign_sequence_at([1.0, 0.0]) == (1, 0, 0)
-    assert net.sign_sequence_at([0.0, 0.0]) == (0, 0, 1)
+    assert sign_sequence_at(net, [0.5, 0.2]) == (1, 1, 1)
+    assert sign_sequence_at(net, [1.0, 0.0]) == (1, 0, 0)
+    assert sign_sequence_at(net, [0.0, 0.0]) == (0, 0, 1)
 
 
 def test_cell_affine_form_gradients():
@@ -94,7 +94,7 @@ def test_affine_form_matches_evaluation_on_interior(cpx_b):
         x = cell.witness
         expected = float(form.total_gradient @ x + form.total_offset)
         assert net.evaluate(x) == pytest.approx(expected, rel=1e-9)
-        assert 0 not in net.sign_sequence_at(x)
+        assert 0 not in sign_sequence_at(net, x)
 
 
 @pytest.mark.parametrize("arch", [(2, 4, 3), (3, 4, 3)])
@@ -103,12 +103,12 @@ def test_node_map_table_follows_sign_word_order(arch):
     rng = np.random.default_rng(0)
     for seed in range(3):
         net = random_network(Architecture(arch), seed)
-        words = {net.sign_sequence_at(x) for x in rng.uniform(-3.0, 3.0, (60, net.n0))}
+        words = {sign_sequence_at(net, x) for x in rng.uniform(-3.0, 3.0, (60, net.n0))}
         for signs in sorted(words):
             form = cell_affine_form(net, signs)
             x = Cell(signs, net.n0, net, 1e-7).witness
             for p in range(net.total_neurons):
-                expected = net.node_map(*net.ij(p), x)
+                expected = node_map(net, *net.ij(p), x)
                 got = float(form.rows[p] @ x + form.offsets[p])
                 assert got == pytest.approx(expected, rel=1e-9, abs=1e-9)
 

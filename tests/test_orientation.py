@@ -15,7 +15,7 @@ from relumorse import (
 )
 from relumorse.errors import ArchitectureError, MissingEdgeError
 
-from conftest import scan_generic_nets
+from conftest import away_from_anchor, scan_generic_nets, sign_sequence_at
 
 S = signs_from_str
 
@@ -33,13 +33,13 @@ def test_edge_direction_lands_in_edge(cpx_b):
         for edge in cpx_b.cofacets(signs):
             d = edge_direction(cpx_b, v, edge)
             probe = v.location + 1e-4 * scale * d
-            assert net.sign_sequence_at(probe) == edge.signs
+            assert sign_sequence_at(net, probe) == edge.signs
 
 
 def test_orient_edge_examples(cpx_b):
     v1 = cpx_b.vertices[S("00+")]
     assert orient_edge(cpx_b, v1, S("+0+")).derivative_sign == -1
-    assert not orient_edge(cpx_b, v1, S("+0+")).away_from_anchor
+    assert not away_from_anchor(orient_edge(cpx_b, v1, S("+0+")))
     assert orient_edge(cpx_b, v1, S("-0+")).derivative_sign == 1
     v2 = cpx_b.vertices[S("+00")]
     for edge in cpx_b.cofacets(S("+00")):
@@ -166,7 +166,7 @@ def test_no_directed_cycles_on_bounded_skeleton(cpx_b):
         if len(anchors) != 2:
             continue
         a, b = anchors
-        if orient_edge(cpx_b, a, cell).away_from_anchor:
+        if away_from_anchor(orient_edge(cpx_b, a, cell)):
             edges.append((a.signs, b.signs))
         else:
             edges.append((b.signs, a.signs))
