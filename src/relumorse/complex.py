@@ -37,7 +37,6 @@ from .errors import (
     FlatCellError,
     GenericityError,
     InjectivityError,
-    MissingEdgeError,
     NumericalInstabilityError,
     SingularSystemError,
 )
@@ -84,45 +83,6 @@ def is_face(a: Signs, b: Signs) -> bool:
     return compose_signs(a, b) == tuple(b)
 
 
-def _direction_into_edge(v_signs: Signs, e_signs: Signs, form_of):
-    """Unit vector from the vertex into the edge, via the node-map system."""
-    diff = [p for p in range(len(v_signs)) if e_signs[p] != v_signs[p]]
-    if len(diff) != 1 or v_signs[diff[0]] != 0:
-        raise MissingEdgeError(
-            f"{signs_to_str(e_signs)} is not an incident edge of {signs_to_str(v_signs)}"
-        )
-    form = form_of(tuple(s if s != 0 else 1 for s in e_signs))
-    zero_pos = [p for p, s in enumerate(v_signs) if s == 0]
-    # Into the edge, the map at its entry takes the edge's sign; the vertex's
-    # other zero maps stay zero.
-    rhs = np.array([e_signs[p] for p in zero_pos], dtype=float)
-    try:
-        d = np.linalg.solve(form.rows[zero_pos], rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(
-            f"singular edge system at vertex {signs_to_str(v_signs)}"
-        ) from exc
-    nrm = float(np.linalg.norm(d))
-    if not np.isfinite(nrm) or nrm <= 0.0:
-        raise SingularSystemError(
-            f"degenerate edge direction at vertex {signs_to_str(v_signs)}"
-        )
-    return d / nrm, form
-
-
-def _slope_into_edge(v_signs: Signs, e_signs: Signs, form_of):
-    """(unit direction, sign of dF along it) from the vertex into the edge;
-    FlatCellError if the directional derivative vanishes."""
-    d, form = _direction_into_edge(v_signs, e_signs, form_of)
-    g = form.total_gradient
-    slope = float(g @ d)
-    if _is_flat(slope, float(np.linalg.norm(g))):
-        raise FlatCellError(
-            f"F is constant along edge {signs_to_str(e_signs)}; network out of scope"
-        )
-    return d, 1 if slope > 0 else -1
-
-
 def _edges_at(v_signs: Signs):
     """(position, sigma, edge signs) of the 2*n0 edges at a vertex."""
     for p, s in enumerate(v_signs):
@@ -132,29 +92,51 @@ def _edges_at(v_signs: Signs):
             yield p, sigma, v_signs[:p] + (sigma,) + v_signs[p + 1 :]
 
 
-def _slopes_at(v_signs: Signs, form_of) -> dict:
-    """{edge: sign of dF leaving the vertex into it} over the 2*n0 edges at
-    a vertex, from one stacked solve of their systems; norms and slopes are
-    taken as in :func:`_slope_into_edge`.  The +1 edges share a top cell, so
-    1 + n0 forms serve.  If the stack fails (a singular system, a zero or
-    non-finite direction, a flat slope), the edges are solved one by one,
-    and the first failing edge raises as it would alone."""
+def _edge_slopes(v_signs: Signs, form_of) -> dict:
+    """{edge: (unit direction, sign of dF along it)} from the vertex into
+    each of its 2*n0 edges, in :func:`_edges_at` order.
+
+    Into an edge, the map at its entry takes the edge's sign and the
+    vertex's other zero maps stay zero: one stacked solve of these node-map
+    systems on each edge's top cell.  The +1 edges share a top cell, so
+    1 + n0 forms serve.  The first failing edge raises: SingularSystemError
+    for a singular system or a zero or non-finite direction, FlatCellError
+    where dF vanishes along it.
+    """
     edges = [e for _, _, e in _edges_at(v_signs)]
     zeros = [p for p, s in enumerate(v_signs) if s == 0]
     tops = [tuple(s if s != 0 else 1 for s in e) for e in edges]
     forms = {t: form_of(t) for t in dict.fromkeys(tops)}
     a = np.array([forms[t].rows[zeros] for t in tops])
     rhs = np.array([[e[p] for p in zeros] for e in edges], dtype=float)
+    singular = np.zeros(len(edges), dtype=bool)
+    try:
+        dirs = np.linalg.solve(a, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        dirs = np.zeros(rhs.shape)
+        for i, (m, r) in enumerate(zip(a, rhs)):
+            try:
+                dirs[i] = np.linalg.solve(m, r)
+            except np.linalg.LinAlgError:
+                singular[i] = True
     out = {}
-    with contextlib.suppress(np.linalg.LinAlgError):
-        for e, t, d in zip(edges, tops, np.linalg.solve(a, rhs[..., None])[..., 0]):
-            nrm, g = float(np.linalg.norm(d)), forms[t].total_gradient
-            slope = float(g @ (d / nrm)) if 0.0 < nrm < np.inf else 0.0
-            if _is_flat(slope, float(np.linalg.norm(g))):
-                break
-            out[e] = 1 if slope > 0 else -1
-    if len(out) < len(edges):
-        return {e: _slope_into_edge(v_signs, e, form_of)[1] for e in edges}
+    for e, t, d, bad in zip(edges, tops, dirs, singular):
+        if bad:
+            raise SingularSystemError(f"singular edge system at vertex {signs_to_str(v_signs)}")
+        nrm = float(np.linalg.norm(d))
+        if not np.isfinite(nrm) or nrm <= 0.0:
+            raise SingularSystemError(
+                f"degenerate edge direction at vertex {signs_to_str(v_signs)}"
+            )
+        d = d / nrm
+        d.flags.writeable = False  # the complex hands the cached array out
+        g = forms[t].total_gradient
+        slope = float(g @ d)
+        if _is_flat(slope, float(np.linalg.norm(g))):
+            raise FlatCellError(
+                f"F is constant along edge {signs_to_str(e)}; network out of scope"
+            )
+        out[e] = (d, 1 if slope > 0 else -1)
     return out
 
 
@@ -308,7 +290,7 @@ class CanonicalComplex:
         self._forms = {}
         self._hreps = {}
         self._fmax = {}
-        self._slopes = {}
+        self._edge_slopes = {}
         self._closure_map = None
 
     @property
@@ -418,14 +400,15 @@ class CanonicalComplex:
         A closure holding a vertex is pointed, its recession cone is spanned
         by its rays, and F is affine on it: sense * F is bounded iff it falls
         leaving the vertex along every ray, and its sup is then the best
-        vertex value.  A vertex-free cell, or a ray whose slope raises, costs
-        one LP on the restricted gradient instead.
+        vertex value.  A vertex-free cell, or a ray at a vertex where
+        :meth:`edge_slopes` raises, costs one LP on the restricted gradient
+        instead.
         """
         signs = tuple(signs)
         corners = self.vertex_facets(signs)
         if corners:
             try:
-                if all(sense * self.slope(v, e) < 0 for v, e in self.closure(signs)[2]):
+                if all(sense * self.edge_slopes(v)[e][1] < 0 for v, e in self.closure(signs)[2]):
                     return max(sense * v.value for v in corners)
                 return float("inf")
             except (FlatCellError, SingularSystemError):
@@ -438,26 +421,16 @@ class CanonicalComplex:
             return max(sense * v.value for v in corners)
         return res.value + sense * form.total_offset
 
-    def slope(self, v_signs: Signs, e_signs: Signs) -> int:
-        """Sign of dF leaving the vertex into the incident edge, cached; a
-        raise of :func:`_slope_into_edge` is not cached."""
-        key = (v_signs, e_signs)
-        if key not in self._slopes:
-            self._slopes[key] = _slope_into_edge(v_signs, e_signs, self.form)[1]
-        return self._slopes[key]
+    def edge_slopes(self, v_signs: Signs) -> dict:
+        """:func:`_edge_slopes` at a vertex, cached; a raise is not cached."""
+        v_signs = tuple(v_signs)
+        if v_signs not in self._edge_slopes:
+            self._edge_slopes[v_signs] = _edge_slopes(v_signs, self.form)
+        return self._edge_slopes[v_signs]
 
-    def slopes_at(self, v_signs: Signs) -> dict:
-        """{edge: :meth:`slope`} over the 2*n0 edges at a vertex, in the same
-        cache; a vertex with an edge not cached costs one :func:`_slopes_at`."""
-        keys = [(v_signs, e) for _, _, e in _edges_at(v_signs)]
-        if not all(k in self._slopes for k in keys):
-            slopes = _slopes_at(v_signs, self.form)
-            self._slopes.update({(v_signs, e): s for e, s in slopes.items()})
-        return {e: self._slopes[(v, e)] for v, e in keys}
-
-    def vertex_location(self, signs: Signs, container: Signs | None = None) -> np.ndarray:
+    def vertex_location(self, signs: Signs) -> np.ndarray:
         """Solve the n0 x n0 node-map system of a vertex's zero entries."""
-        return _vertex_location(tuple(signs), container or self.container_top_cell(signs), self.form)
+        return _vertex_location(tuple(signs), self.container_top_cell(signs), self.form)
 
     # -- export ------------------------------------------------------------
 

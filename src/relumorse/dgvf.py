@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complex import CanonicalComplex, _cell_problem, _constant_rows_hold, _hrep_for
-from .complex import _slopes_at, is_face
+from .complex import _edge_slopes, is_face
 from .errors import (
     DimensionError,
     FlatCellError,
@@ -393,7 +393,7 @@ def local_pair(
             )
         # A vertex's word lies in no lower star but its own.
         if v_signs not in memo:
-            new = classify_signs(v_signs, _slopes_at(v_signs, form_of))
+            new = classify_signs(v_signs, _edge_slopes(v_signs, form_of))
             for w in _lower_star_patterns(v_signs, _allowed_signs(new)):
                 memo.setdefault(w, []).append(new)
         cls = memo[v_signs][0]

@@ -2,16 +2,16 @@
 
 Each edge of the 1-skeleton is oriented in the direction of increase of F.
 The direction from a vertex v into an incident edge e is computed
-analytically (in ``complex``, whose boundedness test reads the same slope):
-stack the node-map rows of v's zero entries (on a top cell containing e)
-into an n0 x n0 matrix W and solve
+analytically: stack the node-map rows of v's zero entries (on a top cell
+containing e) into an n0 x n0 matrix W and solve
 
     W d = sign * e_k
 
 where k indexes the single entry where e differs from v.  The sign of the
 directional derivative is then sign(gradF . d) on the same top cell; it does
-not depend on which containing top cell is used.  The classifier solves the
-2*n0 systems of a vertex in one stacked call.
+not depend on which containing top cell is used.  ``complex._edge_slopes``
+solves the 2*n0 systems of a vertex in one stacked call; the classifier, the
+edge queries and the boundedness test read its per-vertex cache.
 
 A vertex is PL critical iff every axis pair of incident edges points the
 same way (both toward or both away from v); the index counts the
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complex import CanonicalComplex, Cell, VertexRecord, _is_flat, build_complex
-from .complex import _direction_into_edge, _edges_at, _slope_into_edge
+from .complex import _edges_at
 from .errors import ArchitectureError, MissingEdgeError
 from .network import ReluNetwork, Signs, signs_to_str
 
@@ -71,30 +71,32 @@ class VertexClassification:
 
 
 def _resolve(cpx: CanonicalComplex, vertex, edge):
+    """(vertex, edge, (unit direction, sign of dF)) of an edge leaving the
+    vertex; MissingEdgeError when the edge is not incident to it."""
     v = vertex if isinstance(vertex, VertexRecord) else cpx.vertices[tuple(vertex)]
     e = edge if isinstance(edge, Cell) else cpx.cells[tuple(edge)]
-    return v, e
+    if e.signs not in (w for _, _, w in _edges_at(v.signs)):
+        raise MissingEdgeError(f"{e} is not an incident edge of {signs_to_str(v.signs)}")
+    return v, e, cpx.edge_slopes(v.signs)[e.signs]
 
 
 def edge_direction(cpx: CanonicalComplex, vertex, edge) -> np.ndarray:
-    """Unit vector pointing from the vertex into the incident edge."""
-    v, e = _resolve(cpx, vertex, edge)
-    d, _ = _direction_into_edge(v.signs, e.signs, cpx.form)
-    return d
+    """Unit vector from the vertex into the incident edge; raises as orient_edge."""
+    return _resolve(cpx, vertex, edge)[2][0]
 
 
 def orient_edge(cpx: CanonicalComplex, vertex, edge) -> EdgeOrientation:
-    """Orientation of the edge relative to the vertex; FlatCellError if the
-    directional derivative vanishes."""
-    v, e = _resolve(cpx, vertex, edge)
-    d, sign = _slope_into_edge(v.signs, e.signs, cpx.form)
+    """Orientation of the edge relative to the vertex; FlatCellError if a
+    directional derivative at the vertex vanishes."""
+    v, e, (d, sign) = _resolve(cpx, vertex, edge)
     return EdgeOrientation(e.signs, v.signs, sign, d)
 
 
-def classify_signs(v_signs: Signs, slopes: dict) -> VertexClassification:
+def classify_signs(v_signs: Signs, edges: dict) -> VertexClassification:
     """PL-regular/critical decision for the vertex named v_signs from the
-    signs ``slopes[e_signs]`` of dF along its 2*n0 edges."""
-    desc = {(p, sigma): slopes[e_signs] < 0 for p, sigma, e_signs in _edges_at(v_signs)}
+    (direction, sign of dF) ``edges[e_signs]`` of its 2*n0 edges, as
+    ``complex._edge_slopes`` gives them."""
+    desc = {(p, sigma): edges[e_signs][1] < 0 for p, sigma, e_signs in _edges_at(v_signs)}
     axes = tuple(
         (p, desc[(p, -1)], desc[(p, 1)]) for p, s in enumerate(v_signs) if s == 0
     )
@@ -116,7 +118,7 @@ def classify_vertex(cpx: CanonicalComplex, vertex) -> VertexClassification:
                 f"expected edge {signs_to_str(e_signs)} at vertex"
                 f" {signs_to_str(v.signs)} is missing"
             )
-    return classify_signs(v.signs, cpx.slopes_at(v.signs))
+    return classify_signs(v.signs, cpx.edge_slopes(v.signs))
 
 
 def orientation_field(cpx: CanonicalComplex) -> dict:
@@ -143,7 +145,7 @@ def orientation_field(cpx: CanonicalComplex) -> dict:
         d = vh[-1]
         g = cpx.form(signs).total_gradient
         slope = float(g @ d)
-        if _is_flat(slope, g):
+        if _is_flat(slope, float(np.linalg.norm(g))):
             continue
         if slope < 0:
             d = -d
@@ -205,7 +207,7 @@ def analyze_shallow(net: ReluNetwork, cpx: CanonicalComplex | None = None) -> Sh
     toward = []
     for v in cpx.vertices.values():
         rel = [
-            cpx.slope(v.signs, edge.signs)
+            cpx.edge_slopes(v.signs)[edge.signs][1]
             for edge in cpx.cofacets(v.signs)
             if len(cpx.facets(edge)) == 1
         ]

@@ -18,8 +18,8 @@ from relumorse import (
     random_network,
     signs_to_str,
 )
-from relumorse.complex import _FAR, _FLAT_TOL, _cell_problem, _cut
-from relumorse.errors import DimensionError, FlatCellError, StructuredError
+from relumorse.complex import _FAR, _FLAT_TOL, _cell_problem, _cut, _edges_at, _is_flat
+from relumorse.errors import DimensionError, FlatCellError, SingularSystemError, StructuredError
 from relumorse.lp import _simplex
 
 
@@ -139,6 +139,13 @@ def sign_sequence_at(net, x, tol: float = 1e-9) -> tuple:
     return tuple(signs)
 
 
+def single_hyperplane_complex():
+    """Complex of the one-neuron (2,1,1) net: one line, no vertex."""
+    return build_complex(
+        ReluNetwork((AffineLayer([[1.0, 1.0]], [-1.0]),), AffineLayer([[2.0]], [0.5]))
+    )
+
+
 def away_from_anchor(orientation) -> bool:
     """True iff F increases leaving the anchor into the oriented edge."""
     return orientation.derivative_sign > 0
@@ -217,6 +224,51 @@ def reference_certified_vertex(signs, rep, candidates, lp_tol):
         if np.flatnonzero(rep.a_ge @ x - rep.b_ge <= lp_tol).tolist() == extra:
             return cls
     return None
+
+
+def reference_edge_slope(v_signs, e_signs, form_of):
+    """(unit direction, sign of dF along it) from the vertex into one
+    incident edge, its system solved alone: the reference for
+    ``complex._edge_slopes``, which stacks the 2*n0 systems of a vertex."""
+    form = form_of(tuple(s if s != 0 else 1 for s in e_signs))
+    zero_pos = [p for p, s in enumerate(v_signs) if s == 0]
+    # Into the edge, the map at its entry takes the edge's sign; the vertex's
+    # other zero maps stay zero.
+    rhs = np.array([e_signs[p] for p in zero_pos], dtype=float)
+    try:
+        d = np.linalg.solve(form.rows[zero_pos], rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(
+            f"singular edge system at vertex {signs_to_str(v_signs)}"
+        ) from exc
+    nrm = float(np.linalg.norm(d))
+    if not np.isfinite(nrm) or nrm <= 0.0:
+        raise SingularSystemError(
+            f"degenerate edge direction at vertex {signs_to_str(v_signs)}"
+        )
+    d = d / nrm
+    g = form.total_gradient
+    slope = float(g @ d)
+    if _is_flat(slope, float(np.linalg.norm(g))):
+        raise FlatCellError(
+            f"F is constant along edge {signs_to_str(e_signs)}; network out of scope"
+        )
+    return d, 1 if slope > 0 else -1
+
+
+def reference_edge_slopes(v_signs, form_of) -> dict:
+    """:func:`reference_edge_slope` edge by edge over the 2*n0 edges at a
+    vertex, in ``_edges_at`` order, so the first failing edge raises."""
+    return {e: reference_edge_slope(v_signs, e, form_of) for _, _, e in _edges_at(v_signs)}
+
+
+def edge_outcome(slopes):
+    """What ``slopes()`` returns, with each direction as its bytes, or the
+    class and message of the structured error it raises."""
+    try:
+        return {e: (d.tobytes(), sign) for e, (d, sign) in slopes().items()}
+    except StructuredError as exc:
+        return type(exc), str(exc)
 
 
 def lp_max(cpx, cell, sense=1) -> float:

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import relumorse.cli as cli_module
-import relumorse.complex as complex_module
 import relumorse.dgvf as dgvf_module
 from relumorse import (
     AffineLayer,
@@ -204,14 +203,8 @@ def test_local_check_pays_per_vertex(tmp_path, monkeypatch, arch):
         finally:
             inside.pop()
 
-    for name in ("_hrep_for", "lp_solve", "_slopes_at"):
+    for name in ("_hrep_for", "lp_solve", "_edge_slopes"):
         spy(name)
-    real_edge = complex_module._slope_into_edge
-    monkeypatch.setattr(
-        complex_module,
-        "_slope_into_edge",
-        lambda *a: (counts.update(["per edge"]) if inside else None) or real_edge(*a),
-    )
     real_local_pair = cli_module.local_pair
     monkeypatch.setattr(cli_module, "local_pair", local_pair)
     monkeypatch.setattr(np.linalg, "solve", solve)
@@ -223,8 +216,8 @@ def test_local_check_pays_per_vertex(tmp_path, monkeypatch, arch):
     )
     assert code == 0 and json.loads(report.read_text())["pass"] is True
     n0 = int(arch.split(",")[0])
-    assert 0 < counts["_hrep_for"] == counts["lp_solve"] == counts["_slopes_at"]
-    assert solves.count((2 * n0, n0, n0)) == counts["_slopes_at"] and not counts["per edge"]
+    assert 0 < counts["_hrep_for"] == counts["lp_solve"] == counts["_edge_slopes"]
+    assert solves.count((2 * n0, n0, n0)) == counts["_edge_slopes"]
     assert all(shape == (n0, n0) for shape in solves if len(shape) == 2)
 
 

@@ -17,19 +17,23 @@ from relumorse import (
     is_face,
     random_network,
     signs_from_str,
+    signs_to_str,
 )
-from relumorse.complex import _edges_at, _hrep_for, _slope_into_edge, _slopes_at, _vertex_location
+from relumorse.complex import _edge_slopes, _hrep_for, _vertex_location
 from relumorse.errors import FlatCellError, GenericityError, InjectivityError, StructuredError
 from relumorse.network import NodeMaps
 
 from conftest import (
+    edge_outcome,
     facets_scan,
     is_spatially_bounded,
     lower_star,
     lp_max,
     rays_scan,
+    reference_edge_slopes,
     scan_generic_nets,
     sign_sequence_at,
+    single_hyperplane_complex,
     star,
     vertex_facets_scan,
 )
@@ -259,12 +263,6 @@ def test_lower_star_matches_lp_oracle_random():
             assert combinatorial == via_lp, (seed, signs)
 
 
-def _single_hyperplane_complex():
-    return build_complex(
-        ReluNetwork((AffineLayer([[1.0, 1.0]], [-1.0]),), AffineLayer([[2.0]], [0.5]))
-    )
-
-
 def test_f_max_matches_lp_oracle(cpx_b, cpx_b_neg):
     # The single-hyperplane net has no vertex, so f_max keeps the LP value;
     # every other complex here is decided by the rays.  The last four are
@@ -273,7 +271,7 @@ def test_f_max_matches_lp_oracle(cpx_b, cpx_b_neg):
     draws = [cpx for _, _, cpx in scan_generic_nets((2, 4), 2)]
     for arch, seed in (((2, 8), 0), ((4, 7), 0), ((2, 4, 3), 12), ((3, 4, 3), 208)):
         draws.append(build_complex(random_network(Architecture(arch), seed=seed)))
-    for cpx in (cpx_b, cpx_b_neg, _single_hyperplane_complex(), *draws):
+    for cpx in (cpx_b, cpx_b_neg, single_hyperplane_complex(), *draws):
         for signs, cell in cpx.cells.items():
             oracle = lp_max(cpx, cell)
             if cpx.is_bounded_above(cell):
@@ -291,12 +289,12 @@ def test_f_max_matches_lp_oracle(cpx_b, cpx_b_neg):
 
 
 def test_f_max_without_ray_slopes_falls_back_to_lp(monkeypatch):
-    # A ray whose slope raises (flat or singular edge system) must not make
-    # export_dict raise: f_max then takes the LP answer.
+    # A vertex whose edge slopes raise (flat or singular edge system) must
+    # not make export_dict raise: f_max then takes the LP answer.
     def flat(*args):
         raise FlatCellError("flat ray")
 
-    monkeypatch.setattr(complex_module, "_slope_into_edge", flat)
+    monkeypatch.setattr(complex_module, "_edge_slopes", flat)
     _, _, cpx = scan_generic_nets((2, 4), 1)[0]
     for cell in cpx.cells.values():
         assert cpx.f_max(cell) == pytest.approx(lp_max(cpx, cell)), cell.signs
@@ -305,54 +303,69 @@ def test_f_max_without_ray_slopes_falls_back_to_lp(monkeypatch):
 
 def test_slopes_are_solved_once_per_vertex_and_edge(monkeypatch):
     # classify_vertex solves each vertex's 2*n0 edges in one stack, and the
-    # ray rule of sup reads the same cached slopes: no slope is solved twice.
-    stacked, single = [], []
-    real_stack, real_single = complex_module._slopes_at, complex_module._slope_into_edge
+    # ray rule of sup reads the same cached entry: no vertex is solved twice.
+    stacked, solves = [], []
+    real_stack, real_solve = complex_module._edge_slopes, np.linalg.solve
     monkeypatch.setattr(
-        complex_module, "_slopes_at", lambda v, f: stacked.append(v) or real_stack(v, f)
-    )
-    monkeypatch.setattr(
-        complex_module, "_slope_into_edge", lambda v, e, f: single.append(e) or real_single(v, e, f)
+        complex_module, "_edge_slopes", lambda v, f: stacked.append(v) or real_stack(v, f)
     )
     cpx = build_complex(random_network(Architecture.from_full((4, 7, 1)), seed=0))
+    monkeypatch.setattr(
+        np.linalg, "solve", lambda a, b: solves.append(np.shape(a)) or real_solve(a, b)
+    )
     build_dgvf(cpx)
     assert all(cpx.is_bounded_above(c) for c in compactify(cpx).cells.values())
-    assert sorted(stacked) == sorted(cpx.vertices) and single == []
+    assert sorted(stacked) == sorted(cpx.vertices)
+    stacks = [shape for shape in solves if len(shape) == 3]
+    assert stacks == [(2 * cpx.n0, cpx.n0, cpx.n0)] * len(stacked)
 
 
-def _edge_outcome(slopes):
-    """What ``slopes()`` returns, or the class and message it raises."""
-    try:
-        return slopes()
-    except StructuredError as exc:
-        return type(exc), str(exc)
+def _broken_forms(cpx, net, broken: dict):
+    """``cpx.form`` with the forms of the top cells in ``broken`` ({top
+    cell: "flat" | "singular" | "nan"}) broken that way."""
+
+    def form_of(signs):
+        form, kind = cpx.form(signs), broken.get(signs)
+        if kind == "flat":
+            return dataclasses.replace(form, total_gradient=np.zeros(net.n0))
+        if kind:
+            scale = 0.0 if kind == "singular" else np.nan
+            return dataclasses.replace(form, rows=form.rows * scale)
+        return form
+
+    return form_of
 
 
 @pytest.mark.parametrize("kind", ["flat", "singular", "nan"])
 @pytest.mark.parametrize("sigma", [-1, 1])
 def test_stacked_edge_slopes_raise_as_the_first_failing_edge(kind, sigma):
     # One top cell's form is broken: its edges (all four +1 edges, or the
-    # last -1 edge) fail in the stack, and the per-edge fallback raises
-    # what the edges solved one by one raise first.
+    # last -1 edge) fail, and the stack raises what the edges solved one by
+    # one raise first.
     _, net, cpx = scan_generic_nets((4, 7), 1)[0]
     v = min(cpx.vertices)
     p = max(q for q, s in enumerate(v) if s == 0)
     broken = tuple(sigma if q == p else 1 if s == 0 else s for q, s in enumerate(v))
-
-    def form_of(signs):
-        form = cpx.form(signs)
-        if signs != broken:
-            return form
-        if kind == "flat":
-            return dataclasses.replace(form, total_gradient=np.zeros(net.n0))
-        return dataclasses.replace(form, rows=form.rows * (0.0 if kind == "singular" else np.nan))
-
-    def per_edge():
-        return {e: _slope_into_edge(v, e, form_of)[1] for _, _, e in _edges_at(v)}
-
-    expected = _edge_outcome(per_edge)
+    form_of = _broken_forms(cpx, net, {broken: kind})
+    expected = edge_outcome(lambda: reference_edge_slopes(v, form_of))
     assert isinstance(expected, tuple) and issubclass(expected[0], StructuredError)
-    assert _edge_outcome(lambda: _slopes_at(v, form_of)) == expected
+    assert edge_outcome(lambda: _edge_slopes(v, form_of)) == expected
+
+
+def test_flat_first_edge_beats_a_later_singular_edge():
+    # Edge 0 (the -1 edge of the first zero) is flat and every +1 edge is
+    # singular: the singular systems fail the stack, yet edge 0 comes first.
+    _, net, cpx = scan_generic_nets((4, 7), 1)[0]
+    v = min(cpx.vertices)
+    p = v.index(0)
+    first = tuple(-1 if q == p else 1 if s == 0 else s for q, s in enumerate(v))
+    plus = tuple(1 if s == 0 else s for s in v)
+    form_of = _broken_forms(cpx, net, {first: "flat", plus: "singular"})
+    edge0 = v[:p] + (-1,) + v[p + 1 :]
+    message = f"F is constant along edge {signs_to_str(edge0)}; network out of scope"
+    expected = (FlatCellError, message)
+    assert edge_outcome(lambda: reference_edge_slopes(v, form_of)) == expected
+    assert edge_outcome(lambda: _edge_slopes(v, form_of)) == expected
 
 
 def _count_lps(monkeypatch) -> list:
@@ -379,7 +392,7 @@ def test_validate_and_compactify_solve_no_lp(monkeypatch):
 
 def test_vertex_free_cells_keep_the_lp(monkeypatch):
     calls = _count_lps(monkeypatch)
-    single = _single_hyperplane_complex()
+    single = single_hyperplane_complex()
     # Two parallel lines: flat cells and no vertex.
     parallel = build_complex(
         ReluNetwork(

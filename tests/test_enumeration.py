@@ -12,8 +12,9 @@ The split decides a region from the vertices and rays of its closure, and by
 LP where the closure holds no vertex or a sign falls in the tolerance band.
 Forcing the LP everywhere must not change the outcome either.  Nor may
 forcing acceptance's witness LP.  The stacked closure split must agree with
-the per-region ``conftest.generator_pieces``, and the stacked flat-flag test
-with the per-cell loop of ``conftest.reference_flatness``.
+the per-region ``conftest.generator_pieces``, the stacked flat-flag test
+with the per-cell loop of ``conftest.reference_flatness``, and the stacked
+edge solve with the per-edge ``conftest.reference_edge_slopes``.
 """
 
 import itertools
@@ -22,7 +23,13 @@ import re
 
 import numpy as np
 import pytest
-from conftest import closure_generators, generator_pieces, reference_flatness
+from conftest import (
+    closure_generators,
+    edge_outcome,
+    generator_pieces,
+    reference_edge_slopes,
+    reference_flatness,
+)
 
 import relumorse.complex as complex_module
 from relumorse import AffineLayer, Architecture, ReluNetwork, build_complex, net_b, random_network
@@ -435,7 +442,8 @@ def test_flat_flags_match_per_cell_reference(net):
 
 def test_stacked_edge_slopes_match_the_per_edge_solves():
     # At every vertex of the nets that build, one stacked solve gives the
-    # signs that _slope_into_edge gives edge by edge.
+    # signs and the bytes of the directions that conftest's
+    # reference_edge_slope gives edge by edge.
     vertices = 0
     for net in CLOSURE_NETS:
         try:
@@ -443,8 +451,7 @@ def test_stacked_edge_slopes_match_the_per_edge_solves():
         except StructuredError:
             continue
         for v in cpx.vertices:
-            edges = [e for _, _, e in complex_module._edges_at(v)]
-            per_edge = {e: complex_module._slope_into_edge(v, e, cpx.form)[1] for e in edges}
-            assert complex_module._slopes_at(v, cpx.form) == per_edge, v
+            expected = edge_outcome(lambda: reference_edge_slopes(v, cpx.form))
+            assert edge_outcome(lambda: complex_module._edge_slopes(v, cpx.form)) == expected, v
             vertices += 1
     assert vertices > 300

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,12 @@ from relumorse import (
 )
 from relumorse.errors import ArchitectureError, MissingEdgeError
 
-from conftest import away_from_anchor, scan_generic_nets, sign_sequence_at
+from conftest import (
+    away_from_anchor,
+    scan_generic_nets,
+    sign_sequence_at,
+    single_hyperplane_complex,
+)
 
 S = signs_from_str
 
@@ -109,9 +116,30 @@ def test_orientation_field_net_b(cpx_b):
 def test_orientation_field_single_hyperplane_line_is_flat():
     # The lone bent hyperplane of a one-neuron net is a level set of F, so
     # no direction of increase exists along it and the field omits it.
-    net = ReluNetwork((AffineLayer([[1.0, 1.0]], [-1.0]),), AffineLayer([[2.0]], [0.5]))
-    cpx = build_complex(net)
+    assert orientation_field(single_hyperplane_complex()) == {}
+
+
+def test_orientation_field_tests_an_unflagged_line_by_its_gradient():
+    # With its flat flag cleared, the vertex-free line is judged by the
+    # slope of its restricted gradient: still constant, it is omitted; given
+    # a gradient along the line, it is oriented the way F increases.
+    cpx = single_hyperplane_complex()
+    line = S("0")
+    cpx.cells[line].flat = False
     assert orientation_field(cpx) == {}
+    g = np.array([1.0, -1.0])
+    cpx._forms[line] = dataclasses.replace(cpx.form(line), total_gradient=g)
+    field = orientation_field(cpx)
+    assert list(field) == [line]
+    assert field[line].anchor is None and field[line].derivative_sign == 1
+    assert np.allclose(field[line].direction, g / np.linalg.norm(g))
+
+
+def test_edge_queries_reject_an_edge_not_at_the_vertex(cpx_b):
+    v = cpx_b.vertices[S("00+")]
+    for query in (orient_edge, edge_direction):
+        with pytest.raises(MissingEdgeError, match=r"\+\+0 is not an incident edge of 00\+"):
+            query(cpx_b, v, S("++0"))
 
 
 def test_analyze_shallow_net_b(netb, cpx_b):
