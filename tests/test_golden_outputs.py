@@ -26,6 +26,9 @@ NETS = {
     "2-4-3-1-s2": ["--arch", "2,4,3,1", "--seed", "2"],
     # Accepted 4-D net: 35 vertex levels and cells up to dimension 4.
     "4-7-1-s0": ["--arch", "4,7,1", "--seed", "0"],
+    # Vertex-free lines, drawn through a point on each line: one, and three.
+    "2-1-1-s1": ["--arch", "2,1,1", "--seed", "1"],
+    "2-1-3-1-s5": ["--arch", "2,1,3,1", "--seed", "5"],
 }
 
 COMMANDS = {
@@ -36,6 +39,14 @@ COMMANDS = {
 }
 
 GOLDEN = {
+    "2-1-1-s1/build": "61735c1c35d9a40a9c9cc0c66121012052e1e171f5fa4e1c11afcee455459f73",
+    "2-1-1-s1/classify": "5a435b9c7f4dbbef1bca674ea73336bc155bf49b872d39e6e04713b0c93c21ac",
+    "2-1-1-s1/dgvf": "7c3a1d567243de9e854352f5daa56e85a156ade865a58b59b2c6f66f045b5796",
+    "2-1-1-s1/render": "ee0642f32dc9c48371564aa1e0010aa33b8016347adaf2030c544031e67e8d5e",
+    "2-1-3-1-s5/build": "c98af027369ac6987f207fbda9c0eb9c7cd71593569cadfa2cfa104c5a48e019",
+    "2-1-3-1-s5/classify": "5a435b9c7f4dbbef1bca674ea73336bc155bf49b872d39e6e04713b0c93c21ac",
+    "2-1-3-1-s5/dgvf": "7c3a1d567243de9e854352f5daa56e85a156ade865a58b59b2c6f66f045b5796",
+    "2-1-3-1-s5/render": "59644be9ad30c94ff5b4bb6c841435c2e1b0c0f2264748ad9c863860e8243b0f",
     "2-4-3-1-s2/build": "302c630f16c6bb8180a7c7117f9248a53f6849ae359c033409c7046b62817f69",
     "2-4-3-1-s2/classify": "302c630f16c6bb8180a7c7117f9248a53f6849ae359c033409c7046b62817f69",
     "2-4-3-1-s2/dgvf": "302c630f16c6bb8180a7c7117f9248a53f6849ae359c033409c7046b62817f69",
