@@ -68,7 +68,6 @@ from .orientation import (
     VertexClassification,
     analyze_shallow,
     classify_vertex,
-    edge_direction,
     orient_edge,
     orientation_field,
 )

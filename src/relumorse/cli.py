@@ -178,7 +178,9 @@ def _add_tolerances(sub) -> None:
                      help="relative tolerance under which two vertex values count"
                           " as equal, an injectivity error (default 1e-9)")
     sub.add_argument("--lp-tol", type=float, default=1e-7,
-                     help="LP feasibility tolerance (default 1e-7)")
+                     help="LP feasibility tolerance; also sets the split band (10x),"
+                          " the sample-point margin and the local oracle's tightness"
+                          " test (default 1e-7)")
 
 
 @functools.cache  # parse_args leaves the parser unchanged

@@ -3,8 +3,10 @@
 Cells are named by sign sequences: one entry in {-1, 0, +1} per hidden
 neuron recording the sign of that node map on the cell.  Under the
 genericity conditions enforced here a k-cell has exactly n0 - k zero
-entries, faces are read off by composing sign words, and cofacets by
-flipping a single zero entry.
+entries and faces are read off by composing sign words.  The finished
+complex answers from what construction leaves: face, vertex and ray queries
+from the facet-incidence map, and a vertex's location and edge slopes from
+node-map tables, one per parent cell.
 
 Construction refines layer by layer, one node map at a time: map j of
 layer k splits every region of every parent cell before map j + 1 does, so
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -170,36 +172,10 @@ class Cell:
 
     signs: Signs
     dim: int
-    # What the witness LP needs on first use.  Not the complex itself: that
-    # cycle would keep finished complexes alive until the collector runs.
-    net: ReluNetwork = field(repr=False, compare=False)
-    lp_tol: float = field(repr=False, compare=False)
     flat: bool = False
-    _interior: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __str__(self):
         return signs_to_str(self.signs)
-
-    @property
-    def witness(self) -> np.ndarray:
-        """Interior point maximizing the worst (capped) slack."""
-        return self._interior_witness()[0]
-
-    @property
-    def clearance(self) -> float:
-        """Worst slack of :attr:`witness`, capped at 1."""
-        return self._interior_witness()[1]
-
-    def _interior_witness(self) -> tuple:
-        if self._interior is None:
-            rep = _hrep_for(self.net, self.signs, cell_affine_form(self.net, self.signs))
-            found = interior_witness(
-                rep.a_eq, rep.b_eq, rep.a_ge, rep.b_ge, feas_tol=self.lp_tol
-            )
-            if found is None:
-                raise GenericityError(f"cell {self} has no interior witness")
-            self._interior = (found[0], float(found[1]))
-        return self._interior
 
 
 @dataclass
@@ -327,21 +303,6 @@ class CanonicalComplex:
 
     # -- face poset -----------------------------------------------------
 
-    def cofacets(self, cell) -> list:
-        """Stored cells that have ``cell`` as a facet (one zero entry flipped)."""
-        signs = cell.signs if isinstance(cell, Cell) else tuple(cell)
-        out = []
-        for p, s in enumerate(signs):
-            if s != 0:
-                continue
-            for sigma in (-1, 1):
-                cand = signs[:p] + (sigma,) + signs[p + 1 :]
-                hit = self.cells.get(cand)
-                if hit is not None:
-                    out.append(hit)
-        out.sort(key=lambda c: c.signs)
-        return out
-
     def closure(self, cell) -> tuple:
         """(facets, vertices, rays) of a stored cell; built on first use."""
         if self._closure_map is None:
@@ -358,21 +319,6 @@ class CanonicalComplex:
 
     def top_cells(self) -> list:
         return [c for c in self.cells.values() if c.dim == self.n0]
-
-    def container_top_cell(self, signs: Signs) -> Signs:
-        """Lexicographically smallest top cell having ``signs`` as a face."""
-        signs = tuple(signs)
-        zero_pos = [p for p, s in enumerate(signs) if s == 0]
-        for combo in itertools.product((-1, 1), repeat=len(zero_pos)):
-            cand = list(signs)
-            for p, sigma in zip(zero_pos, combo):
-                cand[p] = sigma
-            cand = tuple(cand)
-            if cand in self.cells:
-                return cand
-        raise GenericityError(
-            f"no top cell of the complex contains {signs_to_str(signs)}"
-        )
 
     # -- LP-backed cell queries ------------------------------------------
 
@@ -428,10 +374,6 @@ class CanonicalComplex:
             self._edge_slopes[v_signs] = _edge_slopes(v_signs, self.form)
         return self._edge_slopes[v_signs]
 
-    def vertex_location(self, signs: Signs) -> np.ndarray:
-        """Solve the n0 x n0 node-map system of a vertex's zero entries."""
-        return _vertex_location(tuple(signs), self.container_top_cell(signs), self.form)
-
     # -- export ------------------------------------------------------------
 
     def export_dict(self) -> dict:
@@ -449,10 +391,12 @@ class CanonicalComplex:
         return {"dims": list(self.net.arch.full()), "cells": cells}
 
 
-def _vertex_location(signs, container, form_of) -> np.ndarray:
-    form = form_of(container)
+def _vertex_location(signs: Signs, table: NodeMaps) -> np.ndarray:
+    """Solve the n0 x n0 system of the vertex's zero node maps on its own
+    table: a zero entry masks its row as -1 does, so the rows are those of
+    the all-minus top cell at the vertex."""
     zero_pos = [p for p, s in enumerate(signs) if s == 0]
-    mat, rhs = form.rows[zero_pos], -form.offsets[zero_pos]
+    mat, rhs = table.rows[zero_pos], -table.offsets[zero_pos]
     try:
         loc = np.linalg.solve(mat, rhs) + 0.0  # clear negative zeros
     except np.linalg.LinAlgError as exc:
@@ -764,8 +708,13 @@ def build_complex(
 
     Raises GenericityError (supertransversality violations), FlatCellError
     (F constant on a positive-dimensional cell meeting a vertex) or
-    InjectivityError (two vertices share an F value).
+    InjectivityError (two vertices share an F value); ValueError unless
+    ``lp_tol`` is finite and positive and ``sign_tol`` finite and >= 0.
     """
+    if not (np.isfinite(lp_tol) and lp_tol > 0):
+        raise ValueError(f"lp_tol must be finite and > 0, got {lp_tol}")
+    if not (np.isfinite(sign_tol) and sign_tol >= 0):
+        raise ValueError(f"sign_tol must be finite and >= 0, got {sign_tol}")
     return _assemble(net, _enumerate_cells(net, lp_tol), sign_tol, lp_tol)
 
 
@@ -803,13 +752,13 @@ def _flag_flat(cpx: CanonicalComplex) -> None:
 def _assemble(net, cell_signs, sign_tol, lp_tol) -> CanonicalComplex:
     """Complex on the given cells: flat flags, vertex table, injectivity."""
     n0 = net.n0
-    cells = {s: Cell(s, n0 - s.count(0), net, lp_tol) for s in cell_signs}
+    cells = {s: Cell(s, n0 - s.count(0)) for s in cell_signs}
     cpx = CanonicalComplex(net, cells, {}, lp_tol)
 
     _flag_flat(cpx)
     vertices = {}
     for signs in (s for s, c in cells.items() if c.dim == 0):
-        loc = cpx.vertex_location(signs)
+        loc = _vertex_location(signs, cpx.table(signs))
         vertices[signs] = VertexRecord(signs, loc, net.evaluate(loc))
     cpx.vertices = dict(sorted(vertices.items()))
 

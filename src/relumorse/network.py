@@ -306,7 +306,7 @@ def to_weight_dict(net: ReluNetwork) -> dict:
 
 
 def from_weight_dict(data: dict) -> ReluNetwork:
-    """Parse the weight-file schema, validating names and shapes."""
+    """Parse the weight-file schema, validating names, shapes and finiteness."""
     if not isinstance(data, dict):
         raise ValueError("weight file must be a JSON object")
     for key in ("dims", "layers", "final"):
@@ -332,4 +332,7 @@ def from_weight_dict(data: dict) -> ReluNetwork:
         raise ValueError(
             f"final weights have shape {final.weights.shape}, expected (1, {arch.dims[-1]})"
         )
+    for name, layer in [*((f"layer {k}", l) for k, l in enumerate(layers, 1)), ("final", final)]:
+        if not (np.isfinite(layer.weights).all() and np.isfinite(layer.bias).all()):
+            raise ValueError(f"{name} has a non-finite weight or bias")
     return ReluNetwork(tuple(layers), final)

@@ -10,8 +10,9 @@ containing e) into an n0 x n0 matrix W and solve
 where k indexes the single entry where e differs from v.  The sign of the
 directional derivative is then sign(gradF . d) on the same top cell; it does
 not depend on which containing top cell is used.  ``complex._edge_slopes``
-solves the 2*n0 systems of a vertex in one stacked call; the classifier, the
-edge queries and the boundedness test read its per-vertex cache.
+solves the 2*n0 systems of a vertex in one stacked call; the classifier,
+``orient_edge``, the shallow analyzer's rays and the boundedness test read
+its per-vertex cache.
 
 A vertex is PL critical iff every axis pair of incident edges points the
 same way (both toward or both away from v); the index counts the
@@ -78,11 +79,6 @@ def _resolve(cpx: CanonicalComplex, vertex, edge):
     if e.signs not in (w for _, _, w in _edges_at(v.signs)):
         raise MissingEdgeError(f"{e} is not an incident edge of {signs_to_str(v.signs)}")
     return v, e, cpx.edge_slopes(v.signs)[e.signs]
-
-
-def edge_direction(cpx: CanonicalComplex, vertex, edge) -> np.ndarray:
-    """Unit vector from the vertex into the incident edge; raises as orient_edge."""
-    return _resolve(cpx, vertex, edge)[2][0]
 
 
 def orient_edge(cpx: CanonicalComplex, vertex, edge) -> EdgeOrientation:
@@ -207,9 +203,9 @@ def analyze_shallow(net: ReluNetwork, cpx: CanonicalComplex | None = None) -> Sh
     toward = []
     for v in cpx.vertices.values():
         rel = [
-            cpx.edge_slopes(v.signs)[edge.signs][1]
-            for edge in cpx.cofacets(v.signs)
-            if len(cpx.facets(edge)) == 1
+            cpx.edge_slopes(v.signs)[e][1]
+            for _, _, e in _edges_at(v.signs)
+            if e in cpx.cells and cpx.closure(e)[2]
         ]
         if not rel:
             continue

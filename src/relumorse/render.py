@@ -73,9 +73,10 @@ def _edge_geometry(cpx, cell, field):
     if len(anchors) == 1:
         # orientation_field anchors a ray at its only vertex.
         return anchors[0].location, field[cell.signs].direction, 0.0, _BIG
+    # A vertex-free 1-cell is a whole line: any point on it serves.
     rep = cpx.hrep(cell.signs)
     _, _, vh = np.linalg.svd(rep.a_eq)
-    return cell.witness, vh[-1], -_BIG, _BIG
+    return np.linalg.lstsq(rep.a_eq, rep.b_eq)[0], vh[-1], -_BIG, _BIG
 
 
 def render_svg(cpx: CanonicalComplex, matching=None, box=None) -> str:

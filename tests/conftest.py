@@ -18,9 +18,25 @@ from relumorse import (
     random_network,
     signs_to_str,
 )
-from relumorse.complex import _FAR, _FLAT_TOL, _cell_problem, _cut, _edges_at, _is_flat
-from relumorse.errors import DimensionError, FlatCellError, SingularSystemError, StructuredError
-from relumorse.lp import _simplex
+from relumorse.complex import (
+    _FAR,
+    _FLAT_TOL,
+    _cell_problem,
+    _cut,
+    _edges_at,
+    _hrep_for,
+    _is_flat,
+    _vertex_location,
+)
+from relumorse.errors import (
+    DimensionError,
+    FlatCellError,
+    GenericityError,
+    SingularSystemError,
+    StructuredError,
+)
+from relumorse.lp import _simplex, interior_witness
+from relumorse.network import cell_affine_form
 
 
 def make_net_b_negated() -> ReluNetwork:
@@ -158,6 +174,51 @@ def star(cpx, signs) -> list:
     """Cells having ``signs`` as a face, by a scan over every cell."""
     signs = tuple(signs)
     return [c for c in cpx.cells.values() if is_face(signs, c.signs)]
+
+
+def cofacets(cpx, cell) -> list:
+    """Stored cells that have ``cell`` as a facet (one zero entry flipped),
+    sorted."""
+    signs = cell.signs if isinstance(cell, Cell) else tuple(cell)
+    out = []
+    for p, s in enumerate(signs):
+        if s != 0:
+            continue
+        for sigma in (-1, 1):
+            hit = cpx.cells.get(signs[:p] + (sigma,) + signs[p + 1 :])
+            if hit is not None:
+                out.append(hit)
+    out.sort(key=lambda c: c.signs)
+    return out
+
+
+def interior_witness_of(net, signs, lp_tol) -> tuple:
+    """(point, worst slack capped at 1) of the interior-witness LP on the
+    cell ``signs``; GenericityError when it finds no interior point."""
+    rep = _hrep_for(net, signs, cell_affine_form(net, signs))
+    found = interior_witness(rep.a_eq, rep.b_eq, rep.a_ge, rep.b_ge, feas_tol=lp_tol)
+    if found is None:
+        raise GenericityError(f"cell {signs_to_str(signs)} has no interior witness")
+    return found[0], float(found[1])
+
+
+def container_top_cell(cpx, signs):
+    """Lexicographically smallest top cell having ``signs`` as a face."""
+    zero_pos = [p for p, s in enumerate(signs) if s == 0]
+    for combo in itertools.product((-1, 1), repeat=len(zero_pos)):
+        cand = list(signs)
+        for p, sigma in zip(zero_pos, combo):
+            cand[p] = sigma
+        if tuple(cand) in cpx.cells:
+            return tuple(cand)
+    raise GenericityError(f"no top cell of the complex contains {signs_to_str(signs)}")
+
+
+def reference_vertex_location(cpx, signs) -> np.ndarray:
+    """A vertex's location solved on the node-map rows of the first top cell
+    that contains it: the reference for ``complex._assemble``, which solves
+    on the vertex's own table."""
+    return _vertex_location(signs, cpx.form(container_top_cell(cpx, signs)))
 
 
 def vertex_facets_scan(cpx, cell) -> list:

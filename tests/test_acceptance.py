@@ -19,7 +19,6 @@ from relumorse import (
     chain_complex,
     classify_vertex,
     compactify,
-    edge_direction,
     is_acyclic,
     is_face,
     local_pair,
@@ -34,6 +33,8 @@ from relumorse.complex import build_complex
 from conftest import (
     away_from_anchor,
     central_difference_gradient,
+    cofacets,
+    interior_witness_of,
     is_spatially_bounded,
     scan_generic_nets,
     sign_sequence_at,
@@ -208,15 +209,16 @@ def test_criterion_8_analytic_gradients(suite):
     directions = 0
     for item in nets:
         for cell in item.cpx.top_cells():
-            h = min(1e-4, cell.clearance / 2)
-            fd = central_difference_gradient(item.net, cell.witness, h)
+            witness, clearance = interior_witness_of(item.net, cell.signs, item.cpx.lp_tol)
+            h = min(1e-4, clearance / 2)
+            fd = central_difference_gradient(item.net, witness, h)
             g = item.cpx.form(cell.signs).total_gradient
             assert np.allclose(fd, g, rtol=1e-6, atol=1e-8), (item.arch, item.seed, cell.signs)
             gradients += 1
         for signs, record in item.cpx.vertices.items():
             scale = max(1.0, float(np.abs(record.location).max()))
-            for edge in item.cpx.cofacets(signs):
-                d = edge_direction(item.cpx, record, edge)
+            for edge in cofacets(item.cpx, signs):
+                d = orient_edge(item.cpx, record, edge).direction
                 probe = record.location + 1e-4 * scale * d
                 assert sign_sequence_at(item.net, probe) == edge.signs, (
                     item.arch,

@@ -321,6 +321,45 @@ def test_malformed_input_exit_1(tmp_path, capsys):
     assert run(["build", "-i", str(tmp_path / "absent.json")]) == 1
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--lp-tol", v) for v in ("-1", "inf", "0", "nan")]
+    + [("--sign-tol", v) for v in ("-1", "nan", "inf")],
+)
+def test_broken_tolerance_exit_1(tmp_path, capsys, flag, value):
+    weights = tmp_path / "w.json"
+    run(["gen", "--fixture", "net-b", "-o", str(weights)])
+    output = tmp_path / "c.json"
+    assert run(["build", "-i", str(weights), "-o", str(output), f"{flag}={value}"]) == 1
+    assert not output.exists()
+    assert f"{flag[2:].replace('-', '_')} must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "entry, value, name",
+    [
+        (("layers", 0, "bias", 2), float("inf"), "layer 1"),
+        (("layers", 0, "weights", 1, 0), float("nan"), "layer 1"),
+        (("final", "bias", 0), float("-inf"), "final"),
+    ],
+)
+def test_non_finite_weight_exit_1(tmp_path, capsys, entry, value, name):
+    data = to_weight_dict(net_b())
+    *path, last = entry
+    target = data
+    for key in path:
+        target = target[key]
+    target[last] = value
+    with pytest.raises(ValueError, match=f"{name} has a non-finite weight or bias"):
+        from_weight_dict(data)
+    weights = tmp_path / "w.json"
+    weights.write_text(json.dumps(data))  # written as Infinity / NaN
+    output = tmp_path / "c.json"
+    assert run(["build", "-i", str(weights), "-o", str(output)]) == 1
+    assert not output.exists()
+    assert f"error: {name} has a non-finite weight or bias" in capsys.readouterr().err
+
+
 def test_degenerate_net_exit_2(tmp_path, capsys):
     weights = tmp_path / "w.json"
     weights.write_text(

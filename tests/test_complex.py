@@ -11,7 +11,6 @@ from relumorse import (
     ReluNetwork,
     build_complex,
     build_dgvf,
-    cell_affine_form,
     compose_signs,
     compactify,
     is_face,
@@ -21,11 +20,13 @@ from relumorse import (
 )
 from relumorse.complex import _edge_slopes, _hrep_for, _vertex_location
 from relumorse.errors import FlatCellError, GenericityError, InjectivityError, StructuredError
-from relumorse.network import NodeMaps
+from relumorse.network import NodeMaps, node_maps
 
 from conftest import (
+    cofacets,
     edge_outcome,
     facets_scan,
+    interior_witness_of,
     is_spatially_bounded,
     lower_star,
     lp_max,
@@ -114,10 +115,10 @@ def test_dimension_equals_n0_minus_zero_count(cpx_b):
 
 
 def test_cofacets_examples(cpx_b):
-    got = {c.signs for c in cpx_b.cofacets(S("00+"))}
+    got = {c.signs for c in cofacets(cpx_b, S("00+"))}
     assert got == {S("+0+"), S("-0+"), S("0++"), S("0-+")}
-    assert cpx_b.cofacets(S("+++")) == []
-    got = {c.signs for c in cpx_b.cofacets(S("++0"))}
+    assert cofacets(cpx_b, S("+++")) == []
+    got = {c.signs for c in cofacets(cpx_b, S("++0"))}
     assert got == {S("+++"), S("++-")}
 
 
@@ -137,7 +138,7 @@ def test_face_poset_matches_cofacet_closure(cpx_b):
         while frontier:
             nxt = []
             for s in frontier:
-                for cof in cpx_b.cofacets(s):
+                for cof in cofacets(cpx_b, s):
                     if cof.signs not in reach:
                         reach.add(cof.signs)
                         nxt.append(cof.signs)
@@ -147,8 +148,8 @@ def test_face_poset_matches_cofacet_closure(cpx_b):
 
 
 def test_vertex_location_examples(cpx_b):
-    assert np.allclose(cpx_b.vertex_location(S("+00")), [1.0, 0.0])
-    assert np.allclose(cpx_b.vertex_location(S("00+")), [0.0, 0.0])
+    assert np.allclose(_vertex_location(S("+00"), cpx_b.table(S("+00"))), [1.0, 0.0])
+    assert np.allclose(_vertex_location(S("00+"), cpx_b.table(S("00+"))), [0.0, 0.0])
 
 
 def test_vertex_location_homogeneous_identity_net():
@@ -156,14 +157,7 @@ def test_vertex_location_homogeneous_identity_net():
         (AffineLayer([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0]),),
         AffineLayer([[1.0, 1.0]], [0.0]),
     )
-    forms = {}
-
-    def form_of(signs):
-        if signs not in forms:
-            forms[signs] = cell_affine_form(net, signs)
-        return forms[signs]
-
-    assert np.allclose(_vertex_location((0, 0), (1, 1), form_of), [0.0, 0.0])
+    assert np.allclose(_vertex_location((0, 0), node_maps(net, ())), [0.0, 0.0])
 
 
 def test_hrep_reads_table_rows_in_sign_word_order():
@@ -480,7 +474,8 @@ def test_shallow_planar_counts(n):
 
 def test_witness_signs_match_cell(cpx_b):
     for signs, cell in cpx_b.cells.items():
-        assert sign_sequence_at(cpx_b.net, cell.witness) == signs
+        witness = interior_witness_of(cpx_b.net, signs, cpx_b.lp_tol)[0]
+        assert sign_sequence_at(cpx_b.net, witness) == signs
 
 
 def test_vertex_facets_match_scan(differential_draws, netb, cpx_b):

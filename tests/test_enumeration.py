@@ -13,8 +13,9 @@ LP where the closure holds no vertex or a sign falls in the tolerance band.
 Forcing the LP everywhere must not change the outcome either.  Nor may
 forcing acceptance's witness LP.  The stacked closure split must agree with
 the per-region ``conftest.generator_pieces``, the stacked flat-flag test
-with the per-cell loop of ``conftest.reference_flatness``, and the stacked
-edge solve with the per-edge ``conftest.reference_edge_slopes``.
+with the per-cell loop of ``conftest.reference_flatness``, the stacked
+edge solve with the per-edge ``conftest.reference_edge_slopes``, and each
+vertex's own-table location with ``conftest.reference_vertex_location``.
 """
 
 import itertools
@@ -27,8 +28,10 @@ from conftest import (
     closure_generators,
     edge_outcome,
     generator_pieces,
+    interior_witness_of,
     reference_edge_slopes,
     reference_flatness,
+    reference_vertex_location,
 )
 
 import relumorse.complex as complex_module
@@ -130,7 +133,7 @@ def split_outcome(net):
         cpx = build_complex(net, sign_tol=SIGN_TOL, lp_tol=LP_TOL)
     except StructuredError as exc:
         return ("error", type(exc).__name__, exc.payload())
-    return record(cpx, {s: (c.witness, c.clearance) for s, c in cpx.cells.items()})
+    return record(cpx, {s: interior_witness_of(net, s, LP_TOL) for s in cpx.cells})
 
 
 def brute_force_outcome(net):
@@ -396,7 +399,7 @@ def flatness(net, cells, flag):
     """Flat flags that ``flag`` sets on the cells of ``net``, or the payload
     of its FlatCellError."""
     cpx = CanonicalComplex(
-        net, {s: Cell(s, net.n0 - s.count(0), net, LP_TOL) for s in cells}, {}, LP_TOL
+        net, {s: Cell(s, net.n0 - s.count(0)) for s in cells}, {}, LP_TOL
     )
     try:
         flag(cpx)
@@ -455,3 +458,40 @@ def test_stacked_edge_slopes_match_the_per_edge_solves():
             assert edge_outcome(lambda: complex_module._edge_slopes(v, cpx.form)) == expected, v
             vertices += 1
     assert vertices > 300
+
+
+def _location(solve):
+    """Bytes of the location ``solve()`` returns, or its structured error."""
+    try:
+        return solve().tobytes()
+    except StructuredError as exc:
+        return type(exc), str(exc)
+
+
+def test_vertex_locations_match_the_container_top_cell_solve():
+    # Each vertex solves its zero node maps on its own table; the rows of
+    # the first top cell around it must give the same bytes or error.  The
+    # two differ only where a vertex zeroes an entry before the last layer,
+    # so the enumerated cells of flat nets count too, and (2,5,3,1) draws
+    # add such vertices.
+    nets = CLOSURE_NETS + [
+        random_network(Architecture.from_full((2, 5, 3, 1)), seed=seed) for seed in range(20)
+    ]
+    vertices = deep = 0
+    for net in nets:
+        try:
+            cells = _enumerate_cells(net, LP_TOL)
+        except StructuredError:
+            continue
+        cpx = CanonicalComplex(net, {s: Cell(s, net.n0 - s.count(0)) for s in cells}, {}, LP_TOL)
+        try:
+            records = build_complex(net, sign_tol=SIGN_TOL, lp_tol=LP_TOL).vertices
+        except StructuredError:
+            records = {}
+        for v in (s for s in cells if s.count(0) == net.n0):
+            own = _location(lambda: complex_module._vertex_location(v, cpx.table(v)))
+            assert own == _location(lambda: reference_vertex_location(cpx, v)), v
+            assert v not in records or records[v].location.tobytes() == own, v
+            vertices += 1
+            deep += 0 in v[: -net.layers[-1].out_dim]
+    assert vertices > 400 and deep > 100

@@ -6,7 +6,6 @@ import pytest
 from relumorse import (
     AffineLayer,
     Architecture,
-    Cell,
     ReluNetwork,
     build_complex,
     cell_affine_form,
@@ -23,7 +22,12 @@ from relumorse.errors import (
     StructuredError,
 )
 
-from conftest import central_difference_gradient, node_map, sign_sequence_at
+from conftest import (
+    central_difference_gradient,
+    interior_witness_of,
+    node_map,
+    sign_sequence_at,
+)
 
 
 def test_evaluate_net_b():
@@ -91,7 +95,7 @@ def test_affine_form_matches_evaluation_on_interior(cpx_b):
     net = cpx_b.net
     for cell in cpx_b.top_cells():
         form = cpx_b.form(cell.signs)
-        x = cell.witness
+        x = interior_witness_of(net, cell.signs, cpx_b.lp_tol)[0]
         expected = float(form.total_gradient @ x + form.total_offset)
         assert net.evaluate(x) == pytest.approx(expected, rel=1e-9)
         assert 0 not in sign_sequence_at(net, x)
@@ -106,7 +110,7 @@ def test_node_map_table_follows_sign_word_order(arch):
         words = {sign_sequence_at(net, x) for x in rng.uniform(-3.0, 3.0, (60, net.n0))}
         for signs in sorted(words):
             form = cell_affine_form(net, signs)
-            x = Cell(signs, net.n0, net, 1e-7).witness
+            x = interior_witness_of(net, signs, 1e-7)[0]
             for p in range(net.total_neurons):
                 expected = node_map(net, *net.ij(p), x)
                 got = float(form.rows[p] @ x + form.offsets[p])
@@ -116,8 +120,9 @@ def test_node_map_table_follows_sign_word_order(arch):
 def test_gradient_matches_finite_differences(cpx_b):
     net = cpx_b.net
     for cell in cpx_b.top_cells():
-        h = min(1e-4, cell.clearance / 2)
-        fd = central_difference_gradient(net, cell.witness, h)
+        witness, clearance = interior_witness_of(net, cell.signs, cpx_b.lp_tol)
+        h = min(1e-4, clearance / 2)
+        fd = central_difference_gradient(net, witness, h)
         g = cpx_b.form(cell.signs).total_gradient
         assert np.allclose(fd, g, rtol=1e-6, atol=1e-9)
 

@@ -9,7 +9,6 @@ from relumorse import (
     analyze_shallow,
     build_complex,
     classify_vertex,
-    edge_direction,
     net_b,
     orient_edge,
     orientation_field,
@@ -19,6 +18,7 @@ from relumorse.errors import ArchitectureError, MissingEdgeError
 
 from conftest import (
     away_from_anchor,
+    cofacets,
     scan_generic_nets,
     sign_sequence_at,
     single_hyperplane_complex,
@@ -29,16 +29,16 @@ S = signs_from_str
 
 def test_edge_direction_examples(cpx_b):
     v1 = cpx_b.vertices[S("00+")]
-    assert np.allclose(edge_direction(cpx_b, v1, S("+0+")), [1.0, 0.0])
-    assert np.allclose(edge_direction(cpx_b, v1, S("0-+")), [0.0, -1.0])
+    assert np.allclose(orient_edge(cpx_b, v1, S("+0+")).direction, [1.0, 0.0])
+    assert np.allclose(orient_edge(cpx_b, v1, S("0-+")).direction, [0.0, -1.0])
 
 
 def test_edge_direction_lands_in_edge(cpx_b):
     net = cpx_b.net
     for signs, v in cpx_b.vertices.items():
         scale = max(1.0, float(np.abs(v.location).max()))
-        for edge in cpx_b.cofacets(signs):
-            d = edge_direction(cpx_b, v, edge)
+        for edge in cofacets(cpx_b, signs):
+            d = orient_edge(cpx_b, v, edge).direction
             probe = v.location + 1e-4 * scale * d
             assert sign_sequence_at(net, probe) == edge.signs
 
@@ -49,7 +49,7 @@ def test_orient_edge_examples(cpx_b):
     assert not away_from_anchor(orient_edge(cpx_b, v1, S("+0+")))
     assert orient_edge(cpx_b, v1, S("-0+")).derivative_sign == 1
     v2 = cpx_b.vertices[S("+00")]
-    for edge in cpx_b.cofacets(S("+00")):
+    for edge in cofacets(cpx_b, S("+00")):
         assert orient_edge(cpx_b, v2, edge).derivative_sign == 1
 
 
@@ -70,7 +70,7 @@ def test_orientation_antisymmetry(cpx_b):
 def test_derivative_sign_matches_difference_quotient(cpx_b):
     net = cpx_b.net
     for signs, v in cpx_b.vertices.items():
-        for edge in cpx_b.cofacets(signs):
+        for edge in cofacets(cpx_b, signs):
             orientation = orient_edge(cpx_b, v, edge)
             for t in (1e-6, 1e-4, 1e-3):
                 delta = net.evaluate(v.location + t * orientation.direction) - v.value
@@ -137,9 +137,8 @@ def test_orientation_field_tests_an_unflagged_line_by_its_gradient():
 
 def test_edge_queries_reject_an_edge_not_at_the_vertex(cpx_b):
     v = cpx_b.vertices[S("00+")]
-    for query in (orient_edge, edge_direction):
-        with pytest.raises(MissingEdgeError, match=r"\+\+0 is not an incident edge of 00\+"):
-            query(cpx_b, v, S("++0"))
+    with pytest.raises(MissingEdgeError, match=r"\+\+0 is not an incident edge of 00\+"):
+        orient_edge(cpx_b, v, S("++0"))
 
 
 def test_analyze_shallow_net_b(netb, cpx_b):
