@@ -1,0 +1,103 @@
+"""Capture of every LP the CLI solves, for diffing two checkouts.
+
+Wraps every binding of ``relumorse.lp.lp_solve`` in the loaded
+``relumorse*`` modules, then runs ``build``, ``classify``,
+``dgvf --local-check`` and ``render`` on the networks of
+``scripts/cli_sweep.py`` and on the ``NEAR_DEGENERATE`` integer nets of
+``tests/test_enumeration.py``.  Prints one ``net/command count digest`` line
+per case: the number of LPs solved, and a sha256 over each LP's problem
+arrays (shape and bytes), ``feas_tol``, and its result's status, value,
+argmax bytes and tight set, or the instability error it raised.
+
+Run it on two checkouts and diff the outputs; a change that means to keep
+every LP as it was must print the same lines:
+
+    python3 scripts/lp_capture.py > after.txt
+    diff before.txt after.txt
+"""
+
+import hashlib
+import json
+import pathlib
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "scripts")]
+
+import relumorse.lp as lp_module  # noqa: E402
+from cli_sweep import cases  # noqa: E402
+from relumorse import to_weight_dict  # noqa: E402
+from relumorse.errors import NumericalInstabilityError  # noqa: E402
+from test_enumeration import NEAR_DEGENERATE, _integer_net  # noqa: E402
+from test_golden_outputs import COMMANDS, _run  # noqa: E402
+
+
+class Capture:
+    """Counts and hashes every lp_solve call while installed."""
+
+    def __init__(self):
+        self.reset()
+
+    def reset(self):
+        self.count, self.hash = 0, hashlib.sha256()
+
+    def _feed(self, *items):
+        for item in items:
+            if hasattr(item, "tobytes"):
+                self.hash.update(repr(item.shape).encode() + item.tobytes())
+            else:
+                self.hash.update(repr(item).encode())
+            self.hash.update(b"|")
+
+    def wrap(self, solve):
+        def spy(problem, feas_tol=lp_module.FEAS_TOL):
+            self.count += 1
+            arrays = (problem.objective, problem.a_eq, problem.b_eq, problem.a_ge, problem.b_ge)
+            self._feed(*arrays, float(feas_tol))
+            try:
+                res = solve(problem, feas_tol=feas_tol)
+            except NumericalInstabilityError as exc:
+                self._feed("raised", type(exc).__name__, str(exc))
+                raise
+            self._feed(res.status, res.value, res.x, tuple(res.tight))
+            return res
+
+        return spy
+
+
+def install(capture) -> None:
+    """Replace every relumorse* binding of lp_solve by one spy."""
+    real = lp_module.lp_solve
+    spy = capture.wrap(real)
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "relumorse" or name.startswith("relumorse.")):
+            if getattr(module, "lp_solve", None) is real:
+                module.lp_solve = spy
+
+
+def main() -> int:
+    capture = Capture()
+    install(capture)
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = pathlib.Path(tmp)
+        weights = {}
+        for net, gen_args in cases().items():
+            path = weights[net] = directory / f"{net}.json"
+            if _run(["gen", *gen_args, "-o", str(path)])[0] != 0:
+                raise SystemExit(f"gen failed for {net}")
+        for arch, seed, noise in NEAR_DEGENERATE:
+            net = f"int-{'-'.join(map(str, arch))}-s{seed}-n{noise:g}"
+            path = weights[net] = directory / f"{net}.json"
+            path.write_text(json.dumps(to_weight_dict(_integer_net(arch, seed, noise))))
+        for net, path in weights.items():
+            for command in sorted(COMMANDS):
+                capture.reset()
+                target = directory / f"{net}.{command}.out"
+                _run([*COMMANDS[command], "-i", str(path), "-o", str(target)])
+                print(f"{net}/{command} {capture.count} {capture.hash.hexdigest()}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

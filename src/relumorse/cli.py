@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -63,7 +64,8 @@ def _parse_arch(text: str) -> Architecture:
 
 def _parse_box(text: str):
     vals = [float(part) for part in text.split(",")]
-    if len(vals) != 4 or vals[0] >= vals[2] or vals[1] >= vals[3]:
+    finite = all(map(math.isfinite, vals))
+    if len(vals) != 4 or not finite or vals[0] >= vals[2] or vals[1] >= vals[3]:
         raise ValueError("--render-box expects xmin,ymin,xmax,ymax")
     return (vals[0], vals[1]), (vals[2], vals[3])
 

@@ -24,7 +24,8 @@ layer.
 Acceptance checks the words of one parent cell together: a word is kept
 when its sample point clears every strict inequality by a margin, read off
 one slack matrix, and otherwise by an LP that maximizes the worst slack;
-one stacked rank test per zero count finds dependent zero sets.
+one stacked rank test per zero count finds dependent zero sets.  Every LP
+is a cell LP from ``_cell_problem``, the one place a problem is built.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .errors import (
     NumericalInstabilityError,
     SingularSystemError,
 )
-from .lp import LpProblem, interior_witness, lp_solve
+from .lp import LpProblem, lp_solve
 from .network import NodeMaps, ReluNetwork, Signs, cell_affine_form, node_maps, signs_to_str
 
 # Offset at or below which a constant node map counts as zero.
@@ -202,11 +203,28 @@ class _HRep:
     ge_positions: tuple
 
 
-def _cell_problem(rep: _HRep, objective) -> LpProblem:
-    """LP maximizing ``objective`` over a cell's H-representation."""
-    return LpProblem.build(
-        objective, a_eq=rep.a_eq, b_eq=rep.b_eq, a_ge=rep.a_ge, b_ge=rep.b_ge
-    )
+def _cell_problem(rep: _HRep, objective, cap=None) -> LpProblem:
+    """LP maximizing ``objective`` over a cell's H-representation, and with a
+    ``cap`` the row -objective.x >= -cap."""
+    a_ge, b_ge = rep.a_ge, rep.b_ge
+    if cap is not None:
+        a_ge, b_ge = np.vstack([a_ge, np.negative(objective)]), np.append(b_ge, -cap)
+    return LpProblem.build(objective, a_eq=rep.a_eq, b_eq=rep.b_eq, a_ge=a_ge, b_ge=b_ge)
+
+
+def _witness(rep: _HRep, lp_tol: float):
+    """Point of the cell ``rep`` maximizing its worst strict-row slack t
+    (capped at 1): the cell LP in (x, t) of a_eq.x = b_eq, a_ge.x - t >= b_ge,
+    -t >= -1.  None unless t exceeds ``lp_tol``; unit rows make t a distance."""
+    n = rep.a_eq.shape[1]
+    e_t = np.eye(n + 1)[n]
+    # The t <= 1 row is written out: cap=1.0 would append -e_t, whose -0.0
+    # entries would change the LP's bytes, which scripts/lp_capture.py hashes.
+    a_ge = np.vstack([np.pad(rep.a_ge, ((0, 0), (0, 1)), constant_values=-1.0), 0.0 - e_t])
+    a_eq = np.pad(rep.a_eq, ((0, 0), (0, 1)))
+    lifted = _HRep(a_eq, rep.b_eq, a_ge, np.append(rep.b_ge, -1.0), ())
+    res = lp_solve(_cell_problem(lifted, e_t), feas_tol=lp_tol)
+    return res.x[:n] if res.optimal and res.value > lp_tol else None
 
 
 def _constant_rows_hold(net: ReluNetwork, signs: Signs, table: NodeMaps) -> bool:
@@ -322,10 +340,6 @@ class CanonicalComplex:
 
     # -- LP-backed cell queries ------------------------------------------
 
-    def cell_lp(self, signs: Signs, objective):
-        """LP maximizing ``objective`` over the cell ``signs``."""
-        return lp_solve(_cell_problem(self.hrep(signs), objective), feas_tol=self.lp_tol)
-
     def is_bounded_above(self, cell) -> bool:
         """True iff max F over the cell is finite (see :meth:`f_max`)."""
         return self.f_max(cell) < float("inf")
@@ -359,8 +373,8 @@ class CanonicalComplex:
                 return float("inf")
             except (FlatCellError, SingularSystemError):
                 pass
-        form = self.form(signs)
-        res = self.cell_lp(signs, sense * form.total_gradient)
+        form, rep = self.form(signs), self.hrep(signs)
+        res = lp_solve(_cell_problem(rep, sense * form.total_gradient), feas_tol=self.lp_tol)
         if not res.optimal:
             return float("inf")
         if corners:
@@ -438,20 +452,11 @@ def _abort_on_forced_flats(net, stage, upto_layer, n0):
 def _reach(rep: _HRep, a, b, lp_tol):
     """Max of a.x - b (capped at 1) over the closure of the region ``rep``,
     with its argmax; None when the LP gives no answer."""
-    problem = LpProblem.build(
-        a,
-        a_eq=rep.a_eq,
-        b_eq=rep.b_eq,
-        a_ge=np.vstack([rep.a_ge, -a]),
-        b_ge=np.append(rep.b_ge, -1.0 - b),
-    )
     try:
-        res = lp_solve(problem, feas_tol=lp_tol)
+        res = lp_solve(_cell_problem(rep, a, cap=1.0 + b), feas_tol=lp_tol)
     except NumericalInstabilityError:
         return None  # the caller then keeps every piece for acceptance to judge
-    if not res.optimal:
-        return None
-    return res.x, float(a @ res.x - b)
+    return (res.x, float(a @ res.x - b)) if res.optimal else None
 
 
 def _cut(x, d, s, v, q, u, near) -> list:
@@ -610,10 +615,9 @@ def _accept(net: ReluNetwork, words: list, points, table: NodeMaps, lp_tol: floa
             if rep is None or (z > n0 and not _consistent(rep.a_eq, rep.b_eq)):
                 continue
             if not sure:
-                found = interior_witness(rep.a_eq, rep.b_eq, rep.a_ge, rep.b_ge, feas_tol=lp_tol)
-                if found is None:
+                x = _witness(rep, lp_tol)
+                if x is None:
                     continue
-                x = found[0]
         if z > n0:
             raise GenericityError(f"feasible pattern {signs_to_str(word)} has {z} > n0 zeros")
         if dep:

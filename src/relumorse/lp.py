@@ -10,7 +10,8 @@ so a plain two-phase tableau with Bland's rule is the right trade-off:
 guaranteed termination and no dependence on solver generations elsewhere.
 
 Free variables are split x = u - w with u, w >= 0; each >= row gets a
-surplus variable; phase 1 minimizes the sum of artificials.
+surplus variable; phase 1 minimizes the sum of artificials.  Problems come
+from ``complex._cell_problem``; this module knows nothing of cells.
 """
 
 from __future__ import annotations
@@ -288,40 +289,3 @@ def _simplex(problem: LpProblem, feas_tol: float) -> LpResult:
     for r, j in enumerate(basis):
         y[j] = work[r, -1]
     return _optimum(problem, y[:n] - y[n : 2 * n], feas_tol)
-
-
-def interior_witness(
-    a_eq: np.ndarray,
-    b_eq: np.ndarray,
-    a_ge: np.ndarray,
-    b_ge: np.ndarray,
-    feas_tol: float = FEAS_TOL,
-):
-    """Strict-feasibility certificate for a system of equalities and strict
-    inequalities (rows should be normalized so slack is geometric distance).
-
-    Maximizes the worst inequality slack (capped at 1) and returns
-    ``(witness, clearance)`` when the optimum exceeds ``feas_tol``, else None.
-    """
-    n = a_eq.shape[1] if a_eq.size else a_ge.shape[1]
-    n_ge = a_ge.shape[0]
-    obj = np.zeros(n + 1)
-    obj[-1] = 1.0
-    eq = np.hstack([a_eq, np.zeros((a_eq.shape[0], 1))]) if a_eq.size else np.zeros((0, n + 1))
-    ge_rows = [np.hstack([a_ge, -np.ones((n_ge, 1))])] if n_ge else []
-    ge_rhs = [b_ge] if n_ge else []
-    cap_row = np.zeros((1, n + 1))
-    cap_row[0, -1] = -1.0
-    ge_rows.append(cap_row)
-    ge_rhs.append(np.array([-1.0]))
-    problem = LpProblem.build(
-        obj,
-        a_eq=eq,
-        b_eq=b_eq if a_eq.size else np.zeros(0),
-        a_ge=np.vstack(ge_rows),
-        b_ge=np.concatenate(ge_rhs),
-    )
-    res = lp_solve(problem, feas_tol=feas_tol)
-    if not res.optimal or res.value is None or res.value <= feas_tol:
-        return None
-    return res.x[:n].copy(), float(res.value)

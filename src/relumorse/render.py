@@ -1,9 +1,10 @@
 """Deterministic SVG rendering of 2-D canonical complexes.
 
-Draws the 1-skeleton clipped to a bounding box, with arrowheads in the
-direction of increase of F, rings around PL-critical vertices, and shaded
-critical 2-cells.  All coordinates are formatted with fixed precision so
-output is byte-stable for identical inputs.
+Draws the 1-skeleton clipped to a bounding box (by default the vertices'
+box grown by 1, widened to reach every vertex-free line), with arrowheads
+in the direction of increase of F, rings around PL-critical vertices, and
+shaded critical 2-cells.  All coordinates are formatted with fixed
+precision so output is byte-stable for identical inputs.
 """
 
 from __future__ import annotations
@@ -84,6 +85,8 @@ def render_svg(cpx: CanonicalComplex, matching=None, box=None) -> str:
     if cpx.n0 != 2:
         raise DimensionError(f"rendering requires n0 = 2, got n0 = {cpx.n0}")
 
+    field = orientation_field(cpx)
+    lines = {s: _edge_geometry(cpx, c, field) for s, c in sorted(cpx.cells.items()) if c.dim == 1}
     if box is None:
         if cpx.vertices:
             pts = np.array([v.location for v in cpx.vertices.values()])
@@ -92,6 +95,10 @@ def render_svg(cpx: CanonicalComplex, matching=None, box=None) -> str:
         else:
             lo = np.array([-2.0, -2.0])
             hi = np.array([2.0, 2.0])
+        # Widen the box for each vertex-free line it misses: its point +- 1.
+        for point, direction, t_lo, t_hi in lines.values():
+            if _clip_param(point, direction, t_lo, t_hi, (tuple(lo), tuple(hi))) is None:
+                lo, hi = np.minimum(lo, point - 1.0), np.maximum(hi, point + 1.0)
     else:
         lo = np.array(box[0], dtype=float)
         hi = np.array(box[1], dtype=float)
@@ -102,7 +109,6 @@ def render_svg(cpx: CanonicalComplex, matching=None, box=None) -> str:
     def to_px(p):
         return (p[0] - lo[0]) * scale, height - (p[1] - lo[1]) * scale
 
-    field = orientation_field(cpx)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(_W)}" height="{_fmt(height)}" '
         f'viewBox="0 0 {_fmt(_W)} {_fmt(height)}">',
@@ -135,11 +141,7 @@ def render_svg(cpx: CanonicalComplex, matching=None, box=None) -> str:
     edge_lines = []
     arrows = []
     box_pair = (tuple(lo), tuple(hi))
-    for signs in sorted(cpx.cells):
-        cell = cpx.cells[signs]
-        if cell.dim != 1:
-            continue
-        point, direction, t_lo, t_hi = _edge_geometry(cpx, cell, field)
+    for signs, (point, direction, t_lo, t_hi) in lines.items():
         clip = _clip_param(point, direction, t_lo, t_hi, box_pair)
         if clip is None:
             continue

@@ -35,7 +35,7 @@ from relumorse.errors import (
     SingularSystemError,
     StructuredError,
 )
-from relumorse.lp import _simplex, interior_witness
+from relumorse.lp import FEAS_TOL, LpProblem, _simplex, lp_solve
 from relumorse.network import cell_affine_form
 
 
@@ -190,6 +190,39 @@ def cofacets(cpx, cell) -> list:
                 out.append(hit)
     out.sort(key=lambda c: c.signs)
     return out
+
+
+def interior_witness(a_eq, b_eq, a_ge, b_ge, feas_tol=FEAS_TOL):
+    """Strict-feasibility certificate for a system of equalities and strict
+    inequalities (rows should be normalized so slack is geometric distance).
+
+    Maximizes the worst inequality slack (capped at 1) and returns
+    ``(witness, clearance)`` when the optimum exceeds ``feas_tol``, else None.
+    The reference for ``complex._witness``, which builds the same LP as a
+    cell LP and returns the witness alone.
+    """
+    n = a_eq.shape[1] if a_eq.size else a_ge.shape[1]
+    n_ge = a_ge.shape[0]
+    obj = np.zeros(n + 1)
+    obj[-1] = 1.0
+    eq = np.hstack([a_eq, np.zeros((a_eq.shape[0], 1))]) if a_eq.size else np.zeros((0, n + 1))
+    ge_rows = [np.hstack([a_ge, -np.ones((n_ge, 1))])] if n_ge else []
+    ge_rhs = [b_ge] if n_ge else []
+    cap_row = np.zeros((1, n + 1))
+    cap_row[0, -1] = -1.0
+    ge_rows.append(cap_row)
+    ge_rhs.append(np.array([-1.0]))
+    problem = LpProblem.build(
+        obj,
+        a_eq=eq,
+        b_eq=b_eq if a_eq.size else np.zeros(0),
+        a_ge=np.vstack(ge_rows),
+        b_ge=np.concatenate(ge_rhs),
+    )
+    res = lp_solve(problem, feas_tol=feas_tol)
+    if not res.optimal or res.value is None or res.value <= feas_tol:
+        return None
+    return res.x[:n].copy(), float(res.value)
 
 
 def interior_witness_of(net, signs, lp_tol) -> tuple:
@@ -349,7 +382,7 @@ def is_spatially_bounded(cpx, cell) -> bool:
         for direction in (1.0, -1.0):
             obj = np.zeros(cpx.n0)
             obj[axis] = direction
-            if not cpx.cell_lp(signs, obj).optimal:
+            if not lp_solve(_cell_problem(cpx.hrep(signs), obj), feas_tol=cpx.lp_tol).optimal:
                 return False
     return True
 

@@ -28,6 +28,7 @@ from conftest import (
     closure_generators,
     edge_outcome,
     generator_pieces,
+    interior_witness,
     interior_witness_of,
     reference_edge_slopes,
     reference_flatness,
@@ -45,7 +46,6 @@ from relumorse.complex import (
     is_face,
 )
 from relumorse.errors import FlatCellError, GenericityError, StructuredError
-from relumorse.lp import interior_witness
 from relumorse.network import node_maps, signs_to_str
 
 SIGN_TOL = 1e-9
@@ -230,7 +230,7 @@ def test_build_solves_only_vertex_free_region_lps(monkeypatch, arch, n_lps):
     # Every later split is read off closures, and every sample point clears
     # acceptance without a witness LP.
     lps = _spy(monkeypatch, "lp_solve")
-    witnesses = _spy(monkeypatch, "interior_witness")
+    witnesses = _spy(monkeypatch, "_witness")
     reps = _spy(monkeypatch, "_hrep_for")
     cpx = build_complex(random_network(Architecture.from_full(arch), seed=0))
     assert len(lps) == n_lps == (3 ** cpx.n0 - 1) // 2
@@ -388,11 +388,38 @@ def test_witness_lp_acceptance_matches_sample_points(monkeypatch):
     # the LP's points alone change a few outcomes.
     nets = [random_network(Architecture.from_full(arch), seed=seed) for arch, seed in RANDOM]
     expected = [structure(net) for net in nets]
-    witnesses = _spy(monkeypatch, "interior_witness")
+    witnesses = _spy(monkeypatch, "_witness")
     monkeypatch.setattr(complex_module, "_CLEAR_MARGIN", 1e12)
     for case, net, want in zip(RANDOM, nets, expected):
         assert structure(net) == want, case
     assert witnesses
+
+
+@pytest.mark.parametrize("margin", [complex_module._CLEAR_MARGIN, 1e12])
+def test_witness_matches_the_reference_lp(monkeypatch, margin):
+    # Every witness LP that acceptance solves on the near-degenerate nets,
+    # at the shipped margin and with no sample point clearing it, gives the
+    # point bytes of conftest's interior_witness, or None exactly where it
+    # does.
+    seen = []
+    real = complex_module._witness
+
+    def spy(rep, lp_tol):
+        seen.append((rep, lp_tol, real(rep, lp_tol)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(complex_module, "_witness", spy)
+    monkeypatch.setattr(complex_module, "_CLEAR_MARGIN", margin)
+    for case in NEAR_DEGENERATE:
+        structure(_integer_net(*case))
+    kept = 0
+    for rep, lp_tol, found in seen:
+        want = interior_witness(rep.a_eq, rep.b_eq, rep.a_ge, rep.b_ge, feas_tol=lp_tol)
+        assert (found is None) == (want is None)
+        if found is not None:
+            assert found.tobytes() == want[0].tobytes()
+            kept += 1
+    assert 0 < kept < len(seen)
 
 
 def flatness(net, cells, flag):

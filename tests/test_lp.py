@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from relumorse import lp as lp_module
-from relumorse.complex import _cell_problem
+from relumorse.complex import _cell_problem, _HRep, _witness
 from relumorse.lp import (
     FEAS_TOL,
     LpProblem,
     _pivot,
     _point_or_line,
     _simplex,
-    interior_witness,
     lp_solve,
 )
 
@@ -99,15 +98,17 @@ def test_interior_witness_finds_incenter_clearance():
     # The right triangle with legs 1 has inradius (2 - sqrt 2) / 2.
     a = np.array([[1.0, 0.0], [0.0, 1.0], [-1 / np.sqrt(2), -1 / np.sqrt(2)]])
     b = np.array([0.0, 0.0, -1 / np.sqrt(2)])
-    witness, clearance = interior_witness(np.zeros((0, 2)), np.zeros(0), a, b)
+    witness = _witness(_HRep(np.zeros((0, 2)), np.zeros(0), a, b, (0, 1, 2)), FEAS_TOL)
+    clearance = float((a @ witness - b).min())
     assert clearance == pytest.approx((2 - np.sqrt(2)) / 2, abs=1e-9)
     assert np.all(a @ witness >= b + clearance - 1e-9)
+    assert witness == pytest.approx([clearance, clearance], abs=1e-9)  # the incenter
 
 
 def test_interior_witness_rejects_empty_region():
     a = np.array([[1.0], [-1.0]])
     b = np.array([1.0, 0.0])
-    assert interior_witness(np.zeros((0, 1)), np.zeros(0), a, b) is None
+    assert _witness(_HRep(np.zeros((0, 1)), np.zeros(0), a, b, (0, 1)), FEAS_TOL) is None
 
 
 # -- closed forms on points and lines, checked against the tableau -----------
