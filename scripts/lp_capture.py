@@ -4,16 +4,23 @@ Wraps every binding of ``relumorse.lp.lp_solve`` in the loaded
 ``relumorse*`` modules, then runs ``build``, ``classify``,
 ``dgvf --local-check`` and ``render`` on the networks of
 ``scripts/cli_sweep.py`` and on the ``NEAR_DEGENERATE`` integer nets of
-``tests/test_enumeration.py``.  Prints one ``net/command count digest`` line
-per case: the number of LPs solved, and a sha256 over each LP's problem
-arrays (shape and bytes), ``feas_tol``, and its result's status, value,
-argmax bytes and tight set, or the instability error it raised.
+``tests/test_enumeration.py``.  Prints one line per case,
+
+    net/command build_count build_digest later_count later_digest
+
+the LPs solved under ``complex._enumerate_cells`` (build's cell
+enumeration) apart from every later one: per part, the number of LPs and a
+sha256 over each LP's problem arrays (shape and bytes), ``feas_tol``, and
+its result's status, value, argmax bytes and tight set, or the instability
+error it raised.
 
 Run it on two checkouts and diff the outputs; a change that means to keep
-every LP as it was must print the same lines:
+every LP as it was must print the same lines, and one that changes only
+how build enumerates cells the same case, later count and later digest:
 
     python3 scripts/lp_capture.py > after.txt
     diff before.txt after.txt
+    diff <(cut -d' ' -f1,4,5 before.txt) <(cut -d' ' -f1,4,5 after.txt)
 """
 
 import hashlib
@@ -25,6 +32,7 @@ import tempfile
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "scripts")]
 
+import relumorse.complex as complex_module  # noqa: E402
 import relumorse.lp as lp_module  # noqa: E402
 from cli_sweep import cases  # noqa: E402
 from relumorse import to_weight_dict  # noqa: E402
@@ -34,25 +42,31 @@ from test_golden_outputs import COMMANDS, _run  # noqa: E402
 
 
 class Capture:
-    """Counts and hashes every lp_solve call while installed."""
+    """Counts and hashes every lp_solve call while installed, those made
+    under cell enumeration (``building``) apart from the rest."""
 
     def __init__(self):
+        self.building = False
         self.reset()
 
     def reset(self):
-        self.count, self.hash = 0, hashlib.sha256()
+        self.counts, self.hashes = [0, 0], [hashlib.sha256(), hashlib.sha256()]
+
+    def line(self) -> str:
+        return " ".join(f"{c} {h.hexdigest()}" for c, h in zip(self.counts, self.hashes))
 
     def _feed(self, *items):
+        digest = self.hashes[not self.building]
         for item in items:
             if hasattr(item, "tobytes"):
-                self.hash.update(repr(item.shape).encode() + item.tobytes())
+                digest.update(repr(item.shape).encode() + item.tobytes())
             else:
-                self.hash.update(repr(item).encode())
-            self.hash.update(b"|")
+                digest.update(repr(item).encode())
+            digest.update(b"|")
 
     def wrap(self, solve):
         def spy(problem, feas_tol=lp_module.FEAS_TOL):
-            self.count += 1
+            self.counts[not self.building] += 1
             arrays = (problem.objective, problem.a_eq, problem.b_eq, problem.a_ge, problem.b_ge)
             self._feed(*arrays, float(feas_tol))
             try:
@@ -65,9 +79,21 @@ class Capture:
 
         return spy
 
+    def enumeration(self, enumerate_cells):
+        def spy(*args, **kwargs):
+            self.building = True
+            try:
+                return enumerate_cells(*args, **kwargs)
+            finally:
+                self.building = False
+
+        return spy
+
 
 def install(capture) -> None:
-    """Replace every relumorse* binding of lp_solve by one spy."""
+    """Replace every relumorse* binding of lp_solve by one spy, and flag
+    the calls made while cell enumeration runs."""
+    complex_module._enumerate_cells = capture.enumeration(complex_module._enumerate_cells)
     real = lp_module.lp_solve
     spy = capture.wrap(real)
     for name, module in list(sys.modules.items()):
@@ -95,7 +121,7 @@ def main() -> int:
                 capture.reset()
                 target = directory / f"{net}.{command}.out"
                 _run([*COMMANDS[command], "-i", str(path), "-o", str(target)])
-                print(f"{net}/{command} {capture.count} {capture.hash.hexdigest()}", flush=True)
+                print(f"{net}/{command} {capture.line()}", flush=True)
     return 0
 
 

@@ -20,7 +20,8 @@ then yields points inside the pieces, for all regions of a neuron step in
 stacked numpy calls.  An LP pushing the map the other way decides instead
 where the closure holds no vertex, its ray system is singular or a sign
 falls in the tolerance band, and after a band decision for the rest of the
-layer.
+layer.  Layer 1 starts from all sign words of its first maps, in closed
+form, so build solves no LP on generic input.
 Acceptance checks the words of one parent cell together: a word is kept
 when its sample point clears every strict inequality by a margin, read off
 one slack matrix, and otherwise by an LP that maximizes the worst slack;
@@ -626,6 +627,23 @@ def _accept(net: ReluNetwork, words: list, points, table: NodeMaps, lp_tol: floa
     return out
 
 
+def _seed(table: NodeMaps, n0: int, n_1: int) -> dict | None:
+    """{word: (point, dim)} of all 3^m words of layer 1's first m = min(n0,
+    n_1) maps, whose non-constant, independent unit rows take R^n0 onto R^m:
+    each word is a region of dimension n0 - #zeros, with the least-norm point
+    for the targets t in {-1, 0, 1}^m.  None otherwise, or for a point beyond
+    _FAR, where the band's decisions hang on the LP path's own points."""
+    m = min(n0, n_1)
+    unit, unit_off = (u[:m] for u in table.unit)
+    if table.const[:m].any() or np.linalg.matrix_rank(unit, tol=_RANK_TOL) < m:
+        return None
+    words = list(itertools.product((-1, 0, 1), repeat=m))
+    points = np.linalg.lstsq(unit, (unit_off + np.array(words)).T, rcond=None)[0].T
+    if np.abs(points).max() > _FAR:
+        return None
+    return {w: (x, n0 - w.count(0)) for w, x in zip(words, points)}
+
+
 def _enumerate_cells(net: ReluNetwork, lp_tol: float) -> list:
     """Sorted sign words of all cells of C(F); raises the genericity and
     forced-flatness errors of :func:`build_complex`."""
@@ -652,10 +670,13 @@ def _enumerate_cells(net: ReluNetwork, lp_tol: float) -> list:
         # layer's signs decided so far.  While ``exact`` it names exactly the
         # nonempty regions, and closures are read off it; a decision in the
         # tolerance band may name empty pieces, so the LP decides the rest of
-        # the layer.  A vanishing map leaves its parent unsplit.
+        # the layer.  A vanishing map leaves its parent unsplit (with none
+        # left, acceptance raises); layer 1 starts from :func:`_seed`'s words.
         regions = {p: (x, n0 - p.count(0)) for p, x in stage.items() if p not in vanishing}
-        exact = not vanishing
-        for j in range(n_k):
+        exact, start = not vanishing, 0 if regions else n_k
+        if k == 1 and exact and (seeded := _seed(tables[()], n0, n_k)):
+            regions, start = seeded, min(n0, n_k)
+        for j in range(start, n_k):
             words = list(regions)
             at = np.array([first[w[:off]] for w in words])
             r = at + off + j

@@ -405,6 +405,22 @@ def test_degenerate_net_exit_2(tmp_path, capsys):
     assert payload["error"] == "genericity"
 
 
+def test_vanishing_layer_one_map_exit_2(tmp_path, capsys):
+    # Every region of layer 1 has a vanishing map, so none is split.
+    weights = tmp_path / "w.json"
+    net = ReluNetwork(
+        (AffineLayer([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [0.0, 0.0, 0.1]),),
+        AffineLayer([[1.0, 2.0, 4.0]], [0.0]),
+    )
+    weights.write_text(json.dumps(to_weight_dict(net)))
+    output = tmp_path / "c.json"
+    assert run(["build", "-i", str(weights), "-o", str(output)]) == 2
+    assert not output.exists()
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "genericity"
+    assert payload["message"] == "node map (1, 1) vanishes identically on a region"
+
+
 def test_usage_error_exit_1():
     assert run(["gen"]) == 1  # neither --arch nor --fixture
     assert run(["unknown-command"]) == 1

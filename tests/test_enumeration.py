@@ -11,7 +11,8 @@ structured error.
 The split decides a region from the vertices and rays of its closure, and by
 LP where the closure holds no vertex or a sign falls in the tolerance band.
 Forcing the LP everywhere must not change the outcome either.  Nor may
-forcing acceptance's witness LP.  The stacked closure split must agree with
+forcing acceptance's witness LP, or starting layer 1 by LP where it starts
+in closed form.  The stacked closure split must agree with
 the per-region ``conftest.generator_pieces``, the stacked flat-flag test
 with the per-cell loop of ``conftest.reference_flatness``, the stacked
 edge solve with the per-edge ``conftest.reference_edge_slopes``, and each
@@ -164,6 +165,10 @@ DEGENERATE = {
         [[0.0, -1.0], [-1.0, 0.3]],
         [1.0, 2.0],
     ),
+    # Node map (1, 1) is zero everywhere, so layer 1 has no region to split.
+    "layer_one_vanishes": _net(
+        [[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]], [[0.0, 0.0, 0.1]], [1.0, 2.0, 4.0]
+    ),
 }
 
 RANDOM_ARCHS = ((2, 3, 1), (2, 5, 1), (3, 4, 1), (2, 4, 3, 1), (2, 4, 4, 1), (3, 4, 3, 1))
@@ -192,6 +197,7 @@ def test_degenerate_cases_raise_genericity():
         ("three_lines", "feasible pattern 000 has 3 > n0 zeros"),
         ("dead_region_vanishes", "node map (2, 1) vanishes identically on a region"),
         ("vanishes_on_a_line", "dependent zero-set equations on +00+"),
+        ("layer_one_vanishes", "node map (1, 1) vanishes identically on a region"),
     ):
         with pytest.raises(GenericityError, match=re.escape(expected)):
             build_complex(DEGENERATE[name])
@@ -223,22 +229,26 @@ def _spy(monkeypatch, name) -> list:
     return calls
 
 
-@pytest.mark.parametrize("arch, n_lps", [((2, 8, 1), 4), ((4, 7, 1), 40)])
-def test_build_solves_only_vertex_free_region_lps(monkeypatch, arch, n_lps):
-    # Until layer 1 has n0 hyperplanes no region has a vertex: the splits by
-    # its first n0 maps solve 1 + 3 + ... + 3^(n0-1) LPs, one per region.
-    # Every later split is read off closures, and every sample point clears
-    # acceptance without a witness LP.
+GENERIC_ARCHS = [(2, 8, 1), (4, 7, 1), (3, 6, 1), (2, 4, 3, 1), (2, 4, 4, 1), (3, 4, 3, 1)]
+
+
+@pytest.mark.parametrize("arch", GENERIC_ARCHS, ids=lambda arch: "-".join(map(str, arch)))
+def test_build_solves_no_lp_on_generic_nets(monkeypatch, arch):
+    # Layer 1 starts from the 3^n0 regions of its first n0 maps in closed
+    # form, so every later split is read off a closure holding their vertex,
+    # and every sample point clears acceptance without a witness LP.  The
+    # deep nets are rejected as flat, after the same LP-free layers.
     lps = _spy(monkeypatch, "lp_solve")
     witnesses = _spy(monkeypatch, "_witness")
     reps = _spy(monkeypatch, "_hrep_for")
-    cpx = build_complex(random_network(Architecture.from_full(arch), seed=0))
-    assert len(lps) == n_lps == (3 ** cpx.n0 - 1) // 2
-    assert witnesses == []
-    # H-representations are built for the LP regions alone.  A vertex that
-    # map j meets reads its zero rows off the parent's table, and acceptance
-    # and the flat flags build none.
-    assert len(reps) == n_lps
+    try:
+        build_complex(random_network(Architecture.from_full(arch), seed=0))
+    except FlatCellError:
+        assert len(arch) > 3
+    # Nor is any H-representation built: a vertex that map j meets reads
+    # its zero rows off the parent's table, and acceptance and the flat
+    # flags build none.
+    assert (lps, witnesses, reps) == ([], [], [])
 
 
 def _integer_net(arch, seed, noise):
@@ -283,6 +293,57 @@ def test_lp_decisions_match_closure_decisions(monkeypatch):
     for case, net, expected in zip(NEAR_DEGENERATE, nets, read_off):
         assert structure(net) == expected, case
     assert len(lps) > own  # the regions with a vertex took the LP too
+
+
+def _near_parallel_net(arch, seed, angle):
+    """Random net whose second layer-1 row is turned to ``angle`` from its
+    first, in the plane of the two; the rank cut falls near angle 1.4e-7."""
+    net = random_network(Architecture.from_full(arch), seed=seed)
+    w = np.array(net.layers[0].weights)
+    u = w[0] / np.linalg.norm(w[0])
+    p = w[1] - (w[1] @ u) * u
+    w[1] = np.linalg.norm(w[1]) * (math.cos(angle) * u + math.sin(angle) * p / np.linalg.norm(p))
+    first = AffineLayer(w, net.layers[0].bias)
+    return ReluNetwork((first, *net.layers[1:]), net.final)
+
+
+SEED_NETS = [random_network(Architecture.from_full(arch), seed=seed) for arch, seed in RANDOM]
+SEED_NETS += [_integer_net(*case) for case in NEAR_DEGENERATE] + [net_b(), *DEGENERATE.values()]
+# A constant first row, positive everywhere, and two parallel first rows.
+SEED_NETS += [
+    _net([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]], [[1.0, 0.0, 0.1, 1.0]], [1.0, 2.0, 4.0, 3.0]),
+    _net([[[1.0, 0.0], [-2.0, 0.0], [0.0, 1.0], [1.0, -1.0]]], [[0.0, 1.0, 0.3, -0.2]], [1.0, 2.3, 4.1, -3.7]),
+]
+SEED_NETS += [
+    _near_parallel_net(arch, seed, 10.0**-e)
+    for arch in ((2, 4, 1), (3, 4, 1), (2, 3, 2, 1))
+    for seed in range(3)
+    for e in range(4, 11)
+]
+SEED_NETS += [
+    random_network(Architecture.from_full(arch), seed=seed)
+    for arch in ((3, 1, 1), (3, 2, 1), (2, 1, 3, 1))
+    for seed in range(6)
+]
+
+
+def test_closed_form_seed_matches_the_lp_path(monkeypatch):
+    # Layer 1's closed-form regions against the LP splits they replace,
+    # with the seed declining everywhere: the same cells, vertex bytes and
+    # errors, on nets where the seed fires and where it declines.
+    real, seeded = complex_module._seed, []
+
+    def spy(*args):
+        out = real(*args)
+        seeded.append(out is not None)
+        return out
+
+    monkeypatch.setattr(complex_module, "_seed", spy)
+    expected = [structure(net) for net in SEED_NETS]
+    monkeypatch.setattr(complex_module, "_seed", lambda *args: None)
+    for i, (net, want) in enumerate(zip(SEED_NETS, expected)):
+        assert structure(net) == want, i
+    assert True in seeded and False in seeded
 
 
 CLOSURE_NETS = [random_network(Architecture.from_full(arch), seed=seed) for arch, seed in RANDOM]
@@ -373,10 +434,11 @@ def test_hyperplane_near_a_vertex_takes_the_lp(monkeypatch):
     lps = _spy(monkeypatch, "_reach")
     splits = _spy(monkeypatch, "_closure_pieces")
     outcome = split_outcome(net)
-    # Layer 1's four vertex-free regions, then the fallback in layer 2: the
-    # vertex in the band hands the rest of the layer to the LP, so no
-    # closure split sees a word past layer 2's first map.
-    assert len(lps) > 4
+    # Layer 1 is seeded in closed form, so every LP is layer 2's fallback,
+    # on a word with all three layer-1 rows: the vertex in the band hands the
+    # rest of the layer to the LP, and no closure split sees a word past
+    # layer 2's first map.
+    assert lps and all(len(rep.b_ge) + len(rep.b_eq) >= 3 for rep, *_ in lps)
     assert [len(words[0]) for _, _, words, *_ in splits] == [2, 3]
     assert outcome == brute_force_outcome(net)
     assert outcome[2]["message"] == "feasible pattern 00+0-+ has 3 > n0 zeros"
