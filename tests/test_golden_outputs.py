@@ -29,6 +29,10 @@ NETS = {
     # Vertex-free lines, drawn through a point on each line: one, and three.
     "2-1-1-s1": ["--arch", "2,1,1", "--seed", "1"],
     "2-1-3-1-s5": ["--arch", "2,1,3,1", "--seed", "5"],
+    # Accepted two-layer nets: several parent tables per layer, and vertices
+    # whose zero sets span both layers.
+    "2-8-8-1-s0": ["--arch", "2,8,8,1", "--seed", "0"],
+    "2-12-12-1-s0": ["--arch", "2,12,12,1", "--seed", "0"],
 }
 
 COMMANDS = {
@@ -47,6 +51,10 @@ GOLDEN = {
     "2-1-3-1-s5/classify": "5a435b9c7f4dbbef1bca674ea73336bc155bf49b872d39e6e04713b0c93c21ac",
     "2-1-3-1-s5/dgvf": "7c3a1d567243de9e854352f5daa56e85a156ade865a58b59b2c6f66f045b5796",
     "2-1-3-1-s5/render": "59644be9ad30c94ff5b4bb6c841435c2e1b0c0f2264748ad9c863860e8243b0f",
+    "2-12-12-1-s0/build": "3d169398c3655d55b37028fb3233f675bedb8c4555900fbdd9ee4cbbf84baf84",
+    "2-12-12-1-s0/classify": "c66926504a017aa1e410e7f19bffa48df7f46dd17049bc4f566bc7d0048dab5f",
+    "2-12-12-1-s0/dgvf": "de5109563eb59553ac0a4ad41bddbf26c4bd4c9272d541de073a7e647bba0b73",
+    "2-12-12-1-s0/render": "ef1f48e1d6240a03556d695161b25133987770255cd983427b34ec52495bc35c",
     "2-4-3-1-s2/build": "302c630f16c6bb8180a7c7117f9248a53f6849ae359c033409c7046b62817f69",
     "2-4-3-1-s2/classify": "302c630f16c6bb8180a7c7117f9248a53f6849ae359c033409c7046b62817f69",
     "2-4-3-1-s2/dgvf": "302c630f16c6bb8180a7c7117f9248a53f6849ae359c033409c7046b62817f69",
@@ -55,6 +63,10 @@ GOLDEN = {
     "2-8-1-s0/classify": "97c8967e9928b795adea93d92a9d641e1f1d2e10d6817376be0b378739e17bfd",
     "2-8-1-s0/dgvf": "0d1d4c1c3a794b8df712cfdb127ded1df9d335ccad26cda3a6d9a009369f032d",
     "2-8-1-s0/render": "0d075a0c0f050132e047cc85af5d83895cb9b46fa65bcc570d5a908f301fd98e",
+    "2-8-8-1-s0/build": "6ecd5a0423b401b4f3084aa9b69dab5abb9b0941abccab2210c591be0e2af435",
+    "2-8-8-1-s0/classify": "681cb8b497f9bc2e2aa5908db9a744fb532ca06ea50ccf04b412e26673b32c52",
+    "2-8-8-1-s0/dgvf": "e845e7d9490ea590618074234fd6933f92a218f3dddcacddc67fff160c040488",
+    "2-8-8-1-s0/render": "a5602c66c8b4c41c1ee9af77d182986e1e4f26e6edf79822cc8fd777e06af1a8",
     "3-4-1-s5/build": "12a8a79b0febf97fa844de7b75ad2a5178d82cdddda05e361bd19bb469a85028",
     "3-4-1-s5/classify": "96b7bce051d699415fda2cd0f64e8629a2b72f61666b2ee99558bbd7c8a135f4",
     "3-4-1-s5/dgvf": "e02402b8e4a7dc059db81634e8ca936e5f0e553d153dbf285fac0a7f3f344adf",
