@@ -4,16 +4,17 @@ Cells are named by sign sequences: one entry in {-1, 0, +1} per hidden
 neuron recording the sign of that node map on the cell.  Under the
 genericity conditions enforced here a k-cell has exactly n0 - k zero
 entries and faces are read off by composing sign words.  The finished
-complex answers from what construction leaves: face, vertex and ray queries
-from the facet-incidence map, and a vertex's location and edge slopes from
-node-map tables, one per parent cell.
+complex answers from what construction leaves: faces from the facet map,
+F's maxima bottom-up over it, flat flags from one gradient product per
+node-map table, and a vertex's location and edge slopes from those tables,
+one per parent cell; closure vertices and rays only on demand.
 
 Construction refines layer by layer, one node map at a time: map j of
 layer k splits every region of every parent cell before map j + 1 does, so
 the regions found so far form the whole refined complex.  On a parent cell
-the map is affine.  Every closure query reads one facet-incidence map,
-``_closures``: a cell's facets are the present words that zero one more
-entry, and its closure vertices and rays are the union of its facets'.
+the map is affine.  Closure queries read two passes: ``_facets``, the
+present words that zero one more entry, and ``_closures``, whose closure
+vertices and rays are the union of the facets'.
 The map meets a region iff it takes both signs over the vertices and rays
 of its closure; a segment to the best vertex, or far along a rising ray,
 then yields points inside the pieces, for all regions of a neuron step in
@@ -144,27 +145,30 @@ def _edge_slopes(v_signs: Signs, form_of) -> dict:
     return out
 
 
-def _closures(dims: dict) -> dict:
-    """{word: (facets, vertices, rays)} of the cells ``dims`` ({word: dim}),
-    each a sorted tuple, built bottom-up by dimension.  A cell's facets are
-    the present words that zero one more entry.  A vertex is its own
-    closure, an edge with exactly one vertex is the ray (vertex, edge), and
-    any other closure is the union of its facets' closures.  Facets are
-    found from below, by flipping the few zero entries of each word."""
+def _facets(dims: dict) -> dict:
+    """{word: sorted tuple of facets} of the cells ``dims`` ({word: dim}): the
+    present words that zero one more entry, found by flipping words' zeros."""
     below = {w: [] for w in dims}
     for w in dims:
         zeros = [p for p, s in enumerate(w) if s == 0]
         for up in (w[:p] + (sigma,) + w[p + 1 :] for p in zeros for sigma in (-1, 1)):
             if up in below:
                 below[up].append(w)
+    return {w: tuple(sorted(fs)) for w, fs in below.items()}
+
+
+def _closures(dims: dict, facets: dict) -> dict:
+    """{word: (facets, vertices, rays)}, sorted tuples, bottom-up by dimension
+    from :func:`_facets`: a vertex is its own closure, an edge with one vertex
+    the ray (vertex, edge), any other closure the union of its facets'."""
     out = {}
     for word in sorted(dims, key=dims.get):
-        facets = tuple(sorted(below[word]))
-        verts = tuple(sorted({v for f in facets for v in out[f][1]})) if dims[word] else (word,)
-        rays = tuple(sorted({r for f in facets for r in out[f][2]}))
+        fs = facets[word]
+        verts = tuple(sorted({v for f in fs for v in out[f][1]})) if dims[word] else (word,)
+        rays = tuple(sorted({r for f in fs for r in out[f][2]}))
         if dims[word] == 1 and len(verts) == 1:
             rays = ((verts[0], word),)
-        out[word] = (facets, verts, rays)
+        out[word] = (fs, verts, rays)
     return out
 
 
@@ -285,7 +289,9 @@ class CanonicalComplex:
         self._forms = {}
         self._hreps = {}
         self._fmax = {}
+        self._peaks = {}
         self._edge_slopes = {}
+        self._facets = _facets({s: c.dim for s, c in cells.items()})
         self._closure_map = None
 
     @property
@@ -325,12 +331,13 @@ class CanonicalComplex:
     def closure(self, cell) -> tuple:
         """(facets, vertices, rays) of a stored cell; built on first use."""
         if self._closure_map is None:
-            self._closure_map = _closures({s: c.dim for s, c in self.cells.items()})
+            self._closure_map = _closures({s: c.dim for s, c in self.cells.items()}, self._facets)
         return self._closure_map[cell.signs if isinstance(cell, Cell) else tuple(cell)]
 
     def facets(self, cell) -> list:
         """Stored cells obtained by zeroing exactly one nonzero entry, sorted."""
-        return [self.cells[f] for f in self.closure(cell)[0]]
+        signs = cell.signs if isinstance(cell, Cell) else tuple(cell)
+        return [self.cells[f] for f in self._facets[signs]]
 
     def vertex_facets(self, cell) -> list:
         """Vertices of the complex lying in the closure of ``cell``, sorted."""
@@ -346,41 +353,50 @@ class CanonicalComplex:
         return self.f_max(cell) < float("inf")
 
     def f_max(self, cell) -> float:
-        """Max of F over the cell, cached; +inf when F is unbounded above on
-        it.  A vertex returns its value, any other cell :meth:`sup` of F."""
-        cell = cell if isinstance(cell, Cell) else self.cells[tuple(cell)]
-        if cell.signs not in self._fmax:
-            vertex = self.vertices.get(cell.signs)
-            self._fmax[cell.signs] = vertex.value if vertex else self.sup(cell.signs, 1)
-        return self._fmax[cell.signs]
+        """:meth:`sup` of F over the cell, cached."""
+        signs = cell.signs if isinstance(cell, Cell) else tuple(cell)
+        if signs not in self._fmax:
+            self._fmax[signs] = self.sup(signs, 1)
+        return self._fmax[signs]
 
     def sup(self, signs: Signs, sense: int) -> float:
-        """Sup of sense * F (sense = +1 or -1) over a non-vertex cell; +inf
-        when sense * F is unbounded above on it.
-
-        A closure holding a vertex is pointed, its recession cone is spanned
-        by its rays, and F is affine on it: sense * F is bounded iff it falls
-        leaving the vertex along every ray, and its sup is then the best
-        vertex value.  A vertex-free cell, or a ray at a vertex where
-        :meth:`edge_slopes` raises, costs one LP on the restricted gradient
-        instead.
+        """Sup of sense * F (sense = +1 or -1) over a cell; +inf when sense *
+        F is unbounded above on it.  A closure holding a vertex is pointed,
+        its rays span its recession cone, and F is affine on it: sense * F is
+        bounded iff it falls along every ray, to the best vertex value (both
+        from :meth:`_peak`).  A vertex-free cell, or a first ray that does
+        not fall at a vertex where :meth:`edge_slopes` raises, costs one LP.
         """
-        signs = tuple(signs)
-        corners = self.vertex_facets(signs)
-        if corners:
-            try:
-                if all(sense * self.edge_slopes(v)[e][1] < 0 for v, e in self.closure(signs)[2]):
-                    return max(sense * v.value for v in corners)
-                return float("inf")
-            except (FlatCellError, SingularSystemError):
-                pass
+        best, ray = self._peak(tuple(signs), sense)
+        if best is not None and not (ray and ray[1]):
+            return float("inf") if ray else best
         form, rep = self.form(signs), self.hrep(signs)
         res = lp_solve(_cell_problem(rep, sense * form.total_gradient), feas_tol=self.lp_tol)
         if not res.optimal:
             return float("inf")
-        if corners:
-            return max(sense * v.value for v in corners)
-        return res.value + sense * form.total_offset
+        return res.value + sense * form.total_offset if best is None else best
+
+    def _peak(self, signs: Signs, sense: int) -> tuple:
+        """(best vertex value of sense * F, first ray) over a cell's closure,
+        bottom-up over the facets, as in :func:`_closures`; (None, None)
+        without a vertex.  The first ray in word order that does not fall
+        comes as (ray, whether its vertex's edge slopes raised)."""
+        key = (signs, sense)
+        if key not in self._peaks:
+            facets = self._facets[signs]
+            parts = [self._peak(f, sense) for f in facets]
+            if signs in self.vertices:
+                parts = [(sense * self.vertices[signs].value, None)]
+            elif self.cells[signs].dim == 1 and len(facets) == 1:
+                ray = (facets[0], signs)
+                try:
+                    rises = sense * self.edge_slopes(facets[0])[signs][1] > 0
+                    parts.append((None, (ray, False) if rises else None))
+                except (FlatCellError, SingularSystemError):
+                    parts.append((None, (ray, True)))
+            best = max((b for b, _ in parts if b is not None), default=None)
+            self._peaks[key] = (best, min((r for _, r in parts if r), default=None))
+        return self._peaks[key]
 
     def edge_slopes(self, v_signs: Signs) -> dict:
         """:func:`_edge_slopes` at a vertex, cached; a raise is not cached."""
@@ -441,7 +457,7 @@ def _abort_on_forced_flats(net, stage, upto_layer, n0):
     # Zeroing entries keeps a dead block dead, so the dead words are closed
     # under faces and their own closure map holds their vertices.
     dead = {s: n0 - s.count(0) for s in stage if any(1 not in s[a:b] for a, b in blocks)}
-    closures = _closures(dead)
+    closures = _closures(dead, _facets(dead))
     for signs, dim in dead.items():
         if dim and closures[signs][1]:  # vertices themselves may be "flat"
             raise FlatCellError(
@@ -682,7 +698,8 @@ def _enumerate_cells(net: ReluNetwork, lp_tol: float) -> list:
             r = at + off + j
             const, a, b = consts[r], unit[r], unit_off[r]
             v = _dot(a, np.array([x for x, _ in regions.values()])) - b
-            closures = exact and _closures({w: d for w, (_, d) in regions.items()})
+            dims = {w: d for w, (_, d) in regions.items()}
+            closures = exact and _closures(dims, _facets(dims))
             sel = [
                 i for i, (w, (_, d)) in enumerate(regions.items())
                 if exact and d and not const[i] and closures[w][1]
@@ -744,28 +761,29 @@ def build_complex(
 
 
 def _flag_flat(cpx: CanonicalComplex) -> None:
-    """Flag the positive-dimensional cells on which F is constant, by one
-    stacked SVD of their zero sets per dimension.  With a vertex in the
-    closure the Morse machinery cannot run: FlatCellError names the first
-    such cell.  Vertex-free flat cells (uncut bent hyperplanes) stay flagged.
-    """
-    n0, by_dim = cpx.n0, {}
-    for cell in cpx.cells.values():
-        if cell.dim:
-            by_dim.setdefault(cell.dim, []).append(cell)
-    for dim, group in by_dim.items():
-        g = np.array([cpx.form(c.signs).total_gradient for c in group])
-        proj = g
+    """Flag the positive-dimensional cells on which F is constant: its
+    gradients, one product per parent table, by one stacked SVD of their zero
+    sets per dimension.  With a vertex in the closure the Morse machinery
+    cannot run: FlatCellError names the first such cell.  Vertex-free flat
+    cells (uncut bent hyperplanes) stay flagged."""
+    n0, final, n = cpx.n0, cpx.net.final, cpx.net.total_neurons
+    cells = [c for c in cpx.cells.values() if c.dim]
+    s, dims = np.array([c.signs for c in cells]), np.array([c.dim for c in cells])
+    _, first, at = np.unique(s[:, : -final.in_dim], axis=0, return_index=True, return_inverse=True)
+    tables, g = [cpx.table(cells[i].signs) for i in first], np.empty((len(cells), n0))
+    for i, table in enumerate(tables):
+        g[at == i] = table.f_affine(final, s[at == i, -final.in_dim :])[0]
+    unit = np.concatenate([t.unit[0] for t in tables])  # row p of table i: row i * n + p
+    for dim in set(dims.tolist()):
+        sel = np.flatnonzero(dims == dim)
+        proj = g[sel]
         if dim < n0:
-            eqs = []
-            for c in group:
-                table, zero_pos = cpx.table(c.signs), [p for p, s in enumerate(c.signs) if s == 0]
-                eqs.append(table.unit[0][zero_pos])
-            basis = np.linalg.svd(np.array(eqs))[2][:, n0 - dim :]
-            proj = (basis @ g[:, :, None])[..., 0]
-        flat = _is_flat(np.linalg.norm(proj, axis=1), np.linalg.norm(g, axis=1))
-        for cell, f in zip(group, flat):
-            cell.flat = bool(f)
+            zeros = np.nonzero(s[sel] == 0)[1].reshape(len(sel), n0 - dim)
+            basis = np.linalg.svd(unit[at[sel, None] * n + zeros])[2][:, n0 - dim :]
+            proj = (basis @ g[sel, :, None])[..., 0]
+        flat = _is_flat(np.linalg.norm(proj, axis=1), np.linalg.norm(g[sel], axis=1))
+        for i, f in zip(sel.tolist(), flat.tolist()):
+            cells[i].flat = f
     for cell in cpx.cells.values():
         if cell.flat and cpx.closure(cell)[1]:
             raise FlatCellError(
@@ -787,10 +805,13 @@ def _assemble(net, cell_signs, sign_tol, lp_tol) -> CanonicalComplex:
         vertices[signs] = VertexRecord(signs, loc, net.evaluate(loc))
     cpx.vertices = dict(sorted(vertices.items()))
 
-    records = list(cpx.vertices.values())
-    for a_i in range(len(records)):
-        for b_i in range(a_i + 1, len(records)):
-            va, vb = records[a_i], records[b_i]
+    # The pair scan runs only if sorted neighbours agree within twice the bound:
+    # of an agreeing pair, the value of larger magnitude and its neighbour
+    # toward the other agree too (monotone rounding; their scale is no smaller).
+    values = np.sort([v.value for v in cpx.vertices.values()])
+    scale = np.maximum(1.0, np.abs(values))
+    if (np.diff(values) <= 2 * sign_tol * np.maximum(scale[:-1], scale[1:])).any():
+        for va, vb in itertools.combinations(cpx.vertices.values(), 2):
             if abs(va.value - vb.value) <= sign_tol * max(1.0, abs(va.value), abs(vb.value)):
                 raise InjectivityError(
                     f"vertices {signs_to_str(va.signs)} and {signs_to_str(vb.signs)}"

@@ -13,8 +13,9 @@ relatively perfect discrete gradient vector field.
 ``local_pair`` applies the same rule to a single cell without the global
 complex: the cell's lower-star vertex is the max of F over its closure,
 either a classified vertex certified by a sign check against its point
-(solved once per parent table, kept as a slack row) or found by one LP,
-the only step that builds the cell's H-representation.  One stacked solve
+(solved once per parent table, kept as a bitmask of the signs its slack
+row rules out, so a cell checks it with one integer AND) or found by one
+LP, the only step that builds the cell's H-representation.  One stacked solve
 of the vertex's 2*n0 edge systems classifies it.  ``_lower_star_patterns``
 generates the lower stars of both: ``build_dgvf`` pairs them, and
 ``local_pair`` indexes them by sign word.
@@ -220,8 +221,8 @@ def compactify(cpx: CanonicalComplex) -> CompactifiedComplex:
     facets = {BASEPOINT: ()}
     f_max = {BASEPOINT: float("-inf")}
     for signs, cell in kept.items():
-        cell_facets = [f for f in cpx.closure(cell)[0] if f in kept]
-        if cell.dim == 1 and cpx.closure(cell)[2]:
+        cell_facets = [f.signs for f in cpx.facets(cell) if f.signs in kept]
+        if cell.dim == 1 and len(cell_facets) == 1:  # a ray; vertices are all kept
             cell_facets.append(BASEPOINT)
         facets[signs] = tuple(cell_facets)
         f_max[signs] = cpx.f_max(cell)
@@ -293,15 +294,22 @@ class PairAssignment:
     owner_index: int | None  # critical index of the owner, None when regular
 
 
-def _vertex_point(table, vertex):
-    """(slack row ``unit @ x - offset``, zero mask) of the table at the point
-    x where its unit rows at the vertex's zeros meet; None when one of those
-    rows is constant or they are singular."""
+def _vertex_mask(table, vertex, lp_tol: float):
+    """Bitmask, bit 3p + s + 1, of the signs s that a cell may not take at row
+    p, read off the point where the table's unit rows at the vertex's zeros
+    meet: 0 where the vertex has no zero and, on a live row, s = +1 or -1
+    where being tight, s * slack <= ``lp_tol``, is not being a zero.  None
+    when a zero row is constant, the rows are singular or the point misses
+    them by over ``lp_tol``."""
     zero = np.array(vertex) == 0
     unit, unit_off = table.unit
     with contextlib.suppress(np.linalg.LinAlgError):
         if not table.const[zero].any():
-            return unit @ np.linalg.solve(unit[zero], unit_off[zero]) - unit_off, zero
+            slack = unit @ np.linalg.solve(unit[zero], unit_off[zero]) - unit_off
+            if not np.abs(slack[zero]).max() > lp_tol:
+                bad = ~table.const & (zero != (np.array([-slack, slack]) <= lp_tol))
+                bits = np.packbits(np.column_stack([bad[0], ~zero, bad[1]]), bitorder="little")
+                return int.from_bytes(bits.tobytes(), "little")
     return None
 
 
@@ -309,7 +317,7 @@ def _certified_vertex(signs: Signs, entry, candidates, lp_tol: float):
     """The one of the classified vertices ``candidates``, whose lower stars
     hold the cell ``signs``, certified as the unique max of F over the
     cell's closure, else None.  ``entry`` is the cell's (node-map table,
-    {vertex: :func:`_vertex_point`}) in ``local_pair``'s ``_tables``.
+    {vertex: :func:`_vertex_mask`}) in ``local_pair``'s ``_tables``.
 
     A candidate passes when the table's unit rows at its zeros meet in a
     point within ``lp_tol`` where, of the cell's live rows with nonzero
@@ -320,17 +328,11 @@ def _certified_vertex(signs: Signs, entry, candidates, lp_tol: float):
     candidate to pass.
     """
     table, points = entry
-    s = np.array(signs)
-    live = (s != 0) & ~table.const
+    word = sum(1 << (3 * p + s + 1) for p, s in enumerate(signs))
     for cls in candidates:
         if cls.vertex not in points:
-            points[cls.vertex] = _vertex_point(table, cls.vertex)
-        if points[cls.vertex] is None:
-            continue
-        slack, zero = points[cls.vertex]
-        if not zero[s == 0].all() or np.abs(slack[zero]).max() > lp_tol:
-            continue
-        if np.array_equal(s[live] * slack[live] <= lp_tol, zero[live]):
+            points[cls.vertex] = _vertex_mask(table, cls.vertex, lp_tol)
+        if points[cls.vertex] is not None and not word & points[cls.vertex]:
             return cls
     return None
 
@@ -354,8 +356,8 @@ def local_pair(
     lower stars hold it.  A check over many cells of one network passes one
     such dict to all of them, so it solves one LP per vertex and classifies
     each once.  The dict holds only this oracle's own LP vertices, never the
-    complex's.  It also shares one ``_tables`` dict: by parent, the node
-    maps and each candidate vertex's point on them, as its slack row.
+    complex's.  It also shares one ``_tables`` dict, for one ``lp_tol``: by
+    parent, the node maps and each candidate vertex's mask on them.
     """
     signs = tuple(signs)
     if len(signs) != net.total_neurons:

@@ -204,6 +204,13 @@ class NodeMaps:
         scale = np.where(self.const, 1.0, self.norms)
         return self.rows / scale[:, None], -self.offsets / scale
 
+    def f_affine(self, final: AffineLayer, last_signs) -> tuple:
+        """(gradients, offsets) of F on cells of this table, one per row of
+        last-layer signs: the ``final`` map, its weights masked by the signs,
+        applied to the last layer's node maps."""
+        masked, n_m = final.weights * (np.asarray(last_signs) > 0), final.in_dim
+        return masked @ self.rows[-n_m:], masked @ self.offsets[-n_m:] + final.bias
+
 
 @dataclass(frozen=True)
 class CellAffineForm(NodeMaps):
@@ -239,10 +246,9 @@ def node_maps(net: ReluNetwork, signs: Signs) -> NodeMaps:
 def cell_affine_form(net: ReluNetwork, signs: Signs, table=None) -> CellAffineForm:
     """Affine restriction of F and of every node map to the cell ``signs``.
 
-    The restricted gradient is the final weights applied to the last
-    layer's node maps, masked by its signs.  ``table`` is
-    ``node_maps(net, signs[:-n_m])`` when the caller has it: the cells of
-    one parent cell share it.
+    F's restriction is :meth:`NodeMaps.f_affine` of the one cell.
+    ``table`` is ``node_maps(net, signs[:-n_m])`` when the caller has it: the
+    cells of one parent cell share it.
     """
     if len(signs) != net.total_neurons:
         raise DimensionError(
@@ -253,10 +259,8 @@ def cell_affine_form(net: ReluNetwork, signs: Signs, table=None) -> CellAffineFo
     n_m = net.layers[-1].out_dim
     if table is None:
         table = node_maps(net, signs[:-n_m])
-    active = (np.asarray(signs[-n_m:]) > 0).astype(float)
-    grad = (net.final.weights @ (table.rows[-n_m:] * active[:, None]))[0]
-    offset = float((net.final.weights @ (table.offsets[-n_m:] * active) + net.final.bias)[0])
-    return CellAffineForm(table.rows, table.offsets, grad, offset)
+    grad, offset = table.f_affine(net.final, [signs[-n_m:]])
+    return CellAffineForm(table.rows, table.offsets, grad[0], float(offset[0]))
 
 
 def random_network(arch: Architecture, seed: int, scale: float = 1.0) -> ReluNetwork:

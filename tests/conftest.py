@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 from dataclasses import dataclass
 
@@ -81,6 +82,25 @@ def certified_draws(netb, cpx_b, netb_neg, cpx_b_neg):
     # Top cells with C(20, 2) = 190 ways to zero two entries.
     wide = random_network(Architecture((2, 20)), seed=0)
     return draws + [(wide, build_complex(wide))]
+
+
+# The accepted nets of scripts/cli_sweep.py besides NET-B: (architecture, seed).
+SWEEP_ACCEPTED = [((2, 8, 1), s) for s in (0, 1, 2, 3, 5)]
+SWEEP_ACCEPTED += [((2, 4, 1), s) for s in (1, 2, 5)] + [((3, 4, 1), 5)]
+SWEEP_ACCEPTED += [((3, 6, 1), 0), ((3, 6, 1), 1), ((4, 7, 1), 0), ((4, 7, 1), 1)]
+SWEEP_ACCEPTED += [((2, 20, 1), 0), ((3, 8, 1), 0), ((4, 10, 1), 0)]
+SWEEP_ACCEPTED += [((2, 8, 8, 1), s) for s in (0, 12, 13)] + [((2, 12, 12, 1), 0)]
+
+
+@pytest.fixture(scope="session")
+def sweep_accepted(netb, cpx_b):
+    """(net, complex) of every accepted net of the CLI sweep: the per-cell
+    references below must agree with the library on each of their cells."""
+    draws = [(netb, cpx_b)]
+    for arch, seed in SWEEP_ACCEPTED:
+        net = random_network(Architecture.from_full(arch), seed=seed)
+        draws.append((net, build_complex(net)))
+    return draws
 
 
 def scan_generic_nets(arch, count, start_seed=0, scale=1.0):
@@ -317,6 +337,73 @@ def reference_certified_vertex(signs, rep, candidates, lp_tol):
             continue
         if np.flatnonzero(rep.a_ge @ x - rep.b_ge <= lp_tol).tolist() == extra:
             return cls
+    return None
+
+
+def reference_slack_certified_vertex(signs, entry, candidates, lp_tol):
+    """``dgvf._certified_vertex`` by slack rows: ``entry`` is (node-map
+    table, {vertex: (slack row, zero mask) or None}), filled on first use,
+    and each cell compares a candidate's slack row entry by entry.  The
+    reference for the sign masks that ``dgvf`` keeps instead."""
+    table, points = entry
+    s = np.array(signs)
+    live = (s != 0) & ~table.const
+    unit, unit_off = table.unit
+    for cls in candidates:
+        if cls.vertex not in points:
+            zero = np.array(cls.vertex) == 0
+            points[cls.vertex] = None
+            with contextlib.suppress(np.linalg.LinAlgError):
+                if not table.const[zero].any():
+                    x = np.linalg.solve(unit[zero], unit_off[zero])
+                    points[cls.vertex] = unit @ x - unit_off, zero
+        if points[cls.vertex] is None:
+            continue
+        slack, zero = points[cls.vertex]
+        if not zero[s == 0].all() or np.abs(slack[zero]).max() > lp_tol:
+            continue
+        if np.array_equal(s[live] * slack[live] <= lp_tol, zero[live]):
+            return cls
+    return None
+
+
+def reference_sup(cpx, cell, sense=1) -> tuple:
+    """(sup of sense * F over a cell, whether it took the cell LP) by the
+    per-cell rule, read off the vertex list and all rays of the union
+    closure map: the best vertex value, unless a ray, in word order, rises
+    (+inf) or is at a vertex whose edge slopes raise (the cell LP) first.
+    The reference for ``CanonicalComplex.sup`` and ``f_max``, which read
+    the same answer off the facet map."""
+    signs = cell.signs if isinstance(cell, Cell) else tuple(cell)
+    corners = [sense * v.value for v in cpx.vertex_facets(signs)]
+    if corners:
+        try:
+            if all(sense * cpx.edge_slopes(v)[e][1] < 0 for v, e in cpx.closure(signs)[2]):
+                return max(corners), False
+            return float("inf"), False
+        except (FlatCellError, SingularSystemError):
+            pass
+    form = cpx.form(signs)
+    res = lp_solve(
+        _cell_problem(cpx.hrep(signs), sense * form.total_gradient), feas_tol=cpx.lp_tol
+    )
+    if not res.optimal:
+        return float("inf"), True
+    return (max(corners) if corners else res.value + sense * form.total_offset), True
+
+
+def reference_injectivity(records, sign_tol):
+    """Message of the InjectivityError that a scan over every pair of vertex
+    ``records`` raises at the first pair, in list order, whose values agree
+    within ``sign_tol`` times max(1, |value|); None when no pair does.  The
+    reference for the sorted check of ``complex._assemble``."""
+    for a_i, va in enumerate(records):
+        for vb in records[a_i + 1 :]:
+            if abs(va.value - vb.value) <= sign_tol * max(1.0, abs(va.value), abs(vb.value)):
+                return (
+                    f"vertices {signs_to_str(va.signs)} and {signs_to_str(vb.signs)}"
+                    f" share the value {va.value!r}"
+                )
     return None
 
 

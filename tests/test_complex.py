@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,8 +19,14 @@ from relumorse import (
     signs_from_str,
     signs_to_str,
 )
-from relumorse.complex import _edge_slopes, _hrep_for, _vertex_location
-from relumorse.errors import FlatCellError, GenericityError, InjectivityError, StructuredError
+from relumorse.complex import VertexRecord, _edge_slopes, _hrep_for, _vertex_location
+from relumorse.errors import (
+    FlatCellError,
+    GenericityError,
+    InjectivityError,
+    SingularSystemError,
+    StructuredError,
+)
 from relumorse.network import NodeMaps, node_maps
 
 from conftest import (
@@ -32,6 +39,8 @@ from conftest import (
     lp_max,
     rays_scan,
     reference_edge_slopes,
+    reference_injectivity,
+    reference_sup,
     scan_generic_nets,
     sign_sequence_at,
     single_hyperplane_complex,
@@ -293,6 +302,106 @@ def test_f_max_without_ray_slopes_falls_back_to_lp(monkeypatch):
     for cell in cpx.cells.values():
         assert cpx.f_max(cell) == pytest.approx(lp_max(cpx, cell)), cell.signs
     assert cpx.export_dict()["cells"]
+
+
+def test_sup_matches_the_closure_rule(sweep_accepted):
+    # Read off the facet map, the max and min of F equal, as floats, those
+    # read off the union closure's vertex list and rays on every cell of the
+    # sweep's accepted nets; none of them takes an LP.
+    for net, cpx in sweep_accepted:
+        for signs, cell in cpx.cells.items():
+            assert (cpx.f_max(cell), False) == reference_sup(cpx, cell), (net.arch, signs)
+            assert (cpx.sup(signs, -1), False) == reference_sup(cpx, cell, -1), (net.arch, signs)
+
+
+def test_f_max_takes_the_lp_where_the_first_ray_is_broken(monkeypatch):
+    # Edge slopes raise at every other vertex.  A cell solves its own LP
+    # exactly where the closure rule meets such a ray before a rising one,
+    # and gives +inf without an LP where a rising ray comes first.
+    real = complex_module._edge_slopes
+    _, _, cpx = scan_generic_nets((4, 7), 1)[0]
+    broken = set(sorted(cpx.vertices)[::2])
+
+    def slopes(v, form_of):
+        if v in broken:
+            raise SingularSystemError(f"singular edge system at vertex {signs_to_str(v)}")
+        return real(v, form_of)
+
+    monkeypatch.setattr(complex_module, "_edge_slopes", slopes)
+    calls, seen = _count_lps(monkeypatch), Counter()
+    for signs, cell in cpx.cells.items():
+        del calls[:]
+        got = (cpx.f_max(cell), len(calls) == 1)
+        assert len(calls) <= 1 and got == reference_sup(cpx, cell), signs
+        if cell.dim and any(v in broken for v, _ in cpx.closure(cell)[2]):
+            seen["lp" if got[1] else "rise first"] += 1
+    assert seen["lp"] > 100 and seen["rise first"] > 100
+
+
+def test_after_build_forms_are_built_only_for_edge_slopes(monkeypatch):
+    # Flat flags, F's maxima and the compactified complex read per-table
+    # products and the facet map: the only affine forms are the top cells
+    # of the edge-slope solves, 1 + n0 per vertex at most, and the union of
+    # closure vertices and rays is never built for the finished complex.
+    forms, unions, inside = [], [], []
+    real_form, real_closures = complex_module.cell_affine_form, complex_module._closures
+    real_enumerate = complex_module._enumerate_cells
+
+    def enumerate_cells(*args):
+        inside.append(True)
+        try:
+            return real_enumerate(*args)
+        finally:
+            inside.pop()
+
+    def closures(dims, facets):
+        if not inside:
+            unions.append(len(dims))
+        return real_closures(dims, facets)
+
+    monkeypatch.setattr(complex_module, "_enumerate_cells", enumerate_cells)
+    monkeypatch.setattr(complex_module, "_closures", closures)
+    monkeypatch.setattr(
+        complex_module,
+        "cell_affine_form",
+        lambda net, s, table=None: forms.append(s) or real_form(net, s, table),
+    )
+    cpx = build_complex(random_network(Architecture.from_full((4, 7, 1)), seed=0))
+    assert forms == []
+    build_dgvf(cpx)
+    compactify(cpx)
+    assert unions == []
+    assert 0 < len(forms) == len(set(forms)) <= (1 + cpx.n0) * len(cpx.vertices)
+    assert all(0 not in s for s in forms)
+
+
+@pytest.mark.parametrize("sign_tol", [0.0, 1e-9, 1e-4, 0.05])
+def test_sorted_injectivity_check_matches_the_pairwise_scan(monkeypatch, sign_tol):
+    # _assemble on one net's cells with drawn vertex values: magnitudes from
+    # 1e-3 to 1e6, a pair about as far apart as the bound in half the draws,
+    # and two values straddling zero in a third.  The sorted filter raises
+    # where, and with the message, the pairwise scan over all pairs does.
+    _, net, cpx = scan_generic_nets((2, 6), 1)[0]
+    n, rng, outcomes = len(cpx.vertices), np.random.default_rng(0), Counter()
+    for _ in range(200):
+        values = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3, 6, n)
+        if rng.random() < 0.5:
+            i, j = rng.choice(n, 2, replace=False)
+            step = sign_tol * max(1.0, abs(values[i])) * rng.choice([-1, 1])
+            values[j] = values[i] + step * rng.choice([0.0, 0.5, 0.999, 1.0, 1.001, 2.0, 2.5])
+        if rng.random() < 0.3:
+            values[:2] = np.array([1.0, -1.0]) * sign_tol * rng.choice([0.25, 0.5, 0.501, 1.0])
+        drawn = iter(values.tolist())
+        monkeypatch.setattr(ReluNetwork, "evaluate", lambda self, x: next(drawn))  # noqa: B023
+        try:
+            complex_module._assemble(net, list(cpx.cells), sign_tol, cpx.lp_tol)
+            got = None
+        except InjectivityError as exc:
+            got = str(exc)
+        records = [VertexRecord(v, None, x) for v, x in zip(cpx.vertices, values.tolist())]
+        assert got == reference_injectivity(records, sign_tol), values
+        outcomes[got is None] += 1
+    assert outcomes[True] > 5 and outcomes[False] > 5
 
 
 def test_slopes_are_solved_once_per_vertex_and_edge(monkeypatch):

@@ -35,6 +35,7 @@ from relumorse.orientation import VertexClassification
 from conftest import (
     lower_star,
     reference_certified_vertex,
+    reference_slack_certified_vertex,
     scan_generic_nets,
     sign_sequence_at,
 )
@@ -345,6 +346,36 @@ def test_certified_vertex_matches_the_per_cell_reference(certified_draws, monkey
             for cls in candidates:
                 check(s, entry, [cls], 1e-7)
     assert checked["live"] > 10000 and checked["constant"] > 100
+
+
+def test_sign_masks_certify_as_the_slack_rows(sweep_accepted, monkeypatch):
+    # Every bounded-above cell of the sweep's accepted nets, as --local-check
+    # runs them, then each classified vertex in a cell's closure and two
+    # outside it: the sign masks certify the vertex that conftest's slack
+    # rows certify, or both None.
+    real, checked = dgvf_module._certified_vertex, Counter()
+    for net, cpx in sweep_accepted:
+        n_m, rows = net.layers[-1].out_dim, {}
+
+        def check(signs, entry, candidates, lp_tol):
+            got = real(signs, entry, candidates, lp_tol)
+            ref = rows.setdefault(signs[:-n_m], (entry[0], {}))  # noqa: B023
+            assert got is reference_slack_certified_vertex(signs, ref, candidates, lp_tol), signs
+            checked["none" if got is None else "vertex"] += 1
+            return got
+
+        monkeypatch.setattr(dgvf_module, "_certified_vertex", check)
+        memo, tables = {}, {}
+        cells = sorted(s for s, c in cpx.cells.items() if cpx.is_bounded_above(c))
+        for s in cells:
+            local_pair(net, s, _classified=memo, _tables=tables)
+        found = {cls.vertex: cls for cs in memo.values() for cls in cs}
+        assert sorted(found) == sorted(cpx.vertices)
+        for s in cells:
+            inside = {v.signs for v in cpx.vertex_facets(s)}
+            for v in [*inside, *[v for v in found if v not in inside][:2]]:
+                check(s, tables[s[:-n_m]], [found[v]], 1e-7)
+    assert checked["vertex"] > 30000 and checked["none"] > 15000
 
 
 @pytest.mark.parametrize("vertex, passes", [("00-", True), ("0+0", False)])

@@ -512,6 +512,10 @@ FLATNESS_CASES += [
     pytest.param(_integer_net(*case), id=f"int-{'x'.join(map(str, case[0]))}-{case[2]}-s{case[1]}")
     for case in NEAR_DEGENERATE
 ]
+# Accepted, with many parent tables in its last layer.
+FLATNESS_CASES += [
+    pytest.param(random_network(Architecture.from_full((2, 8, 8, 1)), seed=0), id="2x8x8x1-s0")
+]
 
 
 @pytest.mark.parametrize("net", FLATNESS_CASES)
@@ -584,3 +588,18 @@ def test_vertex_locations_match_the_container_top_cell_solve():
             vertices += 1
             deep += 0 in v[: -net.layers[-1].out_dim]
     assert vertices > 400 and deep > 100
+
+
+def test_two_layer_vertices_match_the_container_top_cell_solve(sweep_accepted):
+    # The sweep's accepted two-layer nets: every vertex record against the
+    # solve on the first top cell around it, many of them on vertices whose
+    # zero sets span both layers.
+    spanning = 0
+    for net, cpx in sweep_accepted:
+        if net.m < 2:
+            continue
+        n_m = net.layers[-1].out_dim
+        for v, rec in cpx.vertices.items():
+            assert rec.location.tobytes() == reference_vertex_location(cpx, v).tobytes(), v
+            spanning += 0 in v[:-n_m] and 0 in v[-n_m:]
+    assert spanning > 300
