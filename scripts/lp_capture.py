@@ -7,20 +7,25 @@ Wraps every binding of ``relumorse.lp.lp_solve`` in the loaded
 ``tests/test_enumeration.py``.  Prints one line per case,
 
     net/command build_count build_digest later_count later_digest
+        build_solved later_solved
 
-the LPs solved under ``complex._enumerate_cells`` (build's cell
-enumeration) apart from every later one: per part, the number of LPs and a
-sha256 over each LP's problem arrays (shape and bytes), ``feas_tol``, and
-its result's status, value, argmax bytes and tight set, or the instability
-error it raised.
+(on one line) the LPs solved under ``complex._enumerate_cells`` (build's
+cell enumeration) apart from every later one: per part, the number of LPs
+and a sha256 over each LP's problem arrays (shape and bytes), ``feas_tol``,
+and its result's status, value, argmax bytes and tight set.  The last two
+fields hash, per part, only the problem arrays, ``feas_tol``, status and
+tight set, which a change of solver keeps wherever the optimum is a single
+vertex.
 
 Run it on two checkouts and diff the outputs; a change that means to keep
-every LP as it was must print the same lines, and one that changes only
-how build enumerates cells the same case, later count and later digest:
+every LP as it was must print the same lines, one that changes only how
+build enumerates cells the same case, later count and later digest, and
+one that changes only the solver the same case and last two fields:
 
     python3 scripts/lp_capture.py > after.txt
     diff before.txt after.txt
     diff <(cut -d' ' -f1,4,5 before.txt) <(cut -d' ' -f1,4,5 after.txt)
+    diff <(cut -d' ' -f1,6,7 before.txt) <(cut -d' ' -f1,6,7 after.txt)
 """
 
 import hashlib
@@ -36,7 +41,6 @@ import relumorse.complex as complex_module  # noqa: E402
 import relumorse.lp as lp_module  # noqa: E402
 from cli_sweep import cases  # noqa: E402
 from relumorse import to_weight_dict  # noqa: E402
-from relumorse.errors import NumericalInstabilityError  # noqa: E402
 from test_enumeration import NEAR_DEGENERATE, _integer_net  # noqa: E402
 from test_golden_outputs import COMMANDS, _run  # noqa: E402
 
@@ -50,31 +54,33 @@ class Capture:
         self.reset()
 
     def reset(self):
-        self.counts, self.hashes = [0, 0], [hashlib.sha256(), hashlib.sha256()]
+        self.counts = [0, 0]
+        self.hashes = [hashlib.sha256(), hashlib.sha256()]
+        self.solved = [hashlib.sha256(), hashlib.sha256()]
 
     def line(self) -> str:
-        return " ".join(f"{c} {h.hexdigest()}" for c, h in zip(self.counts, self.hashes))
+        parts = [f"{c} {h.hexdigest()}" for c, h in zip(self.counts, self.hashes)]
+        return " ".join(parts + [h.hexdigest() for h in self.solved])
 
-    def _feed(self, *items):
-        digest = self.hashes[not self.building]
+    def _feed(self, digests, *items):
         for item in items:
             if hasattr(item, "tobytes"):
-                digest.update(repr(item.shape).encode() + item.tobytes())
+                data = repr(item.shape).encode() + item.tobytes()
             else:
-                digest.update(repr(item).encode())
-            digest.update(b"|")
+                data = repr(item).encode()
+            for digest in digests:
+                digest.update(data + b"|")
 
     def wrap(self, solve):
         def spy(problem, feas_tol=lp_module.FEAS_TOL):
-            self.counts[not self.building] += 1
+            part = int(not self.building)
+            self.counts[part] += 1
+            res = solve(problem, feas_tol=feas_tol)
+            full, solved = self.hashes[part], self.solved[part]
             arrays = (problem.objective, problem.a_eq, problem.b_eq, problem.a_ge, problem.b_ge)
-            self._feed(*arrays, float(feas_tol))
-            try:
-                res = solve(problem, feas_tol=feas_tol)
-            except NumericalInstabilityError as exc:
-                self._feed("raised", type(exc).__name__, str(exc))
-                raise
-            self._feed(res.status, res.value, res.x, tuple(res.tight))
+            self._feed((full, solved), *arrays, float(feas_tol), res.status)
+            self._feed((full,), res.value, res.x)
+            self._feed((full, solved), tuple(res.tight))
             return res
 
         return spy

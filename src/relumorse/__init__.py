@@ -36,7 +36,6 @@ from .errors import (
     IncompletePairingError,
     InjectivityError,
     MissingEdgeError,
-    NumericalInstabilityError,
     SingularSystemError,
     StructuredError,
     UnboundedCellError,

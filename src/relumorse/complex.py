@@ -42,7 +42,6 @@ from .errors import (
     FlatCellError,
     GenericityError,
     InjectivityError,
-    NumericalInstabilityError,
     SingularSystemError,
 )
 from .lp import LpProblem, lp_solve
@@ -468,11 +467,8 @@ def _abort_on_forced_flats(net, stage, upto_layer, n0):
 
 def _reach(rep: _HRep, a, b, lp_tol):
     """Max of a.x - b (capped at 1) over the closure of the region ``rep``,
-    with its argmax; None when the LP gives no answer."""
-    try:
-        res = lp_solve(_cell_problem(rep, a, cap=1.0 + b), feas_tol=lp_tol)
-    except NumericalInstabilityError:
-        return None  # the caller then keeps every piece for acceptance to judge
+    with its argmax; None when the LP finds the region empty."""
+    res = lp_solve(_cell_problem(rep, a, cap=1.0 + b), feas_tol=lp_tol)
     return (res.x, float(a @ res.x - b)) if res.optimal else None
 
 

@@ -77,9 +77,3 @@ class DimensionError(StructuredError):
     """Input has the wrong dimension for the requested operation."""
 
     kind = "dimension"
-
-
-class NumericalInstabilityError(StructuredError):
-    """The LP solver encountered degenerate pivots below its safe threshold."""
-
-    kind = "numerical_instability"

@@ -36,7 +36,7 @@ from relumorse.errors import (
     SingularSystemError,
     StructuredError,
 )
-from relumorse.lp import FEAS_TOL, LpProblem, _simplex, lp_solve
+from relumorse.lp import FEAS_TOL, LpProblem, LpResult, _optimum, lp_solve
 from relumorse.network import cell_affine_form
 
 
@@ -310,14 +310,6 @@ def rays_scan(cpx, cell) -> list:
     return sorted(out)
 
 
-def reference_pivot(tableau, row, col):
-    """``lp._pivot`` row by row: the reference for its rank-1 update."""
-    tableau[row, :] /= tableau[row, col]
-    for r in range(tableau.shape[0]):
-        if r != row and abs(tableau[r, col]) > 0.0:
-            tableau[r, :] -= tableau[r, col] * tableau[row, :]
-
-
 def reference_certified_vertex(signs, rep, candidates, lp_tol):
     """``dgvf._certified_vertex`` cell by cell: each candidate solves the
     cell's H-representation rows at its zeros, the cell's zero rows first,
@@ -453,12 +445,13 @@ def edge_outcome(slopes):
 
 
 def lp_max(cpx, cell, sense=1) -> float:
-    """Max of sense * F over a cell by the tableau simplex, not read off
-    vertex values, rays nor the closed forms of ``lp_solve``; +inf when the
+    """Max of sense * F over a cell by the reference tableau simplex, not
+    read off vertex values or rays nor solved by ``lp_solve``; +inf when the
     LP has no optimum."""
     signs = cell.signs if isinstance(cell, Cell) else tuple(cell)
     form = cpx.form(signs)
-    res = _simplex(_cell_problem(cpx.hrep(signs), sense * form.total_gradient), cpx.lp_tol)
+    problem = _cell_problem(cpx.hrep(signs), sense * form.total_gradient)
+    res = reference_simplex(problem, cpx.lp_tol)
     return res.value + sense * form.total_offset if res.optimal else float("inf")
 
 
@@ -571,6 +564,156 @@ def generator_pieces(gens, d, a, b, near):
     if abs(u) <= near or float(np.abs([x, q]).max()) > _FAR:
         return None
     return _cut(x, d, s, v, q, u, near)
+
+
+# -- the tableau simplex that ``lp_solve`` replaced: the LP reference --------
+
+PIVOT_TOL = 1e-9
+_HARD_TOL = 1e-12
+_MAX_ITER = 20000
+
+
+def reference_pivot(tableau, row, col):
+    """:func:`rank_one_pivot` row by row: the reference for its rank-1 update."""
+    tableau[row, :] /= tableau[row, col]
+    for r in range(tableau.shape[0]):
+        if r != row and abs(tableau[r, col]) > 0.0:
+            tableau[r, :] -= tableau[r, col] * tableau[row, :]
+
+
+def rank_one_pivot(tableau, row, col):
+    """Scale ``row`` to a unit entry in ``col`` and clear that column from
+    every other row of the tableau, in place, by one rank-1 update."""
+    tableau[row, :] /= tableau[row, col]
+    factors = tableau[:, col].copy()
+    factors[row] = 0.0
+    hit = np.flatnonzero(np.abs(factors) > 0.0)
+    tableau[hit] -= np.outer(factors[hit], tableau[row])
+
+
+def _bland_min(tableau, basis, ncols):
+    """Run Bland-rule simplex on a minimization tableau in place.
+
+    tableau has shape (m+1, ncols+1); last row holds reduced costs, last
+    column the rhs.  Returns "optimal" or "unbounded" (entering column
+    with no positive entry); ArithmeticError on a pivot below _HARD_TOL.
+    """
+    m = tableau.shape[0] - 1
+    for _ in range(_MAX_ITER):
+        costs = tableau[-1, :ncols]
+        entering = -1
+        for j in range(ncols):
+            if costs[j] < -PIVOT_TOL:
+                entering = j
+                break
+        if entering < 0:
+            return "optimal"
+        col = tableau[:m, entering]
+        rows = np.nonzero(col > PIVOT_TOL)[0]
+        if rows.size == 0:
+            if np.any(col > _HARD_TOL):
+                raise ArithmeticError("only degenerate pivots available in ratio test")
+            return "unbounded"
+        ratios = tableau[rows, -1] / col[rows]
+        best = ratios.min()
+        # Bland: among minimal ratios, leave the row whose basic variable
+        # has the smallest index.
+        candidates = rows[ratios <= best + _HARD_TOL]
+        leaving = min(candidates, key=lambda r: basis[r])
+        if abs(tableau[leaving, entering]) < _HARD_TOL:
+            raise ArithmeticError("pivot magnitude below hard threshold")
+        rank_one_pivot(tableau, leaving, entering)
+        basis[leaving] = entering
+    raise ArithmeticError("simplex iteration limit exceeded")
+
+
+def reference_simplex(problem: LpProblem, feas_tol: float = FEAS_TOL) -> LpResult:
+    """Two-phase dense tableau simplex with Bland's rule: the reference for
+    ``lp_solve``, with its status, value and tight set.
+
+    Free variables are split x = u - w with u, w >= 0; each >= row gets a
+    surplus variable; phase 1 minimizes the sum of one artificial per row.
+    """
+    c = problem.objective
+    n = c.shape[0]
+    n_eq = problem.a_eq.shape[0]
+    n_ge = problem.a_ge.shape[0]
+    m = n_eq + n_ge
+
+    if m == 0:
+        # Unconstrained: optimal only for a zero objective.
+        if np.all(np.abs(c) <= PIVOT_TOL):
+            return LpResult("optimal", 0.0, np.zeros(n), ())
+        return LpResult("unbounded")
+
+    # Standard-form columns: u (n), w (n), surplus (n_ge).
+    ncols = 2 * n + n_ge
+    A = np.zeros((m, ncols))
+    b = np.zeros(m)
+    A[:n_eq, :n] = problem.a_eq
+    A[:n_eq, n : 2 * n] = -problem.a_eq
+    b[:n_eq] = problem.b_eq
+    A[n_eq:, :n] = problem.a_ge
+    A[n_eq:, n : 2 * n] = -problem.a_ge
+    for i in range(n_ge):
+        A[n_eq + i, 2 * n + i] = -1.0
+    b[n_eq:] = problem.b_ge
+
+    neg = b < 0
+    A[neg] *= -1.0
+    b[neg] *= -1.0
+
+    # Phase 1: artificial basis.
+    tableau = np.zeros((m + 1, ncols + m + 1))
+    tableau[:m, :ncols] = A
+    tableau[:m, ncols : ncols + m] = np.eye(m)
+    tableau[:m, -1] = b
+    tableau[-1, ncols : ncols + m] = 1.0
+    tableau[-1, :] -= tableau[:m, :].sum(axis=0)
+    basis = [ncols + i for i in range(m)]
+
+    _bland_min(tableau, basis, ncols + m)
+    if -tableau[-1, -1] > feas_tol:
+        return LpResult("infeasible")
+
+    # Drive leftover artificials out of the basis; drop redundant rows.
+    keep = []
+    for r in range(m):
+        if basis[r] < ncols:
+            keep.append(r)
+            continue
+        row = tableau[r, :ncols]
+        pivots = np.nonzero(np.abs(row) > PIVOT_TOL)[0]
+        if pivots.size == 0:
+            continue  # redundant constraint
+        j = int(pivots[0])
+        rank_one_pivot(tableau, r, j)
+        basis[r] = j
+        keep.append(r)
+
+    rows = keep
+    work = np.zeros((len(rows) + 1, ncols + 1))
+    work[: len(rows), :ncols] = tableau[rows, :ncols]
+    work[: len(rows), -1] = tableau[rows, -1]
+    basis = [basis[r] for r in rows]
+
+    # Phase 2 costs: minimize -(c.u - c.w).
+    cost = np.zeros(ncols)
+    cost[:n] = -c
+    cost[n : 2 * n] = c
+    work[-1, :ncols] = cost
+    for r, j in enumerate(basis):
+        if abs(cost[j]) > 0.0:
+            work[-1, :] -= cost[j] * work[r, :]
+
+    status = _bland_min(work, basis, ncols)
+    if status == "unbounded":
+        return LpResult("unbounded")
+
+    y = np.zeros(ncols)
+    for r, j in enumerate(basis):
+        y[j] = work[r, -1]
+    return _optimum(problem, y[:n] - y[n : 2 * n], feas_tol)
 
 
 # -- dense mod-2 homology: the reference for homology's bitset reduction -----

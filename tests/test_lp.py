@@ -1,20 +1,18 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 
-from relumorse import lp as lp_module
+import conftest
+import relumorse.complex as complex_module
+import relumorse.dgvf as dgvf_module
+from relumorse import to_weight_dict
+from relumorse.cli import main
 from relumorse.complex import _cell_problem, _HRep, _witness
-from relumorse.lp import (
-    FEAS_TOL,
-    LpProblem,
-    _pivot,
-    _point_or_line,
-    _simplex,
-    lp_solve,
-)
+from relumorse.lp import FEAS_TOL, LpProblem, lp_solve
 
-from conftest import reference_pivot
+from conftest import rank_one_pivot, reference_pivot, reference_simplex
 
 
 def test_triangle_maximum_with_tight_set():
@@ -111,7 +109,70 @@ def test_interior_witness_rejects_empty_region():
     assert _witness(_HRep(np.zeros((0, 1)), np.zeros(0), a, b, (0, 1)), FEAS_TOL) is None
 
 
-# -- closed forms on points and lines, checked against the tableau -----------
+def _vertex_enumeration_max(problem):
+    """Max of the objective over the vertices of a bounded feasible set: each
+    choice of >= rows that completes the independent equality rows to a
+    nonsingular square system gives a candidate, kept when feasible."""
+    n = problem.objective.shape[0]
+    a_eq, b_eq, a_ge, b_ge = problem.a_eq, problem.b_eq, problem.a_ge, problem.b_ge
+    picks = list(itertools.combinations(range(len(b_ge)), n - len(b_eq)))
+    picks = np.array(picks, dtype=int).reshape(len(picks), n - len(b_eq))
+    a = np.concatenate([np.broadcast_to(a_eq, (len(picks), *a_eq.shape)), a_ge[picks]], axis=1)
+    b = np.concatenate([np.broadcast_to(b_eq, (len(picks), len(b_eq))), b_ge[picks]], axis=1)
+    square = np.abs(np.linalg.det(a)) > 1e-9
+    x = np.linalg.solve(a[square], b[square][..., None])[..., 0]
+    feasible = (x @ a_ge.T >= b_ge - 1e-8).all(axis=1)
+    return float((x[feasible] @ problem.objective).max())
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_matches_vertex_enumeration_in_three_to_five_variables(n):
+    # A flat of dimension k = n - n_eq from 0 to n inside the box |x_i| <= 3,
+    # cut by up to five random unit rows through or near a point p of the
+    # flat; k = n takes the recursion to depth n.
+    rng = np.random.default_rng(n)
+    for n_eq in range(n + 1):
+        for _ in range(8):
+            p = rng.uniform(-1, 1, n)
+            a_eq = rng.standard_normal((n_eq, n))
+            m = int(rng.integers(1, 6))
+            rows = rng.standard_normal((m, n))
+            rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+            a_ge = np.vstack([rows, np.eye(n), -np.eye(n)])
+            b_ge = np.concatenate([rows @ p - rng.uniform(0.0, 0.5, m), np.full(2 * n, -3.0)])
+            problem = LpProblem.build(
+                rng.standard_normal(n), a_eq=a_eq, b_eq=a_eq @ p, a_ge=a_ge, b_ge=b_ge
+            )
+            res = lp_solve(problem)
+            assert res.optimal
+            assert res.value == pytest.approx(_vertex_enumeration_max(problem), abs=1e-6)
+            assert np.all(a_ge @ res.x >= b_ge - 1e-7)
+            assert np.abs(a_eq @ res.x - problem.b_eq).max(initial=0.0) <= 1e-7
+
+
+def test_capped_split_lp_is_bounded():
+    # The split LP of a NEAR_DEGENERATE (2,4) net (seed 5, noise 1e-8): rows
+    # 0 and 2 are nearly parallel, so the region runs out some 1e8 along
+    # them, and the last row caps the objective at 2.41421355...  The
+    # tableau reported it unbounded.
+    c = np.array([0.7071067777904555, -0.7071067845826395])
+    problem = LpProblem.build(
+        c,
+        a_ge=[
+            [-0.4472135993681528, -0.8944271890658184],
+            [-0.7071067835508079, 0.7071067788222871],
+            [-0.41641120506151347, -0.9091763900911739],
+            -c,
+        ],
+        b_ge=[0.4472135910975639, -0.3535533927549407, 55614498.41516664, -2.414213555891286],
+    )
+    res = lp_solve(problem, feas_tol=1e-7)
+    assert res.optimal
+    assert res.value == pytest.approx(2.414213555891286, abs=1e-7)
+    assert 3 in res.tight
+
+
+# -- against the tableau simplex of tests/conftest.py -------------------------
 
 
 def _random_flat_problem(rng, n, n_eq):
@@ -129,39 +190,54 @@ def _random_flat_problem(rng, n, n_eq):
     )
 
 
-def _solve_with_simplex_spy(monkeypatch, problem):
-    """lp_solve's result and the problems it handed to _simplex."""
-    calls = []
-
-    def spy(problem, feas_tol):
-        calls.append(problem)
-        return _simplex(problem, feas_tol)
-
-    monkeypatch.setattr(lp_module, "_simplex", spy)
-    return lp_solve(problem), calls
+def _assert_same_optimum(res, reference):
+    assert res.status == reference.status
+    if res.optimal:
+        assert abs(res.value - reference.value) <= 1e-9 * max(1.0, abs(reference.value))
 
 
-def _assert_same_optimum(closed, tableau):
-    assert closed.status == tableau.status
-    if closed.optimal:
-        assert abs(closed.value - tableau.value) <= 1e-9 * max(1.0, abs(tableau.value))
+def _simple_vertex(problem, res) -> bool:
+    """Whether the optimum ``res`` is a vertex where exactly n independent
+    rows, the equalities and the tight >= rows, meet."""
+    rows = np.vstack([problem.a_eq, problem.a_ge[list(res.tight)]])
+    n = problem.objective.shape[0]
+    return rows.shape[0] == n and np.linalg.matrix_rank(rows) == n
 
 
-def test_closed_form_matches_simplex_on_random_points_and_lines(monkeypatch):
+@pytest.mark.parametrize("b0, status", [(1.0, "infeasible"), (1e-8, "optimal"), (-1.0, "optimal")])
+def test_a_row_vanishing_on_the_flat_is_checked_as_a_constant(b0, status):
+    # On the plane x1 = 0 the last row, x1 >= b0, reads 0 >= b0: missed by
+    # more than the tolerance only for b0 = 1.
+    problem = LpProblem.build(
+        [0.0, 1.0, 1.0],
+        a_eq=[[1.0, 0.0, 0.0]],
+        b_eq=[0.0],
+        a_ge=[[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]],
+        b_ge=[-1.0, -1.0, b0],
+    )
+    res = lp_solve(problem)
+    assert res.status == status
+    _assert_same_optimum(res, reference_simplex(problem))
+    if res.optimal:
+        assert res.value == pytest.approx(2.0)
+
+
+def test_closed_form_matches_simplex_on_random_points_and_lines():
+    # Points and lines, the LPs the closed forms used to answer: the same
+    # status and value as the tableau, and the same tight set unless the
+    # objective is constant along the line.
     rng = np.random.default_rng(7)
     statuses = {}
     for _ in range(600):
         n = int(rng.integers(1, 5))
         problem = _random_flat_problem(rng, n, n + int(rng.integers(-1, 2)))
-        flat = _point_or_line(problem.a_eq, problem.b_eq, n)
-        assert flat is not None
-        closed, calls = _solve_with_simplex_spy(monkeypatch, problem)
-        assert not calls  # answered in closed form, not handed to the tableau
-        tableau = _simplex(problem, FEAS_TOL)
-        _assert_same_optimum(closed, tableau)
-        if closed.optimal and (not flat[1].any() or abs(problem.objective @ flat[1]) > 1e-6):
-            assert closed.tight == tableau.tight
-        statuses[closed.status] = statuses.get(closed.status, 0) + 1
+        res = lp_solve(problem)
+        reference = reference_simplex(problem)
+        _assert_same_optimum(res, reference)
+        line = np.linalg.svd(problem.a_eq)[2][-1] if len(problem.b_eq) < n else None
+        if res.optimal and (line is None or abs(problem.objective @ line) > 1e-6):
+            assert res.tight == reference.tight
+        statuses[res.status] = statuses.get(res.status, 0) + 1
     assert set(statuses) == {"optimal", "unbounded", "infeasible"}
 
 
@@ -173,21 +249,20 @@ def test_closed_form_matches_simplex_on_random_points_and_lines(monkeypatch):
         ([1.0], [[1.0], [-1.0]], [1.0, 0.0], "infeasible", None),
         ([1.0], None, None, "unbounded", None),
         ([0.0], None, None, "optimal", 0.0),
+        ([1.0], [[-1.0]], [-7e8], "optimal", 7e8),  # far out, yet bounded
     ],
 )
-def test_one_variable_without_equalities(monkeypatch, objective, a_ge, b_ge, status, value):
+def test_one_variable_without_equalities(objective, a_ge, b_ge, status, value):
     problem = LpProblem.build(objective, a_ge=a_ge, b_ge=b_ge)
-    assert _point_or_line(problem.a_eq, problem.b_eq, 1) is not None
-    res, calls = _solve_with_simplex_spy(monkeypatch, problem)
-    assert not calls
+    res = lp_solve(problem)
     assert res.status == status
     assert res.value == value
-    _assert_same_optimum(res, _simplex(problem, FEAS_TOL))
+    _assert_same_optimum(res, reference_simplex(problem))
 
 
-def test_rank_deficient_equalities_fall_back_to_simplex(monkeypatch):
+def test_rank_deficient_equalities_fall_back_to_simplex():
     # Two rows naming one plane in R^3 (up to rounding) leave a plane, not
-    # a line.
+    # a line: the SVD counts one row, and the recursion runs in 2-D.
     problem = LpProblem.build(
         [1.0, 1.0, 0.0],
         a_eq=[[0.1, 0.2, 0.3], [0.3, 0.6, 0.9]],
@@ -195,19 +270,18 @@ def test_rank_deficient_equalities_fall_back_to_simplex(monkeypatch):
         a_ge=[[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]],
         b_ge=[-1.0, -2.0],
     )
-    assert _point_or_line(problem.a_eq, problem.b_eq, 3) is None
-    res, calls = _solve_with_simplex_spy(monkeypatch, problem)
-    assert calls == [problem]
+    res = lp_solve(problem)
     assert res.optimal and res.value == pytest.approx(3.0)
     assert res.tight == (0, 1)
+    _assert_same_optimum(res, reference_simplex(problem))
 
 
 @pytest.mark.parametrize("a_ge, b_ge", [(None, None), ([[0.0, -1.0]], [-1e3])])
-def test_near_singular_equalities_fall_back_to_simplex(monkeypatch, a_ge, b_ge):
-    # Two unit rows meeting at an angle of 1e-6 pin a point, but their
-    # smallest singular value lies below 1e-6 times the largest: taken as a
-    # line, the objective along it would be unbounded, or at x2 = 1e3 miss
-    # the second equality by about 1e-3.
+def test_near_singular_equalities_fall_back_to_simplex(a_ge, b_ge):
+    # Two unit rows meeting at an angle of 1e-6 pin a point: their smallest
+    # singular value, below 1e-6 times the largest, still counts.  Taken as
+    # a line, the objective along it would be unbounded, or at x2 = 1e3
+    # miss the second equality by about 1e-3.
     angle = 1e-6
     problem = LpProblem.build(
         [0.0, 1.0],
@@ -216,23 +290,24 @@ def test_near_singular_equalities_fall_back_to_simplex(monkeypatch, a_ge, b_ge):
         a_ge=a_ge,
         b_ge=b_ge,
     )
-    assert _point_or_line(problem.a_eq, problem.b_eq, 2) is None
-    res, calls = _solve_with_simplex_spy(monkeypatch, problem)
-    assert calls == [problem]
+    res = lp_solve(problem)
     assert res.optimal and res.value == pytest.approx(angle / 2, rel=1e-3)
+    _assert_same_optimum(res, reference_simplex(problem))
 
 
-def test_optimum_off_a_flat_row_falls_back_to_simplex(monkeypatch):
-    # On the line x1 = 0 the first >= row has slope 1e-10 <= PIVOT_TOL, so
-    # only x0 checks it; at the clipped end x2 = -1e5 it fails by 1e-5.
+def test_optimum_off_a_flat_row_falls_back_to_simplex():
+    # On the line x1 = 0 the first >= row has slope 1e-10: it bounds x2 from
+    # below at 0, and taken as a constant it would be missed by 1e-5 at the
+    # other row's end x2 = -1e5.  The tableau drops its entry, below its
+    # pivot tolerance 1e-9, and reports the LP infeasible.
     flat = np.array([1.0, 1e-10]) / np.hypot(1.0, 1e-10)
     problem = LpProblem.build(
         [0.0, -1.0], a_eq=[[1.0, 0.0]], b_eq=[0.0], a_ge=[flat, [0.0, 1.0]], b_ge=[0.0, -1e5]
     )
-    assert _point_or_line(problem.a_eq, problem.b_eq, 2) is not None
-    res, calls = _solve_with_simplex_spy(monkeypatch, problem)
-    assert calls == [problem]
-    _assert_same_optimum(res, _simplex(problem, FEAS_TOL))
+    res = lp_solve(problem)
+    assert res.optimal and res.value == pytest.approx(0.0, abs=1e-9)
+    assert res.tight == (0,)
+    assert reference_simplex(problem).status == "infeasible"
 
 
 def test_inconsistent_overdetermined_equalities_are_infeasible():
@@ -240,7 +315,7 @@ def test_inconsistent_overdetermined_equalities_are_infeasible():
         [1.0, 0.0], a_eq=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], b_eq=[0.0, 0.0, 1.0]
     )
     assert lp_solve(problem).status == "infeasible"
-    assert _simplex(problem, FEAS_TOL).status == "infeasible"
+    assert reference_simplex(problem).status == "infeasible"
 
 
 @pytest.mark.parametrize(
@@ -251,21 +326,46 @@ def test_inconsistent_overdetermined_equalities_are_infeasible():
         (None, None, []),
     ],
 )
-def test_tie_returns_an_optimum_with_the_simplex_value(monkeypatch, a_ge, b_ge, ends):
-    # The objective is constant along the line y = 0.5.
+def test_tie_returns_an_optimum_with_the_simplex_value(a_ge, b_ge, ends):
+    # The objective is constant along the line y = 0.5: any feasible point
+    # of it is an optimum.
     problem = LpProblem.build(
         [0.0, 2.0], a_eq=[[0.0, 1.0]], b_eq=[0.5], a_ge=a_ge, b_ge=b_ge
     )
-    res, calls = _solve_with_simplex_spy(monkeypatch, problem)
-    assert not calls
-    _assert_same_optimum(res, _simplex(problem, FEAS_TOL))
+    res = lp_solve(problem)
+    _assert_same_optimum(res, reference_simplex(problem))
     assert res.value == pytest.approx(1.0)
-    # The finite end with the least parameter along the line's direction,
-    # else the least-squares point.
-    x0, d = _point_or_line(problem.a_eq, problem.b_eq, 2)
-    ends = [np.array(e) for e in ends]
-    expected = min(ends, key=lambda e: (e - x0) @ d) if ends else x0
-    assert np.allclose(res.x, expected)
+    assert res.x[1] == pytest.approx(0.5)
+    assert all(problem.a_ge @ res.x >= problem.b_ge - FEAS_TOL)
+
+
+def test_matches_the_tableau_on_every_lp_the_cli_solves(sweep_accepted, tmp_path, monkeypatch):
+    # dgvf --local-check on each accepted net of the CLI sweep, whose LPs
+    # include every LP that build, classify and render solve there: the same
+    # status and value as the tableau, and the same tight set where the
+    # tableau's optimum is a simple vertex.
+    solved = []
+
+    def spy(problem, feas_tol=FEAS_TOL):
+        res = lp_solve(problem, feas_tol)
+        solved.append((problem, feas_tol, res))
+        return res
+
+    monkeypatch.setattr(complex_module, "lp_solve", spy)
+    monkeypatch.setattr(dgvf_module, "lp_solve", spy)
+    for k, (net, _) in enumerate(sweep_accepted):
+        weights = tmp_path / f"{k}.json"
+        weights.write_text(json.dumps(to_weight_dict(net)))
+        assert main(["dgvf", "--local-check", "-i", str(weights), "-o", str(tmp_path / "m")]) == 0
+    assert len(solved) > 1000
+    vertices = 0
+    for problem, feas_tol, res in solved:
+        reference = reference_simplex(problem, feas_tol)
+        _assert_same_optimum(res, reference)
+        if reference.optimal and _simple_vertex(problem, reference):
+            assert res.tight == reference.tight
+            vertices += 1
+    assert vertices > 1000
 
 
 def test_rank_one_pivot_matches_the_row_loop(certified_draws, monkeypatch):
@@ -280,21 +380,21 @@ def test_rank_one_pivot_matches_the_row_loop(certified_draws, monkeypatch):
             tableau[row, col] = rng.uniform(0.5, 2.0)
             expected = tableau.copy()
             reference_pivot(expected, row, col)
-            _pivot(tableau, row, col)
+            rank_one_pivot(tableau, row, col)
             assert np.array_equal(tableau, expected)
     pivots = []
 
     def check(tableau, row, col):
         expected = tableau.copy()
         reference_pivot(expected, row, col)
-        _pivot(tableau, row, col)
+        rank_one_pivot(tableau, row, col)
         assert np.array_equal(tableau, expected)
         pivots.append(tableau.shape)
 
-    monkeypatch.setattr(lp_module, "_pivot", check)
+    monkeypatch.setattr(conftest, "rank_one_pivot", check)
     for net, cpx in certified_draws:
         for signs, cell in cpx.cells.items():
             if cell.dim and cpx.is_bounded_above(cell):
                 objective = cpx.form(signs).total_gradient
-                _simplex(_cell_problem(cpx.hrep(signs), objective), cpx.lp_tol)
+                reference_simplex(_cell_problem(cpx.hrep(signs), objective), cpx.lp_tol)
     assert len(pivots) > 1000
