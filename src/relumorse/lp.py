@@ -3,15 +3,17 @@
 Solves  max c.x  subject to  A_eq x = b_eq,  A_ge x >= b_ge  over free x.
 The equality rows' SVD parametrizes their flat once as x = x0 + B.y: x0 is
 their least-squares point of minimum norm, and B's columns span their null
-space.  The >= rows are then taken in y, in their given order (so the
-result is deterministic), by Seidel's incremental algorithm ("Small-
-dimensional linear programming and convex hulls made easy", DCG 1991; de
-Berg et al., *Computational Geometry*, ch. 4).  Problems come from
-``complex._cell_problem``, but this module knows nothing of cells.
+space.  The >= rows are then taken in y, in their given order, by Seidel's
+incremental algorithm ("Small-dimensional linear programming and convex
+hulls made easy", DCG 1991; de Berg et al., *Computational Geometry*, ch.
+4) inside a box |y_i| <= 1e9.  While the box may cut the answer off (rows
+that meet only outside it, or an optimum past half-way out along which the
+rows' recession cone does not rise), it is squared and the LP solved again.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -21,7 +23,7 @@ import numpy as np
 FEAS_TOL = 1e-7
 _RANK_TOL = 1e-12  # singular values at most this times the largest are zero
 _TIE = 1e-9  # objective coefficients and ray rates at most this are ties
-_BOX = 1e9  # every y lies in the box |y_i| <= _BOX
+_BOXES = (1e9, 1e18, 1e36, 1e72, 1e144, 1e288)  # boxes |y_i| <= box, tried in turn
 
 
 @dataclass(frozen=True)
@@ -37,20 +39,14 @@ class LpProblem:
     @classmethod
     def build(cls, objective, a_eq=None, b_eq=None, a_ge=None, b_ge=None) -> "LpProblem":
         c = np.atleast_1d(np.asarray(objective, dtype=float))
-        n = c.shape[0]
-
-        def norm(a, b):
-            if a is None:
-                return np.zeros((0, n)), np.zeros(0)
-            a = np.asarray(a, dtype=float).reshape(-1, n)
-            b = np.asarray(b, dtype=float).reshape(-1)
+        n, parts = c.shape[0], [c]
+        for a, b in ((a_eq, b_eq), (a_ge, b_ge)):
+            a, b = (np.zeros((0, n)), np.zeros(0)) if a is None else (a, b)
+            a, b = np.asarray(a, dtype=float).reshape(-1, n), np.asarray(b, dtype=float).reshape(-1)
             if a.shape[0] != b.shape[0]:
                 raise ValueError("constraint matrix/rhs row mismatch")
-            return a, b
-
-        a_eq, b_eq = norm(a_eq, b_eq)
-        a_ge, b_ge = norm(a_ge, b_ge)
-        return cls(c, a_eq, b_eq, a_ge, b_ge)
+            parts += [a, b]
+        return cls(*parts)
 
 
 @dataclass(frozen=True)
@@ -72,74 +68,79 @@ class LpResult:
 
 
 def lp_solve(problem: LpProblem, feas_tol: float = FEAS_TOL) -> LpResult:
-    """Maximize over the problem's feasible set; see the module docstring.
-    An optimum more than _BOX / 2 out is unbounded if the LP over the rows'
-    recession cone rises by more than _TIE per unit of y."""
+    """Maximize over the problem's feasible set; see the module docstring."""
     c, a_ge = problem.objective, problem.a_ge
-    x0, basis = _flat(problem.a_eq, problem.b_eq)
+    u, s, vh = np.linalg.svd(problem.a_eq)  # no rows: s is empty and vh the identity
+    rank = int(np.count_nonzero(s > _RANK_TOL * s.max(initial=0.0)))
+    x0, basis = vh[:rank].T @ ((u[:, :rank].T @ problem.b_eq) / s[:rank]), vh[rank:].T
     if np.abs(problem.a_eq @ x0 - problem.b_eq).max(initial=0.0) > feas_tol:
         return LpResult("infeasible")
-    g, rate = (a_ge @ basis).tolist(), (c @ basis).tolist()
-    y = _seidel(rate, list(zip(g, (problem.b_ge - a_ge @ x0).tolist())), feas_tol)
+    g, rate = a_ge @ basis, (c @ basis).tolist()
+    if 0 < basis.shape[1] < basis.shape[0]:  # a row constant on the flat keeps residues
+        g[np.abs(g).max(1, initial=0.0) <= _RANK_TOL * np.abs(a_ge).max(1, initial=0.0)] = 0.0
+    rows = list(zip(g.tolist(), (problem.b_ge - a_ge @ x0).tolist(), itertools.repeat(False)))
+    for box in _BOXES:
+        try:
+            y = _seidel(rate, rows, feas_tol, box)
+            if y is None or max(map(abs, y), default=0.0) <= box / 2:
+                break
+            ray = _seidel(rate, [(r, 0.0, False) for r, _, _ in rows], feas_tol, box)
+            if sum(map(operator.mul, rate, ray)) > _TIE * box:
+                return LpResult("unbounded")
+        except _Cramped:
+            y = None
     if y is None:
         return LpResult("infeasible")
-    if max(map(abs, y), default=0.0) > _BOX / 2:
-        ray = _seidel(rate, [(r, 0.0) for r in g], feas_tol)
-        if ray is not None and _dot(rate, ray) > _TIE * _BOX:
-            return LpResult("unbounded")
     return _optimum(problem, x0 + basis @ np.array(y), feas_tol)
 
 
-def _flat(a_eq: np.ndarray, b_eq: np.ndarray):
-    """(x0, B): the least-squares solution of minimum norm of a_eq x = b_eq
-    and an orthonormal basis, as columns, of the null space of a_eq."""
-    u, s, vh = np.linalg.svd(a_eq)  # no rows: s is empty and vh the identity
-    rank = int(np.count_nonzero(s > _RANK_TOL * s.max(initial=0.0)))
-    x0 = vh[:rank].T @ ((u[:, :rank].T @ b_eq) / s[:rank])
-    return x0, vh[rank:].T
+class _Cramped(Exception):
+    """The box, not the rows, left a sub-problem empty."""
 
 
-def _seidel(c: list, rows: list, tol: float):
-    """argmax of c.y over the rows (g, h), g.y >= h, and the box |y_i| <=
-    _BOX, in plain floats (y has at most five entries); None when a row
-    misses it by more than ``tol``.  The optimum of the rows before row i
-    is kept.  When row i cuts it off, the new optimum lies on its
-    hyperplane, found one dimension down over the earlier rows and the box
-    rows of y_j, y's largest coefficient in row i, which is eliminated.  On
-    a line the rows cut an interval: the end that c points to is taken, or
-    along a tie the point nearest 0."""
+def _seidel(c: list, rows: list, tol: float, box: float):
+    """argmax of c.y over the rows (g, h, b), g.y >= h, b marking rows made
+    from the box |y_i| <= box, in plain floats.  When row i cuts off the
+    optimum of the rows before it, the new one lies on its hyperplane: y_j,
+    y's largest coefficient in row i, is eliminated, and the earlier rows and
+    y_j's box rows solved one dimension down.  None when rows not made from
+    the box miss by more than ``tol``; _Cramped when only the box does."""
     k = len(c)
-    if k == 0:
-        return [] if all(h <= tol for _, h in rows) else None
+    if k == 0:  # constant rows, checked on a line along which they stay constant
+        return None if _seidel([0.0], [([0.0], h, b) for _, h, b in rows], tol, box) is None else []
     if k == 1:
-        lo = max([-_BOX, *(h / g for (g,), h in rows if g > 0)])
-        hi = min([_BOX, *(h / g for (g,), h in rows if g < 0)])
-        t = hi if c[0] > _TIE else lo if c[0] < -_TIE else min(max(lo, 0.0), hi)
-        # Far out on the box, g.t - h carries a rounding error near 1e-15 |h|.
-        missed = any(g * t - h < -tol - 1e-15 * abs(h) for (g,), h in rows)
-        return None if missed else [t]
-    y = [math.copysign(_BOX, ci) if abs(ci) > _TIE else 0.0 for ci in c]
-    for i, (g, h) in enumerate(rows):
-        if _dot(g, y) >= h:
+        t = _line(c[0], rows, tol, box)
+        if t is None and _line(0.0, [r for r in rows if not r[2]], tol, math.inf) is not None:
+            raise _Cramped
+        return None if t is None else [t]
+    y = [math.copysign(box, ci) if abs(ci) > _TIE else 0.0 for ci in c]
+    for i, (g, h, b) in enumerate(rows):
+        if sum(map(operator.mul, g, y)) >= h:
             continue
         j = max(range(k), key=lambda col: abs(g[col]))
-        if g[j] == 0.0:  # a zero row with h > 0
-            if h > tol:
+        if g[j] == 0.0:  # a constant row with h > 0
+            if _seidel([0.0], [([0.0], h, b)], tol, box) is None:
                 return None
             continue
         q, p = [v / g[j] for v in g[:j] + g[j + 1 :]], h / g[j]  # y_j = p - q.z
-        sub = [([-v for v in q], -_BOX - p), (q, p - _BOX)]  # y_j's box rows
-        for r, s in rows[:i]:
-            sub.append(([v - r[j] * w for v, w in zip(r[:j] + r[j + 1 :], q)], s - r[j] * p))
-        z = _seidel([v - c[j] * w for v, w in zip(c[:j] + c[j + 1 :], q)], sub, tol)
+        sub = [([-v for v in q], -box - p, True), (q, p - box, True)]  # y_j's box rows
+        for r, s, d in rows[:i]:
+            sub.append(([v - r[j] * w for v, w in zip(r[:j] + r[j + 1 :], q)], s - r[j] * p, d or b))
+        z = _seidel([v - c[j] * w for v, w in zip(c[:j] + c[j + 1 :], q)], sub, tol, box)
         if z is None:
             return None
-        y = z[:j] + [p - _dot(q, z)] + z[j:]
+        y = z[:j] + [p - sum(map(operator.mul, q, z))] + z[j:]
     return y
 
 
-def _dot(u: list, v: list) -> float:
-    return sum(map(operator.mul, u, v))
+def _line(c: float, rows: list, tol: float, box: float):
+    """The end of the rows' interval in [-box, box] that c points to, or
+    along a tie the point nearest 0; None when a row misses it."""
+    lo = max([-box, *(h / g for (g,), h, _ in rows if g > 0)])
+    hi = min([box, *(h / g for (g,), h, _ in rows if g < 0)])
+    t = hi if c > _TIE else lo if c < -_TIE else min(max(lo, 0.0), hi)
+    # Far out on the box, g.t - h carries a rounding error near 1e-15 |h|.
+    return None if any(g * t - h < -tol - 1e-15 * abs(h) for (g,), h, _ in rows) else t
 
 
 def _optimum(problem: LpProblem, x: np.ndarray, feas_tol: float) -> LpResult:

@@ -216,6 +216,22 @@ def test_ill_conditioned_vertex_split_keeps_the_zero_piece():
         build_complex(net)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e9])
+def test_vertices_far_out_are_kept(scale):
+    # One input, hyperplanes at 2 and 3 times the scale.  At 1e9 the points
+    # lie past _FAR, so the split LPs decide, and their optima past the
+    # LP's first box: the complex must match the one at scale 1.
+    net = ReluNetwork(
+        (AffineLayer([[1.0], [-1.0]], [-2.0 * scale, 3.0 * scale]),),
+        AffineLayer([[1.0, 2.0]], [0.0]),
+    )
+    cpx = build_complex(net)
+    assert {s: c.dim for s, c in cpx.cells.items()} == {
+        (-1, 1): 1, (0, 1): 0, (1, 1): 1, (1, 0): 0, (1, -1): 1
+    }
+    assert [v.location[0] / scale for v in cpx.vertices.values()] == [2.0, 3.0]
+
+
 def _spy(monkeypatch, name) -> list:
     """Record the calls of ``relumorse.complex.<name>``."""
     calls = []

@@ -222,6 +222,39 @@ def test_a_row_vanishing_on_the_flat_is_checked_as_a_constant(b0, status):
         assert res.value == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("b0, status", [(1.0, "infeasible"), (5e-8, "optimal"), (-1.0, "optimal")])
+def test_a_row_vanishing_on_a_rotated_flat_is_checked_as_a_constant(b0, status):
+    # As above on the plane 0.6 x1 + 0.8 x2 = 0, where the last row's
+    # coefficients along the plane are rounding residues, not zeros: they
+    # must not move the optimum onto that row's hyperplane, some 1e9 out.
+    normal, along = [0.6, 0.8, 0.0], [-0.8, 0.6, 0.0]
+    problem = LpProblem.build(
+        np.add(along, [0.0, 0.0, 1.0]),
+        a_eq=[normal],
+        b_eq=[0.0],
+        a_ge=[np.negative(along), [0.0, 0.0, -1.0], normal],
+        b_ge=[-1.0, -1.0, b0],
+    )
+    res = lp_solve(problem)
+    assert res.status == status
+    _assert_same_optimum(res, reference_simplex(problem))
+    if res.optimal:
+        assert res.value == pytest.approx(2.0)
+
+
+def test_wedge_wholly_past_the_first_box_is_feasible():
+    # Along u = (1, 1)/sqrt 2 and n = (-1, 1)/sqrt 2, the rows t >= 1e-9 s + 1
+    # and t <= 2e-9 s - 1 in (s, t) = (u.x, n.x) meet at s = 2e9, t = 3,
+    # and the region lies beyond, past the box |x_i| <= 1e9: not empty.
+    u, n = np.array([1.0, 1.0]) / np.sqrt(2.0), np.array([-1.0, 1.0]) / np.sqrt(2.0)
+    a_ge = [n - 1e-9 * u, 2e-9 * u - n]
+    for objective, value in ((-u, -2e9), (-n, -3.0)):
+        res = lp_solve(LpProblem.build(objective, a_ge=a_ge, b_ge=[1.0, 1.0]))
+        assert res.optimal and res.value == pytest.approx(value, rel=1e-6)
+        assert res.tight == (0, 1)
+    assert lp_solve(LpProblem.build(u, a_ge=a_ge, b_ge=[1.0, 1.0])).status == "unbounded"
+
+
 def test_closed_form_matches_simplex_on_random_points_and_lines():
     # Points and lines, the LPs the closed forms used to answer: the same
     # status and value as the tableau, and the same tight set unless the
@@ -250,6 +283,8 @@ def test_closed_form_matches_simplex_on_random_points_and_lines():
         ([1.0], None, None, "unbounded", None),
         ([0.0], None, None, "optimal", 0.0),
         ([1.0], [[-1.0]], [-7e8], "optimal", 7e8),  # far out, yet bounded
+        ([1.0], [[-1.0]], [-(1.0 + 2e9)], "optimal", 2000000001.0),  # past the first box
+        ([-1.0], [[1.0], [-1.0]], [2e9, -3e9], "optimal", -2e9),  # wholly past it
     ],
 )
 def test_one_variable_without_equalities(objective, a_ge, b_ge, status, value):
