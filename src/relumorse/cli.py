@@ -36,6 +36,15 @@ def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".relumorse-")
     try:
+        # mkstemp creates mode 0600; give the file the mode open(path, "w")
+        # would: an existing file's, else 0666 less the umask.
+        try:
+            mode = os.stat(path).st_mode & 0o7777
+        except FileNotFoundError:
+            mask = os.umask(0)
+            os.umask(mask)
+            mode = 0o666 & ~mask
+        os.fchmod(fd, mode)
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)

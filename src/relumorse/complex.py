@@ -18,11 +18,12 @@ vertices and rays are the union of the facets'.
 The map meets a region iff it takes both signs over the vertices and rays
 of its closure; a segment to the best vertex, or far along a rising ray,
 then yields points inside the pieces, for all regions of a neuron step in
-stacked numpy calls.  An LP pushing the map the other way decides instead
-where the closure holds no vertex, its ray system is singular or a sign
-falls in the tolerance band, and after a band decision for the rest of the
-layer.  Layer 1 starts from all sign words of its first maps, in closed
-form, so build solves no LP on generic input.
+stacked numpy calls.  Where the closure holds no vertex, its ray system is
+singular or a sign falls in the tolerance band, the witness LP decides
+instead: it keeps each piece in which it finds a point, and that point is
+the piece's sample.  Each step so names exactly the nonempty pieces, and
+the next one reads their closures.  Layer 1 starts from all sign words of
+its first maps, in closed form, so build solves no LP on generic input.
 Acceptance checks the words of one parent cell together: a word is kept
 when its sample point clears every strict inequality by a margin, read off
 one slack matrix, and otherwise by an LP that maximizes the worst slack;
@@ -51,8 +52,9 @@ from .network import NodeMaps, ReluNetwork, Signs, cell_affine_form, node_maps, 
 _ZERO_OFFSET = 1e-9
 # Relative gradient norm below which F counts as constant on a cell or edge.
 _FLAT_TOL = 1e-9
-# A sample point within _SPLIT_MARGIN * lp_tol of a hyperplane is split by
-# probing both sides.
+# A split whose values or slopes fall within _SPLIT_MARGIN * lp_tol of zero
+# is in the tolerance band: there a region's point proves no side, and the
+# witness LP decides its pieces.
 _SPLIT_MARGIN = 10.0
 # A sample point certifies a cell when it clears every strict inequality by
 # more than _CLEAR_MARGIN * lp_tol and meets the zero set within
@@ -207,13 +209,9 @@ class _HRep:
     ge_positions: tuple
 
 
-def _cell_problem(rep: _HRep, objective, cap=None) -> LpProblem:
-    """LP maximizing ``objective`` over a cell's H-representation, and with a
-    ``cap`` the row -objective.x >= -cap."""
-    a_ge, b_ge = rep.a_ge, rep.b_ge
-    if cap is not None:
-        a_ge, b_ge = np.vstack([a_ge, np.negative(objective)]), np.append(b_ge, -cap)
-    return LpProblem.build(objective, a_eq=rep.a_eq, b_eq=rep.b_eq, a_ge=a_ge, b_ge=b_ge)
+def _cell_problem(rep: _HRep, objective) -> LpProblem:
+    """LP maximizing ``objective`` over a cell's H-representation."""
+    return LpProblem.build(objective, a_eq=rep.a_eq, b_eq=rep.b_eq, a_ge=rep.a_ge, b_ge=rep.b_ge)
 
 
 def _witness(rep: _HRep, lp_tol: float):
@@ -222,8 +220,8 @@ def _witness(rep: _HRep, lp_tol: float):
     -t >= -1.  None unless t exceeds ``lp_tol``; unit rows make t a distance."""
     n = rep.a_eq.shape[1]
     e_t = np.eye(n + 1)[n]
-    # The t <= 1 row is written out: cap=1.0 would append -e_t, whose -0.0
-    # entries would change the LP's bytes, which scripts/lp_capture.py hashes.
+    # The t <= 1 row is 0.0 - e_t, not -e_t: the -0.0 entries of -e_t would
+    # change the LP's bytes, which scripts/lp_capture.py hashes.
     a_ge = np.vstack([np.pad(rep.a_ge, ((0, 0), (0, 1)), constant_values=-1.0), 0.0 - e_t])
     a_eq = np.pad(rep.a_eq, ((0, 0), (0, 1)))
     lifted = _HRep(a_eq, rep.b_eq, a_ge, np.append(rep.b_ge, -1.0), ())
@@ -465,13 +463,6 @@ def _abort_on_forced_flats(net, stage, upto_layer, n0):
             )
 
 
-def _reach(rep: _HRep, a, b, lp_tol):
-    """Max of a.x - b (capped at 1) over the closure of the region ``rep``,
-    with its argmax; None when the LP finds the region empty."""
-    res = lp_solve(_cell_problem(rep, a, cap=1.0 + b), feas_tol=lp_tol)
-    return (res.x, float(a @ res.x - b)) if res.optimal else None
-
-
 def _cut(x, d, s, v, q, u, near) -> list:
     """Pieces of a d-dimensional region whose point x lies on side s of the
     hyperplane (value v there), given the max u of the map pushed the other
@@ -551,40 +542,6 @@ def _closure_pieces(regions, closures, words, rows, at, a, b, near) -> list:
     band |= (np.abs(u) <= near) | (np.maximum(np.abs(x).max(1), np.abs(q).max(1)) > _FAR)
     cut = zip(words, band, x, s.tolist(), v.tolist(), q, u.tolist())
     return [None if out else _cut(y, regions[w][1], *rest, near) for w, out, y, *rest in cut]
-
-
-def _pieces(rep: _HRep, x, d, a, b, near, lp_tol):
-    """(sign, point, dim) of every piece the hyperplane a.x = b may cut from
-    the d-dimensional region ``rep`` with relative-interior point x, and
-    whether the list is sure to name no empty piece.
-
-    The region is split by LP, and d >= 1.  Pieces within ``near`` of
-    existing are returned too: the list may name empty pieces, which
-    acceptance drops, but never misses one.
-    """
-    v = float(a @ x - b)
-    if abs(v) > near:
-        # x proves the side it lies on; push the map the other way.
-        s = 1 if v > 0 else -1
-        found = _reach(rep, -s * a, -s * b, lp_tol)
-        if found is None:
-            return [(s, x, d), (0, x, d), (-s, x, d)], False
-        q, u = found  # u = max of -s * (a.x - b)
-        return _cut(x, d, s, v, q, u, near), not -near < u <= near
-    # x lies within near of the hyperplane: probe both sides.  The zero
-    # piece keeps dimension d when the map stays within near of zero.
-    out, zero, flat = [], x, True
-    for s in (-1, 1):
-        found = _reach(rep, s * a, s * b, lp_tol)
-        if found is None:
-            out.append((s, x, d))
-            continue
-        q, m = found  # m = max of s * (a.x - b)
-        out.append((s, 0.5 * (x + q), d))
-        flat = flat and m <= near
-        if s * v < 0 < m:
-            zero = x + (-s * v) / (m - s * v) * (q - x)
-    return [out[0], (0, zero, d if flat else d - 1), out[1]], False
 
 
 def _consistent(a_eq, b_eq) -> bool:
@@ -679,14 +636,15 @@ def _enumerate_cells(net: ReluNetwork, lp_tol: float) -> list:
             for col in zip(*((t.rows, t.offsets, t.const, *t.unit) for t in tables.values()))
         )
         # {word: (point, dim)} over the parents' words extended by the
-        # layer's signs decided so far.  While ``exact`` it names exactly the
-        # nonempty regions, and closures are read off it; a decision in the
-        # tolerance band may name empty pieces, so the LP decides the rest of
-        # the layer.  A vanishing map leaves its parent unsplit (with none
-        # left, acceptance raises); layer 1 starts from :func:`_seed`'s words.
+        # layer's signs decided so far: exactly the nonempty regions, so
+        # closures are read off it at every step.  A region the closure does
+        # not decide takes the witness LP on each piece that its point does
+        # not prove.  A vanishing map leaves its parent unsplit (acceptance
+        # raises), and the other closures then miss its faces, so every
+        # region takes the LP; layer 1 starts from :func:`_seed`'s words.
         regions = {p: (x, n0 - p.count(0)) for p, x in stage.items() if p not in vanishing}
-        exact, start = not vanishing, 0 if regions else n_k
-        if k == 1 and exact and (seeded := _seed(tables[()], n0, n_k)):
+        start = 0 if regions else n_k
+        if k == 1 and not vanishing and (seeded := _seed(tables[()], n0, n_k)):
             regions, start = seeded, min(n0, n_k)
         for j in range(start, n_k):
             words = list(regions)
@@ -695,36 +653,42 @@ def _enumerate_cells(net: ReluNetwork, lp_tol: float) -> list:
             const, a, b = consts[r], unit[r], unit_off[r]
             v = _dot(a, np.array([x for x, _ in regions.values()])) - b
             dims = {w: d for w, (_, d) in regions.items()}
-            closures = exact and _closures(dims, _facets(dims))
+            closures = _closures(dims, _facets(dims))
             sel = [
-                i for i, (w, (_, d)) in enumerate(regions.items())
-                if exact and d and not const[i] and closures[w][1]
+                i for i, (w, d) in enumerate(dims.items())
+                if not vanishing and d and not const[i] and closures[w][1]
             ]
             read = {}
             if sel:
                 sub = [words[i] for i in sel]
                 got = _closure_pieces(regions, closures, sub, rows, at[sel], a[sel], b[sel], near)
                 read = dict(zip(sel, got))
-            refined, sure = {}, exact
+            refined = {}
             for i, (word, (x, d)) in enumerate(regions.items()):
                 if const[i]:
                     pieces = [(1 if offsets[r[i]] > 0 else -1, x, d)]
                 elif read.get(i):
                     pieces = read[i]
-                elif d == 0:
-                    # An ill-conditioned zero set can pass acceptance even
-                    # where the map is far from zero at the vertex.
-                    eqs = at[i] + np.array([p for p, s in enumerate(word) if s == 0] + [off + j])
-                    pieces = [(1 if v[i] > 0 else -1, x, 0)]
-                    if abs(v[i]) <= near or _consistent(unit[eqs], unit_off[eqs]):
-                        pieces, sure = [(-1, x, 0), (0, x, 0), (1, x, 0)], False
                 else:
-                    rep = _hrep_for(net, word, tables[word[:off]])
-                    pieces, clean = _pieces(rep, x, d, a[i], b[i], near, lp_tol)
-                    sure = sure and clean and i not in read
+                    # Outside the band x proves its own side.  So it does at
+                    # a vertex, unless the zero set and the map agree: an
+                    # ill-conditioned zero set can pass acceptance even where
+                    # the map is far from zero at the vertex.
+                    side = 1 if v[i] > 0 else -1
+                    pieces = [(side, x, d)] if abs(v[i]) > near else []
+                    todo = [t for t in (-1, 0, 1) if not pieces or t != side]
+                    if d == 0 and pieces:
+                        eqs = at[i] + np.array([p for p, s in enumerate(word) if s == 0] + [off + j])
+                        todo = todo if _consistent(unit[eqs], unit_off[eqs]) else []
+                    for sign in todo:
+                        y = _witness(_hrep_for(net, word + (sign,), tables[word[:off]]), lp_tol)
+                        # A vertex's zero piece, past n0 zeros, gets a negative
+                        # dim: _closures takes it before the words it bounds.
+                        if y is not None:
+                            pieces.append((sign, y, d - (sign == 0)))
                 for sign, y, dd in pieces:
                     refined[word + (sign,)] = (y, dd)
-            regions, exact = refined, sure
+            regions = refined
         new_stage, words = {}, sorted([*regions, *vanishing])
         for parent, group in itertools.groupby(words, key=lambda w: w[:off]):
             if parent in vanishing:

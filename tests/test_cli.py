@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 from collections import Counter
 
 import numpy as np
@@ -44,6 +46,21 @@ def test_gen_fixture_and_build(tmp_path, capsys):
     assert vertex["value"] == 1.0
     assert data["cells"]["+++"]["bounded_above"] is True
     assert data["cells"]["-0+"]["bounded_above"] is False
+
+
+def test_output_files_get_the_mode_open_would_give(tmp_path):
+    # A new file gets 0666 less the umask, and an existing one keeps its mode.
+    weights, kept = tmp_path / "w.json", tmp_path / "kept.json"
+    kept.write_text("")
+    kept.chmod(0o640)
+    mask = os.umask(0o022)
+    try:
+        for path in (weights, kept):
+            assert run(["gen", "--fixture", "net-b", "-o", str(path)]) == 0
+    finally:
+        os.umask(mask)
+    assert stat.S_IMODE(weights.stat().st_mode) == 0o644
+    assert stat.S_IMODE(kept.stat().st_mode) == 0o640
 
 
 def test_outputs_are_byte_deterministic(tmp_path):
