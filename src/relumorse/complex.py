@@ -12,23 +12,26 @@ one per parent cell; closure vertices and rays only on demand.
 Construction refines layer by layer, one node map at a time: map j of
 layer k splits every region of every parent cell before map j + 1 does, so
 the regions found so far form the whole refined complex.  On a parent cell
-the map is affine.  Closure queries read two passes: ``_facets``, the
-present words that zero one more entry, and ``_closures``, whose closure
-vertices and rays are the union of the facets'.
-The map meets a region iff it takes both signs over the vertices and rays
-of its closure; a segment to the best vertex, or far along a rising ray,
-then yields points inside the pieces, for all regions of a neuron step in
-stacked numpy calls.  Where the closure holds no vertex, its ray system is
-singular or a sign falls in the tolerance band, the witness LP decides
-instead: it keeps each piece in which it finds a point, and that point is
-the piece's sample.  Each step so names exactly the nonempty pieces, and
-the next one reads their closures.  Layer 1 starts from all sign words of
-its first maps, in closed form, so build solves no LP on generic input.
-Acceptance checks the words of one parent cell together: a word is kept
-when its sample point clears every strict inequality by a margin, read off
-one slack matrix, and otherwise by an LP that maximizes the worst slack;
-one stacked rank test per zero count finds dependent zero sets.  Every LP
-is a cell LP from ``_cell_problem``, the one place a problem is built.
+the map is affine; the node-map tables of all of a layer's parents are one
+stack.  Closure queries read two passes: ``_facets``, the present words that
+zero one more entry, and ``_closures``, whose closure vertices and rays are
+the union of the facets'.  The map meets a region iff it takes both signs
+over the vertices and rays of its closure; a segment to the best vertex, or
+far along a rising ray, then yields points inside the pieces, for all
+regions of a neuron step in stacked numpy calls, and one batched residual
+tests every vertex region's zero set against the map.  Where the closure
+holds no vertex, its ray system is singular or a sign falls in the
+tolerance band, the witness LP decides instead: it keeps each piece in
+which it finds a point, and that point is the piece's sample.  Each step so
+names exactly the nonempty pieces, and the next one reads their closures.
+Layer 1 starts from all sign words of its first maps, in closed form, so
+build solves no LP on generic input.  Acceptance checks all words of a
+layer in one pass: a word is kept when its sample point clears every strict
+inequality by a margin, read off one slack matrix, or is the witness LP's
+own point from the layer's last step, and otherwise by that LP; one stacked
+rank test per zero count finds dependent zero sets, and the batched
+residual the solvable ones past n0 zeros.  Every LP is a cell LP from
+``_cell_problem``, the one place a problem is built.
 """
 
 from __future__ import annotations
@@ -39,14 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    FlatCellError,
-    GenericityError,
-    InjectivityError,
-    SingularSystemError,
-)
+from .errors import FlatCellError, GenericityError, InjectivityError, SingularSystemError
 from .lp import LpProblem, lp_solve
-from .network import NodeMaps, ReluNetwork, Signs, cell_affine_form, node_maps, signs_to_str
+from .network import NodeMaps, ReluNetwork, Signs, _dot, cell_affine_form, node_maps, signs_to_str
 
 # Offset at or below which a constant node map counts as zero.
 _ZERO_OFFSET = 1e-9
@@ -131,17 +129,13 @@ def _edge_slopes(v_signs: Signs, form_of) -> dict:
             raise SingularSystemError(f"singular edge system at vertex {signs_to_str(v_signs)}")
         nrm = float(np.linalg.norm(d))
         if not np.isfinite(nrm) or nrm <= 0.0:
-            raise SingularSystemError(
-                f"degenerate edge direction at vertex {signs_to_str(v_signs)}"
-            )
+            raise SingularSystemError(f"degenerate edge direction at vertex {signs_to_str(v_signs)}")
         d = d / nrm
         d.flags.writeable = False  # the complex hands the cached array out
         g = forms[t].total_gradient
         slope = float(g @ d)
         if _is_flat(slope, float(np.linalg.norm(g))):
-            raise FlatCellError(
-                f"F is constant along edge {signs_to_str(e)}; network out of scope"
-            )
+            raise FlatCellError(f"F is constant along edge {signs_to_str(e)}; network out of scope")
         out[e] = (d, 1 if slope > 0 else -1)
     return out
 
@@ -261,13 +255,8 @@ def _hrep_for(net: ReluNetwork, signs: Signs, table: NodeMaps) -> _HRep | None:
     unit, unit_off = (u[:n][live] for u in table.unit)
     s = np.array(signs, dtype=float)[live]
     eq, ge = s == 0, s != 0
-    return _HRep(
-        a_eq=unit[eq],
-        b_eq=unit_off[eq],
-        a_ge=s[ge, None] * unit[ge],
-        b_ge=s[ge] * unit_off[ge],
-        ge_positions=tuple(live[ge].tolist()),
-    )
+    a_ge, b_ge = s[ge, None] * unit[ge], s[ge] * unit_off[ge]
+    return _HRep(unit[eq], unit_off[eq], a_ge, b_ge, tuple(live[ge].tolist()))
 
 
 class CanonicalComplex:
@@ -428,14 +417,10 @@ def _vertex_location(signs: Signs, table: NodeMaps) -> np.ndarray:
     try:
         loc = np.linalg.solve(mat, rhs) + 0.0  # clear negative zeros
     except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(
-            f"singular vertex system for {signs_to_str(signs)}"
-        ) from exc
+        raise SingularSystemError(f"singular vertex system for {signs_to_str(signs)}") from exc
     resid = float(np.abs(mat @ loc - rhs).max())
     if not np.isfinite(loc).all() or resid > _VERTEX_RESID * max(1.0, float(np.abs(rhs).max())):
-        raise SingularSystemError(
-            f"ill-conditioned vertex system for {signs_to_str(signs)}"
-        )
+        raise SingularSystemError(f"ill-conditioned vertex system for {signs_to_str(signs)}")
     return loc
 
 
@@ -446,11 +431,8 @@ def _abort_on_forced_flats(net, stage, upto_layer, n0):
     complex is guaranteed to contain a flat positive-dimensional cell with a
     vertex in its closure; raising here skips the remaining refinement work.
     """
-    offset = 0
-    blocks = []
-    for layer in net.layers[:upto_layer]:
-        blocks.append((offset, offset + layer.out_dim))
-        offset += layer.out_dim
+    bounds = [0, *itertools.accumulate(layer.out_dim for layer in net.layers[:upto_layer])]
+    blocks = list(zip(bounds, bounds[1:]))
     # Zeroing entries keeps a dead block dead, so the dead words are closed
     # under faces and their own closure map holds their vertices.
     dead = {s: n0 - s.count(0) for s in stage if any(1 not in s[a:b] for a, b in blocks)}
@@ -477,11 +459,6 @@ def _cut(x, d, s, v, q, u, near) -> list:
         (0, x + t0 * (q - x), d - 1),
         (-s, x + 0.5 * (1.0 + t0) * (q - x), d),
     ]
-
-
-def _dot(a, x):
-    """Row-wise dot products of two stacks, each rounded as the 1-D a @ x."""
-    return (a[:, None] @ x[..., None])[:, 0, 0]
 
 
 def _argmax_by(keys, group, labels):
@@ -544,67 +521,71 @@ def _closure_pieces(regions, closures, words, rows, at, a, b, near) -> list:
     return [None if out else _cut(y, regions[w][1], *rest, near) for w, out, y, *rest in cut]
 
 
-def _consistent(a_eq, b_eq) -> bool:
-    """Cheap residual test for an over-determined zero set, which is
-    generically unsolvable: False lets the caller skip the LP."""
-    sol, *_ = np.linalg.lstsq(a_eq, b_eq, rcond=None)
-    resid = float(np.abs(a_eq @ sol - b_eq).max())
-    return resid <= _RANK_TOL * max(1.0, float(np.abs(b_eq).max()))
+def _solvable(a, b):
+    """Whether each stacked system a x = b, of more rows than unknowns, has
+    a least-squares residual within _RANK_TOL * max(1, |b|), with singular
+    values dropped as ``np.linalg.lstsq`` drops them: b less its projection
+    on the left singular vectors kept.  Generically it has not."""
+    u, sv, _ = np.linalg.svd(a, full_matrices=False)
+    u = u * (sv > np.finfo(float).eps * max(a.shape[1:]) * sv[:, :1])[:, None]
+    resid = (u @ (b[:, None] @ u).transpose(0, 2, 1))[..., 0] - b
+    return np.abs(resid).max(axis=1) <= _RANK_TOL * np.maximum(1.0, np.abs(b).max(axis=1))
 
 
-def _accept(net: ReluNetwork, words: list, points, table: NodeMaps, lp_tol: float) -> dict:
-    """{word: interior point} of the sorted candidate ``words`` of one
-    parent cell, with sample ``points``, that name cells; raises the first
-    genericity error in word order.  A word builds its H-representation only
-    for the witness LP, when its point falls short, or past n0 zeros.
-    """
+def _accept(net, words, points, tables: NodeMaps, pid, witnessed, lp_tol: float) -> dict:
+    """{word: interior point} of the sorted candidate ``words`` of a layer,
+    with sample ``points``, that name cells; raises the first genericity
+    error in word order.  Word i's node maps are table pid[i] of ``tables``.
+    A word builds its H-representation only for the witness LP, when its
+    point falls short, unless it is that LP's own point (``witnessed``)."""
     n0 = net.n0
-    s = np.array(words, dtype=float)
-    offs, const, (unit, unit_off) = table.offsets, table.const, table.unit
+    offs, const, unit, unit_off = (t.take(pid, 0) for t in (tables.offsets, tables.const, *tables.unit))
+    s = np.fromiter(itertools.chain.from_iterable(words), float, offs.size).reshape(offs.shape)
     # Constant rows as in _hrep_for: they are left out of every test, and a
-    # word they contradict takes _hrep_for, which drops or rejects it.
-    bad = (const & ((s * offs <= 0) | (np.abs(offs) <= _ZERO_OFFSET))).any(axis=1)
+    # word they contradict is dropped, or raises where _hrep_for would.
+    ok = ~(const & ((s * offs <= 0) | (np.abs(offs) <= _ZERO_OFFSET))).any(axis=1)
     zero = s == 0
     zeros = zero.sum(axis=1)
     # Signed slack of each row at each word's point: strict rows must clear
     # the margin, zero rows lie within the residual.
-    v = points @ unit.T - unit_off
+    v = _dot(unit, points[:, None]) - unit_off
     slack = np.where(zero | const, np.inf, s * v).min(axis=1)
     resid = np.where(zero & ~const, np.abs(v), 0.0).max(axis=1)
     clears = (slack > _CLEAR_MARGIN * lp_tol) & (resid <= _SAMPLE_RESID * lp_tol)
-    dependent = np.zeros(len(words), dtype=bool)
-    for z in range(1, n0 + 1):
-        pick = np.flatnonzero(~bad & (zeros == z))
-        if pick.size:
-            stack = unit[np.nonzero(zero[pick])[1].reshape(-1, z)]
-            dependent[pick] = np.linalg.matrix_rank(stack, tol=_RANK_TOL) < z
+    # One test per zero count z: up to n0 rows the rank flags dependent zero
+    # sets, past n0 the residual unsolvable ones.  One unit row is independent.
+    flag = np.zeros(len(words), dtype=bool)
+    for z in set(zeros[ok].tolist()) - {0, 1}:
+        pick = np.flatnonzero(ok & (zeros == z))
+        a, b = unit[pick][zero[pick]].reshape(-1, z, n0), unit_off[pick][zero[pick]].reshape(-1, z)
+        rank = (np.linalg.svd(a, compute_uv=False) > _RANK_TOL).sum(axis=1)
+        flag[pick] = rank < z if z <= n0 else ~_solvable(a, b)
     out = {}
-    for word, x, z, ok, sure, dep in zip(words, points, zeros, ~bad, clears, dependent):
-        if z > n0 or not (ok and sure):
-            rep = _hrep_for(net, word, table)
-            if rep is None or (z > n0 and not _consistent(rep.a_eq, rep.b_eq)):
+    per_word = zip(words, points, zeros.tolist(), ok.tolist(), clears.tolist(), flag.tolist(), pid.tolist())
+    for word, x, z, fine, sure, flagged, p in per_word:
+        if not (fine or _constant_rows_hold(net, word, tables[p])) or (z > n0 and flagged):
+            continue
+        if not (sure or word in witnessed):
+            x = _witness(_hrep_for(net, word, tables[p]), lp_tol)
+            if x is None:
                 continue
-            if not sure:
-                x = _witness(rep, lp_tol)
-                if x is None:
-                    continue
         if z > n0:
             raise GenericityError(f"feasible pattern {signs_to_str(word)} has {z} > n0 zeros")
-        if dep:
+        if flagged:
             raise GenericityError(f"dependent zero-set equations on {signs_to_str(word)}")
         out[word] = x
     return out
 
 
-def _seed(table: NodeMaps, n0: int, n_1: int) -> dict | None:
+def _seed(tables: NodeMaps, n0: int, n_1: int) -> dict | None:
     """{word: (point, dim)} of all 3^m words of layer 1's first m = min(n0,
     n_1) maps, whose non-constant, independent unit rows take R^n0 onto R^m:
     each word is a region of dimension n0 - #zeros, with the least-norm point
     for the targets t in {-1, 0, 1}^m.  None otherwise, or for a point beyond
     _FAR, where the band's decisions hang on the LP path's own points."""
     m = min(n0, n_1)
-    unit, unit_off = (u[:m] for u in table.unit)
-    if table.const[:m].any() or np.linalg.matrix_rank(unit, tol=_RANK_TOL) < m:
+    unit, unit_off = (u[0, :m] for u in tables.unit)  # layer 1's one table
+    if tables.const[0, :m].any() or (np.linalg.svd(unit, compute_uv=False) > _RANK_TOL).sum() < m:
         return None
     words = list(itertools.product((-1, 0, 1), repeat=m))
     points = np.linalg.lstsq(unit, (unit_off + np.array(words)).T, rcond=None)[0].T
@@ -621,20 +602,16 @@ def _enumerate_cells(net: ReluNetwork, lp_tol: float) -> list:
     stage = {(): np.zeros(n0)}  # cell -> point of its relative interior
     for k, layer in enumerate(net.layers, start=1):
         n_k, off = layer.out_dim, len(next(iter(stage)))
-        tables, vanishing = {}, {}
-        for parent in stage:
-            table = tables[parent] = node_maps(net, parent)
-            hit = table.const[off:] & (np.abs(table.offsets[off:]) <= _ZERO_OFFSET)
-            if hit.any():
-                p = off + int(np.argmax(hit))
-                vanishing[parent] = f"node map {net.ij(p)} vanishes identically on a region"
-        # The parents' tables stacked: row p of a word's parent table is row
-        # first[word[:off]] + p.
-        first = {p: i * len(t.rows) for i, (p, t) in enumerate(tables.items())}
-        rows, offsets, consts, unit, unit_off = (
-            np.concatenate(col)
-            for col in zip(*((t.rows, t.offsets, t.const, *t.unit) for t in tables.values()))
-        )
+        # The parents' node-map tables in one stack: row p of a word's
+        # parent table is row first[word[:off]] + p of the flat arrays.
+        parents, size = list(stage), off + n_k
+        tables = node_maps(net, np.array(parents, dtype=float).reshape(len(parents), off))
+        first = {p: i * size for i, p in enumerate(parents)}
+        rows, unit = tables.rows.reshape(-1, n0), tables.unit[0].reshape(-1, n0)
+        offsets, consts, unit_off = (t.ravel() for t in (tables.offsets, tables.const, tables.unit[1]))
+        hit = tables.const[:, off:] & (np.abs(tables.offsets[:, off:]) <= _ZERO_OFFSET)
+        dead = np.flatnonzero(hit.any(axis=1))  # parents on which a map vanishes
+        vanishing = {parents[i] for i in dead.tolist()}
         # {word: (point, dim)} over the parents' words extended by the
         # layer's signs decided so far: exactly the nonempty regions, so
         # closures are read off it at every step.  A region the closure does
@@ -643,8 +620,8 @@ def _enumerate_cells(net: ReluNetwork, lp_tol: float) -> list:
         # raises), and the other closures then miss its faces, so every
         # region takes the LP; layer 1 starts from :func:`_seed`'s words.
         regions = {p: (x, n0 - p.count(0)) for p, x in stage.items() if p not in vanishing}
-        start = 0 if regions else n_k
-        if k == 1 and not vanishing and (seeded := _seed(tables[()], n0, n_k)):
+        start, witnessed = (0 if regions else n_k), set()
+        if k == 1 and not vanishing and (seeded := _seed(tables, n0, n_k)):
             regions, start = seeded, min(n0, n_k)
         for j in range(start, n_k):
             words = list(regions)
@@ -663,6 +640,17 @@ def _enumerate_cells(net: ReluNetwork, lp_tol: float) -> list:
                 sub = [words[i] for i in sel]
                 got = _closure_pieces(regions, closures, sub, rows, at[sel], a[sel], b[sel], near)
                 read = dict(zip(sel, got))
+            # Outside the band x proves its own side, and at a vertex unless
+            # the zero set and the map agree (one batched residual): an
+            # ill-conditioned zero set can pass acceptance even where the
+            # map is far from zero at the vertex.
+            vert = [i for i, d in enumerate(dims.values()) if not d and not const[i] and abs(v[i]) > near]
+            agree = {}
+            if vert:
+                # The zero rows and row off + j, as the zeros of word + (0,).
+                zs = np.nonzero(np.array([words[i] + (0,) for i in vert]) == 0)[1]
+                eqs = at[vert, None] + zs.reshape(-1, n0 + 1)
+                agree = dict(zip(vert, _solvable(unit[eqs], unit_off[eqs]).tolist()))
             refined = {}
             for i, (word, (x, d)) in enumerate(regions.items()):
                 if const[i]:
@@ -670,33 +658,29 @@ def _enumerate_cells(net: ReluNetwork, lp_tol: float) -> list:
                 elif read.get(i):
                     pieces = read[i]
                 else:
-                    # Outside the band x proves its own side.  So it does at
-                    # a vertex, unless the zero set and the map agree: an
-                    # ill-conditioned zero set can pass acceptance even where
-                    # the map is far from zero at the vertex.
                     side = 1 if v[i] > 0 else -1
                     pieces = [(side, x, d)] if abs(v[i]) > near else []
                     todo = [t for t in (-1, 0, 1) if not pieces or t != side]
-                    if d == 0 and pieces:
-                        eqs = at[i] + np.array([p for p, s in enumerate(word) if s == 0] + [off + j])
-                        todo = todo if _consistent(unit[eqs], unit_off[eqs]) else []
-                    for sign in todo:
-                        y = _witness(_hrep_for(net, word + (sign,), tables[word[:off]]), lp_tol)
+                    for sign in todo if agree.get(i, True) else []:
+                        y = _witness(_hrep_for(net, word + (sign,), tables[at[i] // size]), lp_tol)
                         # A vertex's zero piece, past n0 zeros, gets a negative
                         # dim: _closures takes it before the words it bounds.
+                        # A last-step piece is a word, and acceptance keeps y.
                         if y is not None:
                             pieces.append((sign, y, d - (sign == 0)))
+                            witnessed.add(word + (sign,))
                 for sign, y, dd in pieces:
                     refined[word + (sign,)] = (y, dd)
             regions = refined
-        new_stage, words = {}, sorted([*regions, *vanishing])
-        for parent, group in itertools.groupby(words, key=lambda w: w[:off]):
-            if parent in vanishing:
-                raise GenericityError(vanishing[parent])
-            group = list(group)
-            points = np.array([regions[w][0] for w in group])
-            new_stage.update(_accept(net, group, points, tables[parent], lp_tol))
-        stage = new_stage
+        # Acceptance tests every word of the layer in one pass, in word
+        # order up to the first vanishing parent, which then raises.
+        words = sorted(w for w in regions if not vanishing or w < parents[dead[0]])
+        points = np.array([regions[w][0] for w in words]).reshape(-1, n0)
+        pid = np.array([first[w[:off]] // size for w in words], dtype=int)
+        stage = _accept(net, words, points, tables, pid, witnessed, lp_tol)
+        if vanishing:
+            p = off + int(np.argmax(hit[dead[0]]))
+            raise GenericityError(f"node map {net.ij(p)} vanishes identically on a region")
         _abort_on_forced_flats(net, stage, k, n0)
     return sorted(stage)
 
@@ -729,11 +713,13 @@ def _flag_flat(cpx: CanonicalComplex) -> None:
     n0, final, n = cpx.n0, cpx.net.final, cpx.net.total_neurons
     cells = [c for c in cpx.cells.values() if c.dim]
     s, dims = np.array([c.signs for c in cells]), np.array([c.dim for c in cells])
-    _, first, at = np.unique(s[:, : -final.in_dim], axis=0, return_index=True, return_inverse=True)
-    tables, g = [cpx.table(cells[i].signs) for i in first], np.empty((len(cells), n0))
-    for i, table in enumerate(tables):
-        g[at == i] = table.f_affine(final, s[at == i, -final.in_dim :])[0]
-    unit = np.concatenate([t.unit[0] for t in tables])  # row p of table i: row i * n + p
+    # One stack of the parents' tables, which the complex keeps as its own.
+    prefixes, at = np.unique(s[:, : -final.in_dim], axis=0, return_inverse=True)
+    tables, g = node_maps(cpx.net, prefixes), np.empty((len(cells), n0))
+    for i, prefix in enumerate(prefixes.tolist()):
+        cpx._tables[tuple(prefix)] = tables[i]
+        g[at == i] = tables[i].f_affine(final, s[at == i, -final.in_dim :])[0]
+    unit = tables.unit[0].reshape(-1, n0)  # row p of table i: row i * n + p
     for dim in set(dims.tolist()):
         sel = np.flatnonzero(dims == dim)
         proj = g[sel]

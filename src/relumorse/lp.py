@@ -89,9 +89,11 @@ def lp_solve(problem: LpProblem, feas_tol: float = FEAS_TOL) -> LpResult:
                 return LpResult("unbounded")
         except _Cramped:
             y = None
-    if y is None:
+    # Far out on a flat of nearly parallel rows, rounding can move x off them.
+    x = None if y is None else x0 + basis @ np.array(y)
+    if x is None or np.abs(problem.a_eq @ x - problem.b_eq).max(initial=0.0) > feas_tol:
         return LpResult("infeasible")
-    return _optimum(problem, x0 + basis @ np.array(y), feas_tol)
+    return _optimum(problem, x, feas_tol)
 
 
 class _Cramped(Exception):

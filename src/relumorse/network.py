@@ -30,6 +30,11 @@ Signs = tuple
 _ZERO_ROW = 1e-12
 
 
+def _dot(a, x):
+    """Dot products along the last axis of two stacks, each rounded as a @ x."""
+    return (a[..., None, :] @ x[..., :, None])[..., 0, 0]
+
+
 def signs_to_str(signs: Signs) -> str:
     return "".join("+" if s > 0 else "-" if s < 0 else "0" for s in signs)
 
@@ -188,9 +193,9 @@ class NodeMaps:
 
     @cached_property
     def norms(self) -> np.ndarray:
-        """Gradient norm of each row.  Row by row, as ``np.linalg.norm``
-        computes it: a batched sum rounds differently."""
-        return np.sqrt([row.dot(row) for row in self.rows])
+        """Gradient norm of each row, of one table or a stack: by :func:`_dot`,
+        which rounds as ``row.dot(row)`` does and a batched sum does not."""
+        return np.sqrt(_dot(self.rows, self.rows))
 
     @cached_property
     def const(self) -> np.ndarray:
@@ -202,7 +207,11 @@ class NodeMaps:
         """(rows, -offsets) divided by the row norms, so slacks are distances;
         constant rows keep scale 1."""
         scale = np.where(self.const, 1.0, self.norms)
-        return self.rows / scale[:, None], -self.offsets / scale
+        return self.rows / scale[..., None], -self.offsets / scale
+
+    def __getitem__(self, i) -> "NodeMaps":
+        """Table i of a stack of tables."""
+        return NodeMaps(self.rows[i], self.offsets[i])
 
     def f_affine(self, final: AffineLayer, last_signs) -> tuple:
         """(gradients, offsets) of F on cells of this table, one per row of
@@ -220,27 +229,30 @@ class CellAffineForm(NodeMaps):
     total_offset: float
 
 
-def node_maps(net: ReluNetwork, signs: Signs) -> NodeMaps:
+def node_maps(net: ReluNetwork, signs) -> NodeMaps:
     """Node maps of layers 1..k on the cell ``signs`` of layers 1..k-1.
 
     ``signs`` must end on a layer boundary; the maps of the next layer are
     affine on its cell too, so the table covers one layer more than the
     word.  Each layer masks the composite by its signs: rows whose pattern
-    entry is -1 or 0 are zeroed (row selection realizes the ReLU).
+    entry is -1 or 0 are zeroed (row selection realizes the ReLU).  A 2-D
+    array of P words gives their tables stacked, rows (P, R, n0), by the
+    same products broadcast: a word's table is the stack of one.
     """
-    jac = np.eye(net.n0)
-    bias = np.zeros(net.n0)
+    words = np.asarray(signs, dtype=float)
+    act = (words if words.ndim == 2 else words[None]) > 0
+    jac, bias = np.eye(net.n0) + np.zeros((len(act), 1, 1)), np.zeros((len(act), net.n0, 1))
     rows, offsets, used = [], [], 0
     for layer in net.layers:
         rows.append(layer.weights @ jac)
-        offsets.append(layer.weights @ bias + layer.bias)
-        if used == len(signs):
+        offsets.append(layer.weights @ bias + layer.bias[:, None])
+        if used == act.shape[1]:
             break
-        active = (np.asarray(signs[used : used + layer.out_dim]) > 0).astype(float)
-        jac = rows[-1] * active[:, None]
-        bias = offsets[-1] * active
+        active = act[:, used : used + layer.out_dim, None]
+        jac, bias = rows[-1] * active, offsets[-1] * active
         used += layer.out_dim
-    return NodeMaps(np.concatenate(rows), np.concatenate(offsets))
+    rows, offsets = np.concatenate(rows, axis=1), np.concatenate(offsets, axis=1)[..., 0]
+    return NodeMaps(rows, offsets) if words.ndim == 2 else NodeMaps(rows[0], offsets[0])
 
 
 def cell_affine_form(net: ReluNetwork, signs: Signs, table=None) -> CellAffineForm:

@@ -20,14 +20,19 @@ from relumorse import (
     signs_to_str,
 )
 from relumorse.complex import (
+    _CLEAR_MARGIN,
     _FAR,
     _FLAT_TOL,
+    _RANK_TOL,
+    _SAMPLE_RESID,
+    _ZERO_OFFSET,
     _cell_problem,
     _cut,
     _edges_at,
     _hrep_for,
     _is_flat,
     _vertex_location,
+    _witness,
 )
 from relumorse.errors import (
     DimensionError,
@@ -37,7 +42,7 @@ from relumorse.errors import (
     StructuredError,
 )
 from relumorse.lp import FEAS_TOL, LpProblem, LpResult, _optimum, lp_solve
-from relumorse.network import cell_affine_form
+from relumorse.network import NodeMaps, cell_affine_form
 
 
 def make_net_b_negated() -> ReluNetwork:
@@ -564,6 +569,78 @@ def generator_pieces(gens, d, a, b, near):
     if abs(u) <= near or float(np.abs([x, q]).max()) > _FAR:
         return None
     return _cut(x, d, s, v, q, u, near)
+
+
+# -- per-parent build steps that the stacked ones replaced: references ------
+
+
+def reference_node_maps(net, signs) -> NodeMaps:
+    """Node-map table of one word, layer by layer on 1-D arrays, with its
+    row norms taken row by row: the reference for the stacked
+    ``network.node_maps``."""
+    jac, bias = np.eye(net.n0), np.zeros(net.n0)
+    rows, offsets, used = [], [], 0
+    for layer in net.layers:
+        rows.append(layer.weights @ jac)
+        offsets.append(layer.weights @ bias + layer.bias)
+        if used == len(signs):
+            break
+        active = (np.asarray(signs[used : used + layer.out_dim]) > 0).astype(float)
+        jac = rows[-1] * active[:, None]
+        bias = offsets[-1] * active
+        used += layer.out_dim
+    table = NodeMaps(np.concatenate(rows), np.concatenate(offsets))
+    table.__dict__["norms"] = np.sqrt([row.dot(row) for row in table.rows])  # const, unit follow
+    return table
+
+
+def reference_consistent(a_eq, b_eq) -> bool:
+    """Residual test of one over-determined zero set by ``np.linalg.lstsq``:
+    the reference for ``complex._solvable``, which tests a stack."""
+    sol, *_ = np.linalg.lstsq(a_eq, b_eq, rcond=None)
+    resid = float(np.abs(a_eq @ sol - b_eq).max())
+    return resid <= _RANK_TOL * max(1.0, float(np.abs(b_eq).max()))
+
+
+def reference_accept(net, words, points, table, lp_tol: float) -> dict:
+    """{word: interior point} of the sorted candidate ``words`` of one
+    parent cell, with its node-map ``table``, that name cells; raises the
+    first genericity error in word order.  A word builds its H-representation
+    for the witness LP, when its point falls short, or past n0 zeros.  One
+    parent at a time, re-solving every witness LP: the reference for
+    ``complex._accept``, which takes a whole layer in one pass."""
+    n0 = net.n0
+    s = np.array(words, dtype=float)
+    offs, const, (unit, unit_off) = table.offsets, table.const, table.unit
+    bad = (const & ((s * offs <= 0) | (np.abs(offs) <= _ZERO_OFFSET))).any(axis=1)
+    zero = s == 0
+    zeros = zero.sum(axis=1)
+    v = points @ unit.T - unit_off
+    slack = np.where(zero | const, np.inf, s * v).min(axis=1)
+    resid = np.where(zero & ~const, np.abs(v), 0.0).max(axis=1)
+    clears = (slack > _CLEAR_MARGIN * lp_tol) & (resid <= _SAMPLE_RESID * lp_tol)
+    dependent = np.zeros(len(words), dtype=bool)
+    for z in range(1, n0 + 1):
+        pick = np.flatnonzero(~bad & (zeros == z))
+        if pick.size:
+            stack = unit[np.nonzero(zero[pick])[1].reshape(-1, z)]
+            dependent[pick] = np.linalg.matrix_rank(stack, tol=_RANK_TOL) < z
+    out = {}
+    for word, x, z, ok, sure, dep in zip(words, points, zeros, ~bad, clears, dependent):
+        if z > n0 or not (ok and sure):
+            rep = _hrep_for(net, word, table)
+            if rep is None or (z > n0 and not reference_consistent(rep.a_eq, rep.b_eq)):
+                continue
+            if not sure:
+                x = _witness(rep, lp_tol)
+                if x is None:
+                    continue
+        if z > n0:
+            raise GenericityError(f"feasible pattern {signs_to_str(word)} has {z} > n0 zeros")
+        if dep:
+            raise GenericityError(f"dependent zero-set equations on {signs_to_str(word)}")
+        out[word] = x
+    return out
 
 
 # -- the tableau simplex that ``lp_solve`` replaced: the LP reference --------

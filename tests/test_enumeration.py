@@ -16,24 +16,33 @@ forcing acceptance's witness LP, or starting layer 1 by LP where it starts
 in closed form.  The stacked closure split must agree with
 the per-region ``conftest.generator_pieces``, the stacked flat-flag test
 with the per-cell loop of ``conftest.reference_flatness``, the stacked
-edge solve with the per-edge ``conftest.reference_edge_slopes``, and each
-vertex's own-table location with ``conftest.reference_vertex_location``.
+edge solve with the per-edge ``conftest.reference_edge_slopes``, each
+vertex's own-table location with ``conftest.reference_vertex_location``, each
+layer's one acceptance pass with the per-parent ``conftest.reference_accept``,
+the batched residual with ``conftest.reference_consistent``'s lstsq, and the
+stacked node-map tables with the per-word ``conftest.reference_node_maps``.
 """
 
+import importlib.util
 import itertools
 import math
+import pathlib
 import re
 
 import numpy as np
 import pytest
 from conftest import (
+    SWEEP_ACCEPTED,
     closure_generators,
     edge_outcome,
     generator_pieces,
     interior_witness,
     interior_witness_of,
+    reference_accept,
+    reference_consistent,
     reference_edge_slopes,
     reference_flatness,
+    reference_node_maps,
     reference_vertex_location,
 )
 
@@ -204,10 +213,14 @@ CASES += [
 # Integer nets that a split naming pieces it could not prove empty, for
 # acceptance to drop, got wrong: two built a cell without an interior
 # witness (+00 and +-+-0), and one raised FlatCellError where the brute
-# force finds dependent zero-set equations on +0+0.
+# force finds dependent zero-set equations on +0+0.  On the last, the brute
+# force's own witness LP of ++00 returned a point off its equality rows as
+# optimal, and raised dependent zero-set equations on ++00.
 REGRESSION = [
     pytest.param(_integer_net(arch, seed, noise), id=f"int-{'x'.join(map(str, arch))}-{noise}-s{seed}")
-    for arch, seed, noise in (((2, 3), 29, 1e-8), ((2, 3, 2), 19, 1e-9), ((2, 4), 28, 1e-8))
+    for arch, seed, noise in (
+        ((2, 3), 29, 1e-8), ((2, 3, 2), 19, 1e-9), ((2, 4), 28, 1e-8), ((3, 2, 2), 9, 1e-9)
+    )
 ]
 
 
@@ -667,3 +680,122 @@ def test_two_layer_vertices_match_the_container_top_cell_solve(sweep_accepted):
             assert rec.location.tobytes() == reference_vertex_location(cpx, v).tobytes(), v
             spanning += 0 in v[:-n_m] and 0 in v[-n_m:]
     assert spanning > 300
+
+
+def _sweep_nets():
+    """Every network of ``scripts/cli_sweep.py``."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "cli_sweep.py"
+    spec = importlib.util.spec_from_file_location("cli_sweep", path)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    nets = [net_b()]
+    for arch, seeds in sweep.ARCHS.items():
+        full = tuple(int(d) for d in arch.split(","))
+        nets += [random_network(Architecture.from_full(full), seed=seed) for seed in seeds]
+    return nets
+
+
+def test_stacked_tables_match_the_per_word_tables(monkeypatch):
+    # The stacked node-map tables that build makes for each layer's parents,
+    # and stacks of random sign words at every layer boundary of nets with
+    # two and three hidden layers: each table of the stack, and the one-word
+    # table, has the bytes of the per-word reference, whose norms are taken
+    # row by row.
+    stacks, real = [], complex_module.node_maps
+    monkeypatch.setattr(
+        complex_module, "node_maps", lambda net, words: stacks.append((net, words)) or real(net, words)
+    )
+    rng = np.random.default_rng(0)
+    archs = [(2, 4, 3, 1), (2, 4, 4, 1), (3, 4, 3, 1), (2, 8, 8, 1), (2, 4, 4, 4, 1), (3, 5, 4, 3, 1)]
+    for arch in archs:
+        for seed in range(4):
+            net = random_network(Architecture.from_full(arch), seed=seed)
+            structure(net)
+            for off in itertools.accumulate(layer.out_dim for layer in net.layers[:-1]):
+                stacks.append((net, rng.integers(-1, 2, (6, off)).astype(float)))
+            stacks.append((net, np.zeros((1, 0))))
+    parts = ("rows", "offsets", "norms", "const")
+    tables = 0
+    for net, words in stacks:
+        words = np.atleast_2d(np.asarray(words, dtype=float))
+        stack = node_maps(net, words)
+        for i, word in enumerate(words):
+            want = reference_node_maps(net, tuple(word.tolist()))
+            for got in (stack[i], node_maps(net, tuple(word.tolist()))):
+                for part in parts:
+                    assert getattr(got, part).tobytes() == getattr(want, part).tobytes(), part
+                assert [u.tobytes() for u in got.unit] == [u.tobytes() for u in want.unit]
+            for part in parts:
+                assert getattr(stack, part)[i].tobytes() == getattr(want, part).tobytes(), part
+            assert [u[i].tobytes() for u in stack.unit] == [u.tobytes() for u in want.unit]
+            tables += 1
+    assert tables > 1_000 and max(len(w) for _, w in stacks) > 50
+
+
+def _accepted(call):
+    """{word: point bytes} that ``call()`` accepts, or its structured error."""
+    try:
+        return sorted((w, x.tobytes()) for w, x in call().items())
+    except StructuredError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _per_parent(net, words, points, lp_tol):
+    """The words of one layer accepted parent by parent, in word order."""
+    out = {}
+    if not words:
+        return out
+    bounds = [0, *itertools.accumulate(layer.out_dim for layer in net.layers)]
+    off = bounds[bounds.index(len(words[0])) - 1]
+    for parent, group in itertools.groupby(range(len(words)), key=lambda i: words[i][:off]):
+        group = list(group)
+        table = reference_node_maps(net, parent)
+        out.update(reference_accept(net, [words[i] for i in group], points[group], table, lp_tol))
+    return out
+
+
+ACCEPT_NETS = [random_network(Architecture.from_full(arch), seed=seed) for arch, seed in RANDOM if len(arch) > 3]
+ACCEPT_NETS += [_integer_net(*case) for case in NEAR_DEGENERATE]
+ACCEPT_NETS += [
+    random_network(Architecture.from_full(arch), seed=seed) for arch, seed in SWEEP_ACCEPTED if len(arch) > 3
+]
+
+
+def test_one_pass_acceptance_matches_the_per_parent_reference(monkeypatch):
+    # Each layer's one acceptance pass against conftest's per-parent
+    # reference, which re-solves every witness LP: the same words with the
+    # same point bytes, or the same first error.  Words whose point is the
+    # last split step's own witness LP skip that LP, and keep its point.
+    real, outcomes, reused = complex_module._accept, [], []
+
+    def spy(net, words, points, tables, pid, witnessed, lp_tol):
+        want = _accepted(lambda: _per_parent(net, words, points, lp_tol))
+        got = _accepted(lambda: real(net, words, points, tables, pid, witnessed, lp_tol))
+        assert got == want, (words[:3], got, want)
+        outcomes.append(isinstance(got, list))
+        reused.extend(w for w in words if w in witnessed)
+        return real(net, words, points, tables, pid, witnessed, lp_tol)
+
+    monkeypatch.setattr(complex_module, "_accept", spy)
+    for net in ACCEPT_NETS:
+        structure(net)
+    assert outcomes.count(True) > 100 and False in outcomes and reused
+
+
+def test_batched_residual_matches_lstsq(monkeypatch):
+    # Every stacked residual test of a build, at the vertex regions of a
+    # neuron step and at acceptance's words past n0 zeros, on the CLI
+    # sweep's nets and the near-degenerate ones: each system decided as
+    # conftest's per-system lstsq reference decides it.
+    real, decided = complex_module._solvable, []
+
+    def spy(a, b):
+        got = real(a, b)
+        assert got.tolist() == [reference_consistent(m, r) for m, r in zip(a, b)]
+        decided.extend(got.tolist())
+        return got
+
+    monkeypatch.setattr(complex_module, "_solvable", spy)
+    for net in _sweep_nets() + [_integer_net(*case) for case in NEAR_DEGENERATE]:
+        structure(net)
+    assert decided.count(False) > 1_000 and True in decided

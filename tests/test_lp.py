@@ -11,6 +11,7 @@ from relumorse import to_weight_dict
 from relumorse.cli import main
 from relumorse.complex import _cell_problem, _HRep, _witness
 from relumorse.lp import FEAS_TOL, LpProblem, lp_solve
+from relumorse.network import node_maps
 
 from conftest import rank_one_pivot, reference_pivot, reference_simplex
 
@@ -351,6 +352,22 @@ def test_inconsistent_overdetermined_equalities_are_infeasible():
     )
     assert lp_solve(problem).status == "infeasible"
     assert reference_simplex(problem).status == "infeasible"
+
+
+def test_an_optimum_off_its_equality_rows_is_infeasible(monkeypatch):
+    # The witness LP of ++00 on a near-degenerate integer net, whose two
+    # layer-2 maps are parallel to within 1e-9 and 1 apart: their flat lies
+    # in the -- region, so the cell is empty.  The recursion ran some 5e15
+    # along the flat's computed basis, and the point it returned as optimal
+    # missed the equality rows by 0.28 and 0.48.
+    from test_enumeration import _integer_net
+
+    net = _integer_net((3, 2, 2), 9, 1e-9)
+    rep = complex_module._hrep_for(net, (1, 1, 0, 0), node_maps(net, (1, 1)))
+    problems = []
+    monkeypatch.setattr(complex_module, "lp_solve", lambda p, **kw: problems.append(p) or lp_solve(p, **kw))
+    assert _witness(rep, FEAS_TOL) is None
+    assert lp_solve(problems[0], feas_tol=FEAS_TOL).status == "infeasible"
 
 
 @pytest.mark.parametrize(
