@@ -42,7 +42,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FlatCellError, GenericityError, InjectivityError, SingularSystemError
+from .errors import (
+    FlatCellError,
+    GenericityError,
+    InjectivityError,
+    SingularSystemError,
+)
 from .lp import LpProblem, lp_solve
 from .network import NodeMaps, ReluNetwork, Signs, _dot, cell_affine_form, node_maps, signs_to_str
 
@@ -129,13 +134,17 @@ def _edge_slopes(v_signs: Signs, form_of) -> dict:
             raise SingularSystemError(f"singular edge system at vertex {signs_to_str(v_signs)}")
         nrm = float(np.linalg.norm(d))
         if not np.isfinite(nrm) or nrm <= 0.0:
-            raise SingularSystemError(f"degenerate edge direction at vertex {signs_to_str(v_signs)}")
+            raise SingularSystemError(
+                f"degenerate edge direction at vertex {signs_to_str(v_signs)}"
+            )
         d = d / nrm
         d.flags.writeable = False  # the complex hands the cached array out
         g = forms[t].total_gradient
         slope = float(g @ d)
         if _is_flat(slope, float(np.linalg.norm(g))):
-            raise FlatCellError(f"F is constant along edge {signs_to_str(e)}; network out of scope")
+            raise FlatCellError(
+                f"F is constant along edge {signs_to_str(e)}; network out of scope"
+            )
         out[e] = (d, 1 if slope > 0 else -1)
     return out
 
@@ -255,8 +264,13 @@ def _hrep_for(net: ReluNetwork, signs: Signs, table: NodeMaps) -> _HRep | None:
     unit, unit_off = (u[:n][live] for u in table.unit)
     s = np.array(signs, dtype=float)[live]
     eq, ge = s == 0, s != 0
-    a_ge, b_ge = s[ge, None] * unit[ge], s[ge] * unit_off[ge]
-    return _HRep(unit[eq], unit_off[eq], a_ge, b_ge, tuple(live[ge].tolist()))
+    return _HRep(
+        a_eq=unit[eq],
+        b_eq=unit_off[eq],
+        a_ge=s[ge, None] * unit[ge],
+        b_ge=s[ge] * unit_off[ge],
+        ge_positions=tuple(live[ge].tolist()),
+    )
 
 
 class CanonicalComplex:
@@ -293,8 +307,17 @@ class CanonicalComplex:
         that fixes it: the cells of one parent cell share it."""
         prefix = tuple(signs)[: -self.net.layers[-1].out_dim]
         if prefix not in self._tables:
-            self._tables[prefix] = node_maps(self.net, prefix)
+            self.tables([prefix])
         return self._tables[prefix]
+
+    def tables(self, prefixes: list) -> NodeMaps:
+        """Stacked node-map tables of the given prefixes, the full-length
+        sign patterns less their last layer; each table is cached for
+        :meth:`table` unless it already is."""
+        stack = node_maps(self.net, np.array(prefixes, dtype=float))
+        for i, prefix in enumerate(prefixes):
+            self._tables.setdefault(tuple(prefix), stack[i])
+        return stack
 
     def form(self, signs: Signs):
         """Cached affine form for any full-length sign pattern."""
@@ -417,10 +440,14 @@ def _vertex_location(signs: Signs, table: NodeMaps) -> np.ndarray:
     try:
         loc = np.linalg.solve(mat, rhs) + 0.0  # clear negative zeros
     except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"singular vertex system for {signs_to_str(signs)}") from exc
+        raise SingularSystemError(
+            f"singular vertex system for {signs_to_str(signs)}"
+        ) from exc
     resid = float(np.abs(mat @ loc - rhs).max())
     if not np.isfinite(loc).all() or resid > _VERTEX_RESID * max(1.0, float(np.abs(rhs).max())):
-        raise SingularSystemError(f"ill-conditioned vertex system for {signs_to_str(signs)}")
+        raise SingularSystemError(
+            f"ill-conditioned vertex system for {signs_to_str(signs)}"
+        )
     return loc
 
 
@@ -431,8 +458,11 @@ def _abort_on_forced_flats(net, stage, upto_layer, n0):
     complex is guaranteed to contain a flat positive-dimensional cell with a
     vertex in its closure; raising here skips the remaining refinement work.
     """
-    bounds = [0, *itertools.accumulate(layer.out_dim for layer in net.layers[:upto_layer])]
-    blocks = list(zip(bounds, bounds[1:]))
+    offset = 0
+    blocks = []
+    for layer in net.layers[:upto_layer]:
+        blocks.append((offset, offset + layer.out_dim))
+        offset += layer.out_dim
     # Zeroing entries keeps a dead block dead, so the dead words are closed
     # under faces and their own closure map holds their vertices.
     dead = {s: n0 - s.count(0) for s in stage if any(1 not in s[a:b] for a, b in blocks)}
@@ -602,11 +632,11 @@ def _enumerate_cells(net: ReluNetwork, lp_tol: float) -> list:
     stage = {(): np.zeros(n0)}  # cell -> point of its relative interior
     for k, layer in enumerate(net.layers, start=1):
         n_k, off = layer.out_dim, len(next(iter(stage)))
-        # The parents' node-map tables in one stack: row p of a word's
-        # parent table is row first[word[:off]] + p of the flat arrays.
+        # The parents' node-map tables in one stack: row p of table i, that
+        # of parents[i], is row i * size + p of the flat arrays.
         parents, size = list(stage), off + n_k
         tables = node_maps(net, np.array(parents, dtype=float).reshape(len(parents), off))
-        first = {p: i * size for i, p in enumerate(parents)}
+        index = {p: i for i, p in enumerate(parents)}
         rows, unit = tables.rows.reshape(-1, n0), tables.unit[0].reshape(-1, n0)
         offsets, consts, unit_off = (t.ravel() for t in (tables.offsets, tables.const, tables.unit[1]))
         hit = tables.const[:, off:] & (np.abs(tables.offsets[:, off:]) <= _ZERO_OFFSET)
@@ -625,7 +655,8 @@ def _enumerate_cells(net: ReluNetwork, lp_tol: float) -> list:
             regions, start = seeded, min(n0, n_k)
         for j in range(start, n_k):
             words = list(regions)
-            at = np.array([first[w[:off]] for w in words])
+            pid = np.array([index[w[:off]] for w in words], dtype=int)
+            at = pid * size
             r = at + off + j
             const, a, b = consts[r], unit[r], unit_off[r]
             v = _dot(a, np.array([x for x, _ in regions.values()])) - b
@@ -662,7 +693,7 @@ def _enumerate_cells(net: ReluNetwork, lp_tol: float) -> list:
                     pieces = [(side, x, d)] if abs(v[i]) > near else []
                     todo = [t for t in (-1, 0, 1) if not pieces or t != side]
                     for sign in todo if agree.get(i, True) else []:
-                        y = _witness(_hrep_for(net, word + (sign,), tables[at[i] // size]), lp_tol)
+                        y = _witness(_hrep_for(net, word + (sign,), tables[pid[i]]), lp_tol)
                         # A vertex's zero piece, past n0 zeros, gets a negative
                         # dim: _closures takes it before the words it bounds.
                         # A last-step piece is a word, and acceptance keeps y.
@@ -676,7 +707,7 @@ def _enumerate_cells(net: ReluNetwork, lp_tol: float) -> list:
         # order up to the first vanishing parent, which then raises.
         words = sorted(w for w in regions if not vanishing or w < parents[dead[0]])
         points = np.array([regions[w][0] for w in words]).reshape(-1, n0)
-        pid = np.array([first[w[:off]] // size for w in words], dtype=int)
+        pid = np.array([index[w[:off]] for w in words], dtype=int)
         stage = _accept(net, words, points, tables, pid, witnessed, lp_tol)
         if vanishing:
             p = off + int(np.argmax(hit[dead[0]]))
@@ -713,11 +744,9 @@ def _flag_flat(cpx: CanonicalComplex) -> None:
     n0, final, n = cpx.n0, cpx.net.final, cpx.net.total_neurons
     cells = [c for c in cpx.cells.values() if c.dim]
     s, dims = np.array([c.signs for c in cells]), np.array([c.dim for c in cells])
-    # One stack of the parents' tables, which the complex keeps as its own.
     prefixes, at = np.unique(s[:, : -final.in_dim], axis=0, return_inverse=True)
-    tables, g = node_maps(cpx.net, prefixes), np.empty((len(cells), n0))
-    for i, prefix in enumerate(prefixes.tolist()):
-        cpx._tables[tuple(prefix)] = tables[i]
+    tables, g = cpx.tables(prefixes.tolist()), np.empty((len(cells), n0))
+    for i in range(len(prefixes)):
         g[at == i] = tables[i].f_affine(final, s[at == i, -final.in_dim :])[0]
     unit = tables.unit[0].reshape(-1, n0)  # row p of table i: row i * n + p
     for dim in set(dims.tolist()):

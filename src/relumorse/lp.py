@@ -76,8 +76,11 @@ def lp_solve(problem: LpProblem, feas_tol: float = FEAS_TOL) -> LpResult:
     if np.abs(problem.a_eq @ x0 - problem.b_eq).max(initial=0.0) > feas_tol:
         return LpResult("infeasible")
     g, rate = a_ge @ basis, (c @ basis).tolist()
-    if 0 < basis.shape[1] < basis.shape[0]:  # a row constant on the flat keeps residues
-        g[np.abs(g).max(1, initial=0.0) <= _RANK_TOL * np.abs(a_ge).max(1, initial=0.0)] = 0.0
+    if 0 < basis.shape[1] < basis.shape[0]:
+        # B is off by about eps * cond(a_eq), so a row (nearly) constant
+        # along a flat direction keeps a residue there; read it as constant.
+        cut = max(_RANK_TOL, np.finfo(float).eps * s[0] / s[rank - 1])
+        g[np.abs(g) <= cut * np.abs(a_ge).max(1, keepdims=True)] = 0.0
     rows = list(zip(g.tolist(), (problem.b_ge - a_ge @ x0).tolist(), itertools.repeat(False)))
     for box in _BOXES:
         try:
@@ -89,11 +92,9 @@ def lp_solve(problem: LpProblem, feas_tol: float = FEAS_TOL) -> LpResult:
                 return LpResult("unbounded")
         except _Cramped:
             y = None
-    # Far out on a flat of nearly parallel rows, rounding can move x off them.
-    x = None if y is None else x0 + basis @ np.array(y)
-    if x is None or np.abs(problem.a_eq @ x - problem.b_eq).max(initial=0.0) > feas_tol:
+    if y is None:
         return LpResult("infeasible")
-    return _optimum(problem, x, feas_tol)
+    return _optimum(problem, x0 + basis @ np.array(y), feas_tol)
 
 
 class _Cramped(Exception):

@@ -229,6 +229,20 @@ def test_split_enumeration_matches_brute_force(net):
     assert split_outcome(net) == brute_force_outcome(net)
 
 
+@pytest.mark.parametrize(
+    "arch, seed, noise, facets, regions", [((2, 3), 29, 1e-8, 9, 7), ((3, 4), 6, 1e-10, 28, 15)]
+)
+def test_far_facets_and_regions_are_kept(arch, seed, noise, facets, regions):
+    # One layer of hyperplanes in general position, some of them meeting
+    # 1e8 to 1e9 out, where a witness point misses its equality rows by
+    # about ulp(|x|) = 1e-7 from rounding alone: every region and facet of
+    # the arrangement is built.  (Its vertices and edges that far out are
+    # not all found yet.)
+    cells = build_complex(_integer_net(arch, seed, noise)).cells.values()
+    dims = [c.dim for c in cells]
+    assert (dims.count(arch[0] - 1), dims.count(arch[0])) == (facets, regions)
+
+
 def test_degenerate_cases_raise_genericity():
     for name, expected in (
         ("three_lines", "feasible pattern 000 has 3 > n0 zeros"),

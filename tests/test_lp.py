@@ -354,12 +354,14 @@ def test_inconsistent_overdetermined_equalities_are_infeasible():
     assert reference_simplex(problem).status == "infeasible"
 
 
-def test_an_optimum_off_its_equality_rows_is_infeasible(monkeypatch):
+def test_a_row_constant_on_an_ill_conditioned_flat_stays_constant(monkeypatch):
     # The witness LP of ++00 on a near-degenerate integer net, whose two
     # layer-2 maps are parallel to within 1e-9 and 1 apart: their flat lies
-    # in the -- region, so the cell is empty.  The recursion ran some 5e15
-    # along the flat's computed basis, and the point it returned as optimal
-    # missed the equality rows by 0.28 and 0.48.
+    # in the -- region, so the cell is empty.  Along the flat, the row of
+    # the second layer-1 map is constant, but the computed basis (singular
+    # values 1.41 and 5e-10) left it a coefficient of 8.8e-8; the recursion
+    # ran some 5e15 along it, to a point that missed the equality rows by
+    # 0.28 and 0.48 and cleared every row.
     from test_enumeration import _integer_net
 
     net = _integer_net((3, 2, 2), 9, 1e-9)
@@ -367,7 +369,10 @@ def test_an_optimum_off_its_equality_rows_is_infeasible(monkeypatch):
     problems = []
     monkeypatch.setattr(complex_module, "lp_solve", lambda p, **kw: problems.append(p) or lp_solve(p, **kw))
     assert _witness(rep, FEAS_TOL) is None
-    assert lp_solve(problems[0], feas_tol=FEAS_TOL).status == "infeasible"
+    (problem,) = problems
+    res = lp_solve(problem, feas_tol=FEAS_TOL)
+    assert res.optimal and res.value < -1e8
+    assert np.abs(problem.a_eq @ res.x - problem.b_eq).max() <= FEAS_TOL
 
 
 @pytest.mark.parametrize(
