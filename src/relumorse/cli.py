@@ -15,7 +15,7 @@ import sys
 import tempfile
 
 from . import complex as cpxmod
-from .dgvf import build_dgvf, compactify, is_acyclic, local_pair
+from .dgvf import build_dgvf, compactify, is_acyclic, local_pair, seed_vertices
 from .errors import StructuredError
 from .homology import betti, chain_complex, morse_complex, verify_relative_perfectness
 from .network import (
@@ -149,7 +149,11 @@ def cmd_dgvf(args) -> int:
         mismatches = []
         lower_of = matching.lower_to_upper()
         upper_of = matching.upper_to_lower()
+        # The vertex cells first, in one stacked pass; then every cell in
+        # word order, so mismatches and errors come in that order.
         classified, tables = {}, {}
+        vertices = [s for s, c in cc.cells.items() if c.dim == 0]
+        seed_vertices(net, vertices, classified, tables, args.lp_tol)
         for signs in sorted(cc.cells):
             assignment = local_pair(net, signs, args.lp_tol, _classified=classified, _tables=tables)
             if assignment.role == "critical":

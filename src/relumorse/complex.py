@@ -47,6 +47,7 @@ from .errors import (
     GenericityError,
     InjectivityError,
     SingularSystemError,
+    StructuredError,
 )
 from .lp import LpProblem, lp_solve
 from .network import NodeMaps, ReluNetwork, Signs, _dot, cell_affine_form, node_maps, signs_to_str
@@ -101,52 +102,73 @@ def _edges_at(v_signs: Signs):
             yield p, sigma, v_signs[:p] + (sigma,) + v_signs[p + 1 :]
 
 
-def _edge_slopes(v_signs: Signs, form_of) -> dict:
-    """{edge: (unit direction, sign of dF along it)} from the vertex into
-    each of its 2*n0 edges, in :func:`_edges_at` order.
+def _edge_slopes(net: ReluNetwork, words: list, tables=None) -> dict:
+    """{vertex: {edge: (unit direction, sign of dF along it)}} from each of
+    the vertex ``words`` into its 2*n0 edges, in :func:`_edges_at` order, or
+    the error of its first failing edge there.
 
     Into an edge, the map at its entry takes the edge's sign and the
-    vertex's other zero maps stay zero: one stacked solve of these node-map
-    systems on each edge's top cell.  The +1 edges share a top cell, so
-    1 + n0 forms serve.  The first failing edge raises: SingularSystemError
-    for a singular system or a zero or non-finite direction, FlatCellError
-    where dF vanishes along it.
+    vertex's other zero maps stay zero: node-map systems on each edge's top
+    cell, all solved in one stacked call.  ``tables`` gives the stacked
+    node-map tables of a list of prefixes (default :func:`node_maps`); F's
+    gradient on each top cell is :meth:`NodeMaps.f_affine`'s product, one
+    stacked matmul for all.
+    An edge fails with SingularSystemError for a singular system or a zero
+    or non-finite direction, FlatCellError where dF vanishes along it.
     """
-    edges = [e for _, _, e in _edges_at(v_signs)]
-    zeros = [p for p, s in enumerate(v_signs) if s == 0]
-    tops = [tuple(s if s != 0 else 1 for s in e) for e in edges]
-    forms = {t: form_of(t) for t in dict.fromkeys(tops)}
-    a = np.array([forms[t].rows[zeros] for t in tops])
-    rhs = np.array([[e[p] for p in zeros] for e in edges], dtype=float)
+    if not words:
+        return {}
+    n0, n_m, k = net.n0, net.layers[-1].out_dim, 2 * net.n0
+    edges = [e for v in words for _, _, e in _edges_at(v)]
+    e = np.array(edges)
+    top = np.where(e == 0, 1, e)
+    prefixes, tid = np.unique(top[:, :-n_m], axis=0, return_inverse=True)
+    stack = node_maps(net, prefixes) if tables is None else tables(prefixes.tolist())
+    zeros = np.repeat(np.nonzero(np.array(words) == 0)[1].reshape(-1, n0), k, axis=0)
+    a, rhs = stack.rows[tid.reshape(-1, 1), zeros], np.take_along_axis(e, zeros, 1).astype(float)
     singular = np.zeros(len(edges), dtype=bool)
     try:
-        dirs = np.linalg.solve(a, rhs[..., None])[..., 0]
+        d = np.linalg.solve(a, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        dirs = np.zeros(rhs.shape)
+        d = np.zeros(rhs.shape)
         for i, (m, r) in enumerate(zip(a, rhs)):
             try:
-                dirs[i] = np.linalg.solve(m, r)
+                d[i] = np.linalg.solve(m, r)
             except np.linalg.LinAlgError:
                 singular[i] = True
+    with np.errstate(all="ignore"):  # the failing edges' own arithmetic
+        nrm = np.sqrt(_dot(d, d))
+        good = np.isfinite(nrm) & (nrm > 0.0)
+        d = d / np.where(good, nrm, 1.0)[:, None]
+        masked = net.final.weights * (top[:, -n_m:] > 0)
+        g = (masked[:, None] @ stack.rows[tid.reshape(-1), -n_m:])[:, 0]
+        slope = _dot(g, d)
+        flat = _is_flat(slope, np.sqrt(_dot(g, g)))
+    d.flags.writeable = False  # the complex hands the rows out
+    fail = (singular | ~good | flat).reshape(-1, k)
+    signs = np.where(slope > 0, 1, -1).tolist()
     out = {}
-    for e, t, d, bad in zip(edges, tops, dirs, singular):
-        if bad:
-            raise SingularSystemError(f"singular edge system at vertex {signs_to_str(v_signs)}")
-        nrm = float(np.linalg.norm(d))
-        if not np.isfinite(nrm) or nrm <= 0.0:
-            raise SingularSystemError(
-                f"degenerate edge direction at vertex {signs_to_str(v_signs)}"
+    for i, v in enumerate(words):
+        span = slice(i * k, i * k + k)
+        if not fail[i].any():
+            out[v] = dict(zip(edges[span], zip(d[span], signs[span])))
+            continue
+        j = i * k + int(np.argmax(fail[i]))
+        if singular[j] or not good[j]:
+            kind = "singular edge system" if singular[j] else "degenerate edge direction"
+            out[v] = SingularSystemError(f"{kind} at vertex {signs_to_str(v)}")
+        else:
+            out[v] = FlatCellError(
+                f"F is constant along edge {signs_to_str(edges[j])}; network out of scope"
             )
-        d = d / nrm
-        d.flags.writeable = False  # the complex hands the cached array out
-        g = forms[t].total_gradient
-        slope = float(g @ d)
-        if _is_flat(slope, float(np.linalg.norm(g))):
-            raise FlatCellError(
-                f"F is constant along edge {signs_to_str(e)}; network out of scope"
-            )
-        out[e] = (d, 1 if slope > 0 else -1)
     return out
+
+
+def _slopes_of(entry) -> dict:
+    """An :func:`_edge_slopes` entry, or a fresh raise of its error."""
+    if isinstance(entry, StructuredError):
+        raise type(entry)(*entry.args)
+    return entry
 
 
 def _facets(dims: dict) -> dict:
@@ -290,7 +312,7 @@ class CanonicalComplex:
         self._hreps = {}
         self._fmax = {}
         self._peaks = {}
-        self._edge_slopes = {}
+        self._edge_slopes = None
         self._facets = _facets({s: c.dim for s, c in cells.items()})
         self._closure_map = None
 
@@ -408,11 +430,12 @@ class CanonicalComplex:
         return self._peaks[key]
 
     def edge_slopes(self, v_signs: Signs) -> dict:
-        """:func:`_edge_slopes` at a vertex, cached; a raise is not cached."""
-        v_signs = tuple(v_signs)
-        if v_signs not in self._edge_slopes:
-            self._edge_slopes[v_signs] = _edge_slopes(v_signs, self.form)
-        return self._edge_slopes[v_signs]
+        """:func:`_edge_slopes` at a vertex.  The first call solves every
+        vertex at once and caches the answers; a vertex whose edges failed
+        raises its error again at each read."""
+        if self._edge_slopes is None:
+            self._edge_slopes = _edge_slopes(self.net, list(self.vertices), self.tables)
+        return _slopes_of(self._edge_slopes[tuple(v_signs)])
 
     # -- export ------------------------------------------------------------
 

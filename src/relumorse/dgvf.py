@@ -15,10 +15,12 @@ complex: the cell's lower-star vertex is the max of F over its closure,
 either a classified vertex certified by a sign check against its point
 (solved once per parent table, kept as a bitmask of the signs its slack
 row rules out, so a cell checks it with one integer AND) or found by one
-LP, the only step that builds the cell's H-representation.  One stacked solve
-of the vertex's 2*n0 edge systems classifies it.  ``_lower_star_patterns``
-generates the lower stars of both: ``build_dgvf`` pairs them, and
-``local_pair`` indexes them by sign word.
+LP, the only step that builds the cell's H-representation.  A 0-cell is its
+own closure and needs no LP: ``seed_vertices`` certifies the vertex cells of
+a check by the same sign check, and one stacked solve of all their edge
+systems classifies them.  ``_lower_star_patterns`` generates the lower stars
+of both: ``build_dgvf`` pairs them, and ``local_pair`` indexes them by sign
+word.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complex import CanonicalComplex, _cell_problem, _constant_rows_hold, _hrep_for
-from .complex import _edge_slopes, is_face
+from .complex import _edge_slopes, _slopes_of, is_face
 from .errors import (
     DimensionError,
     FlatCellError,
@@ -44,6 +46,8 @@ from .orientation import VertexClassification, classify_signs, classify_vertex
 
 #: Identifier of the compactification basepoint (a critical 0-cell at -inf).
 BASEPOINT = "*"
+# Octal digit of a sign at its row in :func:`_bits`.
+_OCTAL = {-1: "1", 0: "2", 1: "4"}
 
 
 @dataclass(frozen=True)
@@ -313,6 +317,21 @@ def _vertex_mask(table, vertex, lp_tol: float):
     return None
 
 
+def _mask(entry, vertex: Signs, lp_tol: float):
+    """:func:`_vertex_mask` of ``vertex`` on a ``_tables`` entry (node-map
+    table, {vertex: mask}) of ``local_pair``, kept there on first use."""
+    table, masks = entry
+    if vertex not in masks:
+        masks[vertex] = _vertex_mask(table, vertex, lp_tol)
+    return masks[vertex]
+
+
+def _bits(signs: Signs) -> int:
+    """A cell word as one bit per row at its sign: bit 3p + s + 1, read as
+    the octal digit 1, 2 or 4 at place p."""
+    return int("".join(map(_OCTAL.__getitem__, reversed(signs))), 8)
+
+
 def _certified_vertex(signs: Signs, entry, candidates, lp_tol: float):
     """The one of the classified vertices ``candidates``, whose lower stars
     hold the cell ``signs``, certified as the unique max of F over the
@@ -327,14 +346,56 @@ def _certified_vertex(signs: Signs, entry, candidates, lp_tol: float):
     is the point the LP would return.  Being the unique max, it is the only
     candidate to pass.
     """
-    table, points = entry
-    word = sum(1 << (3 * p + s + 1) for p, s in enumerate(signs))
+    word = _bits(signs)
     for cls in candidates:
-        if cls.vertex not in points:
-            points[cls.vertex] = _vertex_mask(table, cls.vertex, lp_tol)
-        if points[cls.vertex] is not None and not word & points[cls.vertex]:
+        mask = _mask(entry, cls.vertex, lp_tol)
+        if mask is not None and not word & mask:
             return cls
     return None
+
+
+def _entry(net: ReluNetwork, tables: dict, signs: Signs) -> tuple:
+    """The ``_tables`` entry of a cell's parent, made on first use."""
+    prefix = signs[: -net.layers[-1].out_dim]
+    if prefix not in tables:
+        tables[prefix] = (node_maps(net, prefix), {})
+    return tables[prefix]
+
+
+def _index(memo: dict, cls: VertexClassification) -> None:
+    """Add a classified vertex under every word of its lower star."""
+    for w in _lower_star_patterns(cls.vertex, _allowed_signs(cls)):
+        memo.setdefault(w, []).append(cls)
+
+
+def seed_vertices(net: ReluNetwork, words, classified: dict, tables: dict, lp_tol: float = 1e-7):
+    """Classify, in one stacked pass, the vertex cells among ``words`` that
+    certify in closed form, and index them in ``classified``, the memo that
+    ``local_pair`` takes with its ``tables`` as ``_classified`` and
+    ``_tables``.
+
+    A 0-cell is its own closure, so the max of F over it is the vertex
+    itself: a word with n0 zeros is certified when its table has no
+    constant row and its zero rows meet in a point that clears its strict
+    rows (:func:`_vertex_mask`, the point test of :func:`_certified_vertex`).
+    One :func:`_edge_slopes` call classifies all of them.  A word that fails
+    the test, or whose edges fail, is left out: ``local_pair``'s LP then
+    finds that vertex, with the errors it raised before.  ``words`` only
+    name candidates: a missing vertex costs LPs, a spurious word fails its
+    test.
+    """
+    kept = []
+    for w in words:
+        if w.count(0) != net.n0 or w in classified:
+            continue
+        entry = _entry(net, tables, w)
+        if not entry[0].const.any():
+            mask = _mask(entry, w, lp_tol)
+            if mask is not None and not _bits(w) & mask:
+                kept.append(w)
+    for v, slopes in _edge_slopes(net, kept).items():
+        if isinstance(slopes, dict):
+            _index(classified, classify_signs(v, slopes))
 
 
 def local_pair(
@@ -354,33 +415,25 @@ def local_pair(
     :func:`_partner`, the rule :func:`build_dgvf` uses, pairs the cell.
     ``_classified`` maps each sign word to the classified vertices whose
     lower stars hold it.  A check over many cells of one network passes one
-    such dict to all of them, so it solves one LP per vertex and classifies
-    each once.  The dict holds only this oracle's own LP vertices, never the
-    complex's.  It also shares one ``_tables`` dict, for one ``lp_tol``: by
-    parent, the node maps and each candidate vertex's mask on them.
+    such dict to all of them, so it classifies each vertex once; seeded by
+    :func:`seed_vertices`, it solves no LP.  The dict holds only vertices
+    this oracle certified and classified on its own tables, never the
+    complex's classifications.  It also shares one ``_tables`` dict, for one
+    ``lp_tol``: by parent, the node maps and each candidate vertex's mask on
+    them.
     """
     signs = tuple(signs)
     if len(signs) != net.total_neurons:
         raise DimensionError(f"expected {net.total_neurons} sign entries, got {len(signs)}")
     memo = {} if _classified is None else _classified
-    tables = {} if _tables is None else _tables
-
-    def table_of(s):
-        prefix = s[: -net.layers[-1].out_dim]
-        if prefix not in tables:
-            tables[prefix] = (node_maps(net, prefix), {})
-        return tables[prefix]
-
-    def form_of(s):
-        return cell_affine_form(net, s, table_of(s)[0])
-
-    entry = table_of(signs)
+    entry = _entry(net, {} if _tables is None else _tables, signs)
     if not _constant_rows_hold(net, signs, entry[0]):
         raise GenericityError(f"cell {signs_to_str(signs)} is infeasible")
     cls = _certified_vertex(signs, entry, memo.get(signs, ()), lp_tol)
     if cls is None:
         rep = _hrep_for(net, signs, entry[0])
-        res = lp_solve(_cell_problem(rep, form_of(signs).total_gradient), feas_tol=lp_tol)
+        form = cell_affine_form(net, signs, entry[0])
+        res = lp_solve(_cell_problem(rep, form.total_gradient), feas_tol=lp_tol)
         if res.status == "unbounded":
             raise UnboundedCellError(
                 f"F is unbounded above on cell {signs_to_str(signs)}"
@@ -395,9 +448,8 @@ def local_pair(
             )
         # A vertex's word lies in no lower star but its own.
         if v_signs not in memo:
-            new = classify_signs(v_signs, _edge_slopes(v_signs, form_of))
-            for w in _lower_star_patterns(v_signs, _allowed_signs(new)):
-                memo.setdefault(w, []).append(new)
+            slopes = _slopes_of(_edge_slopes(net, [v_signs])[v_signs])
+            _index(memo, classify_signs(v_signs, slopes))
         cls = memo[v_signs][0]
         if cls not in memo.get(signs, ()):
             raise IncompletePairingError(

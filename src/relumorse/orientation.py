@@ -10,9 +10,10 @@ containing e) into an n0 x n0 matrix W and solve
 where k indexes the single entry where e differs from v.  The sign of the
 directional derivative is then sign(gradF . d) on the same top cell; it does
 not depend on which containing top cell is used.  ``complex._edge_slopes``
-solves the 2*n0 systems of a vertex in one stacked call; the classifier,
+solves the 2*n0 systems of every vertex in one stacked call, which the first
+read of the complex's per-vertex cache makes; the classifier,
 ``orient_edge``, the shallow analyzer's rays and the boundedness test read
-its per-vertex cache.
+that cache.
 
 A vertex is PL critical iff every axis pair of incident edges points the
 same way (both toward or both away from v); the index counts the

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import stat
@@ -20,6 +21,7 @@ from relumorse import (
     net_b,
     random_network,
     render_svg,
+    signs_from_str,
     to_weight_dict,
     verify_relative_perfectness,
 )
@@ -175,9 +177,9 @@ def test_dgvf_command(tmp_path):
 
 
 def test_local_check_classifies_each_vertex_once(tmp_path, monkeypatch):
-    # The check memoizes its own classifications per run.  A cell whose
-    # peak vertex is already in the memo is certified without an LP, so the
-    # run solves one LP per vertex, fewer than the cells it checks.
+    # The check classifies the vertex cells first, each once, and indexes
+    # them in its memo.  Every cell's peak vertex is then in the memo and is
+    # certified without an LP.
     classified, lps = [], []
     real_classify, real_lp = dgvf_module.classify_signs, dgvf_module.lp_solve
     monkeypatch.setattr(
@@ -192,16 +194,18 @@ def test_local_check_classifies_each_vertex_once(tmp_path, monkeypatch):
     assert code == 0
     assert json.loads(report.read_text())["pass"] is True
     m = json.loads(matching.read_text())
-    checked = 2 * len(m["pairs"]) + len(m["critical"])
-    assert 0 < len(lps) == len(classified) == len(set(classified)) < checked
+    words = [w for pair in m["pairs"] for w in pair] + m["critical"]
+    vertices = sorted(signs_from_str(w) for w in words if w.count("0") == 2)
+    assert lps == [] and sorted(classified) == vertices and len(vertices) == 28
 
 
 @pytest.mark.parametrize("arch", ["2,8,1", "4,7,1"])
 def test_local_check_pays_per_vertex(tmp_path, monkeypatch, arch):
-    # Inside local_pair, a cell builds its H-representation only for its
-    # LP, and each vertex the LPs find costs one stacked edge solve; the
-    # other solves are the vertex points, n0 x n0 each.
-    counts, solves, inside = Counter(), [], []
+    # Inside the check, no cell builds its H-representation or solves an
+    # LP, and the edges of all V vertices are solved in one stack of
+    # V * 2 * n0 systems; the other solves are the vertex points, n0 x n0
+    # each.
+    counts, solves, inside, words = Counter(), [], [], []
     real_solve = np.linalg.solve
 
     def solve(a, b):
@@ -215,17 +219,24 @@ def test_local_check_pays_per_vertex(tmp_path, monkeypatch, arch):
             dgvf_module, name, lambda *a, **k: counts.update([name]) or real(*a, **k)
         )
 
-    def local_pair(*args, **kwargs):
-        inside.append(True)
-        try:
-            return real_local_pair(*args, **kwargs)
-        finally:
-            inside.pop()
+    def inside_of(real):
+        def call(*args, **kwargs):
+            inside.append(True)
+            try:
+                return real(*args, **kwargs)
+            finally:
+                inside.pop()
 
-    for name in ("_hrep_for", "lp_solve", "_edge_slopes"):
+        return call
+
+    for name in ("_hrep_for", "lp_solve"):
         spy(name)
-    real_local_pair = cli_module.local_pair
-    monkeypatch.setattr(cli_module, "local_pair", local_pair)
+    real_slopes = dgvf_module._edge_slopes
+    monkeypatch.setattr(
+        dgvf_module, "_edge_slopes", lambda net, w: words.append(list(w)) or real_slopes(net, w)
+    )
+    for name in ("local_pair", "seed_vertices"):
+        monkeypatch.setattr(cli_module, name, inside_of(getattr(cli_module, name)))
     monkeypatch.setattr(np.linalg, "solve", solve)
     weights, report = tmp_path / "w.json", tmp_path / "r.json"
     run(["gen", "--arch", arch, "--seed", "0", "-o", str(weights)])
@@ -235,9 +246,35 @@ def test_local_check_pays_per_vertex(tmp_path, monkeypatch, arch):
     )
     assert code == 0 and json.loads(report.read_text())["pass"] is True
     n0 = int(arch.split(",")[0])
-    assert 0 < counts["_hrep_for"] == counts["lp_solve"] == counts["_edge_slopes"]
-    assert solves.count((2 * n0, n0, n0)) == counts["_edge_slopes"]
+    cpx = build_complex(cli_module._load_network(str(weights)))
+    assert counts["_hrep_for"] == counts["lp_solve"] == 0 and words == [list(cpx.vertices)]
+    assert [shape for shape in solves if len(shape) == 3] == [(len(cpx.vertices) * 2 * n0, n0, n0)]
     assert all(shape == (n0, n0) for shape in solves if len(shape) == 2)
+
+
+def test_local_check_lists_mismatches_in_word_order(tmp_path, monkeypatch):
+    # The oracle is forced to call 00+ and +++ critical.  The report lists
+    # them in sign-word order, the order the check visits cells in, though
+    # "+++" sorts before "00+" as a string.
+    real = cli_module.local_pair
+
+    def local_pair(net, signs, *args, **kwargs):
+        got = real(net, signs, *args, **kwargs)
+        if signs in (signs_from_str("00+"), signs_from_str("+++")):
+            return dataclasses.replace(got, role="critical", partner=None)
+        return got
+
+    monkeypatch.setattr(cli_module, "local_pair", local_pair)
+    weights, report = tmp_path / "w.json", tmp_path / "r.json"
+    run(["gen", "--fixture", "net-b", "-o", str(weights)])
+    code = run(
+        ["dgvf", "-i", str(weights), "-o", str(tmp_path / "m.json"), "--report", str(report),
+         "--local-check"]
+    )
+    assert code == 0
+    r = json.loads(report.read_text())
+    assert r["local_check"] == {"pass": False, "mismatches": ["00+", "+++"]}
+    assert r["pass"] is False
 
 
 def test_near_tie_net_b_passes_dgvf(tmp_path):

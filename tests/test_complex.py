@@ -1,4 +1,3 @@
-import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -15,6 +14,7 @@ from relumorse import (
     compose_signs,
     compactify,
     is_face,
+    net_b,
     random_network,
     signs_from_str,
     signs_to_str,
@@ -27,7 +27,8 @@ from relumorse.errors import (
     SingularSystemError,
     StructuredError,
 )
-from relumorse.network import NodeMaps, node_maps
+from relumorse.network import NodeMaps, cell_affine_form, node_maps
+from relumorse.orientation import classify_signs, classify_vertex
 
 from conftest import (
     cofacets,
@@ -315,17 +316,18 @@ def test_sup_matches_the_closure_rule(sweep_accepted):
 
 
 def test_f_max_takes_the_lp_where_the_first_ray_is_broken(monkeypatch):
-    # Edge slopes raise at every other vertex.  A cell solves its own LP
-    # exactly where the closure rule meets such a ray before a rising one,
-    # and gives +inf without an LP where a rising ray comes first.
+    # The stacked solve fails at every other vertex.  A cell solves its own
+    # LP exactly where the closure rule meets such a ray before a rising
+    # one, and gives +inf without an LP where a rising ray comes first.
     real = complex_module._edge_slopes
     _, _, cpx = scan_generic_nets((4, 7), 1)[0]
     broken = set(sorted(cpx.vertices)[::2])
 
-    def slopes(v, form_of):
-        if v in broken:
-            raise SingularSystemError(f"singular edge system at vertex {signs_to_str(v)}")
-        return real(v, form_of)
+    def slopes(net, words, tables=None):
+        got = real(net, words, tables)
+        for v in broken.intersection(got):
+            got[v] = SingularSystemError(f"singular edge system at vertex {signs_to_str(v)}")
+        return got
 
     monkeypatch.setattr(complex_module, "_edge_slopes", slopes)
     calls, seen = _count_lps(monkeypatch), Counter()
@@ -340,10 +342,11 @@ def test_f_max_takes_the_lp_where_the_first_ray_is_broken(monkeypatch):
 
 def test_after_build_forms_are_built_only_for_edge_slopes(monkeypatch):
     # Flat flags, F's maxima and the compactified complex read per-table
-    # products and the facet map: the only affine forms are the top cells
-    # of the edge-slope solves, 1 + n0 per vertex at most, and the union of
-    # closure vertices and rays is never built for the finished complex.
-    forms, unions, inside = [], [], []
+    # products and the facet map: no affine form is built, the only tables
+    # asked for after build are those of the edge-slope solves' top cells,
+    # 1 + n0 per vertex at most, in one call, and the union of closure
+    # vertices and rays is never built for the finished complex.
+    forms, unions, inside, asked = [], [], [], []
     real_form, real_closures = complex_module.cell_affine_form, complex_module._closures
     real_enumerate = complex_module._enumerate_cells
 
@@ -367,12 +370,14 @@ def test_after_build_forms_are_built_only_for_edge_slopes(monkeypatch):
         lambda net, s, table=None: forms.append(s) or real_form(net, s, table),
     )
     cpx = build_complex(random_network(Architecture.from_full((4, 7, 1)), seed=0))
-    assert forms == []
+    real_tables = cpx.tables
+    monkeypatch.setattr(cpx, "tables", lambda prefixes: asked.append(prefixes) or real_tables(prefixes))
     build_dgvf(cpx)
     compactify(cpx)
-    assert unions == []
-    assert 0 < len(forms) == len(set(forms)) <= (1 + cpx.n0) * len(cpx.vertices)
-    assert all(0 not in s for s in forms)
+    assert forms == [] and unions == []
+    assert len(asked) == 1
+    prefixes = [tuple(p) for p in asked[0]]
+    assert 0 < len(prefixes) == len(set(prefixes)) <= (1 + cpx.n0) * len(cpx.vertices)
 
 
 @pytest.mark.parametrize("sign_tol", [0.0, 1e-9, 1e-4, 0.05])
@@ -405,12 +410,15 @@ def test_sorted_injectivity_check_matches_the_pairwise_scan(monkeypatch, sign_to
 
 
 def test_slopes_are_solved_once_per_vertex_and_edge(monkeypatch):
-    # classify_vertex solves each vertex's 2*n0 edges in one stack, and the
-    # ray rule of sup reads the same cached entry: no vertex is solved twice.
+    # The first classify_vertex solves the 2*n0 edges of every vertex in one
+    # stack, and the ray rule of sup reads the same cached entries: no
+    # vertex is solved twice.
     stacked, solves = [], []
     real_stack, real_solve = complex_module._edge_slopes, np.linalg.solve
     monkeypatch.setattr(
-        complex_module, "_edge_slopes", lambda v, f: stacked.append(v) or real_stack(v, f)
+        complex_module,
+        "_edge_slopes",
+        lambda net, words, tables=None: stacked.append(list(words)) or real_stack(net, words, tables),
     )
     cpx = build_complex(random_network(Architecture.from_full((4, 7, 1)), seed=0))
     monkeypatch.setattr(
@@ -418,57 +426,130 @@ def test_slopes_are_solved_once_per_vertex_and_edge(monkeypatch):
     )
     build_dgvf(cpx)
     assert all(cpx.is_bounded_above(c) for c in compactify(cpx).cells.values())
-    assert sorted(stacked) == sorted(cpx.vertices)
+    assert stacked == [list(cpx.vertices)]
     stacks = [shape for shape in solves if len(shape) == 3]
-    assert stacks == [(2 * cpx.n0, cpx.n0, cpx.n0)] * len(stacked)
+    assert stacks == [(2 * cpx.n0 * len(cpx.vertices), cpx.n0, cpx.n0)]
 
 
-def _broken_forms(cpx, net, broken: dict):
-    """``cpx.form`` with the forms of the top cells in ``broken`` ({top
-    cell: "flat" | "singular" | "nan"}) broken that way."""
+def _broken_tables(cpx, net, broken: dict):
+    """(tables, form_of): ``cpx``'s node-map tables as ``_edge_slopes`` reads
+    them and the affine forms on them, with the tables of the prefixes in
+    ``broken`` ({prefix: "flat" | "singular" | "nan"}) broken that way.
+    "flat" zeroes the last layer's rows, so F's gradient vanishes on their
+    cells; the others scale every row by 0 or nan."""
+    n_m = net.layers[-1].out_dim
 
-    def form_of(signs):
-        form, kind = cpx.form(signs), broken.get(signs)
+    def table(prefix):
+        t, kind = cpx.tables([prefix])[0], broken.get(tuple(prefix))
         if kind == "flat":
-            return dataclasses.replace(form, total_gradient=np.zeros(net.n0))
+            return NodeMaps(np.vstack([t.rows[:-n_m], 0.0 * t.rows[-n_m:]]), t.offsets)
         if kind:
-            scale = 0.0 if kind == "singular" else np.nan
-            return dataclasses.replace(form, rows=form.rows * scale)
-        return form
+            return NodeMaps(t.rows * (0.0 if kind == "singular" else np.nan), t.offsets)
+        return t
 
-    return form_of
+    def tables(prefixes):
+        parts = [table(p) for p in prefixes]
+        return NodeMaps(np.array([t.rows for t in parts]), np.array([t.offsets for t in parts]))
+
+    return tables, lambda signs: cell_affine_form(net, signs, table(signs[:-n_m]))
+
+
+def _layer_one_vertex():
+    """(net, complex, vertex) of (2,8,8,1) s0 whose two zeros are both in
+    layer 1, so that each of its edges' top cells has a table of its own
+    but the +1 edges', which share one."""
+    _, net, cpx = scan_generic_nets((2, 8, 8), 1)[0]
+    return net, cpx, min(v for v in cpx.vertices if 0 not in v[8:])
+
+
+def _stack_outcomes(net, cpx, tables) -> dict:
+    """{vertex: edge_outcome} of one stacked solve over every vertex."""
+    got = _edge_slopes(net, list(cpx.vertices), tables)
+    return {v: edge_outcome(lambda: complex_module._slopes_of(got[v])) for v in got}  # noqa: B023
 
 
 @pytest.mark.parametrize("kind", ["flat", "singular", "nan"])
 @pytest.mark.parametrize("sigma", [-1, 1])
 def test_stacked_edge_slopes_raise_as_the_first_failing_edge(kind, sigma):
-    # One top cell's form is broken: its edges (all four +1 edges, or the
-    # last -1 edge) fail, and the stack raises what the edges solved one by
-    # one raise first.
-    _, net, cpx = scan_generic_nets((4, 7), 1)[0]
-    v = min(cpx.vertices)
+    # One top cell's table is broken: its edges (both +1 edges, or the last
+    # -1 edge) fail, and the stack over every vertex keeps, at each vertex,
+    # what the edges solved one by one raise first.
+    net, cpx, v = _layer_one_vertex()
     p = max(q for q, s in enumerate(v) if s == 0)
-    broken = tuple(sigma if q == p else 1 if s == 0 else s for q, s in enumerate(v))
-    form_of = _broken_forms(cpx, net, {broken: kind})
-    expected = edge_outcome(lambda: reference_edge_slopes(v, form_of))
-    assert isinstance(expected, tuple) and issubclass(expected[0], StructuredError)
-    assert edge_outcome(lambda: _edge_slopes(v, form_of)) == expected
+    broken = tuple(sigma if q == p else 1 if s == 0 else s for q, s in enumerate(v))[:-8]
+    tables, form_of = _broken_tables(cpx, net, {broken: kind})
+    expected = {w: edge_outcome(lambda: reference_edge_slopes(w, form_of)) for w in cpx.vertices}  # noqa: B023
+    assert isinstance(expected[v], tuple) and issubclass(expected[v][0], StructuredError)
+    assert _stack_outcomes(net, cpx, tables) == expected
 
 
 def test_flat_first_edge_beats_a_later_singular_edge():
-    # Edge 0 (the -1 edge of the first zero) is flat and every +1 edge is
+    # Edge 0 (the -1 edge of the first zero) is flat and both +1 edges are
     # singular: the singular systems fail the stack, yet edge 0 comes first.
-    _, net, cpx = scan_generic_nets((4, 7), 1)[0]
-    v = min(cpx.vertices)
+    net, cpx, v = _layer_one_vertex()
     p = v.index(0)
-    first = tuple(-1 if q == p else 1 if s == 0 else s for q, s in enumerate(v))
-    plus = tuple(1 if s == 0 else s for s in v)
-    form_of = _broken_forms(cpx, net, {first: "flat", plus: "singular"})
+    first = tuple(-1 if q == p else 1 if s == 0 else s for q, s in enumerate(v))[:-8]
+    plus = tuple(1 if s == 0 else s for s in v)[:-8]
+    tables, form_of = _broken_tables(cpx, net, {first: "flat", plus: "singular"})
     edge0 = v[:p] + (-1,) + v[p + 1 :]
     message = f"F is constant along edge {signs_to_str(edge0)}; network out of scope"
     expected = (FlatCellError, message)
     assert edge_outcome(lambda: reference_edge_slopes(v, form_of)) == expected
-    assert edge_outcome(lambda: _edge_slopes(v, form_of)) == expected
+    assert _stack_outcomes(net, cpx, tables)[v] == expected
+
+
+def _singular_edges_at(monkeypatch, cpx, v):
+    """Make LAPACK report the edge systems of the one-layer vertex ``v``
+    singular, in a stack or alone: they all share its zero rows, which no
+    other vertex has."""
+    bad, real = cpx.table(v).rows[[p for p, s in enumerate(v) if s == 0]], np.linalg.solve
+
+    def solve(a, b):
+        a = np.asarray(a)
+        if a.shape[-2:] == bad.shape and (a.reshape(-1, *bad.shape) == bad).all(axis=(1, 2)).any():
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+
+
+@pytest.mark.parametrize("case", ["flat", "singular"])
+def test_failed_vertices_raise_and_fall_back_as_solved_one_by_one(case, monkeypatch):
+    # A real net whose two vertices 00+ and +00 have a flat edge +0+ (its
+    # slope, 1e-8, is within 1e-9 of the gradient's norm, 100, on the top
+    # cell, though not of the edge's own gradient), and a (2,8,1) net where
+    # the edge systems of the middle vertex that ends a ray are singular.  At every vertex,
+    # classify_vertex and edge_slopes, read twice, raise the class and
+    # message that the edges solved one by one raise first, or agree with
+    # them; sup and f_max take the LP exactly where the closure rule meets a
+    # ray at a failed vertex first.
+    if case == "flat":
+        net = ReluNetwork(net_b().layers, AffineLayer([[1.0 + 1e-8, 100.0, 1.0]], [0.0]))
+        cpx = build_complex(net)
+    else:
+        _, net, cpx = scan_generic_nets((2, 8), 1)[0]
+        ends = sorted({v for s in cpx.cells for v, _ in cpx.closure(s)[2]})
+        _singular_edges_at(monkeypatch, cpx, ends[len(ends) // 2])
+    expected = {v: edge_outcome(lambda: reference_edge_slopes(v, cpx.form)) for v in cpx.vertices}  # noqa: B023
+    failed = {v for v, out in expected.items() if isinstance(out, tuple)}
+    assert failed and len(failed) < len(expected)
+    for v, out in expected.items():
+        for _ in range(2):
+            assert edge_outcome(lambda: cpx.edge_slopes(v)) == out, v  # noqa: B023
+        try:
+            got = classify_vertex(cpx, v)
+        except StructuredError as exc:
+            got = type(exc), str(exc)
+        want = out if v in failed else classify_signs(v, reference_edge_slopes(v, cpx.form))
+        assert got == want, v
+    lps, fallbacks = _count_lps(monkeypatch), 0
+    for signs, cell in cpx.cells.items():
+        for sense in (1, -1):
+            want, took_lp = reference_sup(cpx, cell, sense)
+            del lps[:]
+            assert (cpx.sup(signs, sense), len(lps) == 1) == (want, took_lp), (signs, sense)
+            fallbacks += took_lp
+    assert fallbacks > 0
 
 
 def _count_lps(monkeypatch) -> list:

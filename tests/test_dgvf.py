@@ -20,7 +20,7 @@ from relumorse import (
     signs_from_str,
 )
 from relumorse import AffineLayer, Architecture, ReluNetwork, net_b, random_network
-from relumorse.dgvf import _allowed_signs, _lower_star_patterns, _partner
+from relumorse.dgvf import _allowed_signs, _lower_star_patterns, _partner, seed_vertices
 from relumorse.errors import (
     DimensionError,
     FlatCellError,
@@ -295,6 +295,37 @@ def test_certified_vertices_match_the_lp(certified_draws, monkeypatch):
         assert shared == [_local_outcome(net, s, None) for s in cells], net.arch
         assert len(_classified_vertices(memo)) <= len(cpx.vertices)
     assert shared_lps < checked / 3
+
+
+def _vertex_first(net, cells, vertex_words) -> tuple:
+    """(outcomes of ``local_pair`` over ``cells``, the memo) as --local-check
+    runs it: the memo seeded from ``vertex_words`` first, then shared."""
+    memo, tables = {}, {}
+    seed_vertices(net, vertex_words, memo, tables)
+    return [_local_outcome(net, s, memo, tables) for s in cells], memo
+
+
+def test_vertex_first_check_matches_the_fresh_oracle(sweep_accepted, monkeypatch):
+    # Every bounded-above cell of the sweep's accepted nets and of NET-B:
+    # seeded with the complex's vertex words, the check solves no LP and
+    # gives what a fresh oracle, one LP per cell, gives.  So it does when
+    # the seeding list drops one vertex, which the LPs then find, and adds
+    # a word with n0 zeros that names no cell, which fails its point test.
+    lps = _count_local_lps(monkeypatch)
+    for net, cpx in sweep_accepted:
+        cells = sorted(s for s, c in cpx.cells.items() if cpx.is_bounded_above(c))
+        fresh = [_local_outcome(net, s, None) for s in cells]
+        vertices = [s for s in cells if cpx.cells[s].dim == 0]
+        del lps[:]
+        assert _vertex_first(net, cells, vertices)[0] == fresh, net.arch
+        assert lps == []
+        v, q = vertices[0], max(p for p, s in enumerate(vertices[0]) if s != 0)
+        spurious = v[:q] + (-v[q],) + v[q + 1 :]
+        assert spurious not in cpx.cells
+        seeds = [w for w in vertices if w != vertices[len(vertices) // 2]] + [spurious]
+        outcomes, memo = _vertex_first(net, cells, seeds)
+        assert outcomes == fresh, net.arch
+        assert lps and spurious not in memo
 
 
 def test_certified_vertex_matches_the_per_cell_reference(certified_draws, monkeypatch):

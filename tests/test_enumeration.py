@@ -23,6 +23,7 @@ the batched residual with ``conftest.reference_consistent``'s lstsq, and the
 stacked node-map tables with the per-word ``conftest.reference_node_maps``.
 """
 
+import contextlib
 import importlib.util
 import itertools
 import math
@@ -627,21 +628,27 @@ def test_flat_flags_match_per_cell_reference(net):
         assert outcome[1] != "FlatCellError"
 
 
-def test_stacked_edge_slopes_match_the_per_edge_solves():
-    # At every vertex of the nets that build, one stacked solve gives the
-    # signs and the bytes of the directions that conftest's
-    # reference_edge_slope gives edge by edge.
-    vertices = 0
+def test_stacked_edge_slopes_match_the_per_edge_solves(sweep_accepted):
+    # At every vertex of the nets that build and of the sweep's accepted
+    # nets (with two-layer vertex systems), one stacked solve over all
+    # vertices gives the signs and the bytes of the directions that
+    # conftest's reference_edge_slope gives edge by edge, on the complex's
+    # tables and on fresh node_maps tables, as the local oracle reads them.
+    built = []
     for net in CLOSURE_NETS:
-        try:
-            cpx = build_complex(net, sign_tol=SIGN_TOL, lp_tol=LP_TOL)
-        except StructuredError:
-            continue
-        for v in cpx.vertices:
+        with contextlib.suppress(StructuredError):
+            built.append((net, build_complex(net, sign_tol=SIGN_TOL, lp_tol=LP_TOL)))
+    vertices = 0
+    for net, cpx in built + sweep_accepted:
+        words = list(cpx.vertices)
+        on_tables = complex_module._edge_slopes(net, words, cpx.tables)
+        fresh = complex_module._edge_slopes(net, words)
+        for v in words:
             expected = edge_outcome(lambda: reference_edge_slopes(v, cpx.form))
-            assert edge_outcome(lambda: complex_module._edge_slopes(v, cpx.form)) == expected, v
+            for got in (on_tables, fresh):
+                assert edge_outcome(lambda: complex_module._slopes_of(got[v])) == expected, v  # noqa: B023
             vertices += 1
-    assert vertices > 300
+    assert vertices > 1500
 
 
 def _location(solve):

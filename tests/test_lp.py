@@ -1,17 +1,13 @@
 import itertools
-import json
 
 import numpy as np
 import pytest
 
 import conftest
 import relumorse.complex as complex_module
-import relumorse.dgvf as dgvf_module
-from relumorse import to_weight_dict
-from relumorse.cli import main
 from relumorse.complex import _cell_problem, _HRep, _witness
 from relumorse.lp import FEAS_TOL, LpProblem, lp_solve
-from relumorse.network import node_maps
+from relumorse.network import cell_affine_form, node_maps
 
 from conftest import rank_one_pivot, reference_pivot, reference_simplex
 
@@ -396,28 +392,24 @@ def test_tie_returns_an_optimum_with_the_simplex_value(a_ge, b_ge, ends):
     assert all(problem.a_ge @ res.x >= problem.b_ge - FEAS_TOL)
 
 
-def test_matches_the_tableau_on_every_lp_the_cli_solves(sweep_accepted, tmp_path, monkeypatch):
-    # dgvf --local-check on each accepted net of the CLI sweep, whose LPs
-    # include every LP that build, classify and render solve there: the same
-    # status and value as the tableau, and the same tight set where the
-    # tableau's optimum is a simple vertex.
+def test_matches_the_tableau_on_every_oracle_fallback_lp(sweep_accepted):
+    # The LP that local_pair's fallback would solve on each bounded-above
+    # cell of the CLI sweep's accepted nets, which --local-check now
+    # certifies without one: the same status and value as the tableau, and
+    # the same tight set where the tableau's optimum is a simple vertex.
     solved = []
-
-    def spy(problem, feas_tol=FEAS_TOL):
-        res = lp_solve(problem, feas_tol)
-        solved.append((problem, feas_tol, res))
-        return res
-
-    monkeypatch.setattr(complex_module, "lp_solve", spy)
-    monkeypatch.setattr(dgvf_module, "lp_solve", spy)
-    for k, (net, _) in enumerate(sweep_accepted):
-        weights = tmp_path / f"{k}.json"
-        weights.write_text(json.dumps(to_weight_dict(net)))
-        assert main(["dgvf", "--local-check", "-i", str(weights), "-o", str(tmp_path / "m")]) == 0
+    for net, cpx in sweep_accepted:
+        n_m = net.layers[-1].out_dim
+        for signs, cell in cpx.cells.items():
+            if cpx.is_bounded_above(cell):
+                table = node_maps(net, signs[:-n_m])
+                gradient = cell_affine_form(net, signs, table).total_gradient
+                problem = _cell_problem(complex_module._hrep_for(net, signs, table), gradient)
+                solved.append((problem, lp_solve(problem, feas_tol=FEAS_TOL)))
     assert len(solved) > 1000
     vertices = 0
-    for problem, feas_tol, res in solved:
-        reference = reference_simplex(problem, feas_tol)
+    for problem, res in solved:
+        reference = reference_simplex(problem, FEAS_TOL)
         _assert_same_optimum(res, reference)
         if reference.optimal and _simple_vertex(problem, reference):
             assert res.tight == reference.tight
