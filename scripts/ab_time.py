@@ -1,13 +1,16 @@
-"""Paired timing of two checkouts on the draws of a benchmark workload.
+"""Paired timing of two checkouts on the draws of a benchmark workload, or
+on one random network.
 
     python3 scripts/ab_time.py OLD_SRC NEW_SRC --workload deep --seed 0 --rounds 15
+    python3 scripts/ab_time.py OLD_SRC NEW_SRC --arch 2,100,1 --seed 0 --rounds 3
 
 OLD_SRC and NEW_SRC are the ``src`` directories of two checkouts.  Both
 ``relumorse`` packages are imported into this one process, under the names
 ``relumorse_old`` and ``relumorse_new`` (the package imports itself only by
 relative imports, so each copy keeps to its own modules).  The draws are
-those of ``perfbench/workloads.py`` in this script's checkout, written once
-as weight files.  Each round runs every draw through both checkouts'
+those of ``perfbench/workloads.py`` in this script's checkout, or with
+``--arch`` the one network that ``relumorse gen --arch A --seed S`` writes,
+written once as weight files.  Each round runs every draw through both checkouts'
 ``cli.main(["dgvf", ..., "--local-check"])``, as the benchmark does,
 alternating which goes first, and records the new/old ratio of the pair.
 Prints one line per draw, with its outcome, both median times and the median
@@ -66,7 +69,9 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old_src", type=pathlib.Path)
     parser.add_argument("new_src", type=pathlib.Path)
-    parser.add_argument("--workload", required=True)
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--workload")
+    source.add_argument("--arch", help="comma-separated dims ending in 1, e.g. 2,100,1")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--rounds", type=int, default=15)
     args = parser.parse_args()
@@ -80,11 +85,18 @@ def main() -> int:
     sys.dont_write_bytecode = True  # leave perfbench/ as it is
     import workloads
 
-    if args.workload not in workloads.WORKLOADS:
+    if args.workload and args.workload not in workloads.WORKLOADS:
         raise SystemExit(f"ab_time: unknown workload {args.workload!r}")
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
-        draws, _ = workloads.prepare(workloads.WORKLOADS[args.workload], args.seed, tmp)
+        if args.workload:
+            draws, _ = workloads.prepare(workloads.WORKLOADS[args.workload], args.seed, tmp)
+        else:
+            weights = tmp / "net.json"
+            if new.main(["gen", "--arch", args.arch, "--seed", str(args.seed), "-o", str(weights)]):
+                raise SystemExit(f"ab_time: cannot generate --arch {args.arch!r}")
+            arch = tuple(int(d) for d in args.arch.split(","))
+            draws = [workloads.Draw(args.seed, arch, weights)]
         times = {d.index: ([], []) for d in draws}
         outcome, differ = {}, []
         for k in range(args.rounds + 1):  # round 0 warms both up and is not counted

@@ -24,8 +24,10 @@ holds no vertex, its ray system is singular or a sign falls in the
 tolerance band, the witness LP decides instead: it keeps each piece in
 which it finds a point, and that point is the piece's sample.  Each step so
 names exactly the nonempty pieces, and the next one reads their closures.
-Layer 1 starts from all sign words of its first maps, in closed form, so
-build solves no LP on generic input.  Acceptance checks all words of a
+Layer 1 starts in closed form, so build solves no LP on generic input:
+with more maps than inputs, its whole arrangement from its vertices and no
+step runs; else, or at a near-degenerate vertex, from all sign words of
+its first maps.  Acceptance checks all words of a
 layer in one pass: a word is kept when its sample point clears every strict
 inequality by a margin, read off one slack matrix, or is the witness LP's
 own point from the layer's last step, and otherwise by that LP; one stacked
@@ -634,8 +636,9 @@ def _seed(tables: NodeMaps, n0: int, n_1: int) -> dict | None:
     """{word: (point, dim)} of all 3^m words of layer 1's first m = min(n0,
     n_1) maps, whose non-constant, independent unit rows take R^n0 onto R^m:
     each word is a region of dimension n0 - #zeros, with the least-norm point
-    for the targets t in {-1, 0, 1}^m.  None otherwise, or for a point beyond
-    _FAR, where the band's decisions hang on the LP path's own points."""
+    for the targets t in {-1, 0, 1}^m, where :func:`_arrangement` declines.
+    None otherwise, or for a point beyond _FAR, where the band's decisions
+    hang on the LP path's own points."""
     m = min(n0, n_1)
     unit, unit_off = (u[0, :m] for u in tables.unit)  # layer 1's one table
     if tables.const[0, :m].any() or (np.linalg.svd(unit, compute_uv=False) > _RANK_TOL).sum() < m:
@@ -645,6 +648,44 @@ def _seed(tables: NodeMaps, n0: int, n_1: int) -> dict | None:
     if np.abs(points).max() > _FAR:
         return None
     return {w: (x, n0 - w.count(0)) for w, x in zip(words, points)}
+
+
+def _arrangement(tables: NodeMaps, n0: int, n_1: int, near: float) -> dict | None:
+    """{word: (point, dim)} of all faces of layer 1's arrangement of n_1 > n0
+    hyperplanes: each n0 maps meet in a vertex, whose word holds the other
+    maps' signs there, and the faces are the 3^n0 words t around each one,
+    as the normals span R^n0.  A face's point steps s = min(1, r/2) from a
+    vertex along d = M^-1 t (M its unit rows, r its distance to the next
+    hyperplane) and clears every row by s * min(1, 1/|d|), at the vertex
+    where that is most.  None for a constant row, a vertex system of rank
+    below n0, a vertex beyond _FAR, or another map within ``near`` at one."""
+    if n_1 <= n0 or tables.const[0].any():
+        return None
+    unit, unit_off = (u[0] for u in tables.unit)  # layer 1's one table
+    zeros = np.array(list(itertools.combinations(range(n_1), n0)))
+    mat = unit[zeros]
+    if (np.linalg.svd(mat, compute_uv=False)[:, -1] <= _RANK_TOL).any():
+        return None
+    x = np.linalg.solve(mat, unit_off[zeros][..., None])[..., 0]
+    v = x @ unit.T - unit_off
+    np.put_along_axis(v, zeros, np.inf, axis=1)
+    if np.abs(x).max() > _FAR or np.abs(v).min() <= near:
+        return None
+    step = np.minimum(1.0, 0.5 * np.abs(v).min(axis=1))
+    t = np.array(list(itertools.product((-1, 0, 1), repeat=n0)), dtype=np.int8)
+    inv = np.linalg.inv(mat)
+    gram = np.einsum("vmn,vmj->vnj", inv, inv)
+    length = np.sqrt(np.einsum("kn,vnj,kj->vk", t, gram, t))  # |d| of each (vertex, t)
+    words = np.repeat(np.sign(v).astype(np.int8)[:, None], len(t), axis=1)  # (vertex, t, map)
+    words[np.arange(len(x))[:, None, None], np.arange(len(t))[:, None], zeros[:, None]] = t
+    words = words.reshape(-1, n_1)
+    # Each word at its first (vertex, t) by falling clearance.
+    order = np.argsort(-(step[:, None] / np.maximum(1.0, length)).ravel(), kind="stable")
+    first = order[np.unique(words.view(np.dtype((np.void, n_1)))[order, 0], return_index=True)[1]]
+    at, k = np.divmod(first, len(t))
+    d = (inv[at] @ t[k, :, None])[..., 0] / np.where(length[at, k] > 0, length[at, k], 1.0)[:, None]
+    points, dims = x[at] + step[at, None] * d, n0 - (t[k] == 0).sum(1)
+    return dict(zip(map(tuple, words[first].tolist()), zip(points, dims.tolist())))
 
 
 def _enumerate_cells(net: ReluNetwork, lp_tol: float) -> list:
@@ -671,11 +712,13 @@ def _enumerate_cells(net: ReluNetwork, lp_tol: float) -> list:
         # not decide takes the witness LP on each piece that its point does
         # not prove.  A vanishing map leaves its parent unsplit (acceptance
         # raises), and the other closures then miss its faces, so every
-        # region takes the LP; layer 1 starts from :func:`_seed`'s words.
+        # region takes the LP.  Layer 1 starts from :func:`_arrangement`'s
+        # words, all n_k maps decided, or else from :func:`_seed`'s.
         regions = {p: (x, n0 - p.count(0)) for p, x in stage.items() if p not in vanishing}
         start, witnessed = (0 if regions else n_k), set()
-        if k == 1 and not vanishing and (seeded := _seed(tables, n0, n_k)):
-            regions, start = seeded, min(n0, n_k)
+        seeded = k == 1 and not vanishing and (_arrangement(tables, n0, n_k, near) or _seed(tables, n0, n_k))
+        if seeded:
+            regions, start = seeded, len(next(iter(seeded)))
         for j in range(start, n_k):
             words = list(regions)
             pid = np.array([index[w[:off]] for w in words], dtype=int)
@@ -802,17 +845,24 @@ def _assemble(net, cell_signs, sign_tol, lp_tol) -> CanonicalComplex:
         loc = _vertex_location(signs, cpx.table(signs))
         vertices[signs] = VertexRecord(signs, loc, net.evaluate(loc))
     cpx.vertices = dict(sorted(vertices.items()))
-
-    # The pair scan runs only if sorted neighbours agree within twice the bound:
-    # of an agreeing pair, the value of larger magnitude and its neighbour
-    # toward the other agree too (monotone rounding; their scale is no smaller).
-    values = np.sort([v.value for v in cpx.vertices.values()])
-    scale = np.maximum(1.0, np.abs(values))
-    if (np.diff(values) <= 2 * sign_tol * np.maximum(scale[:-1], scale[1:])).any():
-        for va, vb in itertools.combinations(cpx.vertices.values(), 2):
-            if abs(va.value - vb.value) <= sign_tol * max(1.0, abs(va.value), abs(vb.value)):
-                raise InjectivityError(
-                    f"vertices {signs_to_str(va.signs)} and {signs_to_str(vb.signs)}"
-                    f" share the value {va.value!r}"
-                )
+    _check_injective(list(cpx.vertices.values()), sign_tol)
     return cpx
+
+
+def _check_injective(records, sign_tol) -> None:
+    """InjectivityError at the first pair of ``records``, in list order, whose
+    values agree within sign_tol * max(1, |values|).  Such values lie within
+    sign_tol / (1 - sign_tol) * max(1, |x|) of either one, x, so only the
+    pairs within twice that in sorted order are tested."""
+    values = [v.value for v in records]
+    order = np.argsort(values, kind="stable")
+    x, reach = np.array(values)[order], (2 * sign_tol / (1 - sign_tol) if sign_tol < 1 else np.inf)
+    hi = np.searchsorted(x, x + reach * np.maximum(1.0, np.abs(x)), side="right")
+    pairs = (sorted((order[p], order[q])) for p in range(len(x)) for q in range(p + 1, hi[p]))
+    agree = [(i, j) for i, j in pairs
+             if abs(values[i] - values[j]) <= sign_tol * max(1.0, abs(values[i]), abs(values[j]))]
+    if agree:
+        va, vb = (records[i] for i in min(agree))
+        raise InjectivityError(
+            f"vertices {signs_to_str(va.signs)} and {signs_to_str(vb.signs)} share the value {va.value!r}"
+        )

@@ -409,6 +409,46 @@ def test_sorted_injectivity_check_matches_the_pairwise_scan(monkeypatch, sign_to
     assert outcomes[True] > 5 and outcomes[False] > 5
 
 
+def _blocked_injectivity(records, sign_tol):
+    """:func:`conftest.reference_injectivity`'s message, its pairwise test
+    run in numpy blocks of rows to find the first agreeing pair."""
+    v, index = np.array([r.value for r in records]), np.arange(len(records))
+    for lo in range(0, len(v), 500):
+        a = v[lo : lo + 500, None]
+        agree = np.abs(a - v) <= sign_tol * np.maximum(1.0, np.maximum(np.abs(a), np.abs(v)))
+        agree &= index > index[lo : lo + 500, None]
+        if agree.any():
+            i, j = np.argwhere(agree)[0]
+            return reference_injectivity([records[lo + i], records[j]], sign_tol)
+    return None
+
+
+@pytest.mark.parametrize("sign_tol", [0.0, 1e-9, 0.05])
+def test_sorted_injectivity_check_on_five_thousand_values(sign_tol):
+    # About as many vertices as 100 lines in the plane have: values 1.2^k
+    # of both signs, shuffled, so no two agree, with an agreeing pair last in
+    # list order in half the draws and a few more pairs placed at random.
+    # The window scan raises where, and with the message, the pairwise scan
+    # does.
+    rng, n, outcomes = np.random.default_rng(1), 5_000, Counter()
+    words = [tuple((i >> b) & 1 for b in range(13)) for i in range(n)]
+    for _ in range(6):
+        values = rng.permutation(np.concatenate([1.2 ** np.arange(n // 2), -(1.2 ** np.arange(n // 2))]))
+        for i, j in [(n - 2, n - 1)] * int(rng.random() < 0.5) + [rng.choice(n, 2, replace=False)] * 2:
+            if rng.random() < 0.5:
+                step = sign_tol * max(1.0, abs(values[i])) * rng.choice([0.0, 0.5, 1.0, 1.001, 2.5])
+                values[j] = values[i] + step * rng.choice([-1, 1])
+        records = [VertexRecord(w, None, x) for w, x in zip(words, values.tolist())]
+        try:
+            complex_module._check_injective(records, sign_tol)
+            got = None
+        except InjectivityError as exc:
+            got = str(exc)
+        assert got == _blocked_injectivity(records, sign_tol)
+        outcomes[got is None] += 1
+    assert outcomes[True] and outcomes[False]
+
+
 def test_slopes_are_solved_once_per_vertex_and_edge(monkeypatch):
     # The first classify_vertex solves the 2*n0 edges of every vertex in one
     # stack, and the ray rule of sup reads the same cached entries: no

@@ -284,6 +284,11 @@ def test_vertices_far_out_are_kept(scale):
     assert [v.location[0] / scale for v in cpx.vertices.values()] == [2.0, 3.0]
 
 
+def _decline_arrangement(monkeypatch):
+    """Turn off layer 1's closed form, as its guard does."""
+    monkeypatch.setattr(complex_module, "_arrangement", lambda *args: None)
+
+
 def _spy(monkeypatch, name) -> list:
     """Record the calls of ``relumorse.complex.<name>``."""
     calls = []
@@ -405,6 +410,78 @@ def test_closed_form_seed_matches_the_lp_path(monkeypatch):
     assert True in seeded and False in seeded
 
 
+def _scaled_biases(net, scale):
+    """``net`` with its layer-1 biases times ``scale``."""
+    first = AffineLayer(net.layers[0].weights, np.array(net.layers[0].bias) * scale)
+    return ReluNetwork((first, *net.layers[1:]), net.final)
+
+
+ARRANGEMENT_NETS = SEED_NETS + [
+    random_network(Architecture.from_full(arch), seed=0) for arch in ((2, 20, 1), (3, 8, 1), (4, 10, 1))
+]
+# Nets whose closed form must decline: a third line 1e-9 from the vertex of
+# two others, within the band, and (2,8,1) s0 with its layer-1 biases times
+# 1e8, whose vertices lie past _FAR.
+GUARDED = [
+    _net(
+        [[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -2.0]]],
+        [[0.0, 0.0, -1e-9 * math.sqrt(2.0), 0.7]],
+        [1.0, 2.0, 4.0, -3.0],
+    ),
+    _scaled_biases(random_network(Architecture.from_full((2, 8, 1)), seed=0), 1e8),
+]
+
+
+def test_closed_form_layer_one_matches_the_declined_build(monkeypatch):
+    # Layer 1's arrangement built from its vertices against the seed and
+    # neuron steps it replaces, with the closed form declining everywhere:
+    # the same cells, vertex bytes and errors, on nets where it fires and
+    # where its guard declines.  Each point it gives clears acceptance's
+    # margin on its word's strict rows, and lies within 10 * lp_tol of its
+    # zero rows' hyperplanes.
+    real, calls = complex_module._arrangement, []
+
+    def spy(tables, n0, n_1, near):
+        out = real(tables, n0, n_1, near)
+        calls[-1].append(out is not None)
+        unit, unit_off = (u[0] for u in tables.unit)
+        for word, (x, dim) in (out or {}).items():
+            s, v = np.array(word), unit @ x - unit_off
+            assert (s * v > complex_module._CLEAR_MARGIN * LP_TOL)[s != 0].all(), word
+            assert (np.abs(v) <= 10 * LP_TOL)[s == 0].all(), word
+            assert dim == n0 - word.count(0)
+        return out
+
+    monkeypatch.setattr(complex_module, "_arrangement", spy)
+    nets = ARRANGEMENT_NETS + GUARDED
+    expected = [calls.append([]) or structure(net) for net in nets]
+    assert calls[-len(GUARDED) :] == [[False]] * len(GUARDED)
+    assert [True] in calls and [False] in calls[: -len(GUARDED)]
+    _decline_arrangement(monkeypatch)
+    for i, (net, want) in enumerate(zip(nets, expected)):
+        assert structure(net) == want, i
+
+
+@pytest.mark.parametrize("arch", [(2, 8, 1), (4, 7, 1), (3, 6, 1), (2, 20, 1), (3, 8, 1), (4, 10, 1)])
+def test_one_hidden_layer_builds_without_splits(monkeypatch, arch):
+    # More maps than inputs: layer 1 comes whole from its vertices, so
+    # build reads no closure and solves no witness LP.
+    splits, witnesses = _spy(monkeypatch, "_closure_pieces"), _spy(monkeypatch, "_witness")
+    for seed in range(3):
+        with contextlib.suppress(StructuredError):
+            build_complex(random_network(Architecture.from_full(arch), seed=seed))
+    assert (splits, witnesses) == ([], [])
+
+
+def test_hundred_lines_build_their_whole_arrangement(monkeypatch):
+    # 100 lines in general position: C(100, 2) vertices, 100^2 edges and
+    # 1 + 100 + C(100, 2) regions, with no split.
+    splits, witnesses = _spy(monkeypatch, "_closure_pieces"), _spy(monkeypatch, "_witness")
+    cpx = build_complex(random_network(Architecture.from_full((2, 100, 1)), seed=0))
+    assert (len(cpx.cells), len(cpx.vertices)) == (20_001, 4_950)
+    assert (splits, witnesses) == ([], [])
+
+
 CLOSURE_NETS = [random_network(Architecture.from_full(arch), seed=seed) for arch, seed in RANDOM]
 CLOSURE_NETS += [_integer_net(*case) for case in NEAR_DEGENERATE]
 CLOSURE_NETS += [random_network(Architecture.from_full((2, 20, 1)), seed=0)]
@@ -425,7 +502,9 @@ def _pieces_differ(got, want) -> bool:
 
 def test_closure_pieces_match_per_region_reference(monkeypatch):
     # At every exact step, each region's stacked decision against the
-    # per-region reference on the same closure and parent rows.
+    # per-region reference on the same closure and parent rows.  Layer 1
+    # is split map by map here, as where its closed form declines.
+    _decline_arrangement(monkeypatch)
     real, checked = complex_module._closure_pieces, []
 
     def spy(regions, closures, words, rows, at, a, b, near):
@@ -447,7 +526,9 @@ def test_every_region_holds_its_point(monkeypatch):
     # At every step each region is nonempty, with its point inside: strictly
     # on the side of each nonzero entry, and within 10 * lp_tol of each zero
     # entry's hyperplane.  A split that names a piece it could not prove
-    # empty, with the parent's point, fails this.
+    # empty, with the parent's point, fails this.  Layer 1 is split map by
+    # map, as where its closed form declines.
+    _decline_arrangement(monkeypatch)
     checked, current = [], []
 
     def spy(regions, *args):
@@ -480,6 +561,8 @@ def test_singular_ray_system_sends_only_its_region_to_the_lp(monkeypatch):
     # parent table of equal rows, so each of its ray systems is singular.
     # That region alone is banded and takes the witness LP on its pieces;
     # the others are read off closures as before, and the outcome is the same.
+    # Layer 1 is split map by map, as where its closed form declines.
+    _decline_arrangement(monkeypatch)
     net = random_network(Architecture.from_full((2, 8, 1)), seed=0)
     real = complex_module._closure_pieces
     reps = _spy(monkeypatch, "_hrep_for")
@@ -518,6 +601,8 @@ def test_singular_ray_system_sends_only_its_region_to_the_lp(monkeypatch):
 
 def test_hyperplane_near_a_vertex_takes_the_lp(monkeypatch):
     # Layer 1 has a vertex at (0.3, 0.2), where node map (2, 1) is 1e-9.
+    # Its closed form is declined, so layer 1 is seeded and then split.
+    _decline_arrangement(monkeypatch)
     net = _net(
         [[[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]], [[1.0, -2.0, 0.5], [0.7, 0.4, -1.0], [1.0, 1.0, 1.0]]],
         [[-0.3, -0.2, 1.0], [-0.25 + 1e-9, 0.2, 0.1]],
