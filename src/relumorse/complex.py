@@ -26,8 +26,8 @@ which it finds a point, and that point is the piece's sample.  Each step so
 names exactly the nonempty pieces, and the next one reads their closures.
 Layer 1 starts in closed form, so build solves no LP on generic input:
 with more maps than inputs, its whole arrangement from its vertices and no
-step runs; else, or at a near-degenerate vertex, from all sign words of
-its first maps.  Acceptance checks all words of a
+step runs; else, or at a near-degenerate or far vertex, from all sign
+words of its first maps.  Acceptance checks all words of a
 layer in one pass: a word is kept when its sample point clears every strict
 inequality by a margin, read off one slack matrix, or is the witness LP's
 own point from the layer's last step, and otherwise by that LP; one stacked
@@ -650,7 +650,7 @@ def _seed(tables: NodeMaps, n0: int, n_1: int) -> dict | None:
     return {w: (x, n0 - w.count(0)) for w, x in zip(words, points)}
 
 
-def _arrangement(tables: NodeMaps, n0: int, n_1: int, near: float) -> dict | None:
+def _arrangement(tables: NodeMaps, n0: int, n_1: int, lp_tol: float) -> dict | None:
     """{word: (point, dim)} of all faces of layer 1's arrangement of n_1 > n0
     hyperplanes: each n0 maps meet in a vertex, whose word holds the other
     maps' signs there, and the faces are the 3^n0 words t around each one,
@@ -658,9 +658,12 @@ def _arrangement(tables: NodeMaps, n0: int, n_1: int, near: float) -> dict | Non
     vertex along d = M^-1 t (M its unit rows, r its distance to the next
     hyperplane) and clears every row by s * min(1, 1/|d|), at the vertex
     where that is most.  None for a constant row, a vertex system of rank
-    below n0, a vertex beyond _FAR, or another map within ``near`` at one."""
+    below n0, a vertex beyond _FAR, another map within the split band at
+    one, or a point off its zero rows by more than acceptance's residual:
+    about 1e6 out, their rounding alone passes _SAMPLE_RESID * lp_tol."""
     if n_1 <= n0 or tables.const[0].any():
         return None
+    near = _SPLIT_MARGIN * lp_tol
     unit, unit_off = (u[0] for u in tables.unit)  # layer 1's one table
     zeros = np.array(list(itertools.combinations(range(n_1), n0)))
     mat = unit[zeros]
@@ -684,8 +687,11 @@ def _arrangement(tables: NodeMaps, n0: int, n_1: int, near: float) -> dict | Non
     first = order[np.unique(words.view(np.dtype((np.void, n_1)))[order, 0], return_index=True)[1]]
     at, k = np.divmod(first, len(t))
     d = (inv[at] @ t[k, :, None])[..., 0] / np.where(length[at, k] > 0, length[at, k], 1.0)[:, None]
-    points, dims = x[at] + step[at, None] * d, n0 - (t[k] == 0).sum(1)
-    return dict(zip(map(tuple, words[first].tolist()), zip(points, dims.tolist())))
+    points, dims, words = x[at] + step[at, None] * d, n0 - (t[k] == 0).sum(1), words[first]
+    resid = np.abs(_dot(unit, points[:, None]) - unit_off)[words == 0]  # as acceptance reads it
+    if resid.max() > _SAMPLE_RESID * lp_tol:
+        return None
+    return dict(zip(map(tuple, words.tolist()), zip(points, dims.tolist())))
 
 
 def _enumerate_cells(net: ReluNetwork, lp_tol: float) -> list:
@@ -716,7 +722,7 @@ def _enumerate_cells(net: ReluNetwork, lp_tol: float) -> list:
         # words, all n_k maps decided, or else from :func:`_seed`'s.
         regions = {p: (x, n0 - p.count(0)) for p, x in stage.items() if p not in vanishing}
         start, witnessed = (0 if regions else n_k), set()
-        seeded = k == 1 and not vanishing and (_arrangement(tables, n0, n_k, near) or _seed(tables, n0, n_k))
+        seeded = k == 1 and not vanishing and (_arrangement(tables, n0, n_k, lp_tol) or _seed(tables, n0, n_k))
         if seeded:
             regions, start = seeded, len(next(iter(seeded)))
         for j in range(start, n_k):
@@ -858,7 +864,8 @@ def _check_injective(records, sign_tol) -> None:
     order = np.argsort(values, kind="stable")
     x, reach = np.array(values)[order], (2 * sign_tol / (1 - sign_tol) if sign_tol < 1 else np.inf)
     hi = np.searchsorted(x, x + reach * np.maximum(1.0, np.abs(x)), side="right")
-    pairs = (sorted((order[p], order[q])) for p in range(len(x)) for q in range(p + 1, hi[p]))
+    near = np.flatnonzero(hi > np.arange(1, len(x) + 1)).tolist()  # p with a neighbour in reach
+    pairs = (sorted((order[p], order[q])) for p in near for q in range(p + 1, hi[p]))
     agree = [(i, j) for i, j in pairs
              if abs(values[i] - values[j]) <= sign_tol * max(1.0, abs(values[i]), abs(values[j]))]
     if agree:

@@ -303,25 +303,48 @@ def _spy(monkeypatch, name) -> list:
 
 
 GENERIC_ARCHS = [(2, 8, 1), (4, 7, 1), (3, 6, 1), (2, 4, 3, 1), (2, 4, 4, 1), (3, 4, 3, 1)]
+# Seed 0 of each arch, and seeds 1 and 2 of the one-hidden-layer ones, with
+# layer 1's closed form on and declined.
+GENERIC = [
+    (arch, seed, declined)
+    for declined in (False, True)
+    for arch in GENERIC_ARCHS + [(2, 20, 1), (3, 8, 1), (4, 10, 1)]
+    for seed in range(3 if len(arch) == 3 else 1)
+]
+# One-hidden-layer nets rejected as flat.
+FLAT_GENERIC = {((4, 7, 1), 2), ((3, 6, 1), 2)}
 
 
-@pytest.mark.parametrize("arch", GENERIC_ARCHS, ids=lambda arch: "-".join(map(str, arch)))
-def test_build_solves_no_lp_on_generic_nets(monkeypatch, arch):
-    # Layer 1 starts from the 3^n0 regions of its first n0 maps in closed
-    # form, so every later split is read off a closure holding their vertex,
-    # and every sample point clears acceptance without a witness LP.  The
-    # deep nets are rejected as flat, after the same LP-free layers.
+def _generic_id(case) -> str:
+    arch, seed, declined = case
+    return "-".join(map(str, arch)) + f"-s{seed}" * (seed > 0) + "-declined" * declined
+
+
+@pytest.mark.parametrize("arch, seed, declined", GENERIC, ids=[_generic_id(case) for case in GENERIC])
+def test_build_solves_no_lp_on_generic_nets(monkeypatch, arch, seed, declined):
+    # Where layer 1 has more maps than inputs it comes whole from its
+    # arrangement's vertices, so a one-hidden-layer net reads no closure.
+    # Declined, layer 1 starts from the 3^n0 regions of its first n0 maps in
+    # closed form, so every later split is read off a closure holding their
+    # vertex.  Either way every sample point clears acceptance without a
+    # witness LP.  The deep nets are rejected as flat, after the same LP-free
+    # layers.
+    if declined:
+        _decline_arrangement(monkeypatch)
     lps = _spy(monkeypatch, "lp_solve")
     witnesses = _spy(monkeypatch, "_witness")
     reps = _spy(monkeypatch, "_hrep_for")
+    splits = _spy(monkeypatch, "_closure_pieces")
     try:
-        build_complex(random_network(Architecture.from_full(arch), seed=0))
+        build_complex(random_network(Architecture.from_full(arch), seed=seed))
     except FlatCellError:
-        assert len(arch) > 3
+        assert len(arch) > 3 or (arch, seed) in FLAT_GENERIC
     # Nor is any H-representation built: a vertex that map j meets reads
     # its zero rows off the parent's table, and acceptance and the flat
     # flags build none.
     assert (lps, witnesses, reps) == ([], [], [])
+    if len(arch) == 3:
+        assert bool(splits) == declined
 
 
 def structure(net):
@@ -345,7 +368,9 @@ NEAR_DEGENERATE = [
 def test_lp_decisions_match_closure_decisions(monkeypatch):
     # Every region sent to the witness LP, as if no closure decided a split:
     # the same cells, vertex bytes and errors on the near-degenerate nets and
-    # on CASES.
+    # on CASES.  Layer 1 is split map by map, as where its closed form
+    # declines.
+    _decline_arrangement(monkeypatch)
     nets = [_integer_net(*case) for case in NEAR_DEGENERATE] + [p.values[0] for p in CASES]
     lps = _spy(monkeypatch, "_witness")
     read_off = [structure(net) for net in nets]
@@ -394,7 +419,9 @@ SEED_NETS += [
 def test_closed_form_seed_matches_the_lp_path(monkeypatch):
     # Layer 1's closed-form regions against the LP splits they replace,
     # with the seed declining everywhere: the same cells, vertex bytes and
-    # errors, on nets where the seed fires and where it declines.
+    # errors, on nets where the seed fires and where it declines.  The
+    # arrangement's closed form is declined, so the seed runs on every net.
+    _decline_arrangement(monkeypatch)
     real, seeded = complex_module._seed, []
 
     def spy(*args):
@@ -420,8 +447,9 @@ ARRANGEMENT_NETS = SEED_NETS + [
     random_network(Architecture.from_full(arch), seed=0) for arch in ((2, 20, 1), (3, 8, 1), (4, 10, 1))
 ]
 # Nets whose closed form must decline: a third line 1e-9 from the vertex of
-# two others, within the band, and (2,8,1) s0 with its layer-1 biases times
-# 1e8, whose vertices lie past _FAR.
+# two others, within the band; (2,8,1) s0 with its layer-1 biases times
+# 1e8, whose vertices lie past _FAR; and an integer (2,3,2) net with vertices
+# about 1e6 out, where points miss their zero rows by more than 1e-10.
 GUARDED = [
     _net(
         [[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -2.0]]],
@@ -429,6 +457,7 @@ GUARDED = [
         [1.0, 2.0, 4.0, -3.0],
     ),
     _scaled_biases(random_network(Architecture.from_full((2, 8, 1)), seed=0), 1e8),
+    _integer_net((2, 3, 2), 1, 1e-6),
 ]
 
 
@@ -441,8 +470,8 @@ def test_closed_form_layer_one_matches_the_declined_build(monkeypatch):
     # zero rows' hyperplanes.
     real, calls = complex_module._arrangement, []
 
-    def spy(tables, n0, n_1, near):
-        out = real(tables, n0, n_1, near)
+    def spy(tables, n0, n_1, lp_tol):
+        out = real(tables, n0, n_1, lp_tol)
         calls[-1].append(out is not None)
         unit, unit_off = (u[0] for u in tables.unit)
         for word, (x, dim) in (out or {}).items():
@@ -460,17 +489,6 @@ def test_closed_form_layer_one_matches_the_declined_build(monkeypatch):
     _decline_arrangement(monkeypatch)
     for i, (net, want) in enumerate(zip(nets, expected)):
         assert structure(net) == want, i
-
-
-@pytest.mark.parametrize("arch", [(2, 8, 1), (4, 7, 1), (3, 6, 1), (2, 20, 1), (3, 8, 1), (4, 10, 1)])
-def test_one_hidden_layer_builds_without_splits(monkeypatch, arch):
-    # More maps than inputs: layer 1 comes whole from its vertices, so
-    # build reads no closure and solves no witness LP.
-    splits, witnesses = _spy(monkeypatch, "_closure_pieces"), _spy(monkeypatch, "_witness")
-    for seed in range(3):
-        with contextlib.suppress(StructuredError):
-            build_complex(random_network(Architecture.from_full(arch), seed=seed))
-    assert (splits, witnesses) == ([], [])
 
 
 def test_hundred_lines_build_their_whole_arrangement(monkeypatch):
