@@ -51,9 +51,7 @@ from .lp import LpProblem, LpResult, lp_solve
 from .network import (
     AffineLayer,
     Architecture,
-    CellAffineForm,
     ReluNetwork,
-    cell_affine_form,
     from_weight_dict,
     net_b,
     random_network,

@@ -6,8 +6,9 @@ genericity conditions enforced here a k-cell has exactly n0 - k zero
 entries and faces are read off by composing sign words.  The finished
 complex answers from what construction leaves: faces from the facet map,
 F's maxima bottom-up over it, flat flags from one gradient product per
-node-map table, and a vertex's location and edge slopes from those tables,
-one per parent cell; closure vertices and rays only on demand.
+node-map table, and the vertices' locations and edge slopes from those
+tables, one per parent cell, each in one stacked solve; closure vertices
+and rays only on demand.  A cell's affine data is its parent's table.
 
 Construction refines layer by layer, one node map at a time: map j of
 layer k splits every region of every parent cell before map j + 1 does, so
@@ -38,7 +39,6 @@ residual the solvable ones past n0 zeros.  Every LP is a cell LP from
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 from dataclasses import dataclass
 
@@ -52,7 +52,7 @@ from .errors import (
     StructuredError,
 )
 from .lp import LpProblem, lp_solve
-from .network import NodeMaps, ReluNetwork, Signs, _dot, cell_affine_form, node_maps, signs_to_str
+from .network import NodeMaps, ReluNetwork, Signs, _dot, node_maps, signs_to_str
 
 # Offset at or below which a constant node map counts as zero.
 _ZERO_OFFSET = 1e-9
@@ -104,6 +104,23 @@ def _edges_at(v_signs: Signs):
             yield p, sigma, v_signs[:p] + (sigma,) + v_signs[p + 1 :]
 
 
+def _solve_each(a, b) -> tuple:
+    """(x, singular) of the stacked systems a[i] x = b[i], b one vector per
+    system: one stacked solve, or where LAPACK finds one singular, each
+    system alone, a singular one's x left zero and flagged."""
+    singular = np.zeros(len(a), dtype=bool)
+    try:
+        return np.linalg.solve(a, b[..., None])[..., 0], singular
+    except np.linalg.LinAlgError:
+        x = np.zeros(b.shape)
+        for i, (m, r) in enumerate(zip(a, b)):
+            try:
+                x[i] = np.linalg.solve(m, r[:, None])[:, 0]
+            except np.linalg.LinAlgError:
+                singular[i] = True
+        return x, singular
+
+
 def _edge_slopes(net: ReluNetwork, words: list, tables=None) -> dict:
     """{vertex: {edge: (unit direction, sign of dF along it)}} from each of
     the vertex ``words`` into its 2*n0 edges, in :func:`_edges_at` order, or
@@ -128,16 +145,7 @@ def _edge_slopes(net: ReluNetwork, words: list, tables=None) -> dict:
     stack = node_maps(net, prefixes) if tables is None else tables(prefixes.tolist())
     zeros = np.repeat(np.nonzero(np.array(words) == 0)[1].reshape(-1, n0), k, axis=0)
     a, rhs = stack.rows[tid.reshape(-1, 1), zeros], np.take_along_axis(e, zeros, 1).astype(float)
-    singular = np.zeros(len(edges), dtype=bool)
-    try:
-        d = np.linalg.solve(a, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        d = np.zeros(rhs.shape)
-        for i, (m, r) in enumerate(zip(a, rhs)):
-            try:
-                d[i] = np.linalg.solve(m, r)
-            except np.linalg.LinAlgError:
-                singular[i] = True
+    d, singular = _solve_each(a, rhs)
     with np.errstate(all="ignore"):  # the failing edges' own arithmetic
         nrm = np.sqrt(_dot(d, d))
         good = np.isfinite(nrm) & (nrm > 0.0)
@@ -310,7 +318,6 @@ class CanonicalComplex:
         self.vertices = vertices
         self.lp_tol = lp_tol
         self._tables = {}
-        self._forms = {}
         self._hreps = {}
         self._fmax = {}
         self._peaks = {}
@@ -343,12 +350,12 @@ class CanonicalComplex:
             self._tables.setdefault(tuple(prefix), stack[i])
         return stack
 
-    def form(self, signs: Signs):
-        """Cached affine form for any full-length sign pattern."""
-        signs = tuple(signs)
-        if signs not in self._forms:
-            self._forms[signs] = cell_affine_form(self.net, signs, self.table(signs))
-        return self._forms[signs]
+    def f_affine(self, signs: Signs) -> tuple:
+        """(gradient, offset) of F on the cell of a full-length sign pattern:
+        :meth:`NodeMaps.f_affine` of its table at its last-layer signs."""
+        final = self.net.final
+        grad, offset = self.table(signs).f_affine(final, [tuple(signs)[-final.in_dim :]])
+        return grad[0], float(offset[0])
 
     def hrep(self, signs: Signs) -> _HRep:
         signs = tuple(signs)
@@ -403,11 +410,11 @@ class CanonicalComplex:
         best, ray = self._peak(tuple(signs), sense)
         if best is not None and not (ray and ray[1]):
             return float("inf") if ray else best
-        form, rep = self.form(signs), self.hrep(signs)
-        res = lp_solve(_cell_problem(rep, sense * form.total_gradient), feas_tol=self.lp_tol)
+        (grad, offset), rep = self.f_affine(signs), self.hrep(signs)
+        res = lp_solve(_cell_problem(rep, sense * grad), feas_tol=self.lp_tol)
         if not res.optimal:
             return float("inf")
-        return res.value + sense * form.total_offset if best is None else best
+        return res.value + sense * offset if best is None else best
 
     def _peak(self, signs: Signs, sense: int) -> tuple:
         """(best vertex value of sense * F, first ray) over a cell's closure,
@@ -456,23 +463,25 @@ class CanonicalComplex:
         return {"dims": list(self.net.arch.full()), "cells": cells}
 
 
-def _vertex_location(signs: Signs, table: NodeMaps) -> np.ndarray:
-    """Solve the n0 x n0 system of the vertex's zero node maps on its own
-    table: a zero entry masks its row as -1 does, so the rows are those of
-    the all-minus top cell at the vertex."""
-    zero_pos = [p for p, s in enumerate(signs) if s == 0]
-    mat, rhs = table.rows[zero_pos], -table.offsets[zero_pos]
-    try:
-        loc = np.linalg.solve(mat, rhs) + 0.0  # clear negative zeros
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(
-            f"singular vertex system for {signs_to_str(signs)}"
-        ) from exc
-    resid = float(np.abs(mat @ loc - rhs).max())
-    if not np.isfinite(loc).all() or resid > _VERTEX_RESID * max(1.0, float(np.abs(rhs).max())):
-        raise SingularSystemError(
-            f"ill-conditioned vertex system for {signs_to_str(signs)}"
-        )
+def _vertex_locations(cpx: CanonicalComplex, words: list) -> np.ndarray:
+    """Locations of the vertex ``words``, in one stacked solve of each one's
+    n0 x n0 system of its zero node maps on its own table: a zero entry
+    masks its row as -1 does, so the rows are those of the all-minus top
+    cell at the vertex.  SingularSystemError at the first word, in list
+    order, whose system is singular or misses its residual bound."""
+    w = np.array(words)
+    prefixes, at = np.unique(w[:, : -cpx.net.final.in_dim], axis=0, return_inverse=True)
+    tables, zeros = cpx.tables(prefixes.tolist()), np.nonzero(w == 0)[1].reshape(-1, cpx.n0)
+    mat, rhs = tables.rows[at.reshape(-1, 1), zeros], -tables.offsets[at.reshape(-1, 1), zeros]
+    loc, singular = _solve_each(mat, rhs)
+    loc = loc + 0.0  # clear negative zeros
+    resid = np.abs((mat @ loc[..., None])[..., 0] - rhs).max(axis=1)
+    bound = _VERTEX_RESID * np.maximum(1.0, np.abs(rhs).max(axis=1))
+    bad = singular | ~np.isfinite(loc).all(axis=1) | (resid > bound)
+    if bad.any():
+        i = int(np.argmax(bad))
+        kind = "singular" if singular[i] else "ill-conditioned"
+        raise SingularSystemError(f"{kind} vertex system for {signs_to_str(words[i])}")
     return loc
 
 
@@ -483,11 +492,8 @@ def _abort_on_forced_flats(net, stage, upto_layer, n0):
     complex is guaranteed to contain a flat positive-dimensional cell with a
     vertex in its closure; raising here skips the remaining refinement work.
     """
-    offset = 0
-    blocks = []
-    for layer in net.layers[:upto_layer]:
-        blocks.append((offset, offset + layer.out_dim))
-        offset += layer.out_dim
+    bounds = [0, *itertools.accumulate(layer.out_dim for layer in net.layers[:upto_layer])]
+    blocks = list(zip(bounds, bounds[1:]))
     # Zeroing entries keeps a dead block dead, so the dead words are closed
     # under faces and their own closure map holds their vertices.
     dead = {s: n0 - s.count(0) for s in stage if any(1 not in s[a:b] for a, b in blocks)}
@@ -500,19 +506,19 @@ def _abort_on_forced_flats(net, stage, upto_layer, n0):
             )
 
 
-def _cut(x, d, s, v, q, u, near) -> list:
-    """Pieces of a d-dimensional region whose point x lies on side s of the
-    hyperplane (value v there), given the max u of the map pushed the other
-    way and its argmax q in the closure."""
+def _cut(x, s, v, q, u, near) -> list:
+    """(sign, point) of the pieces of a region whose point x lies on side s
+    of the hyperplane (value v there), given the max u of the map pushed the
+    other way and its argmax q in the closure."""
     if u <= -near:
-        return [(s, x, d)]
+        return [(s, x)]
     # The open segment from x to q lies in the relative interior; it
     # crosses the hyperplane at t0 when u > 0.
     t0 = s * v / (s * v + u) if u > 0 else 1.0
     return [
-        (s, x, d),
-        (0, x + t0 * (q - x), d - 1),
-        (-s, x + 0.5 * (1.0 + t0) * (q - x), d),
+        (s, x),
+        (0, x + t0 * (q - x)),
+        (-s, x + 0.5 * (1.0 + t0) * (q - x)),
     ]
 
 
@@ -522,8 +528,8 @@ def _argmax_by(keys, group, labels):
 
 
 def _closure_pieces(regions, closures, words, rows, at, a, b, near) -> list:
-    """(sign, point, dim) of the pieces the hyperplane a[i].x = b[i] cuts
-    from the region words[i] of ``regions`` ({word: (point, dim)}), read
+    """(sign, point) of the pieces the hyperplane a[i].x = b[i] cuts from
+    the region words[i] of ``regions`` ({word: point}), read
     off its ``closures`` entry, which holds a vertex; None in the band.
 
     The map is affine on the closure, so pushed away from the side of an
@@ -539,19 +545,13 @@ def _closure_pieces(regions, closures, words, rows, at, a, b, near) -> list:
     rays = [r for w in words for r in closures[w][2]]
     vreg = np.repeat(np.arange(n), [len(vs) for vs in verts])
     rreg = np.repeat(np.arange(n), [len(closures[w][2]) for w in words])
-    points = np.array([regions[v][0] for vs in verts for v in vs])
-    origins = np.array([regions[v][0] for v, _ in rays]).reshape(-1, n0)
+    points = np.array([regions[v] for vs in verts for v in vs])
+    origins = np.array([regions[v] for v, _ in rays]).reshape(-1, n0)
     ends = np.array(rays, dtype=float).reshape(len(rays), 2, len(words[0]))
     zeros = np.nonzero(ends[:, 0] == 0)[1].reshape(-1, n0)
     system = rows[at[rreg, None] + zeros]
-    rhs = np.take_along_axis(ends[:, 1], zeros, axis=1)[..., None]
-    try:
-        dirs = np.linalg.solve(system, rhs)[..., 0]
-    except np.linalg.LinAlgError:  # a zero-length ray: its region alone is banded
-        dirs = np.zeros((len(rays), n0))
-        for i, (m, r) in enumerate(zip(system, rhs)):
-            with contextlib.suppress(np.linalg.LinAlgError):
-                dirs[i] = np.linalg.solve(m, r)[:, 0]
+    # A singular system is a zero-length ray: its region alone is banded.
+    dirs = _solve_each(system, np.take_along_axis(ends[:, 1], zeros, axis=1))[0]
     lengths = np.linalg.norm(dirs, axis=1)
     band = np.bincount(rreg, ~(lengths > 0), minlength=n) > 0
     dirs = dirs / np.where(lengths > 0, lengths, 1.0)[:, None]
@@ -572,8 +572,8 @@ def _closure_pieces(regions, closures, words, rows, at, a, b, near) -> list:
     q[up] = origins[i] + (reach / slopes[i])[:, None] * dirs[i]
     u = -s * (_dot(a, q) - b)
     band |= (np.abs(u) <= near) | (np.maximum(np.abs(x).max(1), np.abs(q).max(1)) > _FAR)
-    cut = zip(words, band, x, s.tolist(), v.tolist(), q, u.tolist())
-    return [None if out else _cut(y, regions[w][1], *rest, near) for w, out, y, *rest in cut]
+    cut = zip(band, x, s.tolist(), v.tolist(), q, u.tolist())
+    return [None if out else _cut(*rest, near) for out, *rest in cut]
 
 
 def _solvable(a, b):
@@ -633,8 +633,8 @@ def _accept(net, words, points, tables: NodeMaps, pid, witnessed, lp_tol: float)
 
 
 def _seed(tables: NodeMaps, n0: int, n_1: int) -> dict | None:
-    """{word: (point, dim)} of all 3^m words of layer 1's first m = min(n0,
-    n_1) maps, whose non-constant, independent unit rows take R^n0 onto R^m:
+    """{word: point} of all 3^m words of layer 1's first m = min(n0, n_1)
+    maps, whose non-constant, independent unit rows take R^n0 onto R^m:
     each word is a region of dimension n0 - #zeros, with the least-norm point
     for the targets t in {-1, 0, 1}^m, where :func:`_arrangement` declines.
     None otherwise, or for a point beyond _FAR, where the band's decisions
@@ -647,11 +647,11 @@ def _seed(tables: NodeMaps, n0: int, n_1: int) -> dict | None:
     points = np.linalg.lstsq(unit, (unit_off + np.array(words)).T, rcond=None)[0].T
     if np.abs(points).max() > _FAR:
         return None
-    return {w: (x, n0 - w.count(0)) for w, x in zip(words, points)}
+    return dict(zip(words, points))
 
 
 def _arrangement(tables: NodeMaps, n0: int, n_1: int, lp_tol: float) -> dict | None:
-    """{word: (point, dim)} of all faces of layer 1's arrangement of n_1 > n0
+    """{word: point} of all faces of layer 1's arrangement of n_1 > n0
     hyperplanes: each n0 maps meet in a vertex, whose word holds the other
     maps' signs there, and the faces are the 3^n0 words t around each one,
     as the normals span R^n0.  A face's point steps s = min(1, r/2) from a
@@ -687,11 +687,11 @@ def _arrangement(tables: NodeMaps, n0: int, n_1: int, lp_tol: float) -> dict | N
     first = order[np.unique(words.view(np.dtype((np.void, n_1)))[order, 0], return_index=True)[1]]
     at, k = np.divmod(first, len(t))
     d = (inv[at] @ t[k, :, None])[..., 0] / np.where(length[at, k] > 0, length[at, k], 1.0)[:, None]
-    points, dims, words = x[at] + step[at, None] * d, n0 - (t[k] == 0).sum(1), words[first]
+    points, words = x[at] + step[at, None] * d, words[first]
     resid = np.abs(_dot(unit, points[:, None]) - unit_off)[words == 0]  # as acceptance reads it
     if resid.max() > _SAMPLE_RESID * lp_tol:
         return None
-    return dict(zip(map(tuple, words.tolist()), zip(points, dims.tolist())))
+    return dict(zip(map(tuple, words.tolist()), points))
 
 
 def _enumerate_cells(net: ReluNetwork, lp_tol: float) -> list:
@@ -712,7 +712,7 @@ def _enumerate_cells(net: ReluNetwork, lp_tol: float) -> list:
         hit = tables.const[:, off:] & (np.abs(tables.offsets[:, off:]) <= _ZERO_OFFSET)
         dead = np.flatnonzero(hit.any(axis=1))  # parents on which a map vanishes
         vanishing = {parents[i] for i in dead.tolist()}
-        # {word: (point, dim)} over the parents' words extended by the
+        # {word: point} over the parents' words extended by the
         # layer's signs decided so far: exactly the nonempty regions, so
         # closures are read off it at every step.  A region the closure does
         # not decide takes the witness LP on each piece that its point does
@@ -720,7 +720,7 @@ def _enumerate_cells(net: ReluNetwork, lp_tol: float) -> list:
         # raises), and the other closures then miss its faces, so every
         # region takes the LP.  Layer 1 starts from :func:`_arrangement`'s
         # words, all n_k maps decided, or else from :func:`_seed`'s.
-        regions = {p: (x, n0 - p.count(0)) for p, x in stage.items() if p not in vanishing}
+        regions = {p: x for p, x in stage.items() if p not in vanishing}
         start, witnessed = (0 if regions else n_k), set()
         seeded = k == 1 and not vanishing and (_arrangement(tables, n0, n_k, lp_tol) or _seed(tables, n0, n_k))
         if seeded:
@@ -731,8 +731,10 @@ def _enumerate_cells(net: ReluNetwork, lp_tol: float) -> list:
             at = pid * size
             r = at + off + j
             const, a, b = consts[r], unit[r], unit_off[r]
-            v = _dot(a, np.array([x for x, _ in regions.values()])) - b
-            dims = {w: d for w, (_, d) in regions.items()}
+            v = _dot(a, np.array(list(regions.values()))) - b
+            # A vertex's zero piece, past n0 zeros, has dim -1: _closures
+            # takes it before the words it bounds.
+            dims = {w: n0 - w.count(0) for w in regions}
             closures = _closures(dims, _facets(dims))
             sel = [
                 i for i, (w, d) in enumerate(dims.items())
@@ -755,30 +757,28 @@ def _enumerate_cells(net: ReluNetwork, lp_tol: float) -> list:
                 eqs = at[vert, None] + zs.reshape(-1, n0 + 1)
                 agree = dict(zip(vert, _solvable(unit[eqs], unit_off[eqs]).tolist()))
             refined = {}
-            for i, (word, (x, d)) in enumerate(regions.items()):
+            for i, (word, x) in enumerate(regions.items()):
                 if const[i]:
-                    pieces = [(1 if offsets[r[i]] > 0 else -1, x, d)]
+                    pieces = [(1 if offsets[r[i]] > 0 else -1, x)]
                 elif read.get(i):
                     pieces = read[i]
                 else:
                     side = 1 if v[i] > 0 else -1
-                    pieces = [(side, x, d)] if abs(v[i]) > near else []
+                    pieces = [(side, x)] if abs(v[i]) > near else []
                     todo = [t for t in (-1, 0, 1) if not pieces or t != side]
                     for sign in todo if agree.get(i, True) else []:
                         y = _witness(_hrep_for(net, word + (sign,), tables[pid[i]]), lp_tol)
-                        # A vertex's zero piece, past n0 zeros, gets a negative
-                        # dim: _closures takes it before the words it bounds.
                         # A last-step piece is a word, and acceptance keeps y.
                         if y is not None:
-                            pieces.append((sign, y, d - (sign == 0)))
+                            pieces.append((sign, y))
                             witnessed.add(word + (sign,))
-                for sign, y, dd in pieces:
-                    refined[word + (sign,)] = (y, dd)
+                for sign, y in pieces:
+                    refined[word + (sign,)] = y
             regions = refined
         # Acceptance tests every word of the layer in one pass, in word
         # order up to the first vanishing parent, which then raises.
         words = sorted(w for w in regions if not vanishing or w < parents[dead[0]])
-        points = np.array([regions[w][0] for w in words]).reshape(-1, n0)
+        points = np.array([regions[w] for w in words]).reshape(-1, n0)
         pid = np.array([index[w[:off]] for w in words], dtype=int)
         stage = _accept(net, words, points, tables, pid, witnessed, lp_tol)
         if vanishing:
@@ -841,16 +841,13 @@ def _flag_flat(cpx: CanonicalComplex) -> None:
 
 def _assemble(net, cell_signs, sign_tol, lp_tol) -> CanonicalComplex:
     """Complex on the given cells: flat flags, vertex table, injectivity."""
-    n0 = net.n0
-    cells = {s: Cell(s, n0 - s.count(0)) for s in cell_signs}
+    cells = {s: Cell(s, net.n0 - s.count(0)) for s in cell_signs}
     cpx = CanonicalComplex(net, cells, {}, lp_tol)
 
     _flag_flat(cpx)
-    vertices = {}
-    for signs in (s for s, c in cells.items() if c.dim == 0):
-        loc = _vertex_location(signs, cpx.table(signs))
-        vertices[signs] = VertexRecord(signs, loc, net.evaluate(loc))
-    cpx.vertices = dict(sorted(vertices.items()))
+    words = sorted(s for s, c in cells.items() if c.dim == 0)
+    locs = _vertex_locations(cpx, words) if words else []
+    cpx.vertices = {v: VertexRecord(v, loc, net.evaluate(loc)) for v, loc in zip(words, locs)}
     _check_injective(list(cpx.vertices.values()), sign_tol)
     return cpx
 

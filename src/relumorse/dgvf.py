@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,7 @@ from .errors import (
     UnboundedCellError,
 )
 from .lp import lp_solve
-from .network import ReluNetwork, Signs, cell_affine_form, node_maps, signs_to_str
+from .network import ReluNetwork, Signs, node_maps, signs_to_str
 from .orientation import VertexClassification, classify_signs, classify_vertex
 
 #: Identifier of the compactification basepoint (a critical 0-cell at -inf).
@@ -76,7 +77,7 @@ class Matching:
     def validate(self, cpx: CanonicalComplex) -> list:
         """Return a list of invariant violations (empty when valid)."""
         problems = []
-        seen = {}
+        seen = Counter()
         for lo, up in self.pairs:
             cl, cu = cpx.cells.get(lo), cpx.cells.get(up)
             if cl is None or cu is None:
@@ -86,27 +87,17 @@ class Matching:
                 problems.append(f"pair ({signs_to_str(lo)}, {signs_to_str(up)}) dimension step != 1")
             if not is_face(lo, up):
                 problems.append(f"{signs_to_str(lo)} is not a facet of {signs_to_str(up)}")
-            for s in (lo, up):
-                seen[s] = seen.get(s, 0) + 1
-        for c in self.critical:
-            seen[c] = seen.get(c, 0) + 1
+            seen.update((lo, up))
+        seen.update(self.critical)
         dupes = [s for s, k in seen.items() if k > 1]
         problems.extend(f"cell {signs_to_str(s)} used more than once" for s in dupes)
-        covered = set(seen)
         expected = {s for s, c in cpx.cells.items() if cpx.is_bounded_above(c)}
-        if covered != expected:
-            missing = expected - covered
-            extra = covered - expected
-            if missing:
-                problems.append(
-                    "uncovered bounded-above cells: "
-                    + ", ".join(signs_to_str(s) for s in sorted(missing))
-                )
-            if extra:
-                problems.append(
-                    "cells outside the bounded-above subcomplex: "
-                    + ", ".join(signs_to_str(s) for s in sorted(extra))
-                )
+        for label, cells in (
+            ("uncovered bounded-above cells", expected - set(seen)),
+            ("cells outside the bounded-above subcomplex", set(seen) - expected),
+        ):
+            if cells:
+                problems.append(f"{label}: " + ", ".join(signs_to_str(s) for s in sorted(cells)))
         return problems
 
 
@@ -425,6 +416,8 @@ def local_pair(
     signs = tuple(signs)
     if len(signs) != net.total_neurons:
         raise DimensionError(f"expected {net.total_neurons} sign entries, got {len(signs)}")
+    if any(s not in _OCTAL for s in signs):
+        raise ValueError("sign entries must be -1, 0 or +1")
     memo = {} if _classified is None else _classified
     entry = _entry(net, {} if _tables is None else _tables, signs)
     if not _constant_rows_hold(net, signs, entry[0]):
@@ -432,8 +425,8 @@ def local_pair(
     cls = _certified_vertex(signs, entry, memo.get(signs, ()), lp_tol)
     if cls is None:
         rep = _hrep_for(net, signs, entry[0])
-        form = cell_affine_form(net, signs, entry[0])
-        res = lp_solve(_cell_problem(rep, form.total_gradient), feas_tol=lp_tol)
+        grad = entry[0].f_affine(net.final, [signs[-net.final.in_dim :]])[0][0]
+        res = lp_solve(_cell_problem(rep, grad), feas_tol=lp_tol)
         if res.status == "unbounded":
             raise UnboundedCellError(
                 f"F is unbounded above on cell {signs_to_str(signs)}"

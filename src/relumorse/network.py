@@ -1,4 +1,4 @@
-"""ReLU network weights, evaluation, node maps, and per-cell affine forms.
+"""ReLU network weights, evaluation and node maps.
 
 A network is the data of hidden affine layers ``A_1 .. A_m`` followed by a
 final affine map ``G`` to the reals; the associated function is
@@ -7,8 +7,10 @@ final affine map ``G`` to the reals; the associated function is
 
 On a cell with a fixed activation pattern every node map (pre-activation of
 one neuron, as a function of the input) is affine; :func:`node_maps` stacks
-those affine forms in sign-word order, and :func:`cell_affine_form` adds the
-total restricted gradient of F.  Both mask rows whose pattern entry is not +1.
+those affine forms in sign-word order, masking rows whose pattern entry is
+not +1, and :meth:`NodeMaps.f_affine` gives F's restricted gradient and
+offset on the cells of one table.  A cell's affine data is its parent
+cell's table: no other copy is kept.
 """
 
 from __future__ import annotations
@@ -221,14 +223,6 @@ class NodeMaps:
         return masked @ self.rows[-n_m:], masked @ self.offsets[-n_m:] + final.bias
 
 
-@dataclass(frozen=True)
-class CellAffineForm(NodeMaps):
-    """Affine restrictions of every node map and of F to one cell."""
-
-    total_gradient: np.ndarray
-    total_offset: float
-
-
 def node_maps(net: ReluNetwork, signs) -> NodeMaps:
     """Node maps of layers 1..k on the cell ``signs`` of layers 1..k-1.
 
@@ -253,26 +247,6 @@ def node_maps(net: ReluNetwork, signs) -> NodeMaps:
         used += layer.out_dim
     rows, offsets = np.concatenate(rows, axis=1), np.concatenate(offsets, axis=1)[..., 0]
     return NodeMaps(rows, offsets) if words.ndim == 2 else NodeMaps(rows[0], offsets[0])
-
-
-def cell_affine_form(net: ReluNetwork, signs: Signs, table=None) -> CellAffineForm:
-    """Affine restriction of F and of every node map to the cell ``signs``.
-
-    F's restriction is :meth:`NodeMaps.f_affine` of the one cell.
-    ``table`` is ``node_maps(net, signs[:-n_m])`` when the caller has it: the
-    cells of one parent cell share it.
-    """
-    if len(signs) != net.total_neurons:
-        raise DimensionError(
-            f"expected {net.total_neurons} sign entries, got {len(signs)}"
-        )
-    if any(s not in (-1, 0, 1) for s in signs):
-        raise ValueError("sign entries must be -1, 0 or +1")
-    n_m = net.layers[-1].out_dim
-    if table is None:
-        table = node_maps(net, signs[:-n_m])
-    grad, offset = table.f_affine(net.final, [signs[-n_m:]])
-    return CellAffineForm(table.rows, table.offsets, grad[0], float(offset[0]))
 
 
 def random_network(arch: Architecture, seed: int, scale: float = 1.0) -> ReluNetwork:
@@ -322,33 +296,36 @@ def to_weight_dict(net: ReluNetwork) -> dict:
 
 
 def from_weight_dict(data: dict) -> ReluNetwork:
-    """Parse the weight-file schema, validating names, shapes and finiteness."""
+    """Parse the weight-file schema, validating names, shapes and finiteness;
+    every fault is a ValueError naming its field."""
     if not isinstance(data, dict):
         raise ValueError("weight file must be a JSON object")
     for key in ("dims", "layers", "final"):
         if key not in data:
             raise ValueError(f"weight file missing field {key!r}")
-    arch = Architecture.from_full(data["dims"])
+    try:
+        arch = Architecture.from_full(data["dims"])
+    except ArchitectureError as exc:
+        raise ValueError(f"dims: {exc}") from None
     raw_layers = data["layers"]
     if len(raw_layers) != len(arch.hidden):
         raise ValueError(
             f"expected {len(arch.hidden)} hidden layers, got {len(raw_layers)}"
         )
+    named = [*((f"layer {k}", e) for k, e in enumerate(raw_layers, 1)), ("final", data["final"])]
     layers = []
-    for k, entry in enumerate(raw_layers):
-        layer = AffineLayer(entry["weights"], entry["bias"])
-        expect = (arch.dims[k + 1], arch.dims[k])
+    # Map k sends R^dims[k] to R^dims[k + 1], the final one to R.
+    for (name, entry), expect in zip(named, zip(arch.full()[1:], arch.dims)):
+        for key in ("weights", "bias"):
+            if not isinstance(entry, dict) or key not in entry:
+                raise ValueError(f"{name} missing field {key!r}")
+        try:
+            layer = AffineLayer(entry["weights"], entry["bias"])
+        except ArchitectureError as exc:
+            raise ValueError(f"{name}: {exc}") from None
         if layer.weights.shape != expect:
-            raise ValueError(
-                f"layer {k + 1} weights have shape {layer.weights.shape}, expected {expect}"
-            )
-        layers.append(layer)
-    final = AffineLayer(data["final"]["weights"], data["final"]["bias"])
-    if final.weights.shape != (1, arch.dims[-1]):
-        raise ValueError(
-            f"final weights have shape {final.weights.shape}, expected (1, {arch.dims[-1]})"
-        )
-    for name, layer in [*((f"layer {k}", l) for k, l in enumerate(layers, 1)), ("final", final)]:
+            raise ValueError(f"{name} weights have shape {layer.weights.shape}, expected {expect}")
         if not (np.isfinite(layer.weights).all() and np.isfinite(layer.bias).all()):
             raise ValueError(f"{name} has a non-finite weight or bias")
-    return ReluNetwork(tuple(layers), final)
+        layers.append(layer)
+    return ReluNetwork(tuple(layers[:-1]), layers[-1])

@@ -140,7 +140,7 @@ def orientation_field(cpx: CanonicalComplex) -> dict:
         rep = cpx.hrep(signs)
         _, _, vh = np.linalg.svd(rep.a_eq)
         d = vh[-1]
-        g = cpx.form(signs).total_gradient
+        g = cpx.f_affine(signs)[0]
         slope = float(g @ d)
         if _is_flat(slope, float(np.linalg.norm(g))):
             continue

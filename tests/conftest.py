@@ -25,13 +25,13 @@ from relumorse.complex import (
     _FLAT_TOL,
     _RANK_TOL,
     _SAMPLE_RESID,
+    _VERTEX_RESID,
     _ZERO_OFFSET,
     _cell_problem,
     _cut,
     _edges_at,
     _hrep_for,
     _is_flat,
-    _vertex_location,
     _witness,
 )
 from relumorse.errors import (
@@ -42,7 +42,7 @@ from relumorse.errors import (
     StructuredError,
 )
 from relumorse.lp import FEAS_TOL, LpProblem, LpResult, _optimum, lp_solve
-from relumorse.network import NodeMaps, cell_affine_form
+from relumorse.network import NodeMaps, node_maps
 
 
 def make_net_b_negated() -> ReluNetwork:
@@ -253,7 +253,7 @@ def interior_witness(a_eq, b_eq, a_ge, b_ge, feas_tol=FEAS_TOL):
 def interior_witness_of(net, signs, lp_tol) -> tuple:
     """(point, worst slack capped at 1) of the interior-witness LP on the
     cell ``signs``; GenericityError when it finds no interior point."""
-    rep = _hrep_for(net, signs, cell_affine_form(net, signs))
+    rep = _hrep_for(net, signs, node_maps(net, signs[: -net.final.in_dim]))
     found = interior_witness(rep.a_eq, rep.b_eq, rep.a_ge, rep.b_ge, feas_tol=lp_tol)
     if found is None:
         raise GenericityError(f"cell {signs_to_str(signs)} has no interior witness")
@@ -272,11 +272,65 @@ def container_top_cell(cpx, signs):
     raise GenericityError(f"no top cell of the complex contains {signs_to_str(signs)}")
 
 
+def vertex_location_on(signs, table) -> np.ndarray:
+    """Solve the n0 x n0 system of the vertex's zero node maps on ``table``
+    alone, raising as ``complex._vertex_locations`` does for the stack."""
+    zero_pos = [p for p, s in enumerate(signs) if s == 0]
+    mat, rhs = table.rows[zero_pos], -table.offsets[zero_pos]
+    try:
+        loc = np.linalg.solve(mat, rhs) + 0.0  # clear negative zeros
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(
+            f"singular vertex system for {signs_to_str(signs)}"
+        ) from exc
+    resid = float(np.abs(mat @ loc - rhs).max())
+    if not np.isfinite(loc).all() or resid > _VERTEX_RESID * max(1.0, float(np.abs(rhs).max())):
+        raise SingularSystemError(
+            f"ill-conditioned vertex system for {signs_to_str(signs)}"
+        )
+    return loc
+
+
+def own_table_vertex_location(cpx, signs) -> np.ndarray:
+    """A vertex's location solved alone on its own table: the per-vertex
+    loop that ``complex._vertex_locations``' one stacked solve replaced."""
+    return vertex_location_on(signs, cpx.table(signs))
+
+
 def reference_vertex_location(cpx, signs) -> np.ndarray:
     """A vertex's location solved on the node-map rows of the first top cell
     that contains it: the reference for ``complex._assemble``, which solves
     on the vertex's own table."""
-    return _vertex_location(signs, cpx.form(container_top_cell(cpx, signs)))
+    return vertex_location_on(signs, cpx.table(container_top_cell(cpx, signs)))
+
+
+@dataclass(frozen=True)
+class AffineForm:
+    """A cell's node-map rows and offsets, and F's gradient and offset on it."""
+
+    rows: np.ndarray
+    offsets: np.ndarray
+    total_gradient: np.ndarray
+    total_offset: float
+
+
+def affine_form(net, signs, table) -> AffineForm:
+    """:class:`AffineForm` of the cell ``signs`` on a node-map ``table`` of
+    its parent: F's part is ``NodeMaps.f_affine`` of that one cell."""
+    signs, n_m = tuple(signs), net.final.in_dim
+    grad, offset = table.f_affine(net.final, [signs[-n_m:]])
+    return AffineForm(table.rows, table.offsets, grad[0], float(offset[0]))
+
+
+def complex_forms(cpx):
+    """Sign word -> :class:`AffineForm` on the complex's own tables, F's part
+    read by ``CanonicalComplex.f_affine``."""
+
+    def form(signs):
+        table = cpx.table(signs)
+        return AffineForm(table.rows, table.offsets, *cpx.f_affine(signs))
+
+    return form
 
 
 def vertex_facets_scan(cpx, cell) -> list:
@@ -380,7 +434,7 @@ def reference_sup(cpx, cell, sense=1) -> tuple:
             return float("inf"), False
         except (FlatCellError, SingularSystemError):
             pass
-    form = cpx.form(signs)
+    form = complex_forms(cpx)(signs)
     res = lp_solve(
         _cell_problem(cpx.hrep(signs), sense * form.total_gradient), feas_tol=cpx.lp_tol
     )
@@ -454,7 +508,7 @@ def lp_max(cpx, cell, sense=1) -> float:
     read off vertex values or rays nor solved by ``lp_solve``; +inf when the
     LP has no optimum."""
     signs = cell.signs if isinstance(cell, Cell) else tuple(cell)
-    form = cpx.form(signs)
+    form = complex_forms(cpx)(signs)
     problem = _cell_problem(cpx.hrep(signs), sense * form.total_gradient)
     res = reference_simplex(problem, cpx.lp_tol)
     return res.value + sense * form.total_offset if res.optimal else float("inf")
@@ -506,8 +560,7 @@ def reference_flatness(cpx) -> None:
     for cell in cells.values():
         if cell.dim == 0:
             continue
-        form = cpx.form(cell.signs)
-        g = form.total_gradient
+        g = cpx.f_affine(cell.signs)[0]
         rep = cpx.hrep(cell.signs)
         if rep.a_eq.shape[0]:
             _, _, vh = np.linalg.svd(rep.a_eq)
@@ -525,7 +578,7 @@ def reference_flatness(cpx) -> None:
 
 def closure_generators(regions: dict, closure, rows):
     """Vertex points of a region of the refined complex ``regions``
-    ({word: (point, dim)}) with the given ``closure`` (facets, vertices,
+    ({word: point}) with the given ``closure`` (facets, vertices,
     rays), and the vertex points and directions of its rays; None when the
     closure holds no vertex.  A ray's direction solves the parent cell's
     node-map ``rows`` at its vertex's zeros."""
@@ -539,12 +592,12 @@ def closure_generators(regions: dict, closure, rows):
         dirs = np.linalg.solve(rows[zeros.reshape(-1, n0)], rhs.reshape(-1, n0, 1))[..., 0]
     except np.linalg.LinAlgError:
         dirs = np.zeros((len(rays), n0))  # a zero-length ray: the tolerance band
-    points = np.array([regions[w][0] for w in verts])
-    return points, np.array([regions[v][0] for v, _ in rays]).reshape(-1, n0), dirs
+    points = np.array([regions[w] for w in verts])
+    return points, np.array([regions[v] for v, _ in rays]).reshape(-1, n0), dirs
 
 
-def generator_pieces(gens, d, a, b, near):
-    """(sign, point, dim) of the pieces the hyperplane a.x = b cuts from a
+def generator_pieces(gens, a, b, near):
+    """(sign, point) of the pieces the hyperplane a.x = b cuts from a
     region with the given closure generators; None in the tolerance band.
     One region at a time: the reference for ``complex._closure_pieces``."""
     verts, origins, dirs = gens
@@ -568,7 +621,7 @@ def generator_pieces(gens, d, a, b, near):
     u = -s * float(a @ q - b)
     if abs(u) <= near or float(np.abs([x, q]).max()) > _FAR:
         return None
-    return _cut(x, d, s, v, q, u, near)
+    return _cut(x, s, v, q, u, near)
 
 
 # -- per-parent build steps that the stacked ones replaced: references ------

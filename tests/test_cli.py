@@ -388,14 +388,66 @@ def test_auto_sized_render_draws_every_line():
             assert render_svg(cpx).count("<line") == ones, (arch, seed)
 
 
-def test_malformed_input_exit_1(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert run(["build", "-i", str(bad), "-o", str(tmp_path / "c.json")]) == 1
-    missing_field = tmp_path / "missing.json"
-    missing_field.write_text(json.dumps({"dims": [2, 3, 1]}))
-    assert run(["build", "-i", str(missing_field), "-o", str(tmp_path / "c.json")]) == 1
-    assert run(["build", "-i", str(tmp_path / "absent.json")]) == 1
+def _edited(edit) -> str:
+    """NET-B's weight file text after ``edit`` of its dict."""
+    data = to_weight_dict(net_b())
+    edit(data)
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param("{not json", "Expecting property name", id="not-json"),
+        pytest.param(json.dumps({"dims": [2, 3, 1]}), "missing field 'layers'", id="missing-field"),
+        pytest.param(None, "No such file", id="absent-file"),
+        # The schema's faults: each a ValueError naming its field.
+        pytest.param("[2, 3, 1]", "weight file must be a JSON object", id="non-object"),
+        pytest.param(_edited(lambda d: d.update(dims=[2])), "dims: expected (n0, ...", id="short-dims"),
+        pytest.param(
+            _edited(lambda d: d["layers"].append(d["layers"][0])),
+            "expected 1 hidden layers, got 2",
+            id="layer-count",
+        ),
+        pytest.param(
+            _edited(lambda d: d.update(dims=[3, 3, 1])),
+            "layer 1 weights have shape (3, 2), expected (3, 3)",
+            id="layer-shape",
+        ),
+        pytest.param(
+            _edited(lambda d: d["layers"][0]["bias"].pop()),
+            "layer 1: inconsistent layer shapes: weights (3, 2), bias (2,)",
+            id="bias-rows",
+        ),
+        pytest.param(
+            _edited(lambda d: d["final"]["weights"][0].pop()),
+            "final weights have shape (1, 2), expected (1, 3)",
+            id="final-shape",
+        ),
+        pytest.param(
+            _edited(lambda d: d["layers"][0].pop("bias")),
+            "layer 1 missing field 'bias'",
+            id="missing-bias",
+        ),
+    ],
+)
+def test_malformed_input_exit_1(tmp_path, capsys, text, message):
+    # Unreadable input and every weight-file schema fault exit 1 with one
+    # "error:" line that names the fault, and write no output.
+    weights, output = tmp_path / "w.json", tmp_path / "c.json"
+    if text is not None:
+        weights.write_text(text)
+    assert run(["build", "-i", str(weights), "-o", str(output)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1, err
+    assert not output.exists()
+
+
+def test_unknown_fixture_exit_1(tmp_path, capsys):
+    output = tmp_path / "w.json"
+    assert run(["gen", "--fixture", "nope", "-o", str(output)]) == 1
+    assert "error: unknown fixture 'nope'; known: ['net-b']" in capsys.readouterr().err
+    assert not output.exists()
 
 
 @pytest.mark.parametrize(

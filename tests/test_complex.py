@@ -19,7 +19,7 @@ from relumorse import (
     signs_from_str,
     signs_to_str,
 )
-from relumorse.complex import VertexRecord, _edge_slopes, _hrep_for, _vertex_location
+from relumorse.complex import VertexRecord, _edge_slopes, _hrep_for
 from relumorse.errors import (
     FlatCellError,
     GenericityError,
@@ -27,11 +27,13 @@ from relumorse.errors import (
     SingularSystemError,
     StructuredError,
 )
-from relumorse.network import NodeMaps, cell_affine_form, node_maps
+from relumorse.network import NodeMaps
 from relumorse.orientation import classify_signs, classify_vertex
 
 from conftest import (
+    affine_form,
     cofacets,
+    complex_forms,
     edge_outcome,
     facets_scan,
     interior_witness_of,
@@ -47,6 +49,7 @@ from conftest import (
     single_hyperplane_complex,
     star,
     vertex_facets_scan,
+    vertex_location_on,
 )
 
 S = signs_from_str
@@ -158,8 +161,9 @@ def test_face_poset_matches_cofacet_closure(cpx_b):
 
 
 def test_vertex_location_examples(cpx_b):
-    assert np.allclose(_vertex_location(S("+00"), cpx_b.table(S("+00"))), [1.0, 0.0])
-    assert np.allclose(_vertex_location(S("00+"), cpx_b.table(S("00+"))), [0.0, 0.0])
+    locations = complex_module._vertex_locations(cpx_b, [S("+00"), S("00+")])
+    assert np.allclose(locations, [[1.0, 0.0], [0.0, 0.0]])
+    assert np.allclose(cpx_b.vertices[S("+00")].location, [1.0, 0.0])
 
 
 def test_vertex_location_homogeneous_identity_net():
@@ -167,7 +171,8 @@ def test_vertex_location_homogeneous_identity_net():
         (AffineLayer([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0]),),
         AffineLayer([[1.0, 1.0]], [0.0]),
     )
-    assert np.allclose(_vertex_location((0, 0), node_maps(net, ())), [0.0, 0.0])
+    cpx = complex_module.CanonicalComplex(net, {}, {}, 1e-7)
+    assert np.allclose(complex_module._vertex_locations(cpx, [(0, 0)]), [[0.0, 0.0]])
 
 
 def test_hrep_reads_table_rows_in_sign_word_order():
@@ -218,7 +223,7 @@ def test_hrep_matches_row_by_row_loop(differential_draws):
     for _, _, cpx in differential_draws:
         for signs in cpx.cells:
             rep = cpx.hrep(signs)
-            *arrays, ge_pos = _hrep_by_row(cpx.form(signs), signs)
+            *arrays, ge_pos = _hrep_by_row(cpx.table(signs), signs)
             assert rep.ge_positions == tuple(ge_pos)
             for got, want in zip((rep.a_eq, rep.b_eq, rep.a_ge, rep.b_ge), arrays):
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -342,12 +347,15 @@ def test_f_max_takes_the_lp_where_the_first_ray_is_broken(monkeypatch):
 
 def test_after_build_forms_are_built_only_for_edge_slopes(monkeypatch):
     # Flat flags, F's maxima and the compactified complex read per-table
-    # products and the facet map: no affine form is built, the only tables
-    # asked for after build are those of the edge-slope solves' top cells,
-    # 1 + n0 per vertex at most, in one call, and the union of closure
-    # vertices and rays is never built for the finished complex.
+    # products and the facet map: no cell's affine form is read on its own
+    # (CanonicalComplex.f_affine) and no table's F product is taken after
+    # build, the only tables asked for after build are those of the
+    # edge-slope solves' top cells, 1 + n0 per vertex at most, in one call,
+    # and the union of closure vertices and rays is never built for the
+    # finished complex.
     forms, unions, inside, asked = [], [], [], []
-    real_form, real_closures = complex_module.cell_affine_form, complex_module._closures
+    real_form, real_closures = complex_module.CanonicalComplex.f_affine, complex_module._closures
+    real_product = NodeMaps.f_affine
     real_enumerate = complex_module._enumerate_cells
 
     def enumerate_cells(*args):
@@ -365,11 +373,14 @@ def test_after_build_forms_are_built_only_for_edge_slopes(monkeypatch):
     monkeypatch.setattr(complex_module, "_enumerate_cells", enumerate_cells)
     monkeypatch.setattr(complex_module, "_closures", closures)
     monkeypatch.setattr(
-        complex_module,
-        "cell_affine_form",
-        lambda net, s, table=None: forms.append(s) or real_form(net, s, table),
+        complex_module.CanonicalComplex,
+        "f_affine",
+        lambda self, s: forms.append(s) or real_form(self, s),
     )
     cpx = build_complex(random_network(Architecture.from_full((4, 7, 1)), seed=0))
+    monkeypatch.setattr(
+        NodeMaps, "f_affine", lambda self, *args: forms.append(args) or real_product(self, *args)
+    )
     real_tables = cpx.tables
     monkeypatch.setattr(cpx, "tables", lambda prefixes: asked.append(prefixes) or real_tables(prefixes))
     build_dgvf(cpx)
@@ -474,15 +485,19 @@ def test_slopes_are_solved_once_per_vertex_and_edge(monkeypatch):
 def _broken_tables(cpx, net, broken: dict):
     """(tables, form_of): ``cpx``'s node-map tables as ``_edge_slopes`` reads
     them and the affine forms on them, with the tables of the prefixes in
-    ``broken`` ({prefix: "flat" | "singular" | "nan"}) broken that way.
-    "flat" zeroes the last layer's rows, so F's gradient vanishes on their
-    cells; the others scale every row by 0 or nan."""
-    n_m = net.layers[-1].out_dim
+    ``broken`` ({prefix: "flat" | "singular" | "nan" | "ill"}) broken that
+    way.  "flat" zeroes the last layer's rows, so F's gradient vanishes on
+    their cells; "ill" makes the rows of a 2-input net nearly parallel,
+    (1, 1 + 1e-13 p) at row p; the others scale every row by 0 or nan."""
+    n_m, real = net.layers[-1].out_dim, cpx.tables
 
     def table(prefix):
-        t, kind = cpx.tables([prefix])[0], broken.get(tuple(prefix))
+        t, kind = real([prefix])[0], broken.get(tuple(prefix))
         if kind == "flat":
             return NodeMaps(np.vstack([t.rows[:-n_m], 0.0 * t.rows[-n_m:]]), t.offsets)
+        if kind == "ill":
+            p = np.arange(len(t.rows))
+            return NodeMaps(np.column_stack([np.ones(len(p)), 1.0 + 1e-13 * p]), t.offsets)
         if kind:
             return NodeMaps(t.rows * (0.0 if kind == "singular" else np.nan), t.offsets)
         return t
@@ -491,7 +506,7 @@ def _broken_tables(cpx, net, broken: dict):
         parts = [table(p) for p in prefixes]
         return NodeMaps(np.array([t.rows for t in parts]), np.array([t.offsets for t in parts]))
 
-    return tables, lambda signs: cell_affine_form(net, signs, table(signs[:-n_m]))
+    return tables, lambda signs: affine_form(net, signs, table(signs[:-n_m]))
 
 
 def _layer_one_vertex():
@@ -521,6 +536,41 @@ def test_stacked_edge_slopes_raise_as_the_first_failing_edge(kind, sigma):
     expected = {w: edge_outcome(lambda: reference_edge_slopes(w, form_of)) for w in cpx.vertices}  # noqa: B023
     assert isinstance(expected[v], tuple) and issubclass(expected[v][0], StructuredError)
     assert _stack_outcomes(net, cpx, tables) == expected
+
+
+@pytest.mark.parametrize(
+    "kinds, failing, kind",
+    [
+        (("singular", None), 0, "singular"),
+        (("nan", None), 0, "ill-conditioned"),
+        ((None, "ill"), 1, "ill-conditioned"),
+        (("ill", "singular"), 0, "ill-conditioned"),
+        ((None, "singular"), 1, "singular"),
+    ],
+)
+def test_stacked_vertex_solve_raises_at_the_first_failing_vertex(monkeypatch, kinds, failing, kind):
+    # The tables of two parents of (2,8,8,1) s0's vertices broken as
+    # ``kinds``: the one stacked solve of all vertices raises the error,
+    # class and message, that the vertices solved one by one in word
+    # order raise first, at the first vertex of parent ``failing``.
+    net, cpx, _ = _layer_one_vertex()
+    words, n_m = sorted(cpx.vertices), net.layers[-1].out_dim
+    prefixes = [words[10][:-n_m], words[40][:-n_m]]
+    tables, form_of = _broken_tables(cpx, net, {p: k for p, k in zip(prefixes, kinds) if k})
+    expected = None
+    for v in words:
+        try:
+            loc = vertex_location_on(v, form_of(v))
+        except SingularSystemError as exc:
+            expected = str(exc)
+            break
+        assert np.isfinite(loc).all()
+    first = min(v for v in words if v[:-n_m] == prefixes[failing])
+    assert expected == f"{kind} vertex system for {signs_to_str(first)}"
+    monkeypatch.setattr(cpx, "tables", tables)
+    with pytest.raises(SingularSystemError) as caught:
+        complex_module._vertex_locations(cpx, words)
+    assert str(caught.value) == expected
 
 
 def test_flat_first_edge_beats_a_later_singular_edge():
@@ -570,7 +620,7 @@ def test_failed_vertices_raise_and_fall_back_as_solved_one_by_one(case, monkeypa
         _, net, cpx = scan_generic_nets((2, 8), 1)[0]
         ends = sorted({v for s in cpx.cells for v, _ in cpx.closure(s)[2]})
         _singular_edges_at(monkeypatch, cpx, ends[len(ends) // 2])
-    expected = {v: edge_outcome(lambda: reference_edge_slopes(v, cpx.form)) for v in cpx.vertices}  # noqa: B023
+    expected = {v: edge_outcome(lambda: reference_edge_slopes(v, complex_forms(cpx))) for v in cpx.vertices}  # noqa: B023
     failed = {v for v, out in expected.items() if isinstance(out, tuple)}
     assert failed and len(failed) < len(expected)
     for v, out in expected.items():
@@ -580,7 +630,7 @@ def test_failed_vertices_raise_and_fall_back_as_solved_one_by_one(case, monkeypa
             got = classify_vertex(cpx, v)
         except StructuredError as exc:
             got = type(exc), str(exc)
-        want = out if v in failed else classify_signs(v, reference_edge_slopes(v, cpx.form))
+        want = out if v in failed else classify_signs(v, reference_edge_slopes(v, complex_forms(cpx)))
         assert got == want, v
     lps, fallbacks = _count_lps(monkeypatch), 0
     for signs, cell in cpx.cells.items():

@@ -1,3 +1,4 @@
+import copy
 import itertools
 from collections import Counter
 
@@ -49,6 +50,55 @@ def test_pair_regular_examples(cpx_b):
     assert pairs == sorted([(S("00+"), S("+0+")), (S("0++"), S("+++"))])
     cls = classify_vertex(cpx_b, S("0+0"))
     assert pair_lower_star(cpx_b, cls)[0] == [(S("0+0"), S("++0"))]
+
+
+_NET_B_PAIRS = (("00+", "+0+"), ("0+0", "++0"), ("0++", "+++"))
+
+
+def _words(*texts) -> tuple:
+    return tuple(tuple(S(t) for t in item) if isinstance(item, tuple) else S(item) for item in texts)
+
+
+@pytest.mark.parametrize(
+    "pairs, critical, problems",
+    [
+        (_NET_B_PAIRS, ("+00",), []),
+        (
+            (("00+", "+0+"), ("0+0", "++++"), ("0++", "+++")),
+            ("+00",),
+            ["pair (0+0, ++++) not in complex", "uncovered bounded-above cells: 0+0, ++0"],
+        ),
+        (
+            (("00+", "+0+"), ("0+0", "++0"), ("+00", "+++")),
+            ("0++",),
+            ["pair (+00, +++) dimension step != 1"],
+        ),
+        (
+            (("00+", "++0"), ("0+0", "+0+"), ("0++", "+++")),
+            ("+00",),
+            ["00+ is not a facet of ++0", "0+0 is not a facet of +0+"],
+        ),
+        (_NET_B_PAIRS, ("+00", "00+"), ["cell 00+ used more than once"]),
+        (_NET_B_PAIRS, (), ["uncovered bounded-above cells: +00"]),
+        (_NET_B_PAIRS, ("+00", "-0+"), ["cells outside the bounded-above subcomplex: -0+"]),
+    ],
+    ids=["valid", "outside", "dimension-step", "non-facet", "duplicate", "uncovered", "extra"],
+)
+def test_validate_names_each_broken_invariant(cpx_b, pairs, critical, problems):
+    # NET-B's matching, hand-corrupted: each broken invariant is named.
+    assert Matching(_words(*pairs), _words(*critical)).validate(cpx_b) == problems
+
+
+def test_pair_lower_star_rejects_a_missing_lower_star_cell(cpx_b):
+    # The complex less the 2-cell of 00+'s lower star: its pairing, and so
+    # build_dgvf, raises for the missing cell.
+    broken = copy.copy(cpx_b)
+    broken.cells = {s: c for s, c in cpx_b.cells.items() if s != S("+++")}
+    message = "lower-star cell \\+\\+\\+ missing from the complex"
+    with pytest.raises(IncompletePairingError, match=message):
+        pair_lower_star(broken, classify_vertex(cpx_b, S("00+")))
+    with pytest.raises(IncompletePairingError, match=message):
+        build_dgvf(broken)
 
 
 def test_pair_regular_covers_half_the_lower_star(cpx_b):
@@ -229,6 +279,8 @@ def test_local_pair_examples(netb):
     assert a.role == "upper" and a.partner == S("00+")
     with pytest.raises(UnboundedCellError):
         local_pair(netb, S("-0+"))
+    with pytest.raises(ValueError, match=r"sign entries must be -1, 0 or \+1"):
+        local_pair(netb, (2, 1, 1))
 
 
 @pytest.mark.parametrize("length", [4, 6])
@@ -472,7 +524,7 @@ def test_memo_does_not_hide_unbounded_cells(netb, monkeypatch):
 
 def _forge_lp_vertex(monkeypatch, net, signs, vertex):
     # An LP optimum whose tight >= rows are the zeros of ``vertex``.
-    rep = dgvf_module._hrep_for(net, signs, dgvf_module.cell_affine_form(net, signs))
+    rep = dgvf_module._hrep_for(net, signs, dgvf_module.node_maps(net, signs[: -net.final.in_dim]))
     tight = tuple(r for r, p in enumerate(rep.ge_positions) if vertex[p] == 0)
     forged = LpResult("optimal", 0.0, None, tight)
     monkeypatch.setattr(dgvf_module, "lp_solve", lambda *a, **k: forged)

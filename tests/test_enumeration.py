@@ -17,7 +17,9 @@ in closed form.  The stacked closure split must agree with
 the per-region ``conftest.generator_pieces``, the stacked flat-flag test
 with the per-cell loop of ``conftest.reference_flatness``, the stacked
 edge solve with the per-edge ``conftest.reference_edge_slopes``, each
-vertex's own-table location with ``conftest.reference_vertex_location``, each
+vertex's own-table location with ``conftest.reference_vertex_location``, and
+the one stacked solve of all vertices with ``conftest``'s solve of each
+vertex alone on its own table, each
 layer's one acceptance pass with the per-parent ``conftest.reference_accept``,
 the batched residual with ``conftest.reference_consistent``'s lstsq, and the
 stacked node-map tables with the per-word ``conftest.reference_node_maps``.
@@ -35,10 +37,12 @@ import pytest
 from conftest import (
     SWEEP_ACCEPTED,
     closure_generators,
+    complex_forms,
     edge_outcome,
     generator_pieces,
     interior_witness,
     interior_witness_of,
+    own_table_vertex_location,
     reference_accept,
     reference_consistent,
     reference_edge_slopes,
@@ -474,11 +478,10 @@ def test_closed_form_layer_one_matches_the_declined_build(monkeypatch):
         out = real(tables, n0, n_1, lp_tol)
         calls[-1].append(out is not None)
         unit, unit_off = (u[0] for u in tables.unit)
-        for word, (x, dim) in (out or {}).items():
+        for word, x in (out or {}).items():
             s, v = np.array(word), unit @ x - unit_off
             assert (s * v > complex_module._CLEAR_MARGIN * LP_TOL)[s != 0].all(), word
             assert (np.abs(v) <= 10 * LP_TOL)[s == 0].all(), word
-            assert dim == n0 - word.count(0)
         return out
 
     monkeypatch.setattr(complex_module, "_arrangement", spy)
@@ -506,16 +509,16 @@ CLOSURE_NETS += [random_network(Architecture.from_full((2, 20, 1)), seed=0)]
 
 
 def _pieces_differ(got, want) -> bool:
-    """True unless both are None, or both name the same (sign, dim) pieces
+    """True unless both are None, or both name the same signs' pieces
     at points within 1e-12 * max(1, |x|), with |x| the largest coordinate
     of the pieces' points: they are read off segments between the interior
     point and q, and lose digits to the larger of the two."""
     if got is None or want is None:
         return (got is None) != (want is None)
-    if [(s, d) for s, _, d in got] != [(s, d) for s, _, d in want]:
+    if [s for s, _ in got] != [s for s, _ in want]:
         return True
-    scale = 1e-12 * max(1.0, max(float(np.abs(y).max()) for _, y, _ in want))
-    return any((np.abs(x - y) > scale).any() for (_, x, _), (_, y, _) in zip(got, want))
+    scale = 1e-12 * max(1.0, max(float(np.abs(y).max()) for _, y in want))
+    return any((np.abs(x - y) > scale).any() for (_, x), (_, y) in zip(got, want))
 
 
 def test_closure_pieces_match_per_region_reference(monkeypatch):
@@ -529,7 +532,7 @@ def test_closure_pieces_match_per_region_reference(monkeypatch):
         out = real(regions, closures, words, rows, at, a, b, near)
         for w, got, base, a_w, b_w in zip(words, out, at, a, b):
             gens = closure_generators(regions, closures[w], rows[base:])
-            want = generator_pieces(gens, regions[w][1], a_w, b_w, near)
+            want = generator_pieces(gens, a_w, b_w, near)
             assert not _pieces_differ(got, want), (w, got, want)
             checked.append(got is None)
         return out
@@ -552,7 +555,7 @@ def test_every_region_holds_its_point(monkeypatch):
     def spy(regions, *args):
         net = current[-1]
         bounds = [0, *itertools.accumulate(layer.out_dim for layer in net.layers)]
-        for word, (x, _) in regions.items():
+        for word, x in regions.items():
             table = node_maps(net, word[: max(c for c in bounds if c < len(word))])
             n = len(word)
             s, const = np.array(word), table.const[:n]
@@ -571,7 +574,7 @@ def test_every_region_holds_its_point(monkeypatch):
 
 
 def _exact(pieces):
-    return pieces and [(s, x.tobytes(), d) for s, x, d in pieces]
+    return pieces and [(s, x.tobytes()) for s, x in pieces]
 
 
 def test_singular_ray_system_sends_only_its_region_to_the_lp(monkeypatch):
@@ -747,7 +750,7 @@ def test_stacked_edge_slopes_match_the_per_edge_solves(sweep_accepted):
         on_tables = complex_module._edge_slopes(net, words, cpx.tables)
         fresh = complex_module._edge_slopes(net, words)
         for v in words:
-            expected = edge_outcome(lambda: reference_edge_slopes(v, cpx.form))
+            expected = edge_outcome(lambda: reference_edge_slopes(v, complex_forms(cpx)))
             for got in (on_tables, fresh):
                 assert edge_outcome(lambda: complex_module._slopes_of(got[v])) == expected, v  # noqa: B023
             vertices += 1
@@ -767,7 +770,9 @@ def test_vertex_locations_match_the_container_top_cell_solve():
     # the first top cell around it must give the same bytes or error.  The
     # two differ only where a vertex zeroes an entry before the last layer,
     # so the enumerated cells of flat nets count too, and (2,5,3,1) draws
-    # add such vertices.
+    # add such vertices.  On each net the one stacked solve of all vertices
+    # gives the bytes of the solves vertex by vertex, or the error of the
+    # first failing one in word order.
     nets = CLOSURE_NETS + [
         random_network(Architecture.from_full((2, 5, 3, 1)), seed=seed) for seed in range(20)
     ]
@@ -782,13 +787,33 @@ def test_vertex_locations_match_the_container_top_cell_solve():
             records = build_complex(net, sign_tol=SIGN_TOL, lp_tol=LP_TOL).vertices
         except StructuredError:
             records = {}
-        for v in (s for s in cells if s.count(0) == net.n0):
-            own = _location(lambda: complex_module._vertex_location(v, cpx.table(v)))
+        words, outcomes = [s for s in cells if s.count(0) == net.n0], []
+        for v in words:
+            own = _location(lambda: own_table_vertex_location(cpx, v))
             assert own == _location(lambda: reference_vertex_location(cpx, v)), v
             assert v not in records or records[v].location.tobytes() == own, v
+            outcomes.append(own)
             vertices += 1
             deep += 0 in v[: -net.layers[-1].out_dim]
+        if words:
+            stacked = _location(lambda: complex_module._vertex_locations(cpx, words))
+            failed = [out for out in outcomes if isinstance(out, tuple)]
+            assert stacked == (failed[0] if failed else b"".join(outcomes))
     assert vertices > 400 and deep > 100
+
+
+def test_stacked_vertex_locations_match_the_per_vertex_solves(sweep_accepted):
+    # Every vertex record of the CLI sweep's accepted nets, among them
+    # (2,20,1), (3,8,1) and (4,10,1) s0, holds the bytes that its system
+    # gives solved alone, on its own table and on the first top cell
+    # around it.
+    vertices = 0
+    for _, cpx in sweep_accepted:
+        for v, rec in cpx.vertices.items():
+            assert rec.location.tobytes() == own_table_vertex_location(cpx, v).tobytes(), v
+            assert rec.location.tobytes() == reference_vertex_location(cpx, v).tobytes(), v
+            vertices += 1
+    assert vertices > 1300
 
 
 def test_two_layer_vertices_match_the_container_top_cell_solve(sweep_accepted):

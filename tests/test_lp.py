@@ -7,7 +7,7 @@ import conftest
 import relumorse.complex as complex_module
 from relumorse.complex import _cell_problem, _HRep, _witness
 from relumorse.lp import FEAS_TOL, LpProblem, lp_solve
-from relumorse.network import cell_affine_form, node_maps
+from relumorse.network import node_maps
 
 from conftest import rank_one_pivot, reference_pivot, reference_simplex
 
@@ -403,7 +403,7 @@ def test_matches_the_tableau_on_every_oracle_fallback_lp(sweep_accepted):
         for signs, cell in cpx.cells.items():
             if cpx.is_bounded_above(cell):
                 table = node_maps(net, signs[:-n_m])
-                gradient = cell_affine_form(net, signs, table).total_gradient
+                gradient = table.f_affine(net.final, [signs[-n_m:]])[0][0]
                 problem = _cell_problem(complex_module._hrep_for(net, signs, table), gradient)
                 solved.append((problem, lp_solve(problem, feas_tol=FEAS_TOL)))
     assert len(solved) > 1000
@@ -444,6 +444,6 @@ def test_rank_one_pivot_matches_the_row_loop(certified_draws, monkeypatch):
     for net, cpx in certified_draws:
         for signs, cell in cpx.cells.items():
             if cell.dim and cpx.is_bounded_above(cell):
-                objective = cpx.form(signs).total_gradient
+                objective = cpx.f_affine(signs)[0]
                 reference_simplex(_cell_problem(cpx.hrep(signs), objective), cpx.lp_tol)
     assert len(pivots) > 1000

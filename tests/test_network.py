@@ -8,7 +8,6 @@ from relumorse import (
     Architecture,
     ReluNetwork,
     build_complex,
-    cell_affine_form,
     from_weight_dict,
     net_b,
     random_network,
@@ -21,9 +20,11 @@ from relumorse.errors import (
     SingularSystemError,
     StructuredError,
 )
+from relumorse.network import node_maps
 
 from conftest import (
     central_difference_gradient,
+    complex_forms,
     interior_witness_of,
     node_map,
     sign_sequence_at,
@@ -75,26 +76,22 @@ def test_sign_sequence_examples():
     assert sign_sequence_at(net, [0.0, 0.0]) == (0, 0, 1)
 
 
-def test_cell_affine_form_gradients():
+def test_f_affine_gradients(cpx_b):
+    # F's gradient and offset on a cell, one row of last-layer signs each,
+    # from the one table of NET-B's single layer; the complex reads a
+    # cell's by its word.
     net = net_b()
-    form = cell_affine_form(net, (1, 1, 1))
-    assert np.allclose(form.total_gradient, [-3.0, -2.0])
-    assert form.total_offset == pytest.approx(4.0)
-    form = cell_affine_form(net, (1, -1, 0))
-    assert np.allclose(form.total_gradient, [1.0, 0.0])
-    form = cell_affine_form(net, (-1, -1, -1))
-    assert np.allclose(form.total_gradient, [0.0, 0.0])
-
-
-def test_cell_affine_form_length_check():
-    with pytest.raises(DimensionError):
-        cell_affine_form(net_b(), (1, 1))
+    grads, offsets = node_maps(net, ()).f_affine(net.final, [(1, 1, 1), (1, -1, 0), (-1, -1, -1)])
+    assert np.allclose(grads, [[-3.0, -2.0], [1.0, 0.0], [0.0, 0.0]])
+    assert np.allclose(offsets, [4.0, 0.0, 0.0])
+    grad, offset = cpx_b.f_affine((1, 1, 1))
+    assert grad.tobytes() == grads[0].tobytes() and offset == float(offsets[0])
 
 
 def test_affine_form_matches_evaluation_on_interior(cpx_b):
     net = cpx_b.net
     for cell in cpx_b.top_cells():
-        form = cpx_b.form(cell.signs)
+        form = complex_forms(cpx_b)(cell.signs)
         x = interior_witness_of(net, cell.signs, cpx_b.lp_tol)[0]
         expected = float(form.total_gradient @ x + form.total_offset)
         assert net.evaluate(x) == pytest.approx(expected, rel=1e-9)
@@ -109,7 +106,7 @@ def test_node_map_table_follows_sign_word_order(arch):
         net = random_network(Architecture(arch), seed)
         words = {sign_sequence_at(net, x) for x in rng.uniform(-3.0, 3.0, (60, net.n0))}
         for signs in sorted(words):
-            form = cell_affine_form(net, signs)
+            form = node_maps(net, signs[: -net.final.in_dim])
             x = interior_witness_of(net, signs, 1e-7)[0]
             for p in range(net.total_neurons):
                 expected = node_map(net, *net.ij(p), x)
@@ -123,7 +120,7 @@ def test_gradient_matches_finite_differences(cpx_b):
         witness, clearance = interior_witness_of(net, cell.signs, cpx_b.lp_tol)
         h = min(1e-4, clearance / 2)
         fd = central_difference_gradient(net, witness, h)
-        g = cpx_b.form(cell.signs).total_gradient
+        g = cpx_b.f_affine(cell.signs)[0]
         assert np.allclose(fd, g, rtol=1e-6, atol=1e-9)
 
 
@@ -168,7 +165,7 @@ def test_weight_dict_schema_errors():
         from_weight_dict(bad)
     bad = json.loads(json.dumps(data))
     bad["layers"][0]["weights"] = [[1.0, 0.0]]
-    with pytest.raises((ValueError, ArchitectureError)):
+    with pytest.raises(ValueError, match="layer 1: inconsistent layer shapes"):
         from_weight_dict(bad)
 
 
