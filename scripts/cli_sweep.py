@@ -1,14 +1,16 @@
-"""Byte-identity sweep of the CLI over 216 cases.
+"""Byte-identity sweep of the CLI over 224 cases.
 
 Runs ``build``, ``classify``, ``dgvf --local-check`` and ``render`` on the
 NET-B fixture, seeds 0-5 of (2,8,1), (2,4,1), (3,4,1), (3,6,1), (2,4,3,1),
 (2,4,4,1) and (3,4,3,1), seeds 0-1 of (4,7,1), and seed 0 of (2,20,1),
 (3,8,1) and (4,10,1), whose neuron steps split hundreds of regions and
 whose top cells have many nonzero entries, (2,1,1) s1 and (2,1,3,1) s5,
-whose renders draw vertex-free lines, and the accepted two-layer nets
-(2,8,8,1) s0, s12 and s13 and (2,12,12,1) s0, the only cases with more
-than one parent table per layer and vertices whose zero sets span two
-layers.  Prints one ``net/command sha256`` line per case, hashed as in
+whose renders draw vertex-free lines, the accepted two-layer nets
+(2,8,8,1) s0, s12 and s13 and (2,12,12,1) s0, and the accepted
+three-layer nets (2,6,6,6,1) s16 and s22: the only cases with more than
+one parent table per layer and vertices whose zero sets span two layers,
+and the last two the only ones built to a third.  Prints one
+``net/command sha256`` line per case, hashed as in
 ``tests/test_golden_outputs.py``: exit code, stdout, stderr and output file.
 
 Run it on two checkouts and diff the outputs; a refactor that means to keep
@@ -43,6 +45,7 @@ ARCHS = {
     "2,1,3,1": range(5, 6),
     "2,8,8,1": (0, 12, 13),
     "2,12,12,1": range(1),
+    "2,6,6,6,1": (16, 22),
 }
 
 
