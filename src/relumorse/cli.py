@@ -16,7 +16,7 @@ import tempfile
 
 from . import complex as cpxmod
 from .dgvf import build_dgvf, compactify, is_acyclic, local_pair, seed_vertices
-from .errors import StructuredError
+from .errors import ArchitectureError, StructuredError
 from .homology import betti, chain_complex, morse_complex, verify_relative_perfectness
 from .network import (
     Architecture,
@@ -68,7 +68,10 @@ def _load_network(path: str):
 
 
 def _parse_arch(text: str) -> Architecture:
-    return Architecture.from_full([part.strip() for part in text.split(",")])
+    try:
+        return Architecture.from_full([part.strip() for part in text.split(",")])
+    except ArchitectureError as exc:
+        raise ValueError(f"--arch: {exc}") from None
 
 
 def _parse_box(text: str):

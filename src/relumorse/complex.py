@@ -10,30 +10,21 @@ node-map table, and the vertices' locations and edge slopes from those
 tables, one per parent cell, each in one stacked solve; closure vertices
 and rays only on demand.  A cell's affine data is its parent's table.
 
-Construction refines layer by layer, one node map at a time: map j of
-layer k splits every region of every parent cell before map j + 1 does, so
-the regions found so far form the whole refined complex.  On a parent cell
-the map is affine; the node-map tables of all of a layer's parents are one
-stack.  Closure queries read two passes: ``_facets``, the present words that
-zero one more entry, and ``_closures``, whose closure vertices and rays are
-the union of the facets'.  The map meets a region iff it takes both signs
-over the vertices and rays of its closure; a segment to the best vertex, or
-far along a rising ray, then yields points inside the pieces, for all
-regions of a neuron step in stacked numpy calls, and one batched residual
-tests every vertex region's zero set against the map.  Where the closure
-holds no vertex, its ray system is singular or a sign falls in the
-tolerance band, the witness LP decides instead: it keeps each piece in
-which it finds a point, and that point is the piece's sample.  Each step so
-names exactly the nonempty pieces, and the next one reads their closures.
-Layer 1 starts in closed form, so build solves no LP on generic input:
-with more maps than inputs, its whole arrangement from its vertices and no
-step runs; else, or at a near-degenerate or far vertex, from all sign
-words of its first maps.  Acceptance checks all words of a
-layer in one pass: a word is kept when its sample point clears every strict
-inequality by a margin, read off one slack matrix, or is the witness LP's
-own point from the layer's last step, and otherwise by that LP; one stacked
-rank test per zero count finds dependent zero sets, and the batched
-residual the solvable ones past n0 zeros.  Every LP is a cell LP from
+Construction builds layer by layer on the stacked node-map tables of the
+previous layer's cells.  Where layer 1 has rank n0 every cell is pointed,
+so a layer comes whole from its vertices: the 3^n0 words on a vertex's n0
+zero maps are the cells through it.  Where that closed form declines, the
+layer is refined one node map at a time, from all sign words of layer 1's
+first maps or from the previous layer: a map meets a region iff it takes
+both signs over the vertices and rays of its closure (``_facets``, then
+``_closures``), read for all regions of a step in stacked calls, or where
+the closure holds no vertex or a sign falls in the tolerance band, by the
+witness LP, whose point is the piece's sample; build so solves no LP on
+generic input.  Acceptance checks all words of a layer in one pass: a word
+is kept when its sample point clears every strict inequality by a margin,
+or is the witness LP's own point, and otherwise by that LP; one stacked
+rank test per zero count finds dependent zero sets, and a batched residual
+the solvable ones past n0 zeros.  Every LP is a cell LP from
 ``_cell_problem``, the one place a problem is built.
 """
 
@@ -75,6 +66,10 @@ _VERTEX_RESID = 1e-6
 # A split read off a closure point beyond this distance is in the tolerance
 # band: nearly parallel or nearly constant node maps put points that far out.
 _FAR = 1e7
+# Past layer 1 a vertex system is singular by rounding alone (parallel maps on
+# a parent with one active neuron) up to this least singular value.
+_ROUNDING = 1e-12
+_CHUNK = 4096  # vertex systems solved in one stacked call
 
 
 def _is_flat(value, g_norm):
@@ -636,7 +631,7 @@ def _seed(tables: NodeMaps, n0: int, n_1: int) -> dict | None:
     """{word: point} of all 3^m words of layer 1's first m = min(n0, n_1)
     maps, whose non-constant, independent unit rows take R^n0 onto R^m:
     each word is a region of dimension n0 - #zeros, with the least-norm point
-    for the targets t in {-1, 0, 1}^m, where :func:`_arrangement` declines.
+    for its targets in {-1, 0, 1}^m, where layer 1's :func:`_arrangement` declines.
     None otherwise, or for a point beyond _FAR, where the band's decisions
     hang on the LP path's own points."""
     m = min(n0, n_1)
@@ -650,45 +645,89 @@ def _seed(tables: NodeMaps, n0: int, n_1: int) -> dict | None:
     return dict(zip(words, points))
 
 
-def _arrangement(tables: NodeMaps, n0: int, n_1: int, lp_tol: float) -> dict | None:
-    """{word: point} of all faces of layer 1's arrangement of n_1 > n0
-    hyperplanes: each n0 maps meet in a vertex, whose word holds the other
-    maps' signs there, and the faces are the 3^n0 words t around each one,
-    as the normals span R^n0.  A face's point steps s = min(1, r/2) from a
-    vertex along d = M^-1 t (M its unit rows, r its distance to the next
-    hyperplane) and clears every row by s * min(1, 1/|d|), at the vertex
-    where that is most.  None for a constant row, a vertex system of rank
-    below n0, a vertex beyond _FAR, another map within the split band at
-    one, or a point off its zero rows by more than acceptance's residual:
-    about 1e6 out, their rounding alone passes _SAMPLE_RESID * lp_tol."""
-    if n_1 <= n0 or tables.const[0].any():
+def _least_singular(mat, tol):
+    """Least singular value of each stacked n x n matrix of unit rows where it
+    is at most ``tol``; elsewhere |det| / sqrt(n)^(n - 1), a bound below it."""
+    out = np.abs(np.linalg.det(mat)) / mat.shape[-1] ** ((mat.shape[-1] - 1) / 2)
+    if (low := out <= tol).any():
+        out[low] = np.linalg.svd(mat[low], compute_uv=False)[:, -1]
+    return out
+
+
+def _arrangement(net: ReluNetwork, index: dict, tables: NodeMaps, lp_tol: float) -> dict | None:
+    """{word: point} of all cells of layer k, from the stage cells ``index``
+    ({word: i}) and their stacked ``tables``.  With layer 1 of rank n0 a cell
+    is a word t on the n0 zero maps of a vertex in its closure: the stage
+    cell's zero rows and d of layer k's maps on its table, d its dimension,
+    solved strictly inside it.  A word's point steps min(1, r/2) along M^-1 t
+    from the vertex where that clears its rows most (M the zero rows, r the
+    distance to the next hyperplane, on the word's parent table).  None for
+    n_1 <= n0 at layer 1, a constant layer-1 row or rank below n0, a least
+    singular value at most _RANK_TOL at layer 1 and else in (_ROUNDING, split
+    band], a row in the band at a vertex, a vertex beyond _FAR, a word whose
+    parent is no stage cell, or a point off its zero rows by more than
+    acceptance's residual (about 1e6 out, by rounding alone)."""
+    n0, n_1, parents, near = net.n0, net.layers[0].out_dim, list(index), _SPLIT_MARGIN * lp_tol
+    off, size, (unit, unit_off) = len(parents[0]), tables.rows.shape[1], tables.unit
+    if n_1 <= n0 - (off > 0) or tables.const[0, :n_1].any() or (
+        off and np.linalg.svd(unit[0, :n_1], compute_uv=False)[n0 - 1] <= _RANK_TOL
+    ):
         return None
-    near = _SPLIT_MARGIN * lp_tol
-    unit, unit_off = (u[0] for u in tables.unit)  # layer 1's one table
-    zeros = np.array(list(itertools.combinations(range(n_1), n0)))
-    mat = unit[zeros]
-    if (np.linalg.svd(mat, compute_uv=False)[:, -1] <= _RANK_TOL).any():
-        return None
-    x = np.linalg.solve(mat, unit_off[zeros][..., None])[..., 0]
-    v = x @ unit.T - unit_off
-    np.put_along_axis(v, zeros, np.inf, axis=1)
-    if np.abs(x).max() > _FAR or np.abs(v).min() <= near:
-        return None
-    step = np.minimum(1.0, 0.5 * np.abs(v).min(axis=1))
+    if tables.const.any():  # a constant row's value is its offset's sign times inf
+        unit = np.where(tables.const[..., None], 0.0, unit)
+        unit_off = np.where(tables.const, -np.copysign(np.inf, tables.offsets), unit_off)
+    floor, tol = (_ROUNDING, near) if off else (-1.0, _RANK_TOL)  # no vertex; decline
+    stage = np.array(parents, dtype=np.int8).reshape(len(parents), off)
+    dims, found = n0 - (stage == 0).sum(axis=1), []
+    for d in sorted(set(dims.tolist())):
+        pids, maps = np.flatnonzero(dims == d), list(itertools.combinations(range(off, size), d))
+        maps = np.array(maps, dtype=int).reshape(len(maps), d)
+        own = np.nonzero(stage[pids] == 0)[1].reshape(len(pids), n0 - d)
+        for lo in range(0, len(pids) * len(maps), _CHUNK):
+            i, j = np.divmod(np.arange(lo, min(lo + _CHUNK, len(pids) * len(maps))), len(maps))
+            pid, zeros = pids[i], np.concatenate([own[i], maps[j]], axis=1)
+            least = _least_singular(mat := unit[pid[:, None], zeros], tol)
+            if ((least > floor) & (least <= tol)).any():
+                return None
+            pid, zeros, mat = (a[least > floor] for a in (pid, zeros, mat))
+            x = np.linalg.solve(mat, unit_off[pid[:, None], zeros][..., None])[..., 0]
+            v = _dot(unit[pid], x[:, None]) - unit_off[pid]
+            margin = np.abs(v)  # each row's distance from x, signed by the stage cell's sign
+            margin[:, :off] = stage[pid] * v[:, :off]
+            margin[np.arange(len(x))[:, None], zeros] = np.inf
+            inside = (margin >= -near).all(axis=1)
+            x, zeros, v, pid, margin = (a[inside] for a in (x, zeros, v, pid, margin))
+            if (margin <= near).any() or np.abs(x).max(initial=0.0) > _FAR:
+                return None
+            # v takes the stage cell's signs; the stars set the zeros.
+            found.append((x, zeros, np.sign(v).astype(np.int8), pid, margin.min(axis=1)))
+    x, zeros, word, pid, r = (np.concatenate(a) for a in zip(*found))
     t = np.array(list(itertools.product((-1, 0, 1), repeat=n0)), dtype=np.int8)
-    inv = np.linalg.inv(mat)
-    gram = np.einsum("vmn,vmj->vnj", inv, inv)
-    length = np.sqrt(np.einsum("kn,vnj,kj->vk", t, gram, t))  # |d| of each (vertex, t)
-    words = np.repeat(np.sign(v).astype(np.int8)[:, None], len(t), axis=1)  # (vertex, t, map)
-    words[np.arange(len(x))[:, None, None], np.arange(len(t))[:, None], zeros[:, None]] = t
-    words = words.reshape(-1, n_1)
+    words = np.repeat(word, len(t), axis=0)  # each vertex's with each t
+    words[np.arange(len(words))[:, None], np.repeat(zeros, len(t), axis=0)] = np.tile(t, (len(x), 1))
+    # t's entries on the stage zeros lead: a run of 3^d words shares a parent.
+    run = 3 ** dims[pid]
+    at = np.repeat(np.arange(len(x)), len(t) // run)  # vertex of each pair
+    pair = np.repeat(np.arange(len(at)), run[at])  # pair of each word
+    tab = [index.get(h, -1) for h in map(tuple, words[np.cumsum(run[at]) - run[at], :off].tolist())]
+    tab, r = np.array(tab, dtype=int), r[at]
+    mat, other = unit[tab[:, None], zeros[at]], np.flatnonzero(tab != pid[at])
+    if (tab < 0).any() or len(other) and (_least_singular(mat[other], tol) <= tol).any():
+        return None
+    if len(other):  # r anew on a parent other than the vertex's
+        v = np.abs(_dot(unit[tab[other]], x[at[other], None]) - unit_off[tab[other]])
+        v[np.arange(len(other))[:, None], zeros[at[other]]] = np.inf
+        r[other] = v.min(axis=1)
+    step, inv = np.minimum(1.0, 0.5 * r), np.linalg.inv(mat)
+    k = np.arange(len(pair)) % len(t)
+    length = np.sqrt(np.einsum("wn,wnj,wj->w", t[k], np.einsum("vmn,vmj->vnj", inv, inv)[pair], t[k]))
     # Each word at its first (vertex, t) by falling clearance.
-    order = np.argsort(-(step[:, None] / np.maximum(1.0, length)).ravel(), kind="stable")
-    first = order[np.unique(words.view(np.dtype((np.void, n_1)))[order, 0], return_index=True)[1]]
-    at, k = np.divmod(first, len(t))
-    d = (inv[at] @ t[k, :, None])[..., 0] / np.where(length[at, k] > 0, length[at, k], 1.0)[:, None]
-    points, words = x[at] + step[at, None] * d, words[first]
-    resid = np.abs(_dot(unit, points[:, None]) - unit_off)[words == 0]  # as acceptance reads it
+    order = np.argsort(-(step[pair] / np.maximum(1.0, length)), kind="stable")
+    first = order[np.unique(words.view(np.dtype((np.void, size)))[order, 0], return_index=True)[1]]
+    p, k, length = pair[first], k[first], length[first]  # |M^-1 t|
+    d = (inv[p] @ t[k, :, None])[..., 0] / np.where(length > 0, length, 1.0)[:, None]
+    points, words, tab = x[at[p]] + step[p, None] * d, words[first], tab[p]
+    resid = np.abs(_dot(unit[tab], points[:, None]) - unit_off[tab])[words == 0]  # as acceptance reads it
     if resid.max() > _SAMPLE_RESID * lp_tol:
         return None
     return dict(zip(map(tuple, words.tolist()), points))
@@ -712,19 +751,17 @@ def _enumerate_cells(net: ReluNetwork, lp_tol: float) -> list:
         hit = tables.const[:, off:] & (np.abs(tables.offsets[:, off:]) <= _ZERO_OFFSET)
         dead = np.flatnonzero(hit.any(axis=1))  # parents on which a map vanishes
         vanishing = {parents[i] for i in dead.tolist()}
-        # {word: point} over the parents' words extended by the
-        # layer's signs decided so far: exactly the nonempty regions, so
-        # closures are read off it at every step.  A region the closure does
-        # not decide takes the witness LP on each piece that its point does
-        # not prove.  A vanishing map leaves its parent unsplit (acceptance
-        # raises), and the other closures then miss its faces, so every
-        # region takes the LP.  Layer 1 starts from :func:`_arrangement`'s
-        # words, all n_k maps decided, or else from :func:`_seed`'s.
+        # The layer comes whole from :func:`_arrangement`, or layer 1 starts
+        # from :func:`_seed`'s words.  Else each step splits {word: point},
+        # exactly the nonempty regions, by their closures; the witness LP
+        # takes each piece a region's point does not prove, and every region
+        # once a vanishing map leaves its parent unsplit (acceptance raises).
         regions = {p: x for p, x in stage.items() if p not in vanishing}
         start, witnessed = (0 if regions else n_k), set()
-        seeded = k == 1 and not vanishing and (_arrangement(tables, n0, n_k, lp_tol) or _seed(tables, n0, n_k))
+        seeded = not vanishing and _arrangement(net, index, tables, lp_tol)
+        seeded = seeded or k == 1 and not vanishing and _seed(tables, n0, n_k)
         if seeded:
-            regions, start = seeded, len(next(iter(seeded)))
+            regions, start = seeded, len(next(iter(seeded))) - off
         for j in range(start, n_k):
             words = list(regions)
             pid = np.array([index[w[:off]] for w in words], dtype=int)

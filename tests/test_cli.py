@@ -443,6 +443,24 @@ def test_malformed_input_exit_1(tmp_path, capsys, text, message):
     assert not output.exists()
 
 
+@pytest.mark.parametrize(
+    "arch, message",
+    [
+        ("2", "--arch: expected (n0, ..., nm, 1) with at least one hidden layer, got (2,)"),
+        ("2,0,1", "--arch: architecture entries must be >= 1, got (2, 0)"),
+        ("2,x,1", "invalid literal for int()"),
+    ],
+)
+def test_malformed_arch_exit_1(tmp_path, capsys, arch, message):
+    # A malformed --arch is a usage fault, like the weight file's dims:
+    # gen exits 1 with one "error:" line that names it, and writes no file.
+    output = tmp_path / "w.json"
+    assert run(["gen", "--arch", arch, "-o", str(output)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1, err
+    assert not output.exists()
+
+
 def test_unknown_fixture_exit_1(tmp_path, capsys):
     output = tmp_path / "w.json"
     assert run(["gen", "--fixture", "nope", "-o", str(output)]) == 1

@@ -289,7 +289,7 @@ def test_vertices_far_out_are_kept(scale):
 
 
 def _decline_arrangement(monkeypatch):
-    """Turn off layer 1's closed form, as its guard does."""
+    """Turn off the closed form at every layer, as its guards do."""
     monkeypatch.setattr(complex_module, "_arrangement", lambda *args: None)
 
 
@@ -307,13 +307,14 @@ def _spy(monkeypatch, name) -> list:
 
 
 GENERIC_ARCHS = [(2, 8, 1), (4, 7, 1), (3, 6, 1), (2, 4, 3, 1), (2, 4, 4, 1), (3, 4, 3, 1)]
-# Seed 0 of each arch, and seeds 1 and 2 of the one-hidden-layer ones, with
-# layer 1's closed form on and declined.
+# Seed 0 of each arch, and seeds 1 and 2 of the one-hidden-layer ones and
+# of the wider deep ones, with the closed form on and declined.
 GENERIC = [
     (arch, seed, declined)
     for declined in (False, True)
-    for arch in GENERIC_ARCHS + [(2, 20, 1), (3, 8, 1), (4, 10, 1)]
-    for seed in range(3 if len(arch) == 3 else 1)
+    for arch in GENERIC_ARCHS
+    + [(2, 20, 1), (3, 8, 1), (4, 10, 1), (2, 8, 8, 1), (2, 12, 12, 1), (2, 6, 6, 6, 1)]
+    for seed in range(1 if arch in GENERIC_ARCHS[3:] else 3)
 ]
 # One-hidden-layer nets rejected as flat.
 FLAT_GENERIC = {((4, 7, 1), 2), ((3, 6, 1), 2)}
@@ -326,13 +327,12 @@ def _generic_id(case) -> str:
 
 @pytest.mark.parametrize("arch, seed, declined", GENERIC, ids=[_generic_id(case) for case in GENERIC])
 def test_build_solves_no_lp_on_generic_nets(monkeypatch, arch, seed, declined):
-    # Where layer 1 has more maps than inputs it comes whole from its
-    # arrangement's vertices, so a one-hidden-layer net reads no closure.
-    # Declined, layer 1 starts from the 3^n0 regions of its first n0 maps in
-    # closed form, so every later split is read off a closure holding their
-    # vertex.  Either way every sample point clears acceptance without a
-    # witness LP.  The deep nets are rejected as flat, after the same LP-free
-    # layers.
+    # Where layer 1 has more maps than inputs every layer comes whole from
+    # its vertices, so no closure is read.  Declined, layer 1 starts from
+    # the 3^n0 regions of its first n0 maps in closed form, so every later
+    # split is read off a closure holding their vertex.  Either way every
+    # sample point clears acceptance without a witness LP.  Most deep nets
+    # are rejected as flat, after the same LP-free layers.
     if declined:
         _decline_arrangement(monkeypatch)
     lps = _spy(monkeypatch, "lp_solve")
@@ -347,8 +347,7 @@ def test_build_solves_no_lp_on_generic_nets(monkeypatch, arch, seed, declined):
     # its zero rows off the parent's table, and acceptance and the flat
     # flags build none.
     assert (lps, witnesses, reps) == ([], [], [])
-    if len(arch) == 3:
-        assert bool(splits) == declined
+    assert bool(splits) == declined
 
 
 def structure(net):
@@ -474,8 +473,10 @@ def test_closed_form_layer_one_matches_the_declined_build(monkeypatch):
     # zero rows' hyperplanes.
     real, calls = complex_module._arrangement, []
 
-    def spy(tables, n0, n_1, lp_tol):
-        out = real(tables, n0, n_1, lp_tol)
+    def spy(net, index, tables, lp_tol):
+        out = real(net, index, tables, lp_tol)
+        if index != {(): 0}:
+            return out  # a later layer's
         calls[-1].append(out is not None)
         unit, unit_off = (u[0] for u in tables.unit)
         for word, x in (out or {}).items():
@@ -492,6 +493,78 @@ def test_closed_form_layer_one_matches_the_declined_build(monkeypatch):
     _decline_arrangement(monkeypatch)
     for i, (net, want) in enumerate(zip(nets, expected)):
         assert structure(net) == want, i
+
+
+# The `deep` panel's architectures at seeds 0-5, wider two-layer nets at
+# seeds 0-1 and the CLI sweep's accepted three-layer nets.
+LAYER_NETS = [
+    random_network(Architecture.from_full(arch), seed=seed)
+    for arch, seeds in (
+        ((2, 4, 3, 1), range(6)),
+        ((2, 4, 4, 1), range(6)),
+        ((3, 4, 3, 1), range(6)),
+        ((2, 8, 8, 1), range(2)),
+        ((2, 12, 12, 1), range(2)),
+        ((3, 6, 6, 1), range(2)),
+        ((2, 6, 6, 6, 1), (16, 22)),
+    )
+    for seed in seeds
+]
+# The near-degenerate two-layer integer nets, on which the closed form must
+# decline at every layer past the first: at noise 1e-6 two of them, (2,3,2)
+# s2 and s6, reach layer 2 with vertex systems whose least singular value
+# is about 1.3e-7, inside the split band, where the split takes the
+# witness LP.
+INTEGER_LAYER_NETS = [_integer_net(*case) for case in NEAR_DEGENERATE if len(case[0]) == 3]
+# Nets whose closed form must decline at every layer past the first, each
+# of which reaches layer 2: a layer-2 bent hyperplane 1e-9 from a layer-1
+# vertex, within the band; (2,8,8,1) s0 with its layer-1 biases times 1e8,
+# whose vertices lie past _FAR; and (3,2,4,1) nets, whose layer 1 has rank
+# 2 < n0, so that no cell has a vertex.
+GUARDED_LAYERS = [
+    _net(
+        [[[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]], [[1.0, -2.0, 0.5], [0.7, 0.4, -1.0], [1.0, 1.0, 1.0]]],
+        [[-0.3, -0.2, 1.0], [-0.25 + 1e-9, 0.2, 0.1]],
+        [1.0, -1.5, 0.5],
+    ),
+    _scaled_biases(random_network(Architecture.from_full((2, 8, 8, 1)), seed=0), 1e8),
+    *(random_network(Architecture.from_full((3, 2, 4, 1)), seed=seed) for seed in range(2)),
+]
+
+
+def test_closed_form_layers_match_the_declined_build(monkeypatch):
+    # Every layer built from its vertices against the seed and neuron steps
+    # it replaces, with the closed form declining at every layer: the same
+    # cells, vertex bytes and errors.  On the random nets it fires at every
+    # layer past the first that they reach.
+    real, calls = complex_module._arrangement, []
+
+    def spy(net, index, tables, lp_tol):
+        out = real(net, index, tables, lp_tol)
+        calls[-1].append((len(next(iter(index))), out is not None))
+        return out
+
+    monkeypatch.setattr(complex_module, "_arrangement", spy)
+    nets = LAYER_NETS + INTEGER_LAYER_NETS + GUARDED_LAYERS
+    expected = [calls.append([]) or structure(net) for net in nets]
+    later = [[fired for layer, fired in c if layer] for c in calls]  # past layer 1
+    n, g = len(LAYER_NETS), len(GUARDED_LAYERS)
+    random_nets, integer_nets, guarded = later[:n], later[n:-g], later[-g:]
+    assert all(map(all, random_nets)) and sum(map(len, random_nets)) >= 10
+    assert not any(map(any, integer_nets + guarded)) and any(integer_nets) and all(guarded)
+    _decline_arrangement(monkeypatch)
+    for i, (net, want) in enumerate(zip(nets, expected)):
+        assert structure(net) == want, i
+
+
+@pytest.mark.parametrize("arch", [(2, 12, 12, 1), (3, 6, 6, 1)])
+def test_vertex_systems_in_chunks_give_the_same_cells(monkeypatch, arch):
+    # The candidate vertex systems solved three at a time, against one
+    # stacked call for all of a dimension's.
+    net = random_network(Architecture.from_full(arch), seed=0)
+    expected = structure(net)
+    monkeypatch.setattr(complex_module, "_CHUNK", 3)
+    assert structure(net) == expected
 
 
 def test_hundred_lines_build_their_whole_arrangement(monkeypatch):
@@ -934,8 +1007,9 @@ def test_one_pass_acceptance_matches_the_per_parent_reference(monkeypatch):
 def test_batched_residual_matches_lstsq(monkeypatch):
     # Every stacked residual test of a build, at the vertex regions of a
     # neuron step and at acceptance's words past n0 zeros, on the CLI
-    # sweep's nets and the near-degenerate ones: each system decided as
-    # conftest's per-system lstsq reference decides it.
+    # sweep's nets and the near-degenerate ones, built with the closed form
+    # and then with it declined: each system decided as conftest's
+    # per-system lstsq reference decides it.
     real, decided = complex_module._solvable, []
 
     def spy(a, b):
@@ -945,6 +1019,10 @@ def test_batched_residual_matches_lstsq(monkeypatch):
         return got
 
     monkeypatch.setattr(complex_module, "_solvable", spy)
-    for net in _sweep_nets() + [_integer_net(*case) for case in NEAR_DEGENERATE]:
+    nets = _sweep_nets() + [_integer_net(*case) for case in NEAR_DEGENERATE]
+    for net in nets:
+        structure(net)
+    _decline_arrangement(monkeypatch)  # and the neuron steps' vertex regions
+    for net in nets:
         structure(net)
     assert decided.count(False) > 1_000 and True in decided
