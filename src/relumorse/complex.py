@@ -687,9 +687,9 @@ def _arrangement(net: ReluNetwork, index: dict, tables: NodeMaps, lp_tol: float)
             i, j = np.divmod(np.arange(lo, min(lo + _CHUNK, len(pids) * len(maps))), len(maps))
             pid, zeros = pids[i], np.concatenate([own[i], maps[j]], axis=1)
             least = _least_singular(mat := unit[pid[:, None], zeros], tol)
-            if ((least > floor) & (least <= tol)).any():
+            if ((keep := least > floor) & (least <= tol)).any():
                 return None
-            pid, zeros, mat = (a[least > floor] for a in (pid, zeros, mat))
+            pid, zeros, mat = pid[keep], zeros[keep], mat[keep]
             x = np.linalg.solve(mat, unit_off[pid[:, None], zeros][..., None])[..., 0]
             v = _dot(unit[pid], x[:, None]) - unit_off[pid]
             margin = np.abs(v)  # each row's distance from x, signed by the stage cell's sign
@@ -703,11 +703,11 @@ def _arrangement(net: ReluNetwork, index: dict, tables: NodeMaps, lp_tol: float)
             found.append((x, zeros, np.sign(v).astype(np.int8), pid, margin.min(axis=1)))
     x, zeros, word, pid, r = (np.concatenate(a) for a in zip(*found))
     t = np.array(list(itertools.product((-1, 0, 1), repeat=n0)), dtype=np.int8)
-    words = np.repeat(word, len(t), axis=0)  # each vertex's with each t
-    words[np.arange(len(words))[:, None], np.repeat(zeros, len(t), axis=0)] = np.tile(t, (len(x), 1))
+    words = np.repeat(word[:, None], len(t), axis=1)  # (vertex, t, map)
+    words[np.arange(len(x))[:, None, None], np.arange(len(t))[:, None], zeros[:, None]] = t
+    words = words.reshape(-1, size)
     # t's entries on the stage zeros lead: a run of 3^d words shares a parent.
-    run = 3 ** dims[pid]
-    at = np.repeat(np.arange(len(x)), len(t) // run)  # vertex of each pair
+    at = np.repeat(np.arange(len(x)), len(t) // (run := 3 ** dims[pid]))  # vertex of each pair
     pair = np.repeat(np.arange(len(at)), run[at])  # pair of each word
     tab = [index.get(h, -1) for h in map(tuple, words[np.cumsum(run[at]) - run[at], :off].tolist())]
     tab, r = np.array(tab, dtype=int), r[at]
@@ -720,7 +720,7 @@ def _arrangement(net: ReluNetwork, index: dict, tables: NodeMaps, lp_tol: float)
         r[other] = v.min(axis=1)
     step, inv = np.minimum(1.0, 0.5 * r), np.linalg.inv(mat)
     k = np.arange(len(pair)) % len(t)
-    length = np.sqrt(np.einsum("wn,wnj,wj->w", t[k], np.einsum("vmn,vmj->vnj", inv, inv)[pair], t[k]))
+    length = np.sqrt(np.einsum("kn,vnj,kj->vk", t, np.einsum("vmn,vmj->vnj", inv, inv), t))[pair, k]
     # Each word at its first (vertex, t) by falling clearance.
     order = np.argsort(-(step[pair] / np.maximum(1.0, length)), kind="stable")
     first = order[np.unique(words.view(np.dtype((np.void, size)))[order, 0], return_index=True)[1]]
