@@ -727,8 +727,8 @@ def _arrangement(net: ReluNetwork, index: dict, tables: NodeMaps, lp_tol: float)
     p, k, length = pair[first], k[first], length[first]  # |M^-1 t|
     d = (inv[p] @ t[k, :, None])[..., 0] / np.where(length > 0, length, 1.0)[:, None]
     points, words, tab = x[at[p]] + step[p, None] * d, words[first], tab[p]
-    resid = np.abs(_dot(unit[tab], points[:, None]) - unit_off[tab])[words == 0]  # as acceptance reads it
-    if resid.max() > _SAMPLE_RESID * lp_tol:
+    w, z = np.nonzero(words == 0)  # each word's zero rows, read as acceptance reads them
+    if np.abs(_dot(unit[tab[w], z], points[w]) - unit_off[tab[w], z]).max() > _SAMPLE_RESID * lp_tol:
         return None
     return dict(zip(map(tuple, words.tolist()), points))
 
