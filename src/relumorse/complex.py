@@ -665,8 +665,8 @@ def _arrangement(net: ReluNetwork, index: dict, tables: NodeMaps, lp_tol: float)
     n_1 <= n0 at layer 1, a constant layer-1 row or rank below n0, a least
     singular value at most _RANK_TOL at layer 1 and else in (_ROUNDING, split
     band], a row in the band at a vertex, a vertex beyond _FAR, a word whose
-    parent is no stage cell, or a point off its zero rows by more than
-    acceptance's residual (about 1e6 out, by rounding alone)."""
+    parent is no stage cell or takes its M in that band, or a point off its
+    zero rows by more than acceptance's residual (1e6 out, by rounding)."""
     n0, n_1, parents, near = net.n0, net.layers[0].out_dim, list(index), _SPLIT_MARGIN * lp_tol
     off, size, (unit, unit_off) = len(parents[0]), tables.rows.shape[1], tables.unit
     if n_1 <= n0 - (off > 0) or tables.const[0, :n_1].any() or (
