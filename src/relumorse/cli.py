@@ -76,8 +76,9 @@ def _parse_arch(text: str) -> Architecture:
 
 def _parse_box(text: str):
     vals = [float(part) for part in text.split(",")]
-    finite = all(map(math.isfinite, vals))
-    if len(vals) != 4 or not finite or vals[0] >= vals[2] or vals[1] >= vals[3]:
+    spans = [vals[2] - vals[0], vals[3] - vals[1]] if len(vals) == 4 else []
+    # The spans too: a box of finite corners can be wider than the largest float.
+    if len(vals) != 4 or not all(map(math.isfinite, vals + spans)) or min(spans) <= 0:
         raise ValueError("--render-box expects xmin,ymin,xmax,ymax")
     return (vals[0], vals[1]), (vals[2], vals[3])
 
@@ -196,9 +197,9 @@ def _add_tolerances(sub) -> None:
                      help="relative tolerance under which two vertex values count"
                           " as equal, an injectivity error (default 1e-9)")
     sub.add_argument("--lp-tol", type=float, default=1e-7,
-                     help="LP feasibility tolerance; also sets the split band (10x),"
-                          " the sample-point margin and the local oracle's tightness"
-                          " test (default 1e-7)")
+                     help="LP feasibility tolerance, in (0, 1); also sets the split band"
+                          " (10x), the sample-point margin and the local oracle's"
+                          " tightness test (default 1e-7)")
 
 
 @functools.cache  # parse_args leaves the parser unchanged

@@ -5,10 +5,13 @@ neuron recording the sign of that node map on the cell.  Under the
 genericity conditions enforced here a k-cell has exactly n0 - k zero
 entries and faces are read off by composing sign words.  The finished
 complex answers from what construction leaves: faces from the facet map,
-F's maxima bottom-up over it, flat flags from one gradient product per
-node-map table, and the vertices' locations and edge slopes from those
-tables, one per parent cell, each in one stacked solve; closure vertices
-and rays only on demand.  A cell's affine data is its parent's table.
+F's maxima bottom-up over it, flat flags from one stacked product of F's
+gradients on the node-map tables, and the vertices' locations and edge
+slopes from those tables, one per parent cell, each in one stacked solve;
+closure vertices and rays only on demand.  A cell's affine data is its
+parent's table.  A flat cell, or after each layer a cell on which that layer
+is dead, is out of scope when it has a vertex face (:func:`is_face`, each
+cell against all vertices at once); no closure map is built for that.
 
 Construction builds layer by layer on the stacked node-map tables of the
 previous layer's cells.  Where layer 1 has rank n0 every cell is pointed,
@@ -116,6 +119,14 @@ def _solve_each(a, b) -> tuple:
         return x, singular
 
 
+def _gradients(final, words, rows, at):
+    """F's gradient on the cell of each full-length sign word (rows of
+    ``words``), from table at[i] of the stacked node-map ``rows``: the
+    ``final`` weights masked by its last-layer signs, one stacked product."""
+    masked = final.weights * (words[:, -final.in_dim :] > 0)
+    return (masked[:, None] @ rows[at, -final.in_dim :])[:, 0]
+
+
 def _edge_slopes(net: ReluNetwork, words: list, tables=None) -> dict:
     """{vertex: {edge: (unit direction, sign of dF along it)}} from each of
     the vertex ``words`` into its 2*n0 edges, in :func:`_edges_at` order, or
@@ -145,8 +156,7 @@ def _edge_slopes(net: ReluNetwork, words: list, tables=None) -> dict:
         nrm = np.sqrt(_dot(d, d))
         good = np.isfinite(nrm) & (nrm > 0.0)
         d = d / np.where(good, nrm, 1.0)[:, None]
-        masked = net.final.weights * (top[:, -n_m:] > 0)
-        g = (masked[:, None] @ stack.rows[tid.reshape(-1), -n_m:])[:, 0]
+        g = _gradients(net.final, top, stack.rows, tid.reshape(-1))
         slope = _dot(g, d)
         flat = _is_flat(slope, np.sqrt(_dot(g, g)))
     d.flags.writeable = False  # the complex hands the rows out
@@ -480,25 +490,32 @@ def _vertex_locations(cpx: CanonicalComplex, words: list) -> np.ndarray:
     return loc
 
 
-def _abort_on_forced_flats(net, stage, upto_layer, n0):
-    """Fail fast when a whole hidden layer is dead on a cell with a vertex.
+def _raise_on_vertex_face(what: str, words, vertices) -> None:
+    """FlatCellError at the first of the ``words`` (rows of a sign array), in
+    order, that has one of the ``vertices`` as a face (:func:`is_face`),
+    each word tested against all vertices at once; ``what`` names its kind."""
+    free = vertices == 0
+    for w in words:
+        if (free | (vertices == w)).all(axis=1).any():
+            raise FlatCellError(f"{what} {signs_to_str(w)}, which has a vertex; network is out of scope")
+
+
+def _abort_on_forced_flats(stage, n_k, n0):
+    """Fail fast when the newest hidden layer, the last ``n_k`` entries of
+    the ``stage`` words, is dead on a cell with a vertex face.
 
     All deeper layer maps are constant on such a cell, so the finished
     complex is guaranteed to contain a flat positive-dimensional cell with a
     vertex in its closure; raising here skips the remaining refinement work.
+    A face of a dead word is dead, so the dead vertices are the candidates
+    (vertices themselves may be "flat").  An older dead block needs no
+    second look: deeper maps are constant on it, a deeper zero entry is a
+    vanishing map (GenericityError), so a vertex face of such a cell already
+    was one of its prefix, which raised.
     """
-    bounds = [0, *itertools.accumulate(layer.out_dim for layer in net.layers[:upto_layer])]
-    blocks = list(zip(bounds, bounds[1:]))
-    # Zeroing entries keeps a dead block dead, so the dead words are closed
-    # under faces and their own closure map holds their vertices.
-    dead = {s: n0 - s.count(0) for s in stage if any(1 not in s[a:b] for a, b in blocks)}
-    closures = _closures(dead, _facets(dead))
-    for signs, dim in dead.items():
-        if dim and closures[signs][1]:  # vertices themselves may be "flat"
-            raise FlatCellError(
-                f"layer dead on cell {signs_to_str(signs)}, which has a vertex;"
-                " network is out of scope"
-            )
+    words = np.array(list(stage), dtype=np.int8)
+    dead, dims = ~(words[:, -n_k:] == 1).any(axis=1), n0 - (words == 0).sum(axis=1)
+    _raise_on_vertex_face("layer dead on cell", words[dead & (dims > 0)], words[dead & (dims == 0)])
 
 
 def _cut(x, s, v, q, u, near) -> list:
@@ -821,7 +838,7 @@ def _enumerate_cells(net: ReluNetwork, lp_tol: float) -> list:
         if vanishing:
             p = off + int(np.argmax(hit[dead[0]]))
             raise GenericityError(f"node map {net.ij(p)} vanishes identically on a region")
-        _abort_on_forced_flats(net, stage, k, n0)
+        _abort_on_forced_flats(stage, n_k, n0)
     return sorted(stage)
 
 
@@ -835,28 +852,28 @@ def build_complex(
     Raises GenericityError (supertransversality violations), FlatCellError
     (F constant on a positive-dimensional cell meeting a vertex) or
     InjectivityError (two vertices share an F value); ValueError unless
-    ``lp_tol`` is finite and positive and ``sign_tol`` finite and >= 0.
+    ``lp_tol`` is in (0, 1), where the witness LP's capped slack can exceed
+    it, and ``sign_tol`` finite and >= 0.
     """
-    if not (np.isfinite(lp_tol) and lp_tol > 0):
-        raise ValueError(f"lp_tol must be finite and > 0, got {lp_tol}")
+    if not (np.isfinite(lp_tol) and 0 < lp_tol < 1):
+        raise ValueError(f"lp_tol must be finite and in (0, 1), got {lp_tol}")
     if not (np.isfinite(sign_tol) and sign_tol >= 0):
         raise ValueError(f"sign_tol must be finite and >= 0, got {sign_tol}")
     return _assemble(net, _enumerate_cells(net, lp_tol), sign_tol, lp_tol)
 
 
 def _flag_flat(cpx: CanonicalComplex) -> None:
-    """Flag the positive-dimensional cells on which F is constant: its
-    gradients, one product per parent table, by one stacked SVD of their zero
-    sets per dimension.  With a vertex in the closure the Morse machinery
-    cannot run: FlatCellError names the first such cell.  Vertex-free flat
-    cells (uncut bent hyperplanes) stay flagged."""
+    """Flag the positive-dimensional cells on which F is constant: their
+    gradients in one stacked product, by one stacked SVD of their zero sets
+    per dimension.  With a vertex face the Morse machinery cannot run:
+    FlatCellError names the first such cell.  Vertex-free flat cells (uncut
+    bent hyperplanes) stay flagged."""
     n0, final, n = cpx.n0, cpx.net.final, cpx.net.total_neurons
     cells = [c for c in cpx.cells.values() if c.dim]
     s, dims = np.array([c.signs for c in cells]), np.array([c.dim for c in cells])
     prefixes, at = np.unique(s[:, : -final.in_dim], axis=0, return_inverse=True)
-    tables, g = cpx.tables(prefixes.tolist()), np.empty((len(cells), n0))
-    for i in range(len(prefixes)):
-        g[at == i] = tables[i].f_affine(final, s[at == i, -final.in_dim :])[0]
+    tables, at, flat = cpx.tables(prefixes.tolist()), at.reshape(-1), np.zeros(len(cells), dtype=bool)
+    g = _gradients(final, s, tables.rows, at)
     unit = tables.unit[0].reshape(-1, n0)  # row p of table i: row i * n + p
     for dim in set(dims.tolist()):
         sel = np.flatnonzero(dims == dim)
@@ -865,15 +882,11 @@ def _flag_flat(cpx: CanonicalComplex) -> None:
             zeros = np.nonzero(s[sel] == 0)[1].reshape(len(sel), n0 - dim)
             basis = np.linalg.svd(unit[at[sel, None] * n + zeros])[2][:, n0 - dim :]
             proj = (basis @ g[sel, :, None])[..., 0]
-        flat = _is_flat(np.linalg.norm(proj, axis=1), np.linalg.norm(g[sel], axis=1))
-        for i, f in zip(sel.tolist(), flat.tolist()):
-            cells[i].flat = f
-    for cell in cpx.cells.values():
-        if cell.flat and cpx.closure(cell)[1]:
-            raise FlatCellError(
-                f"F is constant on cell {signs_to_str(cell.signs)}, which has a vertex;"
-                " network is out of scope"
-            )
+        flat[sel] = _is_flat(np.linalg.norm(proj, axis=1), np.linalg.norm(g[sel], axis=1))
+    for cell, f in zip(cells, flat.tolist()):
+        cell.flat = f
+    vertices = np.array([w for w, c in cpx.cells.items() if not c.dim]).reshape(-1, s.shape[1])
+    _raise_on_vertex_face("F is constant on cell", s[flat], vertices)
 
 
 def _assemble(net, cell_signs, sign_tol, lp_tol) -> CanonicalComplex:

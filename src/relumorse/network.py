@@ -303,8 +303,10 @@ def from_weight_dict(data: dict) -> ReluNetwork:
     for key in ("dims", "layers", "final"):
         if key not in data:
             raise ValueError(f"weight file missing field {key!r}")
+    if not isinstance(dims := data["dims"], list) or any(type(d) is not int for d in dims):
+        raise ValueError(f"dims: expected a list of integers, got {dims!r}")
     try:
-        arch = Architecture.from_full(data["dims"])
+        arch = Architecture.from_full(dims)
     except ArchitectureError as exc:
         raise ValueError(f"dims: {exc}") from None
     raw_layers = data["layers"]

@@ -28,8 +28,10 @@ from relumorse.complex import (
     _VERTEX_RESID,
     _ZERO_OFFSET,
     _cell_problem,
+    _closures,
     _cut,
     _edges_at,
+    _facets,
     _hrep_for,
     _is_flat,
     _witness,
@@ -570,6 +572,54 @@ def reference_flatness(cpx) -> None:
         proj = float(np.linalg.norm(basis @ g)) if basis.size else 0.0
         cell.flat = abs(proj) <= _FLAT_TOL * float(np.linalg.norm(g)) + 1e-30
         if cell.flat and any(is_face(v, cell.signs) for v in vertex_signs):
+            raise FlatCellError(
+                f"F is constant on cell {signs_to_str(cell.signs)}, which has a vertex;"
+                " network is out of scope"
+            )
+
+
+def closure_walk_abort(net, stage, upto_layer, n0) -> None:
+    """The forced-flat abort by a closure walk, the reference for
+    ``complex._abort_on_forced_flats``: every word of ``stage`` with a dead
+    block among layers 1..upto_layer, and their facet and closure maps (the
+    dead words are closed under faces); FlatCellError at the first
+    positive-dimensional one whose closure holds a vertex."""
+    bounds = [0, *itertools.accumulate(layer.out_dim for layer in net.layers[:upto_layer])]
+    blocks = list(zip(bounds, bounds[1:]))
+    dead = {s: n0 - s.count(0) for s in stage if any(1 not in s[a:b] for a, b in blocks)}
+    closures = _closures(dead, _facets(dead))
+    for signs, dim in dead.items():
+        if dim and closures[signs][1]:
+            raise FlatCellError(
+                f"layer dead on cell {signs_to_str(signs)}, which has a vertex;"
+                " network is out of scope"
+            )
+
+
+def closure_flag_flat(cpx) -> None:
+    """Flat flags with F's gradients taken one product per parent table, and
+    the raise read off the complex's closure map: the reference for
+    ``complex._flag_flat``'s stacked product and vertex-face scan."""
+    n0, final, n = cpx.n0, cpx.net.final, cpx.net.total_neurons
+    cells = [c for c in cpx.cells.values() if c.dim]
+    s, dims = np.array([c.signs for c in cells]), np.array([c.dim for c in cells])
+    prefixes, at = np.unique(s[:, : -final.in_dim], axis=0, return_inverse=True)
+    tables, g = cpx.tables(prefixes.tolist()), np.empty((len(cells), n0))
+    for i in range(len(prefixes)):
+        g[at == i] = tables[i].f_affine(final, s[at == i, -final.in_dim :])[0]
+    unit = tables.unit[0].reshape(-1, n0)  # row p of table i: row i * n + p
+    for dim in set(dims.tolist()):
+        sel = np.flatnonzero(dims == dim)
+        proj = g[sel]
+        if dim < n0:
+            zeros = np.nonzero(s[sel] == 0)[1].reshape(len(sel), n0 - dim)
+            basis = np.linalg.svd(unit[at[sel, None] * n + zeros])[2][:, n0 - dim :]
+            proj = (basis @ g[sel, :, None])[..., 0]
+        flat = _is_flat(np.linalg.norm(proj, axis=1), np.linalg.norm(g[sel], axis=1))
+        for i, f in zip(sel.tolist(), flat.tolist()):
+            cells[i].flat = f
+    for cell in cpx.cells.values():
+        if cell.flat and cpx.closure(cell)[1]:
             raise FlatCellError(
                 f"F is constant on cell {signs_to_str(cell.signs)}, which has a vertex;"
                 " network is out of scope"

@@ -367,7 +367,7 @@ def test_render_box_flag(tmp_path):
     assert svg.read_text().count("<line") == 9
 
 
-@pytest.mark.parametrize("box", ["nan,0,1,1", "-inf,-1,1,1"])
+@pytest.mark.parametrize("box", ["nan,0,1,1", "-inf,-1,1,1", "-1e308,-1e308,1e308,1e308"])
 def test_render_box_must_be_finite(tmp_path, capsys, box):
     weights = tmp_path / "w.json"
     run(["gen", "--fixture", "net-b", "-o", str(weights)])
@@ -408,6 +408,21 @@ def _edited(edit) -> str:
             _edited(lambda d: d["layers"].append(d["layers"][0])),
             "expected 1 hidden layers, got 2",
             id="layer-count",
+        ),
+        pytest.param(
+            _edited(lambda d: d.update(dims=[2.7, 3, 1])),
+            "dims: expected a list of integers, got [2.7, 3, 1]",
+            id="float-dims",
+        ),
+        pytest.param(
+            _edited(lambda d: d.update(dims=[2, 3, True])),
+            "dims: expected a list of integers, got [2, 3, True]",
+            id="bool-dims",
+        ),
+        pytest.param(
+            _edited(lambda d: d.update(dims="231")),
+            "dims: expected a list of integers, got '231'",
+            id="string-dims",
         ),
         pytest.param(
             _edited(lambda d: d.update(dims=[3, 3, 1])),
@@ -470,7 +485,7 @@ def test_unknown_fixture_exit_1(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--lp-tol", v) for v in ("-1", "inf", "0", "nan")]
+    [("--lp-tol", v) for v in ("-1", "inf", "0", "nan", "1", "2")]
     + [("--sign-tol", v) for v in ("-1", "nan", "inf")],
 )
 def test_broken_tolerance_exit_1(tmp_path, capsys, flag, value):

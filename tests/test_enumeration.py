@@ -21,8 +21,11 @@ vertex's own-table location with ``conftest.reference_vertex_location``, and
 the one stacked solve of all vertices with ``conftest``'s solve of each
 vertex alone on its own table, each
 layer's one acceptance pass with the per-parent ``conftest.reference_accept``,
-the batched residual with ``conftest.reference_consistent``'s lstsq, and the
-stacked node-map tables with the per-word ``conftest.reference_node_maps``.
+the batched residual with ``conftest.reference_consistent``'s lstsq, the
+stacked node-map tables with the per-word ``conftest.reference_node_maps``,
+and the forced-flat abort's and the flat-cell test's ``is_face`` scans with
+the closure walks of ``conftest.closure_walk_abort`` and
+``conftest.closure_flag_flat``.
 """
 
 import contextlib
@@ -31,12 +34,15 @@ import itertools
 import math
 import pathlib
 import re
+import sys
 
 import numpy as np
 import pytest
 from conftest import (
     SWEEP_ACCEPTED,
+    closure_flag_flat,
     closure_generators,
+    closure_walk_abort,
     complex_forms,
     edge_outcome,
     generator_pieces,
@@ -904,17 +910,110 @@ def test_two_layer_vertices_match_the_container_top_cell_solve(sweep_accepted):
     assert spanning > 300
 
 
+def _load(folder, name):
+    """The module ``name`` of the repository's ``folder``."""
+    path = pathlib.Path(__file__).resolve().parent.parent / folder / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)  # for its dataclasses
+    spec.loader.exec_module(module)
+    return module
+
+
 def _sweep_nets():
     """Every network of ``scripts/cli_sweep.py``."""
-    path = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "cli_sweep.py"
-    spec = importlib.util.spec_from_file_location("cli_sweep", path)
-    sweep = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sweep)
+    sweep = _load("scripts", "cli_sweep")
     nets = [net_b()]
     for arch, seeds in sweep.ARCHS.items():
         full = tuple(int(d) for d in arch.split(","))
         nets += [random_network(Architecture.from_full(full), seed=seed) for seed in seeds]
     return nets
+
+
+def _bench_nets():
+    """The seed-0 draws of every workload of ``perfbench/workloads.py``."""
+    bench = _load("perfbench", "workloads")
+    return [bench.draw_network(w, 0, i)[1] for w in bench.WORKLOADS.values() for i in range(w.draws)]
+
+
+@contextlib.contextmanager
+def _raises_as(want):
+    """Assert that the block raises the structured error ``want``, (class
+    name, message), and re-raise it; for None, that it raises none."""
+    try:
+        yield
+    except StructuredError as exc:
+        assert (type(exc).__name__, str(exc)) == want
+        raise
+    assert want is None
+
+
+def _raised(call):
+    """(class name, message) of the structured error ``call()`` raises, or None."""
+    try:
+        call()
+    except StructuredError as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def test_vertex_face_flat_checks_match_the_closure_walks(monkeypatch):
+    # Every forced-flat abort and flat-cell test of a build, on the
+    # near-degenerate nets, the CLI sweep's nets and the benchmark's seed-0
+    # draws, against conftest's closure-walk references over every dead
+    # block and the complex's closure map: the same outcome and message,
+    # and the same flat flags.
+    real_abort, real_flag, seen = complex_module._abort_on_forced_flats, complex_module._flag_flat, []
+
+    def abort(stage, n_k, n0):
+        upto = [*itertools.accumulate(layer.out_dim for layer in net.layers)].index(len(next(iter(stage))))
+        want = _raised(lambda: closure_walk_abort(net, stage, upto + 1, n0))
+        seen.append(("abort", want is not None))
+        with _raises_as(want):
+            real_abort(stage, n_k, n0)
+
+    def flag(cpx):
+        want = _raised(lambda: closure_flag_flat(cpx))
+        flags = [c.flat for c in cpx.cells.values()]
+        seen.append(("flat", want is not None, any(flags)))
+        for cell in cpx.cells.values():
+            cell.flat = False
+        try:
+            with _raises_as(want):
+                real_flag(cpx)
+        finally:
+            assert [c.flat for c in cpx.cells.values()] == flags
+
+    monkeypatch.setattr(complex_module, "_abort_on_forced_flats", abort)
+    monkeypatch.setattr(complex_module, "_flag_flat", flag)
+    nets = [_integer_net(*case) for case in NEAR_DEGENERATE] + _sweep_nets() + _bench_nets()
+    for net in nets + [p.values[0] for p in CASES] + list(FLAT_KEPT.values()):
+        structure(net)
+    assert seen.count(("abort", True)) > 100 and seen.count(("abort", False)) > 50
+    assert seen.count(("flat", True, True)) >= 5 and seen.count(("flat", False, True)) >= 4
+
+
+def test_arranged_builds_read_no_closure_map(monkeypatch):
+    # Where every layer comes whole from its vertices no neuron step runs,
+    # and the forced-flat abort and the flat-cell test ask is_face: building
+    # the CLI sweep's nets and the benchmark's seed-0 draws, rejected ones
+    # included, builds no closure map.
+    layers, closures, arranged = _spy(monkeypatch, "_accept"), _spy(monkeypatch, "_closures"), []
+    real = complex_module._arrangement
+
+    def arrangement(*args):
+        out = real(*args)
+        arranged.append(out is not None)
+        return out
+
+    monkeypatch.setattr(complex_module, "_arrangement", arrangement)
+    outcomes = []
+    for net in _sweep_nets() + _bench_nets():
+        del layers[:], closures[:], arranged[:]
+        outcome = structure(net)
+        if arranged.count(True) == len(layers):
+            assert closures == [], net.arch
+            outcomes.append("ok" if outcome[0] == "ok" else outcome[2]["message"].split()[0])
+    assert outcomes.count("ok") > 20 and outcomes.count("layer") > 20 and "F" in outcomes
 
 
 def test_stacked_tables_match_the_per_word_tables(monkeypatch):
