@@ -33,9 +33,12 @@ FIXTURES = {"net-b": net_b}
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file beside it; an
+    OSError names ``path``, not the temporary file."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".relumorse-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".relumorse-")
         # mkstemp creates mode 0600; give the file the mode open(path, "w")
         # would: an existing file's, else 0666 less the umask.
         try:
@@ -48,9 +51,11 @@ def _atomic_write(path: str, text: str) -> None:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise type(exc)(exc.errno, exc.strerror, path) from None
         raise
 
 
@@ -84,6 +89,8 @@ def _parse_box(text: str):
 
 
 def cmd_gen(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed: expected non-negative integer, got {args.seed}")
     if args.fixture:
         name = args.fixture.lower()
         if name not in FIXTURES:
@@ -129,6 +136,12 @@ def cmd_classify(args) -> int:
 
 
 def cmd_dgvf(args) -> int:
+    if args.report not in (None, "-") and args.output != "-":
+        out, rep = (os.path.split(os.path.abspath(p)) for p in (args.output, args.report))
+        # _atomic_write replaces the named entry: one name in one directory,
+        # perhaps reached through a symlink, is the only way to write twice.
+        if out[1] == rep[1] and os.path.realpath(out[0]) == os.path.realpath(rep[0]):
+            raise ValueError(f"--output and --report name the same file: {args.report}")
     net = _load_network(args.input)
     cpx = cpxmod.build_complex(net, sign_tol=args.sign_tol, lp_tol=args.lp_tol)
     matching = build_dgvf(cpx)
@@ -211,9 +224,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="write a weight file (random or fixture)")
-    p.add_argument("--arch", help="comma-separated dims ending in 1, e.g. 2,3,1")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--fixture", help="named built-in network (net-b)")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--arch", help="comma-separated dims ending in 1, e.g. 2,3,1")
+    source.add_argument("--fixture", help="named built-in network (net-b)")
+    p.add_argument("--seed", type=int, default=0, help="random seed, >= 0 (default 0)")
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(func=cmd_gen)
 

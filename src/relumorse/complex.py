@@ -4,10 +4,11 @@ Cells are named by sign sequences: one entry in {-1, 0, +1} per hidden
 neuron recording the sign of that node map on the cell.  Under the
 genericity conditions enforced here a k-cell has exactly n0 - k zero
 entries and faces are read off by composing sign words.  The finished
-complex answers from what construction leaves: faces from the facet map,
-F's maxima bottom-up over it, flat flags from one stacked product of F's
-gradients on the node-map tables, and the vertices' locations and edge
-slopes from those tables, one per parent cell, each in one stacked solve;
+complex answers from what construction leaves: F's maxima over every cell
+from one stacked pass over the vertices' stars (the cells a vertex is a
+face of), flat flags from one stacked product of F's gradients on the
+node-map tables, and the vertices' locations and edge slopes from those
+tables, one per parent cell, each in one stacked solve; the facet map and
 closure vertices and rays only on demand.  A cell's affine data is its
 parent's table.  A flat cell, or after each layer a cell on which that layer
 is dead, is out of scope when it has a vertex face (:func:`is_face`, each
@@ -102,6 +103,17 @@ def _edges_at(v_signs: Signs):
             yield p, sigma, v_signs[:p] + (sigma,) + v_signs[p + 1 :]
 
 
+def _stars(vertices, zeros) -> tuple:
+    """(t, words): the 3^n0 words t in {-1, 0, 1}^n0, in product order, and
+    the star of each vertex (rows of the sign array ``vertices``), words[i, k]
+    its word with its n0 zero entries zeros[i] set to t[k]."""
+    n0 = zeros.shape[1]
+    t = np.array(list(itertools.product((-1, 0, 1), repeat=n0)), dtype=np.int8)
+    words = np.repeat(vertices[:, None], len(t), axis=1)
+    words[np.arange(len(vertices))[:, None, None], np.arange(len(t))[:, None], zeros[:, None]] = t
+    return t, words
+
+
 def _solve_each(a, b) -> tuple:
     """(x, singular) of the stacked systems a[i] x = b[i], b one vector per
     system: one stacked solve, or where LAPACK finds one singular, each
@@ -186,11 +198,12 @@ def _slopes_of(entry) -> dict:
     return entry
 
 
-def _facets(dims: dict) -> dict:
-    """{word: sorted tuple of facets} of the cells ``dims`` ({word: dim}): the
-    present words that zero one more entry, found by flipping words' zeros."""
-    below = {w: [] for w in dims}
-    for w in dims:
+def _facets(words) -> dict:
+    """{word: sorted tuple of facets} of the cells ``words`` (a collection of
+    sign words, or a dict keyed by them), in its order: the present words
+    that zero one more entry, found by flipping words' zeros."""
+    below = {w: [] for w in words}
+    for w in words:
         zeros = [p for p, s in enumerate(w) if s == 0]
         for up in (w[:p] + (sigma,) + w[p + 1 :] for p in zeros for sigma in (-1, 1)):
             if up in below:
@@ -324,11 +337,11 @@ class CanonicalComplex:
         self.lp_tol = lp_tol
         self._tables = {}
         self._hreps = {}
-        self._fmax = {}
-        self._peaks = {}
         self._edge_slopes = None
-        self._facets = _facets({s: c.dim for s, c in cells.items()})
+        self._facets = None
         self._closure_map = None
+        self._star = None
+        self._sups = {}
 
     @property
     def n0(self) -> int:
@@ -376,13 +389,19 @@ class CanonicalComplex:
     def closure(self, cell) -> tuple:
         """(facets, vertices, rays) of a stored cell; built on first use."""
         if self._closure_map is None:
-            self._closure_map = _closures({s: c.dim for s, c in self.cells.items()}, self._facets)
+            self._closure_map = _closures({s: c.dim for s, c in self.cells.items()}, self._facet_map())
         return self._closure_map[cell.signs if isinstance(cell, Cell) else tuple(cell)]
 
     def facets(self, cell) -> list:
         """Stored cells obtained by zeroing exactly one nonzero entry, sorted."""
         signs = cell.signs if isinstance(cell, Cell) else tuple(cell)
-        return [self.cells[f] for f in self._facets[signs]]
+        return [self.cells[f] for f in self._facet_map()[signs]]
+
+    def _facet_map(self) -> dict:
+        """:func:`_facets` of every cell, built on first use."""
+        if self._facets is None:
+            self._facets = _facets(self.cells)
+        return self._facets
 
     def vertex_facets(self, cell) -> list:
         """Vertices of the complex lying in the closure of ``cell``, sorted."""
@@ -391,6 +410,34 @@ class CanonicalComplex:
     def top_cells(self) -> list:
         return [c for c in self.cells.values() if c.dim == self.n0]
 
+    def rays(self) -> list:
+        """Sorted (vertex, edge) words of the rays: the edges with exactly
+        one vertex, read off the vertices' stars."""
+        return [r[:2] for r in self._star_cells()[2]]
+
+    def _star_cells(self) -> tuple:
+        """(t, at, rays), built on first use.  at[i, k] indexes, in
+        :attr:`cells`, the word k of vertex i's star (:func:`_stars`), -1
+        where no cell has it: a vertex is a face of exactly the cells of its
+        star (:func:`is_face`).  An edge, a star word with one nonzero t, is
+        a ray where it is in one star only; ``rays`` lists them sorted, each
+        as (vertex, edge, i, k)."""
+        if self._star is None:
+            verts = np.array(list(self.vertices), dtype=np.int8).reshape(-1, self.net.total_neurons)
+            t, stars = _stars(verts, np.nonzero(verts == 0)[1].reshape(-1, self.n0))
+            index = dict(zip(self.cells, itertools.count()))
+            at = [index.get(w, -1) for w in map(tuple, stars.reshape(-1, stars.shape[2]).tolist())]
+            at = np.array(at, dtype=int).reshape(len(verts), len(t))
+            edges = np.flatnonzero((t != 0).sum(axis=1) == 1)
+            e = at[:, edges]
+            count = np.bincount(e[e >= 0], minlength=len(index))
+            vi, ej = np.nonzero((e >= 0) & (count[e] == 1))
+            words = list(self.vertices)
+            self._star = t, at, sorted(
+                (words[i], tuple(stars[i, k].tolist()), i, k) for i, k in zip(vi.tolist(), edges[ej].tolist())
+            )
+        return self._star
+
     # -- LP-backed cell queries ------------------------------------------
 
     def is_bounded_above(self, cell) -> bool:
@@ -398,50 +445,76 @@ class CanonicalComplex:
         return self.f_max(cell) < float("inf")
 
     def f_max(self, cell) -> float:
-        """:meth:`sup` of F over the cell, cached."""
-        signs = cell.signs if isinstance(cell, Cell) else tuple(cell)
-        if signs not in self._fmax:
-            self._fmax[signs] = self.sup(signs, 1)
-        return self._fmax[signs]
+        """:meth:`sup` of F over the cell."""
+        return self.sup(cell.signs if isinstance(cell, Cell) else cell, 1)
+
+    def f_maxes(self) -> dict:
+        """{word: :meth:`f_max`} of every cell, in cell order; the cells that
+        the star pass leaves to their LP solve it here, in that order."""
+        answers, open_ = self._closed_sups(1)
+        for signs in list(open_):
+            self.sup(signs, 1)
+        return dict(answers)
 
     def sup(self, signs: Signs, sense: int) -> float:
-        """Sup of sense * F (sense = +1 or -1) over a cell; +inf when sense *
-        F is unbounded above on it.  A closure holding a vertex is pointed,
-        its rays span its recession cone, and F is affine on it: sense * F is
-        bounded iff it falls along every ray, to the best vertex value (both
-        from :meth:`_peak`).  A vertex-free cell, or a first ray that does
-        not fall at a vertex where :meth:`edge_slopes` raises, costs one LP.
+        """Sup of sense * F (sense = +1 or -1) over a cell, cached; +inf when
+        sense * F is unbounded above on it.  A closure holding a vertex is
+        pointed, its rays span its recession cone, and F is affine on it:
+        sense * F is bounded iff it falls along every ray, to the best vertex
+        value (both from :meth:`_closed_sups`).  A vertex-free cell, or a
+        first ray that does not fall at a vertex where :meth:`edge_slopes`
+        raises, costs one LP, solved at its first call.
         """
-        best, ray = self._peak(tuple(signs), sense)
-        if best is not None and not (ray and ray[1]):
-            return float("inf") if ray else best
-        (grad, offset), rep = self.f_affine(signs), self.hrep(signs)
-        res = lp_solve(_cell_problem(rep, sense * grad), feas_tol=self.lp_tol)
-        if not res.optimal:
-            return float("inf")
-        return res.value + sense * offset if best is None else best
+        signs = tuple(signs)
+        answers, open_ = self._closed_sups(sense)
+        if signs in open_:
+            (grad, offset), rep = self.f_affine(signs), self.hrep(signs)
+            res = lp_solve(_cell_problem(rep, sense * grad), feas_tol=self.lp_tol)
+            best = open_[signs]
+            if not res.optimal:
+                answers[signs] = float("inf")
+            else:
+                answers[signs] = res.value + sense * offset if best is None else best
+            del open_[signs]
+        return answers[signs]
 
-    def _peak(self, signs: Signs, sense: int) -> tuple:
-        """(best vertex value of sense * F, first ray) over a cell's closure,
-        bottom-up over the facets, as in :func:`_closures`; (None, None)
-        without a vertex.  The first ray in word order that does not fall
-        comes as (ray, whether its vertex's edge slopes raised)."""
-        key = (signs, sense)
-        if key not in self._peaks:
-            facets = self._facets[signs]
-            parts = [self._peak(f, sense) for f in facets]
-            if signs in self.vertices:
-                parts = [(sense * self.vertices[signs].value, None)]
-            elif self.cells[signs].dim == 1 and len(facets) == 1:
-                ray = (facets[0], signs)
+    def _closed_sups(self, sense: int) -> tuple:
+        """({word: sup of sense * F}, {word: best vertex value or None}) over
+        every cell, cached per sense, in one pass over the vertices' stars
+        (:meth:`_star_cells`).  A cell's best vertex value is the max over the
+        stars that hold it.  Its first ray, in word order, is the least of
+        the rays that rise, or sit at a vertex whose :meth:`edge_slopes`
+        raise, and are faces of it: the words of the ray's star that keep its
+        edge's nonzero entry.  The sup is the best value without such a ray,
+        +inf with a rising one; NaN marks the cells the second dict lists,
+        without a vertex or with a raised first ray, which :meth:`sup` leaves
+        to their LP."""
+        if sense not in self._sups:
+            t, at, rays = self._star_cells()
+            hit, n = at >= 0, len(self.cells)
+            values = sense * np.array([v.value for v in self.vertices.values()])
+            best, first = np.full(n, -np.inf), np.full(n, len(rays))
+            np.maximum.at(best, at[hit], np.broadcast_to(values[:, None], at.shape)[hit])
+            raised, up = np.zeros(len(rays) + 1, dtype=bool), []  # raised[len(rays)]: no ray
+            for r, (v, e, i, k) in enumerate(rays):
                 try:
-                    rises = sense * self.edge_slopes(facets[0])[signs][1] > 0
-                    parts.append((None, (ray, False) if rises else None))
+                    rises = sense * self.edge_slopes(v)[e][1] > 0
                 except (FlatCellError, SingularSystemError):
-                    parts.append((None, (ray, True)))
-            best = max((b for b, _ in parts if b is not None), default=None)
-            self._peaks[key] = (best, min((r for _, r in parts if r), default=None))
-        return self._peaks[key]
+                    raised[r] = rises = True
+                if rises:
+                    up.append((r, i, k))
+            r, i, k = np.array(up, dtype=int).reshape(-1, 3).T
+            # above[k, k']: star word k is a face of star word k'.
+            above = ((t[:, None] == t[None]) | (t[:, None] == 0)).all(axis=2)
+            sel = above[k] & hit[i]
+            np.minimum.at(first, at[i][sel], np.broadcast_to(r[:, None], sel.shape)[sel])
+            answers = np.where(first < len(rays), np.inf, best)
+            lp = (best == -np.inf) | raised[first]
+            answers[lp] = np.nan
+            words, best = list(self.cells), best.tolist()
+            open_ = {words[c]: best[c] if best[c] > -np.inf else None for c in np.flatnonzero(lp).tolist()}
+            self._sups[sense] = dict(zip(words, answers.tolist())), open_
+        return self._sups[sense]
 
     def edge_slopes(self, v_signs: Signs) -> dict:
         """:func:`_edge_slopes` at a vertex.  The first call solves every
@@ -454,11 +527,11 @@ class CanonicalComplex:
     # -- export ------------------------------------------------------------
 
     def export_dict(self) -> dict:
-        cells = {}
+        cells, f_max = {}, self.f_maxes()
         for signs, cell in self.cells.items():
             record = {
                 "dim": cell.dim,
-                "bounded_above": self.is_bounded_above(cell),
+                "bounded_above": f_max[signs] < float("inf"),
             }
             if signs in self.vertices:
                 v = self.vertices[signs]
@@ -719,9 +792,7 @@ def _arrangement(net: ReluNetwork, index: dict, tables: NodeMaps, lp_tol: float)
             # v takes the stage cell's signs; the stars set the zeros.
             found.append((x, zeros, np.sign(v).astype(np.int8), pid, margin.min(axis=1)))
     x, zeros, word, pid, r = (np.concatenate(a) for a in zip(*found))
-    t = np.array(list(itertools.product((-1, 0, 1), repeat=n0)), dtype=np.int8)
-    words = np.repeat(word[:, None], len(t), axis=1)  # (vertex, t, map)
-    words[np.arange(len(x))[:, None, None], np.arange(len(t))[:, None], zeros[:, None]] = t
+    t, words = _stars(word, zeros)  # (vertex, t, map)
     words = words.reshape(-1, size)
     # t's entries on the stage zeros lead: a run of 3^d words shares a parent.
     at = np.repeat(np.arange(len(x)), len(t) // (run := 3 ** dims[pid]))  # vertex of each pair

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complex import CanonicalComplex, _cell_problem, _constant_rows_hold, _hrep_for
-from .complex import _edge_slopes, _slopes_of, is_face
+from .complex import _edge_slopes, _facets, _slopes_of, is_face
 from .errors import (
     DimensionError,
     FlatCellError,
@@ -91,7 +91,7 @@ class Matching:
         seen.update(self.critical)
         dupes = [s for s, k in seen.items() if k > 1]
         problems.extend(f"cell {signs_to_str(s)} used more than once" for s in dupes)
-        expected = {s for s, c in cpx.cells.items() if cpx.is_bounded_above(c)}
+        expected = {s for s, m in cpx.f_maxes().items() if m < float("inf")}
         for label, cells in (
             ("uncovered bounded-above cells", expected - set(seen)),
             ("cells outside the bounded-above subcomplex", set(seen) - expected),
@@ -211,22 +211,22 @@ class CompactifiedComplex:
 
 
 def compactify(cpx: CanonicalComplex) -> CompactifiedComplex:
-    """One-point compactification of the bounded-above subcomplex."""
-    kept = {s: c for s, c in cpx.cells.items() if cpx.is_bounded_above(c)}
+    """One-point compactification of the bounded-above subcomplex.  A face
+    of a bounded-above cell is bounded above, so the facet map of the kept
+    cells alone gives each its full facet list."""
+    f_max = cpx.f_maxes()
+    kept = {s: c for s, c in cpx.cells.items() if f_max[s] < float("inf")}
     facets = {BASEPOINT: ()}
-    f_max = {BASEPOINT: float("-inf")}
-    for signs, cell in kept.items():
-        cell_facets = [f.signs for f in cpx.facets(cell) if f.signs in kept]
-        if cell.dim == 1 and len(cell_facets) == 1:  # a ray; vertices are all kept
-            cell_facets.append(BASEPOINT)
-        facets[signs] = tuple(cell_facets)
-        f_max[signs] = cpx.f_max(cell)
+    for signs, cell_facets in _facets(kept).items():
+        if kept[signs].dim == 1 and len(cell_facets) == 1:  # a ray; vertices are all kept
+            cell_facets += (BASEPOINT,)
+        facets[signs] = cell_facets
     values = tuple(sorted(v.value for v in cpx.vertices.values()))
     return CompactifiedComplex(
         n0=cpx.n0,
         cells=dict(sorted(kept.items())),
         facets=facets,
-        f_max=f_max,
+        f_max={BASEPOINT: float("-inf"), **{s: f_max[s] for s in kept}},
         vertex_values=values,
     )
 

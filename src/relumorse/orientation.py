@@ -202,12 +202,9 @@ def analyze_shallow(net: ReluNetwork, cpx: CanonicalComplex | None = None) -> Sh
 
     consistent = True
     toward = []
+    rays = {e for _, e in cpx.rays()}
     for v in cpx.vertices.values():
-        rel = [
-            cpx.edge_slopes(v.signs)[e][1]
-            for _, _, e in _edges_at(v.signs)
-            if e in cpx.cells and cpx.closure(e)[2]
-        ]
+        rel = [cpx.edge_slopes(v.signs)[e][1] for _, _, e in _edges_at(v.signs) if e in rays]
         if not rel:
             continue
         if len(set(rel)) > 1:

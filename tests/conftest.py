@@ -426,7 +426,7 @@ def reference_sup(cpx, cell, sense=1) -> tuple:
     closure map: the best vertex value, unless a ray, in word order, rises
     (+inf) or is at a vertex whose edge slopes raise (the cell LP) first.
     The reference for ``CanonicalComplex.sup`` and ``f_max``, which read
-    the same answer off the facet map."""
+    the same answer off the vertices' stars."""
     signs = cell.signs if isinstance(cell, Cell) else tuple(cell)
     corners = [sense * v.value for v in cpx.vertex_facets(signs)]
     if corners:

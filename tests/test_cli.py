@@ -565,6 +565,55 @@ def test_usage_error_exit_1():
     assert run(["unknown-command"]) == 1
 
 
+def test_gen_arch_and_fixture_are_exclusive(tmp_path, capsys):
+    output = tmp_path / "w.json"
+    assert run(["gen", "--arch", "2,8,1", "--fixture", "net-b", "-o", str(output)]) == 1
+    assert "argument --fixture: not allowed with argument --arch" in capsys.readouterr().err
+    assert not output.exists()
+
+
+def test_gen_negative_seed_names_the_flag(tmp_path, capsys):
+    output = tmp_path / "w.json"
+    assert run(["gen", "--arch", "2,8,1", "--seed", "-1", "-o", str(output)]) == 1
+    assert capsys.readouterr().err == "error: --seed: expected non-negative integer, got -1\n"
+    assert not output.exists()
+
+
+def test_write_error_names_the_destination(tmp_path, capsys):
+    # The output goes through a temporary file beside it; an OSError names
+    # the path given, not that file, and leaves nothing behind.
+    weights = tmp_path / "w.json"
+    run(["gen", "--fixture", "net-b", "-o", str(weights)])
+    capsys.readouterr()
+    target = tmp_path / "missing_dir" / "m.json"
+    assert run(["dgvf", "-i", str(weights), "-o", str(target)]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{target}'\n"
+    directory = tmp_path / "a_dir"
+    directory.mkdir()
+    assert run(["build", "-i", str(weights), "-o", str(directory)]) == 1
+    assert capsys.readouterr().err.endswith(f": '{directory}'\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a_dir", "w.json"]
+    assert list(directory.iterdir()) == []
+
+
+def test_dgvf_rejects_one_file_for_matching_and_report(tmp_path, capsys, monkeypatch):
+    # Spellings of one path, through a symlinked directory too, are a usage
+    # error before any work is done; "-" for both prints both.
+    weights = tmp_path / "w.json"
+    run(["gen", "--fixture", "net-b", "-o", str(weights)])
+    (tmp_path / "link").symlink_to(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli_module, "_load_network", lambda path: pytest.fail("loaded"))
+    for report in ("x.json", "./x.json", str(tmp_path / "x.json"), "link/x.json"):
+        assert run(["dgvf", "-i", "w.json", "-o", "x.json", "--report", report]) == 1
+        assert "error: --output and --report name the same file" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+    monkeypatch.undo()
+    assert run(["dgvf", "-i", str(weights), "-o", "-", "--report", "-"]) == 0
+    out = capsys.readouterr().out
+    assert '"pairs"' in out and '"pass": true' in out
+
+
 def test_full_pipeline_on_random_3d_net(tmp_path):
     # First (3,4,1) seed that builds also passes dgvf verification end to end.
     seed = scan_generic_nets((3, 4), 1)[0][0]

@@ -28,7 +28,8 @@ from relumorse.errors import (
     StructuredError,
 )
 from relumorse.network import NodeMaps
-from relumorse.orientation import classify_signs, classify_vertex
+from relumorse.dgvf import BASEPOINT
+from relumorse.orientation import analyze_shallow, classify_signs, classify_vertex
 
 from conftest import (
     affine_form,
@@ -40,6 +41,7 @@ from conftest import (
     is_spatially_bounded,
     lower_star,
     lp_max,
+    make_net_b_negated,
     rays_scan,
     reference_edge_slopes,
     reference_injectivity,
@@ -310,14 +312,105 @@ def test_f_max_without_ray_slopes_falls_back_to_lp(monkeypatch):
     assert cpx.export_dict()["cells"]
 
 
-def test_sup_matches_the_closure_rule(sweep_accepted):
-    # Read off the facet map, the max and min of F equal, as floats, those
-    # read off the union closure's vertex list and rays on every cell of the
-    # sweep's accepted nets; none of them takes an LP.
-    for net, cpx in sweep_accepted:
+def _parallel_lines_complex():
+    """Two parallel lines: flat cells and no vertex."""
+    return build_complex(
+        ReluNetwork(
+            (AffineLayer([[1.0, 0.0], [1.0, 0.0]], [0.0, -1.0]),),
+            AffineLayer([[1.0, 1.0]], [0.0]),
+        )
+    )
+
+
+def _near_degenerate_complexes() -> list:
+    """Complexes of the near-degenerate integer nets of test_enumeration,
+    NEAR_DEGENERATE at noise 1e-6, 1e-8 and 1e-10 and REGRESSION, that build."""
+    from test_enumeration import NEAR_DEGENERATE, REGRESSION, _integer_net
+
+    noises = (1e-6, 1e-8, 1e-10)
+    cases = sorted({(arch, seed, noise) for arch, seed, _ in NEAR_DEGENERATE for noise in noises})
+    out = []
+    for net in [_integer_net(*case) for case in cases] + [p.values[0] for p in REGRESSION]:
+        try:
+            out.append(build_complex(net))
+        except StructuredError:
+            pass
+    return out
+
+
+def test_sup_matches_the_closure_rule(monkeypatch, sweep_accepted, cpx_b_neg):
+    # Read off the vertices' stars, the max and min of F equal, as floats,
+    # those read off the union closure's vertex list and rays, and take the
+    # cell LP, once at the cell's first call, exactly where that rule does:
+    # on no cell of the sweep's accepted nets (NET-B among them) and NET-B's
+    # negation, on every cell of the vertex-free complexes, and on the
+    # near-degenerate nets that build where a cell has no vertex or its
+    # first ray sits at a vertex whose edge slopes raise.
+    near = _near_degenerate_complexes()
+    assert len(near) >= 6
+    free = [single_hyperplane_complex(), _parallel_lines_complex()]
+    lps, took = _count_lps(monkeypatch), Counter()
+    draws = [*sweep_accepted, (None, cpx_b_neg)] + [(c.net, c) for c in free + near]
+    for i, (net, cpx) in enumerate(draws):
+        for sense in (1, -1):
+            for signs, cell in cpx.cells.items():
+                want, took_lp = reference_sup(cpx, cell, sense)
+                del lps[:]
+                for _ in range(2):
+                    got = cpx.f_max(cell) if sense == 1 else cpx.sup(signs, -1)
+                    assert (got, len(lps)) == (want, took_lp), (net and net.arch, signs, sense)
+                took[i > len(sweep_accepted), took_lp] += 1
+    assert took[False, True] == 0 and took[False, False] > 10000
+    assert took[True, True] > 2 * sum(len(c.cells) for c in free) + 200 and took[True, False] > 100
+
+
+def test_f_max_and_export_build_no_facet_map(monkeypatch):
+    # Build, f_max of every cell both ways, export_dict and classify_vertex
+    # on every vertex read the vertices' stars: no facet map is built after
+    # cell enumeration, whose neuron steps (on the nets whose layers do not
+    # all come from vertices) build their own.
+    maps, inside = [], []
+    real_facets, real_enumerate = complex_module._facets, complex_module._enumerate_cells
+
+    def enumerate_cells(*args):
+        inside.append(True)
+        try:
+            return real_enumerate(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(complex_module, "_enumerate_cells", enumerate_cells)
+    monkeypatch.setattr(
+        complex_module, "_facets", lambda words: maps.append(bool(inside)) or real_facets(words)
+    )
+    nets = [net_b(), make_net_b_negated()]
+    for arch, seed in ((2, 8, 1), 0), ((4, 7, 1), 0), ((2, 3, 1), 0), ((2, 8, 8, 1), 0), ((3, 2, 2, 1), 1):
+        nets.append(random_network(Architecture.from_full(arch), seed=seed))
+    for net in nets:
+        cpx = build_complex(net)
         for signs, cell in cpx.cells.items():
-            assert (cpx.f_max(cell), False) == reference_sup(cpx, cell), (net.arch, signs)
-            assert (cpx.sup(signs, -1), False) == reference_sup(cpx, cell, -1), (net.arch, signs)
+            cpx.f_max(cell), cpx.sup(signs, -1)
+        cpx.export_dict()
+        for v in cpx.vertices.values():
+            classify_vertex(cpx, v)
+        if len(net.arch.dims) == 2 and net.arch.dims[1] == net.n0 + 1:
+            analyze_shallow(net, cpx)
+    assert True in maps and False not in maps
+
+
+def test_compactify_facets_are_the_full_maps_bounded_lists(sweep_accepted):
+    # The facet map compactify builds over the bounded-above cells alone
+    # gives each kept cell its facet list in the full map, less no cell,
+    # and a ray the basepoint after its vertex.
+    for net, cpx in sweep_accepted + [(None, c) for c in _near_degenerate_complexes()]:
+        cc = compactify(cpx)
+        assert cc.facets.pop(BASEPOINT) == ()
+        assert list(cc.facets) == [s for s, c in cpx.cells.items() if cpx.is_bounded_above(c)]
+        for signs, got in cc.facets.items():
+            full = tuple(f.signs for f in cpx.facets(signs))
+            ray = cpx.cells[signs].dim == 1 and len(full) == 1
+            assert got == full + (BASEPOINT,) * ray, (net and net.arch, signs)
+            assert all(cpx.is_bounded_above(f) for f in full), (net and net.arch, signs)
 
 
 def test_f_max_takes_the_lp_where_the_first_ray_is_broken(monkeypatch):
@@ -347,12 +440,12 @@ def test_f_max_takes_the_lp_where_the_first_ray_is_broken(monkeypatch):
 
 def test_after_build_forms_are_built_only_for_edge_slopes(monkeypatch):
     # Flat flags, F's maxima and the compactified complex read per-table
-    # products and the facet map: no cell's affine form is read on its own
-    # (CanonicalComplex.f_affine) and no table's F product is taken after
-    # build, the only tables asked for after build are those of the
-    # edge-slope solves' top cells, 1 + n0 per vertex at most, in one call,
-    # and the union of closure vertices and rays is never built for the
-    # finished complex.
+    # products, the vertices' stars and a facet map: no cell's affine form
+    # is read on its own (CanonicalComplex.f_affine) and no table's F
+    # product is taken after build, the only tables asked for after build
+    # are those of the edge-slope solves' top cells, 1 + n0 per vertex at
+    # most, in one call, and the union of closure vertices and rays is never
+    # built for the finished complex.
     forms, unions, inside, asked = [], [], [], []
     real_form, real_closures = complex_module.CanonicalComplex.f_affine, complex_module._closures
     real_product = NodeMaps.f_affine
@@ -666,14 +759,7 @@ def test_validate_and_compactify_solve_no_lp(monkeypatch):
 
 def test_vertex_free_cells_keep_the_lp(monkeypatch):
     calls = _count_lps(monkeypatch)
-    single = single_hyperplane_complex()
-    # Two parallel lines: flat cells and no vertex.
-    parallel = build_complex(
-        ReluNetwork(
-            (AffineLayer([[1.0, 0.0], [1.0, 0.0]], [0.0, -1.0]),),
-            AffineLayer([[1.0, 1.0]], [0.0]),
-        )
-    )
+    single, parallel = single_hyperplane_complex(), _parallel_lines_complex()
     assert not single.vertices and not parallel.vertices
     assert parallel.has_flat_cells
     del calls[:]
