@@ -25,7 +25,6 @@ from .dgvf import (
     compactify,
     is_acyclic,
     local_pair,
-    pair_lower_star,
 )
 from .errors import (
     ArchitectureError,

@@ -15,8 +15,9 @@ import sys
 import tempfile
 
 from . import complex as cpxmod
-from .dgvf import build_dgvf, compactify, is_acyclic, local_pair, seed_vertices
-from .errors import ArchitectureError, StructuredError
+# is_acyclic stays bound here, where perfbench's tracer wraps it.
+from .dgvf import build_dgvf, compactify, is_acyclic, local_pair, seed_vertices  # noqa: F401
+from .errors import ArchitectureError, CyclicMatchingError, StructuredError
 from .homology import betti, chain_complex, morse_complex, verify_relative_perfectness
 from .network import (
     Architecture,
@@ -146,22 +147,20 @@ def cmd_dgvf(args) -> int:
     cpx = cpxmod.build_complex(net, sign_tol=args.sign_tol, lp_tol=args.lp_tol)
     matching = build_dgvf(cpx)
     cc = compactify(cpx)
-    acyclic, witness = is_acyclic(matching, cc)
     perfect = verify_relative_perfectness(cc, matching)
-    full_betti = betti(chain_complex(cc))
+    full_betti = list(betti(chain_complex(cc)))
+    try:  # morse_complex runs the one V-path search
+        morse_betti = list(betti(morse_complex(cc, matching)))
+    except CyclicMatchingError:
+        morse_betti = None
     report = {
-        "acyclic": acyclic,
+        "acyclic": morse_betti is not None,
         "relative_perfectness": perfect.to_json_dict(),
-        "complex_betti": list(full_betti),
+        "complex_betti": full_betti,
+        "morse_betti": morse_betti,
+        "betti_match": morse_betti == full_betti,
     }
-    if acyclic:
-        morse_betti = betti(morse_complex(cc, matching))
-        report["morse_betti"] = list(morse_betti)
-        report["betti_match"] = list(morse_betti) == list(full_betti)
-    else:
-        report["morse_betti"] = None
-        report["betti_match"] = False
-    report["pass"] = bool(acyclic and perfect.passed and report["betti_match"])
+    report["pass"] = bool(report["acyclic"] and perfect.passed and report["betti_match"])
     if args.local_check:
         mismatches = []
         lower_of = matching.lower_to_upper()

@@ -4,15 +4,17 @@ Cells are named by sign sequences: one entry in {-1, 0, +1} per hidden
 neuron recording the sign of that node map on the cell.  Under the
 genericity conditions enforced here a k-cell has exactly n0 - k zero
 entries and faces are read off by composing sign words.  The finished
-complex answers from what construction leaves: F's maxima over every cell
-from one stacked pass over the vertices' stars (the cells a vertex is a
-face of), flat flags from one stacked product of F's gradients on the
-node-map tables, and the vertices' locations and edge slopes from those
-tables, one per parent cell, each in one stacked solve; the facet map and
-closure vertices and rays only on demand.  A cell's affine data is its
-parent's table.  A flat cell, or after each layer a cell on which that layer
-is dead, is out of scope when it has a vertex face (:func:`is_face`, each
-cell against all vertices at once); no closure map is built for that.
+complex indexes its words as one sorted int8 matrix, a cell's id its row,
+and finds the ids of any word rows by one ``searchsorted`` on void keys.
+The star table, the ids of the 3^n0 words around every vertex (the cells
+it is a face of), is one such lookup; F's maxima over every cell, the
+lower-star pairing (``dgvf``) and the rays are read off it, and the facets
+off lookups of each word with one zero set to -1 or +1.  Flat flags come
+from one stacked product of F's gradients, vertex locations and edge
+slopes from stacked solves on the node-map tables, one per parent cell,
+which is a cell's affine data.  A flat cell, or after each layer a cell on
+which that layer is dead, is out of scope when it has a vertex face
+(:func:`is_face`, each cell against all vertices at once).
 
 Construction builds layer by layer on the stacked node-map tables of the
 previous layer's cells.  Where layer 1 has rank n0 every cell is pointed,
@@ -24,12 +26,10 @@ both signs over the vertices and rays of its closure (``_facets``, then
 ``_closures``), read for all regions of a step in stacked calls, or where
 the closure holds no vertex or a sign falls in the tolerance band, by the
 witness LP, whose point is the piece's sample; build so solves no LP on
-generic input.  Acceptance checks all words of a layer in one pass: a word
-is kept when its sample point clears every strict inequality by a margin,
-or is the witness LP's own point, and otherwise by that LP; one stacked
-rank test per zero count finds dependent zero sets, and a batched residual
-the solvable ones past n0 zeros.  Every LP is a cell LP from
-``_cell_problem``, the one place a problem is built.
+generic input.  Acceptance checks all words of a layer in one pass, by
+sample points or the witness LP, with stacked rank and residual tests for
+dependent zero sets and solvable words past n0 zeros.  Every LP is a cell
+LP from ``_cell_problem``, the one place a problem is built.
 """
 
 from __future__ import annotations
@@ -101,6 +101,21 @@ def _edges_at(v_signs: Signs):
             continue
         for sigma in (-1, 1):
             yield p, sigma, v_signs[:p] + (sigma,) + v_signs[p + 1 :]
+
+
+def _keys(rows) -> np.ndarray:
+    """One void key per int8 sign-word row: the bytes of row + 1, which sort
+    as the words do (-1 < 0 < +1 as 0 < 1 < 2; raw -1 is 0xFF)."""
+    rows = np.ascontiguousarray(rows + 1).view(np.uint8)
+    return rows.view(np.dtype((np.void, rows.shape[-1]))).reshape(rows.shape[:-1])
+
+
+def _lookup(keys, rows) -> np.ndarray:
+    """Position of each sign-word row (any leading shape) in the sorted
+    ``keys``, -1 where it is absent."""
+    q, last = _keys(rows), len(keys) - 1
+    at = np.minimum(np.searchsorted(keys, q), max(last, 0))
+    return np.where(keys[at] == q, at, -1) if last >= 0 else np.full(q.shape, -1)
 
 
 def _stars(vertices, zeros) -> tuple:
@@ -198,17 +213,25 @@ def _slopes_of(entry) -> dict:
     return entry
 
 
-def _facets(words) -> dict:
+def _facets(words, rows=None) -> dict:
     """{word: sorted tuple of facets} of the cells ``words`` (a collection of
-    sign words, or a dict keyed by them), in its order: the present words
-    that zero one more entry, found by flipping words' zeros."""
-    below = {w: [] for w in words}
-    for w in words:
-        zeros = [p for p, s in enumerate(w) if s == 0]
-        for up in (w[:p] + (sigma,) + w[p + 1 :] for p in zeros for sigma in (-1, 1)):
-            if up in below:
-                below[up].append(w)
-    return {w: tuple(sorted(fs)) for w, fs in below.items()}
+    sign words, or a dict keyed by them; ``rows`` their int8 rows, if at
+    hand), in its order: the present words that zero one more entry.  Each
+    word with one zero set to -1 or +1 is looked up at once by its key; the
+    hits, grouped by the word found, are its facets in word order."""
+    words = list(words)
+    if not words or not words[0]:  # nothing, or the empty word of no neuron
+        return dict.fromkeys(words, ())
+    rows = np.array(words, dtype=np.int8) if rows is None else rows
+    order = np.argsort(keys := _keys(rows), kind="stable")
+    low, p = (np.repeat(a, 2) for a in np.nonzero(rows == 0))
+    up = rows[low]
+    up[np.arange(len(low)), p] = np.tile(np.array([-1, 1], dtype=np.int8), len(p) // 2)
+    at = _lookup(keys[order], up)
+    up, low = order[at[at >= 0]], low[at >= 0]
+    by = np.lexsort((np.argsort(order)[low], up))  # by the word found, then the facet's rank
+    bounds, low = np.searchsorted(up[by], np.arange(len(words) + 1)).tolist(), low[by].tolist()
+    return {w: tuple(map(words.__getitem__, low[a:b])) for w, a, b in zip(words, bounds, bounds[1:])}
 
 
 def _closures(dims: dict, facets: dict) -> dict:
@@ -335,17 +358,31 @@ class CanonicalComplex:
         self.cells = cells
         self.vertices = vertices
         self.lp_tol = lp_tol
-        self._tables = {}
-        self._hreps = {}
-        self._edge_slopes = None
-        self._facets = None
-        self._closure_map = None
-        self._star = None
-        self._sups = {}
+        self._tables, self._hreps, self._edge_slopes = {}, {}, None
+
+    @property
+    def cells(self) -> dict:
+        """{word: :class:`Cell`}; setting it resets what is read off them."""
+        return self._cells
+
+    @cells.setter
+    def cells(self, cells: dict) -> None:
+        self._cells, self._sups = cells, {}
+        self._words = self._facets = self._closure_map = self._star = None
 
     @property
     def n0(self) -> int:
         return self.net.n0
+
+    def words(self) -> tuple:
+        """(names, rows, keys, ids), built on first use: the cells' words sorted,
+        as tuples and as int8 rows, the rows' :func:`_keys`, and {word: id}: a
+        cell's id is its row.  :func:`_lookup` finds the ids of word rows."""
+        if self._words is None:
+            names, n = sorted(self._cells), self.net.total_neurons
+            rows = np.fromiter(itertools.chain.from_iterable(names), np.int8, len(names) * n).reshape(-1, n)
+            self._words = names, rows, _keys(rows), dict(zip(names, itertools.count()))
+        return self._words
 
     @property
     def has_flat_cells(self) -> bool:
@@ -400,7 +437,7 @@ class CanonicalComplex:
     def _facet_map(self) -> dict:
         """:func:`_facets` of every cell, built on first use."""
         if self._facets is None:
-            self._facets = _facets(self.cells)
+            self._facets = _facets(*self.words()[:2])
         return self._facets
 
     def vertex_facets(self, cell) -> list:
@@ -416,26 +453,22 @@ class CanonicalComplex:
         return [r[:2] for r in self._star_cells()[2]]
 
     def _star_cells(self) -> tuple:
-        """(t, at, rays), built on first use.  at[i, k] indexes, in
-        :attr:`cells`, the word k of vertex i's star (:func:`_stars`), -1
-        where no cell has it: a vertex is a face of exactly the cells of its
-        star (:func:`is_face`).  An edge, a star word with one nonzero t, is
-        a ray where it is in one star only; ``rays`` lists them sorted, each
-        as (vertex, edge, i, k)."""
+        """(t, at, rays, stars), built on first use: the star words stars[i, k]
+        (:func:`_stars`) of the i-th of :attr:`vertices` and their ids at[i, k],
+        -1 where no cell has one; a vertex is a face of exactly the cells of
+        its star.  An edge, a star word with one nonzero t, is a ray where it
+        is in one star only, listed sorted in ``rays`` as (vertex, edge, i, k)."""
         if self._star is None:
+            names, _, keys, _ = self.words()
             verts = np.array(list(self.vertices), dtype=np.int8).reshape(-1, self.net.total_neurons)
             t, stars = _stars(verts, np.nonzero(verts == 0)[1].reshape(-1, self.n0))
-            index = dict(zip(self.cells, itertools.count()))
-            at = [index.get(w, -1) for w in map(tuple, stars.reshape(-1, stars.shape[2]).tolist())]
-            at = np.array(at, dtype=int).reshape(len(verts), len(t))
+            at = _lookup(keys, stars)
             edges = np.flatnonzero((t != 0).sum(axis=1) == 1)
             e = at[:, edges]
-            count = np.bincount(e[e >= 0], minlength=len(index))
+            count = np.bincount(e[e >= 0], minlength=len(names))
             vi, ej = np.nonzero((e >= 0) & (count[e] == 1))
-            words = list(self.vertices)
-            self._star = t, at, sorted(
-                (words[i], tuple(stars[i, k].tolist()), i, k) for i, k in zip(vi.tolist(), edges[ej].tolist())
-            )
+            words, rays = list(self.vertices), zip(vi.tolist(), edges[ej].tolist())
+            self._star = t, at, sorted((words[i], names[at[i, k]], i, k) for i, k in rays), stars
         return self._star
 
     # -- LP-backed cell queries ------------------------------------------
@@ -448,13 +481,13 @@ class CanonicalComplex:
         """:meth:`sup` of F over the cell."""
         return self.sup(cell.signs if isinstance(cell, Cell) else cell, 1)
 
-    def f_maxes(self) -> dict:
-        """{word: :meth:`f_max`} of every cell, in cell order; the cells that
-        the star pass leaves to their LP solve it here, in that order."""
-        answers, open_ = self._closed_sups(1)
-        for signs in list(open_):
-            self.sup(signs, 1)
-        return dict(answers)
+    def f_maxes(self) -> np.ndarray:
+        """:meth:`f_max` of every cell by id, the cached array itself; the cells
+        that the star pass leaves to their LP solve it here, in id order."""
+        values, open_ = self._closed_sups(1)
+        for c in list(open_):
+            self.sup(self.words()[0][c], 1)
+        return values
 
     def sup(self, signs: Signs, sense: int) -> float:
         """Sup of sense * F (sense = +1 or -1) over a cell, cached; +inf when
@@ -466,32 +499,27 @@ class CanonicalComplex:
         raises, costs one LP, solved at its first call.
         """
         signs = tuple(signs)
-        answers, open_ = self._closed_sups(sense)
-        if signs in open_:
+        (values, open_), c = self._closed_sups(sense), self.words()[3][signs]
+        if c in open_:
             (grad, offset), rep = self.f_affine(signs), self.hrep(signs)
             res = lp_solve(_cell_problem(rep, sense * grad), feas_tol=self.lp_tol)
-            best = open_[signs]
-            if not res.optimal:
-                answers[signs] = float("inf")
-            else:
-                answers[signs] = res.value + sense * offset if best is None else best
-            del open_[signs]
-        return answers[signs]
+            best = open_.pop(c)
+            values[c] = np.inf if not res.optimal else res.value + sense * offset if best is None else best
+        return float(values[c])
 
     def _closed_sups(self, sense: int) -> tuple:
-        """({word: sup of sense * F}, {word: best vertex value or None}) over
-        every cell, cached per sense, in one pass over the vertices' stars
-        (:meth:`_star_cells`).  A cell's best vertex value is the max over the
-        stars that hold it.  Its first ray, in word order, is the least of
-        the rays that rise, or sit at a vertex whose :meth:`edge_slopes`
-        raise, and are faces of it: the words of the ray's star that keep its
-        edge's nonzero entry.  The sup is the best value without such a ray,
-        +inf with a rising one; NaN marks the cells the second dict lists,
-        without a vertex or with a raised first ray, which :meth:`sup` leaves
-        to their LP."""
+        """(sup of sense * F by id, {id: best vertex value or None}), cached
+        per sense, in one pass over the vertices' stars (:meth:`_star_cells`).
+        A cell's best vertex value is the max over the stars that hold it.
+        Its first ray, in word order, is the least of the rays that rise, or
+        sit at a vertex whose :meth:`edge_slopes` raise, and are faces of it:
+        the words of the ray's star that keep its edge's nonzero entry.  The
+        sup is the best value without such a ray, +inf with a rising one; NaN
+        marks the cells of the dict, vertex-free or with a raised first ray,
+        left to their LP."""
         if sense not in self._sups:
-            t, at, rays = self._star_cells()
-            hit, n = at >= 0, len(self.cells)
+            (t, at, rays, _), n = self._star_cells(), len(self.words()[0])
+            hit = at >= 0
             values = sense * np.array([v.value for v in self.vertices.values()])
             best, first = np.full(n, -np.inf), np.full(n, len(rays))
             np.maximum.at(best, at[hit], np.broadcast_to(values[:, None], at.shape)[hit])
@@ -508,36 +536,36 @@ class CanonicalComplex:
             above = ((t[:, None] == t[None]) | (t[:, None] == 0)).all(axis=2)
             sel = above[k] & hit[i]
             np.minimum.at(first, at[i][sel], np.broadcast_to(r[:, None], sel.shape)[sel])
-            answers = np.where(first < len(rays), np.inf, best)
+            values = np.where(first < len(rays), np.inf, best)
             lp = (best == -np.inf) | raised[first]
-            answers[lp] = np.nan
-            words, best = list(self.cells), best.tolist()
-            open_ = {words[c]: best[c] if best[c] > -np.inf else None for c in np.flatnonzero(lp).tolist()}
-            self._sups[sense] = dict(zip(words, answers.tolist())), open_
+            values[lp], best = np.nan, best.tolist()
+            open_ = {c: best[c] if best[c] > -np.inf else None for c in np.flatnonzero(lp).tolist()}
+            self._sups[sense] = values, open_
         return self._sups[sense]
 
     def edge_slopes(self, v_signs: Signs) -> dict:
-        """:func:`_edge_slopes` at a vertex.  The first call solves every
-        vertex at once and caches the answers; a vertex whose edges failed
-        raises its error again at each read."""
+        """:func:`_edge_slopes` at a vertex, raising its error at each read."""
+        return _slopes_of(self._slopes()[tuple(v_signs)])
+
+    def _slopes(self) -> dict:
+        """{vertex: :func:`_edge_slopes` entry}, all solved at the first call."""
         if self._edge_slopes is None:
             self._edge_slopes = _edge_slopes(self.net, list(self.vertices), self.tables)
-        return _slopes_of(self._edge_slopes[tuple(v_signs)])
+        return self._edge_slopes
 
     # -- export ------------------------------------------------------------
 
     def export_dict(self) -> dict:
-        cells, f_max = {}, self.f_maxes()
-        for signs, cell in self.cells.items():
-            record = {
-                "dim": cell.dim,
-                "bounded_above": f_max[signs] < float("inf"),
-            }
-            if signs in self.vertices:
-                v = self.vertices[signs]
+        """The ``build`` output, cells in word order, named off the rows at once."""
+        (names, rows, *_), cells = self.words(), {}
+        bounded, n = (self.f_maxes() < np.inf).tolist(), rows.shape[1]
+        text = np.frombuffer(b"-0+", dtype=np.uint8)[rows + 1].tobytes().decode()
+        for i, signs in enumerate(names):
+            record = {"dim": self._cells[signs].dim, "bounded_above": bounded[i]}
+            if (v := self.vertices.get(signs)) is not None:
                 record["coordinates"] = [float(x) for x in v.location]
                 record["value"] = float(v.value)
-            cells[signs_to_str(signs)] = record
+            cells[text[i * n : i * n + n]] = record
         return {"dims": list(self.net.arch.full()), "cells": cells}
 
 
@@ -940,10 +968,11 @@ def _flag_flat(cpx: CanonicalComplex) -> None:
     FlatCellError names the first such cell.  Vertex-free flat cells (uncut
     bent hyperplanes) stay flagged."""
     n0, final, n = cpx.n0, cpx.net.final, cpx.net.total_neurons
-    cells = [c for c in cpx.cells.values() if c.dim]
-    s, dims = np.array([c.signs for c in cells]), np.array([c.dim for c in cells])
+    names, rows, *_ = cpx.words()
+    pos = np.flatnonzero(dims := n0 - (rows == 0).sum(axis=1))
+    s, dims = rows[pos], dims[pos]
     prefixes, at = np.unique(s[:, : -final.in_dim], axis=0, return_inverse=True)
-    tables, at, flat = cpx.tables(prefixes.tolist()), at.reshape(-1), np.zeros(len(cells), dtype=bool)
+    tables, at, flat = cpx.tables(prefixes.tolist()), at.reshape(-1), np.zeros(len(pos), dtype=bool)
     g = _gradients(final, s, tables.rows, at)
     unit = tables.unit[0].reshape(-1, n0)  # row p of table i: row i * n + p
     for dim in set(dims.tolist()):
@@ -954,15 +983,15 @@ def _flag_flat(cpx: CanonicalComplex) -> None:
             basis = np.linalg.svd(unit[at[sel, None] * n + zeros])[2][:, n0 - dim :]
             proj = (basis @ g[sel, :, None])[..., 0]
         flat[sel] = _is_flat(np.linalg.norm(proj, axis=1), np.linalg.norm(g[sel], axis=1))
-    for cell, f in zip(cells, flat.tolist()):
-        cell.flat = f
-    vertices = np.array([w for w, c in cpx.cells.items() if not c.dim]).reshape(-1, s.shape[1])
-    _raise_on_vertex_face("F is constant on cell", s[flat], vertices)
+    for i in pos[flat].tolist():
+        cpx.cells[names[i]].flat = True
+    _raise_on_vertex_face("F is constant on cell", s[flat], rows[(rows == 0).sum(axis=1) == n0])
 
 
 def _assemble(net, cell_signs, sign_tol, lp_tol) -> CanonicalComplex:
     """Complex on the given cells: flat flags, vertex table, injectivity."""
-    cells = {s: Cell(s, net.n0 - s.count(0)) for s in cell_signs}
+    n0 = net.n0
+    cells = {s: Cell(s, n0 - s.count(0)) for s in cell_signs}
     cpx = CanonicalComplex(net, cells, {}, lp_tol)
 
     _flag_flat(cpx)

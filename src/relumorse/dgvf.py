@@ -1,49 +1,48 @@
 """Discrete gradient vector fields on the compactified lower-star complex.
 
-The matching is assembled vertex by vertex, and one rule, ``_partner``,
-pairs every lower star.  For a regular vertex it toggles the first
-flow-through axis between 0 and the descending sign, pairing the lower star
-completely.  For a critical vertex of index k the lower star is the set of
-sign words over its k descending axes; scanning those axes in order, the
-first entry that is not -1 is toggled (0 <-> +1); the all-minus word
-survives as the unique critical k-cell.  The union over all vertices,
-together with the basepoint * of the one-point compactification, is a
-relatively perfect discrete gradient vector field.
+One rule, ``_partner``, pairs every lower star.  A regular vertex toggles
+its first flow-through axis between 0 and the descending sign, pairing its
+lower star completely.  For a critical vertex of index k the lower star is
+the set of sign words over its k descending axes; the first of those axes
+whose entry is not -1 is toggled (0 <-> +1), and the all-minus word is the
+unique critical k-cell.  The union over all vertices, with the basepoint *
+of the one-point compactification, is a relatively perfect discrete
+gradient vector field.  ``build_dgvf`` applies the rule to every vertex at
+once on the complex's star table: ``_lower_stars`` marks each lower star
+from the vertices' descent flags, and a word's partner is the star word one
+step along its toggled axis.  ``Matching.validate`` checks the cells' ids.
 
 ``local_pair`` applies the same rule to a single cell without the global
-complex: the cell's lower-star vertex is the max of F over its closure,
-either a classified vertex certified by a sign check against its point
-(solved once per parent table, kept as a bitmask of the signs its slack
-row rules out, so a cell checks it with one integer AND) or found by one
-LP, the only step that builds the cell's H-representation.  A 0-cell is its
-own closure and needs no LP: ``seed_vertices`` certifies the vertex cells of
-a check by the same sign check, and one stacked solve of all their edge
-systems classifies them.  ``_lower_star_patterns`` generates the lower stars
-of both: ``build_dgvf`` pairs them, and ``local_pair`` indexes them by sign
-word.
+complex: its lower-star vertex is the max of F over its closure, either a
+classified vertex certified by a sign check against its point (a bitmask of
+the signs its slack rows rule out, checked with one integer AND) or found
+by one LP, the only step that builds an H-representation.  A 0-cell is its
+own closure: ``seed_vertices`` certifies the vertex cells of a check in one
+stacked solve, classifies them from one stacked edge solve, and indexes
+them by their lower stars, from the same ``_lower_stars``, on the oracle's
+own tables.
 """
 
 from __future__ import annotations
 
-import contextlib
-import itertools
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .complex import CanonicalComplex, _cell_problem, _constant_rows_hold, _hrep_for
-from .complex import _edge_slopes, _facets, _slopes_of, is_face
+from .complex import _edge_slopes, _facets, _slopes_of, _solve_each, _stars
 from .errors import (
     DimensionError,
     FlatCellError,
     GenericityError,
     IncompletePairingError,
+    MissingEdgeError,
     UnboundedCellError,
 )
 from .lp import lp_solve
 from .network import ReluNetwork, Signs, node_maps, signs_to_str
-from .orientation import VertexClassification, classify_signs, classify_vertex
+# classify_vertex stays bound here, where perfbench's tracer wraps it.
+from .orientation import VertexClassification, classifications, classify_signs, classify_vertex, descents
 
 #: Identifier of the compactification basepoint (a critical 0-cell at -inf).
 BASEPOINT = "*"
@@ -75,54 +74,40 @@ class Matching:
         }
 
     def validate(self, cpx: CanonicalComplex) -> list:
-        """Return a list of invariant violations (empty when valid)."""
+        """Invariant violations (empty when valid), from the cells' ids: each
+        pair's, the cells used twice, then the coverage."""
+        names, rows, _, index = cpx.words()
+        index = dict(index)  # a critical word that is no cell takes an id past the cells'.
+        lo, up = np.array([[index.get(w, -1) for w in p] for p in self.pairs], dtype=int).reshape(-1, 2).T
+        crit = np.array([index.setdefault(w, len(index)) for w in self.critical], dtype=int)
+        out, step, face = (lo < 0) | (up < 0), np.zeros(len(lo), dtype=bool), np.ones(len(lo), dtype=bool)
+        zeros, a, b = (rows == 0).sum(axis=1), rows[lo[~out]], rows[up[~out]]
+        step[~out], face[~out] = zeros[lo[~out]] != zeros[up[~out]] + 1, ((a == b) | (a == 0)).all(axis=1)
         problems = []
-        seen = Counter()
-        for lo, up in self.pairs:
-            cl, cu = cpx.cells.get(lo), cpx.cells.get(up)
-            if cl is None or cu is None:
-                problems.append(f"pair ({signs_to_str(lo)}, {signs_to_str(up)}) not in complex")
+        for i in np.flatnonzero(out | step | ~face).tolist():
+            a, b = map(signs_to_str, self.pairs[i])
+            if out[i]:
+                problems.append(f"pair ({a}, {b}) not in complex")
                 continue
-            if cu.dim != cl.dim + 1:
-                problems.append(f"pair ({signs_to_str(lo)}, {signs_to_str(up)}) dimension step != 1")
-            if not is_face(lo, up):
-                problems.append(f"{signs_to_str(lo)} is not a facet of {signs_to_str(up)}")
-            seen.update((lo, up))
-        seen.update(self.critical)
-        dupes = [s for s, k in seen.items() if k > 1]
-        problems.extend(f"cell {signs_to_str(s)} used more than once" for s in dupes)
-        expected = {s for s, m in cpx.f_maxes().items() if m < float("inf")}
+            if step[i]:
+                problems.append(f"pair ({a}, {b}) dimension step != 1")
+            if not face[i]:
+                problems.append(f"{a} is not a facet of {b}")
+        words, seen = list(index), np.concatenate([np.column_stack([lo, up])[~out].ravel(), crit])
+        ids, first = np.unique(seen, return_index=True)
+        twice = np.bincount(seen, minlength=len(words))[ids] > 1
+        for c in ids[twice][np.argsort(first[twice])].tolist():
+            problems.append(f"cell {signs_to_str(words[c])} used more than once")
+        used, inside = np.zeros(len(words), dtype=bool), np.zeros(len(words), dtype=bool)
+        used[seen], inside[: len(names)] = True, cpx.f_maxes() < np.inf
         for label, cells in (
-            ("uncovered bounded-above cells", expected - set(seen)),
-            ("cells outside the bounded-above subcomplex", set(seen) - expected),
+            ("uncovered bounded-above cells", inside & ~used),
+            ("cells outside the bounded-above subcomplex", used & ~inside),
         ):
-            if cells:
-                problems.append(f"{label}: " + ", ".join(signs_to_str(s) for s in sorted(cells)))
+            if cells.any():
+                listed = sorted(words[c] for c in np.flatnonzero(cells).tolist())
+                problems.append(f"{label}: " + ", ".join(map(signs_to_str, listed)))
         return problems
-
-
-def _lower_star_patterns(vertex_signs: Signs, allowed: dict):
-    """Sign words of the lower star: the product of per-axis allowed signs,
-    the first axis varying slowest."""
-    positions = sorted(allowed)
-    for combo in itertools.product(*(allowed[p] for p in positions)):
-        signs = list(vertex_signs)
-        for p, s in zip(positions, combo):
-            signs[p] = s
-        yield tuple(signs)
-
-
-def _allowed_signs(cls: VertexClassification) -> dict:
-    """Per-axis sign sets spanning the lower star of a classified vertex."""
-    allowed = {}
-    for p, dm, dp in cls.axes:
-        signs = [0]
-        if dm:
-            signs.append(-1)
-        if dp:
-            signs.append(1)
-        allowed[p] = signs
-    return allowed
 
 
 def _partner(cls: VertexClassification, signs: Signs):
@@ -144,44 +129,49 @@ def _partner(cls: VertexClassification, signs: Signs):
     return "upper", signs[:p] + (0,) + signs[p + 1 :]
 
 
-def pair_lower_star(cpx: CanonicalComplex, cls: VertexClassification):
-    """Pairing of a vertex's lower star by :func:`_partner`.
-
-    Returns (pairs, critical cell or None).  The rule is a fixed-point-free
-    involution on the lower star of a regular vertex, and on that of a
-    critical vertex minus its all-minus critical cell.
-    """
-    pairs = []
-    critical_cell = None
-    for signs in _lower_star_patterns(cls.vertex, _allowed_signs(cls)):
-        if signs not in cpx.cells:
-            raise IncompletePairingError(
-                f"lower-star cell {signs_to_str(signs)} missing from the complex"
-            )
-        role, partner = _partner(cls, signs)
-        if role == "lower":
-            pairs.append((signs, partner))
-        elif role == "critical":
-            critical_cell = signs
-    return sorted(pairs), critical_cell
+def _lower_stars(t, desc) -> np.ndarray:
+    """lower[i, k]: star word k (t[k], :func:`_stars` order) of vertex i is in
+    its lower star: on every axis 0, or -1 or +1 where that edge descends."""
+    return ((t == 0) | desc[:, np.arange(t.shape[1]), (t > 0).astype(int)]).all(axis=2)
 
 
 def build_dgvf(cpx: CanonicalComplex) -> Matching:
-    """Union of the per-vertex lower-star pairings over the whole complex."""
+    """Union of the lower-star pairings of all vertices, read at once off the
+    star table (:meth:`CanonicalComplex._star_cells`): :func:`_partner`'s
+    rule, where the partner of star word k along axis j is star word
+    k +- 3^(n0-1-j).  Raises what the vertices taken one by one would: at the
+    first vertex that fails, a missing edge, else its edge-slope error, else
+    its first missing lower-star word (axes by position, signs 0, -1, +1)."""
     if cpx.has_flat_cells:
-        raise FlatCellError(
-            "complex has flat cells; lower stars do not cover the bounded-above subcomplex"
-        )
-    pairs = []
-    critical = []
-    for v in cpx.vertices.values():
-        new_pairs, crit = pair_lower_star(cpx, classify_vertex(cpx, v))
-        pairs.extend(new_pairs)
-        if crit is not None:
-            critical.append(crit)
-    matching = Matching(tuple(sorted(pairs)), tuple(sorted(critical)))
-    problems = matching.validate(cpx)
-    if problems:
+        raise FlatCellError("complex has flat cells; lower stars do not cover the bounded-above subcomplex")
+    (t, at, _, stars), names, verts = cpx._star_cells(), cpx.words()[0], list(cpx.vertices)
+    step = 3 ** np.arange(cpx.n0 - 1, -1, -1)
+    edges = len(t) // 2 + np.outer(step, [-1, 1]).ravel()  # the 2*n0 edges, in _edges_at order
+    slopes = [cpx._slopes()[v] for v in verts]
+    desc, failed = descents(slopes, cpx.n0), np.array([not isinstance(e, dict) for e in slopes], dtype=bool)
+    lower = _lower_stars(t, desc)
+    bad = (at[:, edges] < 0).any(axis=1) | failed | (lower & (at < 0)).any(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        v, missing = verts[i], at[i, edges] < 0
+        if missing.any():
+            e = stars[i, edges[np.argmax(missing)]]
+            raise MissingEdgeError(f"expected edge {signs_to_str(e)} at vertex {signs_to_str(v)} is missing")
+        cpx.edge_slopes(v)  # raises the error of its edges
+        k = np.flatnonzero(lower[i] & (at[i] < 0))
+        w = stars[i, k[np.argmin(((-t[k]) % 3) @ step)]]
+        raise IncompletePairingError(f"lower-star cell {signs_to_str(w)} missing from the complex")
+    critical, _, axis, sign = classify_signs(desc)
+    # Each star word's toggled axis q: the flow axis, or a critical vertex's
+    # first descending axis not at -1, which toggles to +1.
+    first = (desc[..., 0] & desc[..., 1])[:, None] & (t != -1)
+    q = np.where(critical[:, None], np.argmax(first, axis=2), axis[:, None])
+    crit = lower & critical[:, None] & ~first.any(axis=2)
+    vi, k = np.nonzero(lower & ~crit & (t[np.arange(len(t)), q] == 0))
+    lo, up = at[vi, k], at[vi, k + np.where(critical, 1, sign)[vi] * step[q[vi, k]]]
+    pairs = tuple((names[a], names[b]) for a, b in sorted(zip(lo.tolist(), up.tolist())))
+    matching = Matching(pairs, tuple(names[c] for c in sorted(at[crit].tolist())))
+    if problems := matching.validate(cpx):
         raise IncompletePairingError("; ".join(problems))
     return matching
 
@@ -211,23 +201,23 @@ class CompactifiedComplex:
 
 
 def compactify(cpx: CanonicalComplex) -> CompactifiedComplex:
-    """One-point compactification of the bounded-above subcomplex.  A face
-    of a bounded-above cell is bounded above, so the facet map of the kept
-    cells alone gives each its full facet list."""
-    f_max = cpx.f_maxes()
-    kept = {s: c for s, c in cpx.cells.items() if f_max[s] < float("inf")}
+    """One-point compactification of the bounded-above subcomplex, by id off
+    the word index and f_max array.  A face of a bounded-above cell is
+    bounded above, so the kept cells' facet map gives their full lists."""
+    (names, rows, *_), f_max = cpx.words(), cpx.f_maxes()
+    kept = np.flatnonzero(f_max < np.inf)
+    words = [names[c] for c in kept.tolist()]
     facets = {BASEPOINT: ()}
-    for signs, cell_facets in _facets(kept).items():
-        if kept[signs].dim == 1 and len(cell_facets) == 1:  # a ray; vertices are all kept
+    for signs, cell_facets in _facets(words, rows[kept]).items():
+        if len(cell_facets) == 1 and cpx.cells[signs].dim == 1:  # a ray; vertices are all kept
             cell_facets += (BASEPOINT,)
         facets[signs] = cell_facets
-    values = tuple(sorted(v.value for v in cpx.vertices.values()))
     return CompactifiedComplex(
         n0=cpx.n0,
-        cells=dict(sorted(kept.items())),
+        cells={s: cpx.cells[s] for s in words},
         facets=facets,
-        f_max={BASEPOINT: float("-inf"), **{s: f_max[s] for s in kept}},
-        vertex_values=values,
+        f_max={BASEPOINT: float("-inf"), **dict(zip(words, f_max[kept].tolist()))},
+        vertex_values=tuple(sorted(v.value for v in cpx.vertices.values())),
     )
 
 
@@ -235,46 +225,29 @@ def is_acyclic(matching: Matching, cc: CompactifiedComplex):
     """Check for closed V-paths; returns (flag, witness-path-or-None).
 
     The V-path graph has one node per pair; pair (C, D) steps to pair
-    (C', D') when C' != C is a facet of D.
+    (C', D') when C' != C is a facet of D.  Depth-first from each unvisited
+    pair in word order, steps in word order: a step back onto the trail
+    closes a V-path, whose pairs are the witness.
     """
     lower_of = matching.lower_to_upper()
-    succ = {}
-    for lo, up in matching.pairs:
-        nxt = []
-        for f in cc.facets.get(up, ()):
-            if f != lo and f in lower_of:
-                nxt.append(f)
-        succ[lo] = sorted(nxt)
-
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {lo: WHITE for lo in succ}
+    succ = {lo: sorted(f for f in cc.facets.get(up, ()) if f != lo and f in lower_of)
+            for lo, up in matching.pairs}
+    done, on_trail = set(), {}  # on_trail: the trail's nodes, in trail order
     for root in sorted(succ):
-        if color[root] != WHITE:
+        if root in done:
             continue
-        stack = [(root, iter(succ[root]))]
-        trail = [root]
-        color[root] = GRAY
+        stack, on_trail[root] = [iter(succ[root])], None
         while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == GRAY:
-                    start = trail.index(nxt)
-                    cycle = trail[start:]
-                    witness = []
-                    for lo in cycle:
-                        witness.extend([lo, lower_of[lo]])
-                    return False, witness
-                if color[nxt] == WHITE:
-                    color[nxt] = GRAY
-                    trail.append(nxt)
-                    stack.append((nxt, iter(succ[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                trail.pop()
+            nxt = next((f for f in stack[-1] if f not in done), None)
+            if nxt is None:
                 stack.pop()
+                done.add(on_trail.popitem()[0])
+            elif nxt in on_trail:
+                cycle = list(on_trail)[list(on_trail).index(nxt) :]
+                return False, [w for lo in cycle for w in (lo, lower_of[lo])]
+            else:
+                stack.append(iter(succ[nxt]))
+                on_trail[nxt] = None
     return True, None
 
 
@@ -289,32 +262,33 @@ class PairAssignment:
     owner_index: int | None  # critical index of the owner, None when regular
 
 
-def _vertex_mask(table, vertex, lp_tol: float):
+def _vertex_masks(tables: list, vertices: list, lp_tol: float) -> list:
     """Bitmask, bit 3p + s + 1, of the signs s that a cell may not take at row
-    p, read off the point where the table's unit rows at the vertex's zeros
-    meet: 0 where the vertex has no zero and, on a live row, s = +1 or -1
-    where being tight, s * slack <= ``lp_tol``, is not being a zero.  None
-    when a zero row is constant, the rows are singular or the point misses
-    them by over ``lp_tol``."""
-    zero = np.array(vertex) == 0
-    unit, unit_off = table.unit
-    with contextlib.suppress(np.linalg.LinAlgError):
-        if not table.const[zero].any():
-            slack = unit @ np.linalg.solve(unit[zero], unit_off[zero]) - unit_off
-            if not np.abs(slack[zero]).max() > lp_tol:
-                bad = ~table.const & (zero != (np.array([-slack, slack]) <= lp_tol))
-                bits = np.packbits(np.column_stack([bad[0], ~zero, bad[1]]), bitorder="little")
-                return int.from_bytes(bits.tobytes(), "little")
-    return None
+    p, for each vertex word on its node-map table, read off the point where
+    the unit rows at its zeros meet (all in one stacked solve): 0 where the
+    vertex has no zero and, on a live row, s = +1 or -1 where being tight,
+    s * slack <= ``lp_tol``, is not being a zero.  None when a zero row is
+    constant, the rows are singular or the point misses them by over lp_tol."""
+    if not vertices:
+        return []
+    unit, unit_off = (np.stack(u) for u in zip(*(t.unit for t in tables)))
+    const, zero, n0 = np.stack([t.const for t in tables]), np.array(vertices) == 0, unit.shape[2]
+    x, singular = _solve_each(unit[zero].reshape(-1, n0, n0), unit_off[zero].reshape(-1, n0))
+    with np.errstate(all="ignore"):
+        slack = (unit @ x[..., None])[..., 0] - unit_off
+        resid = np.where(zero, np.abs(slack), -np.inf).max(axis=1)
+        bad = ~const[:, None] & (zero[:, None] != (np.stack([-slack, slack], axis=1) <= lp_tol))
+    bits = np.stack([bad[:, 0], ~zero, bad[:, 1]], axis=2).reshape(len(zero), -1)
+    bits = np.packbits(bits, axis=1, bitorder="little")
+    keep = (~singular & ~(const & zero).any(axis=1) & ~(resid > lp_tol)).tolist()
+    return [int.from_bytes(b.tobytes(), "little") if k else None for b, k in zip(bits, keep)]
 
 
-def _mask(entry, vertex: Signs, lp_tol: float):
-    """:func:`_vertex_mask` of ``vertex`` on a ``_tables`` entry (node-map
-    table, {vertex: mask}) of ``local_pair``, kept there on first use."""
-    table, masks = entry
-    if vertex not in masks:
-        masks[vertex] = _vertex_mask(table, vertex, lp_tol)
-    return masks[vertex]
+def _keep_masks(todo: list, lp_tol: float) -> None:
+    """Keep in ``_tables`` entries the :func:`_vertex_masks` that the (vertex, entry) pairs ``todo`` lack."""
+    todo = list({(v, id(e)): (v, e) for v, e in todo if v not in e[1]}.values())
+    for (v, e), mask in zip(todo, _vertex_masks([e[0] for _, e in todo], [v for v, _ in todo], lp_tol)):
+        e[1][v] = mask
 
 
 def _bits(signs: Signs) -> int:
@@ -327,7 +301,8 @@ def _certified_vertex(signs: Signs, entry, candidates, lp_tol: float):
     """The one of the classified vertices ``candidates``, whose lower stars
     hold the cell ``signs``, certified as the unique max of F over the
     cell's closure, else None.  ``entry`` is the cell's (node-map table,
-    {vertex: :func:`_vertex_mask`}) in ``local_pair``'s ``_tables``.
+    {vertex: :func:`_vertex_masks` entry}) in ``local_pair``'s ``_tables``,
+    the candidates' masks kept there on first use.
 
     A candidate passes when the table's unit rows at its zeros meet in a
     point within ``lp_tol`` where, of the cell's live rows with nonzero
@@ -337,10 +312,11 @@ def _certified_vertex(signs: Signs, entry, candidates, lp_tol: float):
     is the point the LP would return.  Being the unique max, it is the only
     candidate to pass.
     """
-    word = _bits(signs)
+    word, masks = _bits(signs), entry[1]
     for cls in candidates:
-        mask = _mask(entry, cls.vertex, lp_tol)
-        if mask is not None and not word & mask:
+        if cls.vertex not in masks:
+            _keep_masks([(c.vertex, entry) for c in candidates], lp_tol)
+        if masks[cls.vertex] is not None and not word & masks[cls.vertex]:
             return cls
     return None
 
@@ -353,40 +329,38 @@ def _entry(net: ReluNetwork, tables: dict, signs: Signs) -> tuple:
     return tables[prefix]
 
 
-def _index(memo: dict, cls: VertexClassification) -> None:
-    """Add a classified vertex under every word of its lower star."""
-    for w in _lower_star_patterns(cls.vertex, _allowed_signs(cls)):
-        memo.setdefault(w, []).append(cls)
+def _index(memo: dict, vertices: list, desc) -> None:
+    """Classify the vertex words ``vertices`` from their :func:`descents`
+    ``desc`` and add each under every word of its lower star."""
+    if vertices:
+        verts = np.array(vertices, dtype=np.int8)
+        t, stars = _stars(verts, np.nonzero(verts == 0)[1].reshape(len(verts), -1))
+        for cls, star, lower in zip(classifications(vertices, desc), stars, _lower_stars(t, desc)):
+            for w in map(tuple, star[lower].tolist()):
+                memo.setdefault(w, []).append(cls)
 
 
 def seed_vertices(net: ReluNetwork, words, classified: dict, tables: dict, lp_tol: float = 1e-7):
-    """Classify, in one stacked pass, the vertex cells among ``words`` that
+    """Classify, in stacked passes, the vertex cells among ``words`` that
     certify in closed form, and index them in ``classified``, the memo that
-    ``local_pair`` takes with its ``tables`` as ``_classified`` and
-    ``_tables``.
+    ``local_pair`` takes with its ``tables`` as ``_classified`` and ``_tables``.
 
-    A 0-cell is its own closure, so the max of F over it is the vertex
-    itself: a word with n0 zeros is certified when its table has no
-    constant row and its zero rows meet in a point that clears its strict
-    rows (:func:`_vertex_mask`, the point test of :func:`_certified_vertex`).
-    One :func:`_edge_slopes` call classifies all of them.  A word that fails
-    the test, or whose edges fail, is left out: ``local_pair``'s LP then
-    finds that vertex, with the errors it raised before.  ``words`` only
-    name candidates: a missing vertex costs LPs, a spurious word fails its
-    test.
+    A 0-cell is its own closure, so a word with n0 zeros is certified when
+    its table has no constant row and it passes the point test of
+    :func:`_certified_vertex` on it.  One :func:`_edge_slopes` call
+    classifies all of them.  A word that fails the test, or whose edges
+    fail, is left out: ``local_pair``'s LP then finds that vertex, with the
+    errors it raised before.  ``words`` only name candidates: a missing
+    vertex costs LPs, a spurious word fails its test.  Each vertex's masks
+    on its lower star's tables are kept too, where ``local_pair`` reads them.
     """
-    kept = []
-    for w in words:
-        if w.count(0) != net.n0 or w in classified:
-            continue
-        entry = _entry(net, tables, w)
-        if not entry[0].const.any():
-            mask = _mask(entry, w, lp_tol)
-            if mask is not None and not _bits(w) & mask:
-                kept.append(w)
-    for v, slopes in _edge_slopes(net, kept).items():
-        if isinstance(slopes, dict):
-            _index(classified, classify_signs(v, slopes))
+    cand = [w for w in words if w.count(0) == net.n0 and w not in classified]
+    cand = [(w, e) for w, e in zip(cand, (_entry(net, tables, w) for w in cand)) if not e[0].const.any()]
+    _keep_masks(cand, lp_tol)
+    slopes = _edge_slopes(net, [w for w, e in cand if e[1][w] is not None and not _bits(w) & e[1][w]])
+    kept = [v for v, s in slopes.items() if isinstance(s, dict)]
+    _index(classified, kept, descents([slopes[v] for v in kept], net.n0))
+    _keep_masks([(c.vertex, _entry(net, tables, w)) for w, cs in classified.items() for c in cs], lp_tol)
 
 
 def local_pair(
@@ -428,21 +402,16 @@ def local_pair(
         grad = entry[0].f_affine(net.final, [signs[-net.final.in_dim :]])[0][0]
         res = lp_solve(_cell_problem(rep, grad), feas_tol=lp_tol)
         if res.status == "unbounded":
-            raise UnboundedCellError(
-                f"F is unbounded above on cell {signs_to_str(signs)}"
-            )
+            raise UnboundedCellError(f"F is unbounded above on cell {signs_to_str(signs)}")
         if not res.optimal:
             raise GenericityError(f"cell {signs_to_str(signs)} is infeasible")
         tight = {rep.ge_positions[r] for r in res.tight}
         v_signs = tuple(0 if p in tight else s for p, s in enumerate(signs))
         if v_signs.count(0) != net.n0:
-            raise GenericityError(
-                f"LP maximum over {signs_to_str(signs)} is not attained at a simple vertex"
-            )
+            raise GenericityError(f"LP maximum over {signs_to_str(signs)} is not attained at a simple vertex")
         # A vertex's word lies in no lower star but its own.
         if v_signs not in memo:
-            slopes = _slopes_of(_edge_slopes(net, [v_signs])[v_signs])
-            _index(memo, classify_signs(v_signs, slopes))
+            _index(memo, [v_signs], descents([_slopes_of(_edge_slopes(net, [v_signs])[v_signs])], net.n0))
         cls = memo[v_signs][0]
         if cls not in memo.get(signs, ()):
             raise IncompletePairingError(

@@ -18,7 +18,8 @@ that cache.
 A vertex is PL critical iff every axis pair of incident edges points the
 same way (both toward or both away from v); the index counts the
 toward-pairs.  Regular vertices record their first flow-through axis, which
-drives the lower-star pairing.
+drives the lower-star pairing.  ``classify_signs`` decides it for a stack of
+vertices at once, from their edges' descent flags.
 """
 
 from __future__ import annotations
@@ -72,50 +73,56 @@ class VertexClassification:
         return tuple(p for p, dm, dp in self.axes if dm and dp)
 
 
-def _resolve(cpx: CanonicalComplex, vertex, edge):
-    """(vertex, edge, (unit direction, sign of dF)) of an edge leaving the
-    vertex; MissingEdgeError when the edge is not incident to it."""
+def orient_edge(cpx: CanonicalComplex, vertex, edge) -> EdgeOrientation:
+    """Orientation of the edge relative to the vertex; MissingEdgeError when
+    the edge is not incident to it, FlatCellError if a directional
+    derivative at the vertex vanishes."""
     v = vertex if isinstance(vertex, VertexRecord) else cpx.vertices[tuple(vertex)]
     e = edge if isinstance(edge, Cell) else cpx.cells[tuple(edge)]
     if e.signs not in (w for _, _, w in _edges_at(v.signs)):
         raise MissingEdgeError(f"{e} is not an incident edge of {signs_to_str(v.signs)}")
-    return v, e, cpx.edge_slopes(v.signs)[e.signs]
-
-
-def orient_edge(cpx: CanonicalComplex, vertex, edge) -> EdgeOrientation:
-    """Orientation of the edge relative to the vertex; FlatCellError if a
-    directional derivative at the vertex vanishes."""
-    v, e, (d, sign) = _resolve(cpx, vertex, edge)
+    d, sign = cpx.edge_slopes(v.signs)[e.signs]
     return EdgeOrientation(e.signs, v.signs, sign, d)
 
 
-def classify_signs(v_signs: Signs, edges: dict) -> VertexClassification:
-    """PL-regular/critical decision for the vertex named v_signs from the
-    (direction, sign of dF) ``edges[e_signs]`` of its 2*n0 edges, as
-    ``complex._edge_slopes`` gives them."""
-    desc = {(p, sigma): edges[e_signs][1] < 0 for p, sigma, e_signs in _edges_at(v_signs)}
-    axes = tuple(
-        (p, desc[(p, -1)], desc[(p, 1)]) for p, s in enumerate(v_signs) if s == 0
-    )
-    flow = [(p, dm, dp) for p, dm, dp in axes if dm != dp]
-    if not flow:
-        index = sum(1 for p, dm, dp in axes if dm and dp)
-        return VertexClassification(v_signs, "critical", index, axes, None, None)
-    p, dm, _ = flow[0]
-    return VertexClassification(v_signs, "regular", None, axes, p, -1 if dm else 1)
+def descents(slopes: list, n0: int) -> np.ndarray:
+    """(V, n0, 2) descent flags from ``complex._edge_slopes`` entries: [i, j]
+    whether the minus and the plus edge on the j-th zero axis of vertex i
+    descend (in ``_edges_at`` order), all False where the entry is an error."""
+    signs = [[s for _, s in e.values()] if isinstance(e, dict) else [1] * 2 * n0 for e in slopes]
+    return (np.array(signs, dtype=np.int8) < 0).reshape(len(slopes), n0, 2)
+
+
+def classify_signs(desc) -> tuple:
+    """(critical, index, axis, sign) of vertices from their :func:`descents`,
+    all at once: critical where no axis flows through (its edges disagree),
+    the index its number of descending axes; else ``axis``, the first
+    flow-through one among its zero axes, and its descending edge's sign."""
+    flow = desc[..., 0] != desc[..., 1]
+    axis = np.argmax(flow, axis=1)
+    sign = np.where(desc[np.arange(len(desc)), axis, 0], -1, 1)
+    return ~flow.any(axis=1), (desc[..., 0] & desc[..., 1]).sum(axis=1), axis, sign
+
+
+def classifications(vertices: list, desc) -> list:
+    """:class:`VertexClassification` of each vertex word of ``vertices``
+    from its :func:`descents` rows, by :func:`classify_signs`."""
+    out = []
+    for v, d, crit, k, j, s in zip(vertices, desc.tolist(), *(a.tolist() for a in classify_signs(desc))):
+        zeros = [p for p, x in enumerate(v) if x == 0]
+        axes = tuple((p, dm, dp) for p, (dm, dp) in zip(zeros, d))
+        kind = (v, "critical", k, axes, None, None) if crit else (v, "regular", None, axes, zeros[j], s)
+        out.append(VertexClassification(*kind))
+    return out
 
 
 def classify_vertex(cpx: CanonicalComplex, vertex) -> VertexClassification:
     """PL-regular/critical decision for one vertex of the complex; raises
     MissingEdgeError when one of its 2*n0 edges is not a cell."""
-    v = vertex if isinstance(vertex, VertexRecord) else cpx.vertices[tuple(vertex)]
-    for _, _, e_signs in _edges_at(v.signs):
-        if e_signs not in cpx.cells:
-            raise MissingEdgeError(
-                f"expected edge {signs_to_str(e_signs)} at vertex"
-                f" {signs_to_str(v.signs)} is missing"
-            )
-    return classify_signs(v.signs, cpx.edge_slopes(v.signs))
+    v = (vertex if isinstance(vertex, VertexRecord) else cpx.vertices[tuple(vertex)]).signs
+    for e in (e for _, _, e in _edges_at(v) if e not in cpx.cells):
+        raise MissingEdgeError(f"expected edge {signs_to_str(e)} at vertex {signs_to_str(v)} is missing")
+    return classifications([v], descents([cpx.edge_slopes(v)], cpx.n0))[0]
 
 
 def orientation_field(cpx: CanonicalComplex) -> dict:
@@ -212,11 +219,8 @@ def analyze_shallow(net: ReluNetwork, cpx: CanonicalComplex | None = None) -> Sh
         elif rel[0] < 0:
             toward.append(v.signs)
 
-    critical = []
-    for v in cpx.vertices.values():
-        cls = classify_vertex(cpx, v)
-        if cls.kind == "critical":
-            critical.append((v.signs, cls.index, v.value))
+    classes = [(classify_vertex(cpx, v), v) for v in cpx.vertices.values()]
+    critical = [(v.signs, cls.index, v.value) for cls, v in classes if cls.kind == "critical"]
 
     n_vertices = len(cpx.vertices)
     n_toward = len(toward)

@@ -1,5 +1,6 @@
 import contextlib
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,15 +37,19 @@ from relumorse.complex import (
     _is_flat,
     _witness,
 )
+from relumorse.dgvf import Matching, _partner
 from relumorse.errors import (
     DimensionError,
     FlatCellError,
     GenericityError,
+    IncompletePairingError,
+    MissingEdgeError,
     SingularSystemError,
     StructuredError,
 )
 from relumorse.lp import FEAS_TOL, LpProblem, LpResult, _optimum, lp_solve
 from relumorse.network import NodeMaps, node_maps
+from relumorse.orientation import VertexClassification
 
 
 def make_net_b_negated() -> ReluNetwork:
@@ -550,6 +555,142 @@ def lower_star(cpx, vertex) -> list:
             out.append(c)
     out.sort(key=lambda c: c.signs)
     return out
+
+
+def reference_classify_signs(v_signs, edges) -> VertexClassification:
+    """PL-regular/critical decision for the vertex named v_signs from the
+    (direction, sign of dF) ``edges[e_signs]`` of its 2*n0 edges, one axis
+    at a time: the reference for ``orientation.classify_signs``, which
+    classifies a stack of vertices at once."""
+    desc = {(p, sigma): edges[e_signs][1] < 0 for p, sigma, e_signs in _edges_at(v_signs)}
+    axes = tuple((p, desc[(p, -1)], desc[(p, 1)]) for p, s in enumerate(v_signs) if s == 0)
+    flow = [(p, dm, dp) for p, dm, dp in axes if dm != dp]
+    if not flow:
+        index = sum(1 for p, dm, dp in axes if dm and dp)
+        return VertexClassification(v_signs, "critical", index, axes, None, None)
+    p, dm, _ = flow[0]
+    return VertexClassification(v_signs, "regular", None, axes, p, -1 if dm else 1)
+
+
+def reference_classify_vertex(cpx, v_signs) -> VertexClassification:
+    """One vertex's classification by tuple lookups and the per-axis rule;
+    MissingEdgeError at its first missing edge, then its edges' error."""
+    for _, _, e_signs in _edges_at(v_signs):
+        if e_signs not in cpx.cells:
+            raise MissingEdgeError(
+                f"expected edge {signs_to_str(e_signs)} at vertex {signs_to_str(v_signs)} is missing"
+            )
+    return reference_classify_signs(v_signs, cpx.edge_slopes(v_signs))
+
+
+def allowed_signs(cls) -> dict:
+    """Per-axis sign sets spanning the lower star of a classified vertex."""
+    allowed = {}
+    for p, dm, dp in cls.axes:
+        allowed[p] = [0] + [-1] * dm + [1] * dp
+    return allowed
+
+
+def lower_star_patterns(vertex_signs, allowed: dict):
+    """Sign words of the lower star: the product of per-axis allowed signs,
+    the first axis varying slowest."""
+    positions = sorted(allowed)
+    for combo in itertools.product(*(allowed[p] for p in positions)):
+        signs = list(vertex_signs)
+        for p, s in zip(positions, combo):
+            signs[p] = s
+        yield tuple(signs)
+
+
+def reference_pair_lower_star(cpx, cls):
+    """(sorted pairs, critical cell or None) of one vertex's lower star by
+    ``dgvf._partner``, word by word: the reference for ``build_dgvf``'s
+    stacked pairing.  IncompletePairingError at its first missing word."""
+    pairs, critical_cell = [], None
+    for signs in lower_star_patterns(cls.vertex, allowed_signs(cls)):
+        if signs not in cpx.cells:
+            raise IncompletePairingError(f"lower-star cell {signs_to_str(signs)} missing from the complex")
+        role, partner = _partner(cls, signs)
+        if role == "lower":
+            pairs.append((signs, partner))
+        elif role == "critical":
+            critical_cell = signs
+    return sorted(pairs), critical_cell
+
+
+def reference_validate(matching, cpx) -> list:
+    """``Matching.validate`` pair by pair over tuple words and ``f_max``."""
+    problems, seen = [], Counter()
+    for lo, up in matching.pairs:
+        cl, cu = cpx.cells.get(lo), cpx.cells.get(up)
+        if cl is None or cu is None:
+            problems.append(f"pair ({signs_to_str(lo)}, {signs_to_str(up)}) not in complex")
+            continue
+        if cu.dim != cl.dim + 1:
+            problems.append(f"pair ({signs_to_str(lo)}, {signs_to_str(up)}) dimension step != 1")
+        if not is_face(lo, up):
+            problems.append(f"{signs_to_str(lo)} is not a facet of {signs_to_str(up)}")
+        seen.update((lo, up))
+    seen.update(matching.critical)
+    problems.extend(f"cell {signs_to_str(s)} used more than once" for s, k in seen.items() if k > 1)
+    expected = {s for s, c in cpx.cells.items() if cpx.f_max(c) < float("inf")}
+    for label, cells in (
+        ("uncovered bounded-above cells", expected - set(seen)),
+        ("cells outside the bounded-above subcomplex", set(seen) - expected),
+    ):
+        if cells:
+            problems.append(f"{label}: " + ", ".join(signs_to_str(s) for s in sorted(cells)))
+    return problems
+
+
+def reference_build_dgvf(cpx):
+    """``build_dgvf`` vertex by vertex, in vertex order: classify, pair the
+    lower star, then validate; raises as the first vertex that fails."""
+    if cpx.has_flat_cells:
+        raise FlatCellError("complex has flat cells; lower stars do not cover the bounded-above subcomplex")
+    pairs, critical = [], []
+    for v in cpx.vertices:
+        new_pairs, crit = reference_pair_lower_star(cpx, reference_classify_vertex(cpx, v))
+        pairs.extend(new_pairs)
+        critical += [crit] if crit is not None else []
+    matching = Matching(tuple(sorted(pairs)), tuple(sorted(critical)))
+    problems = reference_validate(matching, cpx)
+    if problems:
+        raise IncompletePairingError("; ".join(problems))
+    return matching
+
+
+def reference_facets(words) -> dict:
+    """{word: sorted tuple of facets} by flipping each word's zeros and
+    looking the result up in a dict: the reference for ``complex._facets``."""
+    below = {w: [] for w in words}
+    for w in words:
+        zeros = [p for p, s in enumerate(w) if s == 0]
+        for up in (w[:p] + (sigma,) + w[p + 1 :] for p in zeros for sigma in (-1, 1)):
+            if up in below:
+                below[up].append(w)
+    return {w: tuple(sorted(fs)) for w, fs in below.items()}
+
+
+def reference_vertex_mask(table, vertex, lp_tol: float):
+    """One vertex's sign mask on one table, its system solved alone: the
+    reference for ``dgvf._vertex_masks``, which solves a stack."""
+    zero = np.array(vertex) == 0
+    unit, unit_off = table.unit
+    with contextlib.suppress(np.linalg.LinAlgError):
+        if not table.const[zero].any():
+            slack = unit @ np.linalg.solve(unit[zero], unit_off[zero]) - unit_off
+            if not np.abs(slack[zero]).max() > lp_tol:
+                bad = ~table.const & (zero != (np.array([-slack, slack]) <= lp_tol))
+                bits = np.packbits(np.column_stack([bad[0], ~zero, bad[1]]), bitorder="little")
+                return int.from_bytes(bits.tobytes(), "little")
+    return None
+
+
+def reference_index(memo: dict, cls) -> None:
+    """Add one classified vertex under every word of its lower star."""
+    for w in lower_star_patterns(cls.vertex, allowed_signs(cls)):
+        memo.setdefault(w, []).append(cls)
 
 
 def reference_flatness(cpx) -> None:

@@ -181,9 +181,9 @@ def test_local_check_classifies_each_vertex_once(tmp_path, monkeypatch):
     # them in its memo.  Every cell's peak vertex is then in the memo and is
     # certified without an LP.
     classified, lps = [], []
-    real_classify, real_lp = dgvf_module.classify_signs, dgvf_module.lp_solve
+    real_classify, real_lp = dgvf_module.classifications, dgvf_module.lp_solve
     monkeypatch.setattr(
-        dgvf_module, "classify_signs", lambda v, slope: classified.append(v) or real_classify(v, slope)
+        dgvf_module, "classifications", lambda vs, desc: classified.extend(vs) or real_classify(vs, desc)
     )
     monkeypatch.setattr(dgvf_module, "lp_solve", lambda *a, **k: lps.append(a) or real_lp(*a, **k))
     weights, matching, report = tmp_path / "w.json", tmp_path / "m.json", tmp_path / "r.json"
@@ -202,9 +202,8 @@ def test_local_check_classifies_each_vertex_once(tmp_path, monkeypatch):
 @pytest.mark.parametrize("arch", ["2,8,1", "4,7,1"])
 def test_local_check_pays_per_vertex(tmp_path, monkeypatch, arch):
     # Inside the check, no cell builds its H-representation or solves an
-    # LP, and the edges of all V vertices are solved in one stack of
-    # V * 2 * n0 systems; the other solves are the vertex points, n0 x n0
-    # each.
+    # LP, the points of all V vertices are solved in one stack of V
+    # systems, and their edges in one stack of V * 2 * n0: no other solve.
     counts, solves, inside, words = Counter(), [], [], []
     real_solve = np.linalg.solve
 
@@ -248,8 +247,7 @@ def test_local_check_pays_per_vertex(tmp_path, monkeypatch, arch):
     n0 = int(arch.split(",")[0])
     cpx = build_complex(cli_module._load_network(str(weights)))
     assert counts["_hrep_for"] == counts["lp_solve"] == 0 and words == [list(cpx.vertices)]
-    assert [shape for shape in solves if len(shape) == 3] == [(len(cpx.vertices) * 2 * n0, n0, n0)]
-    assert all(shape == (n0, n0) for shape in solves if len(shape) == 2)
+    assert solves == [(len(cpx.vertices), n0, n0), (len(cpx.vertices) * 2 * n0, n0, n0)]
 
 
 def test_local_check_lists_mismatches_in_word_order(tmp_path, monkeypatch):

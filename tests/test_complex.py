@@ -1,3 +1,5 @@
+import copy
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -29,7 +31,7 @@ from relumorse.errors import (
 )
 from relumorse.network import NodeMaps
 from relumorse.dgvf import BASEPOINT
-from relumorse.orientation import analyze_shallow, classify_signs, classify_vertex
+from relumorse.orientation import analyze_shallow, classify_vertex
 
 from conftest import (
     affine_form,
@@ -43,6 +45,7 @@ from conftest import (
     lp_max,
     make_net_b_negated,
     rays_scan,
+    reference_classify_signs,
     reference_edge_slopes,
     reference_injectivity,
     reference_sup,
@@ -723,7 +726,7 @@ def test_failed_vertices_raise_and_fall_back_as_solved_one_by_one(case, monkeypa
             got = classify_vertex(cpx, v)
         except StructuredError as exc:
             got = type(exc), str(exc)
-        want = out if v in failed else classify_signs(v, reference_edge_slopes(v, complex_forms(cpx)))
+        want = out if v in failed else reference_classify_signs(v, reference_edge_slopes(v, complex_forms(cpx)))
         assert got == want, v
     lps, fallbacks = _count_lps(monkeypatch), 0
     for signs, cell in cpx.cells.items():
@@ -854,3 +857,33 @@ def test_vertex_facets_match_scan(differential_draws, netb, cpx_b):
             assert cpx.vertex_facets(signs) == expected, (net.arch, seed, signs)
             assert cpx.facets(cell) == facets_scan(cpx, cell), (net.arch, seed, signs)
             assert list(cpx.closure(signs)[2]) == rays_scan(cpx, cell), (net.arch, seed, signs)
+
+
+def test_word_keys_sort_minus_before_zero_before_plus():
+    # All 27 words of length 3 in product order are in key order: each entry
+    # is read as entry + 1, since raw int8 bytes put -1 (0xFF) last.  A word
+    # that is no row looks up as -1, as every word does in no rows at all.
+    words = np.array(list(itertools.product((-1, 0, 1), repeat=3)), dtype=np.int8)
+    keys = complex_module._keys(words)
+    assert np.argsort(keys, kind="stable").tolist() == list(range(27))
+    raw = words.view(np.dtype((np.void, 3))).ravel()
+    assert np.argsort(raw, kind="stable").tolist() != list(range(27))
+    ids = complex_module._lookup(complex_module._keys(words[::2]), words)
+    assert ids.tolist() == [i // 2 if i % 2 == 0 else -1 for i in range(27)]
+    assert complex_module._lookup(keys[:0], words[:2]).tolist() == [-1, -1]
+
+
+def test_word_index_follows_the_cells(cpx_b):
+    # The index holds the cells' words in word order, each row's id its
+    # place; a copy given other cells indexes those, and its star table,
+    # maxima and facets follow, while the original keeps its own.
+    names, rows, keys, ids = cpx_b.words()
+    assert names == sorted(cpx_b.cells) and rows.tolist() == [list(w) for w in names]
+    assert complex_module._lookup(keys, rows).tolist() == list(range(len(names))) == [ids[w] for w in names]
+    cpx_b.f_maxes(), cpx_b.facets(S("+++"))
+    broken = copy.copy(cpx_b)
+    broken.cells = {s: c for s, c in cpx_b.cells.items() if s != S("+++")}
+    assert broken.words()[0] == [s for s in names if s != S("+++")]
+    assert len(broken.f_maxes()) == len(names) - 1 and len(cpx_b.f_maxes()) == len(names)
+    assert [f.signs for f in broken.facets(S("++0"))] == [S("0+0"), S("+00")]
+    assert S("+++") not in broken._facet_map() and S("+++") in cpx_b._facet_map()

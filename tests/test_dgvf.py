@@ -17,26 +17,36 @@ from relumorse import (
     is_acyclic,
     is_face,
     local_pair,
-    pair_lower_star,
     signs_from_str,
 )
 from relumorse import AffineLayer, Architecture, ReluNetwork, net_b, random_network
-from relumorse.dgvf import _allowed_signs, _lower_star_patterns, _partner, seed_vertices
+from relumorse.dgvf import _partner, seed_vertices
+from relumorse.complex import _edge_slopes
 from relumorse.errors import (
     DimensionError,
     FlatCellError,
     IncompletePairingError,
+    SingularSystemError,
     StructuredError,
     UnboundedCellError,
 )
 from relumorse.lp import LpResult
-from relumorse.network import NodeMaps
+from relumorse.network import NodeMaps, node_maps, signs_to_str
 from relumorse.orientation import VertexClassification
 
 from conftest import (
+    allowed_signs,
     lower_star,
+    lower_star_patterns,
+    reference_build_dgvf,
     reference_certified_vertex,
+    reference_classify_signs,
+    reference_classify_vertex,
+    reference_index,
+    reference_pair_lower_star,
     reference_slack_certified_vertex,
+    reference_validate,
+    reference_vertex_mask,
     scan_generic_nets,
     sign_sequence_at,
 )
@@ -46,10 +56,10 @@ S = signs_from_str
 
 def test_pair_regular_examples(cpx_b):
     cls = classify_vertex(cpx_b, S("00+"))
-    pairs, _ = pair_lower_star(cpx_b, cls)
+    pairs, _ = reference_pair_lower_star(cpx_b, cls)
     assert pairs == sorted([(S("00+"), S("+0+")), (S("0++"), S("+++"))])
     cls = classify_vertex(cpx_b, S("0+0"))
-    assert pair_lower_star(cpx_b, cls)[0] == [(S("0+0"), S("++0"))]
+    assert reference_pair_lower_star(cpx_b, cls)[0] == [(S("0+0"), S("++0"))]
 
 
 _NET_B_PAIRS = (("00+", "+0+"), ("0+0", "++0"), ("0++", "+++"))
@@ -96,7 +106,7 @@ def test_pair_lower_star_rejects_a_missing_lower_star_cell(cpx_b):
     broken.cells = {s: c for s, c in cpx_b.cells.items() if s != S("+++")}
     message = "lower-star cell \\+\\+\\+ missing from the complex"
     with pytest.raises(IncompletePairingError, match=message):
-        pair_lower_star(broken, classify_vertex(cpx_b, S("00+")))
+        reference_pair_lower_star(broken, classify_vertex(cpx_b, S("00+")))
     with pytest.raises(IncompletePairingError, match=message):
         build_dgvf(broken)
 
@@ -106,13 +116,13 @@ def test_pair_regular_covers_half_the_lower_star(cpx_b):
         cls = classify_vertex(cpx_b, signs)
         if cls.kind != "regular":
             continue
-        pairs, _ = pair_lower_star(cpx_b, cls)
+        pairs, _ = reference_pair_lower_star(cpx_b, cls)
         assert 2 * len(pairs) == len(lower_star(cpx_b, signs))
 
 
 def test_pair_critical_index_zero(cpx_b):
     cls = classify_vertex(cpx_b, S("+00"))
-    pairs, crit = pair_lower_star(cpx_b, cls)
+    pairs, crit = reference_pair_lower_star(cpx_b, cls)
     assert pairs == [] and crit == S("+00")
 
 
@@ -121,7 +131,7 @@ def test_pair_critical_index_two_cross_polytope(cpx_b_neg):
     # pair up by the first-axis rule, leaving the all-minus quadrant.
     cls = classify_vertex(cpx_b_neg, S("+00"))
     assert cls.index == 2 and cls.descending_axes == (1, 2)
-    pairs, crit = pair_lower_star(cpx_b_neg, cls)
+    pairs, crit = reference_pair_lower_star(cpx_b_neg, cls)
     assert crit == S("+--")
     expected = sorted(
         [
@@ -509,7 +519,7 @@ def test_memo_does_not_hide_unbounded_cells(netb, monkeypatch):
     # lines of its zeros meet at the origin, outside ++-, so the point test
     # rejects it and the LP reports the unbounded cell.
     forged = VertexClassification(S("00-"), "critical", 2, ((0, True, True), (1, True, True)), None, None)
-    memo = {w: [forged] for w in _lower_star_patterns(forged.vertex, _allowed_signs(forged))}
+    memo = {w: [forged] for w in lower_star_patterns(forged.vertex, allowed_signs(forged))}
     real, seen = dgvf_module._certified_vertex, []
 
     def spy(signs, entry, candidates, lp_tol):
@@ -580,9 +590,151 @@ def test_lower_star_pairings_cover_reference_lower_star(differential_draws):
         arch = net.arch
         for signs in cpx.vertices:
             cls = classify_vertex(cpx, signs)
-            pairs, crit = pair_lower_star(cpx, cls)
+            pairs, crit = reference_pair_lower_star(cpx, cls)
             cells = [] if crit is None else [crit]
             cells += [s for pair in pairs for s in pair]
             assert len(cells) == len(set(cells)), (arch, seed, signs)
             expected = {c.signs for c in lower_star(cpx, signs)}
             assert set(cells) == expected, (arch, seed, signs)
+
+
+def _outcome(call):
+    """What ``call()`` returns, or the class and message of its structured error."""
+    try:
+        return call()
+    except StructuredError as exc:
+        return type(exc), str(exc)
+
+
+def test_stacked_pairing_matches_the_per_vertex_loop(sweep_accepted, differential_draws):
+    # All vertices classified and their lower stars paired at once, off the
+    # star table, give the Matching of conftest's vertex-by-vertex loop, and
+    # classify_vertex gives the per-axis rule's classification.
+    for net, cpx in sweep_accepted + [(net, cpx) for _, net, cpx in differential_draws]:
+        assert build_dgvf(cpx) == reference_build_dgvf(cpx), net.arch
+        for v in cpx.vertices:
+            assert classify_vertex(cpx, v) == reference_classify_vertex(cpx, v), (net.arch, v)
+
+
+def _broken(cpx, drop=(), vertices=None, slopes=None):
+    """A copy of ``cpx`` less the cells ``drop``, with the vertex table
+    ``vertices`` and the edge-slope entries ``slopes`` put in."""
+    broken = copy.copy(cpx)
+    broken.cells = {s: c for s, c in cpx.cells.items() if s not in drop}
+    broken.vertices = cpx.vertices if vertices is None else vertices
+    broken._edge_slopes = {**cpx._slopes(), **(slopes or {})}
+    return broken
+
+
+def test_stacked_pairing_raises_as_the_per_vertex_loop(sweep_accepted):
+    # Broken complexes of the sweep's accepted nets: an edge dropped, a
+    # lower-star cell of the top dimension dropped, all of dimension 2 and
+    # up (so that the first missing word in the lower-star order, signs as
+    # 0, -1, +1, is not the first in word order), a vertex cell dropped, a
+    # vertex whose edge slopes fail, and a vertex left out of the vertex
+    # table.  The stacked pairing raises the class and message of the first
+    # vertex that fails in the per-vertex loop, or both give one Matching.
+    kinds = Counter()
+    for net, cpx in sweep_accepted:
+        words = list(cpx.vertices)
+        for v in (words[0], words[len(words) // 2], words[-1]):
+            star = [c.signs for c in lower_star(cpx, v)]
+            edge = next(e for e in cpx.cells if cpx.cells[e].dim == 1 and is_face(v, e))
+            error = SingularSystemError(f"singular edge system at vertex {signs_to_str(v)}")
+            cases = {
+                "edge": _broken(cpx, drop={edge}),
+                "lower star": _broken(cpx, drop={max(star, key=lambda s: cpx.cells[s].dim)}),
+                "upper lower star": _broken(cpx, drop={s for s in star if cpx.cells[s].dim >= 2}),
+                "vertex cell": _broken(cpx, drop={v}),
+                "slopes": _broken(cpx, slopes={v: error}),
+                "vertex table": _broken(cpx, vertices={w: r for w, r in cpx.vertices.items() if w != v}),
+            }
+            for kind, broken in cases.items():
+                got = _outcome(lambda: build_dgvf(broken))  # noqa: B023
+                assert got == _outcome(lambda: reference_build_dgvf(broken)), (net.arch, v, kind)  # noqa: B023
+                kinds[kind, got[0].__name__ if isinstance(got, tuple) else "matching"] += 1
+    assert kinds["edge", "MissingEdgeError"] and kinds["slopes", "SingularSystemError"]
+    assert kinds["lower star", "IncompletePairingError"] and kinds["vertex cell", "IncompletePairingError"]
+    assert kinds["vertex table", "IncompletePairingError"] and kinds["upper lower star", "IncompletePairingError"]
+
+
+def test_validate_matches_the_pair_by_pair_reference(sweep_accepted):
+    # Hand-corrupted matchings of the sweep's accepted nets: a pair left
+    # out, a pair twice, a pair reversed, a word of the wrong length twice
+    # among the critical cells, a pair with a word that is no cell, and an
+    # unbounded cell made critical.  The id arrays name conftest's problems.
+    named = Counter()
+    for net, cpx in sweep_accepted:
+        m = build_dgvf(cpx)
+        pairs, crit = list(m.pairs), list(m.critical)
+        (lo, up), short = pairs[0], pairs[0][0][:-1]
+        unbounded = next((s for s, c in cpx.cells.items() if not cpx.is_bounded_above(c)), short)
+        for matching in (
+            m,
+            Matching(tuple(pairs[1:]), m.critical),
+            Matching(tuple(pairs + pairs[:1]), m.critical),
+            Matching(tuple([(up, lo)] + pairs[1:]), m.critical),
+            Matching(m.pairs, tuple(crit + [short, short])),
+            Matching(tuple([(lo, short + (1,) * 2)] + pairs[1:]), m.critical),
+            Matching(m.pairs, tuple(crit + [unbounded])),
+        ):
+            problems = matching.validate(cpx)
+            assert problems == reference_validate(matching, cpx), net.arch
+            named.update(p.split(" ")[0] for p in problems)
+    assert len(named) >= 4 and sum(named.values()) > 6 * len(sweep_accepted)
+
+
+def test_stacked_masks_match_the_per_vertex_mask(sweep_accepted):
+    # Every vertex word of the sweep's accepted nets on its own parent's
+    # table and on another's, then a stack with a singular system, a
+    # constant zero row and a system that misses its residual by 8e-4: the
+    # stacked masks are conftest's masks solved one by one.
+    seen = Counter()
+    for net, cpx in sweep_accepted:
+        n_m, words = net.layers[-1].out_dim, list(cpx.vertices)
+        own = [node_maps(net, w[:-n_m]) for w in words]
+        for tables in (own, own[::-1]):
+            want = [reference_vertex_mask(t, w, 1e-7) for t, w in zip(tables, words)]
+            assert dgvf_module._vertex_masks(tables, words, 1e-7) == want, net.arch
+            seen.update(m is None for m in want)
+    cases = [
+        ([[1.0, 1.0], [1.0, 1.0 + 1e-13], [0.0, 1.0]], [0.3, -0.7, 0.2], S("00+")),  # residual
+        ([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]], [0.3, -0.7, 0.2], S("00+")),  # singular
+        ([[1.0, 0.0], [0.0, 1.0], [1e-14, 1e-14]], [0.0, 0.0, -5e-8], S("+00")),  # constant
+        ([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [0.0, 0.0, -1.0], S("00-")),
+        ([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [0.0, 0.0, -1.0], S("0+0")),
+    ]
+    tables = [NodeMaps(np.array(rows), np.array(offsets)) for rows, offsets, _ in cases]
+    words = [w for *_, w in cases]
+    want = [reference_vertex_mask(t, w, 1e-7) for t, w in zip(tables, words)]
+    assert want[:3] == [None] * 3 and None not in want[3:]
+    assert dgvf_module._vertex_masks(tables, words, 1e-7) == want
+    assert seen[True] and seen[False] > 1000
+
+
+def test_stacked_seed_gives_the_per_vertex_memo(sweep_accepted, monkeypatch):
+    # seed_vertices on every vertex word of the sweep's accepted nets: the
+    # memo, and the masks kept on its tables, of the one-by-one seeding with
+    # conftest's masks, per-axis classification and lower-star patterns.
+    # The masks it keeps on the lower stars' tables leave local_pair none to
+    # solve, on the two-layer nets' many parent tables too.
+    real, solved = dgvf_module._vertex_masks, []
+    for net, cpx in sweep_accepted:
+        n_m, memo, tables = net.layers[-1].out_dim, {}, {}
+        seed_vertices(net, sorted(cpx.vertices), memo, tables)
+        want = {}
+        for w in sorted(cpx.vertices):
+            table = node_maps(net, w[:-n_m])
+            mask = reference_vertex_mask(table, w, 1e-7)
+            if table.const.any() or mask is None or dgvf_module._bits(w) & mask:
+                continue
+            if isinstance(slopes := _edge_slopes(net, [w])[w], dict):
+                reference_index(want, reference_classify_signs(w, slopes))
+        assert memo == want, net.arch
+        monkeypatch.setattr(dgvf_module, "_vertex_masks", lambda *a: solved.append(a) or real(*a))
+        for s in sorted(s for s, c in cpx.cells.items() if cpx.is_bounded_above(c)):
+            local_pair(net, s, _classified=memo, _tables=tables)
+        monkeypatch.setattr(dgvf_module, "_vertex_masks", real)
+        assert solved == [], net.arch
+        for prefix, (table, masks) in tables.items():
+            assert masks == {v: reference_vertex_mask(table, v, 1e-7) for v in masks}, net.arch

@@ -23,9 +23,10 @@ vertex alone on its own table, each
 layer's one acceptance pass with the per-parent ``conftest.reference_accept``,
 the batched residual with ``conftest.reference_consistent``'s lstsq, the
 stacked node-map tables with the per-word ``conftest.reference_node_maps``,
-and the forced-flat abort's and the flat-cell test's ``is_face`` scans with
+the forced-flat abort's and the flat-cell test's ``is_face`` scans with
 the closure walks of ``conftest.closure_walk_abort`` and
-``conftest.closure_flag_flat``.
+``conftest.closure_flag_flat``, and the facet lookups by word key with the
+dict lookups of ``conftest.reference_facets``.
 """
 
 import contextlib
@@ -35,6 +36,7 @@ import math
 import pathlib
 import re
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -52,13 +54,15 @@ from conftest import (
     reference_accept,
     reference_consistent,
     reference_edge_slopes,
+    reference_facets,
     reference_flatness,
     reference_node_maps,
     reference_vertex_location,
 )
 
 import relumorse.complex as complex_module
-from relumorse import AffineLayer, Architecture, ReluNetwork, build_complex, net_b, random_network
+import relumorse.dgvf as dgvf_module
+from relumorse import AffineLayer, Architecture, ReluNetwork, build_complex, compactify, net_b, random_network
 from relumorse.complex import (
     CanonicalComplex,
     Cell,
@@ -1125,3 +1129,30 @@ def test_batched_residual_matches_lstsq(monkeypatch):
     for net in nets:
         structure(net)
     assert decided.count(False) > 1_000 and True in decided
+
+
+def test_facet_lookups_match_the_dict_reference(monkeypatch):
+    # Every facet map that builds ask for, with the closed form declined so
+    # that each layer takes neuron steps (regions out of word order), then
+    # each finished complex's and compactified complex's: the facets found by word key are conftest's dict lookups,
+    # in the same key order and as the same tuples.
+    real, seen = complex_module._facets, Counter()
+
+    def spy(words, rows=None):
+        got = real(words, rows)
+        assert list(got.items()) == list(reference_facets(words).items())
+        seen["sorted" if list(words) == sorted(words) else "unsorted"] += 1
+        return got
+
+    monkeypatch.setattr(complex_module, "_facets", spy)
+    monkeypatch.setattr(dgvf_module, "_facets", spy)
+    _decline_arrangement(monkeypatch)
+    nets = [net_b()] + [random_network(Architecture.from_full(arch), seed=s) for arch, s in SWEEP_ACCEPTED[:12]]
+    for net in nets + [_integer_net(*case) for case in NEAR_DEGENERATE]:
+        try:
+            cpx = build_complex(net, sign_tol=SIGN_TOL, lp_tol=LP_TOL)
+        except StructuredError:
+            continue
+        cpx.facets(next(iter(cpx.cells)))
+        compactify(cpx)
+    assert seen["unsorted"] > 50 and seen["sorted"] > 50, seen
