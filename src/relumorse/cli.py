@@ -76,7 +76,7 @@ def _load_network(path: str):
 def _parse_arch(text: str) -> Architecture:
     try:
         return Architecture.from_full([part.strip() for part in text.split(",")])
-    except ArchitectureError as exc:
+    except (ArchitectureError, ValueError) as exc:  # ValueError: an entry that is no integer
         raise ValueError(f"--arch: {exc}") from None
 
 

@@ -7,9 +7,9 @@ entries and faces are read off by composing sign words.  The finished
 complex indexes its words as one sorted int8 matrix, a cell's id its row,
 and finds the ids of any word rows by one ``searchsorted`` on void keys.
 The star table, the ids of the 3^n0 words around every vertex (the cells
-it is a face of), is one such lookup; F's maxima over every cell, the
-lower-star pairing (``dgvf``) and the rays are read off it, and the facets
-off lookups of each word with one zero set to -1 or +1.  Flat flags come
+it is a face of), is one such lookup; each cell's vertices and rays, F's
+maxima and the lower-star pairing (``dgvf``) are read off it, and the
+facets off lookups of each word with one zero set to -1 or +1.  Flat flags come
 from one stacked product of F's gradients, vertex locations and edge
 slopes from stacked solves on the node-map tables, one per parent cell,
 which is a cell's affine data.  A flat cell, or after each layer a cell on
@@ -22,14 +22,14 @@ so a layer comes whole from its vertices: the 3^n0 words on a vertex's n0
 zero maps are the cells through it.  Where that closed form declines, the
 layer is refined one node map at a time, from all sign words of layer 1's
 first maps or from the previous layer: a map meets a region iff it takes
-both signs over the vertices and rays of its closure (``_facets``, then
-``_closures``), read for all regions of a step in stacked calls, or where
-the closure holds no vertex or a sign falls in the tolerance band, by the
-witness LP, whose point is the piece's sample; build so solves no LP on
-generic input.  Acceptance checks all words of a layer in one pass, by
-sample points or the witness LP, with stacked rank and residual tests for
-dependent zero sets and solvable words past n0 zeros.  Every LP is a cell
-LP from ``_cell_problem``, the one place a problem is built.
+both signs over the vertices and rays of its closure, read off the star
+table of a step's vertex regions, or where the closure holds no vertex or
+a sign falls in the tolerance band, by the witness LP, whose point is the
+piece's sample; build so solves no LP on generic input.  Acceptance checks
+all words of a layer in one pass, by sample points or the witness LP, with
+stacked rank and residual tests for dependent zero sets and solvable words
+past n0 zeros.  Every LP is a cell LP from ``_cell_problem``, the one
+place a problem is built.
 """
 
 from __future__ import annotations
@@ -213,40 +213,40 @@ def _slopes_of(entry) -> dict:
     return entry
 
 
-def _facets(words, rows=None) -> dict:
-    """{word: sorted tuple of facets} of the cells ``words`` (a collection of
-    sign words, or a dict keyed by them; ``rows`` their int8 rows, if at
-    hand), in its order: the present words that zero one more entry.  Each
-    word with one zero set to -1 or +1 is looked up at once by its key; the
-    hits, grouped by the word found, are its facets in word order."""
-    words = list(words)
-    if not words or not words[0]:  # nothing, or the empty word of no neuron
-        return dict.fromkeys(words, ())
-    rows = np.array(words, dtype=np.int8) if rows is None else rows
-    order = np.argsort(keys := _keys(rows), kind="stable")
+def _facets(words: list, rows) -> dict:
+    """{word: sorted tuple of facets} of the sorted list of cell ``words``, with
+    int8 rows ``rows``: the present words that zero one more entry.  Each word
+    with one zero set to -1 or +1 is looked up at once by its key; the hits,
+    grouped by the word found, are its facets in word order."""
     low, p = (np.repeat(a, 2) for a in np.nonzero(rows == 0))
     up = rows[low]
     up[np.arange(len(low)), p] = np.tile(np.array([-1, 1], dtype=np.int8), len(p) // 2)
-    at = _lookup(keys[order], up)
-    up, low = order[at[at >= 0]], low[at >= 0]
-    by = np.lexsort((np.argsort(order)[low], up))  # by the word found, then the facet's rank
+    at = _lookup(_keys(rows), up)
+    up, low = at[at >= 0], low[at >= 0]
+    by = np.argsort(up, kind="stable")  # by the word found, then the facet's rank
     bounds, low = np.searchsorted(up[by], np.arange(len(words) + 1)).tolist(), low[by].tolist()
     return {w: tuple(map(words.__getitem__, low[a:b])) for w, a, b in zip(words, bounds, bounds[1:])}
 
 
-def _closures(dims: dict, facets: dict) -> dict:
-    """{word: (facets, vertices, rays)}, sorted tuples, bottom-up by dimension
-    from :func:`_facets`: a vertex is its own closure, an edge with one vertex
-    the ray (vertex, edge), any other closure the union of its facets'."""
-    out = {}
-    for word in sorted(dims, key=dims.get):
-        fs = facets[word]
-        verts = tuple(sorted({v for f in fs for v in out[f][1]})) if dims[word] else (word,)
-        rays = tuple(sorted({r for f in fs for r in out[f][2]}))
-        if dims[word] == 1 and len(verts) == 1:
-            rays = ((verts[0], word),)
-        out[word] = (fs, verts, rays)
-    return out
+def _star_table(verts, keys, n0) -> tuple:
+    """(t, stars, at, rays) of the sorted vertex rows ``verts`` among the
+    sorted word ``keys``: :func:`_stars`, at[i, k] the :func:`_lookup` of
+    stars[i, k], and the rays as rows (i, k) in word order: the edges (one
+    nonzero t) in one star only.  A vertex is a face of exactly its star."""
+    t, stars = _stars(verts, np.nonzero(verts == 0)[1].reshape(-1, n0))
+    at, edges = _lookup(keys, stars), np.flatnonzero((t != 0).sum(axis=1) == 1)
+    e = at[:, edges]
+    count = np.bincount(e[e >= 0], minlength=len(keys))
+    i, j = np.nonzero((e >= 0) & (count[e] == 1))
+    return t, stars, at, np.transpose((i, edges[j]))
+
+
+def _ray_faces(t, at, i, k) -> tuple:
+    """(r, c) by r: ray r, star word k[r] of vertex i[r] in :func:`_star_table`,
+    is a face of each present word c of that star keeping its nonzero entry."""
+    above = ((t[:, None] == t[None]) | (t[:, None] == 0)).all(axis=2)  # star word k is a face of k'
+    sel = above[k] & (at[i] >= 0)
+    return np.nonzero(sel)[0], at[i][sel]
 
 
 @dataclass
@@ -368,7 +368,7 @@ class CanonicalComplex:
     @cells.setter
     def cells(self, cells: dict) -> None:
         self._cells, self._sups = cells, {}
-        self._words = self._facets = self._closure_map = self._star = None
+        self._words = self._facets = self._star = self._holders = None
 
     @property
     def n0(self) -> int:
@@ -423,12 +423,6 @@ class CanonicalComplex:
 
     # -- face poset -----------------------------------------------------
 
-    def closure(self, cell) -> tuple:
-        """(facets, vertices, rays) of a stored cell; built on first use."""
-        if self._closure_map is None:
-            self._closure_map = _closures({s: c.dim for s, c in self.cells.items()}, self._facet_map())
-        return self._closure_map[cell.signs if isinstance(cell, Cell) else tuple(cell)]
-
     def facets(self, cell) -> list:
         """Stored cells obtained by zeroing exactly one nonzero entry, sorted."""
         signs = cell.signs if isinstance(cell, Cell) else tuple(cell)
@@ -441,8 +435,14 @@ class CanonicalComplex:
         return self._facets
 
     def vertex_facets(self, cell) -> list:
-        """Vertices of the complex lying in the closure of ``cell``, sorted."""
-        return [self.vertices[w] for w in self.closure(cell)[1]]
+        """Vertices of the complex lying in the closure of ``cell``, sorted:
+        those whose stars hold it, by one argsort of :meth:`_star_cells`."""
+        if self._holders is None:
+            at, records = self._star_cells()[1], list(self.vertices.values())
+            by = [records[i] for i in (np.argsort(at, axis=None, kind="stable") // at.shape[1]).tolist()]
+            bounds = np.searchsorted(np.sort(at, axis=None), np.arange(len(self.words()[0]) + 1)).tolist()
+            self._holders = [by[a:b] for a, b in zip(bounds, bounds[1:])]
+        return list(self._holders[self.words()[3][cell.signs if isinstance(cell, Cell) else tuple(cell)]])
 
     def top_cells(self) -> list:
         return [c for c in self.cells.values() if c.dim == self.n0]
@@ -453,22 +453,13 @@ class CanonicalComplex:
         return [r[:2] for r in self._star_cells()[2]]
 
     def _star_cells(self) -> tuple:
-        """(t, at, rays, stars), built on first use: the star words stars[i, k]
-        (:func:`_stars`) of the i-th of :attr:`vertices` and their ids at[i, k],
-        -1 where no cell has one; a vertex is a face of exactly the cells of
-        its star.  An edge, a star word with one nonzero t, is a ray where it
-        is in one star only, listed sorted in ``rays`` as (vertex, edge, i, k)."""
+        """(t, at, rays, stars), built on first use: :func:`_star_table` of :attr:`vertices`
+        on the word index, at[i, k] a cell's id, the rays sorted as (vertex, edge, i, k)."""
         if self._star is None:
-            names, _, keys, _ = self.words()
-            verts = np.array(list(self.vertices), dtype=np.int8).reshape(-1, self.net.total_neurons)
-            t, stars = _stars(verts, np.nonzero(verts == 0)[1].reshape(-1, self.n0))
-            at = _lookup(keys, stars)
-            edges = np.flatnonzero((t != 0).sum(axis=1) == 1)
-            e = at[:, edges]
-            count = np.bincount(e[e >= 0], minlength=len(names))
-            vi, ej = np.nonzero((e >= 0) & (count[e] == 1))
-            words, rays = list(self.vertices), zip(vi.tolist(), edges[ej].tolist())
-            self._star = t, at, sorted((words[i], names[at[i, k]], i, k) for i, k in rays), stars
+            (names, _, keys, _), words = self.words(), list(self.vertices)
+            verts = np.array(words, dtype=np.int8).reshape(-1, self.net.total_neurons)
+            t, stars, at, rays = _star_table(verts, keys, self.n0)
+            self._star = t, at, sorted((words[v], names[at[v, e]], v, e) for v, e in rays.tolist()), stars
         return self._star
 
     # -- LP-backed cell queries ------------------------------------------
@@ -512,11 +503,10 @@ class CanonicalComplex:
         per sense, in one pass over the vertices' stars (:meth:`_star_cells`).
         A cell's best vertex value is the max over the stars that hold it.
         Its first ray, in word order, is the least of the rays that rise, or
-        sit at a vertex whose :meth:`edge_slopes` raise, and are faces of it:
-        the words of the ray's star that keep its edge's nonzero entry.  The
-        sup is the best value without such a ray, +inf with a rising one; NaN
-        marks the cells of the dict, vertex-free or with a raised first ray,
-        left to their LP."""
+        sit at a vertex whose :meth:`edge_slopes` raise, and are faces of it
+        (:func:`_ray_faces`).  The sup is the best value without such a ray,
+        +inf with a rising one; NaN marks the cells of the dict, vertex-free
+        or with a raised first ray, left to their LP."""
         if sense not in self._sups:
             (t, at, rays, _), n = self._star_cells(), len(self.words()[0])
             hit = at >= 0
@@ -532,10 +522,8 @@ class CanonicalComplex:
                 if rises:
                     up.append((r, i, k))
             r, i, k = np.array(up, dtype=int).reshape(-1, 3).T
-            # above[k, k']: star word k is a face of star word k'.
-            above = ((t[:, None] == t[None]) | (t[:, None] == 0)).all(axis=2)
-            sel = above[k] & hit[i]
-            np.minimum.at(first, at[i][sel], np.broadcast_to(r[:, None], sel.shape)[sel])
+            faces, c = _ray_faces(t, at, i, k)
+            np.minimum.at(first, c, r[faces])
             values = np.where(first < len(rays), np.inf, best)
             lp = (best == -np.inf) | raised[first]
             values[lp], best = np.nan, best.tolist()
@@ -640,35 +628,47 @@ def _argmax_by(keys, group, labels):
     return np.lexsort((-keys, group))[np.searchsorted(group, labels)]
 
 
-def _closure_pieces(regions, closures, words, rows, at, a, b, near) -> list:
-    """(sign, point) of the pieces the hyperplane a[i].x = b[i] cuts from
-    the region words[i] of ``regions`` ({word: point}), read
-    off its ``closures`` entry, which holds a vertex; None in the band.
+def _region_faces(regions: dict, sel, n0: int) -> tuple:
+    """(vreg, vpos, rreg, rpos, zeros, rhs) off the vertex regions' :func:`_star_table`:
+    the vertices at positions vpos, in word order, of the regions at vreg that
+    the mask ``sel`` picks from ``regions``, and in (vertex, edge) word order
+    their rays, from the vertex at rpos into the edge setting its ``zeros`` to ``rhs``."""
+    rows = np.array(list(regions), dtype=np.int8)
+    order = np.argsort(keys := _keys(rows), kind="stable")
+    vid = order[(rows[order] == 0).sum(axis=1) == n0]  # the vertex regions, sorted
+    t, _, at, rays = _star_table(rows[vid], keys[order], n0)
+    slot = np.where(sel, np.arange(len(sel)), -1)[order]  # by sorted position, -1 off sel
+    (i, k), (r, c) = np.nonzero(at >= 0), _ray_faces(t, at, *rays.T)
+    vreg, rreg = slot[at[i, k]], slot[c]
+    vby, rby = (np.argsort(g, kind="stable")[np.count_nonzero(g < 0) :] for g in (vreg, rreg))
+    zeros, (ri, rk) = np.nonzero(rows[vid] == 0)[1].reshape(-1, n0), rays[r[rby]].T
+    return vreg[vby], vid[i[vby]], rreg[rby], vid[ri], zeros[ri], t[rk]
+
+
+def _closure_pieces(regions, sel, rows, at, a, b, near) -> dict:
+    """{p: (sign, point) of the pieces the hyperplane a[p].x = b[p] cuts from
+    region p of ``regions`` ({word: point}), or None in the band}, read off the
+    closure (:func:`_region_faces`) where the mask ``sel`` picks p and that holds a vertex.
 
     The map is affine on the closure, so pushed away from the side of an
     interior point it is unbounded along a rising ray, and otherwise peaks
     at a vertex.  The interior point is the vertex mean plus the unit ray
     sum, which keeps the pieces' points clear of the region's faces.  A
     ray's direction solves the parent's node-map rows (``rows`` from row
-    at[i]) at its vertex's zeros, not a difference of sample points, which
+    at[p]) at its vertex's zeros, not a difference of sample points, which
     loses digits far out.  All regions are decided in stacked calls.
     """
-    n, n0 = len(words), a.shape[1]
-    verts = [closures[w][1] for w in words]
-    rays = [r for w in words for r in closures[w][2]]
-    vreg = np.repeat(np.arange(n), [len(vs) for vs in verts])
-    rreg = np.repeat(np.arange(n), [len(closures[w][2]) for w in words])
-    points = np.array([regions[v] for vs in verts for v in vs])
-    origins = np.array([regions[v] for v, _ in rays]).reshape(-1, n0)
-    ends = np.array(rays, dtype=float).reshape(len(rays), 2, len(words[0]))
-    zeros = np.nonzero(ends[:, 0] == 0)[1].reshape(-1, n0)
-    system = rows[at[rreg, None] + zeros]
+    vreg, vpos, rreg, rpos, zeros, rhs = _region_faces(regions, sel, a.shape[1])
+    keep, vreg = np.unique(vreg, return_inverse=True)  # the regions with a vertex, renumbered
+    rreg, n, at, a, b = np.searchsorted(keep, rreg), len(keep), at[keep], a[keep], b[keep]
+    points = np.array(list(regions.values()))
+    points, origins = points[vpos], points[rpos]
     # A singular system is a zero-length ray: its region alone is banded.
-    dirs = _solve_each(system, np.take_along_axis(ends[:, 1], zeros, axis=1))[0]
+    dirs = _solve_each(rows[at[rreg, None] + zeros], rhs.astype(float))[0]
     lengths = np.linalg.norm(dirs, axis=1)
     band = np.bincount(rreg, ~(lengths > 0), minlength=n) > 0
     dirs = dirs / np.where(lengths > 0, lengths, 1.0)[:, None]
-    x, ray_sum = np.zeros((n, n0)), np.zeros((n, n0))
+    x, ray_sum = np.zeros_like(a), np.zeros_like(a)
     np.add.at(x, vreg, points)
     np.add.at(ray_sum, rreg, dirs)
     x = x / np.bincount(vreg, minlength=n)[:, None] + ray_sum
@@ -686,7 +686,7 @@ def _closure_pieces(regions, closures, words, rows, at, a, b, near) -> list:
     u = -s * (_dot(a, q) - b)
     band |= (np.abs(u) <= near) | (np.maximum(np.abs(x).max(1), np.abs(q).max(1)) > _FAR)
     cut = zip(band, x, s.tolist(), v.tolist(), q, u.tolist())
-    return [None if out else _cut(*rest, near) for out, *rest in cut]
+    return dict(zip(keep.tolist(), [None if out else _cut(*rest, near) for out, *rest in cut]))
 
 
 def _solvable(a, b):
@@ -885,24 +885,14 @@ def _enumerate_cells(net: ReluNetwork, lp_tol: float) -> list:
             r = at + off + j
             const, a, b = consts[r], unit[r], unit_off[r]
             v = _dot(a, np.array(list(regions.values()))) - b
-            # A vertex's zero piece, past n0 zeros, has dim -1: _closures
-            # takes it before the words it bounds.
-            dims = {w: n0 - w.count(0) for w in regions}
-            closures = _closures(dims, _facets(dims))
-            sel = [
-                i for i, (w, d) in enumerate(dims.items())
-                if not vanishing and d and not const[i] and closures[w][1]
-            ]
-            read = {}
-            if sel:
-                sub = [words[i] for i in sel]
-                got = _closure_pieces(regions, closures, sub, rows, at[sel], a[sel], b[sel], near)
-                read = dict(zip(sel, got))
+            dims = n0 - np.array([w.count(0) for w in words])
+            sel = (dims > 0) & ~const & (not vanishing) & (dims == 0).any()  # none before a vertex region
+            read = _closure_pieces(regions, sel, rows, at, a, b, near) if sel.any() else {}
             # Outside the band x proves its own side, and at a vertex unless
             # the zero set and the map agree (one batched residual): an
             # ill-conditioned zero set can pass acceptance even where the
             # map is far from zero at the vertex.
-            vert = [i for i, d in enumerate(dims.values()) if not d and not const[i] and abs(v[i]) > near]
+            vert = np.flatnonzero((dims == 0) & ~const & (np.abs(v) > near)).tolist()
             agree = {}
             if vert:
                 # The zero rows and row off + j, as the zeros of word + (0,).

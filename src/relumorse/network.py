@@ -15,6 +15,7 @@ cell's table: no other copy is kept.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -309,7 +310,8 @@ def from_weight_dict(data: dict) -> ReluNetwork:
         arch = Architecture.from_full(dims)
     except ArchitectureError as exc:
         raise ValueError(f"dims: {exc}") from None
-    raw_layers = data["layers"]
+    if not isinstance(raw_layers := data["layers"], list):
+        raise ValueError(f"layers: expected a list of layers, got {raw_layers!r}")
     if len(raw_layers) != len(arch.hidden):
         raise ValueError(
             f"expected {len(arch.hidden)} hidden layers, got {len(raw_layers)}"
@@ -321,6 +323,13 @@ def from_weight_dict(data: dict) -> ReluNetwork:
         for key in ("weights", "bias"):
             if not isinstance(entry, dict) or key not in entry:
                 raise ValueError(f"{name} missing field {key!r}")
+        # The entries are JSON numbers (no bools or strings), in one plain pass.
+        w, b = entry["weights"], entry["bias"]
+        if not isinstance(w, list) or any(not isinstance(r, list) or len(r) != len(w[0]) for r in w):
+            raise ValueError(f"{name} weights: expected a list of equal-length rows, got {w!r}")
+        for key, values in (("weights", itertools.chain(*w)), ("bias", b if isinstance(b, list) else [b])):
+            if bad := [x for x in values if type(x) not in (int, float)]:
+                raise ValueError(f"{name} {key}: expected JSON numbers, got {bad[0]!r}")
         try:
             layer = AffineLayer(entry["weights"], entry["bias"])
         except ArchitectureError as exc:

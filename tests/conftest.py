@@ -1,5 +1,6 @@
 import contextlib
 import itertools
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 
@@ -29,10 +30,8 @@ from relumorse.complex import (
     _VERTEX_RESID,
     _ZERO_OFFSET,
     _cell_problem,
-    _closures,
     _cut,
     _edges_at,
-    _facets,
     _hrep_for,
     _is_flat,
     _witness,
@@ -425,18 +424,49 @@ def reference_slack_certified_vertex(signs, entry, candidates, lp_tol):
     return None
 
 
+def reference_closures(dims: dict, facets: dict) -> dict:
+    """{word: (facets, vertices, rays)}, sorted tuples, bottom-up by dimension
+    from a facet map: a vertex is its own closure, an edge with one vertex
+    the ray (vertex, edge), any other closure the union of its facets'.  The
+    closure walk that the star table replaced, in build's neuron steps and on
+    the finished complex."""
+    out = {}
+    for word in sorted(dims, key=dims.get):
+        fs = facets[word]
+        verts = tuple(sorted({v for f in fs for v in out[f][1]})) if dims[word] else (word,)
+        rays = tuple(sorted({r for f in fs for r in out[f][2]}))
+        if dims[word] == 1 and len(verts) == 1:
+            rays = ((verts[0], word),)
+        out[word] = (fs, verts, rays)
+    return out
+
+
+_CLOSURE_MAPS = weakref.WeakKeyDictionary()
+
+
+def closure_map(cpx) -> dict:
+    """:func:`reference_closures` of a finished complex's cells over its facet
+    map, built once per complex and set of cells."""
+    cells, closures = _CLOSURE_MAPS.get(cpx, (None, None))
+    if cells is not cpx.cells:
+        closures = reference_closures({s: c.dim for s, c in cpx.cells.items()}, cpx._facet_map())
+        _CLOSURE_MAPS[cpx] = cpx.cells, closures
+    return closures
+
+
 def reference_sup(cpx, cell, sense=1) -> tuple:
     """(sup of sense * F over a cell, whether it took the cell LP) by the
     per-cell rule, read off the vertex list and all rays of the union
-    closure map: the best vertex value, unless a ray, in word order, rises
-    (+inf) or is at a vertex whose edge slopes raise (the cell LP) first.
-    The reference for ``CanonicalComplex.sup`` and ``f_max``, which read
-    the same answer off the vertices' stars."""
+    closure map (:func:`closure_map`): the best vertex value, unless a ray,
+    in word order, rises (+inf) or is at a vertex whose edge slopes raise
+    (the cell LP) first.  The reference for ``CanonicalComplex.sup`` and
+    ``f_max``, which read the same answer off the vertices' stars."""
     signs = cell.signs if isinstance(cell, Cell) else tuple(cell)
-    corners = [sense * v.value for v in cpx.vertex_facets(signs)]
+    _, verts, rays = closure_map(cpx)[signs]
+    corners = [sense * cpx.vertices[v].value for v in verts]
     if corners:
         try:
-            if all(sense * cpx.edge_slopes(v)[e][1] < 0 for v, e in cpx.closure(signs)[2]):
+            if all(sense * cpx.edge_slopes(v)[e][1] < 0 for v, e in rays):
                 return max(corners), False
             return float("inf"), False
         except (FlatCellError, SingularSystemError):
@@ -728,7 +758,7 @@ def closure_walk_abort(net, stage, upto_layer, n0) -> None:
     bounds = [0, *itertools.accumulate(layer.out_dim for layer in net.layers[:upto_layer])]
     blocks = list(zip(bounds, bounds[1:]))
     dead = {s: n0 - s.count(0) for s in stage if any(1 not in s[a:b] for a, b in blocks)}
-    closures = _closures(dead, _facets(dead))
+    closures = reference_closures(dead, reference_facets(dead))
     for signs, dim in dead.items():
         if dim and closures[signs][1]:
             raise FlatCellError(
@@ -739,7 +769,7 @@ def closure_walk_abort(net, stage, upto_layer, n0) -> None:
 
 def closure_flag_flat(cpx) -> None:
     """Flat flags with F's gradients taken one product per parent table, and
-    the raise read off the complex's closure map: the reference for
+    the raise read off :func:`closure_map`: the reference for
     ``complex._flag_flat``'s stacked product and vertex-face scan."""
     n0, final, n = cpx.n0, cpx.net.final, cpx.net.total_neurons
     cells = [c for c in cpx.cells.values() if c.dim]
@@ -760,7 +790,7 @@ def closure_flag_flat(cpx) -> None:
         for i, f in zip(sel.tolist(), flat.tolist()):
             cells[i].flat = f
     for cell in cpx.cells.values():
-        if cell.flat and cpx.closure(cell)[1]:
+        if cell.flat and closure_map(cpx)[cell.signs][1]:
             raise FlatCellError(
                 f"F is constant on cell {signs_to_str(cell.signs)}, which has a vertex;"
                 " network is out of scope"

@@ -422,6 +422,30 @@ def _edited(edit) -> str:
             "dims: expected a list of integers, got '231'",
             id="string-dims",
         ),
+        # Weights and biases are JSON numbers too, in lists of the schema's shape.
+        pytest.param(
+            _edited(lambda d: d["layers"][0]["bias"].__setitem__(0, True)),
+            "layer 1 bias: expected JSON numbers, got True",
+            id="bool-bias",
+        ),
+        pytest.param(
+            _edited(lambda d: d["final"]["weights"][0].__setitem__(1, "0.5")),
+            "final weights: expected JSON numbers, got '0.5'",
+            id="string-weight",
+        ),
+        pytest.param(
+            _edited(lambda d: d.update(layers=5)), "layers: expected a list of layers, got 5", id="int-layers"
+        ),
+        pytest.param(
+            _edited(lambda d: d.update(layers={"a": 1})),
+            "layers: expected a list of layers, got {'a': 1}",
+            id="dict-layers",
+        ),
+        pytest.param(
+            _edited(lambda d: d["layers"][0]["weights"][1].pop()),
+            "layer 1 weights: expected a list of equal-length rows, got [[",
+            id="ragged-weights",
+        ),
         pytest.param(
             _edited(lambda d: d.update(dims=[3, 3, 1])),
             "layer 1 weights have shape (3, 2), expected (3, 3)",
@@ -462,6 +486,10 @@ def test_malformed_input_exit_1(tmp_path, capsys, text, message):
         ("2", "--arch: expected (n0, ..., nm, 1) with at least one hidden layer, got (2,)"),
         ("2,0,1", "--arch: architecture entries must be >= 1, got (2, 0)"),
         ("2,x,1", "invalid literal for int()"),
+        # An entry that is no integer is --arch's fault too.
+        ("2,3.5,1", "error: --arch: invalid literal for int() with base 10: '3.5'"),
+        ("2,,1", "error: --arch: invalid literal for int() with base 10: ''"),
+        ("2,3,1,", "error: --arch: invalid literal for int() with base 10: ''"),
     ],
 )
 def test_malformed_arch_exit_1(tmp_path, capsys, arch, message):

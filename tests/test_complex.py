@@ -35,6 +35,7 @@ from relumorse.orientation import analyze_shallow, classify_vertex
 
 from conftest import (
     affine_form,
+    closure_map,
     cofacets,
     complex_forms,
     edge_outcome,
@@ -369,22 +370,12 @@ def test_sup_matches_the_closure_rule(monkeypatch, sweep_accepted, cpx_b_neg):
 
 def test_f_max_and_export_build_no_facet_map(monkeypatch):
     # Build, f_max of every cell both ways, export_dict and classify_vertex
-    # on every vertex read the vertices' stars: no facet map is built after
-    # cell enumeration, whose neuron steps (on the nets whose layers do not
-    # all come from vertices) build their own.
-    maps, inside = [], []
-    real_facets, real_enumerate = complex_module._facets, complex_module._enumerate_cells
-
-    def enumerate_cells(*args):
-        inside.append(True)
-        try:
-            return real_enumerate(*args)
-        finally:
-            inside.pop()
-
-    monkeypatch.setattr(complex_module, "_enumerate_cells", enumerate_cells)
+    # on every vertex read the vertices' stars: no facet map is built, in
+    # build (whose neuron steps, on the nets whose layers do not all come
+    # from vertices, read their regions' stars too) or after it.
+    maps, real_facets = [], complex_module._facets
     monkeypatch.setattr(
-        complex_module, "_facets", lambda words: maps.append(bool(inside)) or real_facets(words)
+        complex_module, "_facets", lambda *args: maps.append(len(args[0])) or real_facets(*args)
     )
     nets = [net_b(), make_net_b_negated()]
     for arch, seed in ((2, 8, 1), 0), ((4, 7, 1), 0), ((2, 3, 1), 0), ((2, 8, 8, 1), 0), ((3, 2, 2, 1), 1):
@@ -398,7 +389,7 @@ def test_f_max_and_export_build_no_facet_map(monkeypatch):
             classify_vertex(cpx, v)
         if len(net.arch.dims) == 2 and net.arch.dims[1] == net.n0 + 1:
             analyze_shallow(net, cpx)
-    assert True in maps and False not in maps
+    assert maps == []
 
 
 def test_compactify_facets_are_the_full_maps_bounded_lists(sweep_accepted):
@@ -436,7 +427,7 @@ def test_f_max_takes_the_lp_where_the_first_ray_is_broken(monkeypatch):
         del calls[:]
         got = (cpx.f_max(cell), len(calls) == 1)
         assert len(calls) <= 1 and got == reference_sup(cpx, cell), signs
-        if cell.dim and any(v in broken for v, _ in cpx.closure(cell)[2]):
+        if cell.dim and any(v in broken for v, _ in closure_map(cpx)[signs][2]):
             seen["lp" if got[1] else "rise first"] += 1
     assert seen["lp"] > 100 and seen["rise first"] > 100
 
@@ -447,27 +438,15 @@ def test_after_build_forms_are_built_only_for_edge_slopes(monkeypatch):
     # is read on its own (CanonicalComplex.f_affine) and no table's F
     # product is taken after build, the only tables asked for after build
     # are those of the edge-slope solves' top cells, 1 + n0 per vertex at
-    # most, in one call, and the union of closure vertices and rays is never
-    # built for the finished complex.
-    forms, unions, inside, asked = [], [], [], []
-    real_form, real_closures = complex_module.CanonicalComplex.f_affine, complex_module._closures
+    # most, in one call, and the complex builds no facet map, from which a
+    # closure walk would start: its cells' vertices and rays come from the
+    # stars alone.
+    forms, maps, asked = [], [], []
+    real_form, real_facets = complex_module.CanonicalComplex.f_affine, complex_module._facets
     real_product = NodeMaps.f_affine
-    real_enumerate = complex_module._enumerate_cells
-
-    def enumerate_cells(*args):
-        inside.append(True)
-        try:
-            return real_enumerate(*args)
-        finally:
-            inside.pop()
-
-    def closures(dims, facets):
-        if not inside:
-            unions.append(len(dims))
-        return real_closures(dims, facets)
-
-    monkeypatch.setattr(complex_module, "_enumerate_cells", enumerate_cells)
-    monkeypatch.setattr(complex_module, "_closures", closures)
+    monkeypatch.setattr(
+        complex_module, "_facets", lambda *args: maps.append(len(args[0])) or real_facets(*args)
+    )
     monkeypatch.setattr(
         complex_module.CanonicalComplex,
         "f_affine",
@@ -481,7 +460,7 @@ def test_after_build_forms_are_built_only_for_edge_slopes(monkeypatch):
     monkeypatch.setattr(cpx, "tables", lambda prefixes: asked.append(prefixes) or real_tables(prefixes))
     build_dgvf(cpx)
     compactify(cpx)
-    assert forms == [] and unions == []
+    assert forms == [] and maps == []
     assert len(asked) == 1
     prefixes = [tuple(p) for p in asked[0]]
     assert 0 < len(prefixes) == len(set(prefixes)) <= (1 + cpx.n0) * len(cpx.vertices)
@@ -714,7 +693,7 @@ def test_failed_vertices_raise_and_fall_back_as_solved_one_by_one(case, monkeypa
         cpx = build_complex(net)
     else:
         _, net, cpx = scan_generic_nets((2, 8), 1)[0]
-        ends = sorted({v for s in cpx.cells for v, _ in cpx.closure(s)[2]})
+        ends = sorted({v for s in cpx.cells for v, _ in closure_map(cpx)[s][2]})
         _singular_edges_at(monkeypatch, cpx, ends[len(ends) // 2])
     expected = {v: edge_outcome(lambda: reference_edge_slopes(v, complex_forms(cpx))) for v in cpx.vertices}  # noqa: B023
     failed = {v for v, out in expected.items() if isinstance(out, tuple)}
@@ -848,15 +827,23 @@ def test_witness_signs_match_cell(cpx_b):
 
 
 def test_vertex_facets_match_scan(differential_draws, netb, cpx_b):
-    # The closure map against scans over every cell and vertex, and against
-    # the rays named by zeroing entries of each word.
+    # The vertices and rays that the star table gives each cell, and its
+    # facets, against scans over every cell and vertex, and against the rays
+    # named by zeroing entries of each word.  A cell's rays are the ones
+    # that sup reads: _ray_faces of every ray, in word order.
     for seed, net, cpx in [*differential_draws, (None, netb, cpx_b)]:
+        (t, at, rays, _), names = cpx._star_cells(), cpx.words()[0]
+        i, k = np.array([r[2:] for r in rays], dtype=int).reshape(-1, 2).T
+        faces, ids = complex_module._ray_faces(t, at, i, k)
+        held = {signs: [] for signs in names}
+        for r, c in sorted(zip(faces.tolist(), ids.tolist())):
+            held[names[c]].append(rays[r][:2])
         for signs, cell in cpx.cells.items():
             expected = vertex_facets_scan(cpx, cell)
             assert cpx.vertex_facets(cell) == expected, (net.arch, seed, signs)
             assert cpx.vertex_facets(signs) == expected, (net.arch, seed, signs)
             assert cpx.facets(cell) == facets_scan(cpx, cell), (net.arch, seed, signs)
-            assert list(cpx.closure(signs)[2]) == rays_scan(cpx, cell), (net.arch, seed, signs)
+            assert held[signs] == rays_scan(cpx, cell), (net.arch, seed, signs)
 
 
 def test_word_keys_sort_minus_before_zero_before_plus():

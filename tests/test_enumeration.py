@@ -52,6 +52,7 @@ from conftest import (
     interior_witness_of,
     own_table_vertex_location,
     reference_accept,
+    reference_closures,
     reference_consistent,
     reference_edge_slopes,
     reference_facets,
@@ -68,6 +69,7 @@ from relumorse.complex import (
     Cell,
     _assemble,
     _enumerate_cells,
+    _facets,
     _hrep_for,
     is_face,
 )
@@ -389,9 +391,7 @@ def test_lp_decisions_match_closure_decisions(monkeypatch):
     read_off = [structure(net) for net in nets]
     own = len(lps)  # the vertex-free regions' LPs, the band's and acceptance's
     del lps[:]
-    monkeypatch.setattr(
-        complex_module, "_closure_pieces", lambda regions, closures, words, *_: [None] * len(words)
-    )
+    monkeypatch.setattr(complex_module, "_closure_pieces", lambda *_: {})
     for i, (net, expected) in enumerate(zip(nets, read_off)):
         assert structure(net) == expected, i
     assert len(lps) > own  # the regions with a vertex took the LP too
@@ -605,25 +605,70 @@ def _pieces_differ(got, want) -> bool:
 
 
 def test_closure_pieces_match_per_region_reference(monkeypatch):
-    # At every exact step, each region's stacked decision against the
-    # per-region reference on the same closure and parent rows.  Layer 1
-    # is split map by map here, as where its closed form declines.
+    # At every exact step, each picked region's stacked decision against the
+    # per-region reference on the closure that conftest's walk finds and the
+    # same parent rows; a region whose closure holds no vertex is left out,
+    # for the witness LP.  Layer 1 is split map by map here, as where its
+    # closed form declines.
     _decline_arrangement(monkeypatch)
     real, checked = complex_module._closure_pieces, []
 
-    def spy(regions, closures, words, rows, at, a, b, near):
-        out = real(regions, closures, words, rows, at, a, b, near)
-        for w, got, base, a_w, b_w in zip(words, out, at, a, b):
-            gens = closure_generators(regions, closures[w], rows[base:])
-            want = generator_pieces(gens, a_w, b_w, near)
-            assert not _pieces_differ(got, want), (w, got, want)
-            checked.append(got is None)
+    def spy(regions, sel, rows, at, a, b, near):
+        out = real(regions, sel, rows, at, a, b, near)
+        n0, words = a.shape[1], list(regions)
+        closures = reference_closures({w: n0 - w.count(0) for w in words}, reference_facets(words))
+        for p in np.flatnonzero(sel).tolist():
+            gens = closure_generators(regions, closures[words[p]], rows[at[p] :])
+            assert (p in out) == (gens is not None), words[p]
+            if gens is not None:
+                want = generator_pieces(gens, a[p], b[p], near)
+                assert not _pieces_differ(out[p], want), (words[p], out[p], want)
+                checked.append(out[p] is None)
         return out
 
     monkeypatch.setattr(complex_module, "_closure_pieces", spy)
     for net in CLOSURE_NETS:
         structure(net)
     assert checked.count(False) > 5_000 and True in checked  # read off, and banded
+
+
+def test_star_read_closures_match_the_closure_walk(monkeypatch):
+    # At every neuron step of the declined builds of the near-degenerate
+    # nets, CASES, the CLI sweep's nets and (2,20,1) s0, each picked
+    # region's vertices and rays, read off the star table of the step's
+    # vertex regions, are those of conftest's closure walk over the step's
+    # facet map, in its order: vertices in word order, rays in (vertex,
+    # edge) order, grouped by region in region order.
+    _decline_arrangement(monkeypatch)
+    real, seen = complex_module._region_faces, Counter()
+
+    def spy(regions, sel, n0):
+        out = vreg, vpos, rreg, rpos, zeros, rhs = real(regions, sel, n0)
+        assert (np.diff(vreg) >= 0).all() and (np.diff(rreg) >= 0).all()
+        words = list(regions)
+        closures = reference_closures(
+            {w: n0 - w.count(0) for w in words}, _facets(w := sorted(words), np.array(w, dtype=np.int8))
+        )
+        got = {p: ([], []) for p in np.flatnonzero(sel).tolist()}
+        for p, v in zip(vreg.tolist(), vpos.tolist()):
+            got[p][0].append(words[v])
+        for p, v, z, t in zip(rreg.tolist(), rpos.tolist(), zeros.tolist(), rhs.tolist()):
+            edge = list(words[v])
+            for q, x in zip(z, t):
+                edge[q] = x
+            got[p][1].append((words[v], tuple(edge)))
+        for p, (verts, rays) in got.items():
+            assert (verts, rays) == (list(closures[words[p]][1]), list(closures[words[p]][2])), words[p]
+            seen[min(len(verts), 2), bool(rays)] += 1
+        return out
+
+    monkeypatch.setattr(complex_module, "_region_faces", spy)
+    nets = [_integer_net(*case) for case in NEAR_DEGENERATE] + [p.values[0] for p in CASES] + _sweep_nets()
+    for net in nets + [random_network(Architecture.from_full((2, 20, 1)), seed=0)]:
+        structure(net)
+    # Vertex-free regions, cones on one vertex, and regions with several
+    # vertices, with and without rays.
+    assert seen[0, False] and min(seen[1, True], seen[2, False], seen[2, True]) > 5_000, seen
 
 
 def test_every_region_holds_its_point(monkeypatch):
@@ -673,21 +718,23 @@ def test_singular_ray_system_sends_only_its_region_to_the_lp(monkeypatch):
     witnesses = _spy(monkeypatch, "_witness")
     steps, bent_words = [], []
 
-    def spy(regions, closures, words, rows, at, a, b, near):
+    def spy(regions, sel, rows, at, a, b, near):
         steps.append(len(reps))
-        out = real(regions, closures, words, rows, at, a, b, near)
+        out = real(regions, sel, rows, at, a, b, near)
         if len(steps) < last_step:
             return out
-        g = next(g for g, w in enumerate(words) if closures[w][2] and out[g])
-        equal_rows = np.vstack([rows, np.repeat(rows[:1], len(words[0]), axis=0)])
+        rays = complex_module._region_faces(regions, sel, a.shape[1])[2]
+        g = next(p for p in rays.tolist() if out[p])
+        word = list(regions)[g]
+        equal_rows = np.vstack([rows, np.repeat(rows[:1], len(word), axis=0)])
         at = at.copy()
         at[g] = len(rows)
-        bent = real(regions, closures, words, equal_rows, at, a, b, near)
+        bent = real(regions, sel, equal_rows, at, a, b, near)
         assert bent[g] is None
-        assert [_exact(p) for p in bent[:g] + bent[g + 1 :]] == [
-            _exact(p) for p in out[:g] + out[g + 1 :]
-        ]
-        bent_words.append(words[g])
+        assert {p: _exact(x) for p, x in bent.items() if p != g} == {
+            p: _exact(x) for p, x in out.items() if p != g
+        }
+        bent_words.append(word)
         return bent
 
     monkeypatch.setattr(complex_module, "_closure_pieces", spy)
@@ -720,7 +767,7 @@ def test_hyperplane_near_a_vertex_takes_the_lp(monkeypatch):
     # takes the witness LP on its pieces, and the closure splits go on at
     # every later step.
     assert lps and all(len(rep.b_ge) + len(rep.b_eq) >= 4 for rep, *_ in lps)
-    assert [len(words[0]) for _, _, words, *_ in splits] == [2, 3, 4, 5]
+    assert [len(next(iter(regions))) for regions, *_ in splits] == [2, 3, 4, 5]
     assert outcome == brute_force_outcome(net)
     assert outcome[2]["message"] == "feasible pattern 00+0-+ has 3 > n0 zeros"
 
@@ -1000,8 +1047,8 @@ def test_arranged_builds_read_no_closure_map(monkeypatch):
     # Where every layer comes whole from its vertices no neuron step runs,
     # and the forced-flat abort and the flat-cell test ask is_face: building
     # the CLI sweep's nets and the benchmark's seed-0 draws, rejected ones
-    # included, builds no closure map.
-    layers, closures, arranged = _spy(monkeypatch, "_accept"), _spy(monkeypatch, "_closures"), []
+    # included, reads no region's closure off a step's star table.
+    layers, closures, arranged = _spy(monkeypatch, "_accept"), _spy(monkeypatch, "_region_faces"), []
     real = complex_module._arrangement
 
     def arrangement(*args):
@@ -1132,14 +1179,16 @@ def test_batched_residual_matches_lstsq(monkeypatch):
 
 
 def test_facet_lookups_match_the_dict_reference(monkeypatch):
-    # Every facet map that builds ask for, with the closed form declined so
-    # that each layer takes neuron steps (regions out of word order), then
-    # each finished complex's and compactified complex's: the facets found by word key are conftest's dict lookups,
-    # in the same key order and as the same tuples.
+    # Every facet map asked for while building with the closed form declined
+    # (each layer takes neuron steps, regions out of word order, and asks
+    # none), then each finished complex's and compactified complex's: each
+    # is asked for sorted words, and the facets found by word key are
+    # conftest's dict lookups, in the same key order and as the same tuples.
     real, seen = complex_module._facets, Counter()
 
-    def spy(words, rows=None):
+    def spy(words, rows):
         got = real(words, rows)
+        assert rows.tolist() == [list(w) for w in words]
         assert list(got.items()) == list(reference_facets(words).items())
         seen["sorted" if list(words) == sorted(words) else "unsorted"] += 1
         return got
@@ -1155,4 +1204,4 @@ def test_facet_lookups_match_the_dict_reference(monkeypatch):
             continue
         cpx.facets(next(iter(cpx.cells)))
         compactify(cpx)
-    assert seen["unsorted"] > 50 and seen["sorted"] > 50, seen
+    assert seen["unsorted"] == 0 and seen["sorted"] > 20, seen
