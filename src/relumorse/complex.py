@@ -8,12 +8,13 @@ complex indexes its words as one sorted int8 matrix, a cell's id its row,
 and finds the ids of any word rows by one ``searchsorted`` on void keys.
 The star table, the ids of the 3^n0 words around every vertex (the cells
 it is a face of), is one such lookup; each cell's vertices and rays, F's
-maxima and the lower-star pairing (``dgvf``) are read off it, and the
-facets off lookups of each word with one zero set to -1 or +1.  Flat flags come
-from one stacked product of F's gradients, vertex locations and edge
-slopes from stacked solves on the node-map tables, one per parent cell,
-which is a cell's affine data.  A flat cell, or after each layer a cell on
-which that layer is dead, is out of scope when it has a vertex face
+maxima, the lower-star pairing (``dgvf``) and a vertex's 2*n0 edges, at
+:func:`_edge_slots`, are read off it, the facets off lookups of each word
+with one zero set to -1 or +1.  Flat flags come from one stacked product
+of F's gradients, vertex locations and edge slopes (arrays in edge order)
+from stacked solves on the node-map tables, one per parent cell, which is
+a cell's affine data.  A flat cell, or after each layer a cell on which
+that layer is dead, is out of scope when it has a vertex face
 (:func:`is_face`, each cell against all vertices at once).
 
 Construction builds layer by layer on the stacked node-map tables of the
@@ -44,7 +45,6 @@ from .errors import (
     GenericityError,
     InjectivityError,
     SingularSystemError,
-    StructuredError,
 )
 from .lp import LpProblem, lp_solve
 from .network import NodeMaps, ReluNetwork, Signs, _dot, node_maps, signs_to_str
@@ -92,15 +92,6 @@ def compose_signs(a: Signs, b: Signs) -> Signs:
 def is_face(a: Signs, b: Signs) -> bool:
     """True iff the cell named a is a face of the cell named b."""
     return compose_signs(a, b) == tuple(b)
-
-
-def _edges_at(v_signs: Signs):
-    """(position, sigma, edge signs) of the 2*n0 edges at a vertex."""
-    for p, s in enumerate(v_signs):
-        if s != 0:
-            continue
-        for sigma in (-1, 1):
-            yield p, sigma, v_signs[:p] + (sigma,) + v_signs[p + 1 :]
 
 
 def _keys(rows) -> np.ndarray:
@@ -154,10 +145,18 @@ def _gradients(final, words, rows, at):
     return (masked[:, None] @ rows[at, -final.in_dim :])[:, 0]
 
 
-def _edge_slopes(net: ReluNetwork, words: list, tables=None) -> dict:
-    """{vertex: {edge: (unit direction, sign of dF along it)}} from each of
-    the vertex ``words`` into its 2*n0 edges, in :func:`_edges_at` order, or
-    the error of its first failing edge there.
+def _edge_slots(n0: int) -> np.ndarray:
+    """Star positions (:func:`_stars` order) of a vertex's 2*n0 edges, the one
+    edge order: zero axis j by position, its minus edge first, 3^n0 // 2 -+ 3^(n0-1-j)."""
+    return 3**n0 // 2 + np.outer(3 ** np.arange(n0 - 1, -1, -1), [-1, 1]).ravel()
+
+
+def _edge_slopes(net: ReluNetwork, words: list, tables=None) -> tuple:
+    """(d, desc, errors) of the vertex ``words`` into their 2*n0 edges, in
+    :func:`_edge_slots` order: d (V, 2*n0, n0) the unit directions, read-only;
+    desc (V, n0, 2) whether the minus and plus edge on each zero axis
+    descends, all False at a failing vertex; errors[i] None, or the error of
+    vertex i's first failing edge.
 
     Into an edge, the map at its entry takes the edge's sign and the
     vertex's other zero maps stay zero: node-map systems on each edge's top
@@ -168,15 +167,16 @@ def _edge_slopes(net: ReluNetwork, words: list, tables=None) -> dict:
     An edge fails with SingularSystemError for a singular system or a zero
     or non-finite direction, FlatCellError where dF vanishes along it.
     """
-    if not words:
-        return {}
     n0, n_m, k = net.n0, net.layers[-1].out_dim, 2 * net.n0
-    edges = [e for v in words for _, _, e in _edges_at(v)]
-    e = np.array(edges)
+    if not words:
+        return np.zeros((0, k, n0)), np.zeros((0, n0, 2), dtype=bool), []
+    verts = np.array(words, dtype=np.int8)
+    zeros = np.nonzero(verts == 0)[1].reshape(-1, n0)
+    e = _stars(verts, zeros)[1][:, _edge_slots(n0)].reshape(-1, verts.shape[1])  # edge words by vertex
+    zeros = np.repeat(zeros, k, axis=0)
     top = np.where(e == 0, 1, e)
     prefixes, tid = np.unique(top[:, :-n_m], axis=0, return_inverse=True)
     stack = node_maps(net, prefixes) if tables is None else tables(prefixes.tolist())
-    zeros = np.repeat(np.nonzero(np.array(words) == 0)[1].reshape(-1, n0), k, axis=0)
     a, rhs = stack.rows[tid.reshape(-1, 1), zeros], np.take_along_axis(e, zeros, 1).astype(float)
     d, singular = _solve_each(a, rhs)
     with np.errstate(all="ignore"):  # the failing edges' own arithmetic
@@ -188,29 +188,21 @@ def _edge_slopes(net: ReluNetwork, words: list, tables=None) -> dict:
         flat = _is_flat(slope, np.sqrt(_dot(g, g)))
     d.flags.writeable = False  # the complex hands the rows out
     fail = (singular | ~good | flat).reshape(-1, k)
-    signs = np.where(slope > 0, 1, -1).tolist()
-    out = {}
-    for i, v in enumerate(words):
-        span = slice(i * k, i * k + k)
-        if not fail[i].any():
-            out[v] = dict(zip(edges[span], zip(d[span], signs[span])))
-            continue
+    failed, errors = fail.any(axis=1), [None] * len(verts)
+    for i in np.flatnonzero(failed).tolist():
         j = i * k + int(np.argmax(fail[i]))
         if singular[j] or not good[j]:
             kind = "singular edge system" if singular[j] else "degenerate edge direction"
-            out[v] = SingularSystemError(f"{kind} at vertex {signs_to_str(v)}")
+            errors[i] = SingularSystemError(f"{kind} at vertex {signs_to_str(words[i])}")
         else:
-            out[v] = FlatCellError(
-                f"F is constant along edge {signs_to_str(edges[j])}; network out of scope"
-            )
-    return out
+            errors[i] = FlatCellError(f"F is constant along edge {signs_to_str(e[j])}; network out of scope")
+    return d.reshape(-1, k, n0), ~(slope > 0).reshape(-1, n0, 2) & ~failed[:, None, None], errors
 
 
-def _slopes_of(entry) -> dict:
-    """An :func:`_edge_slopes` entry, or a fresh raise of its error."""
-    if isinstance(entry, StructuredError):
-        raise type(entry)(*entry.args)
-    return entry
+def _raise_anew(error) -> None:
+    """Raise a fresh copy of an :func:`_edge_slopes` error; nothing for None."""
+    if error is not None:
+        raise type(error)(*error.args)
 
 
 def _facets(words: list, rows) -> dict:
@@ -368,7 +360,7 @@ class CanonicalComplex:
     @cells.setter
     def cells(self, cells: dict) -> None:
         self._cells, self._sups = cells, {}
-        self._words = self._facets = self._star = self._holders = None
+        self._words = self._star = self._holders = None
 
     @property
     def n0(self) -> int:
@@ -423,17 +415,6 @@ class CanonicalComplex:
 
     # -- face poset -----------------------------------------------------
 
-    def facets(self, cell) -> list:
-        """Stored cells obtained by zeroing exactly one nonzero entry, sorted."""
-        signs = cell.signs if isinstance(cell, Cell) else tuple(cell)
-        return [self.cells[f] for f in self._facet_map()[signs]]
-
-    def _facet_map(self) -> dict:
-        """:func:`_facets` of every cell, built on first use."""
-        if self._facets is None:
-            self._facets = _facets(*self.words()[:2])
-        return self._facets
-
     def vertex_facets(self, cell) -> list:
         """Vertices of the complex lying in the closure of ``cell``, sorted:
         those whose stars hold it, by one argsort of :meth:`_star_cells`."""
@@ -486,8 +467,8 @@ class CanonicalComplex:
         pointed, its rays span its recession cone, and F is affine on it:
         sense * F is bounded iff it falls along every ray, to the best vertex
         value (both from :meth:`_closed_sups`).  A vertex-free cell, or a
-        first ray that does not fall at a vertex where :meth:`edge_slopes`
-        raises, costs one LP, solved at its first call.
+        first ray that does not fall at a vertex whose edge slopes failed,
+        costs one LP, solved at its first call.
         """
         signs = tuple(signs)
         (values, open_), c = self._closed_sups(sense), self.words()[3][signs]
@@ -503,26 +484,22 @@ class CanonicalComplex:
         per sense, in one pass over the vertices' stars (:meth:`_star_cells`).
         A cell's best vertex value is the max over the stars that hold it.
         Its first ray, in word order, is the least of the rays that rise, or
-        sit at a vertex whose :meth:`edge_slopes` raise, and are faces of it
+        sit at a vertex whose edge slopes failed, and are faces of it
         (:func:`_ray_faces`).  The sup is the best value without such a ray,
         +inf with a rising one; NaN marks the cells of the dict, vertex-free
         or with a raised first ray, left to their LP."""
         if sense not in self._sups:
             (t, at, rays, _), n = self._star_cells(), len(self.words()[0])
-            hit = at >= 0
+            _, desc, errors, _ = self._slopes()
+            hit, slot = at >= 0, np.zeros(len(t), dtype=int)
+            slot[_edge_slots(self.n0)] = np.arange(2 * self.n0)  # star position -> edge
             values = sense * np.array([v.value for v in self.vertices.values()])
             best, first = np.full(n, -np.inf), np.full(n, len(rays))
             np.maximum.at(best, at[hit], np.broadcast_to(values[:, None], at.shape)[hit])
-            raised, up = np.zeros(len(rays) + 1, dtype=bool), []  # raised[len(rays)]: no ray
-            for r, (v, e, i, k) in enumerate(rays):
-                try:
-                    rises = sense * self.edge_slopes(v)[e][1] > 0
-                except (FlatCellError, SingularSystemError):
-                    raised[r] = rises = True
-                if rises:
-                    up.append((r, i, k))
-            r, i, k = np.array(up, dtype=int).reshape(-1, 3).T
-            faces, c = _ray_faces(t, at, i, k)
+            i, k = np.array([r[2:] for r in rays], dtype=int).reshape(-1, 2).T
+            raised = np.append(np.array([e is not None for e in errors], dtype=bool)[i], False)  # [len(rays)]: no ray
+            r = np.flatnonzero(raised[:-1] | (desc.reshape(-1, 2 * self.n0)[i, slot[k]] != (sense > 0)))
+            faces, c = _ray_faces(t, at, i[r], k[r])
             np.minimum.at(first, c, r[faces])
             values = np.where(first < len(rays), np.inf, best)
             lp = (best == -np.inf) | raised[first]
@@ -532,13 +509,22 @@ class CanonicalComplex:
         return self._sups[sense]
 
     def edge_slopes(self, v_signs: Signs) -> dict:
-        """:func:`_edge_slopes` at a vertex, raising its error at each read."""
-        return _slopes_of(self._slopes()[tuple(v_signs)])
+        """{edge: (unit direction, sign of dF along it)} of a vertex's 2*n0
+        edges, in :func:`_edge_slots` order, off :meth:`_slopes` and the
+        vertex's star words; its edges' error, raised anew at each read."""
+        d, desc, errors, row = self._slopes()
+        i = row[tuple(v_signs)]
+        _raise_anew(errors[i])
+        edges = map(tuple, self._star_cells()[3][i, _edge_slots(self.n0)].tolist())
+        return dict(zip(edges, zip(d[i], np.where(desc[i].ravel(), -1, 1).tolist())))
 
-    def _slopes(self) -> dict:
-        """{vertex: :func:`_edge_slopes` entry}, all solved at the first call."""
+    def _slopes(self) -> tuple:
+        """(d, desc, errors, {vertex: row}): :func:`_edge_slopes` of every
+        vertex, rows in :attr:`vertices` order as the star table's, solved at
+        the first call."""
         if self._edge_slopes is None:
-            self._edge_slopes = _edge_slopes(self.net, list(self.vertices), self.tables)
+            words = list(self.vertices)
+            self._edge_slopes = *_edge_slopes(self.net, words, self.tables), dict(zip(words, itertools.count()))
         return self._edge_slopes
 
     # -- export ------------------------------------------------------------
@@ -860,7 +846,10 @@ def _enumerate_cells(net: ReluNetwork, lp_tol: float) -> list:
         # The parents' node-map tables in one stack: row p of table i, that
         # of parents[i], is row i * size + p of the flat arrays.
         parents, size = list(stage), off + n_k
-        tables = node_maps(net, np.array(parents, dtype=float).reshape(len(parents), off))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported, not warned
+            tables = node_maps(net, np.array(parents, dtype=float).reshape(len(parents), off))
+            if not (np.isfinite(tables.norms).all() and np.isfinite(tables.offsets).all()):
+                raise ValueError(f"layer {k}: node maps overflow the float range; a weight or bias is too large")
         index = {p: i for i, p in enumerate(parents)}
         rows, unit = tables.rows.reshape(-1, n0), tables.unit[0].reshape(-1, n0)
         offsets, consts, unit_off = (t.ravel() for t in (tables.offsets, tables.const, tables.unit[1]))
@@ -942,7 +931,8 @@ def build_complex(
     (F constant on a positive-dimensional cell meeting a vertex) or
     InjectivityError (two vertices share an F value); ValueError unless
     ``lp_tol`` is in (0, 1), where the witness LP's capped slack can exceed
-    it, and ``sign_tol`` finite and >= 0.
+    it, and ``sign_tol`` finite and >= 0, or where a layer's node maps
+    overflow the float range (a norm or offset not finite).
     """
     if not (np.isfinite(lp_tol) and 0 < lp_tol < 1):
         raise ValueError(f"lp_tol must be finite and in (0, 1), got {lp_tol}")

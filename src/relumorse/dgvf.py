@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complex import CanonicalComplex, _cell_problem, _constant_rows_hold, _hrep_for
-from .complex import _edge_slopes, _facets, _slopes_of, _solve_each, _stars
+from .complex import _edge_slopes, _edge_slots, _facets, _raise_anew, _solve_each, _stars
 from .errors import (
     DimensionError,
     FlatCellError,
@@ -42,7 +42,7 @@ from .errors import (
 from .lp import lp_solve
 from .network import ReluNetwork, Signs, node_maps, signs_to_str
 # classify_vertex stays bound here, where perfbench's tracer wraps it.
-from .orientation import VertexClassification, classifications, classify_signs, classify_vertex, descents
+from .orientation import VertexClassification, classifications, classify_signs, classify_vertex
 
 #: Identifier of the compactification basepoint (a critical 0-cell at -inf).
 BASEPOINT = "*"
@@ -145,11 +145,9 @@ def build_dgvf(cpx: CanonicalComplex) -> Matching:
     if cpx.has_flat_cells:
         raise FlatCellError("complex has flat cells; lower stars do not cover the bounded-above subcomplex")
     (t, at, _, stars), names, verts = cpx._star_cells(), cpx.words()[0], list(cpx.vertices)
-    step = 3 ** np.arange(cpx.n0 - 1, -1, -1)
-    edges = len(t) // 2 + np.outer(step, [-1, 1]).ravel()  # the 2*n0 edges, in _edges_at order
-    slopes = [cpx._slopes()[v] for v in verts]
-    desc, failed = descents(slopes, cpx.n0), np.array([not isinstance(e, dict) for e in slopes], dtype=bool)
-    lower = _lower_stars(t, desc)
+    (_, desc, errors, _), edges = cpx._slopes(), _edge_slots(cpx.n0)
+    step, lower = 3 ** np.arange(cpx.n0 - 1, -1, -1), _lower_stars(t, desc)
+    failed = np.array([e is not None for e in errors], dtype=bool)
     bad = (at[:, edges] < 0).any(axis=1) | failed | (lower & (at < 0)).any(axis=1)
     if bad.any():
         i = int(np.argmax(bad))
@@ -157,7 +155,7 @@ def build_dgvf(cpx: CanonicalComplex) -> Matching:
         if missing.any():
             e = stars[i, edges[np.argmax(missing)]]
             raise MissingEdgeError(f"expected edge {signs_to_str(e)} at vertex {signs_to_str(v)} is missing")
-        cpx.edge_slopes(v)  # raises the error of its edges
+        _raise_anew(errors[i])
         k = np.flatnonzero(lower[i] & (at[i] < 0))
         w = stars[i, k[np.argmin(((-t[k]) % 3) @ step)]]
         raise IncompletePairingError(f"lower-star cell {signs_to_str(w)} missing from the complex")
@@ -321,17 +319,19 @@ def _certified_vertex(signs: Signs, entry, candidates, lp_tol: float):
     return None
 
 
-def _entry(net: ReluNetwork, tables: dict, signs: Signs) -> tuple:
-    """The ``_tables`` entry of a cell's parent, made on first use."""
-    prefix = signs[: -net.layers[-1].out_dim]
-    if prefix not in tables:
-        tables[prefix] = (node_maps(net, prefix), {})
-    return tables[prefix]
+def _entries(net: ReluNetwork, tables: dict, words: list) -> list:
+    """The ``_tables`` entries of the cells' parents, those that ``tables``
+    lacks made from one stacked :func:`node_maps` call."""
+    prefixes = [w[: -net.layers[-1].out_dim] for w in words]
+    if new := list(dict.fromkeys(p for p in prefixes if p not in tables)):
+        stack = node_maps(net, np.array(new, dtype=float).reshape(len(new), -1))
+        tables.update((p, (stack[i], {})) for i, p in enumerate(new))
+    return [tables[p] for p in prefixes]
 
 
 def _index(memo: dict, vertices: list, desc) -> None:
-    """Classify the vertex words ``vertices`` from their :func:`descents`
-    ``desc`` and add each under every word of its lower star."""
+    """Classify the vertex words ``vertices`` from their descent flags ``desc``
+    and add each under every word of its lower star."""
     if vertices:
         verts = np.array(vertices, dtype=np.int8)
         t, stars = _stars(verts, np.nonzero(verts == 0)[1].reshape(len(verts), -1))
@@ -355,12 +355,14 @@ def seed_vertices(net: ReluNetwork, words, classified: dict, tables: dict, lp_to
     on its lower star's tables are kept too, where ``local_pair`` reads them.
     """
     cand = [w for w in words if w.count(0) == net.n0 and w not in classified]
-    cand = [(w, e) for w, e in zip(cand, (_entry(net, tables, w) for w in cand)) if not e[0].const.any()]
+    cand = [(w, e) for w, e in zip(cand, _entries(net, tables, cand)) if not e[0].const.any()]
     _keep_masks(cand, lp_tol)
-    slopes = _edge_slopes(net, [w for w, e in cand if e[1][w] is not None and not _bits(w) & e[1][w]])
-    kept = [v for v, s in slopes.items() if isinstance(s, dict)]
-    _index(classified, kept, descents([slopes[v] for v in kept], net.n0))
-    _keep_masks([(c.vertex, _entry(net, tables, w)) for w, cs in classified.items() for c in cs], lp_tol)
+    verts = [w for w, e in cand if e[1][w] is not None and not _bits(w) & e[1][w]]
+    _, desc, errors = _edge_slopes(net, verts)
+    kept = [i for i, e in enumerate(errors) if e is None]
+    _index(classified, [verts[i] for i in kept], desc[kept])
+    lower = [(c.vertex, w) for w, cs in classified.items() for c in cs]
+    _keep_masks([(v, e) for (v, _), e in zip(lower, _entries(net, tables, [w for _, w in lower]))], lp_tol)
 
 
 def local_pair(
@@ -393,7 +395,7 @@ def local_pair(
     if any(s not in _OCTAL for s in signs):
         raise ValueError("sign entries must be -1, 0 or +1")
     memo = {} if _classified is None else _classified
-    entry = _entry(net, {} if _tables is None else _tables, signs)
+    entry = _entries(net, {} if _tables is None else _tables, [signs])[0]
     if not _constant_rows_hold(net, signs, entry[0]):
         raise GenericityError(f"cell {signs_to_str(signs)} is infeasible")
     cls = _certified_vertex(signs, entry, memo.get(signs, ()), lp_tol)
@@ -411,7 +413,9 @@ def local_pair(
             raise GenericityError(f"LP maximum over {signs_to_str(signs)} is not attained at a simple vertex")
         # A vertex's word lies in no lower star but its own.
         if v_signs not in memo:
-            _index(memo, [v_signs], descents([_slopes_of(_edge_slopes(net, [v_signs])[v_signs])], net.n0))
+            _, desc, errors = _edge_slopes(net, [v_signs])
+            _raise_anew(errors[0])
+            _index(memo, [v_signs], desc)
         cls = memo[v_signs][0]
         if cls not in memo.get(signs, ()):
             raise IncompletePairingError(

@@ -31,6 +31,8 @@ Signs = tuple
 # Gradient norm, relative to max(1, |offset|), at or below which a node map
 # counts as constant on a cell.
 _ZERO_ROW = 1e-12
+# The least integer magnitude that float() overflows on (it rounds to 2^1024).
+_FLOAT_OVERFLOW = 2**1024 - 2**970
 
 
 def _dot(a, x):
@@ -323,13 +325,16 @@ def from_weight_dict(data: dict) -> ReluNetwork:
         for key in ("weights", "bias"):
             if not isinstance(entry, dict) or key not in entry:
                 raise ValueError(f"{name} missing field {key!r}")
-        # The entries are JSON numbers (no bools or strings), in one plain pass.
+        # The entries are JSON numbers (no bools or strings) in float range, in one pass.
         w, b = entry["weights"], entry["bias"]
         if not isinstance(w, list) or any(not isinstance(r, list) or len(r) != len(w[0]) for r in w):
             raise ValueError(f"{name} weights: expected a list of equal-length rows, got {w!r}")
         for key, values in (("weights", itertools.chain(*w)), ("bias", b if isinstance(b, list) else [b])):
-            if bad := [x for x in values if type(x) not in (int, float)]:
-                raise ValueError(f"{name} {key}: expected JSON numbers, got {bad[0]!r}")
+            for x in values:
+                if type(x) not in (int, float):
+                    raise ValueError(f"{name} {key}: expected JSON numbers, got {x!r}")
+                if type(x) is int and abs(x) >= _FLOAT_OVERFLOW:
+                    raise ValueError(f"{name} {key}: integer too large for a float")
         try:
             layer = AffineLayer(entry["weights"], entry["bias"])
         except ArchitectureError as exc:

@@ -10,10 +10,10 @@ containing e) into an n0 x n0 matrix W and solve
 where k indexes the single entry where e differs from v.  The sign of the
 directional derivative is then sign(gradF . d) on the same top cell; it does
 not depend on which containing top cell is used.  ``complex._edge_slopes``
-solves the 2*n0 systems of every vertex in one stacked call, which the first
-read of the complex's per-vertex cache makes; the classifier,
-``orient_edge``, the shallow analyzer's rays and the boundedness test read
-that cache.
+solves the 2*n0 systems of every vertex in one stacked call, into arrays of
+directions, descent flags and errors in ``complex._edge_slots`` edge order;
+the complex caches them at its first read.  The classifier, ``orient_edge``,
+the shallow analyzer's rays and the boundedness test read that cache.
 
 A vertex is PL critical iff every axis pair of incident edges points the
 same way (both toward or both away from v); the index counts the
@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex import CanonicalComplex, Cell, VertexRecord, _is_flat, build_complex
-from .complex import _edges_at
+from .complex import CanonicalComplex, Cell, VertexRecord, build_complex, is_face
+from .complex import _edge_slots, _is_flat, _raise_anew
 from .errors import ArchitectureError, MissingEdgeError
 from .network import ReluNetwork, Signs, signs_to_str
 
@@ -79,25 +79,18 @@ def orient_edge(cpx: CanonicalComplex, vertex, edge) -> EdgeOrientation:
     derivative at the vertex vanishes."""
     v = vertex if isinstance(vertex, VertexRecord) else cpx.vertices[tuple(vertex)]
     e = edge if isinstance(edge, Cell) else cpx.cells[tuple(edge)]
-    if e.signs not in (w for _, _, w in _edges_at(v.signs)):
+    if not (e.dim == 1 and is_face(v.signs, e.signs)):
         raise MissingEdgeError(f"{e} is not an incident edge of {signs_to_str(v.signs)}")
     d, sign = cpx.edge_slopes(v.signs)[e.signs]
     return EdgeOrientation(e.signs, v.signs, sign, d)
 
 
-def descents(slopes: list, n0: int) -> np.ndarray:
-    """(V, n0, 2) descent flags from ``complex._edge_slopes`` entries: [i, j]
-    whether the minus and the plus edge on the j-th zero axis of vertex i
-    descend (in ``_edges_at`` order), all False where the entry is an error."""
-    signs = [[s for _, s in e.values()] if isinstance(e, dict) else [1] * 2 * n0 for e in slopes]
-    return (np.array(signs, dtype=np.int8) < 0).reshape(len(slopes), n0, 2)
-
-
 def classify_signs(desc) -> tuple:
-    """(critical, index, axis, sign) of vertices from their :func:`descents`,
-    all at once: critical where no axis flows through (its edges disagree),
-    the index its number of descending axes; else ``axis``, the first
-    flow-through one among its zero axes, and its descending edge's sign."""
+    """(critical, index, axis, sign) of vertices from their (V, n0, 2)
+    descent flags, ``complex._edge_slopes``' desc, all at once: critical
+    where no axis flows through (its edges disagree), the index its number
+    of descending axes; else ``axis``, the first flow-through one among its
+    zero axes, and its descending edge's sign."""
     flow = desc[..., 0] != desc[..., 1]
     axis = np.argmax(flow, axis=1)
     sign = np.where(desc[np.arange(len(desc)), axis, 0], -1, 1)
@@ -106,7 +99,7 @@ def classify_signs(desc) -> tuple:
 
 def classifications(vertices: list, desc) -> list:
     """:class:`VertexClassification` of each vertex word of ``vertices``
-    from its :func:`descents` rows, by :func:`classify_signs`."""
+    from its descent flags ``desc``, by :func:`classify_signs`."""
     out = []
     for v, d, crit, k, j, s in zip(vertices, desc.tolist(), *(a.tolist() for a in classify_signs(desc))):
         zeros = [p for p, x in enumerate(v) if x == 0]
@@ -118,11 +111,16 @@ def classifications(vertices: list, desc) -> list:
 
 def classify_vertex(cpx: CanonicalComplex, vertex) -> VertexClassification:
     """PL-regular/critical decision for one vertex of the complex; raises
-    MissingEdgeError when one of its 2*n0 edges is not a cell."""
+    MissingEdgeError at the first of its 2*n0 edges that is not a cell, read
+    off the star table, else the error of its edge slopes."""
     v = (vertex if isinstance(vertex, VertexRecord) else cpx.vertices[tuple(vertex)]).signs
-    for e in (e for _, _, e in _edges_at(v) if e not in cpx.cells):
+    (_, at, _, stars), (_, desc, errors, row) = cpx._star_cells(), cpx._slopes()
+    i, slots = row[v], _edge_slots(cpx.n0)
+    if (missing := at[i, slots] < 0).any():
+        e = stars[i, slots[np.argmax(missing)]]
         raise MissingEdgeError(f"expected edge {signs_to_str(e)} at vertex {signs_to_str(v)} is missing")
-    return classifications([v], descents([cpx.edge_slopes(v)], cpx.n0))[0]
+    _raise_anew(errors[i])
+    return classifications([v], desc[i : i + 1])[0]
 
 
 def orientation_field(cpx: CanonicalComplex) -> dict:
@@ -211,7 +209,7 @@ def analyze_shallow(net: ReluNetwork, cpx: CanonicalComplex | None = None) -> Sh
     toward = []
     rays = {e for _, e in cpx.rays()}
     for v in cpx.vertices.values():
-        rel = [cpx.edge_slopes(v.signs)[e][1] for _, _, e in _edges_at(v.signs) if e in rays]
+        rel = [sign for e, (_, sign) in cpx.edge_slopes(v.signs).items() if e in rays]
         if not rel:
             continue
         if len(set(rel)) > 1:

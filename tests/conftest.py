@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+import relumorse.complex as complex_module
 from relumorse import (
     BASEPOINT,
     AffineLayer,
@@ -31,7 +32,6 @@ from relumorse.complex import (
     _ZERO_OFFSET,
     _cell_problem,
     _cut,
-    _edges_at,
     _hrep_for,
     _is_flat,
     _witness,
@@ -49,6 +49,17 @@ from relumorse.errors import (
 from relumorse.lp import FEAS_TOL, LpProblem, LpResult, _optimum, lp_solve
 from relumorse.network import NodeMaps, node_maps
 from relumorse.orientation import VertexClassification
+
+
+def _edges_at(v_signs):
+    """(position, sigma, edge signs) of the 2*n0 edges at a vertex, one at a
+    time: zero positions in order, the minus edge first, the order of
+    ``complex._edge_slots``."""
+    for p, s in enumerate(v_signs):
+        if s != 0:
+            continue
+        for sigma in (-1, 1):
+            yield p, sigma, v_signs[:p] + (sigma,) + v_signs[p + 1 :]
 
 
 def make_net_b_negated() -> ReluNetwork:
@@ -441,7 +452,24 @@ def reference_closures(dims: dict, facets: dict) -> dict:
     return out
 
 
-_CLOSURE_MAPS = weakref.WeakKeyDictionary()
+_CLOSURE_MAPS, _FACET_MAPS = weakref.WeakKeyDictionary(), weakref.WeakKeyDictionary()
+
+
+def facet_map(cpx) -> dict:
+    """``complex._facets`` of every cell of a finished complex, over its word
+    index, built once per complex and set of cells (looked up on the module,
+    so that a test's spy on it sees the call)."""
+    cells, facets = _FACET_MAPS.get(cpx, (None, None))
+    if cells is not cpx.cells:
+        facets = complex_module._facets(*cpx.words()[:2])
+        _FACET_MAPS[cpx] = cpx.cells, facets
+    return facets
+
+
+def facets(cpx, cell) -> list:
+    """The cells of ``cpx`` that zero exactly one more entry of ``cell``, sorted."""
+    signs = cell.signs if isinstance(cell, Cell) else tuple(cell)
+    return [cpx.cells[f] for f in facet_map(cpx)[signs]]
 
 
 def closure_map(cpx) -> dict:
@@ -449,7 +477,7 @@ def closure_map(cpx) -> dict:
     map, built once per complex and set of cells."""
     cells, closures = _CLOSURE_MAPS.get(cpx, (None, None))
     if cells is not cpx.cells:
-        closures = reference_closures({s: c.dim for s, c in cpx.cells.items()}, cpx._facet_map())
+        closures = reference_closures({s: c.dim for s, c in cpx.cells.items()}, facet_map(cpx))
         _CLOSURE_MAPS[cpx] = cpx.cells, closures
     return closures
 
@@ -529,6 +557,24 @@ def reference_edge_slopes(v_signs, form_of) -> dict:
     """:func:`reference_edge_slope` edge by edge over the 2*n0 edges at a
     vertex, in ``_edges_at`` order, so the first failing edge raises."""
     return {e: reference_edge_slope(v_signs, e, form_of) for _, _, e in _edges_at(v_signs)}
+
+
+def stacked_outcomes(words, slopes) -> dict:
+    """{vertex: :func:`edge_outcome`} of one ``complex._edge_slopes`` result
+    (d, desc, errors) over the vertex ``words``: each row's edges named in
+    :func:`_edges_at` order, signs read off desc, or its error, where desc
+    must be all False (else a marker that no reference gives)."""
+    d, desc, errors = slopes
+    assert d.shape == (len(words), 2 * desc.shape[1], desc.shape[1]) and not d.flags.writeable
+    assert desc.shape[::2] == (len(words), 2) and len(errors) == len(words)
+    out = {}
+    for i, v in enumerate(words):
+        if errors[i] is not None:
+            out[v] = (type(errors[i]), str(errors[i])) if not desc[i].any() else ("desc at a failing vertex", v)
+        else:
+            signs = np.where(desc[i].ravel(), -1, 1).tolist()
+            out[v] = {e: (d[i, j].tobytes(), signs[j]) for j, (_, _, e) in enumerate(_edges_at(v))}
+    return out
 
 
 def edge_outcome(slopes):

@@ -34,6 +34,7 @@ from conftest import (
     away_from_anchor,
     central_difference_gradient,
     cofacets,
+    facets,
     interior_witness_of,
     is_spatially_bounded,
     scan_generic_nets,
@@ -260,7 +261,7 @@ def test_criterion_9_structural_properties(suite):
         for cell in cpx.cells.values():
             if cell.dim != 2 or not is_spatially_bounded(cpx, cell):
                 continue
-            edges = [e for e in cpx.facets(cell) if e.dim == 1]
+            edges = [e for e in facets(cpx, cell) if e.dim == 1]
             sources = sinks = 0
             for v in cpx.vertex_facets(cell):
                 incident = [e for e in edges if is_face(v.signs, e.signs)]
@@ -278,7 +279,7 @@ def test_criterion_9_structural_properties(suite):
         for cell in cpx.cells.values():
             if cell.dim != 2:
                 continue
-            edges = [e for e in cpx.facets(cell) if e.dim == 1]
+            edges = [e for e in facets(cpx, cell) if e.dim == 1]
             unbounded = [e for e in edges if len(cpx.vertex_facets(e)) == 1]
             for e in edges:
                 anchors = cpx.vertex_facets(e)

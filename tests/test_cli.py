@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import stat
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -433,6 +434,17 @@ def _edited(edit) -> str:
             "final weights: expected JSON numbers, got '0.5'",
             id="string-weight",
         ),
+        # An integer is a JSON number, but one past float range is no weight.
+        pytest.param(
+            _edited(lambda d: d["layers"][0]["bias"].__setitem__(0, 10**400)),
+            "layer 1 bias: integer too large for a float",
+            id="huge-int-bias",
+        ),
+        pytest.param(
+            _edited(lambda d: d["final"]["weights"][0].__setitem__(0, -(2**1024 - 2**970))),
+            "final weights: integer too large for a float",
+            id="huge-int-weight",
+        ),
         pytest.param(
             _edited(lambda d: d.update(layers=5)), "layers: expected a list of layers, got 5", id="int-layers"
         ),
@@ -478,6 +490,36 @@ def test_malformed_input_exit_1(tmp_path, capsys, text, message):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and err.count("\n") == 1, err
     assert not output.exists()
+
+
+@pytest.mark.parametrize(
+    "command, weight",
+    [("build", 1e154), ("build", 1e155), ("build", 1e200), ("build", 1e308), ("dgvf", 1e200), ("dgvf", 1e308)],
+)
+def test_overflowing_node_maps_exit_1(tmp_path, capsys, command, weight):
+    # Layer 1's first weight of (2,1,1) s1 set so large that its row's norm
+    # overflows a float past 1e154: the unit row would be zero and build
+    # would find the one cell 0.  Build and dgvf report it instead: exit 1,
+    # one "error:" line naming the layer, no numpy warning, no output.  At
+    # 1e154 the norm is finite and the complex has its three cells.
+    weights, output, report = tmp_path / "w.json", tmp_path / "out.json", tmp_path / "r.json"
+    assert run(["gen", "--arch", "2,1,1", "--seed", "1", "-o", str(weights)]) == 0
+    data = json.loads(weights.read_text())
+    data["layers"][0]["weights"][0][0] = weight
+    weights.write_text(json.dumps(data))
+    capsys.readouterr()
+    args = [command, "-i", str(weights), "-o", str(output)] + ["--report", str(report)] * (command == "dgvf")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(args)
+    assert caught == []
+    if weight == 1e154:
+        assert code == 0 and capsys.readouterr().err == ""
+        assert list(json.loads(output.read_text())["cells"]) == ["-", "0", "+"]
+        return
+    message = "error: layer 1: node maps overflow the float range; a weight or bias is too large\n"
+    assert (code, capsys.readouterr().err) == (1, message)
+    assert not output.exists() and not report.exists()
 
 
 @pytest.mark.parametrize(

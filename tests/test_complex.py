@@ -39,6 +39,8 @@ from conftest import (
     cofacets,
     complex_forms,
     edge_outcome,
+    facet_map,
+    facets,
     facets_scan,
     interior_witness_of,
     is_spatially_bounded,
@@ -53,6 +55,7 @@ from conftest import (
     scan_generic_nets,
     sign_sequence_at,
     single_hyperplane_complex,
+    stacked_outcomes,
     star,
     vertex_facets_scan,
     vertex_location_on,
@@ -142,10 +145,10 @@ def test_cofacets_examples(cpx_b):
 
 
 def test_facets_examples(cpx_b):
-    got = {c.signs for c in cpx_b.facets(S("+0+"))}
+    got = {c.signs for c in facets(cpx_b, S("+0+"))}
     assert got == {S("00+"), S("+00")}
-    assert cpx_b.facets(S("00+")) == []
-    got = {c.signs for c in cpx_b.facets(S("+++"))}
+    assert facets(cpx_b, S("00+")) == []
+    got = {c.signs for c in facets(cpx_b, S("+++"))}
     assert got == {S("0++"), S("+0+"), S("++0")}
 
 
@@ -304,10 +307,14 @@ def test_f_max_matches_lp_oracle(cpx_b, cpx_b_neg):
 
 
 def test_f_max_without_ray_slopes_falls_back_to_lp(monkeypatch):
-    # A vertex whose edge slopes raise (flat or singular edge system) must
-    # not make export_dict raise: f_max then takes the LP answer.
-    def flat(*args):
-        raise FlatCellError("flat ray")
+    # A vertex whose edge slopes fail (flat or singular edge system) must
+    # not make export_dict raise: f_max then takes the LP answer.  Here every
+    # vertex's do.
+    real = complex_module._edge_slopes
+
+    def flat(net, words, tables=None):
+        d, desc, _ = real(net, words, tables)
+        return d, desc & False, [FlatCellError("flat ray")] * len(words)
 
     monkeypatch.setattr(complex_module, "_edge_slopes", flat)
     _, _, cpx = scan_generic_nets((2, 4), 1)[0]
@@ -401,7 +408,7 @@ def test_compactify_facets_are_the_full_maps_bounded_lists(sweep_accepted):
         assert cc.facets.pop(BASEPOINT) == ()
         assert list(cc.facets) == [s for s, c in cpx.cells.items() if cpx.is_bounded_above(c)]
         for signs, got in cc.facets.items():
-            full = tuple(f.signs for f in cpx.facets(signs))
+            full = tuple(f.signs for f in facets(cpx, signs))
             ray = cpx.cells[signs].dim == 1 and len(full) == 1
             assert got == full + (BASEPOINT,) * ray, (net and net.arch, signs)
             assert all(cpx.is_bounded_above(f) for f in full), (net and net.arch, signs)
@@ -416,10 +423,11 @@ def test_f_max_takes_the_lp_where_the_first_ray_is_broken(monkeypatch):
     broken = set(sorted(cpx.vertices)[::2])
 
     def slopes(net, words, tables=None):
-        got = real(net, words, tables)
-        for v in broken.intersection(got):
-            got[v] = SingularSystemError(f"singular edge system at vertex {signs_to_str(v)}")
-        return got
+        d, desc, errors = real(net, words, tables)
+        for i in [i for i, v in enumerate(words) if v in broken]:
+            errors[i] = SingularSystemError(f"singular edge system at vertex {signs_to_str(words[i])}")
+            desc[i] = False
+        return d, desc, errors
 
     monkeypatch.setattr(complex_module, "_edge_slopes", slopes)
     calls, seen = _count_lps(monkeypatch), Counter()
@@ -594,8 +602,7 @@ def _layer_one_vertex():
 
 def _stack_outcomes(net, cpx, tables) -> dict:
     """{vertex: edge_outcome} of one stacked solve over every vertex."""
-    got = _edge_slopes(net, list(cpx.vertices), tables)
-    return {v: edge_outcome(lambda: complex_module._slopes_of(got[v])) for v in got}  # noqa: B023
+    return stacked_outcomes(list(cpx.vertices), _edge_slopes(net, list(cpx.vertices), tables))
 
 
 @pytest.mark.parametrize("kind", ["flat", "singular", "nan"])
@@ -842,7 +849,7 @@ def test_vertex_facets_match_scan(differential_draws, netb, cpx_b):
             expected = vertex_facets_scan(cpx, cell)
             assert cpx.vertex_facets(cell) == expected, (net.arch, seed, signs)
             assert cpx.vertex_facets(signs) == expected, (net.arch, seed, signs)
-            assert cpx.facets(cell) == facets_scan(cpx, cell), (net.arch, seed, signs)
+            assert facets(cpx, cell) == facets_scan(cpx, cell), (net.arch, seed, signs)
             assert held[signs] == rays_scan(cpx, cell), (net.arch, seed, signs)
 
 
@@ -867,10 +874,10 @@ def test_word_index_follows_the_cells(cpx_b):
     names, rows, keys, ids = cpx_b.words()
     assert names == sorted(cpx_b.cells) and rows.tolist() == [list(w) for w in names]
     assert complex_module._lookup(keys, rows).tolist() == list(range(len(names))) == [ids[w] for w in names]
-    cpx_b.f_maxes(), cpx_b.facets(S("+++"))
+    cpx_b.f_maxes(), facets(cpx_b, S("+++"))
     broken = copy.copy(cpx_b)
     broken.cells = {s: c for s, c in cpx_b.cells.items() if s != S("+++")}
     assert broken.words()[0] == [s for s in names if s != S("+++")]
     assert len(broken.f_maxes()) == len(names) - 1 and len(cpx_b.f_maxes()) == len(names)
-    assert [f.signs for f in broken.facets(S("++0"))] == [S("0+0"), S("+00")]
-    assert S("+++") not in broken._facet_map() and S("+++") in cpx_b._facet_map()
+    assert [f.signs for f in facets(broken, S("++0"))] == [S("0+0"), S("+00")]
+    assert S("+++") not in facet_map(broken) and S("+++") in facet_map(cpx_b)

@@ -49,6 +49,7 @@ from conftest import (
     reference_vertex_mask,
     scan_generic_nets,
     sign_sequence_at,
+    stacked_outcomes,
 )
 
 S = signs_from_str
@@ -618,11 +619,15 @@ def test_stacked_pairing_matches_the_per_vertex_loop(sweep_accepted, differentia
 
 def _broken(cpx, drop=(), vertices=None, slopes=None):
     """A copy of ``cpx`` less the cells ``drop``, with the vertex table
-    ``vertices`` and the edge-slope entries ``slopes`` put in."""
+    ``vertices`` and the edge-slope errors ``slopes`` ({vertex: error}) put
+    in, the failing vertices' descent flags cleared."""
     broken = copy.copy(cpx)
     broken.cells = {s: c for s, c in cpx.cells.items() if s not in drop}
     broken.vertices = cpx.vertices if vertices is None else vertices
-    broken._edge_slopes = {**cpx._slopes(), **(slopes or {})}
+    broken._edge_slopes = None
+    _, desc, errors, row = broken._slopes()
+    for v, error in (slopes or {}).items():
+        errors[row[v]], desc[row[v]] = error, False
     return broken
 
 
@@ -728,7 +733,7 @@ def test_stacked_seed_gives_the_per_vertex_memo(sweep_accepted, monkeypatch):
             mask = reference_vertex_mask(table, w, 1e-7)
             if table.const.any() or mask is None or dgvf_module._bits(w) & mask:
                 continue
-            if isinstance(slopes := _edge_slopes(net, [w])[w], dict):
+            if isinstance(slopes := stacked_outcomes([w], _edge_slopes(net, [w]))[w], dict):
                 reference_index(want, reference_classify_signs(w, slopes))
         assert memo == want, net.arch
         monkeypatch.setattr(dgvf_module, "_vertex_masks", lambda *a: solved.append(a) or real(*a))

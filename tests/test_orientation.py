@@ -99,7 +99,7 @@ def test_classify_negated(cpx_b_neg):
 
 def test_classify_missing_edge_error(cpx_b, netb):
     broken = build_complex(netb)
-    del broken.cells[S("-0+")]
+    broken.cells = {s: c for s, c in broken.cells.items() if s != S("-0+")}
     with pytest.raises(MissingEdgeError):
         classify_vertex(broken, S("00+"))
 
