@@ -850,6 +850,11 @@ def _enumerate_cells(net: ReluNetwork, lp_tol: float) -> list:
             tables = node_maps(net, np.array(parents, dtype=float).reshape(len(parents), off))
             if not (np.isfinite(tables.norms).all() and np.isfinite(tables.offsets).all()):
                 raise ValueError(f"layer {k}: node maps overflow the float range; a weight or bias is too large")
+            if k == len(net.layers):  # F on any cell is bounded by |final| @ |last layer's maps|
+                w = np.abs(net.final.weights)
+                g, c = w @ np.abs(tables.rows[:, off:]), w @ np.abs(tables.offsets[:, off:, None])
+                if not (np.isfinite(_dot(g, g)).all() and np.isfinite(c + np.abs(net.final.bias)).all()):
+                    raise ValueError("final map: F overflows the float range; a weight or bias is too large")
         index = {p: i for i, p in enumerate(parents)}
         rows, unit = tables.rows.reshape(-1, n0), tables.unit[0].reshape(-1, n0)
         offsets, consts, unit_off = (t.ravel() for t in (tables.offsets, tables.const, tables.unit[1]))
@@ -931,8 +936,9 @@ def build_complex(
     (F constant on a positive-dimensional cell meeting a vertex) or
     InjectivityError (two vertices share an F value); ValueError unless
     ``lp_tol`` is in (0, 1), where the witness LP's capped slack can exceed
-    it, and ``sign_tol`` finite and >= 0, or where a layer's node maps
-    overflow the float range (a norm or offset not finite).
+    it, and ``sign_tol`` finite and >= 0, or where a layer's node maps or F's
+    bound by the final map overflow the float range (a norm or offset not
+    finite).
     """
     if not (np.isfinite(lp_tol) and 0 < lp_tol < 1):
         raise ValueError(f"lp_tol must be finite and in (0, 1), got {lp_tol}")

@@ -1,19 +1,20 @@
 """Mod-2 cellular homology: the independent oracle for the vector field.
 
-A chain complex keeps, for each cell, its facets inside the complex.  Betti
-numbers come from one column reduction over Z/2: a boundary column is a
-Python-int bitset over the (k-1)-cells, and columns are reduced by their
-highest set bit as in the standard persistence algorithm (Edelsbrunner,
-Letscher & Zomorodian 2002), so adding one column to another is one XOR.
-Relative perfectness assigns every compactified cell to its level block
-(l', l] in one pass and takes the Betti numbers of each block's quotient
-complex.  The Morse complex counts V-paths between critical cells mod 2.
+Every mod-2 vector here is a Python-int bitset, so adding two is one XOR.
+Betti numbers come from one column reduction over Z/2: a boundary column is
+a bitset over the (k-1)-cells, reduced by its highest set bit as in the
+standard persistence algorithm (Edelsbrunner, Letscher & Zomorodian 2002).
+A listed facet outside the complex is left out, so the Betti numbers of a
+level block (l', l] are those of its quotient complex, relative homology.
+The Morse complex counts V-paths to the critical cells as bitsets over them.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import reduce
+from operator import xor
 
 from .dgvf import BASEPOINT, CompactifiedComplex, Matching, is_acyclic
 from .errors import CyclicMatchingError
@@ -22,45 +23,45 @@ from .network import signs_to_str
 
 @dataclass(frozen=True)
 class ChainComplex:
-    """Cells per dimension plus each cell's facets inside the complex.
-
-    A facet listed twice cancels mod 2; a vertex has no facets.
-    """
+    """Cells per dimension plus a facet map.  A cell's boundary is the mod-2
+    sum of its listed facets that are cells of the complex: one listed twice
+    cancels, and one outside is left out, so a set of cells gives the
+    quotient by the cells outside it.  A vertex has no facets."""
 
     cells_by_dim: tuple  # tuple of tuples of cell keys
-    facets: dict  # cell key -> tuple of facet keys
+    facets: dict  # cell key -> tuple of facet keys, possibly outside the complex
 
 
 def _key_order(key):
     return (0,) if key == BASEPOINT else (1, key)
 
 
-def _assemble(keys, dim_of, facets_of, max_dim) -> ChainComplex:
-    selected = set(keys)
+def _assemble(keys, dim_of, facets, max_dim) -> ChainComplex:
     by_dim = [[] for _ in range(max_dim + 1)]
     for key in keys:
         by_dim[dim_of(key)].append(key)
-    for bucket in by_dim:
-        bucket.sort(key=_key_order)
-    facets = {key: tuple(f for f in facets_of(key) if f in selected) for key in keys}
-    return ChainComplex(tuple(tuple(b) for b in by_dim), facets)
+    return ChainComplex(tuple(tuple(sorted(b, key=_key_order)) for b in by_dim), facets)
 
 
 def chain_complex(cc: CompactifiedComplex) -> ChainComplex:
     """Every cell of the compactified complex, the basepoint included."""
-    return _assemble(cc.sorted_keys(), cc.dim, cc.facets.__getitem__, cc.n0)
+    return _assemble(cc.sorted_keys(), cc.dim, cc.facets, cc.n0)
 
 
 def betti(chain: ChainComplex) -> tuple:
-    """Mod-2 Betti numbers: beta_k = #k-cells - rank d_k - rank d_(k+1)."""
-    ranks = [0]
-    for lower, cells in zip(chain.cells_by_dim, chain.cells_by_dim[1:]):
-        row = {key: i for i, key in enumerate(lower)}
-        pivots = {}  # highest set bit -> reduced column
+    """Mod-2 Betti numbers: beta_k = #k-cells - rank d_k - rank d_(k+1);
+    ValueError where a listed facet is a cell of the complex of another dimension."""
+    every, ranks = set().union(*chain.cells_by_dim), [0]
+    for k, (lower, cells) in enumerate(zip(chain.cells_by_dim, chain.cells_by_dim[1:]), 1):
+        row, pivots = {key: 1 << i for i, key in enumerate(lower)}, {}  # pivots: top bit -> column
         for key in cells:
             column = 0
             for f in chain.facets[key]:
-                column ^= 1 << row[f]
+                bit = row.get(f, 0)
+                if bit:
+                    column ^= bit
+                elif f in every:
+                    raise ValueError(f"facet {f!r} of the {k}-cell {key!r} is not a {k - 1}-cell")
             while column:
                 top = column.bit_length() - 1
                 if top not in pivots:
@@ -122,7 +123,7 @@ def verify_relative_perfectness(cc: CompactifiedComplex, matching: Matching) -> 
                 counts[i][cc.dim(key)] += 1
     records = []
     for level, block, count in zip(levels, blocks, counts):
-        expected = betti(_assemble(block, cc.dim, cc.facets.__getitem__, cc.n0))
+        expected = betti(_assemble(block, cc.dim, cc.facets, cc.n0))
         records.append(LevelRecord(level, expected, tuple(count), tuple(count) == expected))
     return PerfectnessReport(tuple(records), all(r.passed for r in records))
 
@@ -136,52 +137,31 @@ def morse_complex(cc: CompactifiedComplex, matching: Matching) -> ChainComplex:
             "matching has a closed V-path through "
             + ", ".join(k if k == BASEPOINT else signs_to_str(k) for k in witness)
         )
-    lower_of = matching.lower_to_upper()
-    critical = matching.critical_set()
-    memo = {}
-
-    def flow(start):
-        """Critical-cell path counts (mod 2) reachable from one facet.
-
-        Depth-first over V-path steps with an explicit stack, so long paths
-        cannot exhaust the interpreter's recursion limit.  A key is settled
-        once every next step is, which the acyclic matching guarantees.
-        """
-        stack = [start]
-        while stack:
-            key = stack[-1]
-            if key in memo:
-                stack.pop()
-                continue
-            if key in critical:
-                memo[key] = {key: 1}
-            elif key in lower_of:
-                steps = [f for f in cc.facets[lower_of[key]] if f != key]
-                pending = [f for f in steps if f not in memo]
-                if pending:
-                    stack.extend(reversed(pending))
-                    continue
-                acc = {}
-                for f in steps:
-                    for target, count in memo[f].items():
-                        acc[target] = (acc.get(target, 0) + count) % 2
-                memo[key] = {t: c for t, c in acc.items() if c}
-            else:
-                memo[key] = {}  # upper member of a pair: a V-path cannot continue
-            stack.pop()
-        return memo[start]
-
-    keys = sorted(critical, key=_key_order)
-    dim_of = {k: cc.dim(k) for k in keys}
-    incidence = {}
-    for key in keys:
-        if dim_of[key] == 0:
+    # Critical cell i is bit i.  A lower cell's flow, its V-path counts mod 2,
+    # is the XOR of its pair's other facets' flows; an upper cell's is 0.  The
+    # stack is explicit for long paths, and acyclicity lets every walk settle.
+    lower_of, keys = matching.lower_to_upper(), sorted(matching.critical_set(), key=_key_order)
+    flows = {key: 1 << i for i, key in enumerate(keys)}
+    stack = [f for key in keys for f in cc.facets[key]]
+    while stack:
+        key = stack[-1]
+        if key in flows or key not in lower_of:
+            flows.setdefault(stack.pop(), 0)
             continue
-        acc = {}
-        facet_list = cc.facets[key] if key != BASEPOINT else ()
-        for f in facet_list:
-            for target, count in flow(f).items():
-                acc[target] = (acc.get(target, 0) + count) % 2
-        incidence[key] = tuple(t for t, c in acc.items() if c)
+        steps = [f for f in cc.facets[lower_of[key]] if f != key]
+        pending = [f for f in steps if f not in flows]
+        stack.extend(pending)
+        if not pending:
+            flows[stack.pop()] = reduce(xor, [flows[f] for f in steps], 0)
+    incidence = {key: _decode(keys, reduce(xor, [flows[f] for f in cc.facets[key]], 0)) for key in keys}
+    return _assemble(keys, cc.dim, incidence, cc.n0)
 
-    return _assemble(keys, dim_of.__getitem__, lambda k: incidence.get(k, ()), cc.n0)
+
+def _decode(keys, flow: int) -> tuple:
+    """The keys at the set bits of ``flow``, lowest first, found bit by bit."""
+    out = []
+    while flow:
+        low = flow & -flow
+        out.append(keys[low.bit_length() - 1])
+        flow ^= low
+    return tuple(out)

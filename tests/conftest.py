@@ -1230,3 +1230,45 @@ def dense_perfectness(cc, matching) -> list:
         records.append((level, tuple(expected), tuple(counts), tuple(counts) == tuple(expected)))
         prev = level
     return records
+
+
+def reference_morse_incidence(cc, matching) -> dict:
+    """{critical cell: set of the critical cells that an odd number of V-paths
+    from its facets reach}, by a per-cell dict of path counts, each summed
+    and reduced mod 2: the walk that ``homology.morse_complex``'s bitset
+    flows replaced.  Explicit stack, so 6,000-step paths need no recursion."""
+    lower_of, critical, memo = matching.lower_to_upper(), matching.critical_set(), {}
+
+    def flow(start):
+        stack = [start]
+        while stack:
+            key = stack[-1]
+            if key in memo:
+                stack.pop()
+                continue
+            if key in critical:
+                memo[key] = {key: 1}
+            elif key in lower_of:
+                steps = [f for f in cc.facets[lower_of[key]] if f != key]
+                pending = [f for f in steps if f not in memo]
+                if pending:
+                    stack.extend(reversed(pending))
+                    continue
+                acc = {}
+                for f in steps:
+                    for target, count in memo[f].items():
+                        acc[target] = (acc.get(target, 0) + count) % 2
+                memo[key] = {t: c for t, c in acc.items() if c}
+            else:
+                memo[key] = {}  # upper member of a pair: a V-path cannot continue
+            stack.pop()
+        return memo[start]
+
+    incidence = {}
+    for key in critical:
+        acc = {}
+        for f in cc.facets[key] if cc.dim(key) else ():
+            for target, count in flow(f).items():
+                acc[target] = (acc.get(target, 0) + count) % 2
+        incidence[key] = {t for t, c in acc.items() if c}
+    return incidence

@@ -522,6 +522,67 @@ def test_overflowing_node_maps_exit_1(tmp_path, capsys, command, weight):
     assert not output.exists() and not report.exists()
 
 
+FINAL_OVERFLOW = "error: final map: F overflows the float range; a weight or bias is too large\n"
+
+
+@pytest.mark.parametrize("command", ["build", "classify", "dgvf", "render"])
+@pytest.mark.parametrize("weight", [1e100, 1e300])
+def test_overflowing_final_map_exit_1(tmp_path, capsys, command, weight):
+    # (2,1,1) s1 with layer 1's first weight at 1e10 keeps finite node maps,
+    # but a final weight of 1e300 makes F's gradient overflow: every command
+    # exits 1 with one "error:" line naming the final map, no numpy warning
+    # and no output.  At 1e100 each command keeps its result, warning-free:
+    # the three cells, and dgvf's flat_cell rejection of the vertex-free net.
+    weights, output, report = tmp_path / "w.json", tmp_path / "out", tmp_path / "r.json"
+    assert run(["gen", "--arch", "2,1,1", "--seed", "1", "-o", str(weights)]) == 0
+    data = json.loads(weights.read_text())
+    data["layers"][0]["weights"][0][0] = 1e10
+    data["final"]["weights"][0][0] = weight
+    weights.write_text(json.dumps(data))
+    capsys.readouterr()
+    args = [command, "-i", str(weights), "-o", str(output)] + ["--report", str(report)] * (command == "dgvf")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(args)
+    assert caught == []
+    err = capsys.readouterr().err
+    if weight == 1e300:
+        assert (code, err) == (1, FINAL_OVERFLOW)
+        assert not output.exists() and not report.exists()
+    elif command == "dgvf":
+        assert code == 2 and json.loads(err)["error"] == "flat_cell"
+    else:
+        assert (code, err) == (0, "")
+        if command == "build":
+            assert list(json.loads(output.read_text())["cells"]) == ["-", "0", "+"]
+
+
+@pytest.mark.parametrize("weight", [1e144, 1e145])
+def test_final_map_overflow_on_a_vertex_net(tmp_path, capsys, weight):
+    # (2,4,1) s1 with layer 1's first row times 1e10: up to 1e144 as its
+    # first final weight, dgvf names the flat edge 0--+ without a warning;
+    # past it F's bound overflows and build stops before the flat check
+    # reads inf and NaN gradients (which named cell +--+ instead).
+    weights, output, report = tmp_path / "w.json", tmp_path / "out.json", tmp_path / "r.json"
+    assert run(["gen", "--arch", "2,4,1", "--seed", "1", "-o", str(weights)]) == 0
+    data = json.loads(weights.read_text())
+    data["layers"][0]["weights"][0] = [x * 1e10 for x in data["layers"][0]["weights"][0]]
+    data["final"]["weights"][0][0] = weight
+    weights.write_text(json.dumps(data))
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["dgvf", "-i", str(weights), "-o", str(output), "--report", str(report)])
+    assert caught == []
+    err = capsys.readouterr().err
+    if weight == 1e145:
+        assert (code, err) == (1, FINAL_OVERFLOW)
+        assert not output.exists() and not report.exists()
+    else:
+        assert code == 2 and json.loads(err) == {
+            "error": "flat_cell", "message": "F is constant along edge 0--+; network out of scope"}
+
+
 @pytest.mark.parametrize(
     "arch, message",
     [

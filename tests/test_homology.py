@@ -24,6 +24,7 @@ from conftest import (
     dense_perfectness,
     densify,
     rank_mod2,
+    reference_morse_incidence,
     relative_ranks,
     scan_generic_nets,
     sublevel_chain,
@@ -90,6 +91,28 @@ def test_betti_examples(cc_b):
     # A loop lists its one vertex twice; the two entries cancel mod 2.
     loop = ChainComplex((("a",), ("aa",)), {"a": (), "aa": ("a", "a")})
     assert betti(loop) == dense_betti(densify(loop)) == (1, 1)
+
+
+def test_betti_takes_the_quotient_by_cells_outside():
+    # An edge whose endpoints are not cells of the complex: a relative cycle.
+    edge = ChainComplex(((), ("ab",)), {"ab": ("a", "b")})
+    assert betti(edge) == dense_betti(densify(edge)) == (0, 1)
+    # One endpoint kept: the edge's boundary is that vertex.
+    half = ChainComplex((("a",), ("ab",)), {"a": (), "ab": ("a", "b")})
+    assert betti(half) == dense_betti(densify(half)) == (0, 0)
+
+
+def test_betti_rejects_a_facet_of_another_dimension():
+    # "bc" lists the edge "ab", a cell of the complex but not a vertex: an
+    # error, not a facet outside the complex.
+    edges = {"ab": ("a", "b"), "bc": ("b", "ab")}
+    chain = ChainComplex((("a", "b"), tuple(edges)), {**_vertices("a", "b"), **edges})
+    with pytest.raises(ValueError, match="facet 'ab' of the 1-cell 'bc' is not a 0-cell"):
+        betti(chain)
+    # The same for a 2-cell "t" that lists the vertex "a".
+    top = ChainComplex((("a",), ("e",), ("t",)), {"a": (), "e": ("a", "a"), "t": ("a",)})
+    with pytest.raises(ValueError, match="facet 'a' of the 2-cell 't' is not a 1-cell"):
+        betti(top)
 
 
 def test_rank_mod2():
@@ -206,11 +229,10 @@ def test_dd_zero_everywhere():
         _check_dd_zero(morse_complex(cc, matching))
 
 
-def test_morse_complex_follows_long_v_paths_without_recursion():
-    # A circle of 6,001 edges: vertex i is paired with edge i, which joins
-    # vertices i-1 and i, and the closing edge from vertex n to vertex 0 is
-    # critical.  Its boundary flows 6,000 V-path steps down to vertex 0.
-    n = 6000
+def _circle(n):
+    """A circle of n + 1 edges: vertex i is paired with edge i, which joins
+    vertices i-1 and i, and the closing edge from vertex n to vertex 0 is
+    critical.  Its boundary flows n V-path steps down to vertex 0."""
     vertex, edge = (lambda i: (0, i)), (lambda i: (1, i))
     cells = {vertex(i): SimpleNamespace(dim=0) for i in range(n + 1)}
     cells.update({edge(i): SimpleNamespace(dim=1) for i in range(1, n + 2)})
@@ -222,6 +244,13 @@ def test_morse_complex_follows_long_v_paths_without_recursion():
     matching = Matching(
         tuple((vertex(i), edge(i)) for i in range(1, n + 1)), (vertex(0), edge(n + 1))
     )
+    return cc, matching
+
+
+def test_morse_complex_follows_long_v_paths_without_recursion():
+    n = 6000
+    vertex, edge = (lambda i: (0, i)), (lambda i: (1, i))
+    cc, matching = _circle(n)
     chain = morse_complex(cc, matching)
     assert chain.cells_by_dim == ((BASEPOINT, vertex(0)), (edge(n + 1),))
     assert chain.facets[edge(n + 1)] == ()
@@ -260,3 +289,22 @@ def test_bitset_oracle_matches_dense_reference(differential_draws, cpx_b, cpx_b_
             morse = morse_complex(cc, matching)
             assert betti(morse) == dense_betti(densify(morse))
     assert failing == 3 * (len(differential_draws) + 2)
+
+
+def test_morse_incidence_matches_the_dict_walk(differential_draws, cpx_b, cpx_b_neg):
+    """The bitset flows give, per critical cell, the same set of critical
+    cells as the dict-of-counts walk, on clean and corrupted matchings and
+    the 6,001-edge circle, each target listed once."""
+    cases = [_circle(6000)]
+    for cpx in [cpx for _, _, cpx in differential_draws] + [cpx_b, cpx_b_neg]:
+        cc, clean = compactify(cpx), build_dgvf(cpx)
+        cases += [(cc, matching) for matching in [clean] + _corruptions(clean)]
+    entries = 0
+    for cc, matching in cases:
+        chain = morse_complex(cc, matching)
+        keys = [key for bucket in chain.cells_by_dim for key in bucket]
+        assert set(keys) == matching.critical_set() and set(chain.facets) == set(keys)
+        assert {key: set(chain.facets[key]) for key in keys} == reference_morse_incidence(cc, matching)
+        assert all(len(set(facets)) == len(facets) for facets in chain.facets.values())
+        entries += sum(map(len, chain.facets.values()))
+    assert entries > 0  # the corruptions leave nonzero Morse boundaries
