@@ -24,6 +24,7 @@ from .dgvf import (
     build_dgvf,
     compactify,
     is_acyclic,
+    local_check,
     local_pair,
 )
 from .errors import (

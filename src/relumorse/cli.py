@@ -16,7 +16,7 @@ import tempfile
 
 from . import complex as cpxmod
 # is_acyclic stays bound here, where perfbench's tracer wraps it.
-from .dgvf import build_dgvf, compactify, is_acyclic, local_pair, seed_vertices  # noqa: F401
+from .dgvf import build_dgvf, compactify, is_acyclic, local_check  # noqa: F401
 from .errors import ArchitectureError, CyclicMatchingError, StructuredError
 from .homology import betti, chain_complex, morse_complex, verify_relative_perfectness
 from .network import (
@@ -165,13 +165,10 @@ def cmd_dgvf(args) -> int:
         mismatches = []
         lower_of = matching.lower_to_upper()
         upper_of = matching.upper_to_lower()
-        # The vertex cells first, in one stacked pass; then every cell in
-        # word order, so mismatches and errors come in that order.
-        classified, tables = {}, {}
-        vertices = [s for s, c in cc.cells.items() if c.dim == 0]
-        seed_vertices(net, vertices, classified, tables, args.lp_tol)
-        for signs in sorted(cc.cells):
-            assignment = local_pair(net, signs, args.lp_tol, _classified=classified, _tables=tables)
+        # One stacked pass pairs every cell without the complex; the
+        # assignments come in word order, so mismatches and errors do too.
+        cells = sorted(cc.cells)
+        for signs, assignment in zip(cells, local_check(net, cells, args.lp_tol)):
             if assignment.role == "critical":
                 agree = signs in matching.critical
             elif assignment.role == "lower":

@@ -297,22 +297,31 @@ def _witness(rep: _HRep, lp_tol: float):
     return res.x[:n] if res.optimal and res.value > lp_tol else None
 
 
+def _constant_rows(net: ReluNetwork, rows, offsets, const) -> dict:
+    """{i: False, or a GenericityError} for each sign-word row i of ``rows``
+    (W, n) whose constant rows fail it, on its table's first n ``offsets`` and
+    ``const`` flags (W, n): False where one contradicts the pattern, the
+    error where a node map vanishes identically on the region.  The first
+    such row in sign-word order decides."""
+    s = np.asarray(rows, dtype=float)
+    bad = const & ((s * offsets <= 0) | (np.abs(offsets) <= _ZERO_OFFSET))
+    out = {}
+    for i in np.flatnonzero(bad.any(axis=1)).tolist():
+        p = int(np.argmax(bad[i]))
+        vanish = s[i, p] == 0 and abs(offsets[i, p]) <= _ZERO_OFFSET
+        out[i] = GenericityError(f"node map {net.ij(p)} vanishes identically on a region") if vanish else False
+    return out
+
+
 def _constant_rows_hold(net: ReluNetwork, signs: Signs, table: NodeMaps) -> bool:
-    """False when a constant row among the table's first ``len(signs)``
-    contradicts the pattern; GenericityError when a node map vanishes
-    identically on the region.  The first such row in sign-word order decides."""
+    """:func:`_constant_rows` of one word: False, or its GenericityError raised."""
     n = len(signs)
-    offs, const = table.offsets[:n], table.const[:n]
-    if not const.any():
+    if not table.const[:n].any():
         return True
-    s = np.array(signs, dtype=float)
-    bad = const & ((s * offs <= 0) | (np.abs(offs) <= _ZERO_OFFSET))
-    if not bad.any():
-        return True
-    p = int(np.argmax(bad))
-    if s[p] == 0 and abs(offs[p]) <= _ZERO_OFFSET:
-        raise GenericityError(f"node map {net.ij(p)} vanishes identically on a region")
-    return False
+    held = _constant_rows(net, [signs], table.offsets[None, :n], table.const[None, :n]).get(0, True)
+    if isinstance(held, GenericityError):
+        raise held
+    return held
 
 
 def _hrep_for(net: ReluNetwork, signs: Signs, table: NodeMaps) -> _HRep | None:
@@ -925,6 +934,13 @@ def _enumerate_cells(net: ReluNetwork, lp_tol: float) -> list:
     return sorted(stage)
 
 
+def _check_lp_tol(lp_tol: float) -> None:
+    """ValueError unless ``lp_tol`` is in (0, 1), where the witness LP's
+    capped slack can exceed it."""
+    if not (np.isfinite(lp_tol) and 0 < lp_tol < 1):
+        raise ValueError(f"lp_tol must be finite and in (0, 1), got {lp_tol}")
+
+
 def build_complex(
     net: ReluNetwork,
     sign_tol: float = 1e-9,
@@ -940,8 +956,7 @@ def build_complex(
     bound by the final map overflow the float range (a norm or offset not
     finite).
     """
-    if not (np.isfinite(lp_tol) and 0 < lp_tol < 1):
-        raise ValueError(f"lp_tol must be finite and in (0, 1), got {lp_tol}")
+    _check_lp_tol(lp_tol)
     if not (np.isfinite(sign_tol) and sign_tol >= 0):
         raise ValueError(f"sign_tol must be finite and >= 0, got {sign_tol}")
     return _assemble(net, _enumerate_cells(net, lp_tol), sign_tol, lp_tol)

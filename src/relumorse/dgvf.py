@@ -12,15 +12,11 @@ once on the complex's star table: ``_lower_stars`` marks each lower star
 from the vertices' descent flags, and a word's partner is the star word one
 step along its toggled axis.  ``Matching.validate`` checks the cells' ids.
 
-``local_pair`` applies the same rule to a single cell without the global
-complex: its lower-star vertex is the max of F over its closure, either a
-classified vertex certified by a sign check against its point (a bitmask of
-the signs its slack rows rule out, checked with one integer AND) or found
-by one LP, the only step that builds an H-representation.  A 0-cell is its
-own closure: ``seed_vertices`` certifies the vertex cells of a check in one
-stacked solve, classifies them from one stacked edge solve, and indexes
-them by their lower stars, from the same ``_lower_stars``, on the oracle's
-own tables.
+``local_check`` applies the same rule to a list of cells without the
+global complex, in one stacked pass: a cell's lower-star vertex is the max
+of F over its closure, either a vertex word of the list, certified by the
+point test ``_certify`` and classified from one stacked edge solve, or
+found by one LP, the only step that builds an H-representation.
 """
 
 from __future__ import annotations
@@ -29,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex import CanonicalComplex, _cell_problem, _constant_rows_hold, _hrep_for
-from .complex import _edge_slopes, _edge_slots, _facets, _raise_anew, _solve_each, _stars
+from .complex import CanonicalComplex, _cell_problem, _check_lp_tol, _constant_rows, _edge_slopes, _edge_slots
+from .complex import _facets, _hrep_for, _keys, _lookup, _raise_anew, _solve_each, _stars
 from .errors import (
     DimensionError,
     FlatCellError,
@@ -40,14 +36,12 @@ from .errors import (
     UnboundedCellError,
 )
 from .lp import lp_solve
-from .network import ReluNetwork, Signs, node_maps, signs_to_str
+from .network import NodeMaps, ReluNetwork, Signs, node_maps, signs_to_str
 # classify_vertex stays bound here, where perfbench's tracer wraps it.
 from .orientation import VertexClassification, classifications, classify_signs, classify_vertex
 
 #: Identifier of the compactification basepoint (a critical 0-cell at -inf).
 BASEPOINT = "*"
-# Octal digit of a sign at its row in :func:`_bits`.
-_OCTAL = {-1: "1", 0: "2", 1: "4"}
 
 
 @dataclass(frozen=True)
@@ -260,166 +254,118 @@ class PairAssignment:
     owner_index: int | None  # critical index of the owner, None when regular
 
 
-def _vertex_masks(tables: list, vertices: list, lp_tol: float) -> list:
-    """Bitmask, bit 3p + s + 1, of the signs s that a cell may not take at row
-    p, for each vertex word on its node-map table, read off the point where
-    the unit rows at its zeros meet (all in one stacked solve): 0 where the
-    vertex has no zero and, on a live row, s = +1 or -1 where being tight,
-    s * slack <= ``lp_tol``, is not being a zero.  None when a zero row is
-    constant, the rows are singular or the point misses them by over lp_tol."""
-    if not vertices:
-        return []
-    unit, unit_off = (np.stack(u) for u in zip(*(t.unit for t in tables)))
-    const, zero, n0 = np.stack([t.const for t in tables]), np.array(vertices) == 0, unit.shape[2]
+def _certify(tables: NodeMaps, tid, rows, verts, pairs, lp_tol: float) -> np.ndarray:
+    """ok[j]: of the index arrays ``pairs`` = (i, c), the vertex word
+    verts[i[j]] is certified as the unique max of F over the closure of the
+    cell word rows[c[j]], on its table tables[tid[c[j]]] of a stack of
+    node-map tables.
+
+    The table's unit rows at the vertex's zeros meet in one point per
+    (vertex, table), all solved in one stack.  A pair passes when none of
+    those rows is constant, the system is regular, the point meets them
+    within ``lp_tol``, every zero of the cell is a zero of the vertex, and,
+    of the cell's live rows with nonzero sign s, exactly those the vertex
+    zeroes are tight: s * slack <= ``lp_tol``.  The point is then a simple
+    vertex of the closure, F falls along every edge leaving it into the
+    cell, and F is affine on the convex cell, so it is the point the LP
+    would return.  Being the unique max, it is the only vertex to pass.
+    """
+    (i, c), n_t = pairs, len(tables.offsets)
+    key, at = np.unique(i * n_t + tid[c], return_inverse=True)
+    (unit, unit_off), const = (u[key % n_t] for u in tables.unit), tables.const[key % n_t]
+    zero, n0 = verts[key // n_t] == 0, unit.shape[2]
     x, singular = _solve_each(unit[zero].reshape(-1, n0, n0), unit_off[zero].reshape(-1, n0))
     with np.errstate(all="ignore"):
         slack = (unit @ x[..., None])[..., 0] - unit_off
         resid = np.where(zero, np.abs(slack), -np.inf).max(axis=1)
-        bad = ~const[:, None] & (zero[:, None] != (np.stack([-slack, slack], axis=1) <= lp_tol))
-    bits = np.stack([bad[:, 0], ~zero, bad[:, 1]], axis=2).reshape(len(zero), -1)
-    bits = np.packbits(bits, axis=1, bitorder="little")
-    keep = (~singular & ~(const & zero).any(axis=1) & ~(resid > lp_tol)).tolist()
-    return [int.from_bytes(b.tobytes(), "little") if k else None for b, k in zip(bits, keep)]
+        # allowed[k, p, s + 1]: a cell may take sign s at row p.
+        allowed = np.stack([const | (zero == (-slack <= lp_tol)), zero, const | (zero == (slack <= lp_tol))], axis=2)
+    good = ~singular & ~(const & zero).any(axis=1) & ~(resid > lp_tol)
+    return good[at] & allowed[at[:, None], np.arange(rows.shape[1]), rows[c] + 1].all(axis=1)
 
 
-def _keep_masks(todo: list, lp_tol: float) -> None:
-    """Keep in ``_tables`` entries the :func:`_vertex_masks` that the (vertex, entry) pairs ``todo`` lack."""
-    todo = list({(v, id(e)): (v, e) for v, e in todo if v not in e[1]}.values())
-    for (v, e), mask in zip(todo, _vertex_masks([e[0] for _, e in todo], [v for v, _ in todo], lp_tol)):
-        e[1][v] = mask
-
-
-def _bits(signs: Signs) -> int:
-    """A cell word as one bit per row at its sign: bit 3p + s + 1, read as
-    the octal digit 1, 2 or 4 at place p."""
-    return int("".join(map(_OCTAL.__getitem__, reversed(signs))), 8)
-
-
-def _certified_vertex(signs: Signs, entry, candidates, lp_tol: float):
-    """The one of the classified vertices ``candidates``, whose lower stars
-    hold the cell ``signs``, certified as the unique max of F over the
-    cell's closure, else None.  ``entry`` is the cell's (node-map table,
-    {vertex: :func:`_vertex_masks` entry}) in ``local_pair``'s ``_tables``,
-    the candidates' masks kept there on first use.
-
-    A candidate passes when the table's unit rows at its zeros meet in a
-    point within ``lp_tol`` where, of the cell's live rows with nonzero
-    sign s_p, exactly those it zeroes are tight: s_p * slack_p <= ``lp_tol``.
-    The point is then a simple vertex of the closure, F falls along every
-    edge leaving it into the cell, and F is affine on the convex cell, so it
-    is the point the LP would return.  Being the unique max, it is the only
-    candidate to pass.
-    """
-    word, masks = _bits(signs), entry[1]
-    for cls in candidates:
-        if cls.vertex not in masks:
-            _keep_masks([(c.vertex, entry) for c in candidates], lp_tol)
-        if masks[cls.vertex] is not None and not word & masks[cls.vertex]:
-            return cls
-    return None
-
-
-def _entries(net: ReluNetwork, tables: dict, words: list) -> list:
-    """The ``_tables`` entries of the cells' parents, those that ``tables``
-    lacks made from one stacked :func:`node_maps` call."""
-    prefixes = [w[: -net.layers[-1].out_dim] for w in words]
-    if new := list(dict.fromkeys(p for p in prefixes if p not in tables)):
-        stack = node_maps(net, np.array(new, dtype=float).reshape(len(new), -1))
-        tables.update((p, (stack[i], {})) for i, p in enumerate(new))
-    return [tables[p] for p in prefixes]
-
-
-def _index(memo: dict, vertices: list, desc) -> None:
-    """Classify the vertex words ``vertices`` from their descent flags ``desc``
-    and add each under every word of its lower star."""
-    if vertices:
-        verts = np.array(vertices, dtype=np.int8)
-        t, stars = _stars(verts, np.nonzero(verts == 0)[1].reshape(len(verts), -1))
-        for cls, star, lower in zip(classifications(vertices, desc), stars, _lower_stars(t, desc)):
-            for w in map(tuple, star[lower].tolist()):
-                memo.setdefault(w, []).append(cls)
-
-
-def seed_vertices(net: ReluNetwork, words, classified: dict, tables: dict, lp_tol: float = 1e-7):
-    """Classify, in stacked passes, the vertex cells among ``words`` that
-    certify in closed form, and index them in ``classified``, the memo that
-    ``local_pair`` takes with its ``tables`` as ``_classified`` and ``_tables``.
-
-    A 0-cell is its own closure, so a word with n0 zeros is certified when
-    its table has no constant row and it passes the point test of
-    :func:`_certified_vertex` on it.  One :func:`_edge_slopes` call
-    classifies all of them.  A word that fails the test, or whose edges
-    fail, is left out: ``local_pair``'s LP then finds that vertex, with the
-    errors it raised before.  ``words`` only name candidates: a missing
-    vertex costs LPs, a spurious word fails its test.  Each vertex's masks
-    on its lower star's tables are kept too, where ``local_pair`` reads them.
-    """
-    cand = [w for w in words if w.count(0) == net.n0 and w not in classified]
-    cand = [(w, e) for w, e in zip(cand, _entries(net, tables, cand)) if not e[0].const.any()]
-    _keep_masks(cand, lp_tol)
-    verts = [w for w, e in cand if e[1][w] is not None and not _bits(w) & e[1][w]]
-    _, desc, errors = _edge_slopes(net, verts)
-    kept = [i for i, e in enumerate(errors) if e is None]
-    _index(classified, [verts[i] for i in kept], desc[kept])
-    lower = [(c.vertex, w) for w, cs in classified.items() for c in cs]
-    _keep_masks([(v, e) for (v, _), e in zip(lower, _entries(net, tables, [w for _, w in lower]))], lp_tol)
-
-
-def local_pair(
-    net: ReluNetwork,
-    signs: Signs,
-    lp_tol: float = 1e-7,
-    *,
-    _classified: dict | None = None,
-    _tables: dict | None = None,
-) -> PairAssignment:
-    """Pairing of one bounded-above cell without building the complex.
-
-    The lower-star vertex is the max of F over the cell's closure: a vertex
-    ``_classified`` lists for the cell, certified by
-    :func:`_certified_vertex`, else the one an LP names by its tight
-    constraints.  Its 2*n0 directional derivatives classify it, and
-    :func:`_partner`, the rule :func:`build_dgvf` uses, pairs the cell.
-    ``_classified`` maps each sign word to the classified vertices whose
-    lower stars hold it.  A check over many cells of one network passes one
-    such dict to all of them, so it classifies each vertex once; seeded by
-    :func:`seed_vertices`, it solves no LP.  The dict holds only vertices
-    this oracle certified and classified on its own tables, never the
-    complex's classifications.  It also shares one ``_tables`` dict, for one
-    ``lp_tol``: by parent, the node maps and each candidate vertex's mask on
-    them.
-    """
-    signs = tuple(signs)
-    if len(signs) != net.total_neurons:
-        raise DimensionError(f"expected {net.total_neurons} sign entries, got {len(signs)}")
-    if any(s not in _OCTAL for s in signs):
-        raise ValueError("sign entries must be -1, 0 or +1")
-    memo = {} if _classified is None else _classified
-    entry = _entries(net, {} if _tables is None else _tables, [signs])[0]
-    if not _constant_rows_hold(net, signs, entry[0]):
+def _lp_vertex(net: ReluNetwork, signs: Signs, table: NodeMaps, lp_tol: float) -> VertexClassification:
+    """The classified vertex where an LP finds the max of F over the cell
+    ``signs``, the only step that builds an H-representation; the structured
+    error of an unbounded or infeasible cell, of a max at no simple vertex,
+    of the vertex's edges, or of a cell outside its lower star."""
+    rep = _hrep_for(net, signs, table)
+    grad = table.f_affine(net.final, [signs[-net.final.in_dim :]])[0][0]
+    res = lp_solve(_cell_problem(rep, grad), feas_tol=lp_tol)
+    if res.status == "unbounded":
+        raise UnboundedCellError(f"F is unbounded above on cell {signs_to_str(signs)}")
+    if not res.optimal:
         raise GenericityError(f"cell {signs_to_str(signs)} is infeasible")
-    cls = _certified_vertex(signs, entry, memo.get(signs, ()), lp_tol)
-    if cls is None:
-        rep = _hrep_for(net, signs, entry[0])
-        grad = entry[0].f_affine(net.final, [signs[-net.final.in_dim :]])[0][0]
-        res = lp_solve(_cell_problem(rep, grad), feas_tol=lp_tol)
-        if res.status == "unbounded":
-            raise UnboundedCellError(f"F is unbounded above on cell {signs_to_str(signs)}")
-        if not res.optimal:
-            raise GenericityError(f"cell {signs_to_str(signs)} is infeasible")
-        tight = {rep.ge_positions[r] for r in res.tight}
-        v_signs = tuple(0 if p in tight else s for p, s in enumerate(signs))
-        if v_signs.count(0) != net.n0:
-            raise GenericityError(f"LP maximum over {signs_to_str(signs)} is not attained at a simple vertex")
-        # A vertex's word lies in no lower star but its own.
-        if v_signs not in memo:
-            _, desc, errors = _edge_slopes(net, [v_signs])
-            _raise_anew(errors[0])
-            _index(memo, [v_signs], desc)
-        cls = memo[v_signs][0]
-        if cls not in memo.get(signs, ()):
-            raise IncompletePairingError(
-                f"cell {signs_to_str(signs)} is not in the lower star of its LP vertex"
-            )
-    role, partner = _partner(cls, signs)
-    return PairAssignment(signs, role, partner, cls.vertex, cls.index)
+    tight = {rep.ge_positions[r] for r in res.tight}
+    v = tuple(0 if p in tight else s for p, s in enumerate(signs))
+    if v.count(0) != net.n0:
+        raise GenericityError(f"LP maximum over {signs_to_str(signs)} is not attained at a simple vertex")
+    _, desc, errors = _edge_slopes(net, [v])
+    _raise_anew(errors[0])
+    row = np.array([v], dtype=np.int8)
+    t, star = _stars(row, np.nonzero(row == 0)[1].reshape(1, -1))
+    if not (star[0][_lower_stars(t, desc)[0]] == signs).all(axis=1).any():
+        raise IncompletePairingError(f"cell {signs_to_str(signs)} is not in the lower star of its LP vertex")
+    return classifications([v], desc)[0]
+
+
+def local_check(net: ReluNetwork, words, lp_tol: float = 1e-7) -> list:
+    """:class:`PairAssignment` of each bounded-above cell of the sign words
+    ``words``, in word order, without the complex or its matching.
+
+    A cell's lower-star vertex is the max of F over its closure.  In one
+    pass: one :func:`node_maps` call over the words' parents, the
+    constant-row test of every word, one :func:`_certify` call over every
+    (vertex word, star word) pair, and one :func:`_edge_slopes` call that
+    classifies the vertices that pass on their own word (one whose edges
+    fail is left out).  A cell then raises its constant-row error, or takes
+    the first such vertex, in word order, that passed on it and whose lower
+    star holds it, else the one an LP finds (:func:`_lp_vertex`);
+    :func:`_partner`, the rule :func:`build_dgvf` uses, pairs it.  A
+    malformed word anywhere raises before any cell's structured error.
+    """
+    _check_lp_tol(lp_tol)
+    words = [tuple(w) for w in words]
+    for w in words:
+        if len(w) != net.total_neurons:
+            raise DimensionError(f"expected {net.total_neurons} sign entries, got {len(w)}")
+        if not set(w) <= {-1, 0, 1}:
+            raise ValueError("sign entries must be -1, 0 or +1")
+    if not words:
+        return []
+    rows = np.array(words, dtype=np.int8)
+    keys, first, cell = np.unique(_keys(rows), return_index=True, return_inverse=True)
+    rows, n_m = rows[first], net.final.in_dim  # sorted, so each parent's words are a run
+    new = np.append(True, (rows[1:, :-n_m] != rows[:-1, :-n_m]).any(axis=1))
+    tables, tid = node_maps(net, rows[new, :-n_m]), np.cumsum(new) - 1
+    some = np.flatnonzero(has_const := tables.const.any(axis=1)[tid])
+    faults = _constant_rows(net, rows[some], tables.offsets[tid[some]], tables.const[tid[some]])
+    faults = {int(some[j]): f for j, f in faults.items()}
+    cand = np.flatnonzero(((rows == 0).sum(axis=1) == net.n0) & ~has_const)
+    t, stars = _stars(rows[cand], np.nonzero(rows[cand] == 0)[1].reshape(-1, net.n0))
+    at = _lookup(keys, stars)
+    i, k = np.nonzero(at >= 0)
+    passed = np.zeros(at.shape, dtype=bool)
+    passed[i, k] = _certify(tables, tid, rows, rows[cand], (i, at[i, k]), lp_tol)
+    certified = np.flatnonzero(passed[:, len(t) // 2])  # star word t = 0: the vertex itself
+    verts = [tuple(v) for v in rows[cand[certified]].tolist()]
+    _, desc, errors = _edge_slopes(net, verts)
+    kept = [j for j, e in enumerate(errors) if e is None]
+    classes = classifications([verts[j] for j in kept], desc[kept])
+    vi, k = np.nonzero(_lower_stars(t, desc[kept]) & passed[certified[kept]])
+    owner = np.full(len(rows), len(classes))
+    np.minimum.at(owner, at[certified[kept]][vi, k], vi)
+    out = []
+    for w, u in zip(words, cell.tolist()):
+        if u in faults:
+            raise faults[u] or GenericityError(f"cell {signs_to_str(w)} is infeasible")
+        cls = classes[owner[u]] if owner[u] < len(classes) else _lp_vertex(net, w, tables[tid[u]], lp_tol)
+        role, partner = _partner(cls, w)
+        out.append(PairAssignment(w, role, partner, cls.vertex, cls.index))
+    return out
+
+
+def local_pair(net: ReluNetwork, signs: Signs, lp_tol: float = 1e-7) -> PairAssignment:
+    """Pairing of one bounded-above cell without building the complex:
+    :func:`local_check` of the one word."""
+    return local_check(net, [signs], lp_tol)[0]

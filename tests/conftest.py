@@ -36,7 +36,7 @@ from relumorse.complex import (
     _is_flat,
     _witness,
 )
-from relumorse.dgvf import Matching, _partner
+from relumorse.dgvf import Matching, PairAssignment, _partner
 from relumorse.errors import (
     DimensionError,
     FlatCellError,
@@ -45,6 +45,7 @@ from relumorse.errors import (
     MissingEdgeError,
     SingularSystemError,
     StructuredError,
+    UnboundedCellError,
 )
 from relumorse.lp import FEAS_TOL, LpProblem, LpResult, _optimum, lp_solve
 from relumorse.network import NodeMaps, node_maps
@@ -96,8 +97,9 @@ def differential_draws():
 
 @pytest.fixture(scope="session")
 def certified_draws(netb, cpx_b, netb_neg, cpx_b_neg):
-    """(net, complex) pairs on which ``local_pair``'s certified vertices are
-    checked against its LPs, and its LPs' pivots against the row loop."""
+    """(net, complex) pairs on which ``local_check``'s certified vertices are
+    checked against the per-cell LPs, and those LPs' pivots against the row
+    loop."""
     draws = [(netb, cpx_b), (netb_neg, cpx_b_neg)]
     for arch, count in (((2, 8), 3), ((3, 6), 3), ((4, 7), 2), ((2, 4, 3), 3)):
         draws += [(net, cpx) for _, net, cpx in scan_generic_nets(arch, count)]
@@ -386,10 +388,44 @@ def rays_scan(cpx, cell) -> list:
     return sorted(out)
 
 
+def reference_local_pair(net, signs, lp_tol: float = 1e-7) -> PairAssignment:
+    """``dgvf.local_check`` of one cell with no certified vertex, one LP per
+    cell: the cell's own node-map table and H-representation, the max of F
+    over its closure by one LP, the LP vertex classified by the per-axis
+    rule on its edges, and ``dgvf._partner`` on its lower-star patterns."""
+    signs = tuple(signs)
+    if len(signs) != net.total_neurons:
+        raise DimensionError(f"expected {net.total_neurons} sign entries, got {len(signs)}")
+    if any(s not in (-1, 0, 1) for s in signs):
+        raise ValueError("sign entries must be -1, 0 or +1")
+    n_m = net.final.in_dim
+    table = node_maps(net, signs[:-n_m])
+    rep = _hrep_for(net, signs, table)
+    if rep is None:
+        raise GenericityError(f"cell {signs_to_str(signs)} is infeasible")
+    res = lp_solve(_cell_problem(rep, table.f_affine(net.final, [signs[-n_m:]])[0][0]), feas_tol=lp_tol)
+    if res.status == "unbounded":
+        raise UnboundedCellError(f"F is unbounded above on cell {signs_to_str(signs)}")
+    if not res.optimal:
+        raise GenericityError(f"cell {signs_to_str(signs)} is infeasible")
+    tight = {rep.ge_positions[r] for r in res.tight}
+    v = tuple(0 if p in tight else s for p, s in enumerate(signs))
+    if v.count(0) != net.n0:
+        raise GenericityError(f"LP maximum over {signs_to_str(signs)} is not attained at a simple vertex")
+    slopes = stacked_outcomes([v], complex_module._edge_slopes(net, [v]))[v]
+    if not isinstance(slopes, dict):
+        raise slopes[0](slopes[1])
+    cls = reference_classify_signs(v, slopes)
+    if signs not in set(lower_star_patterns(v, allowed_signs(cls))):
+        raise IncompletePairingError(f"cell {signs_to_str(signs)} is not in the lower star of its LP vertex")
+    role, partner = _partner(cls, signs)
+    return PairAssignment(signs, role, partner, cls.vertex, cls.index)
+
+
 def reference_certified_vertex(signs, rep, candidates, lp_tol):
-    """``dgvf._certified_vertex`` cell by cell: each candidate solves the
-    cell's H-representation rows at its zeros, the cell's zero rows first,
-    and passes when exactly the >= rows it zeroes are tight there."""
+    """``dgvf._certify`` cell by cell: each candidate solves the cell's
+    H-representation rows at its zeros, the cell's zero rows first, and
+    passes when exactly the >= rows it zeroes are tight there."""
     row_of = {p: r for r, p in enumerate(rep.ge_positions)}
     for cls in candidates:
         extra = [row_of.get(p) for p, s in enumerate(cls.vertex) if s == 0 and signs[p] != 0]
@@ -409,10 +445,9 @@ def reference_certified_vertex(signs, rep, candidates, lp_tol):
 
 
 def reference_slack_certified_vertex(signs, entry, candidates, lp_tol):
-    """``dgvf._certified_vertex`` by slack rows: ``entry`` is (node-map
-    table, {vertex: (slack row, zero mask) or None}), filled on first use,
-    and each cell compares a candidate's slack row entry by entry.  The
-    reference for the sign masks that ``dgvf`` keeps instead."""
+    """``dgvf._certify`` by slack rows: ``entry`` is (node-map table,
+    {vertex: (slack row, zero mask) or None}), filled on first use, and each
+    cell compares a candidate's slack row entry by entry."""
     table, points = entry
     s = np.array(signs)
     live = (s != 0) & ~table.const
@@ -746,27 +781,6 @@ def reference_facets(words) -> dict:
             if up in below:
                 below[up].append(w)
     return {w: tuple(sorted(fs)) for w, fs in below.items()}
-
-
-def reference_vertex_mask(table, vertex, lp_tol: float):
-    """One vertex's sign mask on one table, its system solved alone: the
-    reference for ``dgvf._vertex_masks``, which solves a stack."""
-    zero = np.array(vertex) == 0
-    unit, unit_off = table.unit
-    with contextlib.suppress(np.linalg.LinAlgError):
-        if not table.const[zero].any():
-            slack = unit @ np.linalg.solve(unit[zero], unit_off[zero]) - unit_off
-            if not np.abs(slack[zero]).max() > lp_tol:
-                bad = ~table.const & (zero != (np.array([-slack, slack]) <= lp_tol))
-                bits = np.packbits(np.column_stack([bad[0], ~zero, bad[1]]), bitorder="little")
-                return int.from_bytes(bits.tobytes(), "little")
-    return None
-
-
-def reference_index(memo: dict, cls) -> None:
-    """Add one classified vertex under every word of its lower star."""
-    for w in lower_star_patterns(cls.vertex, allowed_signs(cls)):
-        memo.setdefault(w, []).append(cls)
 
 
 def reference_flatness(cpx) -> None:

@@ -178,9 +178,9 @@ def test_dgvf_command(tmp_path):
 
 
 def test_local_check_classifies_each_vertex_once(tmp_path, monkeypatch):
-    # The check classifies the vertex cells first, each once, and indexes
-    # them in its memo.  Every cell's peak vertex is then in the memo and is
-    # certified without an LP.
+    # The check classifies the vertex cells in one stacked pass, each once.
+    # Every cell's peak vertex is then among them and is certified without
+    # an LP.
     classified, lps = [], []
     real_classify, real_lp = dgvf_module.classifications, dgvf_module.lp_solve
     monkeypatch.setattr(
@@ -235,8 +235,7 @@ def test_local_check_pays_per_vertex(tmp_path, monkeypatch, arch):
     monkeypatch.setattr(
         dgvf_module, "_edge_slopes", lambda net, w: words.append(list(w)) or real_slopes(net, w)
     )
-    for name in ("local_pair", "seed_vertices"):
-        monkeypatch.setattr(cli_module, name, inside_of(getattr(cli_module, name)))
+    monkeypatch.setattr(cli_module, "local_check", inside_of(cli_module.local_check))
     monkeypatch.setattr(np.linalg, "solve", solve)
     weights, report = tmp_path / "w.json", tmp_path / "r.json"
     run(["gen", "--arch", arch, "--seed", "0", "-o", str(weights)])
@@ -253,17 +252,16 @@ def test_local_check_pays_per_vertex(tmp_path, monkeypatch, arch):
 
 def test_local_check_lists_mismatches_in_word_order(tmp_path, monkeypatch):
     # The oracle is forced to call 00+ and +++ critical.  The report lists
-    # them in sign-word order, the order the check visits cells in, though
+    # them in sign-word order, the order the check pairs cells in, though
     # "+++" sorts before "00+" as a string.
-    real = cli_module.local_pair
+    real = cli_module.local_check
+    forced = {signs_from_str("00+"), signs_from_str("+++")}
 
-    def local_pair(net, signs, *args, **kwargs):
-        got = real(net, signs, *args, **kwargs)
-        if signs in (signs_from_str("00+"), signs_from_str("+++")):
-            return dataclasses.replace(got, role="critical", partner=None)
-        return got
+    def local_check(net, words, *args, **kwargs):
+        got = real(net, words, *args, **kwargs)
+        return [dataclasses.replace(a, role="critical", partner=None) if a.cell in forced else a for a in got]
 
-    monkeypatch.setattr(cli_module, "local_pair", local_pair)
+    monkeypatch.setattr(cli_module, "local_check", local_check)
     weights, report = tmp_path / "w.json", tmp_path / "r.json"
     run(["gen", "--fixture", "net-b", "-o", str(weights)])
     code = run(

@@ -1,5 +1,6 @@
 import copy
 import itertools
+import re
 from collections import Counter
 
 import numpy as np
@@ -16,11 +17,12 @@ from relumorse import (
     compactify,
     is_acyclic,
     is_face,
+    local_check,
     local_pair,
     signs_from_str,
 )
 from relumorse import AffineLayer, Architecture, ReluNetwork, net_b, random_network
-from relumorse.dgvf import _partner, seed_vertices
+from relumorse.dgvf import _partner
 from relumorse.complex import _edge_slopes
 from relumorse.errors import (
     DimensionError,
@@ -35,18 +37,15 @@ from relumorse.network import NodeMaps, node_maps, signs_to_str
 from relumorse.orientation import VertexClassification
 
 from conftest import (
-    allowed_signs,
     lower_star,
-    lower_star_patterns,
     reference_build_dgvf,
     reference_certified_vertex,
     reference_classify_signs,
     reference_classify_vertex,
-    reference_index,
+    reference_local_pair,
     reference_pair_lower_star,
     reference_slack_certified_vertex,
     reference_validate,
-    reference_vertex_mask,
     scan_generic_nets,
     sign_sequence_at,
     stacked_outcomes,
@@ -294,6 +293,29 @@ def test_local_pair_examples(netb):
         local_pair(netb, (2, 1, 1))
 
 
+def test_local_check_checks_every_word_first(netb):
+    # A malformed word anywhere in the list raises before the unbounded
+    # cell listed first; an empty list pairs nothing.
+    with pytest.raises(ValueError, match=r"sign entries must be -1, 0 or \+1"):
+        local_check(netb, [S("-0+"), S("+++"), (1, 1, 2)])
+    with pytest.raises(DimensionError, match="expected 3 sign entries, got 2"):
+        local_check(netb, [S("-0+"), (1, 1)])
+    assert local_check(netb, []) == []
+    assert local_check(netb, [(True, 1.0, 1)]) == [local_pair(netb, S("+++"))]
+
+
+@pytest.mark.parametrize("lp_tol", [-1.0, 0.0, 2.0, float("inf"), float("nan")])
+def test_local_check_rejects_an_lp_tol_outside_the_unit_interval(netb, lp_tol):
+    # The check build_complex makes, for every cell alike.
+    message = re.escape(f"lp_tol must be finite and in (0, 1), got {lp_tol}")
+    with pytest.raises(ValueError, match=message):
+        local_check(netb, [S(w) for w in ("+++", "00+", "+0+", "0++", "+00")], lp_tol)
+    with pytest.raises(ValueError, match=message):
+        local_pair(netb, S("+00"), lp_tol)
+    with pytest.raises(ValueError, match=message):
+        build_complex(netb, lp_tol=lp_tol)
+
+
 @pytest.mark.parametrize("length", [4, 6])
 def test_local_pair_rejects_a_word_of_the_wrong_length(length):
     # A word of a two-layer net that ends inside layer 1 or past layer 2.
@@ -331,144 +353,141 @@ def _count_local_lps(monkeypatch) -> list:
     return calls
 
 
-def _classified_vertices(memo) -> set:
-    """The distinct vertices a ``local_pair`` memo has classified."""
-    return {cls.vertex for found in memo.values() for cls in found}
+def _bounded_cells(cpx) -> list:
+    return sorted(s for s, c in cpx.cells.items() if cpx.is_bounded_above(c))
 
 
-def _local_outcome(net, signs, memo, tables=None):
-    try:
-        return local_pair(net, signs, _classified=memo, _tables=tables)
-    except StructuredError as exc:
-        return type(exc), str(exc)
+def _stack(net, cells) -> tuple:
+    """(tables, tid, rows) of the cell words, stacked as ``local_check`` stacks them."""
+    rows = np.array(cells, dtype=np.int8)
+    prefixes, tid = np.unique(rows[:, : -net.final.in_dim], axis=0, return_inverse=True)
+    return node_maps(net, prefixes), tid, rows
+
+
+def _forged(v) -> VertexClassification:
+    return VertexClassification(tuple(v), "critical", 0, (), None, None)
 
 
 def test_certified_vertices_match_the_lp(certified_draws, monkeypatch):
-    # One memo shared over the sorted bounded-above cells, as --local-check
-    # runs it, against a fresh LP per cell: same assignment or same error.
+    # The sorted bounded-above cells in one check, as --local-check runs
+    # them, against the per-cell reference, one LP per cell: the same
+    # assignments, and no LP.
     lps = _count_local_lps(monkeypatch)
-    shared_lps = checked = 0
+    checked = 0
     for net, cpx in certified_draws:
-        cells = sorted(s for s, c in cpx.cells.items() if cpx.is_bounded_above(c))
-        memo = {}
-        del lps[:]
-        shared = [_local_outcome(net, s, memo) for s in cells]
-        shared_lps += len(lps)
+        cells = _bounded_cells(cpx)
+        assert local_check(net, cells) == [reference_local_pair(net, s) for s in cells], net.arch
         checked += len(cells)
-        assert shared == [_local_outcome(net, s, None) for s in cells], net.arch
-        assert len(_classified_vertices(memo)) <= len(cpx.vertices)
-    assert shared_lps < checked / 3
-
-
-def _vertex_first(net, cells, vertex_words) -> tuple:
-    """(outcomes of ``local_pair`` over ``cells``, the memo) as --local-check
-    runs it: the memo seeded from ``vertex_words`` first, then shared."""
-    memo, tables = {}, {}
-    seed_vertices(net, vertex_words, memo, tables)
-    return [_local_outcome(net, s, memo, tables) for s in cells], memo
+    assert lps == [] and checked > 2500
 
 
 def test_vertex_first_check_matches_the_fresh_oracle(sweep_accepted, monkeypatch):
-    # Every bounded-above cell of the sweep's accepted nets and of NET-B:
-    # seeded with the complex's vertex words, the check solves no LP and
-    # gives what a fresh oracle, one LP per cell, gives.  So it does when
-    # the seeding list drops one vertex, which the LPs then find, and adds
-    # a word with n0 zeros that names no cell, which fails its point test.
+    # Every bounded-above cell of the sweep's accepted nets and of NET-B in
+    # one check: no LP, and what the per-cell reference, one LP per cell,
+    # gives.  So it does with one vertex left out of the list: the other
+    # cells of its lower star then take one LP each.  A word with n0 zeros
+    # that names no cell, added to the list, fails its point test: it is
+    # not classified, and the check raises its error as the reference does.
     lps = _count_local_lps(monkeypatch)
+    real_slopes, classified, dropped_lps = dgvf_module._edge_slopes, [], 0
+    monkeypatch.setattr(dgvf_module, "_edge_slopes", lambda net, w: classified.extend(w) or real_slopes(net, w))
     for net, cpx in sweep_accepted:
-        cells = sorted(s for s, c in cpx.cells.items() if cpx.is_bounded_above(c))
-        fresh = [_local_outcome(net, s, None) for s in cells]
-        vertices = [s for s in cells if cpx.cells[s].dim == 0]
+        cells = _bounded_cells(cpx)
+        fresh = [reference_local_pair(net, s) for s in cells]
         del lps[:]
-        assert _vertex_first(net, cells, vertices)[0] == fresh, net.arch
+        assert local_check(net, cells) == fresh, net.arch
         assert lps == []
+        vertices = [s for s in cells if cpx.cells[s].dim == 0]
+        dropped = vertices[len(vertices) // 2]
+        kept = [(s, a) for s, a in zip(cells, fresh) if s != dropped]
+        assert local_check(net, [s for s, _ in kept]) == [a for _, a in kept], net.arch
+        assert len(lps) == sum(a.owner_vertex == dropped for _, a in kept)
+        dropped_lps += len(lps)
         v, q = vertices[0], max(p for p, s in enumerate(vertices[0]) if s != 0)
         spurious = v[:q] + (-v[q],) + v[q + 1 :]
         assert spurious not in cpx.cells
-        seeds = [w for w in vertices if w != vertices[len(vertices) // 2]] + [spurious]
-        outcomes, memo = _vertex_first(net, cells, seeds)
-        assert outcomes == fresh, net.arch
-        assert lps and spurious not in memo
+        del classified[:]
+        got = _outcome(lambda: local_check(net, cells + [spurious]))  # noqa: B023
+        assert got == _outcome(lambda: fresh + [reference_local_pair(net, spurious)]), net.arch  # noqa: B023
+        assert isinstance(got, tuple) and spurious not in classified
+    assert dropped_lps > len(sweep_accepted)
 
 
 def test_certified_vertex_matches_the_per_cell_reference(certified_draws, monkeypatch):
-    # The cached vertex points against the per-cell H-representation solve:
-    # on the candidates the memo hands over and, once the memo is full, on
-    # each classified vertex in a cell's closure and two outside it.  The
-    # deep nets do not build (a dead layer on a cell with a vertex), so their
-    # top cells come from sample points, and each of their cells also meets
-    # every word that zeroes n0 of its entries; the dead cells' tables have
-    # constant rows.
-    draws = [
-        (net, sorted(s for s, c in cpx.cells.items() if cpx.is_bounded_above(c)), False)
-        for net, cpx in certified_draws
-    ]
+    # The stacked point test against the per-cell H-representation solve:
+    # on every pair a whole check tests, then for each cell on each vertex
+    # in its closure and two outside it.  The deep nets do not build (a
+    # dead layer on a cell with a vertex), so their top cells come from
+    # sample points, their vertices are the per-cell reference's LP
+    # vertices, and each cell also meets every word that zeroes n0 of its
+    # entries; the dead cells' tables have constant rows.
+    draws = [(net, _bounded_cells(cpx), sorted(cpx.vertices), False) for net, cpx in certified_draws]
     rng = np.random.default_rng(0)
     for arch in ((2, 4, 4), (3, 4, 3)):
         for seed in range(6):
             net = random_network(Architecture(arch), seed)
             points = rng.uniform(-4.0, 4.0, (300, net.n0))
-            draws.append((net, sorted({sign_sequence_at(net, x) for x in points}), True))
-    real, checked = dgvf_module._certified_vertex, Counter()
+            cells = sorted({sign_sequence_at(net, x) for x in points})
+            found = [_outcome(lambda: reference_local_pair(net, s)) for s in cells]  # noqa: B023
+            draws.append((net, cells, sorted({a.owner_vertex for a in found if not isinstance(a, tuple)}), True))
+    real, checked = dgvf_module._certify, Counter()
 
-    def check(signs, entry, candidates, lp_tol):
-        got = real(signs, entry, candidates, lp_tol)
-        rep = dgvf_module._hrep_for(net, signs, entry[0])
-        assert got is reference_certified_vertex(signs, rep, candidates, lp_tol), signs
-        checked["constant" if entry[0].const.any() and candidates else "live"] += 1
+    def check(tables, tid, rows, verts, pairs, lp_tol):
+        got = real(tables, tid, rows, verts, pairs, lp_tol)
+        for ok, i, c in zip(got.tolist(), *(p.tolist() for p in pairs)):
+            signs, table = tuple(rows[c].tolist()), tables[tid[c]]
+            try:
+                rep = dgvf_module._hrep_for(net, signs, table)  # noqa: B023
+            except StructuredError:
+                rep = None
+            if rep is not None:
+                cls = _forged(verts[i].tolist())
+                assert ok == (reference_certified_vertex(signs, rep, [cls], lp_tol) is cls), signs
+                checked["constant" if table.const.any() else "live"] += 1
         return got
 
-    monkeypatch.setattr(dgvf_module, "_certified_vertex", check)
-    for net, cells, forge in draws:
-        memo, tables = {}, {}
+    monkeypatch.setattr(dgvf_module, "_certify", check)
+    for net, cells, vertices, forge in draws:
+        _outcome(lambda: local_check(net, cells))  # noqa: B023
+        verts, vs, cs = np.array(vertices, dtype=np.int8).reshape(-1, len(cells[0])), [], []
         for s in cells:
-            _local_outcome(net, s, memo, tables)
-        found = sorted({c.vertex: c for cs in memo.values() for c in cs}.items())
-        for s in cells:
-            entry = tables[s[: -net.layers[-1].out_dim]]
-            try:
-                if dgvf_module._hrep_for(net, s, entry[0]) is None:
-                    continue
-            except StructuredError:
-                continue
-            candidates = [c for v, c in found if is_face(v, s)]
-            candidates += [c for v, c in found if not is_face(v, s)][:2]
+            face = ((verts == 0) | (verts == np.array(s))).all(axis=1)
+            candidates = [vertices[i] for i in [*np.flatnonzero(face), *np.flatnonzero(~face)[:2]]]
             if forge:
                 for zeros in itertools.combinations(range(len(s)), net.n0):
-                    v = tuple(0 if p in zeros else x for p, x in enumerate(s))
-                    candidates.append(VertexClassification(v, "critical", 0, (), None, None))
-            for cls in candidates:
-                check(s, entry, [cls], 1e-7)
+                    candidates.append(tuple(0 if p in zeros else x for p, x in enumerate(s)))
+            vs, cs = vs + candidates, cs + [s] * len(candidates)
+        n = np.arange(len(cs))
+        check(*_stack(net, cs), np.array(vs, dtype=np.int8), (n, n), 1e-7)
     assert checked["live"] > 10000 and checked["constant"] > 100
 
 
-def test_sign_masks_certify_as_the_slack_rows(sweep_accepted, monkeypatch):
-    # Every bounded-above cell of the sweep's accepted nets, as --local-check
-    # runs them, then each classified vertex in a cell's closure and two
-    # outside it: the sign masks certify the vertex that conftest's slack
-    # rows certify, or both None.
-    real, checked = dgvf_module._certified_vertex, Counter()
+def test_point_test_certifies_as_the_slack_rows(sweep_accepted, monkeypatch):
+    # Every pair a whole check of the sweep's accepted nets tests, then each
+    # vertex in a cell's closure and two outside it: the stacked point test
+    # certifies the pairs that conftest's slack rows certify, and no other.
+    real, checked = dgvf_module._certify, Counter()
+
+    def check(tables, tid, rows, verts, pairs, lp_tol):
+        got, points = real(tables, tid, rows, verts, pairs, lp_tol), {}
+        for ok, i, c in zip(got.tolist(), *(p.tolist() for p in pairs)):
+            signs, cls = tuple(rows[c].tolist()), _forged(verts[i].tolist())
+            entry = points.setdefault(int(tid[c]), (tables[tid[c]], {}))
+            assert ok == (reference_slack_certified_vertex(signs, entry, [cls], lp_tol) is cls), signs
+            checked["vertex" if ok else "none"] += 1
+        return got
+
+    monkeypatch.setattr(dgvf_module, "_certify", check)
     for net, cpx in sweep_accepted:
-        n_m, rows = net.layers[-1].out_dim, {}
-
-        def check(signs, entry, candidates, lp_tol):
-            got = real(signs, entry, candidates, lp_tol)
-            ref = rows.setdefault(signs[:-n_m], (entry[0], {}))  # noqa: B023
-            assert got is reference_slack_certified_vertex(signs, ref, candidates, lp_tol), signs
-            checked["none" if got is None else "vertex"] += 1
-            return got
-
-        monkeypatch.setattr(dgvf_module, "_certified_vertex", check)
-        memo, tables = {}, {}
-        cells = sorted(s for s, c in cpx.cells.items() if cpx.is_bounded_above(c))
+        cells = _bounded_cells(cpx)
+        local_check(net, cells)
+        vs, cs = [], []
         for s in cells:
-            local_pair(net, s, _classified=memo, _tables=tables)
-        found = {cls.vertex: cls for cs in memo.values() for cls in cs}
-        assert sorted(found) == sorted(cpx.vertices)
-        for s in cells:
-            inside = {v.signs for v in cpx.vertex_facets(s)}
-            for v in [*inside, *[v for v in found if v not in inside][:2]]:
-                check(s, tables[s[:-n_m]], [found[v]], 1e-7)
+            inside = [v.signs for v in cpx.vertex_facets(s)]
+            candidates = [*inside, *[v for v in cpx.vertices if v not in inside][:2]]
+            vs, cs = vs + candidates, cs + [s] * len(candidates)
+        n = np.arange(len(cs))
+        check(*_stack(net, cs), np.array(vs, dtype=np.int8), (n, n), 1e-7)
     assert checked["vertex"] > 30000 and checked["none"] > 15000
 
 
@@ -480,57 +499,60 @@ def test_constant_rows_take_no_part_in_the_point_test(vertex, passes):
     rows = np.array([[1.0, 0.0], [0.0, 1.0], [1e-14, 1e-14]])
     table = NodeMaps(rows, np.array([0.0, 0.0, -5e-8]))
     assert table.const.tolist() == [False, False, True]
-    signs, cls = S("++-"), VertexClassification(S(vertex), "critical", 0, (), None, None)
+    signs, cls = S("++-"), _forged(S(vertex))
     rep = dgvf_module._hrep_for(net_b(), signs, table)
     expected = reference_certified_vertex(signs, rep, [cls], 1e-7)
     assert (expected is cls) == passes
-    assert dgvf_module._certified_vertex(signs, (table, {}), [cls], 1e-7) is expected
+    stack, one = NodeMaps(rows[None], table.offsets[None]), np.zeros(1, dtype=int)
+    word, vert = (np.array([w], dtype=np.int8) for w in (signs, cls.vertex))
+    assert dgvf_module._certify(stack, one, word, vert, (one, one), 1e-7).tolist() == [passes]
 
 
 def test_memo_vertex_that_is_not_the_peak_takes_the_lp(netb, monkeypatch):
     # +00 (a minimum) and 0+0 lie in the closure of +++, but +++ is in
-    # neither lower star: the LP still finds its peak 00+.
-    memo = {}
-    local_pair(netb, S("+00"), _classified=memo)
-    local_pair(netb, S("0+0"), _classified=memo)
-    assert _classified_vertices(memo) == {S("+00"), S("0+0")}
+    # neither lower star: listed with it, they leave the LP to find its
+    # peak 00+, and certify themselves.
     lps = _count_local_lps(monkeypatch)
-    a = local_pair(netb, S("+++"), _classified=memo)
-    assert a.owner_vertex == S("00+") and a.role == "upper" and a.partner == S("0++")
-    assert len(lps) == 1 and S("00+") in _classified_vertices(memo)
+    got = local_check(netb, [S("+00"), S("0+0"), S("+++")])
+    assert [a.owner_vertex for a in got] == [S("+00"), S("0+0"), S("00+")]
+    assert got[2].role == "upper" and got[2].partner == S("0++")
+    assert len(lps) == 1
 
 
 def test_memo_peak_vertex_is_certified_without_lp(netb, monkeypatch):
-    # With 00+ in the memo, the other cells of its lower star need no LP.
-    memo = {}
-    local_pair(netb, S("00+"), _classified=memo)
+    # With 00+ in the list, the other cells of its lower star need no LP.
+    words = [S(w) for w in ("00+", "+++", "+0+", "0++")]
     lps = _count_local_lps(monkeypatch)
-    got = {w: local_pair(netb, S(w), _classified=memo) for w in ("+++", "+0+", "0++")}
+    got = local_check(netb, words)
     assert not lps
-    assert got == {w: local_pair(netb, S(w)) for w in got}
+    assert got == [reference_local_pair(netb, w) for w in words]
 
 
 def test_memo_does_not_hide_unbounded_cells(netb, monkeypatch):
     # 00+ is a closure vertex of -0+, along which F rises without bound.
-    memo = {}
-    local_pair(netb, S("00+"), _classified=memo)
     with pytest.raises(UnboundedCellError):
-        local_pair(netb, S("-0+"), _classified=memo)
-    # A forged lower star for 00-, a word that names no vertex of ++-: the
-    # lines of its zeros meet at the origin, outside ++-, so the point test
-    # rejects it and the LP reports the unbounded cell.
-    forged = VertexClassification(S("00-"), "critical", 2, ((0, True, True), (1, True, True)), None, None)
-    memo = {w: [forged] for w in lower_star_patterns(forged.vertex, allowed_signs(forged))}
-    real, seen = dgvf_module._certified_vertex, []
+        local_check(netb, [S("00+"), S("-0+")])
+    # 00- names no vertex: the lines of its zeros meet at the origin,
+    # outside ++-.  Forged as a certified vertex whose every edge descends,
+    # its lower star holds ++-, but the point test rejects the pair and the
+    # LP reports the unbounded cell.
+    real_certify, real_slopes, seen = dgvf_module._certify, dgvf_module._edge_slopes, []
 
-    def spy(signs, entry, candidates, lp_tol):
-        seen.append((list(candidates), real(signs, entry, candidates, lp_tol)))
-        return seen[-1][1]
+    def certify(tables, tid, rows, verts, pairs, lp_tol):
+        got = real_certify(tables, tid, rows, verts, pairs, lp_tol)
+        i, c = pairs
+        seen.extend(zip(map(tuple, verts[i].tolist()), map(tuple, rows[c].tolist()), got.tolist()))
+        return got | (rows[c] == verts[i]).all(axis=1)  # each vertex word passes on itself
 
-    monkeypatch.setattr(dgvf_module, "_certified_vertex", spy)
+    def slopes(net, words):
+        d, desc, errors = real_slopes(net, words)
+        return d, np.ones_like(desc), [None] * len(words)
+
+    monkeypatch.setattr(dgvf_module, "_certify", certify)
+    monkeypatch.setattr(dgvf_module, "_edge_slopes", slopes)
     with pytest.raises(UnboundedCellError):
-        local_pair(netb, S("++-"), _classified=memo)
-    assert seen == [([forged], None)]
+        local_check(netb, [S("00-"), S("++-")])
+    assert (S("00-"), S("00-"), False) in seen and (S("00-"), S("++-"), False) in seen
 
 
 def _forge_lp_vertex(monkeypatch, net, signs, vertex):
@@ -689,57 +711,64 @@ def test_validate_matches_the_pair_by_pair_reference(sweep_accepted):
     assert len(named) >= 4 and sum(named.values()) > 6 * len(sweep_accepted)
 
 
-def test_stacked_masks_match_the_per_vertex_mask(sweep_accepted):
-    # Every vertex word of the sweep's accepted nets on its own parent's
-    # table and on another's, then a stack with a singular system, a
-    # constant zero row and a system that misses its residual by 8e-4: the
-    # stacked masks are conftest's masks solved one by one.
+def test_stacked_point_test_matches_the_per_pair_solve(sweep_accepted):
+    # Every vertex word of the sweep's accepted nets on its own word and on
+    # another's, then a system that misses its residual by 8e-4, a singular
+    # one, a singular one that x = 0 meets, a constant zero row and a live
+    # row whose slack is lp_tol exactly: the stacked point test is
+    # conftest's slack rows solved pair by pair.
     seen = Counter()
     for net, cpx in sweep_accepted:
-        n_m, words = net.layers[-1].out_dim, list(cpx.vertices)
-        own = [node_maps(net, w[:-n_m]) for w in words]
-        for tables in (own, own[::-1]):
-            want = [reference_vertex_mask(t, w, 1e-7) for t, w in zip(tables, words)]
-            assert dgvf_module._vertex_masks(tables, words, 1e-7) == want, net.arch
-            seen.update(m is None for m in want)
+        words = list(cpx.vertices)
+        tables, tid, rows = _stack(net, words)
+        n = np.arange(len(words))
+        for c in (n, n[::-1]):
+            got = dgvf_module._certify(tables, tid, rows, rows, (n, c), 1e-7).tolist()
+            want = [
+                reference_slack_certified_vertex(words[j], (tables[tid[j]], {}), [_forged(w)], 1e-7) is not None
+                for w, j in zip(words, c.tolist())
+            ]
+            assert got == want, net.arch
+            seen.update(got)
     cases = [
         ([[1.0, 1.0], [1.0, 1.0 + 1e-13], [0.0, 1.0]], [0.3, -0.7, 0.2], S("00+")),  # residual
         ([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]], [0.3, -0.7, 0.2], S("00+")),  # singular
+        ([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]], [0.0, 0.0, 0.2], S("00+")),  # singular, met
         ([[1.0, 0.0], [0.0, 1.0], [1e-14, 1e-14]], [0.0, 0.0, -5e-8], S("+00")),  # constant
+        ([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]], [0.0, 0.0, 1e-7], S("00+")),  # tight
         ([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [0.0, 0.0, -1.0], S("00-")),
         ([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [0.0, 0.0, -1.0], S("0+0")),
     ]
-    tables = [NodeMaps(np.array(rows), np.array(offsets)) for rows, offsets, _ in cases]
-    words = [w for *_, w in cases]
-    want = [reference_vertex_mask(t, w, 1e-7) for t, w in zip(tables, words)]
-    assert want[:3] == [None] * 3 and None not in want[3:]
-    assert dgvf_module._vertex_masks(tables, words, 1e-7) == want
-    assert seen[True] and seen[False] > 1000
+    tables = NodeMaps(np.array([r for r, *_ in cases]), np.array([o for _, o, _ in cases]))
+    words, n = np.array([w for *_, w in cases], dtype=np.int8), np.arange(len(cases))
+    want = [
+        reference_slack_certified_vertex(w, (tables[j], {}), [_forged(w)], 1e-7) is not None
+        for j, (*_, w) in enumerate(cases)
+    ]
+    assert want == [False] * 5 + [True] * 2
+    assert dgvf_module._certify(tables, n, words, words, (n, n), 1e-7).tolist() == want
+    assert seen[True] > 1000 and seen[False] > 1000
 
 
-def test_stacked_seed_gives_the_per_vertex_memo(sweep_accepted, monkeypatch):
-    # seed_vertices on every vertex word of the sweep's accepted nets: the
-    # memo, and the masks kept on its tables, of the one-by-one seeding with
-    # conftest's masks, per-axis classification and lower-star patterns.
-    # The masks it keeps on the lower stars' tables leave local_pair none to
-    # solve, on the two-layer nets' many parent tables too.
-    real, solved = dgvf_module._vertex_masks, []
+def test_stacked_check_classifies_as_the_per_vertex_reference(sweep_accepted, monkeypatch):
+    # A check of every bounded-above cell of the sweep's accepted nets
+    # classifies, in one call, the vertex words whose table has no constant
+    # row and that conftest's slack rows certify on their own word, as the
+    # per-axis rule on their edges classifies them; all of the check's
+    # point tests are one _certify call.
+    real_classify, real_certify, got, certify = dgvf_module.classifications, dgvf_module._certify, [], []
+    monkeypatch.setattr(
+        dgvf_module, "classifications", lambda vs, desc: got.append(real_classify(vs, desc)) or got[-1]
+    )
+    monkeypatch.setattr(dgvf_module, "_certify", lambda *a: certify.append(a) or real_certify(*a))
     for net, cpx in sweep_accepted:
-        n_m, memo, tables = net.layers[-1].out_dim, {}, {}
-        seed_vertices(net, sorted(cpx.vertices), memo, tables)
-        want = {}
+        del got[:], certify[:]
+        local_check(net, _bounded_cells(cpx))
+        want = []
         for w in sorted(cpx.vertices):
-            table = node_maps(net, w[:-n_m])
-            mask = reference_vertex_mask(table, w, 1e-7)
-            if table.const.any() or mask is None or dgvf_module._bits(w) & mask:
+            table = node_maps(net, w[: -net.final.in_dim])
+            if table.const.any() or reference_slack_certified_vertex(w, (table, {}), [_forged(w)], 1e-7) is None:
                 continue
             if isinstance(slopes := stacked_outcomes([w], _edge_slopes(net, [w]))[w], dict):
-                reference_index(want, reference_classify_signs(w, slopes))
-        assert memo == want, net.arch
-        monkeypatch.setattr(dgvf_module, "_vertex_masks", lambda *a: solved.append(a) or real(*a))
-        for s in sorted(s for s, c in cpx.cells.items() if cpx.is_bounded_above(c)):
-            local_pair(net, s, _classified=memo, _tables=tables)
-        monkeypatch.setattr(dgvf_module, "_vertex_masks", real)
-        assert solved == [], net.arch
-        for prefix, (table, masks) in tables.items():
-            assert masks == {v: reference_vertex_mask(table, v, 1e-7) for v in masks}, net.arch
+                want.append(reference_classify_signs(w, slopes))
+        assert got == [want] and len(certify) == 1, net.arch

@@ -393,7 +393,7 @@ def test_tie_returns_an_optimum_with_the_simplex_value(a_ge, b_ge, ends):
 
 
 def test_matches_the_tableau_on_every_oracle_fallback_lp(sweep_accepted):
-    # The LP that local_pair's fallback would solve on each bounded-above
+    # The LP that local_check's fallback would solve on each bounded-above
     # cell of the CLI sweep's accepted nets, which --local-check now
     # certifies without one: the same status and value as the tableau, and
     # the same tight set where the tableau's optimum is a simple vertex.
